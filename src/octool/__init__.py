@@ -80,4 +80,4 @@ from .harness_cli import (
     run_scenario,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -115,13 +115,15 @@ def _lp_integral(f: FunctionSpec, p_exp: float, params: JacobiParams,
     if not a < b:
         return IntegralResult(0.0, 0.0, 0)
 
+    # combined weight exponent, cancelled symbolically so huge log A values
+    # cannot absorb the plain part in floating point; with |f| ~ A^(-1/q) it
+    # is 1 - p_exp/q, exactly 0 at p_exp = q, where p_exp * (-1/q) + 1 can
+    # leave a rounding residue that e^600-sized x turns into overflow
+    w_coeff = 1.0 - p_exp / f.weight_root()
+
     def g(x):
         x = np.asarray(x, dtype=float)
-        plain, a_coeff = f.log_abs_decomp(x)
-        plain = np.atleast_1d(plain)
-        # combined weight exponent, cancelled symbolically so huge log A
-        # values cannot absorb the plain part in floating point
-        w_coeff = p_exp * a_coeff + 1.0
+        plain = np.atleast_1d(f.log_abs_decomp(x)[0])
         out = np.zeros(x.shape)
         live = plain > -math.inf
         if np.any(live):
@@ -458,6 +460,9 @@ class LogInterpFunction:
 
     def log_abs_decomp(self, x):
         return self.log_abs(x), 0.0
+
+    def weight_root(self) -> float:
+        return math.inf
 
     def __call__(self, x):
         la = self.log_abs(x)

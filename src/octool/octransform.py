@@ -289,6 +289,14 @@ class FunctionSpec:
             return float(out[0]), -1.0 / p_exp
         return out, -1.0 / p_exp
 
+    def weight_root(self) -> float:
+        """q such that |f| carries the weight factor A^(-1/q) of
+        :meth:`log_abs_decomp` (a_coeff = -1/q); inf when it carries none.
+        Norm integrands use it to cancel the weight exponent exactly."""
+        if self.family in ("extremal_eps", "extremal_delta", "extremal_zero"):
+            return self.params["p"]
+        return math.inf
+
     def reflected(self) -> "FunctionSpec":
         """The reflection x -> f(-x)."""
         return FunctionSpec(

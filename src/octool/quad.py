@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+_FLOAT_FIELDS = (
+    "rel_tol", "abs_tol", "truncation_x", "truncation_lambda", "truncation_t", "lambda_min",
+)
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Tolerances, truncation radii, and grid densities for all quadrature."""
@@ -42,6 +47,11 @@ class QuadConfig:
     extremum_grid: int = 2048
 
     def __post_init__(self):
+        # NaN passes every comparison below, and an infinite cutoff yields
+        # NaN nodes downstream
+        bad = [name for name in _FLOAT_FIELDS if not math.isfinite(getattr(self, name))]
+        if bad:
+            raise ParameterError(f"{', '.join(bad)} must be finite")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ParameterError("tolerances must be positive")
         if min(self.truncation_x, self.truncation_lambda, self.truncation_t) <= 0:

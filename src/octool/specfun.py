@@ -136,44 +136,112 @@ def _forbidden_c(c: complex) -> bool:
     return nearest <= 0 and abs(c.real - nearest) < _POLE_TOL
 
 
+def _column_major(v, shape: tuple) -> np.ndarray:
+    """``v`` broadcast against ``shape`` as a 2-D (columns, rows) array: one
+    row per column of the last axis of ``shape``, holding that column's
+    entries over all leading axes.  Either axis stays of length 1 where ``v``
+    does not vary along it.  Always a new array."""
+    v = np.asarray(v)
+    lead = shape[:-1] if v.ndim > 1 and math.prod(v.shape[:-1]) > 1 else (1,) * (len(shape) - 1)
+    width = shape[-1] if v.ndim > 0 and v.shape[-1] > 1 else 1
+    return np.broadcast_to(v, lead + (width,)).reshape(-1, width).T.copy()
+
+
 def _hyp_series(a, b, c, w):
     """Power series sum_n (a)_n (b)_n / ((c)_n n!) w^n for |w| < 1.
 
     ``w`` may be a scalar or array; ``a``, ``b``, ``c`` may be scalars or
-    arrays broadcasting against ``w``.  Returns (sum, err_bound, terms).
+    arrays broadcasting against ``w``.  Returns (sum, err_bound, terms), with
+    ``terms`` that of the slowest column.
+
+    Each column of the last axis (the ``w`` axis) retires on its own, at the
+    first term where its largest |term| plus the geometric tail bound falls
+    below ``_SERIES_RTOL`` times the largest |partial sum| in the batch (the
+    live columns' current sums and the retired columns' final sums).  Its
+    sum and truncation bound |term| r/(1-r) are recorded at that term, and
+    it leaves the working arrays, so a batch no longer iterates every
+    element until its slowest one converges.  The round-off bound
+    5e-16 peak sqrt(terms) uses the slowest column's term count, so no bound
+    is tighter than a whole-batch run would give, and a one-column input
+    computes exactly what a whole-batch stopping test does.
     """
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0 and np.ndim(a) == 0 and np.ndim(b) == 0
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), w.shape)
-    total = np.ones(shape if shape else (1,), dtype=complex)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), w.shape) or (1,)
+    # one row per column, so a column moves as one contiguous row.  Rows
+    # [:k] hold the live columns, rows [k:] the retired ones in their final
+    # state: a retiring column swaps rows with a live one, and the swaps are
+    # undone at the end.  trunc is scratch for the live rows
+    total = np.ones((shape[-1], math.prod(shape[:-1])), dtype=complex)
     term = np.ones_like(total)
-    w = np.broadcast_to(np.atleast_1d(w), total.shape)
-    wmax = float(np.max(np.abs(w)))
-    # largest term seen per element: bounds round-off lost to cancellation
-    peak = np.ones(total.shape)
+    peak = np.ones(total.shape)  # largest |term| per element: cancellation loss
+    trunc = np.empty(total.shape)
+    # scalar parameters stay 0-d: numpy rounds complex products of scalars
+    # differently from its array loops, and a one-column input must keep the
+    # arithmetic of a whole-batch run
+    a, b, c = (np.asarray(v) if np.ndim(v) == 0 else _column_major(v, shape) for v in (a, b, c))
+    w = _column_major(w, shape)
+    wmax = np.broadcast_to(np.abs(w).max(axis=1), total.shape[:1]).copy()
+    by_row = [v for v in (a, b, c, w) if v.ndim and v.shape[0] > 1] + [total, term, peak, wmax]
+    swaps = []  # (to, from) rows of each retirement
+    k = total.shape[0]
+    scale_retired = 0.0
     n = 0
-    while n < _SERIES_BUDGET:
-        ratio = (np.asarray(a) + n) * (np.asarray(b) + n) / ((np.asarray(c) + n) * (n + 1))
-        term = term * ratio * w
-        total = total + term
-        n += 1
-        # asymptotic term ratio tends to |w|; bound the tail geometrically
-        r = min(max(wmax, float(np.max(np.abs(ratio))) * wmax), 0.999999)
-        tabs = np.abs(term)
-        np.maximum(peak, tabs, out=peak)
-        tmax = float(np.max(tabs))
-        tail = tmax * r / (1.0 - r)
-        if tail + tmax < _SERIES_RTOL * (float(np.max(np.abs(total))) + 1e-300):
-            break
-    else:
-        raise NonConvergenceError(
-            f"hypergeometric series did not converge within {_SERIES_BUDGET} "
-            f"terms (|w| up to {wmax})"
-        )
-    err = np.abs(term) * r / (1.0 - r) + 5e-16 * peak * (n + 1) ** 0.5
+    while k:
+        s, tm, pk, tabs = total[:k], term[:k], peak[:k], trunc[:k]
+        aa, bb, cc, ww = (v[:k] if v.ndim and v.shape[0] > 1 else v for v in (a, b, c, w))
+        wk = wmax[:k]
+        while True:
+            if n == _SERIES_BUDGET:
+                raise NonConvergenceError(
+                    f"hypergeometric series did not converge within {_SERIES_BUDGET} "
+                    f"terms (|w| up to {float(wk.max())})"
+                )
+            ratio = (aa + n) * (bb + n) / ((cc + n) * (n + 1))
+            if tm.size == 1:  # numpy rounds this product in place differently
+                tm[...] = tm * ratio * ww
+            else:
+                np.multiply(tm, ratio, out=tm)
+                np.multiply(tm, ww, out=tm)
+            s += tm
+            n += 1
+            # asymptotic term ratio tends to |w|; bound the tail geometrically
+            rabs = np.abs(ratio).max(axis=1) if np.ndim(ratio) else np.abs(ratio)
+            r = np.minimum(np.maximum(wk, rabs * wk), 0.999999)
+            np.abs(tm, out=tabs)
+            np.maximum(pk, tabs, out=pk)
+            tmax = tabs.max(axis=1)
+            tail = tmax * r / (1.0 - r)
+            scale = max(scale_retired, float(np.abs(s, out=tabs).max()))
+            done = tail + tmax < _SERIES_RTOL * (scale + 1e-300)
+            if done.any():
+                break
+        j = np.flatnonzero(done)
+        scale_retired = max(scale_retired, float(tabs[j].max()))
+        # swap the retired rows behind the live ones, then record their
+        # truncation bounds there
+        k_live, k = k, k - j.size
+        gone = j[j < k]
+        if gone.size:
+            stay = k + np.flatnonzero(~done[k:])
+            to, frm = np.concatenate([gone, stay]), np.concatenate([stay, gone])
+            for v in (r, *by_row):
+                v[to] = v[frm]
+            swaps.append((to, frm))
+        bound, rj = trunc[k:k_live], r[k:, None]
+        np.abs(term[k:k_live], out=bound)
+        bound *= rj
+        bound /= 1.0 - rj
+    err = peak
+    err *= 5e-16
+    err *= (n + 1) ** 0.5
+    err += trunc
     if scalar:
-        return complex(total.reshape(-1)[0]), float(err.reshape(-1)[0]), n + 1
-    return total.reshape(shape), err.reshape(shape), n + 1
+        return complex(total[0, 0]), float(err[0, 0]), n + 1
+    for to, frm in reversed(swaps):
+        for v in (total, err):
+            v[to] = v[frm]
+    return total.T.reshape(shape), err.T.reshape(shape), n + 1
 
 
 _NEAR_ONE = 0.99  # transformed arguments beyond this use the 1-w expansion

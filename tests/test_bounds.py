@@ -166,3 +166,12 @@ def test_mphi_gate():
     assert mphi_check(ADJOINT, one, P1, 0.5)
     gauss = FunctionSpec("gaussian", params={"scale": 1.0})
     assert not mphi_check(ADJOINT, gauss, P1, 0.5)
+
+
+@pytest.mark.parametrize("params", [P1, JacobiParams(1.0, 0.5), JacobiParams(1.5, 1.5)])
+def test_extremal_eps_norm_where_reciprocal_rounds(params):
+    # p * (-1/p) + 1 is 1.1e-16 here, not 0; the weight must still cancel
+    p_exp, eps = 3.146943216337464, 0.2
+    f = extremal_function("eps", params, p=p_exp, eps=eps)
+    truth = (eps * p_exp) ** (-1.0 / p_exp)
+    assert lp_norm(f, p_exp, params, HALF, CFG).value == pytest.approx(truth, rel=1e-9)

@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from octool.harness_cli import main
+import octool
+from octool.errors import ParameterError
+from octool.harness_cli import load_config, main
 
 
 @pytest.fixture
@@ -69,6 +73,13 @@ def test_config_file(runner, tmp_path):
     assert r.exit_code != 0
 
 
+def test_config_file_rejects_infinite_cutoff(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("truncation_t = inf\n")
+    with pytest.raises(ParameterError):
+        load_config(str(cfg))
+
+
 def test_verify_single_theorem(runner, tmp_path):
     out = tmp_path / "report.json"
     r = runner.invoke(main, ["verify", "--theorem", "D_SCALING_DIAG",
@@ -83,3 +94,9 @@ def test_verify_unknown_theorem(runner, tmp_path):
     r = runner.invoke(main, ["verify", "--theorem", "T_NOPE",
                              "--out", str(tmp_path / "x.json")])
     assert r.exit_code != 0
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+    assert octool.__version__ == version

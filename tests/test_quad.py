@@ -84,3 +84,12 @@ def test_split_additive(c):
     split = integrate_finite(f, 0.0, c, CFG).value + \
         integrate_finite(f, c, 5.0, CFG).value
     assert abs(whole - split) <= 1e-10
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", [
+    "rel_tol", "abs_tol", "truncation_x", "truncation_lambda", "truncation_t", "lambda_min",
+])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ParameterError):
+        QuadConfig(**{name: value})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from octool.errors import ParameterError
 from octool.specfun import (
     JacobiParams,
+    _hyp_series,
     eigenfunction_g,
     gauss_2f1,
     jacobi_phi,
@@ -59,6 +60,36 @@ def test_hyp2f1_vs_mpmath():
             v = gauss_2f1(a, b, c, z).value
             truth = complex(mpmath.hyp2f1(a, b, c, z))
             assert abs(v - truth) <= 1e-9 * max(abs(truth), 1.0), (a, b, c, z)
+
+
+# one series batch: lambda rows 0..40 against |w| columns from 1e-8 to 0.7,
+# both signs, so columns converge after very different term counts
+SERIES_LAMS = np.linspace(0.0, 40.0, 41)
+SERIES_W = np.geomspace(1e-8, 0.7, 36) * np.resize([1.0, -1.0], 36)
+SERIES_ABC = (
+    (0.5 * (P2.rho + 1j * SERIES_LAMS))[:, None],
+    (0.5 * (P2.rho - 1j * SERIES_LAMS))[:, None],
+    P2.alpha + 1.0,
+)
+
+
+def test_hyp_series_column_permutation_is_exact():
+    s, e, n = _hyp_series(*SERIES_ABC, SERIES_W)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(SERIES_W.size)
+        s_p, e_p, n_p = _hyp_series(*SERIES_ABC, SERIES_W[perm])
+        assert np.array_equal(s_p, s[:, perm])
+        assert np.array_equal(e_p, e[:, perm])
+        assert n_p == n
+
+
+def test_hyp_series_batch_matches_one_column_calls():
+    a, b, c = SERIES_ABC
+    s, e, _ = _hyp_series(a, b, c, SERIES_W)
+    for i in range(0, SERIES_LAMS.size, 4):
+        for j, w in enumerate(SERIES_W):
+            s1, e1, _ = _hyp_series(a[i, 0], b[i, 0], c, w)
+            assert abs(s1 - s[i, j]) <= e1 + e[i, j], (SERIES_LAMS[i], w)
 
 
 def test_log_gamma_complex_grid():
