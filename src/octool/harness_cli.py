@@ -756,19 +756,27 @@ def load_config(path: str | None) -> QuadConfig:
     """Flat ``key = value`` config file; unknown keys rejected."""
     if path is None:
         return QuadConfig()
-    names = {f.name: f.type for f in fields(QuadConfig)}
+    kinds = {f.name: type(f.default) for f in fields(QuadConfig)}
     kw = {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
             key = key.strip()
-            if key not in names:
+            if not eq:
+                raise OctoolError(f"config line {line!r} is not 'key = value'")
+            if key not in kinds:
                 raise OctoolError(f"unknown config key {key!r}")
-            kw[key] = int(value) if key in ("max_subdivisions", "extremum_grid") \
-                else float(value)
+            kind = kinds[key]
+            try:
+                kw[key] = kind(value)
+            except ValueError:
+                raise OctoolError(
+                    f"config key {key!r} needs {'an integer' if kind is int else 'a number'}, "
+                    f"got {value.strip()!r}"
+                ) from None
     return QuadConfig(**kw)
 
 

@@ -25,9 +25,7 @@ from .quad import (
 )
 from .specfun import (
     JacobiParams,
-    _g_array,
     _g_batch,
-    eigenfunction_g,
     log_weight_a,
     plancherel_density,
     weight_a,
@@ -362,7 +360,7 @@ def oc_transform_result(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> Inte
     any vectorized callable on the real line.
     """
     def integrand(x):
-        return np.asarray(f(x)) * _g_array(p, lam, -np.asarray(x)) * weight_a(p, x)
+        return np.asarray(f(x)) * _g_batch(p, [lam], -np.asarray(x))[0][0] * weight_a(p, x)
 
     if isinstance(f, FunctionSpec):
         lo, hi = f.support()
@@ -426,17 +424,15 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
 
 
 def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> IntegralResult:
-    """Inverse-transform value with error estimate (see :func:`oc_inverse`)."""
+    """Inverse-transform value with error estimate (see :func:`oc_inverse`);
+    ``g`` is called on arrays of lambda."""
     def integrand(lams):
         lams = np.atleast_1d(lams)
-        vals = np.empty(lams.shape, dtype=complex)
-        for i, lam in enumerate(lams):
-            vals[i] = (
-                g(lam)
-                * eigenfunction_g(p, lam, x)
-                * plancherel_density(p, lam, lambda_min=cfg.lambda_min / 2.0)
-            )
-        return vals
+        return (
+            g(lams)
+            * _g_batch(p, lams, [x])[0][:, 0]
+            * plancherel_density(p, lams, lambda_min=cfg.lambda_min / 2.0)
+        )
 
     pos = integrate_finite(integrand, cfg.lambda_min, cfg.truncation_lambda, cfg)
     neg = integrate_finite(integrand, -cfg.truncation_lambda, -cfg.lambda_min, cfg)
@@ -449,7 +445,11 @@ def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> Integral
 
 def oc_inverse(g, p: JacobiParams, x: float, cfg: QuadConfig) -> complex:
     """Integral of g(lambda) G_lambda(x) against the spectral density over
-    lambda_min < |lambda| < truncation_lambda."""
+    lambda_min < |lambda| < truncation_lambda.
+
+    ``g`` is called on arrays of lambda (like ``f`` in
+    :func:`oc_transform_result`) and must return an array of the same shape.
+    """
     return complex(oc_inverse_result(g, p, x, cfg).value)
 
 
@@ -534,9 +534,7 @@ def plancherel_residual_detailed(
         v, v_err = u, u_err
     else:
         v, v_err = transform_grid(frev, p, lam, cfg)
-    dens = np.array(
-        [plancherel_density(p, la, lambda_min=cfg.lambda_min / 2.0) for la in lam]
-    )
+    dens = plancherel_density(p, lam, lambda_min=cfg.lambda_min / 2.0)
     # conj(v(-lam)) = v(lam) for real f; the +-lambda halves pair conjugately.
     # Transform values buried inside their own series-error bound are pure
     # cancellation noise; drop them before summing.

@@ -64,26 +64,6 @@ class QuadConfig:
     def with_(self, **kw) -> "QuadConfig":
         return replace(self, **kw)
 
-    def to_dict(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_subdivisions": self.max_subdivisions,
-            "truncation_x": self.truncation_x,
-            "truncation_lambda": self.truncation_lambda,
-            "truncation_t": self.truncation_t,
-            "lambda_min": self.lambda_min,
-            "extremum_grid": self.extremum_grid,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadConfig":
-        known = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        for k in ("max_subdivisions", "extremum_grid"):
-            if k in known:
-                known[k] = int(known[k])
-        return cls(**known)
-
 
 @dataclass
 class IntegralResult:

@@ -9,7 +9,6 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,7 +76,7 @@ class ComplexEval:
 # log-gamma
 
 # B_{2n} / (2n (2n-1)) for the Stirling series, n = 1..12
-_STIRLING = [
+_STIRLING = np.array([
     1.0 / 12.0,
     -1.0 / 360.0,
     1.0 / 1260.0,
@@ -90,35 +89,54 @@ _STIRLING = [
     -174611.0 / 125400.0,
     77683.0 / 5796.0,
     -236364091.0 / 1506960.0,
-]
+])
+_STIRLING_POWERS = np.arange(_STIRLING.size)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12
+_SHIFT_CHUNK = 64
+_ROUND = 2.2e-16  # rounding charged per unit of magnitude summed
 
 
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma(z) for z not a non-positive integer.
+def _log_gamma(z):
+    """log Gamma over an array: (values, rounding-error bounds, mask of the
+    elements at a pole, a non-positive integer, whose values are meaningless).
 
     Stirling's series after shifting the argument to Re(z) >= 10 through the
-    recurrence log Gamma(z) = log Gamma(z+1) - log(z).
+    recurrence log Gamma(z) = log Gamma(z+1) - log(z).  The values are
+    differences of terms far larger than themselves (log Gamma(1) = 0 comes
+    out of terms near 20), so the bound is _ROUND times the summed magnitudes.
     """
-    z = complex(z)
-    if abs(z.imag) < _POLE_TOL and z.real <= 0.5:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z.real - nearest) < _POLE_TOL:
-            raise PoleError(f"log Gamma pole at z={z}")
-    shift = 0.0 + 0.0j
-    w = z
-    while w.real < 10.0:
-        shift += cmath.log(w)
-        w += 1.0
-    s = (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI
-    w2 = w * w
-    pw = w
-    for coef in _STIRLING:
-        s += coef / pw
-        pw *= w2
-    return s - shift
+    z = np.asarray(z, dtype=complex)
+    nearest = np.round(z.real)
+    pole = (np.abs(z.imag) < _POLE_TOL) & (nearest <= 0) & (np.abs(z.real - nearest) < _POLE_TOL)
+    z = np.where(pole, 1.0, z)
+    # shifts per element; none for a non-finite z, which gives a non-finite value
+    k = np.where((z.real < 10.0) & np.isfinite(z), np.ceil(10.0 - z.real), 0.0)
+    shift = np.zeros(z.shape, dtype=complex)
+    size = np.zeros(z.shape)
+    n_shift = int(k.max(initial=0.0))
+    for j0 in range(0, n_shift, _SHIFT_CHUNK):  # chunks bound the memory
+        j = np.arange(j0, min(j0 + _SHIFT_CHUNK, n_shift))
+        logs = np.log(np.where(j < k[..., None], z[..., None] + j, 1.0))
+        shift += logs.sum(axis=-1)
+        size += np.abs(logs).sum(axis=-1)
+    w = z + k
+    inv = 1.0 / w
+    main = (w - 0.5) * np.log(w)
+    s = main - w + _HALF_LOG_2PI
+    s += inv * ((inv * inv)[..., None] ** _STIRLING_POWERS @ _STIRLING)
+    size += np.abs(main) + np.abs(w)
+    return s - shift, _ROUND * size, pole
+
+
+def log_gamma_complex(z):
+    """Principal-branch log Gamma(z) for z (scalar or array) off the
+    non-positive integers; PoleError if any element sits at a pole."""
+    vals, _, pole = _log_gamma(z)
+    if pole.any():
+        raise PoleError(f"log Gamma pole at z={np.asarray(z)[pole].ravel()[0]}")
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +194,11 @@ def _hyp_series(a, b, c, w):
     term = np.ones_like(total)
     peak = np.ones(total.shape)  # largest |term| per element: cancellation loss
     trunc = np.empty(total.shape)
-    # scalar parameters stay 0-d: numpy rounds complex products of scalars
-    # differently from its array loops, and a one-column input must keep the
-    # arithmetic of a whole-batch run
-    a, b, c = (np.asarray(v) if np.ndim(v) == 0 else _column_major(v, shape) for v in (a, b, c))
+    # parameters constant over the batch stay 0-d: numpy rounds complex
+    # products of scalars differently from its array loops, and a one-column
+    # input must keep the arithmetic of a whole-batch run
+    a, b, c = (np.asarray(v).reshape(()) if np.size(v) == 1 else _column_major(v, shape)
+               for v in (a, b, c))
     w = _column_major(w, shape)
     wmax = np.broadcast_to(np.abs(w).max(axis=1), total.shape[:1]).copy()
     by_row = [v for v in (a, b, c, w) if v.ndim and v.shape[0] > 1] + [total, term, peak, wmax]
@@ -244,26 +263,33 @@ def _hyp_series(a, b, c, w):
     return total.T.reshape(shape), err.T.reshape(shape), n + 1
 
 
-_NEAR_ONE = 0.99  # transformed arguments beyond this use the 1-w expansion
+# the Pfaff series at w = z/(z-1) needs O(exp|Im(a-b)|) terms near w = 1, and
+# beyond w = 0.7 (|z| = 0.7/(1-0.7)) it is no more accurate against
+# mpmath.hyp2f1 than the connection formula
+_PFAFF_RADIUS = 7.0 / 3.0
+# near an integer b - a the two connection terms cancel, losing digits in
+# proportion to 1/distance: where the connection formula's own bound exceeds
+# this share of max(|value|, 1), the series at w is summed too, up to
+# |z| = 200 (w = 0.995, under ten thousand terms), and the tighter bound wins
+_CONNECTION_TOL = 1e-10
+_RETRY_RADIUS = 200.0
 
 
-def _gamma_quotient(numerators, denominators) -> complex:
-    """exp(sum log Gamma(num) - sum log Gamma(den)); zero if a denominator
-    sits at a pole, NonConvergenceError if a numerator does."""
-    s = 0.0 + 0.0j
-    for z in numerators:
-        try:
-            s += log_gamma_complex(z)
-        except PoleError as exc:
-            raise NonConvergenceError(
-                f"degenerate parameter combination (Gamma pole at {z})"
-            ) from exc
-    for z in denominators:
-        try:
-            s -= log_gamma_complex(z)
-        except PoleError:
-            return 0.0 + 0.0j
-    return cmath.exp(s)
+def _gamma_quotient(numerators, denominators):
+    """exp(sum log Gamma(num) - sum log Gamma(den)) over arrays broadcasting
+    together, from one log-gamma call, and a bound on its relative rounding
+    error.  An element is zero where one of its denominators sits at a pole,
+    NonConvergenceError if a numerator does."""
+    args = np.broadcast_arrays(*numerators, *denominators)
+    lg, lg_err, pole = _log_gamma(np.stack(args))
+    k = len(numerators)
+    if pole[:k].any():
+        z = np.stack(args[:k])[pole[:k]][0]
+        raise NonConvergenceError(f"degenerate parameter combination (Gamma pole at {z})")
+    s = lg[:k].sum(axis=0) - lg[k:].sum(axis=0)
+    q = np.exp(s)
+    q[pole[k:].any(axis=0)] = 0.0
+    return q, lg_err.sum(axis=0) + _ROUND * np.abs(s)
 
 
 def _hyp_near_one(a, b, c, u):
@@ -277,111 +303,90 @@ def _hyp_near_one(a, b, c, u):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     s = c - a - b
-    if a.ndim == 0:
-        coef1 = _gamma_quotient([c, complex(s)], [complex(c - a), complex(c - b)])
-        coef2 = _gamma_quotient([c, complex(-s)], [complex(a), complex(b)])
-    else:
-        coef1 = np.empty(a.shape, dtype=complex)
-        coef2 = np.empty(a.shape, dtype=complex)
-        for idx in np.ndindex(a.shape):
-            coef1[idx] = _gamma_quotient(
-                [c, complex(s[idx])], [complex(c - a[idx]), complex(c - b[idx])]
-            )
-            coef2[idx] = _gamma_quotient(
-                [c, complex(-s[idx])], [complex(a[idx]), complex(b[idx])]
-            )
+    (coef1, coef2), (r1, r2) = _gamma_quotient(
+        [c, np.stack([s, -s])], [np.stack([c - a, a]), np.stack([c - b, b])]
+    )
     s1, e1, n1 = _hyp_series(a, b, 1.0 - s, u)
     s2, e2, n2 = _hyp_series(c - a, c - b, 1.0 + s, u)
-    pref2 = np.exp(s * np.log(u))  # u^(c-a-b), u > 0 real
-    vals = coef1 * s1 + pref2 * coef2 * s2
-    # cancellation between the two connection terms
-    big = np.maximum(np.abs(coef1 * s1), np.abs(pref2 * coef2 * s2))
-    err = np.abs(coef1) * e1 + np.abs(pref2 * coef2) * e2 + 2e-16 * big
-    return vals, err, n1 + n2
-
-
-def _hyp2f1_nonpos(a: complex, b: complex, c: complex, z):
-    """2F1(a, b; c; z) for real z <= 0 (scalar or array), with error bound.
-
-    Direct series inside |z| <= 0.5; otherwise the argument transformation
-    w = z/(z-1) maps (-inf, 0] into [0, 1) and the series is summed there
-    with the prefactor (1-z)^(-a).  When w lands too close to 1 (very large
-    |z|) the series at w is replaced by the connection formula in 1-w, with
-    1-w = 1/(1-z) computed directly to avoid cancellation.
-    """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(z > 0):
-        raise ParameterError("argument must satisfy z <= 0")
-    out = np.empty(z.shape, dtype=complex)
-    err = np.zeros(z.shape)
-    terms = 0
-    # the Pfaff series at w = z/(z-1) needs O(exp|Im(a-b)|) terms near w = 1:
-    # for strongly oscillatory parameters hand w > 0.7 to the connection
-    # formula, whose coefficients are well-conditioned precisely then
-    near = _NEAR_ONE if abs((a - b).imag) < 4.0 else 0.7
-    direct = np.abs(z) <= _DIRECT_RADIUS
-    transformed = ~direct & (np.abs(z) <= near / (1.0 - near))
-    far = ~direct & ~transformed
-    if np.any(direct):
-        s, e, n = _hyp_series(a, b, c, z[direct])
-        out[direct] = s
-        err[direct] = e
-        terms = max(terms, n)
-    for mask, near_one in ((transformed, False), (far, True)):
-        if not np.any(mask):
-            continue
-        zz = z[mask]
-        pref = np.exp(-a * np.log1p(-zz))  # (1-z)^(-a), 1-z >= 1 real
-        if near_one:
-            s, e, n = _hyp_near_one(a, c - b, c, 1.0 / (1.0 - zz))
-        else:
-            s, e, n = _hyp_series(a, c - b, c, zz / (zz - 1.0))
-        out[mask] = pref * s
-        err[mask] = e * np.abs(pref)
-        terms = max(terms, n)
-    if scalar:
-        return complex(out[0]), float(err[0]), terms
-    return out, float(np.max(err)), terms
+    log_u = np.log(u)
+    pref2 = np.exp(s * log_u)  # u^(c-a-b), u > 0 real
+    s2 *= pref2
+    s2 *= coef2
+    s1 *= coef1
+    # the series' bounds, then the coefficients' rounding, amplified by any
+    # cancellation between the two connection terms (now s1 and s2)
+    err = np.abs(coef1) * e1
+    e2 *= np.abs(pref2)
+    e2 *= np.abs(coef2)
+    err += e2
+    err += np.abs(s1) * r1
+    err += np.abs(s2) * (r2 + _ROUND * np.abs(s) * np.abs(log_u))
+    s1 += s2
+    return s1, err, n1 + n2
 
 
 def _hyp2f1_batch(a, b, c, z):
     """2F1(a, b; c; z) for a batch: ``a``, ``b`` of shape (n,), real z <= 0 of
-    shape (m,); returns (values (n, m), err_bound).
+    shape (m,); returns (values (n, m), element-wise error bounds (n, m),
+    terms of the longest series).
 
-    Same region dispatch as :func:`_hyp2f1_nonpos` with the connection-formula
-    threshold fixed at 0.7, suitable for parameter sweeps that include large
-    |Im(a - b)|.
+    Direct series inside |z| <= 0.5; beyond, the argument transformation
+    w = z/(z-1) maps (-inf, 0] into [0, 1) and the series is summed there
+    with the prefactor (1-z)^(-a), up to w = 0.7.  Past that the series at w
+    is replaced by the connection formula in 1-w, with 1-w = 1/(1-z) computed
+    directly to avoid cancellation, except on rows whose connection exponent
+    b - a is an integer: the formula degenerates there, so those rows stay on
+    the series at w.  Near such rows it cancels; see ``_CONNECTION_TOL``.
     """
     a = np.asarray(a, dtype=complex)[:, None]
     b = np.asarray(b, dtype=complex)[:, None]
     z = np.asarray(z, dtype=float)
     if np.any(z > 0):
         raise ParameterError("argument must satisfy z <= 0")
-    n, m = a.shape[0], z.shape[0]
-    out = np.empty((n, m), dtype=complex)
-    err = np.zeros((n, m))
-    near = 0.7
+    out = np.empty((a.shape[0], z.shape[0]), dtype=complex)
+    err = np.empty(out.shape)
+    terms = 0
+    d = (b - a)[:, 0]
+    integer = (np.abs(d.imag) < _POLE_TOL) & (np.abs(d.real - np.round(d.real)) < _POLE_TOL)
+    every = np.ones(integer.shape, dtype=bool)
     direct = np.abs(z) <= _DIRECT_RADIUS
-    transformed = ~direct & (np.abs(z) <= near / (1.0 - near))
-    far = ~direct & ~transformed
-    if np.any(direct):
-        s, e, _ = _hyp_series(a, b, c, z[direct][None, :])
-        out[:, direct] = s
-        err[:, direct] = e
-    for mask, near_one in ((transformed, False), (far, True)):
-        if not np.any(mask):
+    far = np.abs(z) > _PFAFF_RADIUS
+    pieces = (
+        (every, direct, "direct"),
+        (every, ~direct & ~far, "pfaff"),
+        (integer, far, "pfaff"),
+        (~integer, far, "connection"),
+    )
+    for rows, cols, method in pieces:
+        if not (rows.any() and cols.any()):
             continue
-        zz = z[mask][None, :]
-        pref = np.exp(-a * np.log1p(-zz))
-        if near_one:
-            s, e, _ = _hyp_near_one(a, c - b, c, 1.0 / (1.0 - zz))
+        ar, br, zz = a[rows], b[rows], z[cols][None, :]
+        if method == "direct":
+            s, e, n = _hyp_series(ar, br, c, zz)
         else:
-            s, e, _ = _hyp_series(a, c - b, c, zz / (zz - 1.0))
-        out[:, mask] = pref * s
-        err[:, mask] = e * np.abs(pref)
-    return out, err
+            w = zz / (zz - 1.0)
+            pref = np.exp(-ar * np.log1p(-zz))  # (1-z)^(-a), 1-z >= 1 real
+            if method == "pfaff":
+                s, e, n = _hyp_series(ar, c - br, c, w)
+            else:
+                s, e, n = _hyp_near_one(ar, c - br, c, 1.0 / (1.0 - zz))
+                apref = np.abs(pref)
+                retry = (e * apref > _CONNECTION_TOL * np.maximum(np.abs(s) * apref, 1.0)) \
+                    & (zz >= -_RETRY_RADIUS)
+                if retry.any():
+                    rr, rc = retry.any(axis=1), retry.any(axis=0)
+                    s2, e2, n2 = _hyp_series(ar[rr], c - br[rr], c, w[:, rc])
+                    block = np.ix_(rr, rc)
+                    tighter = e2 < e[block]
+                    s[block] = np.where(tighter, s2, s[block])
+                    e[block] = np.where(tighter, e2, e[block])
+                    n = max(n, n2)
+            s = pref * s
+            e = e * np.abs(pref)
+        out[np.ix_(rows, cols)] = s
+        err[np.ix_(rows, cols)] = e
+        terms = max(terms, n)
+    return out, err, terms
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
@@ -389,8 +394,8 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
     c = complex(c)
     if _forbidden_c(c):
         raise ParameterError(f"c={c} is a non-positive integer")
-    val, err, n = _hyp2f1_nonpos(complex(a), complex(b), c, float(z))
-    return ComplexEval(val, err, n)
+    val, err, n = _hyp2f1_batch([a], [b], c, [float(z)])
+    return ComplexEval(complex(val[0, 0]), float(err[0, 0]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,44 +404,14 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
 _LAMBDA_NUDGE = 1e-5
 
 
-def _phi_array(p: JacobiParams, lam: float, x) -> np.ndarray:
-    """Jacobi function phi_lambda(x) over an array of real x.
+def _phi_batch(p: JacobiParams, lams, x):
+    """phi_lambda(x) for lams (n,) against x (m,): values and element-wise
+    error bounds, both shaped (n, m).
 
     phi is even in lambda; |lambda| below 1e-5 is nudged to 1e-5 because the
     large-|x| connection formula degenerates at lambda = 0 (the error picked
     up is O(lambda_nudge^2)).
     """
-    x = np.asarray(x, dtype=float)
-    z = -np.sinh(x) ** 2
-    nudged = abs(lam) < _LAMBDA_NUDGE
-    lam_eff = _LAMBDA_NUDGE if nudged else lam
-    a = 0.5 * (p.rho + 1j * lam_eff)
-    b = 0.5 * (p.rho - 1j * lam_eff)
-    vals, _, _ = _hyp2f1_nonpos(a, b, p.alpha + 1.0, z)
-    vals = np.atleast_1d(vals)
-    if nudged:
-        vals = vals.real.astype(complex)
-    return vals
-
-
-def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
-    """2F1((rho+i lam)/2, (rho-i lam)/2; alpha+1; -sinh^2 x); even in x,
-    real for real lam."""
-    return complex(_phi_array(p, lam, x)[0])
-
-
-def _g_array(p: JacobiParams, lam: float, x) -> np.ndarray:
-    """Eigenfunction G_lambda(x) of the Jacobi-Cherednik operator, G(0)=1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    phi = _phi_array(p, lam, x)
-    phi_up = _phi_array(p.shifted(), lam, x)
-    coef = (p.rho + 1j * lam) / (4.0 * (p.alpha + 1.0))
-    return phi + coef * np.sinh(2.0 * x) * phi_up
-
-
-def _phi_batch(p: JacobiParams, lams, x):
-    """phi_lambda(x) for lams (n,) against x (m,): values and element-wise
-    error bounds, both shaped (n, m)."""
     lams = np.asarray(lams, dtype=float).copy()
     nudged = np.abs(lams) < _LAMBDA_NUDGE
     lams[nudged] = _LAMBDA_NUDGE
@@ -444,32 +419,43 @@ def _phi_batch(p: JacobiParams, lams, x):
     z = -np.sinh(x) ** 2
     a = 0.5 * (p.rho + 1j * lams)
     b = 0.5 * (p.rho - 1j * lams)
-    vals, err = _hyp2f1_batch(a, b, p.alpha + 1.0, z)
+    vals, err, _ = _hyp2f1_batch(a, b, p.alpha + 1.0, z)
     if np.any(nudged):
         vals[nudged, :] = vals[nudged, :].real
     return vals, err
 
 
+def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
+    """2F1((rho+i lam)/2, (rho-i lam)/2; alpha+1; -sinh^2 x); even in x,
+    real for real lam."""
+    return complex(_phi_batch(p, [lam], [x])[0][0, 0])
+
+
 def _g_batch(p: JacobiParams, lams, x):
     """G_lambda(x) for lams (n,) against x (m,): values and element-wise
-    error bounds, both shaped (n, m)."""
+    error bounds, both shaped (n, m).  G_lambda(0) = 1 exactly, so only the
+    columns with x != 0 are summed."""
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
+    nonzero = x != 0.0
+    if not nonzero.all():
+        vals = np.ones((lams.size, x.size), dtype=complex)
+        err = np.zeros(vals.shape)
+        if nonzero.any():
+            vals[:, nonzero], err[:, nonzero] = _g_batch(p, lams, x[nonzero])
+        return vals, err
     phi, e1 = _phi_batch(p, lams, x)
     phi_up, e2 = _phi_batch(p.shifted(), lams, x)
     coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
     sinh2 = np.sinh(2.0 * x)[None, :]
     vals = phi + coef * sinh2 * phi_up
-    vals[:, x == 0.0] = 1.0
     err = e1 + np.abs(coef * sinh2) * e2
     return vals, err
 
 
 def eigenfunction_g(p: JacobiParams, lam: float, x: float) -> complex:
     """G_lambda(x) via the derivative-free two-term representation."""
-    if x == 0.0:
-        return 1.0 + 0.0j
-    return complex(_g_array(p, lam, x)[0])
+    return complex(_g_batch(p, [lam], [x])[0][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +484,9 @@ def log_weight_a(p: JacobiParams, x):
     return out
 
 
-def _log_sinh(x: np.ndarray) -> np.ndarray:
-    big = x > 30.0
-    xs = np.minimum(x, 30.0)
-    return np.where(big, x - math.log(2.0), np.log(np.sinh(xs)))
-
-
-def _log_cosh(x: np.ndarray) -> np.ndarray:
-    big = x > 30.0
-    xs = np.minimum(x, 30.0)
-    return np.where(big, x - math.log(2.0), np.log(np.cosh(xs)))
-
-
 def _ratio(p: JacobiParams, t: float, u: np.ndarray) -> np.ndarray:
     # evaluated in log space to dodge overflow at large u
-    lu = (2.0 * p.alpha + 1.0) * (_log_sinh(u) - _log_sinh(t * u))
-    lv = (2.0 * p.beta + 1.0) * (_log_cosh(u) - _log_cosh(t * u))
-    return np.exp(lu + lv)
+    return np.exp(log_weight_a(p, u) - log_weight_a(p, t * u))
 
 
 def weight_ratio_extrema(
@@ -554,15 +526,11 @@ def weight_ratio_extrema(
 _DEFAULT_LAMBDA_MIN = 1e-6
 
 
-def _log_c(p: JacobiParams, lam: float) -> complex:
-    il = 1j * lam
-    return (
-        (p.rho - il) * math.log(2.0)
-        + log_gamma_complex(p.alpha + 1.0)
-        + log_gamma_complex(il)
-        - log_gamma_complex(0.5 * (p.rho + il))
-        - log_gamma_complex(0.5 * (p.alpha - p.beta + 1.0 + il))
-    )
+def _log_c(p: JacobiParams, lam):
+    il = 1j * np.asarray(lam, dtype=float)
+    lg = log_gamma_complex(np.stack(np.broadcast_arrays(
+        p.alpha + 1.0, il, 0.5 * (p.rho + il), 0.5 * (p.alpha - p.beta + 1.0 + il))))
+    return (p.rho - il) * math.log(2.0) + lg[0] + lg[1] - lg[2] - lg[3]
 
 
 def c_function(
@@ -571,19 +539,22 @@ def c_function(
     """Harish-Chandra-type c-function, via log-gamma arithmetic."""
     if abs(lam) < lambda_min:
         raise PoleError(f"c-function pole at lambda=0 (|lambda| < {lambda_min})")
-    return cmath.exp(_log_c(p, lam))
+    return complex(np.exp(_log_c(p, lam)))
 
 
-def plancherel_density(
-    p: JacobiParams, lam: float, lambda_min: float = _DEFAULT_LAMBDA_MIN
-) -> complex:
+def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA_MIN):
     """Complex density of the spectral measure w.r.t. d lambda:
     (1 - rho/(i lambda)) / (8 pi |c(lambda)|^2), with |c|^2 normalized
     (the 2^rho prefactor of :func:`c_function` removed) so that the
     inversion and Plancherel identities hold exactly for the forward
     transform computed by this package; verified independently against
-    the closed-form sine-kernel reduction at (alpha, beta) = (1/2, -1/2)."""
-    if abs(lam) < lambda_min:
+    the closed-form sine-kernel reduction at (alpha, beta) = (1/2, -1/2).
+
+    ``lam`` may be a scalar (complex result) or an array (complex array);
+    PoleError if any |lambda| is below ``lambda_min``."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(np.abs(lam) < lambda_min):
         raise PoleError(f"density pole at lambda=0 (|lambda| < {lambda_min})")
-    inv_c2 = math.exp(-2.0 * (_log_c(p, lam).real - p.rho * math.log(2.0)))
-    return (1.0 - p.rho / (1j * lam)) * inv_c2 / (8.0 * math.pi)
+    inv_c2 = np.exp(-2.0 * (_log_c(p, lam).real - p.rho * math.log(2.0)))
+    out = (1.0 - p.rho / (1j * lam)) * inv_c2 / (8.0 * math.pi)
+    return complex(out) if out.ndim == 0 else out

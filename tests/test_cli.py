@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import octool
-from octool.errors import ParameterError
+from octool.errors import OctoolError, ParameterError
 from octool.harness_cli import load_config, main
 
 
@@ -68,9 +68,11 @@ def test_config_file(runner, tmp_path):
     assert "rel_tol = 1e-07" in r.output
     assert "truncation_lambda = 20" in r.output
     bad = tmp_path / "bad.txt"
-    bad.write_text("no_such_key = 1\n")
-    r = runner.invoke(main, ["config", "--file", str(bad)])
-    assert r.exit_code != 0
+    for line in ("no_such_key = 1", "rel_tol", "rel_tol = fast", "max_subdivisions = 1.5"):
+        bad.write_text(line + "\n")
+        r = runner.invoke(main, ["config", "--file", str(bad)])
+        assert r.exit_code != 0
+        assert isinstance(r.exception, OctoolError), (line, r.exception)
 
 
 def test_config_file_rejects_infinite_cutoff(tmp_path):

@@ -37,9 +37,10 @@ def test_rho():
     assert JacobiParams(1.5, 1.5).rho == 4.0
 
 
-@pytest.mark.parametrize("z", [-0.5, -2.0, -10.0])
+@pytest.mark.parametrize("z", [-0.5, -2.0, -10.0, -50.0])
 def test_hyp2f1_log_closed_form(z):
-    # 2F1(1,1;2;z) = -log(1-z)/z
+    # 2F1(1,1;2;z) = -log(1-z)/z; b - a = 0 is an integer, so the connection
+    # formula degenerates and large |z| stay on the series
     v = gauss_2f1(1.0, 1.0, 2.0, z).value
     truth = -math.log(1 - z) / z
     assert abs(v - truth) <= 1e-10 * abs(truth)
@@ -57,9 +58,30 @@ def test_hyp2f1_vs_mpmath():
     for a, b, c in [(0.5 + 1j, 0.5 - 1j, 1.5), (1.2, 0.4 + 2j, 2.5),
                     (0.5 + 4j, 0.5 - 4j, 2.0)]:
         for z in (-0.3, -0.8, -3.0, -30.0, -500.0):
-            v = gauss_2f1(a, b, c, z).value
-            truth = complex(mpmath.hyp2f1(a, b, c, z))
-            assert abs(v - truth) <= 1e-9 * max(abs(truth), 1.0), (a, b, c, z)
+            r = gauss_2f1(a, b, c, z)
+            with mpmath.workdps(30):
+                truth = complex(mpmath.hyp2f1(a, b, c, z))
+            assert abs(r.value - truth) <= 1e-9 * max(abs(truth), 1.0), (a, b, c, z)
+            assert abs(r.value - truth) <= r.abs_err_estimate, (a, b, c, z)
+
+
+_RE = st.floats(0.1, 3.0, exclude_min=True, exclude_max=True)
+_IM = st.floats(-4.0, 4.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RE, _IM, _RE, _IM, st.floats(0.6, 4.0, exclude_min=True, exclude_max=True),
+       st.floats(-200.0, -1e-3))
+def test_hyp2f1_vs_mpmath_property(re_a, im_a, re_b, im_b, c, z):
+    a, b = complex(re_a, im_a), complex(re_b, im_b)
+    r = gauss_2f1(a, b, c, z)
+    with mpmath.workdps(30):
+        truth = complex(mpmath.hyp2f1(a, b, c, z))
+    scale = max(abs(truth), 1.0)
+    err = abs(r.value - truth)
+    assert err <= 1e-10 * scale
+    # the claimed bound covers the error, up to round-off it cannot see
+    assert err <= r.abs_err_estimate + 1e-12 * scale
 
 
 # one series batch: lambda rows 0..40 against |w| columns from 1e-8 to 0.7,
@@ -127,7 +149,7 @@ def test_phi_vs_mpmath():
     for p in (P2, P3):
         a1 = p.alpha + 1.0
         for lam in (0.7, 2.0, 5.0):
-            for x in (0.4, 1.3):
+            for x in (0.4, 1.3, 2.62):
                 z = -math.sinh(x) ** 2
                 truth = complex(mpmath.hyp2f1(
                     (p.rho + 1j * lam) / 2, (p.rho - 1j * lam) / 2, a1, z))
@@ -164,9 +186,13 @@ def test_density_sine_kernel_closed_form():
 
 
 def test_density_positive_real_part():
+    lams = np.geomspace(0.05, 30.0, 12)
     for p in CATALOG:
-        for lam in np.geomspace(0.05, 30.0, 12):
-            assert plancherel_density(p, float(lam)).real > 0.0
+        batch = plancherel_density(p, lams)
+        for lam, d in zip(lams, batch):
+            one = plancherel_density(p, float(lam))
+            assert one.real > 0.0
+            assert abs(d - one) <= 1e-15 * abs(one)
 
 
 def test_weight_ratio_extrema_sides():
