@@ -91,19 +91,25 @@ def _integrate_log_sub(g, a: float, b: float, cfg: QuadConfig) -> IntegralResult
     return integrate_finite(g, a, b, cfg)
 
 
+def _integrate_folded(g, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
+    """Integrate g over (a, b): split at 0 and fold each piece onto |x| for
+    :func:`_integrate_log_sub`."""
+    pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
+    total = IntegralResult(0.0, 0.0, 0)
+    for lo, hi in pieces:
+        s_lo, s_hi = sorted((abs(lo), abs(hi)))
+        sign = -1.0 if hi <= 0.0 else 1.0
+        total = total + _integrate_log_sub(lambda x: g(sign * x), s_lo, s_hi, cfg)
+    return total
+
+
 def interval_measure(p: JacobiParams, interval: tuple[float, float],
                      cfg: QuadConfig) -> float:
     """Weight mass of the interval: integral of A over it."""
     a, b = interval
     if not a < b:
         return 0.0
-    pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-    total = 0.0
-    for lo, hi in pieces:
-        lo, hi = sorted((abs(lo), abs(hi)))
-        r = _integrate_log_sub(lambda x: weight_a(p, x), lo, hi, cfg)
-        total += float(r.value)
-    return total
+    return float(_integrate_folded(lambda x: weight_a(p, x), a, b, cfg).value)
 
 
 def _lp_integral(f: FunctionSpec, p_exp: float, params: JacobiParams,
@@ -133,15 +139,7 @@ def _lp_integral(f: FunctionSpec, p_exp: float, params: JacobiParams,
             out[live] = np.exp(np.minimum(expo, 709.0))
         return out
 
-    pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-    total = IntegralResult(0.0, 0.0, 0)
-    for lo, hi in pieces:
-        s_lo, s_hi = sorted((abs(lo), abs(hi)))
-        sign = -1.0 if hi <= 0.0 else 1.0
-        total = total + _integrate_log_sub(
-            lambda x: g(sign * x), s_lo, s_hi, cfg
-        )
-    return total
+    return _integrate_folded(g, a, b, cfg)
 
 
 def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
@@ -162,19 +160,17 @@ def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
 
 
 def grand_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
-               interval: tuple[float, float], cfg: QuadConfig,
-               n_eps: int = 64) -> NormResult:
+               interval: tuple[float, float], cfg: QuadConfig) -> NormResult:
     """sup over 0 < eps < p_exp - 1 of
     eps^(1/(p-eps)) ((1/A(I)) int_I |f|^(p-eps) A)^(1/(p-eps)),
-    on a geometric eps grid refined toward both endpoints."""
+    on a geometric eps grid, 32 points refined toward each endpoint."""
     if not p_exp > 1:
         raise ParameterError("grand_norm requires p_exp > 1")
     mass = interval_measure(params, interval, cfg)
     if not 0.0 < mass < math.inf:
         raise ParameterError("grand_norm needs an interval of finite positive mass")
     width = p_exp - 1.0
-    half = n_eps // 2
-    frac = np.geomspace(1e-8, 0.5, half)
+    frac = np.geomspace(1e-8, 0.5, 32)
     eps_grid = np.unique(np.concatenate([width * frac, width * (1.0 - frac)]))
     values, errs = [], []
     for eps in eps_grid:
@@ -211,12 +207,6 @@ def _kernel_positive_on(k: KernelSpec, lo: float, hi: float) -> bool:
     return bool(np.any(k(t) > 0.0))
 
 
-def _sup_inf_factor(params: JacobiParams, t: float, which: str,
-                    cfg: QuadConfig) -> float:
-    sup, inf = weight_ratio_extrema(params, t, cfg)
-    return sup if which == "sup" else inf
-
-
 def a_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
                 cfg: QuadConfig) -> tuple[float, float]:
     """(a_sup, a_inf): t-integrals of (phi(t)/t) t^(1/p) times the
@@ -247,7 +237,8 @@ def _a_integral(k: KernelSpec, p_exp: float, params: JacobiParams,
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         for i, ti in enumerate(t.ravel()):
-            extremum = _sup_inf_factor(params, float(ti), which, cfg)
+            sup, inf = weight_ratio_extrema(params, float(ti), cfg)
+            extremum = sup if which == "sup" else inf
             if extremum == 0.0:
                 continue
             out.ravel()[i] = (
@@ -315,7 +306,8 @@ def _b_integral(k: KernelSpec, p_exp: float, params: JacobiParams,
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
         for i, ti in enumerate(t.ravel()):
-            extremum = _sup_inf_factor(params, float(ti), which, cfg)
+            sup, inf = weight_ratio_extrema(params, float(ti), cfg)
+            extremum = sup if which == "sup" else inf
             if extremum in (0.0, math.inf):
                 continue
             out.ravel()[i] = float(k(ti)) ** p_exp * extremum ** power
@@ -383,10 +375,11 @@ def lp_lq_constant(k: KernelSpec, p_exp: float, q_exp: float,
 
 
 def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
-                         cfg: QuadConfig, n_sigma: int = 64) -> float:
+                         cfg: QuadConfig) -> float:
     """(A(1))^2 (p-1) inf over 0 < sigma < p-1 of
-    sigma^(-1/(p-sigma)) E(phi, p-sigma), by grid search with one
-    golden-section refinement around the grid minimum."""
+    sigma^(-1/(p-sigma)) E(phi, p-sigma), by grid search (32 geometric points
+    toward each end) with one golden-section refinement around the grid
+    minimum."""
     if not p_exp > 1:
         raise ParameterError("grand_bound_constant requires p_exp > 1")
     if _kernel_positive_on(k, 0.0, 1.0):
@@ -394,8 +387,7 @@ def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
             "grand_bound_constant requires the kernel supported in [1, inf)"
         )
     width = p_exp - 1.0
-    half = n_sigma // 2
-    frac = np.geomspace(1e-6, 0.5, half)
+    frac = np.geomspace(1e-6, 0.5, 32)
     grid = np.unique(np.concatenate([width * frac, width * (1.0 - frac)]))
 
     def objective(sigma: float) -> float:
@@ -500,15 +492,8 @@ def hausdorff_lp_norm(k: KernelSpec, f, p_exp: float, params: JacobiParams,
             acc[1] += float(np.sum(vals))
         return out
 
-    pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-    total = IntegralResult(0.0, 0.0, 0)
     try:
-        for lo, hi in pieces:
-            s_lo, s_hi = sorted((abs(lo), abs(hi)))
-            sign = -1.0 if hi <= 0.0 else 1.0
-            total = total + _integrate_log_sub(
-                lambda x: g(sign * x), s_lo, s_hi, cfg
-            )
+        total = _integrate_folded(g, a, b, cfg)
     except DivergentIntegralError:
         return NormResult(math.inf, math.inf)
     base = float(total.value)
@@ -570,16 +555,14 @@ def power_lemma_check(h: FunctionSpec, s: float,
 
 
 def mphi_check(k: KernelSpec, f: FunctionSpec, params: JacobiParams,
-               x: float, t_grid=None) -> bool:
+               x: float) -> bool:
     """Whether t -> (phi(t)/t) f(x/t) A(x/t)/A(x) is non-increasing on the
     sampled grid (the membership gate for the quasi-Banach upper bound)."""
     if x == 0.0:
         raise ParameterError("mphi_check requires x != 0")
     if f.family == "zero":
         return True
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 1e3, 601)
-    t = np.asarray(t_grid, dtype=float)
+    t = np.geomspace(1e-3, 1e3, 601)
     u = x / t
     fv = np.asarray(f(u), dtype=float)
     vals = np.zeros(t.shape)

@@ -38,6 +38,7 @@ from .bounds import (
 )
 from .hausdorff import (
     KernelSpec,
+    _integrate_kernel,
     commutation_residual,
     hausdorff_apply,
     hausdorff_log_grid,
@@ -46,7 +47,6 @@ from .hausdorff import (
 from .octransform import (
     FunctionSpec,
     apply_jacobi_cherednik,
-    oc_transform,
     plancherel_residual_detailed,
     transform_grid,
 )
@@ -176,54 +176,49 @@ def _ratio_ext(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _upper_report(s, pairs, rhs_const, err, note=None) -> "VerifyReport":
-    """Check max over pairs of lhs <= rhs_const * (1 + tol)."""
-    worst = max(pairs, key=lambda pr: _ratio_ext(pr[0], pr[1]))
-    lhs, rhs = worst
+def _gated_report(s, pairs, err, upper: bool) -> "VerifyReport":
+    """Gate the pair with the largest lhs/rhs: lhs <= rhs * (1 + tol) for an
+    upper bound, lhs >= rhs * (1 - tol) for a lower bound."""
+    lhs, rhs = max(pairs, key=lambda pr: _ratio_ext(pr[0], pr[1]))
     tol = _tolerance(err, rhs)
-    if math.isinf(rhs):
-        status = "divergent"
-    else:
-        status = "pass" if lhs <= rhs * (1.0 + tol) else "fail"
-    brk = {"quadrature": err, "model": _TOL_FLOOR}
-    if note:
-        brk["note"] = note
-    return VerifyReport(s.to_dict(), lhs, rhs, _ratio_ext(lhs, rhs), tol, status, brk)
-
-
-def _lower_report(s, pairs, err, note=None) -> "VerifyReport":
-    """Check that the best pair achieves lhs >= rhs * (1 - tol)."""
-    best = max(pairs, key=lambda pr: _ratio_ext(pr[0], pr[1]))
-    lhs, rhs = best
-    tol = _tolerance(err, rhs)
-    if math.isinf(lhs):
+    if upper:
+        if math.isinf(rhs):
+            status = "divergent"
+        else:
+            status = "pass" if lhs <= rhs * (1.0 + tol) else "fail"
+    elif math.isinf(lhs):
         status = "pass" if rhs > 0.0 else "vacuous"
     elif math.isinf(rhs):
         status = "fail"
     else:
         status = "pass" if lhs >= rhs * (1.0 - tol) else "fail"
     brk = {"quadrature": err, "model": _TOL_FLOOR}
-    if note:
-        brk["note"] = note
     return VerifyReport(s.to_dict(), lhs, rhs, _ratio_ext(lhs, rhs), tol, status, brk)
+
+
+def _norm_pairs(s, const, p_lhs, p_rhs, domain, fns):
+    """(||H f||_{p_lhs}, const * ||f||_{p_rhs}) over ``domain`` for each f in
+    ``fns``, and the largest error estimate of any pair."""
+    p, cfg = s.params, s.cfg
+    pairs, err = [], 0.0
+    for f in fns:
+        lhs = hausdorff_lp_norm(s.kernel, f, p_lhs, p, domain, cfg)
+        fn = lp_norm(f, p_rhs, p, domain, cfg)
+        pairs.append((lhs.value, const * fn.value))
+        fn_err = 0.0 if math.isinf(const) else const * fn.err_estimate
+        err = max(err, lhs.err_estimate + fn_err)
+    return pairs, err
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 def _run_t_l1(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
-    status, phi_l1 = s.kernel.l1_status(cfg)
+    status, phi_l1 = s.kernel.l1_status(s.cfg)
     if status != "finite":
         raise DivergentIntegralError("T_L1 requires an integrable kernel")
-    pairs, err = [], 0.0
-    dom = (-math.inf, math.inf)
-    for f in s.functions:
-        lhs = hausdorff_lp_norm(s.kernel, f, 1.0, p, dom, cfg)
-        fn = lp_norm(f, 1.0, p, dom, cfg)
-        pairs.append((lhs.value, phi_l1 * fn.value))
-        err = max(err, lhs.err_estimate + phi_l1 * fn.err_estimate)
-    return _upper_report(s, pairs, None, err)
+    pairs, err = _norm_pairs(s, phi_l1, 1.0, 1.0, (-math.inf, math.inf), s.functions)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _run_t_comm_diag(s: VerifyScenario) -> VerifyReport:
@@ -245,20 +240,15 @@ def _run_t_lp_asup(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
     a_sup, _ = a_constants(s.kernel, p_exp, p, cfg)
-    pairs, err = [], 0.0
-    for f in s.functions:
-        lhs = hausdorff_lp_norm(s.kernel, f, p_exp, p, (-math.inf, math.inf), cfg)
-        fn = lp_norm(f, p_exp, p, (-math.inf, math.inf), cfg)
-        pairs.append((lhs.value, a_sup * fn.value))
-        err = max(err, lhs.err_estimate + a_sup * fn.err_estimate)
-    return _upper_report(s, pairs, None, err)
+    pairs, err = _norm_pairs(s, a_sup, p_exp, p_exp, (-math.inf, math.inf), s.functions)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _run_t_lp_ainf(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
     eps_list = s.exponents.get("eps_list", (0.2, 0.1, 0.05))
-    pairs = []
+    pairs, err = [], 0.0
     for eps in eps_list:
         fe = extremal_function("eps", p, p=p_exp, eps=eps)
         ratio_num = hausdorff_lp_norm(s.kernel, fe, p_exp, p, (0.0, math.inf), cfg)
@@ -277,24 +267,22 @@ def _run_t_lp_ainf(s: VerifyScenario) -> VerifyReport:
                     * inf_ratio ** (1.0 - 1.0 / p_exp)
                 )
             return out
-        from .hausdorff import _integrate_kernel
         klo, khi = s.kernel.support()
-        a, b = max(klo, 1e-300), min(khi, 1.0 / eps)
         try:
-            r = _integrate_kernel(integrand, a, b, cfg)
+            r = _integrate_kernel(integrand, klo, min(khi, 1.0 / eps), cfg)
             bound = eps ** eps * float(r.value)
+            err = max(err, eps ** eps * r.err_estimate)
         except DivergentIntegralError:
             bound = math.inf
         pairs.append((lhs, bound))
-    return _lower_report(s, pairs, 0.0)
+    return _gated_report(s, pairs, err, upper=False)
 
 
 def _run_c_lp_sandwich(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     klo, khi = s.kernel.support()
-    t_grid = np.geomspace(max(klo, 1e-6) * (1 + 1e-9), min(khi, 1e6), 41)
     finite_c = True
-    for t in t_grid:
+    for t in np.geomspace(max(klo, 1e-6) * (1 + 1e-9), min(khi, 1e6), 41):
         if float(s.kernel(t)) <= 0.0 or t == 1.0:
             continue
         sup, inf = weight_ratio_extrema(p, float(t), cfg)
@@ -310,13 +298,8 @@ def _run_c_lp_sandwich(s: VerifyScenario) -> VerifyReport:
     # hypothesis holds: the measured ratio proxy must lie under a_sup
     p_exp = float(s.exponents.get("p", 2.0))
     a_sup, _ = a_constants(s.kernel, p_exp, p, cfg)
-    pairs, err = [], 0.0
-    for f in s.functions:
-        lhs = hausdorff_lp_norm(s.kernel, f, p_exp, p, (-math.inf, math.inf), cfg)
-        fn = lp_norm(f, p_exp, p, (-math.inf, math.inf), cfg)
-        pairs.append((lhs.value, a_sup * fn.value))
-        err = max(err, lhs.err_estimate)
-    return _upper_report(s, pairs, None, err)
+    pairs, err = _norm_pairs(s, a_sup, p_exp, p_exp, (-math.inf, math.inf), s.functions)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _run_t_lplq(s: VerifyScenario) -> VerifyReport:
@@ -324,13 +307,8 @@ def _run_t_lplq(s: VerifyScenario) -> VerifyReport:
     p_exp = float(s.exponents.get("p", 3.0))
     q_exp = float(s.exponents.get("q", 2.0))
     c = lp_lq_constant(s.kernel, p_exp, q_exp, p, cfg)
-    pairs, err = [], 0.0
-    for f in s.functions:
-        lhs = hausdorff_lp_norm(s.kernel, f, q_exp, p, (-math.inf, math.inf), cfg)
-        fn = lp_norm(f, p_exp, p, (-math.inf, math.inf), cfg)
-        pairs.append((lhs.value, c * fn.value))
-        err = max(err, lhs.err_estimate + (0.0 if math.isinf(c) else c * fn.err_estimate))
-    return _upper_report(s, pairs, None, err)
+    pairs, err = _norm_pairs(s, c, q_exp, p_exp, (-math.inf, math.inf), s.functions)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _run_t_interval_e(s: VerifyScenario) -> VerifyReport:
@@ -338,14 +316,9 @@ def _run_t_interval_e(s: VerifyScenario) -> VerifyReport:
     p_exp = float(s.exponents.get("p", 2.0))
     e_val = e_constant(s.kernel, p_exp, cfg)
     a1 = weight_a(p, 1.0)
-    rhs_const = a1 ** (1.0 - 1.0 / p_exp) * e_val
-    pairs, err = [], 0.0
-    for f in s.functions:
-        lhs = hausdorff_lp_norm(s.kernel, f, p_exp, p, (0.0, 1.0), cfg)
-        fn = lp_norm(f, p_exp, p, (0.0, 1.0), cfg)
-        pairs.append((lhs.value, rhs_const * fn.value))
-        err = max(err, lhs.err_estimate + rhs_const * fn.err_estimate)
-    return _upper_report(s, pairs, None, err)
+    const = a1 ** (1.0 - 1.0 / p_exp) * e_val
+    pairs, err = _norm_pairs(s, const, p_exp, p_exp, (0.0, 1.0), s.functions)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _hausdorff_on_unit_interval(k, f, p, cfg) -> LogInterpFunction:
@@ -365,7 +338,7 @@ def _run_t_grand_ub(s: VerifyScenario) -> VerifyReport:
         gf = grand_norm(f, p_exp, p, (0.0, 1.0), cfg)
         pairs.append((gh.value, c * gf.value))
         err = max(err, gh.err_estimate + c * gf.err_estimate)
-    return _upper_report(s, pairs, None, err)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _run_t_grand_lb(s: VerifyScenario) -> VerifyReport:
@@ -385,7 +358,7 @@ def _run_t_grand_lb(s: VerifyScenario) -> VerifyReport:
         )
         pairs.append((_ratio_ext(gh.value, gf.value), bound))
         err = max(err, gh.err_estimate + gf.err_estimate)
-    return _lower_report(s, pairs, err)
+    return _gated_report(s, pairs, err, upper=False)
 
 
 def _run_t_qb_ub(s: VerifyScenario) -> VerifyReport:
@@ -404,14 +377,9 @@ def _run_t_qb_ub(s: VerifyScenario) -> VerifyReport:
                      "membership gate while lying in L^p"},
         )
     b_sup, _ = b_constants(s.kernel, p_exp, p, cfg)
-    rhs_const = p_exp ** (1.0 / p_exp) * b_sup
-    pairs, err = [], 0.0
-    for f in eligible:
-        lhs = hausdorff_lp_norm(s.kernel, f, p_exp, p, (0.0, math.inf), cfg)
-        fn = lp_norm(f, p_exp, p, (0.0, math.inf), cfg)
-        pairs.append((lhs.value, rhs_const * fn.value))
-        err = max(err, lhs.err_estimate)
-    return _upper_report(s, pairs, None, err)
+    const = p_exp ** (1.0 / p_exp) * b_sup
+    pairs, err = _norm_pairs(s, const, p_exp, p_exp, (0.0, math.inf), eligible)
+    return _gated_report(s, pairs, err, upper=True)
 
 
 def _run_t_qb_lb(s: VerifyScenario) -> VerifyReport:
@@ -428,7 +396,7 @@ def _run_t_qb_lb(s: VerifyScenario) -> VerifyReport:
     den = lp_norm(f0, p_exp, p, (0.0, math.inf), cfg)
     lhs = _ratio_ext(num.value, den.value)
     rhs = p_exp ** (1.0 / p_exp) * b_inf
-    return _lower_report(s, [(lhs, rhs)], num.err_estimate + den.err_estimate)
+    return _gated_report(s, [(lhs, rhs)], num.err_estimate + den.err_estimate, upper=False)
 
 
 def random_step_function(rng: np.random.Generator) -> FunctionSpec:
@@ -709,13 +677,24 @@ def emit_report(reports: list[VerifyReport], fmt: str, path: str) -> int:
 # command-line interface
 
 def _parse_grid(spec: str) -> np.ndarray:
-    a, b, n = spec.split(":")
-    return np.linspace(float(a), float(b), int(n))
+    try:
+        a, b, n = spec.split(":")
+        return np.linspace(float(a), float(b), int(n))
+    except ValueError:
+        raise OctoolError(f"grid spec {spec!r} is not start:stop:n") from None
+
+
+def _split_spec(spec: str) -> tuple[str, list[float]]:
+    """``name:arg:arg...`` into the name and its numeric arguments."""
+    name, *args = spec.split(":")
+    try:
+        return name, [float(x) for x in args]
+    except ValueError:
+        raise OctoolError(f"spec {spec!r} has a non-numeric argument") from None
 
 
 def _parse_function(spec: str) -> FunctionSpec:
-    parts = spec.split(":")
-    name, args = parts[0], [float(x) for x in parts[1:]]
+    name, args = _split_spec(spec)
     if name == "gaussian":
         return FunctionSpec("gaussian", params={"scale": args[0] if args else 1.0})
     if name == "bump":
@@ -732,8 +711,7 @@ def _parse_function(spec: str) -> FunctionSpec:
 
 
 def _parse_kernel(spec: str) -> KernelSpec:
-    parts = spec.split(":")
-    name, args = parts[0], [float(x) for x in parts[1:]]
+    name, args = _split_spec(spec)
     if name == "hardy":
         return make_kernel("hardy")
     if name == "adjoint-hardy":

@@ -27,6 +27,7 @@ from .quad import (
     integrate_finite,
     integrate_to_infinity,
     integrate_to_zero,
+    panel_rule,
 )
 from .specfun import JacobiParams, log_weight_a
 
@@ -198,10 +199,10 @@ def hausdorff_apply_result(
 
 
 def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
-                       n_panels: int = 128, include_weight: bool = True):
+                       include_weight: bool = True):
     """log H f at each x in xs for non-negative f, via a fixed log-spaced
-    Gauss-Kronrod grid in t, entirely in log space so that weight-cancelling
-    tails (f ~ A^(-1/p)) neither overflow nor underflow.
+    Gauss-Kronrod grid of 128 panels in t, entirely in log space so that
+    weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor underflow.
 
     Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes.
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec).
@@ -218,8 +219,6 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
         flo, fhi = f.support()
     except AttributeError:
         flo, fhi = -math.inf, math.inf
-    from .quad import _NODES, _WG15, _WK
-
     log_vals = np.full(xs.shape, -math.inf)
     rel_err = np.zeros(xs.shape)
     for i, x in enumerate(xs):
@@ -243,12 +242,7 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
         # genuine support boundaries; used for divergence detection below
         clip_lo = a > max(klo, tlo)
         clip_hi = b < min(khi, thi)
-        edges = np.geomspace(a, b, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-        wk = (half[:, None] * _WK[None, :]).ravel()
-        wg = (half[:, None] * _WG15[None, :]).ravel()
+        t, wk, wg = panel_rule(np.geomspace(a, b, 129))
         u = x / t
         log_a_x = log_weight_a(p, x)
         plain, a_coeff = f.log_abs_decomp(u)
@@ -307,13 +301,7 @@ def commutation_residual(
     lo, hi = k.support()
     a = max(lo, 1e-8)
     b = min(hi, cfg.truncation_t)
-    edges = np.geomspace(a, b, 257)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    from .quad import _NODES, _WK
-
-    t = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    wk = (half[:, None] * _WK[None, :]).ravel()
+    t, wk, _ = panel_rule(np.geomspace(a, b, 257))
     u, _ = transform_grid(f, p, lam * t, cfg)
     rhs = complex(np.sum(wk * k(t) * u))
     return lhs, rhs, abs(lhs - rhs)

@@ -13,15 +13,12 @@ import numpy as np
 
 from .errors import ParameterError, SingularityError
 from .quad import (
-    _NODES,
-    _WG15,
-    _WK,
     IntegralResult,
     QuadConfig,
     integrate_finite,
-    integrate_real_line,
     integrate_to_infinity,
     integrate_to_zero,
+    panel_rule,
 )
 from .specfun import (
     JacobiParams,
@@ -51,6 +48,7 @@ _FAMILIES = {
     "sampled",
     "zero",
 }
+_EXTREMAL = ("extremal_eps", "extremal_delta", "extremal_zero")
 _DOMAINS = {"real_line", "positive_halfline", "unit_interval"}
 
 
@@ -156,12 +154,32 @@ class FunctionSpec:
         return False
 
     # -- evaluation --------------------------------------------------------
+    def _coords(self, x):
+        """x as a 1-d array in the family's own coordinates (reflected)."""
+        xx = np.atleast_1d(np.asarray(x, dtype=float))
+        return -xx if self.reflect else xx
+
+    def _restrict(self, xx, out, fill: float):
+        """``out`` with ``fill`` outside the declared domain; ``xx`` comes from
+        :meth:`_coords`, so the domain is tested in original coordinates."""
+        orig = -xx if self.reflect else xx
+        if self.domain == "positive_halfline":
+            return np.where(orig > 0.0, out, fill)
+        if self.domain == "unit_interval":
+            return np.where((orig > 0.0) & (orig < 1.0), out, fill)
+        return out
+
+    def _extremal(self) -> tuple[float, float, float]:
+        """(power, lo, hi): an extremal family is x^power A(x)^(-1/p) on (lo, hi)."""
+        q = self.params
+        if self.family == "extremal_eps":
+            return -1.0 / q["p"] - q["eps"], 1.0, math.inf
+        if self.family == "extremal_zero":
+            return -1.0 / q["p"] - 1.0, 1.0, math.inf
+        return q["delta"] - 1.0 / q["p"], 0.0, 1.0
+
     def __call__(self, x):
-        xx = np.asarray(x, dtype=float)
-        scalar = xx.ndim == 0
-        xx = np.atleast_1d(xx).copy()
-        if self.reflect:
-            xx = -xx
+        xx = self._coords(x)
         fam, q = self.family, self.params
         out = np.zeros_like(xx)
         if fam == "gaussian":
@@ -177,18 +195,12 @@ class FunctionSpec:
             a = q.get("exponent", 0.0)
             inside = (xx > 0.0) & (xx < 1.0)
             out[inside] = xx[inside] ** a
-        elif fam in ("extremal_eps", "extremal_delta", "extremal_zero"):
-            p_exp = q["p"]
-            if fam == "extremal_eps":
-                power, lo, hi = -1.0 / p_exp - q["eps"], 1.0, math.inf
-            elif fam == "extremal_zero":
-                power, lo, hi = -1.0 / p_exp - 1.0, 1.0, math.inf
-            else:
-                power, lo, hi = q["delta"] - 1.0 / p_exp, 0.0, 1.0
+        elif fam in _EXTREMAL:
+            power, lo, hi = self._extremal()
             inside = (xx > lo) & (xx < hi)
             xi = xx[inside]
             out[inside] = np.exp(
-                power * np.log(xi) - log_weight_a(self.jacobi, xi) / p_exp
+                power * np.log(xi) - log_weight_a(self.jacobi, xi) / q["p"]
             )
         elif fam == "constant_one":
             out = np.ones_like(xx)
@@ -201,22 +213,15 @@ class FunctionSpec:
             else:
                 idx = np.clip(np.searchsorted(xs, xx[inside], side="right") - 1, 0, xs.size - 1)
                 out[inside] = ys[idx]
-        # restrict to the declared domain (in original coordinates)
-        orig = -xx if self.reflect else xx
-        if self.domain == "positive_halfline":
-            out = np.where(orig > 0.0, out, 0.0)
-        elif self.domain == "unit_interval":
-            out = np.where((orig > 0.0) & (orig < 1.0), out, 0.0)
-        if scalar:
+        out = self._restrict(xx, out, 0.0)
+        if np.ndim(x) == 0:
             return float(out[0])
         return out
 
     def log_abs(self, x):
         """log|f(x)| (-inf where f vanishes), evaluable far beyond the
         exp-range of ``__call__`` for the analytic families."""
-        xx = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-        if self.reflect:
-            xx = -xx
+        xx = self._coords(x)
         fam, q = self.family, self.params
         out = np.full(xx.shape, -math.inf)
         if fam == "gaussian":
@@ -227,17 +232,11 @@ class FunctionSpec:
             a = q.get("exponent", 0.0)
             inside = (xx > 0.0) & (xx < 1.0)
             out[inside] = a * np.log(xx[inside])
-        elif fam in ("extremal_eps", "extremal_delta", "extremal_zero"):
-            p_exp = q["p"]
-            if fam == "extremal_eps":
-                power, lo, hi = -1.0 / p_exp - q["eps"], 1.0, math.inf
-            elif fam == "extremal_zero":
-                power, lo, hi = -1.0 / p_exp - 1.0, 1.0, math.inf
-            else:
-                power, lo, hi = q["delta"] - 1.0 / p_exp, 0.0, 1.0
+        elif fam in _EXTREMAL:
+            power, lo, hi = self._extremal()
             inside = (xx > lo) & (xx < hi)
             xi = xx[inside]
-            out[inside] = power * np.log(xi) - log_weight_a(self.jacobi, xi) / p_exp
+            out[inside] = power * np.log(xi) - log_weight_a(self.jacobi, xi) / q["p"]
         elif fam == "constant_one":
             out = np.zeros(xx.shape)
         else:
@@ -246,11 +245,7 @@ class FunctionSpec:
             if np.ndim(x) == 0:
                 return float(out[0])
             return out
-        orig = -xx if self.reflect else xx
-        if self.domain == "positive_halfline":
-            out = np.where(orig > 0.0, out, -math.inf)
-        elif self.domain == "unit_interval":
-            out = np.where((orig > 0.0) & (orig < 1.0), out, -math.inf)
+        out = self._restrict(xx, out, -math.inf)
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -262,36 +257,24 @@ class FunctionSpec:
         symbolically so norm integrands can cancel it exactly against the
         measure's own weight; all other families return a_coeff = 0.
         """
-        if self.family not in ("extremal_eps", "extremal_delta", "extremal_zero"):
+        if self.family not in _EXTREMAL:
             return self.log_abs(x), 0.0
-        xx = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-        if self.reflect:
-            xx = -xx
-        q = self.params
-        p_exp = q["p"]
-        if self.family == "extremal_eps":
-            power, lo, hi = -1.0 / p_exp - q["eps"], 1.0, math.inf
-        elif self.family == "extremal_zero":
-            power, lo, hi = -1.0 / p_exp - 1.0, 1.0, math.inf
-        else:
-            power, lo, hi = q["delta"] - 1.0 / p_exp, 0.0, 1.0
+        xx = self._coords(x)
+        power, lo, hi = self._extremal()
         out = np.full(xx.shape, -math.inf)
         inside = (xx > lo) & (xx < hi)
         out[inside] = power * np.log(xx[inside])
-        orig = -xx if self.reflect else xx
-        if self.domain == "positive_halfline":
-            out = np.where(orig > 0.0, out, -math.inf)
-        elif self.domain == "unit_interval":
-            out = np.where((orig > 0.0) & (orig < 1.0), out, -math.inf)
+        out = self._restrict(xx, out, -math.inf)
+        a_coeff = -1.0 / self.params["p"]
         if np.ndim(x) == 0:
-            return float(out[0]), -1.0 / p_exp
-        return out, -1.0 / p_exp
+            return float(out[0]), a_coeff
+        return out, a_coeff
 
     def weight_root(self) -> float:
         """q such that |f| carries the weight factor A^(-1/q) of
         :meth:`log_abs_decomp` (a_coeff = -1/q); inf when it carries none.
         Norm integrands use it to cancel the weight exponent exactly."""
-        if self.family in ("extremal_eps", "extremal_delta", "extremal_zero"):
+        if self.family in _EXTREMAL:
             return self.params["p"]
         return math.inf
 
@@ -376,27 +359,14 @@ def oc_transform(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> complex:
     return complex(oc_transform_result(f, p, lam, cfg).value)
 
 
-def _panel_nodes(lo: float, hi: float, width: float):
-    """Composite 15-point panels covering (lo, hi): nodes, weights shaped
-    (panels, 15) for the Kronrod rule and the embedded Gauss rule."""
-    n_panels = max(int(math.ceil((hi - lo) / width)), 1)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    wk = half[:, None] * _WK[None, :]
-    wg = half[:, None] * _WG15[None, :]
-    return x, wk, wg
-
-
 def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
     """Transform of ``f`` at every lambda in ``lams`` on a shared fixed grid.
 
-    Returns (values (n,), err (n,)).  The spatial integral uses composite
-    Gauss-Kronrod panels common to all lambdas so the eigenfunction series
-    can be evaluated as one (lambda, x) batch; the panel width is chosen
-    against the fastest oscillation in the batch.  Intended for smooth,
-    bounded functions (the transform and spectral-identity sweeps).
+    Returns (values, err), both shaped like ``lams``.  The spatial integral
+    uses composite Gauss-Kronrod panels common to all lambdas so the
+    eigenfunction series can be evaluated as one (lambda, x) batch; the panel
+    width is chosen against the fastest oscillation in the batch.  Intended
+    for smooth, bounded functions (the transform and spectral-identity sweeps).
     """
     lams = np.asarray(lams, dtype=float)
     lo, hi = f.support() if isinstance(f, FunctionSpec) else (-math.inf, math.inf)
@@ -406,20 +376,20 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
         z = np.zeros(lams.shape, dtype=complex)
         return z, np.zeros(lams.shape)
     width = min(0.25, 4.0 / max(1.0, float(np.max(np.abs(lams)))))
-    x, wk, wg = _panel_nodes(lo, hi, width)
+    n_panels = max(int(math.ceil((hi - lo) / width)), 1)
+    x, wk, wg = panel_rule(np.linspace(lo, hi, n_panels + 1))
     fa = np.asarray(f(x.ravel())).reshape(x.shape) * weight_a(p, x)
     # skip panels where f A vanishes identically (compact supports, decay)
     keep = np.max(np.abs(fa), axis=1) > 1e-18 * (np.max(np.abs(fa)) + 1e-300)
     x, wk, wg, fa = x[keep], wk[keep], wg[keep], fa[keep]
-    g, g_err = _g_batch(p, lams, -x.ravel())
-    n = lams.shape[0]
-    g = g.reshape(n, *x.shape)
-    g_err = g_err.reshape(n, *x.shape)
-    k_panels = np.sum(g * (fa * wk)[None, :, :], axis=2)
-    g_panels = np.sum(g * (fa * wg)[None, :, :], axis=2)
-    vals = np.sum(k_panels, axis=1)
-    quad_err = np.sum(np.abs(k_panels - g_panels), axis=1)
-    series_err = np.sum(np.abs(fa * wk)[None, :, :] * g_err, axis=(1, 2))
+    g, g_err = _g_batch(p, lams.ravel(), -x.ravel())
+    g = g.reshape(*lams.shape, *x.shape)
+    g_err = g_err.reshape(*lams.shape, *x.shape)
+    k_panels = np.sum(g * (fa * wk), axis=-1)
+    g_panels = np.sum(g * (fa * wg), axis=-1)
+    vals = np.sum(k_panels, axis=-1)
+    quad_err = np.sum(np.abs(k_panels - g_panels), axis=-1)
+    series_err = np.sum(np.abs(fa * wk) * g_err, axis=(-2, -1))
     return vals, quad_err + series_err
 
 
@@ -522,12 +492,7 @@ def plancherel_residual_detailed(
             lam_edges.append(e)
     while lam_edges[-1] < cfg.truncation_lambda:
         lam_edges.append(min(lam_edges[-1] * 1.5, cfg.truncation_lambda))
-    edges = np.asarray(lam_edges)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    lam = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    wk = (half[:, None] * _WK[None, :]).ravel()
-    wg = (half[:, None] * _WG15[None, :]).ravel()
+    lam, wk, wg = panel_rule(lam_edges)
 
     u, u_err = transform_grid(f, p, lam, cfg)
     if even:
@@ -543,12 +508,8 @@ def plancherel_residual_detailed(
     v = np.where(noisy, 0.0, v)
     integrand = u * v * dens
     rhs = 2.0 * float(np.sum(wk * integrand).real) + 0.0j
-    n_panel = len(edges) - 1
-    quad_err = sum(
-        abs(np.sum((wk * integrand)[i * 15:(i + 1) * 15])
-            - np.sum((wg * integrand)[i * 15:(i + 1) * 15]))
-        for i in range(n_panel)
-    )
+    k_panels = np.sum(wk * integrand, axis=1)
+    quad_err = float(np.sum(np.abs(k_panels - np.sum(wg * integrand, axis=1))))
     inner_err = float(
         np.sum(wk * np.abs(dens) * (u_err * np.abs(v) + v_err * np.abs(u)))
     )
@@ -560,23 +521,20 @@ def plancherel_residual_detailed(
     # the data says anything; together with the lambda > Lambda truncation
     # they are covered by a geometric-decay extrapolation of the last two
     # resolved panel masses.
-    dens_kept = np.abs(integrand).reshape(-1, 15)
-    wk_p = wk.reshape(-1, 15)
-    noisy_p = noisy.reshape(-1, 15)
-    panel_peak = dens_kept.max(axis=1)
+    panel_peak = np.abs(integrand).max(axis=1)
     noise_charge = float(
-        np.sum(panel_peak * np.sum(np.where(noisy_p, wk_p, 0.0), axis=1))
+        np.sum(panel_peak * np.sum(np.where(noisy, wk, 0.0), axis=1))
     )
     resolved = np.flatnonzero(panel_peak > 0.0)
     tail = 0.0
     if resolved.size >= 2:
-        panel_mass = np.abs(np.sum((wk * integrand).reshape(-1, 15), axis=1))
+        panel_mass = np.abs(k_panels)
         last, prev = float(panel_mass[resolved[-1]]), float(panel_mass[resolved[-2]])
         # floor the ratio: stretched-exponential decay slows down, so the
         # observed panel-to-panel ratio can understate the remaining mass
         ratio = min(max(last / prev, 0.5), 0.9) if prev > 0 else 0.9
         tail = last * ratio / (1.0 - ratio)
-    excised = 2.0 * cfg.lambda_min * float(np.abs(integrand[0]))
+    excised = 2.0 * cfg.lambda_min * float(np.abs(integrand[0, 0]))
     spectral_err = 2.0 * (quad_err + inner_err + noise_charge + tail) + excised
     rel_gap = abs(lhs - rhs) / lhs
     return lhs, rhs, rel_gap, lhs_res.err_estimate + spectral_err

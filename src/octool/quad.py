@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "integrate_to_infinity",
     "integrate_to_zero",
     "integrate_real_line",
+    "panel_rule",
 ]
 
 
@@ -60,9 +61,6 @@ class QuadConfig:
             raise ParameterError("lambda_min must be positive")
         if self.extremum_grid < 16:
             raise ParameterError("extremum_grid must be at least 16")
-
-    def with_(self, **kw) -> "QuadConfig":
-        return replace(self, **kw)
 
 
 @dataclass
@@ -136,6 +134,16 @@ def _gk15(f, a: float, b: float):
     return k, abs(k - g)
 
 
+def panel_rule(edges):
+    """The (7, 15) pair on every panel (edges[i], edges[i + 1]): abscissae,
+    Kronrod weights and embedded Gauss weights, each shaped (panels, 15)."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    return x, half[:, None] * _WK[None, :], half[:, None] * _WG15[None, :]
+
+
 def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
     """Adaptive integral of ``f`` over (a, b) with an embedded error estimate.
 
@@ -193,7 +201,8 @@ def _dyadic_sum(f, edges, cfg: QuadConfig, outward: bool) -> IntegralResult:
     (toward infinity, or toward a singular endpoint at zero): only then do the
     divergence check and the geometric tail estimate apply.
     """
-    block_cfg = cfg.with_(
+    block_cfg = replace(
+        cfg,
         abs_tol=cfg.abs_tol / max(len(edges) - 1, 1),
         rel_tol=cfg.rel_tol / 4,
     )
@@ -270,27 +279,9 @@ def integrate_to_zero(f, b: float, cfg: QuadConfig) -> IntegralResult:
     return _dyadic_sum(f, edges, cfg, outward=True)
 
 
-def integrate_real_line(
-    f,
-    cfg: QuadConfig,
-    cutoff: float | None = None,
-    exclude_origin: float = 0.0,
-) -> IntegralResult:
-    """Integral of ``f`` over the real line, split at the origin.
-
-    ``exclude_origin`` excises (-r, r) (used for spectral integrals whose
-    density has a pole structure at 0); the excised mass is bounded by
-    ``2 r max|f|`` over the excision and added to the error estimate.
-    """
+def integrate_real_line(f, cfg: QuadConfig,
+                        cutoff: float | None = None) -> IntegralResult:
+    """Integral of ``f`` over the real line, split at the origin."""
     span = cutoff if cutoff is not None else cfg.truncation_x
-    r = exclude_origin
-    pos = integrate_to_infinity(f, r, cfg, cutoff=span) if r > 0 else \
-        integrate_to_infinity(f, 0.0, cfg, cutoff=span)
-    neg = integrate_to_infinity(lambda x: f(-x), r if r > 0 else 0.0, cfg,
-                                cutoff=span)
-    total = pos + neg
-    if r > 0:
-        probe = np.array([-r, -0.5 * r, 0.5 * r, r])
-        bound = 2.0 * r * float(np.max(np.abs(np.asarray(f(probe)))))
-        total.err_estimate += bound
-    return total
+    return (integrate_to_infinity(f, 0.0, cfg, cutoff=span)
+            + integrate_to_infinity(lambda x: f(-x), 0.0, cfg, cutoff=span))

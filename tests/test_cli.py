@@ -75,6 +75,22 @@ def test_config_file(runner, tmp_path):
         assert isinstance(r.exception, OctoolError), (line, r.exception)
 
 
+@pytest.mark.parametrize("args", [
+    ["transform", "--function", "bump:abc", "--alpha", "0.5", "--beta", "-0.5",
+     "--lambda-grid", "1:2:2"],
+    ["transform", "--function", "bump:0:1", "--alpha", "0.5", "--beta", "-0.5",
+     "--lambda-grid", "0:1"],
+    ["hausdorff", "--kernel", "cesaro:x", "--function", "bump", "--alpha", "0.5",
+     "--beta", "-0.5", "--x-grid", "0.5:0.5:1"],
+    ["eval", "--what", "weight", "--alpha", "0.5", "--beta", "-0.5",
+     "--grid", "0:1:x"],
+])
+def test_malformed_spec_is_octool_error(runner, args):
+    r = runner.invoke(main, args)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, OctoolError), r.exception
+
+
 def test_config_file_rejects_infinite_cutoff(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("truncation_t = inf\n")

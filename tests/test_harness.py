@@ -104,3 +104,9 @@ def test_no_failures_in_default_suite(suite_reports):
         for r in rs if r.status == "fail"
     ]
     assert bad == []
+
+
+def test_lp_ainf_divergent_bound_detected(suite_reports):
+    # the adjoint-Hardy bound integrand behaves like t^(-3/2 + eps) at 0
+    (r,) = suite_reports["T_LP_AINF"]
+    assert r.rhs == math.inf and r.ratio == 1.0 and r.status == "pass"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -54,12 +55,23 @@ def test_function_spec_serialization_roundtrip():
 
 
 def test_log_abs_decomp_consistency():
-    f = FunctionSpec("extremal_delta", params={"p": 2.0, "delta": 0.2}, jacobi=P1)
-    xs = np.array([0.1, 0.5, 0.9])
-    plain, a_coeff = f.log_abs_decomp(xs)
     from octool.specfun import log_weight_a
-    rebuilt = plain + a_coeff * log_weight_a(P1, xs)
-    assert np.allclose(rebuilt, np.log(f(xs)), rtol=1e-12)
+    xs = np.array([-3.0, -1.5, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 1.5, 3.0])
+    families = (("extremal_eps", {"p": 2.0, "eps": 0.1}),
+                ("extremal_delta", {"p": 2.0, "delta": 0.2}),
+                ("extremal_zero", {"p": 0.5}))
+    for (family, params), domain, reflect in itertools.product(
+            families, ("real_line", "positive_halfline", "unit_interval"), (False, True)):
+        f = FunctionSpec(family, domain, params, P1, reflect)
+        with np.errstate(divide="ignore"):
+            log_f = np.log(f(xs))
+        lo, hi = f.support()
+        assert np.array_equal(np.isfinite(log_f), (xs > lo) & (xs < hi))
+        plain, a_coeff = f.log_abs_decomp(xs)
+        np.testing.assert_allclose(f.log_abs(xs), log_f, rtol=1e-12)
+        np.testing.assert_allclose(plain + a_coeff * log_weight_a(P1, xs), log_f, rtol=1e-12)
+        for x, expected in zip(xs, f.log_abs(xs)):
+            assert f.log_abs(float(x)) == expected
 
 
 def _trapz_transform(f, p, lam, lo, hi, n=4001):

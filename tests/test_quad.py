@@ -12,6 +12,7 @@ from octool.quad import (
     integrate_real_line,
     integrate_to_infinity,
     integrate_to_zero,
+    panel_rule,
 )
 
 CFG = QuadConfig()
@@ -93,3 +94,22 @@ def test_split_additive(c):
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(ParameterError):
         QuadConfig(**{name: value})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_panel_rule_exactness(seed):
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(rng.uniform(0.05, 0.5, int(rng.integers(2, 9))))
+    edges -= rng.uniform(0.0, edges[-1])
+    x, wk, wg = panel_rule(edges)
+    assert x.shape == wk.shape == wg.shape == (edges.size - 1, 15)
+    a, b = edges[0], edges[-1]
+    for d in range(23):
+        scale = np.sum(np.abs(wk * x**d))
+        truth = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+        assert abs(np.sum(wk * x**d) - truth) <= 1e-13 * scale
+        if d <= 13:
+            # the embedded Gauss rule is exact here too, panel by panel
+            diff = np.sum((wk - wg) * x**d, axis=1)
+            assert np.all(np.abs(diff) <= 1e-13 * scale)
