@@ -66,6 +66,7 @@ from .bounds import (
     grand_norm,
     hausdorff_lp_norm,
     interval_measure,
+    kernel_moment,
     lp_lq_constant,
     lp_norm,
     mphi_check,

@@ -30,13 +30,14 @@ from .quad import (
     integrate_to_infinity,
     integrate_to_zero,
 )
-from .specfun import JacobiParams, log_weight_a, weight_a, weight_ratio_extrema
+from .specfun import JacobiParams, log_weight_a, weight_a
 
 __all__ = [
     "NormResult",
     "interval_measure",
     "lp_norm",
     "grand_norm",
+    "kernel_moment",
     "a_constants",
     "e_constant",
     "b_constants",
@@ -207,50 +208,47 @@ def _kernel_positive_on(k: KernelSpec, lo: float, hi: float) -> bool:
     return bool(np.any(k(t) > 0.0))
 
 
-def a_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
-                cfg: QuadConfig) -> tuple[float, float]:
-    """(a_sup, a_inf): t-integrals of (phi(t)/t) t^(1/p) times the
-    (sup / inf over u) of A(u)/A(tu), raised to 1 - 1/p."""
-    if not p_exp > 1:
-        raise ParameterError("a_constants require p_exp > 1")
-    power = 1.0 - 1.0 / p_exp
-
-    # sup ratio is +inf for every t < 1: any kernel mass there gives +inf
-    if _kernel_positive_on(k, 0.0, 1.0):
-        a_sup = math.inf
-    else:
-        a_sup = _a_integral(k, p_exp, params, power, "sup", 1.0, math.inf, cfg)
-    # inf ratio vanishes for every t > 1; only t < 1 contributes
-    a_inf = _a_integral(k, p_exp, params, power, "inf", 0.0, 1.0, cfg)
-    return a_sup, a_inf
-
-
-def _a_integral(k: KernelSpec, p_exp: float, params: JacobiParams,
-                power: float, which: str, lo: float, hi: float,
-                cfg: QuadConfig) -> float:
+def kernel_moment(k: KernelSpec, s: float, lo: float, hi: float,
+                  cfg: QuadConfig, power: float = 1.0) -> NormResult:
+    """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
+    support, formed as one exponential of log phi and log t so that neither
+    factor under- or overflows on its own; +inf on divergence."""
     klo, khi = k.support()
     a, b = max(lo, klo), min(hi, khi)
     if not a < b:
-        return 0.0
+        return NormResult(0.0, 0.0)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        for i, ti in enumerate(t.ravel()):
-            sup, inf = weight_ratio_extrema(params, float(ti), cfg)
-            extremum = sup if which == "sup" else inf
-            if extremum == 0.0:
-                continue
-            out.ravel()[i] = (
-                float(k(ti)) / ti * ti ** (1.0 / p_exp) * extremum ** power
-            )
-        return out
+        return np.exp(power * k.log_abs(t) + (s - 1.0) * np.log(t))
 
     try:
-        r = _integrate_kernel(integrand, a, b, cfg)
+        # an overflowing node is an infinite value, which quad reports as
+        # divergence
+        with np.errstate(over="ignore"):
+            r = _integrate_kernel(integrand, a, b, cfg)
     except DivergentIntegralError:
-        return math.inf
-    return float(r.value)
+        return NormResult(math.inf, math.inf)
+    return NormResult(float(r.value), float(r.err_estimate))
+
+
+def a_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
+                cfg: QuadConfig) -> tuple[float, float]:
+    """(a_sup, a_inf): t-integrals of (phi(t)/t) t^(1/p) times the
+    (sup / inf over u) of A(u)/A(tu), raised to 1 - 1/p.
+
+    The extrema are (t^-(2 alpha + 1), 0) for t > 1 and (+inf,
+    t^-(2 alpha + 1)) for t < 1, so a_sup is +inf if phi has mass below 1
+    and otherwise the moment over (1, inf), and a_inf is the moment over
+    (0, 1), with s = 1/p - (2 alpha + 1)(1 - 1/p)."""
+    if not p_exp > 1:
+        raise ParameterError("a_constants require p_exp > 1")
+    s = 1.0 / p_exp - (2.0 * params.alpha + 1.0) * (1.0 - 1.0 / p_exp)
+    if _kernel_positive_on(k, 0.0, 1.0):
+        a_sup = math.inf
+    else:
+        a_sup = kernel_moment(k, s, 1.0, math.inf, cfg).value
+    return a_sup, kernel_moment(k, s, 0.0, 1.0, cfg).value
 
 
 def e_constant(k: KernelSpec, p_exp: float, cfg: QuadConfig) -> float:
@@ -260,64 +258,25 @@ def e_constant(k: KernelSpec, p_exp: float, cfg: QuadConfig) -> float:
         raise ParameterError("e_constant requires p_exp > 0")
     if _kernel_positive_on(k, 0.0, 1.0):
         raise SupportError("e_constant requires the kernel supported in [1, inf)")
-    lo, hi = k.support()
-    a = max(lo, 1.0)
-    if not a < hi:
-        return 0.0
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return k(t) / t * t ** (1.0 / p_exp)
-
-    try:
-        r = _integrate_kernel(integrand, a, hi, cfg)
-    except DivergentIntegralError:
-        return math.inf
-    return float(r.value)
+    return kernel_moment(k, 1.0 / p_exp, 1.0, math.inf, cfg).value
 
 
 def b_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
                 cfg: QuadConfig) -> tuple[float, float]:
-    """(b_sup, b_inf): (integral of phi^p times ratio-extremum^(p-1))^(1/p);
-    the negative exponent p - 1 swaps which extremum forces divergence."""
+    """(b_sup, b_inf): (integral of phi^p times ratio-extremum^(p-1))^(1/p).
+
+    With the extrema of ``a_constants`` and p - 1 < 0, t < 1 drops out of
+    b_sup and mass above 1 makes b_inf +inf; what is left are the moments
+    of phi^p over (1, inf) and (0, 1), with s = 1 - (2 alpha + 1)(p - 1)."""
     if not 0.0 < p_exp < 1.0:
         raise ParameterError("b_constants require 0 < p_exp < 1")
-    power = p_exp - 1.0
-
-    # inf ratio is 0 for t > 1 and 0^(p-1) = +inf: mass there gives +inf
+    s = 1.0 - (2.0 * params.alpha + 1.0) * (p_exp - 1.0)
     if _kernel_positive_on(k, 1.0, math.inf):
         b_inf = math.inf
     else:
-        b_inf = _b_integral(k, p_exp, params, power, "inf", 0.0, 1.0, cfg)
-    # sup ratio is +inf for t < 1 and inf^(p-1) = 0: only t > 1 contributes
-    b_sup = _b_integral(k, p_exp, params, power, "sup", 1.0, math.inf, cfg)
+        b_inf = kernel_moment(k, s, 0.0, 1.0, cfg, power=p_exp).value ** (1.0 / p_exp)
+    b_sup = kernel_moment(k, s, 1.0, math.inf, cfg, power=p_exp).value ** (1.0 / p_exp)
     return b_sup, b_inf
-
-
-def _b_integral(k: KernelSpec, p_exp: float, params: JacobiParams,
-                power: float, which: str, lo: float, hi: float,
-                cfg: QuadConfig) -> float:
-    klo, khi = k.support()
-    a, b = max(lo, klo), min(hi, khi)
-    if not a < b:
-        return 0.0
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        for i, ti in enumerate(t.ravel()):
-            sup, inf = weight_ratio_extrema(params, float(ti), cfg)
-            extremum = sup if which == "sup" else inf
-            if extremum in (0.0, math.inf):
-                continue
-            out.ravel()[i] = float(k(ti)) ** p_exp * extremum ** power
-        return out
-
-    try:
-        r = _integrate_kernel(integrand, a, b, cfg)
-    except DivergentIntegralError:
-        return math.inf
-    return float(r.value) ** (1.0 / p_exp)
 
 
 def lp_lq_constant(k: KernelSpec, p_exp: float, q_exp: float,

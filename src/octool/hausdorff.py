@@ -130,6 +130,17 @@ class KernelSpec:
             out[inside] = np.interp(ti, grid, vals)
         return out
 
+    def log_abs(self, t):
+        """log phi(t), -inf off the support; power_cutoff's exponent * log t
+        in closed form, so that t^exponent cannot overflow or underflow."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            if self.variant != "power_cutoff":
+                return np.log(self(t))
+            lo, hi = self.support()
+            return np.where((t > lo) & (t < hi),
+                            self.params["exponent"] * np.log(t), -math.inf)
+
     def l1_status(self, cfg: QuadConfig) -> tuple[str, float | None]:
         """("finite", value) or ("infinite", None) for the integral of phi."""
         try:
@@ -249,7 +260,7 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
         plain = np.asarray(plain)
         with np.errstate(divide="ignore"):
             summand = (
-                np.log(k(t)) - np.log(t) + plain
+                k.log_abs(t) - np.log(t) + plain
                 + (a_coeff + 1.0) * log_weight_a(p, u)
             )
         m = float(np.max(summand))

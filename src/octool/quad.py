@@ -45,7 +45,6 @@ class QuadConfig:
     truncation_lambda: float = 40.0
     truncation_t: float = 1e4
     lambda_min: float = 1e-6
-    extremum_grid: int = 2048
 
     def __post_init__(self):
         # NaN passes every comparison below, and an infinite cutoff yields
@@ -59,8 +58,6 @@ class QuadConfig:
             raise ParameterError("truncation cutoffs must be positive")
         if self.lambda_min <= 0:
             raise ParameterError("lambda_min must be positive")
-        if self.extremum_grid < 16:
-            raise ParameterError("extremum_grid must be at least 16")
 
 
 @dataclass
@@ -221,14 +218,16 @@ def _dyadic_sum(f, edges, cfg: QuadConfig, outward: bool) -> IntegralResult:
         mags.append(abs(r.value))
     if not outward:
         return total
-    floor = max(cfg.abs_tol, cfg.rel_tol * abs(total.value))
     # a final block clipped short of the dyadic doubling pattern (truncation
-    # cutoff) would distort the shrink ratios: drop it from the window
+    # cutoff) would distort the shrink ratios: drop it from the window, and
+    # from the floor too, or a growing integrand's clipped block would lift
+    # the floor over every full block and skip the divergence test
     full = mags
     if len(widths) >= 3:
         growth = widths[-2] / widths[-3]
         if abs(widths[-1] / widths[-2] - growth) > 0.2 * max(growth, 1e-12):
             full = mags[:-1]
+    floor = max(cfg.abs_tol, cfg.rel_tol * sum(full))
     tail = full[-1] if full else 0.0
     if tail > floor and len(full) > _DIVERGENCE_WINDOW:
         window = full[-_DIVERGENCE_WINDOW - 1:]

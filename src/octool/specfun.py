@@ -484,40 +484,25 @@ def log_weight_a(p: JacobiParams, x):
     return out
 
 
-def _ratio(p: JacobiParams, t: float, u: np.ndarray) -> np.ndarray:
-    # evaluated in log space to dodge overflow at large u
-    return np.exp(log_weight_a(p, u) - log_weight_a(p, t * u))
-
-
 def weight_ratio_extrema(
     p: JacobiParams, t: float, cfg: QuadConfig | None = None
 ) -> tuple[float, float]:
-    """(sup, inf) over u > 0 of A(u) / A(t u).
+    """(sup, inf) over u > 0 of A(u) / A(t u), in closed form.
 
-    Log-spaced grid search refined once around the grid extremum, combined
-    with the analytic endpoint limits: u -> 0+ gives t^-(2 alpha + 1); u -> inf
-    gives 0 for t > 1 and +inf for t < 1.
+    h(u) = u (log A)'(u) = (2 alpha + 1) u coth u + (2 beta + 1) u tanh u is
+    increasing and d/du log(A(u)/A(tu)) = (h(u) - h(tu))/u, so the ratio is
+    monotone in u: it runs from t^-(2 alpha + 1) at u -> 0 to 0 (t > 1) or
+    +inf (t < 1).  ``cfg`` is accepted and unused.
     """
     if not t > 0:
         raise ParameterError("need t > 0")
     if t == 1.0:
         return 1.0, 1.0
-    n = cfg.extremum_grid if cfg is not None else 2048
-    u = np.geomspace(1e-6, 50.0, n)
-    r = _ratio(p, t, u)
-    i_hi = int(np.argmax(r))
-    i_lo = int(np.argmin(r))
-    for i in (i_hi, i_lo):
-        lo = u[max(i - 1, 0)]
-        hi = u[min(i + 1, n - 1)]
-        fine = np.geomspace(lo, hi, 64)
-        rf = _ratio(p, t, fine)
-        r = np.concatenate([r, rf])
-    limit_zero = t ** -(2.0 * p.alpha + 1.0)
-    limit_inf = 0.0 if t > 1.0 else math.inf
-    sup = max(float(np.max(r)), limit_zero, limit_inf)
-    inf = min(float(np.min(r)), limit_zero, limit_inf)
-    return sup, inf
+    try:
+        limit_zero = t ** -(2.0 * p.alpha + 1.0)
+    except OverflowError:
+        limit_zero = math.inf
+    return (limit_zero, 0.0) if t > 1.0 else (math.inf, limit_zero)
 
 
 # ---------------------------------------------------------------------------

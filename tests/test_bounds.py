@@ -13,6 +13,7 @@ from octool.bounds import (
     grand_norm,
     hausdorff_lp_norm,
     interval_measure,
+    kernel_moment,
     lp_lq_constant,
     lp_norm,
     mphi_check,
@@ -25,6 +26,7 @@ from octool.quad import QuadConfig
 from octool.specfun import JacobiParams
 
 P1 = JacobiParams(0.5, -0.5)
+P2 = JacobiParams(1.0, 0.5)
 CFG = QuadConfig()
 POWERCUT = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf)
 ADJOINT = make_kernel("adjoint_hardy")
@@ -91,6 +93,114 @@ def test_b_constants():
     assert b_sup == 0.0          # no kernel mass on t > 1
     assert b_inf == pytest.approx(0.25, rel=1e-8)
     assert b_constants(POWERCUT, 0.5, P1, CFG)[0] == math.inf
+
+
+def _powercut(exponent, lo=1.0, hi=math.inf):
+    return make_kernel("power_cutoff", exponent=exponent, lo=lo, hi=hi)
+
+
+def test_a_sup_divergent_moment():
+    # s = 1/2 - 3/2 = -1: the a_sup integrand is t * t^-2 = 1/t on (1, inf)
+    assert a_constants(_powercut(1.0), 2.0, P2, CFG) == (math.inf, 0.0)
+
+
+@pytest.mark.parametrize("kernel", [_powercut(-2.0), make_kernel("hardy")])
+def test_b_constants_divergent_moment(kernel):
+    # s = 1 + 3/2 = 5/2: phi^(1/2) t^(3/2) grows on (1, inf)
+    assert b_constants(kernel, 0.5, P2, CFG) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("p_exp", [0.4, 0.5, 0.55, 0.9])
+def test_e_constant_below_one(p_exp):
+    # integral over (1, inf) of t^(1/p - 3): 1/(2 - 1/p) when 1/p < 2
+    x = 1.0 / p_exp - 2.0
+    truth = -1.0 / x if x < 0.0 else math.inf
+    assert e_constant(_powercut(-2.0), p_exp, CFG) == pytest.approx(truth, rel=1e-9)
+
+
+# kernel_moment oracle: (id, kernel, power, closed moment of s, exponent x of
+# the t^(x - 1) behaviour at t -> 0 and at t -> inf (None where the support
+# stops short of that end), and the coefficient of t^(x - 1) at t -> 0)
+def _powercut_case(exponent, lo, hi, power):
+    def closed(s):
+        x = exponent * power + s
+        return math.log(hi / lo) if x == 0.0 else (hi ** x - lo ** x) / x
+
+    return (f"power_cutoff({exponent},{lo},{hi})^{power}",
+            _powercut(exponent, lo, hi), power, closed,
+            lambda s: exponent * power + s if lo == 0.0 else None,
+            lambda s: exponent * power + s if hi == math.inf else None, 1.0)
+
+
+_MOMENT_CASES = [
+    ("hardy", make_kernel("hardy"), 1.0, lambda s: 1.0 / (1.0 - s),
+     lambda s: None, lambda s: s - 1.0, 0.0),
+    ("adjoint_hardy", ADJOINT, 1.0, lambda s: 1.0 / s,
+     lambda s: s, lambda s: None, 1.0),
+    ("hlp", make_kernel("hlp"), 1.0, lambda s: 1.0 / s + 1.0 / (1.0 - s),
+     lambda s: s, lambda s: s - 1.0, 1.0),
+    ("cesaro(2.5)", make_kernel("cesaro", gamma_c=2.5), 1.0,
+     lambda s: 2.5 * math.gamma(s) * math.gamma(2.5) / math.gamma(s + 2.5),
+     lambda s: s, lambda s: None, 2.5),
+    ("riemann_liouville(2)", make_kernel("riemann_liouville", mu=2.0), 1.0,
+     lambda s: math.gamma(1.0 - s) / math.gamma(3.0 - s),
+     lambda s: None, lambda s: s - 1.0, 0.0),
+] + [
+    _powercut_case(exponent, lo, hi, power)
+    for exponent, lo, hi in ((0.5, 0.0, 1.0), (-0.5, 0.0, 1.0), (-2.0, 1.0, math.inf),
+                             (-3.0, 1.0, math.inf), (1.5, 0.5, 2.0))
+    for power in (1.0, 0.5)
+]
+_MOMENT_S = [round(-1.5 + 0.05 * i, 2) for i in range(81)]
+
+
+def _margin(case, s) -> float:
+    """Distance of s inside the convergent side; <= 0 where the moment
+    diverges."""
+    _, _, _, _, at_zero, at_inf, _ = case
+    x0, xinf = at_zero(s), at_inf(s)
+    return min(math.inf if x0 is None else x0, math.inf if xinf is None else -xinf)
+
+
+_CHECKED_MARGIN = 0.25 - 1e-12
+
+
+def _zero_end_short(case, s) -> bool:
+    """Whether integrate_to_zero's stop at hi/2^60 leaves out more than
+    1e-8 of a checked moment: the missing mass is lead * 2^(-60 x)/x."""
+    _, _, _, closed, at_zero, _, lead = case
+    x = at_zero(s)
+    return x is not None and _margin(case, s) >= _CHECKED_MARGIN and \
+        lead * 2.0 ** (-60.0 * x) / x > 1e-8 * abs(closed(s))
+
+
+def _moment_check(case, s):
+    _, k, power, closed, _, _, _ = case
+    r = kernel_moment(k, s, 0.0, math.inf, CFG, power=power).value
+    margin = _margin(case, s)
+    if margin <= 0.0:
+        assert r == math.inf, (s, r)
+    elif margin >= _CHECKED_MARGIN:
+        truth = closed(s)
+        assert abs(r - truth) <= 1e-8 * abs(truth), (s, r, truth)
+
+
+@pytest.mark.parametrize("case", _MOMENT_CASES, ids=[c[0] for c in _MOMENT_CASES])
+def test_kernel_moment_closed_forms(case):
+    for s in _MOMENT_S:
+        if not _zero_end_short(case, s):
+            _moment_check(case, s)
+
+
+@pytest.mark.parametrize("case,s", [
+    pytest.param(c, s, id=f"{c[0]}-{s}",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "integrate_to_zero stops at hi/2^60 without a tail "
+                     "estimate; see the FOUND line on it in CHANGES.md")))
+    for c in _MOMENT_CASES for s in _MOMENT_S if _zero_end_short(c, s)
+])
+def test_kernel_moment_zero_end_truncation(case, s):
+    _moment_check(case, s)
 
 
 def test_lp_lq_constant():

@@ -68,7 +68,8 @@ def test_config_file(runner, tmp_path):
     assert "rel_tol = 1e-07" in r.output
     assert "truncation_lambda = 20" in r.output
     bad = tmp_path / "bad.txt"
-    for line in ("no_such_key = 1", "rel_tol", "rel_tol = fast", "max_subdivisions = 1.5"):
+    for line in ("no_such_key = 1", "rel_tol", "rel_tol = fast", "max_subdivisions = 1.5",
+                 "extremum_grid = 2048"):
         bad.write_text(line + "\n")
         r = runner.invoke(main, ["config", "--file", str(bad)])
         assert r.exit_code != 0

@@ -40,6 +40,12 @@ def test_scenario_serialization_roundtrip():
         assert s2.to_dict() == s.to_dict()
 
 
+def test_scenario_from_older_report_with_dropped_config_key():
+    d = build_default_suite()[0].to_dict()
+    d["cfg"]["extremum_grid"] = 2048
+    assert VerifyScenario.from_dict(d).to_dict() == build_default_suite()[0].to_dict()
+
+
 def test_unknown_theorem_rejected():
     from octool.errors import OctoolError
     with pytest.raises(OctoolError):

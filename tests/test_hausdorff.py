@@ -152,6 +152,13 @@ def test_l1_status_catalog():
         assert k.l1_status(CFG) == ("infinite", None)
 
 
+@pytest.mark.parametrize("exponent", [0.0, -0.5])
+def test_l1_status_growing_log_tail(exponent):
+    # t^exponent * t grows like e^((exponent + 1) s) in s = log t
+    k = make_kernel("power_cutoff", exponent=exponent, lo=1.0, hi=math.inf)
+    assert k.l1_status(CFG) == ("infinite", None)
+
+
 def test_kernel_validation():
     with pytest.raises(ParameterError):
         make_kernel("cesaro", gamma_c=-1.0)

@@ -55,6 +55,14 @@ def test_divergent_origin_detected():
         integrate_to_zero(lambda x: 1.0 / x, 1.0, CFG)
 
 
+@pytest.mark.parametrize("rate", [0.5, 0.25])
+def test_fast_growing_tail_detected(rate):
+    # the clipped last block dwarfs every full block; it must not lift the
+    # divergence floor over them
+    with pytest.raises(DivergentIntegralError):
+        integrate_to_infinity(lambda s: np.exp(rate * s), 0.0, CFG, cutoff=600.0)
+
+
 def test_nan_integrand_rejected():
     with pytest.raises(ParameterError):
         integrate_finite(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0, CFG)

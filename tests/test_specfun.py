@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octool.errors import ParameterError
@@ -196,10 +196,29 @@ def test_density_positive_real_part():
 
 
 def test_weight_ratio_extrema_sides():
-    sup, inf = weight_ratio_extrema(P1, 2.0)
-    assert sup == pytest.approx(2.0 ** -2.0, rel=1e-6)  # t^-(2a+1) at u -> 0
-    assert inf == 0.0
-    sup, inf = weight_ratio_extrema(P1, 0.5)
-    assert sup == math.inf
-    assert inf == pytest.approx(0.5 ** -2.0, rel=1e-6)
+    assert weight_ratio_extrema(P1, 2.0) == (2.0 ** -2.0, 0.0)  # t^-(2a+1) at u -> 0
+    assert weight_ratio_extrema(P1, 0.5) == (math.inf, 0.5 ** -2.0)
     assert weight_ratio_extrema(P1, 1.0) == (1.0, 1.0)
+    assert weight_ratio_extrema(P1, 1e-200) == (math.inf, math.inf)  # t^-2 overflows
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-0.5, 3.0), st.floats(0.0, 3.0), st.floats(-4.0, 4.0))
+def test_weight_ratio_extrema_bracket_monotone_ratio(beta, gap, log10_t):
+    # A(u)/A(tu) is monotone in u and lies between the returned extrema
+    alpha = beta + gap
+    assume(alpha > -0.5)
+    p, t = JacobiParams(alpha, beta), 10.0 ** log10_t
+    sup, inf = weight_ratio_extrema(p, t)
+    with mpmath.workdps(40):
+        def a(u):
+            return mpmath.sinh(u) ** (2 * alpha + 1) * mpmath.cosh(u) ** (2 * beta + 1)
+
+        ratios = [a(mpmath.mpf(u)) / a(mpmath.mpf(t) * mpmath.mpf(u))
+                  for u in np.geomspace(1e-6, 1e3, 60)]
+        slack = mpmath.mpf(10) ** -30
+        step = 1 if t < 1.0 else -1
+        for r0, r1 in zip(ratios, ratios[1:]):
+            assert step * (r1 - r0) >= -slack * r0
+        for r in ratios:
+            assert inf * (1 - 1e-12) <= r <= sup * (1 + 1e-12)
