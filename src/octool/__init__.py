@@ -20,6 +20,7 @@ from .quad import (
     IntegralResult,
     QuadConfig,
     integrate_finite,
+    integrate_positive,
     integrate_real_line,
     integrate_to_infinity,
     integrate_to_zero,

@@ -21,12 +21,13 @@ from .errors import (
     ParameterError,
     SupportError,
 )
-from .hausdorff import KernelSpec, _integrate_kernel, hausdorff_log_grid
+from .hausdorff import KernelSpec, hausdorff_log_grid
 from .octransform import FunctionSpec
 from .quad import (
     IntegralResult,
     QuadConfig,
     integrate_finite,
+    integrate_positive,
     integrate_to_infinity,
     integrate_to_zero,
 )
@@ -50,9 +51,6 @@ __all__ = [
     "mphi_check",
 ]
 
-# substitution cutoff in log coordinates: e^(-0.05 s) reaches 1e-13 by s=600
-_LOG_CUTOFF = 600.0
-
 
 @dataclass
 class NormResult:
@@ -67,40 +65,15 @@ class NormResult:
         return float(self.value)
 
 
-def _integrate_log_sub(g, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
-    """Integrate g over (a, b) in (0, inf], in log coordinates at a singular
-    0 endpoint or an infinite endpoint so power-law behaviour becomes
-    exponential; g must accept log-x when flagged."""
-    # g here takes x directly; the substitution passes x = e^s computed by us
-    if b == math.inf:
-        start = max(a, 1.0)
-        def h(s):
-            s = np.asarray(s, dtype=float)
-            x = start * np.exp(s)
-            with np.errstate(over="ignore"):
-                return g(x) * x
-        r = integrate_to_infinity(h, 0.0, cfg, cutoff=_LOG_CUTOFF)
-        if start > a:
-            r = r + _integrate_log_sub(g, a, start, cfg)
-        return r
-    if a == 0.0:
-        def h(s):
-            s = np.asarray(s, dtype=float)
-            x = b * np.exp(-s)
-            return g(x) * x
-        return integrate_to_infinity(h, 0.0, cfg, cutoff=_LOG_CUTOFF)
-    return integrate_finite(g, a, b, cfg)
-
-
 def _integrate_folded(g, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
     """Integrate g over (a, b): split at 0 and fold each piece onto |x| for
-    :func:`_integrate_log_sub`."""
+    :func:`integrate_positive`."""
     pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
     total = IntegralResult(0.0, 0.0, 0)
     for lo, hi in pieces:
         s_lo, s_hi = sorted((abs(lo), abs(hi)))
         sign = -1.0 if hi <= 0.0 else 1.0
-        total = total + _integrate_log_sub(lambda x: g(sign * x), s_lo, s_hi, cfg)
+        total = total + integrate_positive(lambda x: g(sign * x), s_lo, s_hi, cfg)
     return total
 
 
@@ -226,7 +199,7 @@ def kernel_moment(k: KernelSpec, s: float, lo: float, hi: float,
         # an overflowing node is an infinite value, which quad reports as
         # divergence
         with np.errstate(over="ignore"):
-            r = _integrate_kernel(integrand, a, b, cfg)
+            r = integrate_positive(integrand, a, b, cfg)
     except DivergentIntegralError:
         return NormResult(math.inf, math.inf)
     return NormResult(float(r.value), float(r.err_estimate))
@@ -327,7 +300,7 @@ def lp_lq_constant(k: KernelSpec, p_exp: float, q_exp: float,
 
     lo, hi = k.support()
     try:
-        r = _integrate_kernel(integrand, lo, hi, cfg)
+        r = integrate_positive(integrand, lo, hi, cfg)
     except DivergentIntegralError:
         return math.inf
     return float(r.value)
@@ -500,17 +473,24 @@ def power_lemma_check(h: FunctionSpec, s: float,
         raise MonotonicityError("h must be non-negative")
     if np.any(np.diff(vals) > 1e-12 * (np.max(np.abs(vals)) + 1e-300)):
         raise MonotonicityError("h must be non-increasing on its support")
-    lhs_int = integrate_finite(lambda t: np.asarray(h(t)), a, b, cfg)
-    lhs = float(lhs_int.value) ** s
+    knots = np.array([a, b])
+    if h.family == "sampled" and h.params.get("interp") == "previous":
+        # across a jump the Gauss and Kronrod rules can agree on a wrong
+        # value: integrate each constant piece on its own
+        xs = np.asarray(h.params["xs"], dtype=float)
+        knots = np.unique(np.clip(-xs if h.reflect else xs, a, b))
+    lhs = sum(float(integrate_finite(h, lo, hi, cfg).value)
+              for lo, hi in zip(knots[:-1], knots[1:])) ** s
 
     def g(u):
         # u = t - a, singular weight u^(s-1) at 0
         u = np.asarray(u, dtype=float)
         return np.asarray(h(a + u)) ** s * u ** (s - 1.0)
 
-    rhs_int = integrate_to_zero(g, b - a, cfg)
-    rhs = s * float(rhs_int.value)
-    return lhs, rhs
+    u = knots - a
+    rhs = integrate_to_zero(g, u[1], cfg).value + sum(
+        integrate_finite(g, lo, hi, cfg).value for lo, hi in zip(u[1:-1], u[2:]))
+    return lhs, s * float(rhs)
 
 
 def mphi_check(k: KernelSpec, f: FunctionSpec, params: JacobiParams,

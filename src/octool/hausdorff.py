@@ -21,14 +21,7 @@ from .errors import (
     SingularityError,
 )
 from .octransform import FunctionSpec, oc_transform_result, transform_grid
-from .quad import (
-    IntegralResult,
-    QuadConfig,
-    integrate_finite,
-    integrate_to_infinity,
-    integrate_to_zero,
-    panel_rule,
-)
+from .quad import IntegralResult, QuadConfig, integrate_positive, panel_rule
 from .specfun import JacobiParams, log_weight_a
 
 __all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "commutation_residual"]
@@ -144,7 +137,7 @@ class KernelSpec:
     def l1_status(self, cfg: QuadConfig) -> tuple[str, float | None]:
         """("finite", value) or ("infinite", None) for the integral of phi."""
         try:
-            r = _integrate_kernel(lambda t: self(t), *self.support(), cfg)
+            r = integrate_positive(self, *self.support(), cfg)
         except DivergentIntegralError:
             return "infinite", None
         return "finite", float(r.value)
@@ -152,29 +145,6 @@ class KernelSpec:
 def make_kernel(variant: str, **params) -> KernelSpec:
     """Construct a catalog kernel, e.g. make_kernel("cesaro", gamma_c=2.5)."""
     return KernelSpec(variant, dict(params))
-
-
-def _integrate_kernel(fn, lo: float, hi: float, cfg: QuadConfig) -> IntegralResult:
-    """Integrate fn over (lo, hi) within (0, infinity), honouring singular
-    endpoints at 0 and infinity."""
-    if hi == math.inf:
-        split = max(lo, 1.0)
-
-        def in_log(s):
-            s = np.asarray(s, dtype=float)
-            t = split * np.exp(np.minimum(s, 690.0))
-            return fn(t) * t
-
-        # log substitution: power-law tails become exponentials (resolved to
-        # machine precision), while non-integrable tails stay detectably
-        # divergent
-        r = integrate_to_infinity(in_log, 0.0, cfg, cutoff=600.0)
-        if split > lo:
-            r = r + _integrate_kernel(fn, lo, split, cfg)
-        return r
-    if lo == 0.0:
-        return integrate_to_zero(fn, hi, cfg)
-    return integrate_finite(fn, lo, hi, cfg)
 
 
 def hausdorff_apply(
@@ -206,7 +176,7 @@ def hausdorff_apply_result(
             )
         return out
 
-    return _integrate_kernel(integrand, *k.support(), cfg)
+    return integrate_positive(integrand, *k.support(), cfg)
 
 
 def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,

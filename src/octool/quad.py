@@ -5,6 +5,12 @@ Gauss-Kronrod (7, 15) pair whose nodes are interior points, so integrands with
 integrable endpoint singularities are never evaluated at the endpoints.
 Integrands must accept a numpy array of abscissae and return an array of
 values (real or complex).
+
+:func:`integrate_to_zero` and :func:`integrate_positive` reach a 0 end or an
+infinite end of (0, inf) in log coordinates, x = b e^(-s) or x = a e^s over
+s in (0, 600], where power laws become exponentials that the dyadic blocks of
+:func:`integrate_to_infinity` resolve, with its geometric tail estimate and
+divergence test.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "integrate_finite",
     "integrate_to_infinity",
     "integrate_to_zero",
+    "integrate_positive",
     "integrate_real_line",
     "panel_rule",
 ]
@@ -189,25 +196,23 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
 
 _SHRINK_FACTOR = 1.05  # dyadic blocks must shrink at least this fast
 _DIVERGENCE_WINDOW = 4
+# log-coordinate span of a 0 or infinite end: e^(-0.05 s) reaches 1e-13 by
+# s = 600, and e^600 stays below the double range
+_LOG_SPAN = 600.0
 
 
-def _dyadic_sum(f, edges, cfg: QuadConfig, outward: bool) -> IntegralResult:
-    """Sum block integrals over consecutive ``edges``; flag non-decaying tails.
-
-    ``outward`` marks whether the block sequence runs toward the truncated end
-    (toward infinity, or toward a singular endpoint at zero): only then do the
-    divergence check and the geometric tail estimate apply.
-    """
+def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
+    """Sum block integrals over increasing ``edges``, which run toward the
+    truncated end; flag non-decaying tails and estimate the one cut off."""
     block_cfg = replace(
         cfg,
         abs_tol=cfg.abs_tol / max(len(edges) - 1, 1),
         rel_tol=cfg.rel_tol / 4,
     )
     total = IntegralResult(0.0, 0.0, 0)
-    widths = [abs(e1 - e0) for e0, e1 in zip(edges, edges[1:])]
+    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
     mags = []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        lo, hi = min(e0, e1), max(e0, e1)
+    for lo, hi in zip(edges, edges[1:]):
         try:
             r = integrate_finite(f, lo, hi, block_cfg)
         except BudgetExhaustedError as exc:
@@ -216,8 +221,6 @@ def _dyadic_sum(f, edges, cfg: QuadConfig, outward: bool) -> IntegralResult:
             r = exc.partial
         total = total + r
         mags.append(abs(r.value))
-    if not outward:
-        return total
     # a final block clipped short of the dyadic doubling pattern (truncation
     # cutoff) would distort the shrink ratios: drop it from the window, and
     # from the floor too, or a growing integrand's clipped block would lift
@@ -261,21 +264,46 @@ def integrate_to_infinity(
     while edges[-1] < a + span:
         edges.append(min(a + 2.0 ** (j + 1) - 1.0, a + span))
         j += 1
-    return _dyadic_sum(f, edges, cfg, outward=True)
+    return _dyadic_sum(f, edges, cfg)
 
 
 def integrate_to_zero(f, b: float, cfg: QuadConfig) -> IntegralResult:
     """Integral of ``f`` over (0, b) for integrands possibly singular at 0.
 
-    Dyadic blocks (b/2^{j+1}, b/2^j) descend toward the origin down to a
-    floating-point floor; non-shrinking blocks signal a non-integrable
-    singularity.
+    With x = b e^(-s) this is the integral of f(x) x over s in (0, 600]: a
+    power singularity x^(c-1) becomes e^(-c s), so the tail beyond the cut is
+    estimated and a non-integrable singularity (c <= 0) shows up as blocks
+    that fail to shrink.
     """
-    n_levels = 60  # b / 2^60 ~ 1e-18 b: remaining mass below double precision
-    # walk blocks from the outermost inward so the tail check sees the
-    # innermost (singular-end) blocks last
-    edges = [b / 2.0 ** j for j in range(n_levels + 1)]
-    return _dyadic_sum(f, edges, cfg, outward=True)
+    if not b > 0.0:
+        raise ParameterError(f"need b > 0, got {b}")
+
+    def in_log(s):
+        x = b * np.exp(-np.asarray(s, dtype=float))
+        return f(x) * x
+
+    # x must stay a normal float: an underflow to 0 would turn a singular
+    # f(x) * x into inf * 0
+    span = min(_LOG_SPAN, math.log(b) - math.log(np.finfo(float).tiny))
+    return integrate_to_infinity(in_log, 0.0, cfg, cutoff=span)
+
+
+def integrate_positive(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResult:
+    """Integral of ``f`` over (lo, hi) with 0 <= lo < hi <= inf, in log
+    coordinates above max(lo, 1) when hi is infinite and at a 0 end."""
+    if hi == math.inf:
+        start = max(lo, 1.0)
+
+        def in_log(s):
+            x = start * np.exp(np.asarray(s, dtype=float))
+            with np.errstate(over="ignore"):
+                return f(x) * x
+
+        r = integrate_to_infinity(in_log, 0.0, cfg, cutoff=_LOG_SPAN)
+        return r + integrate_positive(f, lo, start, cfg) if start > lo else r
+    if lo == 0.0:
+        return integrate_to_zero(f, hi, cfg)
+    return integrate_finite(f, lo, hi, cfg)
 
 
 def integrate_real_line(f, cfg: QuadConfig,

@@ -20,6 +20,7 @@ from octool.bounds import (
     power_lemma_check,
 )
 from octool.errors import MonotonicityError, SupportError
+from octool.harness_cli import build_default_suite, random_step_function
 from octool.hausdorff import make_kernel
 from octool.octransform import FunctionSpec
 from octool.quad import QuadConfig
@@ -118,9 +119,9 @@ def test_e_constant_below_one(p_exp):
     assert e_constant(_powercut(-2.0), p_exp, CFG) == pytest.approx(truth, rel=1e-9)
 
 
-# kernel_moment oracle: (id, kernel, power, closed moment of s, exponent x of
-# the t^(x - 1) behaviour at t -> 0 and at t -> inf (None where the support
-# stops short of that end), and the coefficient of t^(x - 1) at t -> 0)
+# kernel_moment oracle: (id, kernel, power, closed moment of s, and exponent x
+# of the t^(x - 1) behaviour at t -> 0 and at t -> inf (None where the support
+# stops short of that end))
 def _powercut_case(exponent, lo, hi, power):
     def closed(s):
         x = exponent * power + s
@@ -129,22 +130,22 @@ def _powercut_case(exponent, lo, hi, power):
     return (f"power_cutoff({exponent},{lo},{hi})^{power}",
             _powercut(exponent, lo, hi), power, closed,
             lambda s: exponent * power + s if lo == 0.0 else None,
-            lambda s: exponent * power + s if hi == math.inf else None, 1.0)
+            lambda s: exponent * power + s if hi == math.inf else None)
 
 
 _MOMENT_CASES = [
     ("hardy", make_kernel("hardy"), 1.0, lambda s: 1.0 / (1.0 - s),
-     lambda s: None, lambda s: s - 1.0, 0.0),
+     lambda s: None, lambda s: s - 1.0),
     ("adjoint_hardy", ADJOINT, 1.0, lambda s: 1.0 / s,
-     lambda s: s, lambda s: None, 1.0),
+     lambda s: s, lambda s: None),
     ("hlp", make_kernel("hlp"), 1.0, lambda s: 1.0 / s + 1.0 / (1.0 - s),
-     lambda s: s, lambda s: s - 1.0, 1.0),
+     lambda s: s, lambda s: s - 1.0),
     ("cesaro(2.5)", make_kernel("cesaro", gamma_c=2.5), 1.0,
      lambda s: 2.5 * math.gamma(s) * math.gamma(2.5) / math.gamma(s + 2.5),
-     lambda s: s, lambda s: None, 2.5),
+     lambda s: s, lambda s: None),
     ("riemann_liouville(2)", make_kernel("riemann_liouville", mu=2.0), 1.0,
      lambda s: math.gamma(1.0 - s) / math.gamma(3.0 - s),
-     lambda s: None, lambda s: s - 1.0, 0.0),
+     lambda s: None, lambda s: s - 1.0),
 ] + [
     _powercut_case(exponent, lo, hi, power)
     for exponent, lo, hi in ((0.5, 0.0, 1.0), (-0.5, 0.0, 1.0), (-2.0, 1.0, math.inf),
@@ -157,7 +158,7 @@ _MOMENT_S = [round(-1.5 + 0.05 * i, 2) for i in range(81)]
 def _margin(case, s) -> float:
     """Distance of s inside the convergent side; <= 0 where the moment
     diverges."""
-    _, _, _, _, at_zero, at_inf, _ = case
+    _, _, _, _, at_zero, at_inf = case
     x0, xinf = at_zero(s), at_inf(s)
     return min(math.inf if x0 is None else x0, math.inf if xinf is None else -xinf)
 
@@ -165,17 +166,8 @@ def _margin(case, s) -> float:
 _CHECKED_MARGIN = 0.25 - 1e-12
 
 
-def _zero_end_short(case, s) -> bool:
-    """Whether integrate_to_zero's stop at hi/2^60 leaves out more than
-    1e-8 of a checked moment: the missing mass is lead * 2^(-60 x)/x."""
-    _, _, _, closed, at_zero, _, lead = case
-    x = at_zero(s)
-    return x is not None and _margin(case, s) >= _CHECKED_MARGIN and \
-        lead * 2.0 ** (-60.0 * x) / x > 1e-8 * abs(closed(s))
-
-
 def _moment_check(case, s):
-    _, k, power, closed, _, _, _ = case
+    _, k, power, closed, _, _ = case
     r = kernel_moment(k, s, 0.0, math.inf, CFG, power=power).value
     margin = _margin(case, s)
     if margin <= 0.0:
@@ -188,19 +180,7 @@ def _moment_check(case, s):
 @pytest.mark.parametrize("case", _MOMENT_CASES, ids=[c[0] for c in _MOMENT_CASES])
 def test_kernel_moment_closed_forms(case):
     for s in _MOMENT_S:
-        if not _zero_end_short(case, s):
-            _moment_check(case, s)
-
-
-@pytest.mark.parametrize("case,s", [
-    pytest.param(c, s, id=f"{c[0]}-{s}",
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "integrate_to_zero stops at hi/2^60 without a tail "
-                     "estimate; see the FOUND line on it in CHANGES.md")))
-    for c in _MOMENT_CASES for s in _MOMENT_S if _zero_end_short(c, s)
-])
-def test_kernel_moment_zero_end_truncation(case, s):
-    _moment_check(case, s)
+        _moment_check(case, s)
 
 
 def test_lp_lq_constant():
@@ -260,6 +240,22 @@ def test_power_lemma_on_step_function():
     for s in (0.2, 0.5, 0.8):
         lhs, rhs = power_lemma_check(h, s, CFG)
         assert lhs <= rhs * (1.0 + 1e-8)
+
+
+def test_power_lemma_default_cases_exact():
+    # the report's 100 random step functions against the sums over their
+    # constant pieces: (sum y_j dx_j)^s and sum y_j^s (u_{j+1}^s - u_j^s)
+    scenario = next(s for s in build_default_suite() if s.theorem_id == "L_POWER")
+    rng = np.random.default_rng(scenario.seed)
+    s_list = scenario.exponents["s_list"]
+    for i in range(scenario.exponents["n_cases"]):
+        h = random_step_function(rng)
+        s = s_list[i % len(s_list)]
+        xs, ys = h.params["xs"], h.params["ys"]
+        lhs, rhs = power_lemma_check(h, s, scenario.cfg)
+        assert lhs == pytest.approx(np.sum(ys[:-1] * np.diff(xs)) ** s, rel=1e-12), i
+        u = xs - xs[0]
+        assert rhs == pytest.approx(np.sum(ys[:-1] ** s * np.diff(u ** s)), rel=1e-12), i
 
 
 def test_power_lemma_rejects_increasing():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octool.errors import DivergentIntegralError, ParameterError
+from octool.errors import DivergentIntegralError, OctoolError, ParameterError
 from octool.quad import (
     QuadConfig,
     integrate_finite,
+    integrate_positive,
     integrate_real_line,
     integrate_to_infinity,
     integrate_to_zero,
@@ -48,6 +49,17 @@ def test_gaussian_real_line():
 def test_divergent_tail_detected():
     with pytest.raises(DivergentIntegralError):
         integrate_to_infinity(lambda x: 1.0 / x, 1.0, CFG)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.02, 0.05, 0.07, 0.25, 0.5])
+def test_zero_end_near_divergence_edge(s):
+    # int_0^1 x^(s-1) = 1/s; the mass below any fixed cut x0 is x0^s/s, so
+    # only a tail estimate makes small s both finite and honest
+    r = integrate_to_zero(lambda x: x ** (s - 1.0), 1.0, CFG)
+    assert math.isfinite(r.value)
+    assert abs(r.value - 1.0 / s) <= r.err_estimate
+    if s >= 0.05:
+        assert abs(r.value - 1.0 / s) <= 1e-8 / s
 
 
 def test_divergent_origin_detected():
@@ -121,3 +133,21 @@ def test_panel_rule_exactness(seed):
             # the embedded Gauss rule is exact here too, panel by panel
             diff = np.sum((wk - wg) * x**d, axis=1)
             assert np.all(np.abs(diff) <= 1e-13 * scale)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(st.integers(1, 2000), st.floats(1e-14, 0.5), st.floats(1e-300, 1.0),
+       st.floats(-0.5, 2.0),
+       st.sampled_from([(0.0, 1.0), (0.0, math.inf), (1.0, math.inf), (0.5, 2.0)]))
+def test_half_line_integrators_finish_on_any_config(max_sub, rel_tol, abs_tol, s, span):
+    # every config the constructor accepts gives a value or an OctoolError
+    cfg = QuadConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_subdivisions=max_sub)
+    f = lambda x: x ** (s - 1.0)
+    for call in (lambda: integrate_to_zero(f, 1.0, cfg),
+                 lambda: integrate_to_infinity(f, 1.0, cfg),
+                 lambda: integrate_positive(f, *span, cfg)):
+        try:
+            with np.errstate(over="ignore"):
+                call()
+        except OctoolError:
+            pass
