@@ -46,4 +46,11 @@ class BudgetExhaustedError(QuadratureError):
 
 
 class DivergentIntegralError(QuadratureError):
-    """Dyadic tail blocks failed to decay: the integral looks divergent."""
+    """Dyadic tail blocks failed to decay: the integral looks divergent.
+
+    ``mask`` marks the divergent components of a vector integrand; it is None
+    for a scalar one."""
+
+    def __init__(self, message, partial=None, mask=None):
+        super().__init__(message, partial)
+        self.mask = mask

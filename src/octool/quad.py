@@ -4,7 +4,8 @@ All integrals in the package route through this module.  The core rule is a
 Gauss-Kronrod (7, 15) pair whose nodes are interior points, so integrands with
 integrable endpoint singularities are never evaluated at the endpoints.
 Integrands must accept a numpy array of abscissae and return an array of
-values (real or complex).
+values (real or complex): shape (n,) for n abscissae, or (m, n) for m
+integrands that share one adaptive mesh, each held to its own tolerance.
 
 :func:`integrate_to_zero` and :func:`integrate_positive` reach a 0 end or an
 infinite end of (0, inf) in log coordinates, x = b e^(-s) or x = a e^s over
@@ -69,6 +70,9 @@ class QuadConfig:
 
 @dataclass
 class IntegralResult:
+    """Value and error estimate; both have shape (m,) for an integrand of m
+    components."""
+
     value: complex
     err_estimate: float
     subdivisions_used: int = 0
@@ -123,18 +127,21 @@ def _gk15(f, a: float, b: float):
     mid = 0.5 * (a + b)
     x = mid + half * _NODES
     y = np.asarray(f(x))
-    if not np.all(np.isfinite(y)):
-        if np.any(np.isnan(y)):
+    finite = np.isfinite(y)
+    if not finite.all():
+        if np.isnan(y).any():
             raise ParameterError(
                 f"integrand returned NaN inside ({a}, {b})"
             )
         # an actually-infinite integrand value means the integral is not a
         # finite number: report divergence rather than a usage error
         raise DivergentIntegralError(
-            f"integrand returned an infinite value inside ({a}, {b})"
+            f"integrand returned an infinite value inside ({a}, {b})",
+            mask=~finite.all(axis=-1) if y.ndim > 1 else None,
         )
-    k = half * np.sum(_WK * y)
-    g = half * np.sum(_WG15 * y)
+    # the reduction np.sum makes, without its Python wrapper
+    k = half * np.add.reduce(_WK * y, axis=-1)
+    g = half * np.add.reduce(_WG15 * y, axis=-1)
     return k, abs(k - g)
 
 
@@ -153,45 +160,59 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
 
     Endpoint singularities of integrable power type are handled because the
     quadrature nodes avoid the endpoints; subdivision concentrates there.
+
+    An integrand returning shape (m, n) for n abscissae is m integrands on one
+    shared mesh: value and estimate have shape (m,), and the run stops only
+    when every component meets its own max(abs_tol, rel_tol |value|).
     """
     if not a < b:
         raise ParameterError(f"need a < b, got ({a}, {b})")
     val, err = _gk15(f, a, b)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * abs(val))
+    if (err <= tol).all():
+        return IntegralResult(val, err, 1)
+    # an interval's priority is its worst component error in units of that
+    # component's first tolerance, times the smallest such tolerance, so a
+    # lone component keeps the plain error order: its weight is exactly 1
+    weight = tol.min() / tol
     counter = itertools.count()
-    heap = [(-err, next(counter), a, b, val, err)]
+    heap = [(-(err * weight).max(), next(counter), a, b, val, err)]
     total_val, total_err = val, err
     used = 1
     checkpoint_err, checkpoint_used = math.inf, 1
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if total_err <= tol:
-            return IntegralResult(total_val, total_err, used)
         if used - checkpoint_used >= 50:
-            if total_err > 0.99 * checkpoint_err:
-                # error estimate has stopped improving: the integrand's own
+            if not ((total_err > tol) & (total_err <= 0.99 * checkpoint_err)).any():
+                # no unconverged estimate has improved: the integrand's own
                 # noise floor is reached; report the honest estimate
                 return IntegralResult(total_val, total_err, used)
             checkpoint_err, checkpoint_used = total_err, used
         if used >= cfg.max_subdivisions:
+            worst = np.ravel(total_err - tol).argmax()
             raise BudgetExhaustedError(
                 f"subdivision budget {cfg.max_subdivisions} exhausted on "
-                f"({a}, {b}); err={total_err:.3e} > tol={tol:.3e}",
+                f"({a}, {b}); err={np.ravel(total_err)[worst]:.3e} > "
+                f"tol={np.ravel(tol)[worst]:.3e}",
                 partial=IntegralResult(total_val, total_err, used),
             )
         _, _, lo, hi, v, e = heapq.heappop(heap)
         midpt = 0.5 * (lo + hi)
         if midpt <= lo or midpt >= hi:
             # interval at floating-point resolution: keep its estimate
-            heapq.heappush(heap, (0.0, next(counter), lo, hi, v, 0.0))
-            total_err -= e
-            continue
-        v1, e1 = _gk15(f, lo, midpt)
-        v2, e2 = _gk15(f, midpt, hi)
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        used += 1
-        heapq.heappush(heap, (-e1, next(counter), lo, midpt, v1, e1))
-        heapq.heappush(heap, (-e2, next(counter), midpt, hi, v2, e2))
+            heapq.heappush(heap, (0.0, next(counter), lo, hi, v, 0.0 * e))
+            total_err = total_err - e
+        else:
+            v1, e1 = _gk15(f, lo, midpt)
+            v2, e2 = _gk15(f, midpt, hi)
+            # not in place: the totals may alias a heap entry's arrays
+            total_val = total_val + (v1 + v2 - v)
+            total_err = total_err + (e1 + e2 - e)
+            used += 1
+            heapq.heappush(heap, (-(e1 * weight).max(), next(counter), lo, midpt, v1, e1))
+            heapq.heappush(heap, (-(e2 * weight).max(), next(counter), midpt, hi, v2, e2))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * abs(total_val))
+        if (total_err <= tol).all():
+            return IntegralResult(total_val, total_err, used)
 
 
 _SHRINK_FACTOR = 1.05  # dyadic blocks must shrink at least this fast
@@ -203,7 +224,8 @@ _LOG_SPAN = 600.0
 
 def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
     """Sum block integrals over increasing ``edges``, which run toward the
-    truncated end; flag non-decaying tails and estimate the one cut off."""
+    truncated end; flag non-decaying tails and estimate the one cut off,
+    component by component for a vector integrand."""
     block_cfg = replace(
         cfg,
         abs_tol=cfg.abs_tol / max(len(edges) - 1, 1),
@@ -230,21 +252,28 @@ def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
         growth = widths[-2] / widths[-3]
         if abs(widths[-1] / widths[-2] - growth) > 0.2 * max(growth, 1e-12):
             full = mags[:-1]
-    floor = max(cfg.abs_tol, cfg.rel_tol * sum(full))
-    tail = full[-1] if full else 0.0
-    if tail > floor and len(full) > _DIVERGENCE_WINDOW:
-        window = full[-_DIVERGENCE_WINDOW - 1:]
-        ratios = [
-            window[i + 1] / window[i] if window[i] > 0 else math.inf
-            for i in range(len(window) - 1)
-        ]
-        if all(r > 1.0 / _SHRINK_FACTOR for r in ratios):
+    tail = full[-1]
+    if len(full) == 1:
+        # no ratio to extrapolate from: the cut-off tail may be as large as
+        # the one block
+        total.err_estimate = total.err_estimate + tail
+        return total
+    blocks = np.array(full)
+    ratios = np.divide(blocks[1:], blocks[:-1], where=blocks[:-1] > 0,
+                       out=np.full(blocks[1:].shape, math.inf))
+    # the floor gates only the divergence test; each component's tail is
+    # charged whatever its size
+    floor = np.maximum(cfg.abs_tol, cfg.rel_tol * sum(full))
+    if len(full) > _DIVERGENCE_WINDOW:
+        divergent = (tail > floor) & (
+            ratios[-_DIVERGENCE_WINDOW:] > 1.0 / _SHRINK_FACTOR).all(axis=0)
+        if divergent.any():
             raise DivergentIntegralError(
                 "dyadic tail blocks fail to shrink: integral looks divergent",
-                partial=total,
+                partial=total, mask=divergent if divergent.ndim else None,
             )
-        r_last = min(ratios[-1], 0.9)
-        total.err_estimate += tail * r_last / (1.0 - r_last)
+    r_last = np.minimum(ratios[-1], 0.9)
+    total.err_estimate = total.err_estimate + tail * r_last / (1.0 - r_last)
     return total
 
 
@@ -299,7 +328,10 @@ def integrate_positive(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResu
             with np.errstate(over="ignore"):
                 return f(x) * x
 
-        r = integrate_to_infinity(in_log, 0.0, cfg, cutoff=_LOG_SPAN)
+        # x must stay finite: an overflow to inf would turn a decaying
+        # f(x) * x into 0 * inf
+        span = min(_LOG_SPAN, math.log(np.finfo(float).max) - math.log(start))
+        r = integrate_to_infinity(in_log, 0.0, cfg, cutoff=span)
         return r + integrate_positive(f, lo, start, cfg) if start > lo else r
     if lo == 0.0:
         return integrate_to_zero(f, hi, cfg)

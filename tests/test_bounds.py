@@ -5,6 +5,7 @@ import pytest
 
 from octool.bounds import (
     LogInterpFunction,
+    _lp_integral,
     a_constants,
     b_constants,
     e_constant,
@@ -203,6 +204,49 @@ def test_grand_norm_extremal_bounded():
     fd = extremal_function("delta", P1, p=2.0, delta=0.2)
     v = grand_norm(fd, 2.0, P1, (0.0, 1.0), CFG).value
     assert 0.0 < v <= 3.4527
+
+
+@pytest.mark.parametrize("q", [4.0, 3.5])
+def test_lp_norm_non_integrable_singularity_is_infinite(q):
+    # |f|^4 A ~ x^-3.6 at 0: the integrand overflows before the divergence
+    # test sees it, and an overflowing node must count as divergence
+    f = extremal_function("delta", P1, p=2.0, delta=0.1)
+    assert lp_norm(f, q, P1, (0.0, 1.0), CFG).value == math.inf
+
+
+def test_grand_norm_divergent_at_smallest_eps():
+    f = extremal_function("delta", P1, p=2.0, delta=0.1)
+    g = grand_norm(f, 4.0, P1, (0.0, 1.0), CFG)
+    assert g.value == math.inf
+    assert g.detail["divergent_at"] == g.detail["eps_grid"][0]
+
+
+# the functions whose grand norms the default T_GRAND scenarios compare
+GRAND_CASES = [
+    (params, f)
+    for params in (P1, P2)
+    for f in (FunctionSpec("constant_one", domain="unit_interval"),
+              *(extremal_function("delta", params, p=2.0, delta=d) for d in (0.2, 0.1)))
+]
+
+
+@pytest.mark.parametrize("params,f", GRAND_CASES)
+def test_grand_norm_matches_per_eps_loop(params, f):
+    unit = (0.0, 1.0)
+    g = grand_norm(f, 2.0, params, unit, CFG)
+    eps = g.detail["eps_grid"]
+    q = 2.0 - eps
+    mass = interval_measure(params, unit, CFG)
+    # per-eps estimates of the one vector run that grand_norm makes
+    vec = _lp_integral(f, q, params, unit, CFG)
+    assert np.all(g.detail["values"] == eps ** (1.0 / q) * (vec.value / mass) ** (1.0 / q))
+    errs = g.detail["values"] * vec.err_estimate / (q * vec.value)
+    for i, (e, qi) in enumerate(zip(eps, q)):
+        n = lp_norm(f, qi, params, unit, CFG)
+        ref = (e / mass) ** (1.0 / qi) * n.value
+        ref_err = ref * n.err_estimate / n.value
+        assert abs(g.detail["values"][i] - ref) <= errs[i] + ref_err
+    assert g.detail["argmax_eps"] == eps[np.argmax(g.detail["values"])]
 
 
 def test_grand_bound_constant_vs_brute_force():

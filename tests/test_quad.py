@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octool.errors import DivergentIntegralError, OctoolError, ParameterError
+from octool.hausdorff import make_kernel
 from octool.quad import (
     QuadConfig,
     integrate_finite,
@@ -151,3 +152,83 @@ def test_half_line_integrators_finish_on_any_config(max_sub, rel_tol, abs_tol, s
                 call()
         except OctoolError:
             pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: integrate_finite(f, 0.0, 3.0, CFG),
+    lambda f: integrate_to_zero(f, 1.0, CFG),
+    lambda f: integrate_positive(f, 0.5, math.inf, CFG),
+], ids=["finite", "to_zero", "positive"])
+@pytest.mark.parametrize("f", [
+    lambda x: np.exp(-x) * np.cos(3 * x),
+    lambda x: x ** -0.5 / (1.0 + x * x),
+    lambda x: np.exp(-x) * np.sin(5 * x) ** 2,
+], ids=["damped_cos", "inv_sqrt", "damped_sin2"])
+def test_one_component_vector_matches_scalar_bitwise(call, f):
+    scalar = call(f)
+    vector = call(lambda x: f(x)[None, :])
+    assert np.shape(vector.value) == np.shape(vector.err_estimate) == (1,)
+    assert vector.value[0] == scalar.value
+    assert vector.err_estimate[0] == scalar.err_estimate
+    assert vector.subdivisions_used == scalar.subdivisions_used
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(math.log10(0.05), math.log10(20.0)), min_size=1, max_size=6))
+def test_vector_powers_each_within_own_estimate(log_s):
+    # int_0^1 x^(s-1) = int_1^inf x^(-s-1) = 1/s, for s spread over 2.6 decades;
+    # the rounding of a sum of some hundred node values is in no estimate
+    s = 10.0 ** np.asarray(log_s)
+    rounding = 16 * np.finfo(float).eps / s
+    for lo, hi, sign in ((0.0, 1.0, 1.0), (1.0, math.inf, -1.0)):
+        r = integrate_positive(lambda x: x[None, :] ** (sign * s[:, None] - 1.0),
+                               lo, hi, CFG)
+        assert np.all(np.abs(r.value - 1.0 / s) <= r.err_estimate + rounding)
+        assert np.all(r.err_estimate
+                      <= np.maximum(CFG.abs_tol, CFG.rel_tol * np.abs(r.value)))
+
+
+@pytest.mark.parametrize("lo,hi,s,divergent", [
+    # x^(s-1) on (0, 1) diverges for s <= 0
+    (0.0, 1.0, [0.5, 0.0, 1.0, -0.1, 0.25], [False, True, False, True, False]),
+    # x^(s-1) on (1, inf) diverges for s >= 0
+    (1.0, math.inf, [-0.5, 0.0, 0.1, -1.0], [False, True, True, False]),
+])
+def test_divergence_mask_names_divergent_components(lo, hi, s, divergent):
+    s = np.asarray(s)
+    with pytest.raises(DivergentIntegralError) as info:
+        integrate_positive(lambda x: x[None, :] ** (s[:, None] - 1.0), lo, hi, CFG)
+    assert info.value.mask.tolist() == divergent
+
+
+def test_scalar_divergence_has_no_mask():
+    with pytest.raises(DivergentIntegralError) as info:
+        integrate_to_zero(lambda x: 1.0 / x, 1.0, CFG)
+    assert info.value.mask is None
+
+
+@pytest.mark.parametrize("b", [1e-294, 1e-300, 1e-305])
+def test_tiny_zero_end_charges_its_tail(b):
+    # the log span is cut short so x stays normal, and the total lies far
+    # below abs_tol: the cut-off tail must still be in the estimate
+    r = integrate_to_zero(lambda x: x ** -0.5, b, CFG)
+    assert abs(r.value - 2.0 * math.sqrt(b)) <= r.err_estimate
+
+
+@pytest.mark.parametrize("lo", [1e48, 1e50, 1e300])
+def test_infinite_end_at_huge_lo(lo):
+    # lo e^600 overflows: the log span is cut at the top of the double range.
+    # int_lo^inf (lo/x)^2 = lo keeps the integrand representable at lo = 1e300,
+    # where x^-2 itself underflows
+    r = integrate_positive(lambda x: (lo / x) ** 2, lo, math.inf, CFG)
+    assert abs(r.value - lo) <= r.err_estimate
+    if lo < 1e150:
+        r = integrate_positive(lambda x: x ** -2.0, lo, math.inf, CFG)
+        assert abs(r.value - 1.0 / lo) <= r.err_estimate
+
+
+def test_power_cutoff_kernel_at_huge_lo_is_finite():
+    k = make_kernel("power_cutoff", exponent=-2.0, lo=1e48, hi=math.inf)
+    status, value = k.l1_status(CFG)
+    assert status == "finite"
+    assert value == pytest.approx(1e-48, rel=1e-8)
