@@ -402,7 +402,9 @@ def hausdorff_lp_norm(k: KernelSpec, f, p_exp: float, params: JacobiParams,
     if not p_exp > 0:
         raise ParameterError("hausdorff_lp_norm requires p_exp > 0")
     a, b = domain
-    acc = [0.0, 0.0]  # integrand-mass-weighted inner relative error
+    # integrand-mass-weighted inner relative error: the sums of rel * vals
+    # and of vals, both times 2^-acc[2]
+    acc = [0.0, 0.0, 0]
 
     def g(x):
         x = np.asarray(x, dtype=float)
@@ -414,15 +416,20 @@ def hausdorff_lp_norm(k: KernelSpec, f, p_exp: float, params: JacobiParams,
             core, rel = hausdorff_log_grid(
                 k, f, params, x[live], cfg, include_weight=False
             )
-            if np.any(core == math.inf):
-                raise DivergentIntegralError("H f is infinite at a quadrature node")
             expo = p_exp * core + (1.0 - p_exp) * log_weight_a(params, x[live])
-            vals = np.where(
-                np.isfinite(core), np.exp(np.minimum(expo, 709.0)), 0.0
-            )
+            with np.errstate(over="ignore"):
+                vals = np.exp(expo)
+            if np.any(vals == math.inf):
+                raise DivergentIntegralError(
+                    "H f is infinite, or overflows, at a quadrature node")
             out[live] = vals
-            acc[0] += float(np.sum(rel * vals))
-            acc[1] += float(np.sum(vals))
+            # a power-of-two scale is exact, so it keeps the ratio of the two
+            # sums while holding them below the float range
+            shift = max(acc[2], math.frexp(float(np.max(vals)))[1] - 960)
+            v = np.ldexp(vals, -shift)
+            acc[0] = math.ldexp(acc[0], acc[2] - shift) + float(np.sum(rel * v))
+            acc[1] = math.ldexp(acc[1], acc[2] - shift) + float(np.sum(v))
+            acc[2] = shift
         return out
 
     try:

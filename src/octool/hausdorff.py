@@ -156,27 +156,53 @@ def hausdorff_apply(
 
 
 def hausdorff_apply_result(
-    k: KernelSpec, f, p: JacobiParams, x: float, cfg: QuadConfig
+    k: KernelSpec, f, p: JacobiParams, x, cfg: QuadConfig
 ) -> IntegralResult:
-    """H f(x) with its quadrature error estimate."""
-    if x == 0.0:
+    """H f(x) with its quadrature error estimate.
+
+    An array ``x`` is one adaptive run over the kernel's support, which does
+    not depend on x: each x is a component on the shared t mesh, held to its
+    own tolerance, and value and estimate have the shape of ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.0):
         raise SingularityError("hausdorff_apply is undefined at x = 0")
+    shape = x.shape
     log_ax = log_weight_a(p, x)
+    if shape:
+        # one row of u = x/t per x
+        x, log_ax = x.reshape(-1, 1), log_ax.reshape(-1, 1)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
         u = x / t
         fv = np.asarray(f(u), dtype=float)
-        out = np.zeros(t.shape, dtype=float)
+        out = np.zeros(u.shape, dtype=float)
         live = fv != 0.0
         if np.any(live):
-            log_ratio = log_weight_a(p, u[live]) - log_ax
-            out[live] = (
-                k(t[live]) / t[live] * fv[live] * np.exp(np.minimum(log_ratio, 700.0))
-            )
+            la = log_ax
+            if u.ndim > t.ndim:
+                t = np.broadcast_to(t, u.shape)
+                la = np.broadcast_to(log_ax, u.shape)[live]
+            tl = t[live]
+            log_ratio = log_weight_a(p, u[live]) - la
+            out[live] = k(tl) / tl * fv[live] * np.exp(np.minimum(log_ratio, 700.0))
         return out
 
-    return integrate_positive(integrand, *k.support(), cfg)
+    r = integrate_positive(integrand, *k.support(), cfg)
+    if shape:
+        r.value, r.err_estimate = r.value.reshape(shape), r.err_estimate.reshape(shape)
+    return r
+
+
+# x nodes per array pass of hausdorff_log_grid: 64 rows of 1920 t nodes keep
+# each temporary near 1 MB
+_CHUNK_ROWS = 64
+_PANELS = 128
+# the (7, 15) pair on (-1, 1): its nodes, and its Kronrod and Gauss weights
+# as the two columns of one table
+_UNIT_NODES = panel_rule([-1.0, 1.0])[0][0]
+_KG_WEIGHTS = np.stack(panel_rule([-1.0, 1.0])[1:], axis=-1)[0]
 
 
 def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
@@ -184,6 +210,10 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
     """log H f at each x in xs for non-negative f, via a fixed log-spaced
     Gauss-Kronrod grid of 128 panels in t, entirely in log space so that
     weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor underflow.
+
+    The x nodes are evaluated together, in chunks of 64: each chunk is one
+    array pass over its rows of t nodes, and a row's result does not depend
+    on the other x values or on the chunking.
 
     Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes.
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec).
@@ -200,57 +230,68 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
         flo, fhi = f.support()
     except AttributeError:
         flo, fhi = -math.inf, math.inf
-    log_vals = np.full(xs.shape, -math.inf)
+    inf = math.inf
+    # t-window where f(x/t) can be non-zero (u = x/t is monotone in t)
+    pos = xs > 0.0
+    tlo = np.where(pos, 0.0 if fhi == inf else (xs / fhi if fhi > 0 else inf),
+                   0.0 if flo == -inf else (xs / flo if flo < 0 else inf))
+    thi = np.where(pos, inf if flo <= 0.0 else xs / flo,
+                   inf if fhi >= 0.0 else xs / fhi)
+    # artificial clips scale with |x| so the u = x/t range they admit is
+    # x-independent; a fixed floor would cut off the integrand's peak
+    # (near t ~ x when f lives at unit scale) for very small or large x
+    ax = np.abs(xs)
+    a = np.maximum(np.maximum(klo, tlo), 1e-8 * np.minimum(ax, 1.0))
+    b = np.minimum(np.minimum(khi, thi), cfg.truncation_t * np.maximum(ax, 1.0))
+    # whether the window edges are artificial truncations rather than
+    # genuine support boundaries; used for divergence detection below
+    clip_lo = a > np.maximum(klo, tlo)
+    clip_hi = b < np.minimum(khi, thi)
+    log_a_x = log_weight_a(p, xs)
+    log_vals = np.full(xs.shape, -inf)
     rel_err = np.zeros(xs.shape)
-    for i, x in enumerate(xs):
-        # t-window where f(x/t) can be non-zero (u = x/t is monotone in t)
-        if x > 0.0:
-            tlo = 0.0 if fhi == math.inf else (x / fhi if fhi > 0 else math.inf)
-            thi = math.inf if flo <= 0.0 else x / flo
-        else:
-            tlo = 0.0 if flo == -math.inf else (x / flo if flo < 0 else math.inf)
-            thi = math.inf if fhi >= 0.0 else x / fhi
-        # artificial clips scale with |x| so the u = x/t range they admit is
-        # x-independent; a fixed floor would cut off the integrand's peak
-        # (near t ~ x when f lives at unit scale) for very small or large x
-        lo_clip = 1e-8 * min(abs(x), 1.0)
-        hi_clip = cfg.truncation_t * max(abs(x), 1.0)
-        a = max(klo, tlo, lo_clip)
-        b = min(khi, thi, hi_clip)
-        if not a < b:
-            continue
-        # whether the window edges are artificial truncations rather than
-        # genuine support boundaries; used for divergence detection below
-        clip_lo = a > max(klo, tlo)
-        clip_hi = b < min(khi, thi)
-        t, wk, wg = panel_rule(np.geomspace(a, b, 129))
-        u = x / t
-        log_a_x = log_weight_a(p, x)
+    rows = np.flatnonzero(a < b)
+    edge = _UNIT_NODES.size  # nodes in the first or last panel of a row
+    for start in range(0, rows.size, _CHUNK_ROWS):
+        r = rows[start:start + _CHUNK_ROWS]
+        n = r.size
+        edges = np.geomspace(a[r], b[r], _PANELS + 1, axis=-1)
+        half = 0.5 * np.diff(edges, axis=-1)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        t = (mid[..., None] + half[..., None] * _UNIT_NODES).ravel()
+        u = np.repeat(xs[r], t.size // n) / t
         plain, a_coeff = f.log_abs_decomp(u)
-        plain = np.asarray(plain)
         with np.errstate(divide="ignore"):
             summand = (
-                k.log_abs(t) - np.log(t) + plain
+                k.log_abs(t) - np.log(t) + np.asarray(plain)
                 + (a_coeff + 1.0) * log_weight_a(p, u)
-            )
-        m = float(np.max(summand))
-        if not np.isfinite(m):
-            continue
+            ).reshape(n, -1)
+        jmax = np.argmax(summand, axis=1)
+        m = summand[np.arange(n), jmax]
+        live = np.isfinite(m)
         # integrand peaking at an artificially truncated edge with
         # non-negligible magnitude: the t-integral diverges there
-        jmax = int(np.argmax(summand))
-        if m - log_a_x > -650.0 and (
-            (clip_lo and jmax < 15) or (clip_hi and jmax >= summand.size - 15)
-        ):
-            log_vals[i] = math.inf
-            continue
-        scaled = np.exp(summand - m)
-        sk = float(np.sum(wk * scaled))
-        sg = float(np.sum(wg * scaled))
-        if sk <= 0.0:
-            continue
-        log_vals[i] = m + math.log(sk) - (log_a_x if include_weight else 0.0)
-        rel_err[i] = abs(sk - sg) / sk
+        divergent = live & (m - log_a_x[r] > -650.0) & (
+            (clip_lo[r] & (jmax < edge))
+            | (clip_hi[r] & (jmax >= summand.shape[1] - edge)))
+        live &= ~divergent
+        log_vals[r[divergent]] = inf
+        # rows that are not live are dropped below; shifting them by 0
+        # keeps their inf - inf out of the exponent
+        shift = np.where(live, m, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.exp(summand - shift[:, None]).reshape(n, _PANELS, edge)
+            # Kronrod and Gauss sums of each panel against the weight table,
+            # then over each row's panels with their half-widths; a reduction
+            # along a contiguous last axis sums every row in the same order,
+            # however many rows there are
+            panel = np.ascontiguousarray((scaled @ _KG_WEIGHTS).transpose(0, 2, 1))
+            sk, sg = np.add.reduce(panel * half[:, None, :], axis=-1).T
+        good = live & (sk > 0.0)
+        rg = r[good]
+        log_vals[rg] = (m[good] + np.log(sk[good])
+                        - (log_a_x[rg] if include_weight else 0.0))
+        rel_err[rg] = np.abs(sk[good] - sg[good]) / sk[good]
     return log_vals, rel_err
 
 
@@ -271,9 +312,9 @@ def commutation_residual(
     def hf(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape, dtype=float)
-        for i, xi in enumerate(x):
-            if xi != 0.0:
-                out[i] = hausdorff_apply(k, f, p, float(xi), cfg)
+        nonzero = x != 0.0
+        if nonzero.any():
+            out[nonzero] = hausdorff_apply_result(k, f, p, x[nonzero], cfg).value
         return out
 
     lhs = complex(oc_transform_result(hf, p, lam, cfg).value)

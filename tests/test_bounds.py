@@ -262,6 +262,17 @@ def test_hausdorff_lp_norm_divergence_detected():
     assert r.value == math.inf
 
 
+@pytest.mark.parametrize("f_p", [2.0, 1.5])
+def test_hausdorff_lp_norm_overflow_is_divergence(f_p):
+    # (H f)^4 of the delta = 0.1 extremal overflows near 0; lp_norm of f
+    # itself is inf there, so a finite result would be a clamped exponent
+    f = extremal_function("delta", P1, p=f_p, delta=0.1)
+    k = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=1.13)
+    assert lp_norm(f, 4.0, P1, (0.0, 1.0), CFG).value == math.inf
+    r = hausdorff_lp_norm(k, f, 4.0, P1, (0.0, 1.0), CFG)
+    assert (r.value, r.err_estimate) == (math.inf, math.inf)
+
+
 def test_hausdorff_l1_contraction():
     g = FunctionSpec("gaussian", params={"scale": 1.0})
     r = hausdorff_lp_norm(ADJOINT, g, 1.0, P1, (-math.inf, math.inf), CFG)

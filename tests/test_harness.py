@@ -112,6 +112,32 @@ def test_no_failures_in_default_suite(suite_reports):
     assert bad == []
 
 
+# the status of every default scenario, in suite order within each theorem id
+DEFAULT_STATUSES = {
+    "T_L1": ["pass"] * 4,
+    "T_COMM_DIAG": ["diagnostic_recorded"],
+    "T_LP_ASUP": ["pass"] * 3,
+    "T_LP_AINF": ["pass"],
+    "C_LP_SANDWICH": ["vacuous"],
+    "T_LPLQ": ["pass"] * 2,
+    "T_INTERVAL_E": ["pass"] * 3,
+    "T_GRAND_UB": ["pass"] * 2,
+    "T_GRAND_LB": ["pass"] * 2,
+    "T_QB_UB": ["vacuous"],
+    "T_QB_LB": ["pass"],
+    "L_POWER": ["pass"],
+    "P_PLANCHEREL": ["pass"] * 3,
+    "P_EIGEN": ["pass"] * 3,
+    "D_SCALING_DIAG": ["diagnostic_recorded"],
+}
+
+
+def test_default_suite_statuses_pinned(suite_reports):
+    got = {tid: [r.status for r in rs] for tid, rs in suite_reports.items()}
+    assert got == DEFAULT_STATUSES
+    assert sum(map(len, got.values())) == 29
+
+
 def test_lp_ainf_divergent_bound_detected(suite_reports):
     # the adjoint-Hardy bound integrand behaves like t^(-3/2 + eps) at 0
     (r,) = suite_reports["T_LP_AINF"]

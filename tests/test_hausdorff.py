@@ -12,6 +12,7 @@ from octool.hausdorff import (
     KernelSpec,
     commutation_residual,
     hausdorff_apply,
+    hausdorff_apply_result,
     hausdorff_log_grid,
     make_kernel,
 )
@@ -199,6 +200,75 @@ def test_log_grid_matches_direct():
             assert l == -math.inf
         else:
             assert abs(math.exp(l) - direct) <= 1e-8 * direct
+
+
+class _NoSupport:
+    """|u|^-4 for u > 0 and e^(-u^2) for u < 0, with no support(): under
+    phi = 1 on (1, inf), H f diverges at x > 0 where the t-integrand grows
+    toward the clipped upper edge, and is finite at every x < 0."""
+
+    def log_abs_decomp(self, u):
+        u = np.asarray(u, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(u > 0.0, -4.0 * np.log(np.abs(u)), -u * u), 0.0
+
+
+# 150 signed x values in a fixed shuffled order, so every 64-row chunk mixes
+# signs and window kinds
+_BATCH_XS = np.random.default_rng(7).permutation(np.concatenate([
+    -np.geomspace(1e-3, 20.0, 70), np.geomspace(1e-4, 50.0, 80)]))
+
+
+@pytest.mark.parametrize("k, f", [
+    # x < 0 and x >= 1.3 leave no t-window for the bump under (0, 1)
+    (make_kernel("adjoint_hardy"), F),
+    (make_kernel("hlp"), FunctionSpec("gaussian")),
+    (make_kernel("power_cutoff", exponent=0.0, lo=1.0, hi=math.inf), _NoSupport()),
+], ids=["empty_windows", "gaussian", "no_support"])
+def test_log_grid_batch_matches_one_x_calls(k, f):
+    lg, rel = hausdorff_log_grid(k, f, P1, _BATCH_XS, CFG)
+    one = [hausdorff_log_grid(k, f, P1, np.array([x]), CFG) for x in _BATCH_XS]
+    # bit for bit: a row's result must not depend on its chunk-mates
+    assert lg.tobytes() == np.concatenate([o[0] for o in one]).tobytes()
+    assert rel.tobytes() == np.concatenate([o[1] for o in one]).tobytes()
+    neg = _BATCH_XS < 0.0
+    if isinstance(f, _NoSupport):
+        assert np.any(lg[~neg] == math.inf)
+        assert np.all(np.isfinite(lg[neg]))
+    elif f is F:
+        assert np.all(lg[neg | (_BATCH_XS >= 1.3)] == -math.inf)
+        assert np.isfinite(lg[(_BATCH_XS > 0.1) & (_BATCH_XS < 1.2)]).all()
+    else:
+        assert np.isfinite(lg).all()
+
+
+@pytest.mark.parametrize("variant", ["adjoint_hardy", "hardy"])
+def test_apply_array_matches_scalar_calls(variant):
+    k = make_kernel(variant)
+    xs = np.array([0.3, 0.75, 0.9, 1.1, 1.6, -0.4, 2.5])
+    r = hausdorff_apply_result(k, F, P1, xs, CFG)
+    assert r.value.shape == xs.shape and r.err_estimate.shape == xs.shape
+    for x, v, e in zip(xs, r.value, r.err_estimate):
+        one = hausdorff_apply_result(k, F, P1, float(x), CFG)
+        assert abs(v - one.value) <= e + one.err_estimate, x
+        # each x on the shared mesh is held to its own tolerance
+        assert e <= max(CFG.abs_tol, CFG.rel_tol * abs(v)), x
+
+
+def test_apply_zero_dim_x_keeps_scalar_result():
+    k = make_kernel("adjoint_hardy")
+    r = hausdorff_apply_result(k, F, P1, np.asarray(0.5), CFG)
+    one = hausdorff_apply_result(k, F, P1, 0.5, CFG)
+    assert np.ndim(r.value) == 0 and np.ndim(r.err_estimate) == 0
+    assert r.value == one.value and r.err_estimate == one.err_estimate
+    # the scalar path keeps its value from before the array form
+    assert float(one.value) == pytest.approx(1.870523029464705, rel=1e-14)
+
+
+def test_apply_array_with_zero_raises():
+    with pytest.raises(SingularityError):
+        hausdorff_apply_result(make_kernel("hardy"), F, P1,
+                               np.array([0.5, 0.0, 1.0]), CFG)
 
 
 def test_commutation_rejects_non_integrable_kernel():
