@@ -160,6 +160,11 @@ def hausdorff_apply_result(
 ) -> IntegralResult:
     """H f(x) with its quadrature error estimate.
 
+    The integrand is formed in log space, as in :func:`hausdorff_log_grid`,
+    so that f(x/t) and A(x/t)/A(x) cannot overflow or meet as inf * 0; where
+    the t-integral diverges, value and estimate are +inf.  The sign of f is
+    taken from f itself unless it declares ``is_nonnegative``.
+
     An array ``x`` is one adaptive run over the kernel's support, which does
     not depend on x: each x is a component on the shared t mesh, held to its
     own tolerance, and value and estimate have the shape of ``x``.
@@ -172,24 +177,36 @@ def hausdorff_apply_result(
     if shape:
         # one row of u = x/t per x
         x, log_ax = x.reshape(-1, 1), log_ax.reshape(-1, 1)
+    log_parts = getattr(f, "log_abs_decomp", None)
+    signed = not getattr(f, "is_nonnegative", False)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
         u = x / t
-        fv = np.asarray(f(u), dtype=float)
-        out = np.zeros(u.shape, dtype=float)
-        live = fv != 0.0
-        if np.any(live):
-            la = log_ax
-            if u.ndim > t.ndim:
-                t = np.broadcast_to(t, u.shape)
-                la = np.broadcast_to(log_ax, u.shape)[live]
-            tl = t[live]
-            log_ratio = log_weight_a(p, u[live]) - la
-            out[live] = k(tl) / tl * fv[live] * np.exp(np.minimum(log_ratio, 700.0))
-        return out
+        if signed:
+            fv = np.asarray(f(u), dtype=float)
+        if log_parts is None:
+            plain, a_coeff = np.log(np.abs(fv)), 0.0
+        else:
+            plain, a_coeff = log_parts(u)
+        out = np.exp(k.log_abs(t) - np.log(t) + plain
+                     + (a_coeff + 1.0) * log_weight_a(p, u) - log_ax)
+        return np.copysign(out, fv) if signed else out
 
-    r = integrate_positive(integrand, *k.support(), cfg)
+    try:
+        # log f = -inf where f vanishes; an overflow to +inf is divergence
+        with np.errstate(divide="ignore", over="ignore"):
+            r = integrate_positive(integrand, *k.support(), cfg)
+    except DivergentIntegralError as exc:
+        # H f(x) = +inf where the t-integral diverges, as in hausdorff_log_grid
+        if not shape:
+            return IntegralResult(math.inf, math.inf)
+        div = exc.mask
+        value, err = np.full(div.shape, math.inf), np.full(div.shape, math.inf)
+        if not div.all():  # the other xs in a run of their own
+            rest = hausdorff_apply_result(k, f, p, x[~div, 0], cfg)
+            value[~div], err[~div] = rest.value, rest.err_estimate
+        return IntegralResult(value.reshape(shape), err.reshape(shape))
     if shape:
         r.value, r.err_estimate = r.value.reshape(shape), r.err_estimate.reshape(shape)
     return r

@@ -153,6 +153,12 @@ class FunctionSpec:
             return True
         return False
 
+    @property
+    def is_nonnegative(self) -> bool:
+        """Whether f >= 0 everywhere: true of every family but ``sampled``
+        with a negative sample."""
+        return self.family != "sampled" or bool(np.min(self.params["ys"]) >= 0.0)
+
     # -- evaluation --------------------------------------------------------
     def _coords(self, x):
         """x as a 1-d array in the family's own coordinates (reflected)."""
@@ -365,8 +371,11 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
     Returns (values, err), both shaped like ``lams``.  The spatial integral
     uses composite Gauss-Kronrod panels common to all lambdas so the
     eigenfunction series can be evaluated as one (lambda, x) batch; the panel
-    width is chosen against the fastest oscillation in the batch.  Intended
-    for smooth, bounded functions (the transform and spectral-identity sweeps).
+    width is chosen against the fastest oscillation in the batch.  On a
+    symmetric support (lo = -hi) the panel edges are the mirror image of one
+    half, so the nodes come in exact +-x pairs and ``_g_batch`` sums the
+    series once per pair.  Intended for smooth, bounded functions (the
+    transform and spectral-identity sweeps).
     """
     lams = np.asarray(lams, dtype=float)
     lo, hi = f.support() if isinstance(f, FunctionSpec) else (-math.inf, math.inf)
@@ -377,7 +386,12 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
         return z, np.zeros(lams.shape)
     width = min(0.25, 4.0 / max(1.0, float(np.max(np.abs(lams)))))
     n_panels = max(int(math.ceil((hi - lo) / width)), 1)
-    x, wk, wg = panel_rule(np.linspace(lo, hi, n_panels + 1))
+    if lo == -hi:
+        half = np.linspace(0.0, hi, math.ceil(n_panels / 2) + 1)
+        edges = np.concatenate([-half[:0:-1], half])
+    else:
+        edges = np.linspace(lo, hi, n_panels + 1)
+    x, wk, wg = panel_rule(edges)
     fa = np.asarray(f(x.ravel())).reshape(x.shape) * weight_a(p, x)
     # skip panels where f A vanishes identically (compact supports, decay)
     keep = np.max(np.abs(fa), axis=1) > 1e-18 * (np.max(np.abs(fa)) + 1e-300)

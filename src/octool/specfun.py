@@ -330,7 +330,8 @@ def _hyp2f1_batch(a, b, c, z):
     shape (m,); returns (values (n, m), element-wise error bounds (n, m),
     terms of the longest series).
 
-    Direct series inside |z| <= 0.5; beyond, the argument transformation
+    2F1(a, b; c; 0) = 1 exactly, with no series summed; direct series
+    elsewhere inside |z| <= 0.5; beyond, the argument transformation
     w = z/(z-1) maps (-inf, 0] into [0, 1) and the series is summed there
     with the prefactor (1-z)^(-a), up to w = 0.7.  Past that the series at w
     is replaced by the connection formula in 1-w, with 1-w = 1/(1-z) computed
@@ -349,10 +350,12 @@ def _hyp2f1_batch(a, b, c, z):
     d = (b - a)[:, 0]
     integer = (np.abs(d.imag) < _POLE_TOL) & (np.abs(d.real - np.round(d.real)) < _POLE_TOL)
     every = np.ones(integer.shape, dtype=bool)
+    zero = z == 0.0
+    out[:, zero], err[:, zero] = 1.0, 0.0
     direct = np.abs(z) <= _DIRECT_RADIUS
     far = np.abs(z) > _PFAFF_RADIUS
     pieces = (
-        (every, direct, "direct"),
+        (every, direct & ~zero, "direct"),
         (every, ~direct & ~far, "pfaff"),
         (integer, far, "pfaff"),
         (~integer, far, "connection"),
@@ -433,23 +436,32 @@ def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
 
 def _g_batch(p: JacobiParams, lams, x):
     """G_lambda(x) for lams (n,) against x (m,): values and element-wise
-    error bounds, both shaped (n, m).  G_lambda(0) = 1 exactly, so only the
-    columns with x != 0 are summed."""
+    error bounds, both shaped (n, m).
+
+    G_lambda(x) = phi(x) + c sinh(2x) phi^(alpha+1, beta+1)(x) with both phi
+    even in x, so each of the two series is summed once per distinct |x| and
+    gathered back to the signed columns: G_lambda(x) and G_lambda(-x) share
+    one sum.  G_lambda(0) = 1 exactly, as 2F1 is 1 at z = 0.  Repeated |x|
+    leave the series' batch-wide stopping scale as it is, so every column
+    has the bits of a batch that holds each |x| once."""
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
-    nonzero = x != 0.0
-    if not nonzero.all():
-        vals = np.ones((lams.size, x.size), dtype=complex)
-        err = np.zeros(vals.shape)
-        if nonzero.any():
-            vals[:, nonzero], err[:, nonzero] = _g_batch(p, lams, x[nonzero])
-        return vals, err
-    phi, e1 = _phi_batch(p, lams, x)
-    phi_up, e2 = _phi_batch(p.shifted(), lams, x)
+    ax, back = np.unique(np.abs(x), return_inverse=True)
+    if not ax.any():
+        # x = 0 only, as in an inverse transform at the origin: G_lambda(0)
+        # = 1 without the set-up of two series calls
+        return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
+    phi, e1 = _phi_batch(p, lams, ax)
+    phi_up, e2 = _phi_batch(p.shifted(), lams, ax)
     coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
-    sinh2 = np.sinh(2.0 * x)[None, :]
-    vals = phi + coef * sinh2 * phi_up
-    err = e1 + np.abs(coef * sinh2) * e2
+    scale = coef * np.sinh(2.0 * x)[None, :]
+    err = np.abs(scale)
+    err *= e2[:, back]
+    err += e1[:, back]
+    # numpy's complex product depends on operand order and on output
+    # aliasing, so only the sums are formed in place
+    vals = scale * phi_up[:, back]
+    vals += phi[:, back]
     return vals, err
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -263,6 +264,53 @@ def test_apply_zero_dim_x_keeps_scalar_result():
     assert r.value == one.value and r.err_estimate == one.err_estimate
     # the scalar path keeps its value from before the array form
     assert float(one.value) == pytest.approx(1.870523029464705, rel=1e-14)
+
+
+def test_apply_divergent_extremal_is_inf():
+    # A(x/t)/A(x) grows like e^(2 x/t) as t -> 0 under the adjoint Hardy
+    # kernel, faster than the eps extremal decays: H f = +inf, as the log
+    # grid says, not a clamped finite value
+    k = make_kernel("adjoint_hardy")
+    f = FunctionSpec("extremal_eps", params={"p": 2.0, "eps": 0.1}, jacobi=P1)
+    xs = np.array([0.5, 1.0, 2.0])
+    assert np.all(hausdorff_log_grid(k, f, P1, xs, CFG)[0] == math.inf)
+    for x in xs:
+        r = hausdorff_apply_result(k, f, P1, float(x), CFG)
+        assert r.value == math.inf and r.err_estimate == math.inf
+    # an array run keeps its finite components: f(x/t) = 0 for x < 0
+    r = hausdorff_apply_result(k, f, P1, np.array([1.0, -1.0, 2.0]), CFG)
+    assert r.value.tolist() == [math.inf, 0.0, math.inf]
+
+
+def test_apply_extremal_with_overflowing_f():
+    # at t near e^600, f(x/t) ~ (x/t)^-1.4 overflows while A(x/t)/A(x)
+    # underflows; their product, formed in log space, stays finite.  For
+    # (1/2, -1/2): H f(x) = int_0^x u^(delta - 1/p) sinh u du / (x sinh^2 x)
+    k = make_kernel("hardy")
+    f = FunctionSpec("extremal_delta", params={"p": 2.0, "delta": 0.1}, jacobi=P1)
+    for x in (0.3, 1.0):
+        r = hausdorff_apply_result(k, f, P1, x, CFG)
+        truth = float(mpmath.quad(lambda u: u ** -0.4 * mpmath.sinh(u), [0, x])
+                      / (x * mpmath.sinh(x) ** 2))
+        assert abs(r.value - truth) <= r.err_estimate + 1e-12 * truth, x
+        assert r.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * truth)
+        # the log grid stops at t = truncation_t max(x, 1); the mass past
+        # it, 4e-7 of H f at x = 0.3, is not in its estimate
+        lg, _ = hausdorff_log_grid(k, f, P1, np.array([x]), CFG)
+        assert abs(math.exp(lg[0]) - truth) <= 1e-6 * truth
+
+
+def test_apply_signed_function():
+    k = make_kernel("hardy")
+    xs, ys = np.linspace(0.0, 2.0, 9), np.sin(3.0 * np.linspace(0.0, 2.0, 9))
+    f = FunctionSpec("sampled", params={"xs": xs, "ys": ys})
+    neg = FunctionSpec("sampled", params={"xs": xs, "ys": -ys})
+    assert not f.is_nonnegative and F.is_nonnegative
+    for x in (0.5, 1.5):
+        v = hausdorff_apply_result(k, f, P1, x, CFG)
+        truth = _lower_form(f, P1, x) / x
+        assert abs(v.value - truth) <= 1e-6 * abs(truth), x
+        assert hausdorff_apply(k, neg, P1, x, CFG) == -v.value
 
 
 def test_apply_array_with_zero_raises():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octool import octransform
 from octool.octransform import (
     FunctionSpec,
     apply_jacobi_cherednik,
@@ -115,6 +116,45 @@ def test_transform_grid_matches_pointwise():
     for lam, v, e in zip(lams, vals, errs):
         truth = oc_transform(BUMP, P2, float(lam), CFG)
         assert abs(v - truth) <= 10 * max(e, 1e-9)
+
+
+@pytest.mark.parametrize("lam_max", [40.0, 80.0])
+def test_transform_grid_nodes_mirror_on_symmetric_support(monkeypatch, lam_max):
+    seen = []
+    g_batch = octransform._g_batch
+
+    def spy(p, lams, x):
+        seen.append(np.array(x))
+        return g_batch(p, lams, x)
+
+    monkeypatch.setattr(octransform, "_g_batch", spy)
+    transform_grid(GAUSS, P2, np.array([0.5, lam_max]), CFG)
+    (x,) = seen
+    # every node's mirror image is a node, bit for bit, and no node is 0
+    nodes = np.sort(x)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert not np.any(nodes == 0.0)
+
+
+def test_transform_grid_off_centre_keeps_its_values():
+    # support (0.6, 1.0) is not symmetric, so the panels are the plain
+    # linspace ones; values as computed before mirror panels, to within
+    # 4 ulps (exp and sinh may round differently on another CPU), while a
+    # change of the panels moves them by about 1e-10
+    f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
+    vals, errs = transform_grid(f, P2, np.array([0.5, 3.0, 17.0, 40.0]), CFG)
+    pinned_vals = [
+        0.1078569119677617 - 0.017774821967687957j,
+        0.030339720018443754 - 0.05989560482551218j,
+        0.0017077835968555308 + 0.001425426454964703j,
+        -4.482330979419137e-05 - 8.631975403892636e-05j,
+    ]
+    pinned_errs = [4.665435138341868e-06, 2.660470645360245e-06,
+                   2.5888740942888453e-07, 4.7107203154195006e-05]
+    ulps = 2.0 ** -50
+    assert vals.real == pytest.approx(np.real(pinned_vals), rel=ulps, abs=0.0)
+    assert vals.imag == pytest.approx(np.imag(pinned_vals), rel=ulps, abs=0.0)
+    assert errs == pytest.approx(pinned_errs, rel=ulps, abs=0.0)
 
 
 def _noise_cut_interpolant(f, p, cfg):

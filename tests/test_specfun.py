@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from octool.errors import ParameterError
+from octool import specfun
 from octool.specfun import (
     JacobiParams,
+    _g_batch,
     _hyp_series,
     eigenfunction_g,
     gauss_2f1,
@@ -46,7 +48,7 @@ def test_hyp2f1_log_closed_form(z):
     assert abs(v - truth) <= 1e-10 * abs(truth)
 
 
-@pytest.mark.parametrize("z", [-0.5, -2.0, -10.0])
+@pytest.mark.parametrize("z", [0.0, -0.0, -0.5, -2.0, -10.0])
 def test_hyp2f1_binomial_closed_form(z):
     # 2F1(a,b;b;z) = (1-z)^(-a)
     v = gauss_2f1(0.3, 0.7, 0.7, z).value
@@ -112,6 +114,47 @@ def test_hyp_series_batch_matches_one_column_calls():
         for j, w in enumerate(SERIES_W):
             s1, e1, _ = _hyp_series(a[i, 0], b[i, 0], c, w)
             assert abs(s1 - s[i, j]) <= e1 + e[i, j], (SERIES_LAMS[i], w)
+
+
+G_LAMS = np.array([0.0, 0.3, 2.0, 7.5, 40.0, -3.0])
+G_XS = np.array([0.05, 0.4, 1.3, 2.7, 6.0, 11.5])
+# mirror pairs, both zeros and repeats, in one shuffled order
+G_MIXED = np.random.default_rng(3).permutation(
+    np.concatenate([G_XS, -G_XS, [0.0, -0.0], G_XS[:3], -G_XS[4:]]))
+
+
+@pytest.mark.parametrize("p", CATALOG)
+def test_g_batch_folds_mirrors_and_repeats(p):
+    v, e = _g_batch(p, G_LAMS, G_MIXED)
+    # bit for bit the calls that hold each |x| once, one call per sign
+    ax = np.concatenate([[0.0], G_XS])
+    plus, minus = _g_batch(p, G_LAMS, ax), _g_batch(p, G_LAMS, -ax)
+    for j, x in enumerate(G_MIXED):
+        ref_v, ref_e = minus if np.signbit(x) else plus
+        i = int(np.flatnonzero(ax == abs(x))[0])
+        assert np.array_equal(v[:, j], ref_v[:, i]), x
+        assert np.array_equal(e[:, j], ref_e[:, i]), x
+        # and within the bounds of one-column calls, whose series stop on
+        # their own column's scale rather than the batch's
+        one_v, one_e = _g_batch(p, G_LAMS, [x])
+        assert np.all(np.abs(v[:, j] - one_v[:, 0]) <= e[:, j] + one_e[:, 0]), x
+    assert np.all(v[:, G_MIXED == 0.0] == 1.0)
+
+
+def test_g_batch_sums_each_abs_x_once(monkeypatch):
+    seen = []
+    phi_batch = specfun._phi_batch
+
+    def spy(p, lams, x):
+        seen.append((p, np.array(x)))
+        return phi_batch(p, lams, x)
+
+    monkeypatch.setattr(specfun, "_phi_batch", spy)
+    _g_batch(P2, G_LAMS, G_MIXED)
+    assert [p for p, _ in seen] == [P2, P2.shifted()]
+    for _, x in seen:
+        assert np.array_equal(x, np.unique(np.abs(G_MIXED)))
+        assert x.size == G_XS.size + 1
 
 
 def test_log_gamma_complex_grid():
