@@ -161,9 +161,10 @@ def hausdorff_apply_result(
     """H f(x) with its quadrature error estimate.
 
     The integrand is formed in log space, as in :func:`hausdorff_log_grid`,
-    so that f(x/t) and A(x/t)/A(x) cannot overflow or meet as inf * 0; where
-    the t-integral diverges, value and estimate are +inf.  The sign of f is
-    taken from f itself unless it declares ``is_nonnegative``.
+    so that f(x/t) and A(x/t)/A(x) cannot overflow or meet as inf * 0, and it
+    takes its sign from f(x/t).  Where the t-integral diverges and f took no
+    negative value on the nodes, value and estimate are +inf; a divergence
+    where f changed sign has no value and raises DivergentIntegralError.
 
     An array ``x`` is one adaptive run over the kernel's support, which does
     not depend on x: each x is a component on the shared t mesh, held to its
@@ -178,30 +179,34 @@ def hausdorff_apply_result(
         # one row of u = x/t per x
         x, log_ax = x.reshape(-1, 1), log_ax.reshape(-1, 1)
     log_parts = getattr(f, "log_abs_decomp", None)
-    signed = not getattr(f, "is_nonnegative", False)
+    # per x: whether f(x/t) was negative at some node
+    negative = np.zeros(x.shape[:-1], dtype=bool)
 
     def integrand(t):
+        nonlocal negative
         t = np.asarray(t, dtype=float)
         u = x / t
-        if signed:
-            fv = np.asarray(f(u), dtype=float)
-        if log_parts is None:
-            plain, a_coeff = np.log(np.abs(fv)), 0.0
-        else:
-            plain, a_coeff = log_parts(u)
-        out = np.exp(k.log_abs(t) - np.log(t) + plain
-                     + (a_coeff + 1.0) * log_weight_a(p, u) - log_ax)
-        return np.copysign(out, fv) if signed else out
-
-    try:
+        fv = np.asarray(f(u), dtype=float)
+        negative = negative | (fv < 0.0).any(axis=-1)
         # log f = -inf where f vanishes; an overflow to +inf is divergence
         with np.errstate(divide="ignore", over="ignore"):
-            r = integrate_positive(integrand, *k.support(), cfg)
+            if log_parts is None:
+                plain, a_coeff = np.log(np.abs(fv)), 0.0
+            else:
+                plain, a_coeff = log_parts(u)
+            out = np.exp(k.log_abs(t) - np.log(t) + plain
+                         + (a_coeff + 1.0) * log_weight_a(p, u) - log_ax)
+        return np.copysign(out, fv)
+
+    try:
+        r = integrate_positive(integrand, *k.support(), cfg)
     except DivergentIntegralError as exc:
-        # H f(x) = +inf where the t-integral diverges, as in hausdorff_log_grid
+        div = True if exc.mask is None else exc.mask
+        if np.any(div & negative):
+            raise
+        # H f(x) = +inf, as in hausdorff_log_grid
         if not shape:
             return IntegralResult(math.inf, math.inf)
-        div = exc.mask
         value, err = np.full(div.shape, math.inf), np.full(div.shape, math.inf)
         if not div.all():  # the other xs in a run of their own
             rest = hausdorff_apply_result(k, f, p, x[~div, 0], cfg)

@@ -153,12 +153,6 @@ class FunctionSpec:
             return True
         return False
 
-    @property
-    def is_nonnegative(self) -> bool:
-        """Whether f >= 0 everywhere: true of every family but ``sampled``
-        with a negative sample."""
-        return self.family != "sampled" or bool(np.min(self.params["ys"]) >= 0.0)
-
     # -- evaluation --------------------------------------------------------
     def _coords(self, x):
         """x as a 1-d array in the family's own coordinates (reflected)."""

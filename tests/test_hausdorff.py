@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from octool.errors import (
+    DivergentIntegralError,
     KernelNotIntegrableError,
     ParameterError,
     SingularityError,
@@ -305,12 +306,28 @@ def test_apply_signed_function():
     xs, ys = np.linspace(0.0, 2.0, 9), np.sin(3.0 * np.linspace(0.0, 2.0, 9))
     f = FunctionSpec("sampled", params={"xs": xs, "ys": ys})
     neg = FunctionSpec("sampled", params={"xs": xs, "ys": -ys})
-    assert not f.is_nonnegative and F.is_nonnegative
     for x in (0.5, 1.5):
         v = hausdorff_apply_result(k, f, P1, x, CFG)
         truth = _lower_form(f, P1, x) / x
         assert abs(v.value - truth) <= 1e-6 * abs(truth), x
         assert hausdorff_apply(k, neg, P1, x, CFG) == -v.value
+
+
+def test_apply_divergent_signed_function_raises():
+    # phi(t)/t A(x/t)/A(x) grows like t^(e - 3) as t -> inf for (1/2, -1/2);
+    # exponent 3 fails the dyadic shrink test, exponent 4 overflows a node.
+    # f > 0 on the nodes reads +inf; f < 0 there raises as it did before
+    # the log-space integrand, since no sign of the divergence is known
+    xs = np.linspace(0.0, 2.0, 9)
+    pos = FunctionSpec("sampled", params={"xs": xs, "ys": 2.0 - np.cos(xs)})
+    neg = FunctionSpec("sampled", params={"xs": xs, "ys": np.cos(xs) - 2.0})
+    for exponent in (3.0, 4.0):
+        k = make_kernel("power_cutoff", exponent=exponent, lo=1.0)
+        assert hausdorff_apply(k, pos, P1, 0.5, CFG) == math.inf
+        with pytest.raises(DivergentIntegralError):
+            hausdorff_apply(k, neg, P1, 0.5, CFG)
+        with pytest.raises(DivergentIntegralError):
+            hausdorff_apply_result(k, neg, P1, np.array([0.5, 1.5]), CFG)
 
 
 def test_apply_array_with_zero_raises():
