@@ -193,8 +193,8 @@ def kernel_moment(k: KernelSpec, s: float, lo: float, hi: float,
         return NormResult(0.0, 0.0)
 
     def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(power * k.log_abs(t) + (s - 1.0) * np.log(t))
+        log_t = np.log(np.asarray(t, dtype=float))
+        return np.exp(power * k.log_phi(log_t) + (s - 1.0) * log_t)
 
     try:
         # an overflowing node is an infinite value, which quad reports as

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .octransform import FunctionSpec, oc_transform_result, transform_grid
 from .quad import IntegralResult, QuadConfig, integrate_positive, panel_rule
-from .specfun import JacobiParams, log_weight_a
+from .specfun import JacobiParams, log_sinh_cosh, log_weight_a
 
 __all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "commutation_residual"]
 
@@ -123,16 +123,44 @@ class KernelSpec:
             out[inside] = np.interp(ti, grid, vals)
         return out
 
-    def log_abs(self, t):
-        """log phi(t), -inf off the support; power_cutoff's exponent * log t
-        in closed form, so that t^exponent cannot overflow or underflow."""
-        t = np.asarray(t, dtype=float)
+    def log_phi(self, s):
+        """log phi(e^s), -inf off the support: the one kernel log, which both
+        H f evaluators and the kernel moments use.  The catalog kernels are closed forms in s, so
+        t^exponent cannot overflow or underflow and only Cesaro and
+        Riemann-Liouville take a log per node; each formula is evaluated only
+        inside the support."""
+        s = np.asarray(s, dtype=float)
+        lo, hi = self.support()
         with np.errstate(divide="ignore"):
-            if self.variant != "power_cutoff":
-                return np.log(self(t))
-            lo, hi = self.support()
-            return np.where((t > lo) & (t < hi),
-                            self.params["exponent"] * np.log(t), -math.inf)
+            lo, hi = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi)
+        inside = None
+        if not (s.size and s.min() > lo and s.max() < hi):
+            inside = (s > lo) & (s < hi)
+            s = s[inside]
+        v, q = self.variant, self.params
+        if v == "hardy":
+            val = -s
+        elif v == "adjoint_hardy":
+            val = np.zeros(s.shape)
+        elif v == "hlp":
+            val = -np.maximum(s, 0.0)
+        elif v == "power_cutoff":
+            val = q["exponent"] * s
+        elif v == "cesaro":
+            g = q["gamma_c"]
+            val = math.log(g) + (g - 1.0) * np.log(-np.expm1(s))
+        elif v == "riemann_liouville":
+            mu = q["mu"]
+            val = (mu - 1.0) * np.log(-np.expm1(-s)) - s - math.lgamma(mu)
+        else:
+            grid = np.asarray(q["grid"], dtype=float)
+            with np.errstate(divide="ignore"):
+                val = np.log(np.interp(np.exp(s), grid, np.asarray(q["values"], dtype=float)))
+        if inside is None:
+            return val
+        out = np.full(inside.shape, -math.inf)
+        out[inside] = val
+        return out
 
     def l1_status(self, cfg: QuadConfig) -> tuple[str, float | None]:
         """("finite", value) or ("infinite", None) for the integral of phi."""
@@ -194,7 +222,8 @@ def hausdorff_apply_result(
                 plain, a_coeff = np.log(np.abs(fv)), 0.0
             else:
                 plain, a_coeff = log_parts(u)
-            out = np.exp(k.log_abs(t) - np.log(t) + plain
+            s = np.log(t)
+            out = np.exp(k.log_phi(s) - s + plain
                          + (a_coeff + 1.0) * log_weight_a(p, u) - log_ax)
         return np.copysign(out, fv)
 
@@ -217,27 +246,132 @@ def hausdorff_apply_result(
     return r
 
 
-# x nodes per array pass of hausdorff_log_grid: 64 rows of 1920 t nodes keep
+# The (7, 15) pair on (-1, 1): its nodes, and as the two columns of one
+# table its Kronrod weights and the Kronrod-minus-Gauss weights
+_UNIT_NODES, _WK, _WG = (w[0] for w in panel_rule([-1.0, 1.0]))
+_KD_WEIGHTS = np.stack([_WK, _WK - _WG], axis=-1)
+# u = e^sigma is a finite non-zero double on this range; a window reaching
+# past it is cut there, as by an artificial clip
+_SIGMA_MIN, _SIGMA_MAX = -744.0, 709.0
+
+
+def _lattice_edges() -> np.ndarray:
+    """Panel edges in sigma = log|u|: 0.1 wide on |sigma| <= 8, where f A
+    varies on the unit scale of u, then each panel 1.1 times as wide as the
+    one inside it, at most 2 wide, with a whole panel to spare beyond the
+    range of u at either end."""
+    pos = [j / 10.0 for j in range(81)]
+    width = 0.1
+    while pos[-2] <= -_SIGMA_MIN:
+        width = min(1.1 * width, 2.0)
+        pos.append(pos[-1] + width)
+    pos = np.array(pos)
+    return np.concatenate([-pos[:0:-1], pos])
+
+
+# the lattice depends on nothing but these constants, so a row's panels do
+# not depend on the other x values of a call
+_EDGES = _lattice_edges()
+_LATTICE_SIGMA = panel_rule(_EDGES)[0]
+with np.errstate(over="ignore"):
+    _LATTICE_U = np.exp(_LATTICE_SIGMA)
+# log sinh u and log cosh u at the lattice nodes, which log A combines: the
+# weight is evaluated once per node for every call
+_LATTICE_LOG_SINH, _LATTICE_LOG_COSH = log_sinh_cosh(_LATTICE_U)
+# panels of all the rows of one array pass: 8192 panels of 15 nodes keep
 # each temporary near 1 MB
-_CHUNK_ROWS = 64
-_PANELS = 128
-# the (7, 15) pair on (-1, 1): its nodes, and its Kronrod and Gauss weights
-# as the two columns of one table
-_UNIT_NODES = panel_rule([-1.0, 1.0])[0][0]
-_KG_WEIGHTS = np.stack(panel_rule([-1.0, 1.0])[1:], axis=-1)[0]
+_CHUNK_PANELS = 8192
+# refinement of a row whose estimate exceeds rel_tol: at most this many
+# rounds, and this many panel splits in all
+_REFINE_ROUNDS = 12
+_REFINE_SPLITS = 64
+# the nodes a panel keeps for choosing its split point: the two at each
+# end; a fall of e^40 at the log slope between two of them takes this
+# share of the panel's width
+_PROBE = [0, 1, -2, -1]
+_E40_REACH = -20.0 * (_UNIT_NODES[1] - _UNIT_NODES[0])
+
+
+def _window_panels(s_lo, s_hi):
+    """(ja, jb, lo_cut, hi_cut): the whole lattice panels ja .. jb-1 inside
+    each window (s_lo, s_hi), and the inner edges of its two cut panels
+    (s_lo, lo_cut) and (hi_cut, s_hi).  A cut panel narrower than half of
+    its lattice neighbour takes the neighbour in; a window with no whole
+    panel left is halved."""
+    e = _EDGES
+    ja = np.searchsorted(e, s_lo, side="left")
+    jb = np.searchsorted(e, s_hi, side="right") - 1
+    ja = ja + ((ja < jb) & (e[ja] - s_lo < 0.5 * (e[ja + 1] - e[ja])))
+    jb = jb - ((ja < jb) & (s_hi - e[jb] < 0.5 * (e[jb] - e[jb - 1])))
+    has = ja < jb
+    mid = 0.5 * (s_lo + s_hi)
+    return ja, np.where(has, jb, ja), np.where(has, e[ja], mid), np.where(has, e[jb], mid)
+
+
+def _fa_log(f, p, u, log_a=None):
+    """log |f(u)| A(u) at u, of any shape; ``log_a`` is log A(u) if known."""
+    plain, a_coeff = f.log_abs_decomp(u.ravel())
+    if log_a is None:
+        log_a = log_weight_a(p, u.ravel())
+    return (plain + (a_coeff + 1.0) * log_a.ravel()).reshape(u.shape)
+
+
+def _panel_sums(summand, shift, half):
+    """Kronrod sum and |Kronrod - Gauss| of each panel of e^(summand - shift),
+    overwriting ``summand``.  Each row is a dot product of its own against
+    the weight table, so its bits do not depend on the other rows."""
+    np.subtract(summand, shift[:, None], out=summand)
+    kd = np.exp(summand, out=summand) @ _KD_WEIGHTS
+    return kd[:, 0] * half, np.abs(kd[:, 1]) * half
+
+
+def _split_points(probe, lo, hi):
+    """Where to split each panel, from the two nodes ``probe`` keeps at each
+    end.  Where the integrand falls by more than e^40 across the panel, as
+    in a boundary layer, the split is where the log slope at the high end
+    says it has fallen by e^40, so that the far child, which its own nodes
+    cannot resolve, holds less than a rounding error of the panel (a
+    sixteenth where the slope is too steep to measure).  Where its log
+    changes eight times as steeply at one end as at the other, as at a power
+    singularity or an essential zero of phi or f there, the split is a
+    sixteenth from that end.  Any other panel is bisected."""
+    rise_lo = probe[:, 1] - probe[:, 0]
+    rise_hi = probe[:, 2] - probe[:, 3]
+    drop = probe[:, 0] - probe[:, 3]
+    # the share of the width between the low end and the split
+    reach = _E40_REACH / np.where(drop > 0.0, rise_lo, rise_hi)
+    reach = np.where(reach > 0.0, np.minimum(reach, 0.5), 1.0 / 16.0)
+    steep_lo, steep_hi = np.abs(rise_lo), np.abs(rise_hi)
+    share = np.where(steep_lo > np.maximum(0.25, 8.0 * steep_hi), 1.0 / 16.0,
+                     np.where(steep_hi > np.maximum(0.25, 8.0 * steep_lo), 15.0 / 16.0, 0.5))
+    share = np.where(drop > 40.0, reach, np.where(drop < -40.0, 1.0 - reach, share))
+    return lo + share * (hi - lo)
 
 
 def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
                        include_weight: bool = True):
-    """log H f at each x in xs for non-negative f, via a fixed log-spaced
-    Gauss-Kronrod grid of 128 panels in t, entirely in log space so that
-    weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor underflow.
+    """log H f at each x in xs for non-negative f, entirely in log space so
+    that weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor
+    underflow.
 
-    The x nodes are evaluated together, in chunks of 64: each chunk is one
-    array pass over its rows of t nodes, and a row's result does not depend
-    on the other x values or on the chunking.
+    With u = x/t and sigma = log|u|, A(x) H f(x) is the integral over sigma
+    of phi(|x| e^(-sigma)) f(u) A(u): a convolution in sigma.  It is taken on
+    one fixed Gauss-Kronrod (7, 15) panel lattice in sigma, anchored at
+    sigma = 0, 0.1 wide for |u| in (e^-8, e^8) and graded outward.  Each
+    array pass evaluates log f A once per node of the lattice panels its
+    rows need; a row adds log phi at log t = log|x| - sigma, and evaluates
+    afresh only two cut panels at its own window ends.  A row whose summed
+    |Kronrod - Gauss| exceeds ``cfg.rel_tol`` splits the panels that carry
+    more than their share of it, in up to 12 rounds of at most 64 splits in
+    all.  A row's panels are summed in sigma order, so its result does not
+    depend on the other x values or on the chunking.
 
-    Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes.
+    Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes and
+    +inf where the t-integral diverges: where the integrand peaks at a
+    window end cut by ``truncation_t`` (or by the clip at t = 1e-8
+    min(|x|, 1)) rather than by a support.  rel_err sums each panel's
+    QUADPACK error estimate and the mass beyond such a cut, extrapolated
+    geometrically from the cut panel's mass and log slope.
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec).
 
     With ``include_weight=False`` the exact -log A(x) term of log H f is left
@@ -252,68 +386,193 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
         flo, fhi = f.support()
     except AttributeError:
         flo, fhi = -math.inf, math.inf
-    inf = math.inf
-    # t-window where f(x/t) can be non-zero (u = x/t is monotone in t)
-    pos = xs > 0.0
-    tlo = np.where(pos, 0.0 if fhi == inf else (xs / fhi if fhi > 0 else inf),
-                   0.0 if flo == -inf else (xs / flo if flo < 0 else inf))
-    thi = np.where(pos, inf if flo <= 0.0 else xs / flo,
-                   inf if fhi >= 0.0 else xs / fhi)
-    # artificial clips scale with |x| so the u = x/t range they admit is
-    # x-independent; a fixed floor would cut off the integrand's peak
-    # (near t ~ x when f lives at unit scale) for very small or large x
-    ax = np.abs(xs)
-    a = np.maximum(np.maximum(klo, tlo), 1e-8 * np.minimum(ax, 1.0))
-    b = np.minimum(np.minimum(khi, thi), cfg.truncation_t * np.maximum(ax, 1.0))
-    # whether the window edges are artificial truncations rather than
-    # genuine support boundaries; used for divergence detection below
-    clip_lo = a > np.maximum(klo, tlo)
-    clip_hi = b < np.minimum(khi, thi)
-    log_a_x = log_weight_a(p, xs)
-    log_vals = np.full(xs.shape, -inf)
-    rel_err = np.zeros(xs.shape)
-    rows = np.flatnonzero(a < b)
-    edge = _UNIT_NODES.size  # nodes in the first or last panel of a row
-    for start in range(0, rows.size, _CHUNK_ROWS):
-        r = rows[start:start + _CHUNK_ROWS]
-        n = r.size
-        edges = np.geomspace(a[r], b[r], _PANELS + 1, axis=-1)
-        half = 0.5 * np.diff(edges, axis=-1)
-        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        t = (mid[..., None] + half[..., None] * _UNIT_NODES).ravel()
-        u = np.repeat(xs[r], t.size // n) / t
-        plain, a_coeff = f.log_abs_decomp(u)
-        with np.errstate(divide="ignore"):
-            summand = (
-                k.log_abs(t) - np.log(t) + np.asarray(plain)
-                + (a_coeff + 1.0) * log_weight_a(p, u)
-            ).reshape(n, -1)
-        jmax = np.argmax(summand, axis=1)
-        m = summand[np.arange(n), jmax]
-        live = np.isfinite(m)
-        # integrand peaking at an artificially truncated edge with
-        # non-negligible magnitude: the t-integral diverges there
-        divergent = live & (m - log_a_x[r] > -650.0) & (
-            (clip_lo[r] & (jmax < edge))
-            | (clip_hi[r] & (jmax >= summand.shape[1] - edge)))
+    # one errstate for the whole pass: -inf logs, underflowing exponentials
+    # and the inf - inf of empty rows are all expected and handled
+    with np.errstate(all="ignore"):
+        # the window in sigma = log|u|, u = x/t.  Its genuine ends are those
+        # of f's support on the side of 0 that u takes and those of phi's at
+        # t = |x| e^(-sigma); its artificial clips scale with |x| so that the
+        # u range they admit is x-independent (a fixed floor would cut off the
+        # peak near t ~ x when f lives at unit scale): t <= truncation_t
+        # max(|x|, 1), t >= 1e-8 min(|x|, 1), and u a finite non-zero double.
+        # The divergence test and the tail charge look only at a clipped end
+        log_x = np.log(np.abs(xs))
+        pos = xs > 0.0
+        # log|u| at f's support ends on either side of 0, and log t at phi's
+        f_lo, f_hi, f_lo_neg, f_hi_neg, k_lo, k_hi = np.log(np.maximum(
+            [flo, fhi, -fhi, -flo, klo, khi], 0.0))
+        lo_g = np.maximum(np.where(pos, f_lo, f_lo_neg), log_x - k_hi)
+        hi_g = np.minimum(np.where(pos, f_hi, f_hi_neg), log_x - k_lo)
+        lo_c = np.maximum(np.minimum(log_x, 0.0) - math.log(cfg.truncation_t), _SIGMA_MIN)
+        hi_c = np.minimum(np.maximum(log_x, 0.0) - math.log(1e-8), _SIGMA_MAX)
+        cut_lo, cut_hi = lo_c > lo_g, hi_c < hi_g
+        s_lo, s_hi = np.maximum(lo_g, lo_c), np.minimum(hi_g, hi_c)
+        log_vals = np.full(xs.shape, -math.inf)
+        rel_err = np.zeros(xs.shape)
+        rows = np.flatnonzero(s_lo < s_hi)
+        ja, jb, lo_cut, hi_cut = _window_panels(s_lo[rows], s_hi[rows])
+        # the rows in chunks of about _CHUNK_PANELS panels, counting each
+        # row's whole panels and its two cut panels
+        chunk = np.cumsum(jb - ja + 2) // _CHUNK_PANELS
+        starts = np.flatnonzero(np.diff(chunk, prepend=-1))
+        for c0, c1 in zip(starts, [*starts[1:], rows.size]):
+            r = rows[c0:c1]
+            log_vals[r], rel_err[r] = _log_grid_rows(
+                k, f, p, cfg, xs[r], log_x[r], s_lo[r], s_hi[r],
+                ja[c0:c1], jb[c0:c1], lo_cut[c0:c1], hi_cut[c0:c1],
+                cut_lo[r], cut_hi[r])
+        if include_weight and rows.size:
+            log_vals[rows] -= log_weight_a(p, xs[rows])
+    return log_vals, rel_err
+
+
+def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
+                   lo_cut, hi_cut, cut_lo, cut_hi):
+    """(log A(x) H f(x), rel_err) for the rows of one array pass of
+    :func:`hausdorff_log_grid`."""
+    n = x.size
+    sign = np.where(x < 0.0, -1.0, 1.0)
+    # each row's panels in sigma order: the lower cut panel, its whole
+    # lattice panels ja .. jb-1, the upper cut panel
+    counts = jb - ja + 2
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    row = np.repeat(np.arange(n), counts)
+    gidx = np.arange(row.size) + np.repeat(ja - first - 1, counts)
+    lo, hi = _EDGES[gidx], _EDGES[gidx + 1]
+    lo[first], hi[first], lo[last], hi[last] = s_lo, lo_cut, hi_cut, s_hi
+    half = 0.5 * (hi - lo)
+    # log f A once per node of the lattice panels the rows need, in one
+    # table per sign of u, side by side; ``offset`` takes a row's lattice
+    # index to its table row
+    es, ec = p.weight_exponents
+    tables, offset, filled = [], np.zeros(n, dtype=np.intp), 0
+    for side in (sign[0],) if (sign == sign[0]).all() else (1.0, -1.0):
+        mine = (sign == side) & (jb > ja)
+        if mine.any():
+            j = slice(ja[mine].min(), jb[mine].max())
+            log_a = es * _LATTICE_LOG_SINH[j] + ec * _LATTICE_LOG_COSH[j]
+            tables.append(_fa_log(f, p, side * _LATTICE_U[j], log_a))
+            offset[mine] = filled - j.start
+            filled += j.stop - j.start
+    # the cut panels' rows of the gather are overwritten afresh
+    ends = np.concatenate([first, last])
+    if tables:
+        table = np.concatenate(tables) if len(tables) > 1 else tables[0]
+        summand = table[np.clip(gidx + offset[row], 0, filled - 1)]
+    else:
+        summand = np.empty((row.size, _UNIT_NODES.size))
+    sigma = _LATTICE_SIGMA[gidx]
+    sigma[ends] = 0.5 * (lo[ends] + hi[ends])[:, None] + half[ends, None] * _UNIT_NODES
+    summand[ends] = _fa_log(f, p, sign[row[ends], None] * np.exp(sigma[ends]))
+    # log t = log|x| - sigma
+    summand += k.log_phi(np.subtract(log_x[row, None], sigma, out=sigma))
+
+    # the shift is each row's largest node value; an integrand peaking at
+    # the outermost node next to an artificial cut, with non-negligible
+    # magnitude, grows toward the cut: the t-integral diverges there
+    shift = np.maximum.reduceat(summand.ravel(), first * _UNIT_NODES.size)
+    live = np.isfinite(shift)
+    divergent = np.zeros(n, dtype=bool)
+    # the mass beyond an artificial cut: the next panel of the cut panel's
+    # width is taken as r times its mass, r = e^(-slope * width) from its
+    # two outermost nodes, at most 0.9 as in quad's dyadic tail
+    span = 0.5 * (_UNIT_NODES[-1] - _UNIT_NODES[0])
+    cut_ends = []
+    for cut, panel, out, inner in ((cut_lo, first, 0, -1), (cut_hi, last, -1, 0)):
+        if cut.any():
+            hit, end = np.flatnonzero(cut), summand[panel[cut]]
+            divergent[hit] |= end[:, out] == shift[hit]
+            ratio = np.exp(np.fmin((end[:, out] - end[:, inner]) / span, math.log(0.9)))
+            cut_ends.append((hit, panel[cut], ratio))
+    divergent &= live
+    if divergent.any():
+        divergent[divergent] = shift[divergent] - log_weight_a(p, x[divergent]) > -650.0
         live &= ~divergent
-        log_vals[r[divergent]] = inf
-        # rows that are not live are dropped below; shifting them by 0
-        # keeps their inf - inf out of the exponent
-        shift = np.where(live, m, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.exp(summand - shift[:, None]).reshape(n, _PANELS, edge)
-            # Kronrod and Gauss sums of each panel against the weight table,
-            # then over each row's panels with their half-widths; a reduction
-            # along a contiguous last axis sums every row in the same order,
-            # however many rows there are
-            panel = np.ascontiguousarray((scaled @ _KG_WEIGHTS).transpose(0, 2, 1))
-            sk, sg = np.add.reduce(panel * half[:, None, :], axis=-1).T
-        good = live & (sk > 0.0)
-        rg = r[good]
-        log_vals[rg] = (m[good] + np.log(sk[good])
-                        - (log_a_x[rg] if include_weight else 0.0))
-        rel_err[rg] = np.abs(sk[good] - sg[good]) / sk[good]
+    # rows that are not live are dropped below; shifting them by 0 keeps
+    # their inf - inf out of the exponent
+    shift = np.where(live, shift, 0.0)
+    probe = summand[:, _PROBE]
+    kron, diff = _panel_sums(summand, shift[row], half)
+    tail = np.zeros(n)
+    for hit, panel, ratio in cut_ends:
+        tail[hit] += kron[panel] * ratio / (1.0 - ratio)
+
+    splits = np.zeros(n, dtype=np.intp)
+    refined = False
+    for _ in range(_REFINE_ROUNDS):
+        size = np.bincount(row, kron, minlength=n)
+        need = live & (np.bincount(row, diff, minlength=n) > cfg.rel_tol * size)
+        need &= splits < _REFINE_SPLITS
+        if not need.any():
+            break
+        # a panel is split when it carries more than its share of the tolerance
+        fair = cfg.rel_tol * size / np.bincount(row, minlength=n)
+        cand = np.flatnonzero(need[row] & (diff > fair[row]))
+        cut = _split_points(probe[cand], lo[cand], hi[cand])
+        # a panel at floating-point resolution stays whole
+        ok = (cut > lo[cand]) & (cut < hi[cand])
+        cand, cut = cand[ok], cut[ok]
+        cr = row[cand]
+        budget = _REFINE_SPLITS - splits
+        if (np.bincount(cr, minlength=n) > budget).any():
+            # within a row's remaining budget, its worst panels; the
+            # candidates keep their order, so no row's depends on another's
+            order = np.lexsort((-diff[cand], cr))
+            rank = np.empty(cand.size, dtype=np.intp)
+            rank[order] = np.arange(cand.size) - np.searchsorted(cr[order], cr[order])
+            keep = rank < budget[cr]
+            cand, cut, cr = cand[keep], cut[keep], cr[keep]
+        if not cand.size:
+            break
+        refined = True
+        splits += np.bincount(cr, minlength=n)
+        # the two children: the lower one takes the parent's slot, the upper
+        # one goes at the end
+        klo = np.concatenate([lo[cand], cut])
+        khi = np.concatenate([cut, hi[cand]])
+        kr = np.concatenate([cr, cr])
+        khalf = 0.5 * (khi - klo)
+        ksig = 0.5 * (klo + khi)[:, None] + khalf[:, None] * _UNIT_NODES
+        ksum = (_fa_log(f, p, sign[kr, None] * np.exp(ksig))
+                + k.log_phi(log_x[kr, None] - ksig))
+        # a peak the first nodes missed (a boundary layer at a window end)
+        # raises its row's shift, and the row's sums are rescaled to it
+        raised = shift.copy()
+        np.maximum.at(raised, kr, ksum.max(axis=1))
+        if (raised > shift).any():
+            scale = np.exp(shift - raised)
+            kron, diff, tail, shift = kron * scale[row], diff * scale[row], tail * scale, raised
+        kprobe = ksum[:, _PROBE]
+        kk, kd = _panel_sums(ksum, shift[kr], khalf)
+        m = cand.size
+        hi[cand], kron[cand], diff[cand], probe[cand] = cut, kk[:m], kd[:m], kprobe[:m]
+        row = np.concatenate([row, cr])
+        lo = np.concatenate([lo, cut])
+        hi = np.concatenate([hi, khi[m:]])
+        kron = np.concatenate([kron, kk[m:]])
+        diff = np.concatenate([diff, kd[m:]])
+        probe = np.concatenate([probe, kprobe[m:]])
+
+    # each row's panels summed in sigma order, one after the other; the
+    # zeros that pad the shorter rows add nothing.  |K - G| is the error of
+    # the Gauss sum: refinement is driven by it, but a panel reports
+    # QUADPACK's estimate of the Kronrod error, |K - G| min(1, (200 |K - G|
+    # / K)^1.5), as scipy's quad does
+    if refined:
+        order = np.lexsort((lo, row))
+        row, kron, diff = row[order], kron[order], diff[order]
+    diff = np.where(diff > 0.0, diff * np.minimum(1.0, (200.0 * diff / kron) ** 1.5), 0.0)
+    counts = np.bincount(row, minlength=n)
+    rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    pad = np.zeros((2, n, int(counts.max())))
+    pad[0, row, rank], pad[1, row, rank] = kron, diff
+    size, err = np.cumsum(pad, axis=-1)[..., -1]
+    log_vals = np.where(divergent, math.inf, -math.inf)
+    good = live & (size > 0.0)
+    log_vals[good] = shift[good] + np.log(size[good])
+    rel_err = np.zeros(n)
+    rel_err[good] = (err[good] + tail[good]) / size[good]
     return log_vals, rel_err
 
 

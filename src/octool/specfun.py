@@ -54,6 +54,11 @@ class JacobiParams:
     def rho(self) -> float:
         return self.alpha + self.beta + 1.0
 
+    @property
+    def weight_exponents(self) -> tuple[float, float]:
+        """(2 alpha + 1, 2 beta + 1): A(x) = sinh|x|^(2 alpha + 1) cosh x^(2 beta + 1)."""
+        return 2.0 * self.alpha + 1.0, 2.0 * self.beta + 1.0
+
     def shifted(self) -> "JacobiParams":
         """Both indices raised by one (enters the eigenfunction formula)."""
         return JacobiParams(self.alpha + 1.0, self.beta + 1.0)
@@ -482,15 +487,24 @@ def weight_a(p: JacobiParams, x):
     return out
 
 
-def log_weight_a(p: JacobiParams, x):
-    """log A(x); -inf at x = 0.  Safe for |x| far beyond the overflow range
-    of ``weight_a`` (sinh/cosh handled via |x| + log-half for large |x|)."""
+def log_sinh_cosh(x):
+    """(log sinh|x|, log cosh|x|), the two logs that log A combines; -inf
+    and 0 at x = 0, and |x| + log-half for large |x|, so that neither
+    overflows."""
     ax = np.abs(np.asarray(x, dtype=float))
     big = ax > 30.0
     with np.errstate(divide="ignore"):
         ls = np.where(big, ax - math.log(2.0), np.log(np.sinh(np.minimum(ax, 30.0))))
         lc = np.where(big, ax - math.log(2.0), np.log(np.cosh(np.minimum(ax, 30.0))))
-    out = (2.0 * p.alpha + 1.0) * ls + (2.0 * p.beta + 1.0) * lc
+    return ls, lc
+
+
+def log_weight_a(p: JacobiParams, x):
+    """log A(x); -inf at x = 0.  Safe for |x| far beyond the overflow range
+    of ``weight_a``."""
+    ls, lc = log_sinh_cosh(x)
+    es, ec = p.weight_exponents
+    out = es * ls + ec * lc
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -142,3 +142,39 @@ def test_lp_ainf_divergent_bound_detected(suite_reports):
     # the adjoint-Hardy bound integrand behaves like t^(-3/2 + eps) at 0
     (r,) = suite_reports["T_LP_AINF"]
     assert r.rhs == math.inf and r.ratio == 1.0 and r.status == "pass"
+
+
+# ||H f0||_{1/2} / ||f0||_{1/2} for adjoint Hardy on the p = 1/2 extremal
+# f0(u) = u^-3 A(u)^-2 on (1, inf) at (1/2, -1/2), where ||f0||_{1/2} = 4 and
+# H f0(x) = sinh^-2 x int_{max(x, 1)}^inf u^-4 sinh^-2 u du.  mpmath at 25
+# digits, with the inner integral summed as 4 sum_n n (2n)^3 Gamma(-3, 2n max(x, 1))
+# from sinh^-2 u = 4 sum_n n e^(-2nu): tanh-sinh quadrature of the inner
+# integral itself loses 1e-7 for x >= 30
+T_QB_LB_REFERENCE = 0.12799052153764213
+
+
+def test_qb_lb_ratio_within_its_tolerance(suite_reports):
+    # 128 log-spaced t panels per x read 0.1279011853 here (7e-4 off) with a
+    # tolerance of 4.6e-4: they miss the boundary layer of H f0 at u = x
+    (r,) = suite_reports["T_QB_LB"]
+    assert abs(r.lhs - T_QB_LB_REFERENCE) <= r.tolerance * T_QB_LB_REFERENCE
+    assert r.tolerance < 2e-6
+
+
+def test_l1_rows_fail_when_hf_is_scaled(monkeypatch):
+    # T_L1 is an identity for non-negative f, so H f scaled by 1 + 1e-4 must
+    # fail every default row, which needs tolerances near 1e-6
+    import octool.bounds as bounds
+
+    exact = bounds.hausdorff_log_grid
+
+    def scaled(*args, **kwargs):
+        log_vals, rel = exact(*args, **kwargs)
+        return log_vals + math.log1p(1e-4), rel
+
+    monkeypatch.setattr(bounds, "hausdorff_log_grid", scaled)
+    rows = [s for s in build_default_suite() if s.theorem_id == "T_L1"]
+    assert len(rows) == 4
+    for s in rows:
+        r = run_scenario(s)
+        assert r.status == "fail" and r.tolerance < 2e-6, s.to_dict()

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octool.errors import (
     DivergentIntegralError,
@@ -244,6 +246,41 @@ def test_log_grid_batch_matches_one_x_calls(k, f):
         assert np.isfinite(lg).all()
 
 
+_CATALOG_KERNELS = [
+    make_kernel("hardy"), make_kernel("adjoint_hardy"), make_kernel("hlp"),
+    make_kernel("cesaro", gamma_c=2.5), make_kernel("cesaro", gamma_c=0.5),
+    make_kernel("riemann_liouville", mu=0.5), make_kernel("riemann_liouville", mu=1.5),
+    make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf),
+    make_kernel("power_cutoff", exponent=-2.0, lo=1.5, hi=2.0),
+]
+_CATALOG_FUNCTIONS = [
+    FunctionSpec("gaussian"), F, FunctionSpec("bump", params={"center": 0.0, "width": 1.0}),
+    FunctionSpec("constant_one", domain="unit_interval"),
+    FunctionSpec("extremal_eps", params={"p": 2.0, "eps": 0.1}, jacobi=P1),
+    FunctionSpec("extremal_delta", params={"p": 2.0, "delta": 0.2}, jacobi=P1),
+    FunctionSpec("extremal_zero", params={"p": 0.5}, jacobi=P1),
+]
+_POSITIVE_FLOATS = st.floats(min_value=0.0, max_value=1e308, exclude_min=True,
+                             allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.sampled_from(_CATALOG_KERNELS), f=st.sampled_from(_CATALOG_FUNCTIONS),
+       truncation_t=_POSITIVE_FLOATS, rel_tol=_POSITIVE_FLOATS,
+       xs=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-300, 300)),
+                   min_size=1, max_size=4),
+       include_weight=st.booleans())
+def test_log_grid_any_config_and_scale(k, f, truncation_t, rel_tol, xs, include_weight):
+    # every window the clips admit lies on the lattice, whatever the config
+    # and |x|: each value is a float or +-inf with a non-negative estimate
+    cfg = QuadConfig(truncation_t=truncation_t, rel_tol=rel_tol)
+    x = np.array([sign * 10.0 ** e for sign, e in xs])
+    lg, rel = hausdorff_log_grid(k, f, P1, x, cfg, include_weight=include_weight)
+    assert lg.shape == rel.shape == x.shape
+    assert not np.isnan(lg).any()
+    assert np.all(rel >= 0.0)
+
+
 @pytest.mark.parametrize("variant", ["adjoint_hardy", "hardy"])
 def test_apply_array_matches_scalar_calls(variant):
     k = make_kernel(variant)
@@ -295,10 +332,10 @@ def test_apply_extremal_with_overflowing_f():
                       / (x * mpmath.sinh(x) ** 2))
         assert abs(r.value - truth) <= r.err_estimate + 1e-12 * truth, x
         assert r.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * truth)
-        # the log grid stops at t = truncation_t max(x, 1); the mass past
-        # it, 4e-7 of H f at x = 0.3, is not in its estimate
-        lg, _ = hausdorff_log_grid(k, f, P1, np.array([x]), CFG)
-        assert abs(math.exp(lg[0]) - truth) <= 1e-6 * truth
+        # the log grid stops at t = truncation_t max(x, 1); its estimate
+        # charges the mass past the cut, 4e-7 of H f at x = 0.3
+        lg, rel = hausdorff_log_grid(k, f, P1, np.array([x]), CFG)
+        assert abs(math.exp(lg[0]) - truth) <= rel[0] * truth
 
 
 def test_apply_signed_function():
