@@ -54,6 +54,7 @@ from .octransform import (
 from .quad import QuadConfig
 from .specfun import (
     JacobiParams,
+    _g_batch,
     eigenfunction_g,
     jacobi_phi,
     plancherel_density,
@@ -437,12 +438,15 @@ def _run_p_eigen(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     xs = s.exponents.get("x_grid", (0.2, 0.7, 1.5, 2.0))
     lams = s.exponents.get("lam_grid", (0.5, 1.0, 2.0, 5.0))
+    h = 1e-4
     worst = 0.0
     for lam in lams:
-        for x in xs:
-            g = lambda y: eigenfunction_g(p, lam, float(y))
-            t_val = apply_jacobi_cherednik(g, p, float(x), h=1e-4)
-            target = 1j * lam * eigenfunction_g(p, lam, float(x))
+        # every point the operator reads, x + h, x - h, x and -x, from one batch
+        ys = [y for x in map(float, xs) for y in (x + h, x - h, x, -x)]
+        g = dict(zip(ys, _g_batch(p, [lam], ys)[0][0].tolist())).__getitem__
+        for x in map(float, xs):
+            t_val = apply_jacobi_cherednik(g, p, x, h=h)
+            target = 1j * lam * g(x)
             denom = max(abs(target), 1e-12)
             worst = max(worst, abs(t_val - target) / denom)
     status = "pass" if worst <= 1e-5 else "fail"
@@ -457,14 +461,19 @@ def _run_d_scaling_diag(s: VerifyScenario) -> VerifyReport:
     lams = s.exponents.get("lam_grid", (0.0, 0.5, 1.0, 2.0))
     ts = s.exponents.get("t_grid", (0.5, 2.0))
     xs = s.exponents.get("x_grid", (0.3, 0.5, 1.0))
+    # every G_lambda(x) the residuals read, from one batch over the grid of
+    # the lambda and x values they take
+    lam_all = sorted({lam * t for lam in lams for t in ts} | set(lams))
+    x_all = sorted({t * x for x in xs for t in ts} | set(xs))
+    g = _g_batch(p, lam_all, x_all)[0].tolist()
+    row = {lam: i for i, lam in enumerate(lam_all)}
+    col = {x: j for j, x in enumerate(x_all)}
     worst = 0.0
     at_zero = 0.0
     for lam in lams:
         for t in ts:
             for x in xs:
-                r = abs(
-                    eigenfunction_g(p, lam, t * x) - eigenfunction_g(p, lam * t, x)
-                )
+                r = abs(g[row[lam]][col[t * x]] - g[row[lam * t]][col[x]])
                 worst = max(worst, r)
                 if lam == 0.0 and t == 2.0 and x == 0.5:
                     at_zero = r

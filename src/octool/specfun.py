@@ -170,92 +170,111 @@ def _column_major(v, shape: tuple) -> np.ndarray:
     return np.broadcast_to(v, lead + (width,)).reshape(-1, width).T.copy()
 
 
+_BLOCK = 8  # series terms per step of _hyp_series
+
+
 def _hyp_series(a, b, c, w):
     """Power series sum_n (a)_n (b)_n / ((c)_n n!) w^n for |w| < 1.
 
     ``w`` may be a scalar or array; ``a``, ``b``, ``c`` may be scalars or
-    arrays broadcasting against ``w``.  Returns (sum, err_bound, terms), with
+    arrays broadcasting against ``w`` that vary over its leading axes only,
+    never along its last axis.  Returns (sum, err_bound, terms), with
     ``terms`` that of the slowest column.
 
-    Each column of the last axis (the ``w`` axis) retires on its own, at the
-    first term where its largest |term| plus the geometric tail bound falls
-    below ``_SERIES_RTOL`` times the largest |partial sum| in the batch (the
-    live columns' current sums and the retired columns' final sums).  Its
-    sum and truncation bound |term| r/(1-r) are recorded at that term, and
-    it leaves the working arrays, so a batch no longer iterates every
-    element until its slowest one converges.  The round-off bound
+    The series advances ``_BLOCK`` terms per step.  The step's term ratios
+    come from one expression over the row parameters; each term multiplies
+    the running term by its ratio and then by w, and a real recurrence
+    |term| *= |ratio| |w| tracks the largest |term| per element, which the
+    round-off bound needs.  Once per step come the budget check, |term|, the
+    batch scale and the stopping test: each column of the last axis (the
+    ``w`` axis) retires at the first step end where its largest |term| plus
+    the geometric tail bound falls below ``_SERIES_RTOL`` times the largest
+    |partial sum| in the batch (the live columns' current sums and the
+    retired columns' final sums).  Its sum and truncation bound
+    |term| r/(1-r) are recorded there, and it leaves the working arrays, so
+    a batch no longer iterates every element until its slowest one
+    converges.  Stopping at a step end costs at most ``_BLOCK`` - 1 terms,
+    each below the column's truncation bound.  The round-off bound
     5e-16 peak sqrt(terms) uses the slowest column's term count, so no bound
     is tighter than a whole-batch run would give, and a one-column input
-    computes exactly what a whole-batch stopping test does.
+    computes exactly what a whole-batch stopping test does.  A term or tail
+    bound that overflows raises NonConvergenceError at the end of its step.
     """
     w = np.asarray(w, dtype=complex)
     scalar = w.ndim == 0 and np.ndim(a) == 0 and np.ndim(b) == 0
     shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), w.shape) or (1,)
+    # the parameters vary over the leading axes only: one entry per row
+    a, b, c = (np.broadcast_to(v, shape[:-1] + (1,)).reshape(-1) for v in (a, b, c))
     # one row per column, so a column moves as one contiguous row.  Rows
     # [:k] hold the live columns, rows [k:] the retired ones in their final
     # state: a retiring column swaps rows with a live one, and the swaps are
     # undone at the end.  trunc is scratch for the live rows
+    w = _column_major(w, shape)
     total = np.ones((shape[-1], math.prod(shape[:-1])), dtype=complex)
     term = np.ones_like(total)
+    mag = np.ones(total.shape)  # |term|, by the real recurrence
     peak = np.ones(total.shape)  # largest |term| per element: cancellation loss
     trunc = np.empty(total.shape)
-    # parameters constant over the batch stay 0-d: numpy rounds complex
-    # products of scalars differently from its array loops, and a one-column
-    # input must keep the arithmetic of a whole-batch run
-    a, b, c = (np.asarray(v).reshape(()) if np.size(v) == 1 else _column_major(v, shape)
-               for v in (a, b, c))
-    w = _column_major(w, shape)
-    wmax = np.broadcast_to(np.abs(w).max(axis=1), total.shape[:1]).copy()
-    by_row = [v for v in (a, b, c, w) if v.ndim and v.shape[0] > 1] + [total, term, peak, wmax]
+    wabs = np.abs(w)
+    wmax = wabs.max(axis=1)
+    by_row = [w, wabs, total, term, mag, peak, wmax]
     swaps = []  # (to, from) rows of each retirement
     k = total.shape[0]
     scale_retired = 0.0
     n = 0
-    while k:
-        s, tm, pk, tabs = total[:k], term[:k], peak[:k], trunc[:k]
-        aa, bb, cc, ww = (v[:k] if v.ndim and v.shape[0] > 1 else v for v in (a, b, c, w))
-        wk = wmax[:k]
-        while True:
-            if n == _SERIES_BUDGET:
-                raise NonConvergenceError(
-                    f"hypergeometric series did not converge within {_SERIES_BUDGET} "
-                    f"terms (|w| up to {float(wk.max())})"
-                )
-            ratio = (aa + n) * (bb + n) / ((cc + n) * (n + 1))
-            if tm.size == 1:  # numpy rounds this product in place differently
-                tm[...] = tm * ratio * ww
-            else:
-                np.multiply(tm, ratio, out=tm)
-                np.multiply(tm, ww, out=tm)
-            s += tm
-            n += 1
-            # asymptotic term ratio tends to |w|; bound the tail geometrically
-            rabs = np.abs(ratio).max(axis=1) if np.ndim(ratio) else np.abs(ratio)
-            r = np.minimum(np.maximum(wk, rabs * wk), 0.999999)
-            np.abs(tm, out=tabs)
-            np.maximum(pk, tabs, out=pk)
-            tmax = tabs.max(axis=1)
-            tail = tmax * r / (1.0 - r)
-            scale = max(scale_retired, float(np.abs(s, out=tabs).max()))
-            done = tail + tmax < _SERIES_RTOL * (scale + 1e-300)
-            if done.any():
-                break
-        j = np.flatnonzero(done)
-        scale_retired = max(scale_retired, float(tabs[j].max()))
-        # swap the retired rows behind the live ones, then record their
-        # truncation bounds there
-        k_live, k = k, k - j.size
-        gone = j[j < k]
-        if gone.size:
-            stay = k + np.flatnonzero(~done[k:])
-            to, frm = np.concatenate([gone, stay]), np.concatenate([stay, gone])
-            for v in (r, *by_row):
-                v[to] = v[frm]
-            swaps.append((to, frm))
-        bound, rj = trunc[k:k_live], r[k:, None]
-        np.abs(term[k:k_live], out=bound)
-        bound *= rj
-        bound /= 1.0 - rj
+    offsets = np.arange(_BLOCK, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k:
+            s, tm, at, pk, tabs = total[:k], term[:k], mag[:k], peak[:k], trunc[:k]
+            ww, aw, wk = w[:k], wabs[:k], wmax[:k]
+            while True:
+                if n >= _SERIES_BUDGET:
+                    raise NonConvergenceError(
+                        f"hypergeometric series did not converge within {_SERIES_BUDGET} "
+                        f"terms (|w| up to {float(wk.max())})"
+                    )
+                nk = offsets + n
+                ratio = (a + nk) * (b + nk) / ((c + nk) * (nk + 1.0))
+                rabs = np.abs(ratio)
+                for rj, aj in zip(ratio, rabs):
+                    np.multiply(tm, rj, out=tm)
+                    np.multiply(tm, ww, out=tm)
+                    s += tm
+                    at *= aj
+                    at *= aw
+                    np.maximum(pk, at, out=pk)
+                n += _BLOCK
+                # asymptotic term ratio tends to |w|; bound the tail geometrically
+                r = np.minimum(np.maximum(wk, rabs[-1].max() * wk), 0.999999)
+                np.abs(tm, out=tabs)
+                tmax = tabs.max(axis=1)
+                lead = tmax * r / (1.0 - r)
+                lead += tmax
+                scale = max(scale_retired, float(np.abs(s, out=tabs).max()))
+                if not (np.isfinite(lead).all() and math.isfinite(scale)):
+                    raise NonConvergenceError(
+                        f"hypergeometric series terms overflow after {n} terms "
+                        f"(|w| up to {float(wk.max())})"
+                    )
+                done = lead < _SERIES_RTOL * (scale + 1e-300)
+                if done.any():
+                    break
+            j = np.flatnonzero(done)
+            scale_retired = max(scale_retired, float(tabs[j].max()))
+            # swap the retired rows behind the live ones, then record their
+            # truncation bounds there
+            k_live, k = k, k - j.size
+            gone = j[j < k]
+            if gone.size:
+                stay = k + np.flatnonzero(~done[k:])
+                to, frm = np.concatenate([gone, stay]), np.concatenate([stay, gone])
+                for v in (r, *by_row):
+                    v[to] = v[frm]
+                swaps.append((to, frm))
+            bound, rj = trunc[k:k_live], r[k:, None]
+            np.abs(term[k:k_live], out=bound)
+            bound *= rj
+            bound /= 1.0 - rj
     err = peak
     err *= 5e-16
     err *= (n + 1) ** 0.5

@@ -140,17 +140,18 @@ def test_transform_grid_off_centre_keeps_its_values():
     # support (0.6, 1.0) is not symmetric, so the panels are the plain
     # linspace ones; values as computed before mirror panels, to within
     # 4 ulps (exp and sinh may round differently on another CPU), while a
-    # change of the panels moves them by about 1e-10
+    # change of the panels moves them by about 1e-10.  The lambda = 40 value
+    # and the bounds are those of the series stepped 8 terms at a time
     f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
     vals, errs = transform_grid(f, P2, np.array([0.5, 3.0, 17.0, 40.0]), CFG)
     pinned_vals = [
         0.1078569119677617 - 0.017774821967687957j,
         0.030339720018443754 - 0.05989560482551218j,
         0.0017077835968555308 + 0.001425426454964703j,
-        -4.482330979419137e-05 - 8.631975403892636e-05j,
+        -4.482330979543522e-05 - 8.631975406074695e-05j,
     ]
-    pinned_errs = [4.665435138341868e-06, 2.660470645360245e-06,
-                   2.5888740942888453e-07, 4.7107203154195006e-05]
+    pinned_errs = [4.665435138359907e-06, 2.6604706453831125e-06,
+                   2.588874515330524e-07, 4.784138299129341e-05]
     ulps = 2.0 ** -50
     assert vals.real == pytest.approx(np.real(pinned_vals), rel=ulps, abs=0.0)
     assert vals.imag == pytest.approx(np.imag(pinned_vals), rel=ulps, abs=0.0)

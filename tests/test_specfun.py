@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from octool.errors import ParameterError
+from octool.errors import NonConvergenceError, ParameterError
 from octool import specfun
 from octool.specfun import (
     JacobiParams,
     _g_batch,
     _hyp_series,
+    _phi_batch,
     eigenfunction_g,
     gauss_2f1,
     jacobi_phi,
@@ -114,6 +117,63 @@ def test_hyp_series_batch_matches_one_column_calls():
         for j, w in enumerate(SERIES_W):
             s1, e1, _ = _hyp_series(a[i, 0], b[i, 0], c, w)
             assert abs(s1 - s[i, j]) <= e1 + e[i, j], (SERIES_LAMS[i], w)
+
+
+@pytest.mark.parametrize("lam,x", [(1000.0, 1.0), (2000.0, 0.5), (2000.0, 1.0)])
+def test_overflowing_series_raise_at_once(lam, x):
+    # the terms pass the float range long before the series would converge:
+    # the call stops there, rather than warning and spinning to the budget
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="overflow"):
+            eigenfunction_g(P2, lam, x)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("lam,x", [(500.0, 0.5), (500.0, 1.0), (1000.0, 0.5)])
+def test_large_lambda_series_keep_finite_bounds(lam, x):
+    # terms near 1e230 are still summed: huge values with bounds to match
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch in (_phi_batch, _g_batch):
+            v, e = batch(P2, [lam], [x])
+            assert np.all(np.isfinite(v)) and np.all(np.isfinite(e))
+            assert np.all(e > 0.0)
+
+
+def _phi_and_g_mpmath(p, lam, x):
+    """phi_lambda(x) and G_lambda(x) at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        z = -mpmath.sinh(x) ** 2
+
+        def phi(q):
+            a = (q.rho + 1j * mpmath.mpf(lam)) / 2
+            return mpmath.hyp2f1(a, mpmath.conj(a), q.alpha + 1, z)
+
+        v = phi(p)
+        coef = (p.rho + 1j * mpmath.mpf(lam)) / (4 * (p.alpha + 1))
+        return complex(v), complex(v + coef * mpmath.sinh(2 * x) * phi(p.shifted()))
+
+
+@pytest.mark.parametrize("p", CATALOG)
+def test_series_bounds_hold_up_to_lambda_80(p):
+    # past |Im a| = 4 the Pfaff and connection series cancel badly, so the
+    # values may be far off (ROADMAP item 1), but never by more than their
+    # bounds: as one batch and as one-point calls
+    rng = np.random.default_rng(int(10 * p.alpha + p.beta))
+    lams = rng.uniform(0.0, 80.0, 8)
+    xs = np.exp(rng.uniform(math.log(1e-3), math.log(12.0), 12))
+    batches = [batch(p, lams, xs) for batch in (_phi_batch, _g_batch)]
+    for i, lam in enumerate(lams):
+        for j, x in enumerate(xs):
+            refs = _phi_and_g_mpmath(p, lam, x)
+            for batch, (v, e), ref in zip((_phi_batch, _g_batch), batches, refs):
+                slack = 1e-15 * max(abs(ref), 1.0)
+                assert abs(v[i, j] - ref) <= e[i, j] + slack, (batch.__name__, lam, x)
+                v1, e1 = batch(p, [lam], [x])
+                assert abs(v1[0, 0] - ref) <= e1[0, 0] + slack, (batch.__name__, lam, x)
 
 
 G_LAMS = np.array([0.0, 0.3, 2.0, 7.5, 40.0, -3.0])
