@@ -452,7 +452,7 @@ def _run_p_eigen(s: VerifyScenario) -> VerifyReport:
     status = "pass" if worst <= 1e-5 else "fail"
     return VerifyReport(
         s.to_dict(), worst, 1e-5, worst / 1e-5, 1e-5, status,
-        {"finite_difference_step": 1e-4},
+        {"finite_difference_step": h},
     )
 
 
