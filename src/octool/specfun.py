@@ -362,6 +362,10 @@ def _hyp2f1_batch(a, b, c, z):
     directly to avoid cancellation, except on rows whose connection exponent
     b - a is an integer: the formula degenerates there, so those rows stay on
     the series at w.  Near such rows it cancels; see ``_CONNECTION_TOL``.
+    ``_phi_batch`` sends none of its far cells here: it sums their
+    Harish-Chandra expansion, one series where this formula takes two, so
+    the connection formula serves ``gauss_2f1`` and the phi rows with
+    |lambda| < 1 up to ``_RETRY_RADIUS``.
     """
     a = np.asarray(a, dtype=complex)[:, None]
     b = np.asarray(b, dtype=complex)[:, None]
@@ -431,24 +435,111 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
 _LAMBDA_NUDGE = 1e-5
 
 
-def _phi_batch(p: JacobiParams, lams, x):
+def _phi_far(p: JacobiParams, lams, ax, fold_sinh2x: bool):
+    """phi_lambda(x) for lams (n,) against ax (m,) >= 0 from the
+    Harish-Chandra expansion phi_lambda = c(lambda) Phi_lambda +
+    c(-lambda) Phi_-lambda (Koornwinder 1984), with
+
+        Phi_lambda(x) = (2 cosh x)^(i lambda - rho)
+            2F1((rho - i lambda)/2, (alpha - beta + 1 - i lambda)/2;
+                1 - i lambda; cosh^-2 x).
+
+    For real lambda the two halves are complex conjugates, so phi is
+    2 Re(c(lambda) Phi_lambda): one series per cell, a real result.  The
+    phase c(lambda) (2 cosh x)^(i lambda - rho) is one exp of a log, with
+    log(2 cosh x) = x + log1p(e^-2x), so it neither overflows nor loses the
+    range of e^(-rho x); with ``fold_sinh2x`` the values are those of
+    sinh(2x) phi, through sinh 2x (2 cosh x)^-2 = tanh(x)/2 in the same
+    exponent.  The bound adds the series' bound and the rounding of the
+    exponent, log c(lambda) included, on each half."""
+    il = 1j * lams[:, None]
+    log_c, c_err = _log_c(p, lams[:, None])
+    e = np.exp(-2.0 * ax)
+    log_2cosh = ax + np.log1p(e)
+    s, err, _ = _hyp_series(
+        0.5 * (p.rho - il), 0.5 * (p.alpha - p.beta + 1.0 - il), 1.0 - il, 4.0 * e / (1.0 + e) ** 2
+    )
+    phase = (il - p.rho + (2.0 if fold_sinh2x else 0.0)) * log_2cosh
+    rounding = np.abs(phase)
+    rounding *= _ROUND
+    rounding += c_err
+    phase += log_c
+    np.exp(phase, out=phase)  # c(lambda) (2 cosh x)^(i lambda - rho)
+    err *= np.abs(phase)
+    s *= phase
+    rounding *= np.abs(s)
+    err += rounding
+    weight = np.tanh(ax) if fold_sinh2x else 2.0
+    err *= weight
+    return weight * s.real, err
+
+
+def _blocks(lams, sz):
+    """(rows, cols, far) blocks that cover a batch of lams (n,) against
+    sz = sinh^2 x (m,).  The far cells, |lambda| >= 1 with sz >
+    ``_PFAFF_RADIUS`` and every lambda with sz > ``_RETRY_RADIUS``, are
+    those where ``_hyp2f1_batch`` would take its connection formula with no
+    Pfaff retry; the near ones are every row at sz <= ``_PFAFF_RADIUS`` and
+    the rows |lambda| < 1 up to ``_RETRY_RADIUS``."""
+    small = np.abs(lams) < 1.0
+    return (
+        (np.ones(small.shape, dtype=bool), sz <= _PFAFF_RADIUS, False),
+        (small, (sz > _PFAFF_RADIUS) & (sz <= _RETRY_RADIUS), False),
+        (~small, sz > _PFAFF_RADIUS, True),
+        (small, sz > _RETRY_RADIUS, True),
+    )
+
+
+def _sinh_squared(ax):
+    """sinh^2 x, inf past |x| = 355: only far cells lie there, and they do
+    not use it."""
+    with np.errstate(over="ignore"):
+        return np.sinh(ax) ** 2
+
+
+def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False):
     """phi_lambda(x) for lams (n,) against x (m,): values and element-wise
     error bounds, both shaped (n, m).
 
-    phi is even in lambda; |lambda| below 1e-5 is nudged to 1e-5 because the
-    large-|x| connection formula degenerates at lambda = 0 (the error picked
-    up is O(lambda_nudge^2)).
+    The far cells of ``_blocks`` are summed by ``_phi_far``: one series per
+    cell, and exactly real; with ``fold_sinh2x`` they hold
+    sinh(2|x|) phi_lambda(x) instead, with sinh 2x folded into their
+    exponent.  The near blocks go through ``_hyp2f1_batch`` at
+    z = -sinh^2 x.
+
+    phi is even in lambda; |lambda| below 1e-5 is nudged to 1e-5, where the
+    c(lambda) poles of the far formula cancel.  Koornwinder's Laplace
+    representation phi_lambda(x) = int cos(lambda s) e^(-rho s) dm_x(s), m_x
+    a positive measure on [-|x|, |x|] for alpha >= beta >= -1/2, gives
+    0 <= phi_0 - phi_nudged <= h phi_0 with h = (1e-5 x)^2 / 2, so a nudged
+    cell adds h/(1 - h) (|value| + bound) to its bound.
     """
     lams = np.asarray(lams, dtype=float).copy()
     nudged = np.abs(lams) < _LAMBDA_NUDGE
     lams[nudged] = _LAMBDA_NUDGE
-    x = np.asarray(x, dtype=float)
-    z = -np.sinh(x) ** 2
-    a = 0.5 * (p.rho + 1j * lams)
-    b = 0.5 * (p.rho - 1j * lams)
-    vals, err, _ = _hyp2f1_batch(a, b, p.alpha + 1.0, z)
+    ax = np.abs(np.asarray(x, dtype=float))
+    sz = _sinh_squared(ax)
+    vals = np.empty((lams.size, ax.size), dtype=complex)
+    err = np.empty(vals.shape)
+    for rows, cols, far in _blocks(lams, sz):
+        if not (rows.any() and cols.any()):
+            continue
+        lr = lams[rows]
+        if far:
+            v, e = _phi_far(p, lr, ax[cols], fold_sinh2x)
+        else:
+            v, e, _ = _hyp2f1_batch(0.5 * (p.rho + 1j * lr), 0.5 * (p.rho - 1j * lr),
+                                    p.alpha + 1.0, -sz[cols])
+        block = np.ix_(rows, cols)
+        vals[block] = v
+        err[block] = e
     if np.any(nudged):
         vals[nudged, :] = vals[nudged, :].real
+        h = 0.5 * (_LAMBDA_NUDGE * ax) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # h reaches 1 only past |x| = 1.4e5
+            err[nudged, :] += np.where(
+                h < 1.0, h / (1.0 - h) * (np.abs(vals[nudged, :]) + err[nudged, :]), np.inf)
     return vals, err
 
 
@@ -465,9 +556,12 @@ def _g_batch(p: JacobiParams, lams, x):
     G_lambda(x) = phi(x) + c sinh(2x) phi^(alpha+1, beta+1)(x) with both phi
     even in x, so each of the two series is summed once per distinct |x| and
     gathered back to the signed columns: G_lambda(x) and G_lambda(-x) share
-    one sum.  G_lambda(0) = 1 exactly, as 2F1 is 1 at z = 0.  Repeated |x|
-    leave the series' batch-wide stopping scale as it is, so every column
-    has the bits of a batch that holds each |x| once."""
+    one sum.  On the far cells of ``_phi_batch`` the second is summed as
+    sinh(2|x|) phi^(alpha+1, beta+1), so G keeps the range of e^(-rho |x|)
+    where sinh 2x overflows.
+    G_lambda(0) = 1 exactly, as 2F1 is 1 at z = 0.  Repeated |x| leave the
+    series' batch-wide stopping scale as it is, so every column has the bits
+    of a batch that holds each |x| once."""
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
     ax, back = np.unique(np.abs(x), return_inverse=True)
@@ -476,9 +570,16 @@ def _g_batch(p: JacobiParams, lams, x):
         # = 1 without the set-up of two series calls
         return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
     phi, e1 = _phi_batch(p, lams, ax)
-    phi_up, e2 = _phi_batch(p.shifted(), lams, ax)
+    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True)
     coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
-    scale = coef * np.sinh(2.0 * x)[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = coef * np.sinh(2.0 * x)[None, :]
+    # the far cells of phi_up hold sinh(2|x|) phi^(alpha+1, beta+1) already;
+    # sinh 2x is odd, so only its sign is left for them (and sinh 2x
+    # overflows only on far cells)
+    for rows, cols, far in _blocks(lams, _sinh_squared(np.abs(x))):
+        if far and rows.any() and cols.any():
+            scale[np.ix_(rows, cols)] = coef[rows] * np.sign(x[cols])
     err = np.abs(scale)
     err *= e2[:, back]
     err += e1[:, back]
@@ -557,10 +658,15 @@ _DEFAULT_LAMBDA_MIN = 1e-6
 
 
 def _log_c(p: JacobiParams, lam):
+    """log c(lambda) over real lambda, and a bound on its rounding error."""
     il = 1j * np.asarray(lam, dtype=float)
-    lg = log_gamma_complex(np.stack(np.broadcast_arrays(
-        p.alpha + 1.0, il, 0.5 * (p.rho + il), 0.5 * (p.alpha - p.beta + 1.0 + il))))
-    return (p.rho - il) * math.log(2.0) + lg[0] + lg[1] - lg[2] - lg[3]
+    args = np.stack(np.broadcast_arrays(
+        p.alpha + 1.0, il, 0.5 * (p.rho + il), 0.5 * (p.alpha - p.beta + 1.0 + il)))
+    lg, lg_err, pole = _log_gamma(args)
+    if pole.any():
+        raise PoleError(f"log Gamma pole at z={args[pole].ravel()[0]}")
+    out = (p.rho - il) * math.log(2.0) + lg[0] + lg[1] - lg[2] - lg[3]
+    return out, lg_err.sum(axis=0) + _ROUND * np.abs(out)
 
 
 def c_function(
@@ -569,7 +675,7 @@ def c_function(
     """Harish-Chandra-type c-function, via log-gamma arithmetic."""
     if abs(lam) < lambda_min:
         raise PoleError(f"c-function pole at lambda=0 (|lambda| < {lambda_min})")
-    return complex(np.exp(_log_c(p, lam)))
+    return complex(np.exp(_log_c(p, lam)[0]))
 
 
 def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA_MIN):
@@ -585,6 +691,6 @@ def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA
     lam = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam) < lambda_min):
         raise PoleError(f"density pole at lambda=0 (|lambda| < {lambda_min})")
-    inv_c2 = np.exp(-2.0 * (_log_c(p, lam).real - p.rho * math.log(2.0)))
+    inv_c2 = np.exp(-2.0 * (_log_c(p, lam)[0].real - p.rho * math.log(2.0)))
     out = (1.0 - p.rho / (1j * lam)) * inv_c2 / (8.0 * math.pi)
     return complex(out) if out.ndim == 0 else out

@@ -165,6 +165,8 @@ def test_series_bounds_hold_up_to_lambda_80(p):
     rng = np.random.default_rng(int(10 * p.alpha + p.beta))
     lams = rng.uniform(0.0, 80.0, 8)
     xs = np.exp(rng.uniform(math.log(1e-3), math.log(12.0), 12))
+    # lambda = 0 is summed at the nudged 1e-5, and its bound charges the move
+    lams = np.append(lams, 0.0)
     batches = [batch(p, lams, xs) for batch in (_phi_batch, _g_batch)]
     for i, lam in enumerate(lams):
         for j, x in enumerate(xs):
@@ -205,9 +207,9 @@ def test_g_batch_sums_each_abs_x_once(monkeypatch):
     seen = []
     phi_batch = specfun._phi_batch
 
-    def spy(p, lams, x):
+    def spy(p, lams, x, **kw):
         seen.append((p, np.array(x)))
-        return phi_batch(p, lams, x)
+        return phi_batch(p, lams, x, **kw)
 
     monkeypatch.setattr(specfun, "_phi_batch", spy)
     _g_batch(P2, G_LAMS, G_MIXED)
@@ -215,6 +217,60 @@ def test_g_batch_sums_each_abs_x_once(monkeypatch):
     for _, x in seen:
         assert np.array_equal(x, np.unique(np.abs(G_MIXED)))
         assert x.size == G_XS.size + 1
+
+
+@pytest.mark.parametrize("p", CATALOG)
+def test_far_cells_against_mpmath(p):
+    # |lambda| >= 1 with sinh^2 x > 7/3: the Harish-Chandra expansion, real
+    rng = np.random.default_rng(int(10 * p.alpha + p.beta) + 7)
+    lams = rng.uniform(1.0, 80.0, 7)
+    xs = rng.uniform(1.3, 12.0, 7)
+    batches = [batch(p, lams, xs) for batch in (_phi_batch, _g_batch)]
+    assert np.all(batches[0][0].imag == 0.0)
+    for i, lam in enumerate(lams):
+        for j, x in enumerate(xs):
+            refs = _phi_and_g_mpmath(p, lam, x)
+            for batch, (v, e), ref in zip((_phi_batch, _g_batch), batches, refs):
+                scale = max(abs(ref), 1.0)
+                v1, e1 = batch(p, [lam], [x])
+                for val, bound in ((v[i, j], e[i, j]), (v1[0, 0], e1[0, 0])):
+                    assert abs(val - ref) <= bound + 1e-15 * scale, (batch.__name__, lam, x)
+                    assert abs(val - ref) <= 1e-12 * scale, (batch.__name__, lam, x)
+                if batch is _phi_batch:
+                    assert v1[0, 0].imag == 0.0
+
+
+@pytest.mark.parametrize("lams,xs", [(np.linspace(1.0, 80.0, 9), np.linspace(1.3, 12.0, 7)),
+                                     ([40.0], [3.0])])
+def test_far_only_phi_sums_one_series(monkeypatch, lams, xs):
+    calls = []
+    series = specfun._hyp_series
+
+    def spy(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(specfun, "_hyp_series", spy)
+    _phi_batch(P2, lams, xs)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x", [360.0, 1000.0])
+def test_large_x_keeps_the_range_of_phi_and_g(x):
+    # sinh x overflows past 355 while phi ~ e^(-rho x) is a double up to
+    # 745 / rho; at x = 1000 both are below the smallest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.0, 5.0, 40.0):
+            refs = _phi_and_g_mpmath(P1, lam, x)
+            for batch, ref in zip((_phi_batch, _g_batch), refs):
+                v, e = batch(P1, [lam], [x])
+                assert np.isfinite(v[0, 0]) and np.isfinite(e[0, 0]), (batch.__name__, lam)
+                assert abs(v[0, 0] - ref) <= e[0, 0] + 1e-15 * abs(ref), (batch.__name__, lam)
+                # the nudge's charge at lambda = 0 is (1e-5 x)^2 / 2 relative
+                assert e[0, 0] <= (1e-5 if lam == 0.0 else 1e-10) * abs(ref)
+            assert np.isfinite(jacobi_phi(P1, lam, x))
+            assert np.isfinite(eigenfunction_g(P1, lam, -x))
 
 
 def test_log_gamma_complex_grid():
