@@ -197,6 +197,12 @@ def hausdorff_apply_result(
     An array ``x`` is one adaptive run over the kernel's support, which does
     not depend on x: each x is a component on the shared t mesh, held to its
     own tolerance, and value and estimate have the shape of ``x``.
+
+    A plain callable ``f`` must not underflow to 0 where A(x/t)/A(x) grows:
+    without a ``log_abs_decomp`` (as a ``FunctionSpec`` has) the product
+    f A is formed from f's value, so a divergent H f can read finite.  With
+    adjoint Hardy at (1/2, -1/2), f(u) = u^2 / A(u) as a plain callable gives
+    a finite value at x = 0.9, where H f = +inf.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):

@@ -578,7 +578,7 @@ def _g_batch(p: JacobiParams, lams, x):
     # sinh 2x is odd, so only its sign is left for them (and sinh 2x
     # overflows only on far cells)
     for rows, cols, far in _blocks(lams, _sinh_squared(np.abs(x))):
-        if far and rows.any() and cols.any():
+        if far:
             scale[np.ix_(rows, cols)] = coef[rows] * np.sign(x[cols])
     err = np.abs(scale)
     err *= e2[:, back]
