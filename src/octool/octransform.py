@@ -390,9 +390,10 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
     # skip panels where f A vanishes identically (compact supports, decay)
     keep = np.max(np.abs(fa), axis=1) > 1e-18 * (np.max(np.abs(fa)) + 1e-300)
     x, wk, wg, fa = x[keep], wk[keep], wg[keep], fa[keep]
-    g, g_err = _g_batch(p, lams.ravel(), -x.ravel())
-    g = g.reshape(*lams.shape, *x.shape)
-    g_err = g_err.reshape(*lams.shape, *x.shape)
+    # np.sum adds a strided axis in another order than a contiguous one, so
+    # the sums would depend on the layout _g_batch returns, not on its values
+    g, g_err = (np.ascontiguousarray(v).reshape(*lams.shape, *x.shape)
+                for v in _g_batch(p, lams.ravel(), -x.ravel()))
     k_panels = np.sum(g * (fa * wk), axis=-1)
     g_panels = np.sum(g * (fa * wg), axis=-1)
     vals = np.sum(k_panels, axis=-1)

@@ -159,74 +159,83 @@ def _forbidden_c(c: complex) -> bool:
     return nearest <= 0 and abs(c.real - nearest) < _POLE_TOL
 
 
-def _column_major(v, shape: tuple) -> np.ndarray:
-    """``v`` broadcast against ``shape`` as a 2-D (columns, rows) array: one
-    row per column of the last axis of ``shape``, holding that column's
-    entries over all leading axes.  Either axis stays of length 1 where ``v``
-    does not vary along it.  Always a new array."""
-    v = np.asarray(v)
-    lead = shape[:-1] if v.ndim > 1 and math.prod(v.shape[:-1]) > 1 else (1,) * (len(shape) - 1)
-    width = shape[-1] if v.ndim > 0 and v.shape[-1] > 1 else 1
-    return np.broadcast_to(v, lead + (width,)).reshape(-1, width).T.copy()
-
-
 _BLOCK = 8  # series terms per step of _hyp_series
+_REBALANCE = 64  # half the exponent gap at which _hyp_series rebalances p and q
 
 
 def _hyp_series(a, b, c, w):
     """Power series sum_n (a)_n (b)_n / ((c)_n n!) w^n for |w| < 1.
 
-    ``w`` may be a scalar or array; ``a``, ``b``, ``c`` may be scalars or
-    arrays broadcasting against ``w`` that vary over its leading axes only,
-    never along its last axis.  Returns (sum, err_bound, terms), with
-    ``terms`` that of the slowest column.
+    ``w`` may be a scalar or an array that varies along its last axis only
+    (ParameterError otherwise); ``a``, ``b``, ``c`` may be scalars or arrays
+    broadcasting against ``w`` that vary over its leading axes only, never
+    along its last axis.  The leading axes are the rows, the last axis the
+    columns.  Returns (sum, err_bound, terms), with ``terms`` that of the
+    slowest column.
 
-    The series advances ``_BLOCK`` terms per step.  The step's term ratios
-    come from one expression over the row parameters; each term multiplies
-    the running term by its ratio and then by w, and a real recurrence
-    |term| *= |ratio| |w| tracks the largest |term| per element, which the
-    round-off bound needs.  Once per step come the budget check, |term|, the
-    batch scale and the stopping test: each column of the last axis (the
-    ``w`` axis) retires at the first step end where its largest |term| plus
-    the geometric tail bound falls below ``_SERIES_RTOL`` times the largest
-    |partial sum| in the batch (the live columns' current sums and the
-    retired columns' final sums).  Its sum and truncation bound
-    |term| r/(1-r) are recorded there, and it leaves the working arrays, so
-    a batch no longer iterates every element until its slowest one
-    converges.  Stopping at a step end costs at most ``_BLOCK`` - 1 terms,
-    each below the column's truncation bound.  The round-off bound
-    5e-16 peak sqrt(terms) uses the slowest column's term count, so no bound
-    is tighter than a whole-batch run would give, and a one-column input
-    computes exactly what a whole-batch stopping test does.  A term or tail
-    bound that overflows raises NonConvergenceError at the end of its step.
+    Term n of element (row, column) is p_n q_n: the row's Pochhammer product
+    p_n = (a)_n (b)_n / ((c)_n n!) times the column's power q_n = w^n.  So
+    a step of ``_BLOCK`` terms is one complex matrix product, added to the
+    sums: the live columns' powers q w^(j+1) (columns x 8) times the rows'
+    products p times the running products of the step's ratios (8 x rows).
+    Once the largest |p| and |q| drift more than 2^(2 ``_REBALANCE``) apart,
+    a step's end scales them by reciprocal powers of two that balance them:
+    every product keeps its bits, and neither factor leaves the float range
+    while the terms stay in it.
+
+    Once per step come the budget check, the batch scale and the stopping
+    test: each column retires at the first step end where its largest
+    |term|, |q| max |p|, plus the geometric tail bound falls below
+    ``_SERIES_RTOL`` times the largest |partial sum| in the batch (the live
+    columns' current sums and the retired columns' final sums).  Its sum and
+    truncation bound |q| |p| r/(1-r) are recorded there, and it leaves the
+    working arrays, so a batch no longer iterates every element until its
+    slowest one converges.  Stopping at a step end costs at most ``_BLOCK``
+    - 1 terms, each below the column's truncation bound.
+
+    The round-off bound is 5e-16 sqrt(terms) times the larger of the
+    element's largest |term| and its |sum|, with the slowest column's term
+    count, so no bound is tighter than a whole-batch run would give.  The
+    rounding of p and q carries over to every later term, so a sum larger
+    than each of its terms is charged at its own size.  A step can raise an
+    element's largest |term| only where the screen max_j |q w^(j+1)| times
+    max_j |p ratios_j| exceeds it; the rows the screen flags take the step's
+    exact maximum.  A term or tail bound that overflows raises
+    NonConvergenceError at the end of its step.
     """
     w = np.asarray(w, dtype=complex)
+    if math.prod(w.shape[:-1]) > 1:
+        raise ParameterError(f"w must vary along its last axis only, got shape {w.shape}")
     scalar = w.ndim == 0 and np.ndim(a) == 0 and np.ndim(b) == 0
     shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), w.shape) or (1,)
     # the parameters vary over the leading axes only: one entry per row
-    a, b, c = (np.broadcast_to(v, shape[:-1] + (1,)).reshape(-1) for v in (a, b, c))
-    # one row per column, so a column moves as one contiguous row.  Rows
-    # [:k] hold the live columns, rows [k:] the retired ones in their final
-    # state: a retiring column swaps rows with a live one, and the swaps are
-    # undone at the end.  trunc is scratch for the live rows
-    w = _column_major(w, shape)
-    total = np.ones((shape[-1], math.prod(shape[:-1])), dtype=complex)
-    term = np.ones_like(total)
-    mag = np.ones(total.shape)  # |term|, by the real recurrence
+    a, b, c = (np.broadcast_to(np.asarray(v, dtype=complex), shape[:-1] + (1,)).reshape(-1)
+               for v in (a, b, c))
+    w = np.broadcast_to(w.reshape(-1), shape[-1:])
+    # the arrays hold one row per column, so a column moves as one contiguous
+    # row.  Rows [:k] hold the live columns, rows [k:] the retired ones in
+    # their final state: a retiring column swaps rows with a live one, and
+    # the swaps are undone at the end.  trunc is scratch for the live rows
+    powers = np.cumprod(np.repeat(w[:, None], _BLOCK, axis=1), axis=1)  # w^(j+1)
+    # max_j |w^(j+1)|, widened to cover the rounding of |q w^(j+1)|
+    wpeak = np.abs(powers).max(axis=1) * (1.0 + 2.0 ** -48)
+    q = np.ones(w.shape, dtype=complex)  # w^n and p_n, scaled by 2^e and 2^-e
+    p = np.ones(a.shape, dtype=complex)
+    qabs = np.ones(w.shape)
+    total = np.ones(w.shape + a.shape, dtype=complex)
+    terms = np.empty_like(total)  # a step's matrix product
     peak = np.ones(total.shape)  # largest |term| per element: cancellation loss
     trunc = np.empty(total.shape)
     wabs = np.abs(w)
-    wmax = wabs.max(axis=1)
-    by_row = [w, wabs, total, term, mag, peak, wmax]
+    by_row = [powers, wpeak, q, wabs, total, peak]
     swaps = []  # (to, from) rows of each retirement
-    k = total.shape[0]
+    k = w.size
     scale_retired = 0.0
     n = 0
     offsets = np.arange(_BLOCK, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         while k:
-            s, tm, at, pk, tabs = total[:k], term[:k], mag[:k], peak[:k], trunc[:k]
-            ww, aw, wk = w[:k], wabs[:k], wmax[:k]
+            s, pk, tabs, wk, qk = total[:k], peak[:k], trunc[:k], wabs[:k], q[:k]
             while True:
                 if n >= _SERIES_BUDGET:
                     raise NonConvergenceError(
@@ -235,23 +244,46 @@ def _hyp_series(a, b, c, w):
                     )
                 nk = offsets + n
                 ratio = (a + nk) * (b + nk) / ((c + nk) * (nk + 1.0))
-                rabs = np.abs(ratio)
-                for rj, aj in zip(ratio, rabs):
-                    np.multiply(tm, rj, out=tm)
-                    np.multiply(tm, ww, out=tm)
-                    s += tm
-                    at *= aj
-                    at *= aw
-                    np.maximum(pk, at, out=pk)
+                rlast = float(np.abs(ratio[-1]).max(initial=0.0))
+                ratio[0] *= p
+                row_f = np.cumprod(ratio, axis=0, out=ratio)
+                col_f = qk[:, None] * powers[:k]
+                s += np.matmul(col_f, row_f, out=terms[:k])
+                # every peak is at least 1, the first term's size
+                row_abs = np.abs(row_f)
+                col_max, row_max = qabs[:k] * wpeak[:k], row_abs.max(axis=0, initial=0.0)
+                if float(col_max.max()) * float(row_max.max(initial=0.0)) > 1.0:
+                    np.multiply(col_max[:, None], row_max, out=tabs)
+                    tabs -= pk
+                    rise = np.flatnonzero(tabs.max(axis=0) > 0.0)
+                    if rise.size:
+                        # most rows are updated in place, a few through a
+                        # copy no larger than half of tabs, their scratch
+                        flagged = slice(None) if 2 * rise.size > a.size else rise
+                        sub = pk[:, flagged]
+                        scratch = tabs.reshape(-1)[:sub.size].reshape(sub.shape)
+                        for cj, rj in zip(np.abs(col_f).T, row_abs[:, flagged]):
+                            np.multiply(cj[:, None], rj, out=scratch)
+                            np.maximum(sub, scratch, out=sub)
+                        pk[:, flagged] = sub
                 n += _BLOCK
+                qk[:] = col_f[:, -1]
+                p = row_f[-1]
+                pabs, qabs = np.abs(p), np.abs(qk)
+                pmax, qmax = float(pabs.max(initial=0.0)), float(qabs.max())
+                e = (math.frexp(pmax)[1] - math.frexp(qmax)[1]) // 2 if pmax and qmax else 0
+                if abs(e) > _REBALANCE:
+                    np.ldexp(p.view(float), -e, out=p.view(float))
+                    np.ldexp(qk.view(float), e, out=qk.view(float))
+                    pabs, qabs = np.abs(p), np.abs(qk)
+                    pmax = float(pabs.max())
                 # asymptotic term ratio tends to |w|; bound the tail geometrically
-                r = np.minimum(np.maximum(wk, rabs[-1].max() * wk), 0.999999)
-                np.abs(tm, out=tabs)
-                tmax = tabs.max(axis=1)
+                r = np.minimum(wk * max(rlast, 1.0), 0.999999)
+                tmax = qabs * pmax
                 lead = tmax * r / (1.0 - r)
                 lead += tmax
-                scale = max(scale_retired, float(np.abs(s, out=tabs).max()))
-                if not (np.isfinite(lead).all() and math.isfinite(scale)):
+                scale = max(scale_retired, float(np.abs(s, out=tabs).max(initial=0.0)))
+                if not (math.isfinite(lead.max()) and math.isfinite(scale)):
                     raise NonConvergenceError(
                         f"hypergeometric series terms overflow after {n} terms "
                         f"(|w| up to {float(wk.max())})"
@@ -260,19 +292,21 @@ def _hyp_series(a, b, c, w):
                 if done.any():
                     break
             j = np.flatnonzero(done)
-            scale_retired = max(scale_retired, float(tabs[j].max()))
-            # swap the retired rows behind the live ones, then record their
-            # truncation bounds there
+            scale_retired = max(scale_retired, float(tabs[j].max(initial=0.0)))
+            # swap the retired rows behind the live ones, then charge their
+            # |sum| to their peaks and record their truncation bounds there
             k_live, k = k, k - j.size
             gone = j[j < k]
             if gone.size:
                 stay = k + np.flatnonzero(~done[k:])
                 to, frm = np.concatenate([gone, stay]), np.concatenate([stay, gone])
-                for v in (r, *by_row):
+                for v in (r, qabs, *by_row):
                     v[to] = v[frm]
                 swaps.append((to, frm))
             bound, rj = trunc[k:k_live], r[k:, None]
-            np.abs(term[k:k_live], out=bound)
+            np.abs(total[k:k_live], out=bound)
+            np.maximum(peak[k:k_live], bound, out=peak[k:k_live])
+            np.multiply(qabs[k:, None], pabs, out=bound)
             bound *= rj
             bound /= 1.0 - rj
     err = peak

@@ -140,22 +140,40 @@ def test_transform_grid_off_centre_keeps_its_values():
     # support (0.6, 1.0) is not symmetric, so the panels are the plain
     # linspace ones; values as computed before mirror panels, to within
     # 4 ulps (exp and sinh may round differently on another CPU), while a
-    # change of the panels moves them by about 1e-10.  The lambda = 40 value
-    # and the bounds are those of the series stepped 8 terms at a time
+    # change of the panels moves them by about 1e-10.  The values and bounds
+    # are those of the series summed as one matrix product per eight terms,
+    # so they also depend on the BLAS kernel
     f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
     vals, errs = transform_grid(f, P2, np.array([0.5, 3.0, 17.0, 40.0]), CFG)
     pinned_vals = [
         0.1078569119677617 - 0.017774821967687957j,
-        0.030339720018443754 - 0.05989560482551218j,
-        0.0017077835968555308 + 0.001425426454964703j,
-        -4.482330979543522e-05 - 8.631975406074695e-05j,
+        0.03033972001844375 - 0.05989560482551219j,
+        0.0017077835968421396 + 0.0014254264549695638j,
+        -4.4463532470051894e-05 - 8.61212044480845e-05j,
     ]
-    pinned_errs = [4.665435138359907e-06, 2.6604706453831125e-06,
-                   2.588874515330524e-07, 4.784138299129341e-05]
+    pinned_errs = [4.665435138795736e-06, 2.6604706454019878e-06,
+                   2.5888745300686307e-07, 4.781037183465743e-05]
     ulps = 2.0 ** -50
     assert vals.real == pytest.approx(np.real(pinned_vals), rel=ulps, abs=0.0)
     assert vals.imag == pytest.approx(np.imag(pinned_vals), rel=ulps, abs=0.0)
     assert errs == pytest.approx(pinned_errs, rel=ulps, abs=0.0)
+
+
+@pytest.mark.parametrize("f", [FunctionSpec("bump", params={"center": 0.8, "width": 0.2}), BUMP])
+def test_transform_grid_ignores_the_memory_order_of_g(monkeypatch, f):
+    # the panel sums see the values of G and its bounds, not their layout: a
+    # Fortran-ordered G with the same bits gives the same bits
+    lams = np.array([0.5, 3.0, 17.0, 40.0])
+    vals, errs = transform_grid(f, P2, lams, CFG)
+    g_batch = octransform._g_batch
+
+    def fortran(p, lams, x):
+        return tuple(np.asfortranarray(v) for v in g_batch(p, lams, x))
+
+    monkeypatch.setattr(octransform, "_g_batch", fortran)
+    vals_f, errs_f = transform_grid(f, P2, lams, CFG)
+    assert np.array_equal(vals_f, vals)
+    assert np.array_equal(errs_f, errs)
 
 
 def _noise_cut_interpolant(f, p, cfg):

@@ -119,6 +119,37 @@ def test_hyp_series_batch_matches_one_column_calls():
             assert abs(s1 - s[i, j]) <= e1 + e[i, j], (SERIES_LAMS[i], w)
 
 
+def test_hyp_series_keeps_its_factors_in_range():
+    # the Pochhammer product (a)_n (b)_n / ((c)_n n!) passes 1e308 near
+    # n = 95, while every term, times w^n, stays below 1e83
+    a, b, c, w = 0.5 + 3000j, 0.5 - 3000j, 1.5, 1e-3
+    with mpmath.workdps(40):
+        poch = mpmath.rf(a, 100) * mpmath.rf(b, 100) / (mpmath.rf(c, 100) * mpmath.factorial(100))
+        assert abs(poch) > 1e308 and abs(poch) * mpmath.mpf(w) ** 100 < 1e83
+        ref = complex(mpmath.hyp2f1(a, b, c, w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, e, _ = _hyp_series(a, b, c, w)
+    assert abs(s - ref) <= e
+    assert e <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("w", [np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+                               np.array([[0.1], [0.2]])])
+def test_hyp_series_rejects_w_varying_along_a_leading_axis(w):
+    with pytest.raises(ParameterError):
+        _hyp_series(0.5, 0.5, 1.5, w)
+
+
+def test_hyp_series_peak_holds_beyond_the_unit_disc():
+    # 2F1(-1, b; c; w) = 1 - b w / c terminates, so it converges at |w| > 1
+    # too: at w = 20 its second term is -2 although (b/c) |q| is 0.1, and the
+    # round-off bound charges that largest term
+    s, e, n = _hyp_series(-1.0, 0.1, 1.0, np.array([20.0, 0.5]))
+    assert s == pytest.approx([-1.0, 0.95], rel=1e-15, abs=0.0)
+    assert e == pytest.approx(5e-16 * math.sqrt(n) * np.array([2.0, 1.0]), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("lam,x", [(1000.0, 1.0), (2000.0, 0.5), (2000.0, 1.0)])
 def test_overflowing_series_raise_at_once(lam, x):
     # the terms pass the float range long before the series would converge:
@@ -176,6 +207,24 @@ def test_series_bounds_hold_up_to_lambda_80(p):
                 assert abs(v[i, j] - ref) <= e[i, j] + slack, (batch.__name__, lam, x)
                 v1, e1 = batch(p, [lam], [x])
                 assert abs(v1[0, 0] - ref) <= e1[0, 0] + slack, (batch.__name__, lam, x)
+
+
+CANCELLING_LAMS = (40.0, 60.0, 80.0)
+CANCELLING_XS = (0.7, 1.0, 1.2)
+
+
+def test_cancelling_cells_stay_within_their_bounds():
+    # at (1, 1/2) the Pfaff series cancels on these cells, to relative errors
+    # of up to 2.5e17 (ROADMAP item 1), but never beyond the bounds: as one
+    # batch and as one-point calls
+    batches = [batch(P2, CANCELLING_LAMS, CANCELLING_XS) for batch in (_phi_batch, _g_batch)]
+    for i, lam in enumerate(CANCELLING_LAMS):
+        for j, x in enumerate(CANCELLING_XS):
+            refs = _phi_and_g_mpmath(P2, lam, x)
+            for batch, (v, e), ref in zip((_phi_batch, _g_batch), batches, refs):
+                v1, e1 = batch(P2, [lam], [x])
+                assert abs(v[i, j] - ref) <= e[i, j], (batch.__name__, lam, x)
+                assert abs(v1[0, 0] - ref) <= e1[0, 0], (batch.__name__, lam, x)
 
 
 G_LAMS = np.array([0.0, 0.3, 2.0, 7.5, 40.0, -3.0])
