@@ -49,6 +49,7 @@ from .octransform import (
     transform_grid,
 )
 from .hausdorff import (
+    HausdorffImage,
     KernelSpec,
     commutation_residual,
     hausdorff_apply,
@@ -57,7 +58,6 @@ from .hausdorff import (
     make_kernel,
 )
 from .bounds import (
-    LogInterpFunction,
     NormResult,
     a_constants,
     b_constants,
@@ -65,7 +65,6 @@ from .bounds import (
     extremal_function,
     grand_bound_constant,
     grand_norm,
-    hausdorff_lp_norm,
     interval_measure,
     kernel_moment,
     lp_lq_constant,

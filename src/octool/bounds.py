@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     SupportError,
 )
-from .hausdorff import KernelSpec, hausdorff_log_grid
+from .hausdorff import KernelSpec
 from .octransform import FunctionSpec
 from .quad import (
     IntegralResult,
@@ -44,8 +44,6 @@ __all__ = [
     "b_constants",
     "lp_lq_constant",
     "grand_bound_constant",
-    "LogInterpFunction",
-    "hausdorff_lp_norm",
     "extremal_function",
     "power_lemma_check",
     "mphi_check",
@@ -91,7 +89,13 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     """Integral of |f|^p_exp A over domain, computed in log space so that
     f ~ A^(-1/p) tails neither overflow nor underflow.  An array of exponents
     gives one component per exponent, integrated on one shared mesh; log |f|
-    and log A are formed once per node set."""
+    and log A are formed once per node set.
+
+    A function whose ``log_abs_decomp`` also returns a relative error per
+    node (as :class:`HausdorffImage` does) has it charged to each exponent's
+    estimate as p_exp times its node-weighted mean, sum(rel v) / sum(v) over
+    every node evaluated, times the integral; both sums are kept in log
+    space."""
     flo, fhi = f.support()
     a, b = max(domain[0], flo), min(domain[1], fhi)
     q = np.asarray(p_exp, dtype=float)
@@ -104,24 +108,36 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     # leave a rounding residue that e^600-sized x turns into overflow
     w_coeff = 1.0 - q / f.weight_root()
     weighted = bool(w_coeff.any())
-    q, w_coeff = q[..., None], w_coeff[..., None]
+    q_col, w_coeff = q[..., None], w_coeff[..., None]
+    # log sum(v) and log sum(rel v) per exponent
+    log_sums = np.full((2,) + q.shape, -math.inf)
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        plain = np.atleast_1d(f.log_abs_decomp(x)[0])
-        out = np.zeros(q.shape[:-1] + x.shape)
+        plain, _, *rel = f.log_abs_decomp(x)
+        plain = np.atleast_1d(plain)
+        out = np.zeros(q.shape + x.shape)
         live = plain > -math.inf
         if live.any():
-            expo = q * plain[live]
+            expo = q_col * plain[live]
             if weighted:
                 expo = expo + w_coeff * log_weight_a(params, x[live])
             out[..., live] = np.exp(expo)
+            if rel:
+                # a zero rel is a -inf log; an infinite node, which makes the
+                # sums NaN, ends the run as a divergence
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    both = [expo, expo + np.log(rel[0][live])]
+                    log_sums[:] = np.logaddexp(log_sums, np.logaddexp.reduce(both, axis=-1))
         return out
 
     # an overflowing node is an infinite value, which quad reports as
     # divergence
     with np.errstate(over="ignore"):
-        return _integrate_folded(g, a, b, cfg)
+        r = _integrate_folded(g, a, b, cfg)
+    if (log_sums[0] > -math.inf).all():
+        r.err_estimate = r.err_estimate + q * np.exp(log_sums[1] - log_sums[0]) * r.value
+    return r
 
 
 def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
@@ -354,96 +370,6 @@ def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
     best = min(float(np.min(vals)), fc, fd)
     a1 = weight_a(params, 1.0)
     return a1 * a1 * (p_exp - 1.0) * best
-
-
-class LogInterpFunction:
-    """A non-negative function tabulated as log-value against log-argument
-    on (0, inf), linearly interpolated in log-log coordinates (exact for
-    powers).  Provides the protocol lp_norm/grand_norm need."""
-
-    def __init__(self, grid, log_vals):
-        self.grid = np.asarray(grid, dtype=float)
-        self.log_vals = np.asarray(log_vals, dtype=float)
-        if self.grid.ndim != 1 or self.grid.shape != self.log_vals.shape:
-            raise ParameterError("grid and log_vals must be matching 1-d arrays")
-        if not np.all(np.diff(self.grid) > 0) or self.grid[0] <= 0:
-            raise ParameterError("grid must be positive increasing")
-
-    def support(self) -> tuple[float, float]:
-        return float(self.grid[0]), float(self.grid[-1])
-
-    def log_abs(self, x):
-        xx = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.full(xx.shape, -math.inf)
-        inside = (xx >= self.grid[0]) & (xx <= self.grid[-1])
-        out[inside] = np.interp(
-            np.log(xx[inside]), np.log(self.grid), self.log_vals
-        )
-        if np.ndim(x) == 0:
-            return float(out[0])
-        return out
-
-    def log_abs_decomp(self, x):
-        return self.log_abs(x), 0.0
-
-    def weight_root(self) -> float:
-        return math.inf
-
-    def __call__(self, x):
-        la = self.log_abs(x)
-        return np.exp(np.minimum(np.atleast_1d(la), 709.0)) if np.ndim(x) else float(np.exp(min(la, 709.0)))
-
-
-def hausdorff_lp_norm(k: KernelSpec, f, p_exp: float, params: JacobiParams,
-                      domain: tuple[float, float], cfg: QuadConfig) -> NormResult:
-    """(integral over domain of (H f)^p_exp A)^(1/p_exp) for non-negative f,
-    with H f evaluated in log space at every quadrature node; +inf on
-    divergence."""
-    if not p_exp > 0:
-        raise ParameterError("hausdorff_lp_norm requires p_exp > 0")
-    a, b = domain
-    # integrand-mass-weighted inner relative error: the sums of rel * vals
-    # and of vals, both times 2^-acc[2]
-    acc = [0.0, 0.0, 0]
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        live = x != 0.0
-        if np.any(live):
-            # core = log H f + log A(x): combining the exponents here avoids
-            # cancelling two huge floats when A(x) over/underflows in logs
-            core, rel = hausdorff_log_grid(
-                k, f, params, x[live], cfg, include_weight=False
-            )
-            expo = p_exp * core + (1.0 - p_exp) * log_weight_a(params, x[live])
-            with np.errstate(over="ignore"):
-                vals = np.exp(expo)
-            if np.any(vals == math.inf):
-                raise DivergentIntegralError(
-                    "H f is infinite, or overflows, at a quadrature node")
-            out[live] = vals
-            # a power-of-two scale is exact, so it keeps the ratio of the two
-            # sums while holding them below the float range
-            shift = max(acc[2], math.frexp(float(np.max(vals)))[1] - 960)
-            v = np.ldexp(vals, -shift)
-            acc[0] = math.ldexp(acc[0], acc[2] - shift) + float(np.sum(rel * v))
-            acc[1] = math.ldexp(acc[1], acc[2] - shift) + float(np.sum(v))
-            acc[2] = shift
-        return out
-
-    try:
-        total = _integrate_folded(g, a, b, cfg)
-    except DivergentIntegralError:
-        return NormResult(math.inf, math.inf)
-    base = float(total.value)
-    if base == 0.0:
-        return NormResult(0.0, 0.0)
-    value = base ** (1.0 / p_exp)
-    # inner H f relative error enters the integrand to power p_exp
-    inner_rel = acc[0] / acc[1] if acc[1] > 0.0 else 0.0
-    err_frac = total.err_estimate / base + p_exp * inner_rel
-    return NormResult(value, value * err_frac / p_exp)
 
 
 def extremal_function(kind: str, params: JacobiParams, **kw) -> FunctionSpec:

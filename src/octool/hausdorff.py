@@ -24,7 +24,8 @@ from .octransform import FunctionSpec, oc_transform_result, transform_grid
 from .quad import IntegralResult, QuadConfig, integrate_positive, panel_rule
 from .specfun import JacobiParams, log_sinh_cosh, log_weight_a
 
-__all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "commutation_residual"]
+__all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "HausdorffImage",
+           "commutation_residual"]
 
 _VARIANTS = {
     "hardy",
@@ -580,6 +581,36 @@ def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
     rel_err = np.zeros(n)
     rel_err[good] = (err[good] + tail[good]) / size[good]
     return log_vals, rel_err
+
+
+class HausdorffImage:
+    """H f for a non-negative f, as a function the norms of ``bounds`` take
+    in log space: log|H f| = log(A H f) - log A, the form of
+    ``FunctionSpec.log_abs_decomp`` with a_coeff = -1, so a norm integrand
+    forms p log(A H f) + (1 - p) log A without cancelling two huge floats.
+    Each call evaluates :func:`hausdorff_log_grid` at the given nodes."""
+
+    def __init__(self, k: KernelSpec, f, params: JacobiParams, cfg: QuadConfig):
+        self.k, self.f, self.params, self.cfg = k, f, params, cfg
+
+    def support(self) -> tuple[float, float]:
+        # whatever the supports of phi and f, H f is left to vanish where the
+        # engine finds it 0: the norm's domain and mesh stay the caller's
+        return -math.inf, math.inf
+
+    def weight_root(self) -> float:
+        return 1.0
+
+    def log_abs_decomp(self, x):
+        """(log A(x) H f(x), -1.0, rel_err) at an array ``x``: -inf and 0 at
+        x = 0, and rel_err the engine's relative error estimate per node."""
+        x = np.asarray(x, dtype=float)
+        core, rel = np.full(x.shape, -math.inf), np.zeros(x.shape)
+        live = x != 0.0
+        if live.any():
+            core[live], rel[live] = hausdorff_log_grid(
+                self.k, self.f, self.params, x[live], self.cfg, include_weight=False)
+        return core, -1.0, rel
 
 
 def commutation_residual(

@@ -206,6 +206,9 @@ def _hyp_series(a, b, c, w):
     w = np.asarray(w, dtype=complex)
     if math.prod(w.shape[:-1]) > 1:
         raise ParameterError(f"w must vary along its last axis only, got shape {w.shape}")
+    if any(np.shape(v)[-1:] not in ((), (1,)) for v in (a, b, c)):
+        raise ParameterError("a, b and c must not vary along the last axis, got shapes "
+                             f"{np.shape(a)}, {np.shape(b)}, {np.shape(c)}")
     scalar = w.ndim == 0 and np.ndim(a) == 0 and np.ndim(b) == 0
     shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), w.shape) or (1,)
     # the parameters vary over the leading axes only: one entry per row

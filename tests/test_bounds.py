@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from octool.bounds import (
-    LogInterpFunction,
     _lp_integral,
     a_constants,
     b_constants,
@@ -12,7 +12,6 @@ from octool.bounds import (
     extremal_function,
     grand_bound_constant,
     grand_norm,
-    hausdorff_lp_norm,
     interval_measure,
     kernel_moment,
     lp_lq_constant,
@@ -21,8 +20,8 @@ from octool.bounds import (
     power_lemma_check,
 )
 from octool.errors import MonotonicityError, SupportError
-from octool.harness_cli import build_default_suite, random_step_function
-from octool.hausdorff import make_kernel
+from octool.harness_cli import build_default_suite, random_step_function, run_scenario
+from octool.hausdorff import HausdorffImage, make_kernel
 from octool.octransform import FunctionSpec
 from octool.quad import QuadConfig
 from octool.specfun import JacobiParams
@@ -249,6 +248,23 @@ def test_grand_norm_matches_per_eps_loop(params, f):
     assert g.detail["argmax_eps"] == eps[np.argmax(g.detail["values"])]
 
 
+@pytest.mark.parametrize("params", [P1, P2])
+def test_grand_ub_norm_of_image_within_its_estimate(params):
+    # the grand norm of H f that the default T_GRAND_UB report gates lies
+    # within its own estimate of a run at rel_tol / 100
+    s = next(s for s in build_default_suite()
+             if s.theorem_id == "T_GRAND_UB" and s.params == params)
+    fine = replace(CFG, rel_tol=CFG.rel_tol / 100)
+    values = []
+    for f in s.functions:
+        g = grand_norm(HausdorffImage(s.kernel, f, params, CFG), 2.0, params, (0.0, 1.0), CFG)
+        ref = grand_norm(HausdorffImage(s.kernel, f, params, fine), 2.0, params,
+                         (0.0, 1.0), fine)
+        assert abs(g.value - ref.value) <= g.err_estimate
+        values.append(g.value)
+    assert run_scenario(s).lhs in values
+
+
 def test_grand_bound_constant_vs_brute_force():
     v = grand_bound_constant(POWERCUT, 2.0, P1, CFG)
     assert v == pytest.approx(1.9074312589602, rel=1e-9)
@@ -258,7 +274,7 @@ def test_grand_bound_constant_vs_brute_force():
 
 def test_hausdorff_lp_norm_divergence_detected():
     fe = extremal_function("eps", P1, p=2.0, eps=0.1)
-    r = hausdorff_lp_norm(ADJOINT, fe, 2.0, P1, HALF, CFG)
+    r = lp_norm(HausdorffImage(ADJOINT, fe, P1, CFG), 2.0, P1, HALF, CFG)
     assert r.value == math.inf
 
 
@@ -269,22 +285,15 @@ def test_hausdorff_lp_norm_overflow_is_divergence(f_p):
     f = extremal_function("delta", P1, p=f_p, delta=0.1)
     k = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=1.13)
     assert lp_norm(f, 4.0, P1, (0.0, 1.0), CFG).value == math.inf
-    r = hausdorff_lp_norm(k, f, 4.0, P1, (0.0, 1.0), CFG)
+    r = lp_norm(HausdorffImage(k, f, P1, CFG), 4.0, P1, (0.0, 1.0), CFG)
     assert (r.value, r.err_estimate) == (math.inf, math.inf)
 
 
 def test_hausdorff_l1_contraction():
     g = FunctionSpec("gaussian", params={"scale": 1.0})
-    r = hausdorff_lp_norm(ADJOINT, g, 1.0, P1, (-math.inf, math.inf), CFG)
+    r = lp_norm(HausdorffImage(ADJOINT, g, P1, CFG), 1.0, P1, (-math.inf, math.inf), CFG)
     base = lp_norm(g, 1.0, P1, (-math.inf, math.inf), CFG)
     assert r.value == pytest.approx(base.value, rel=1e-6)
-
-
-def test_log_interp_function_exact_on_powers():
-    grid = np.geomspace(1e-6, 1.0, 200)
-    h = LogInterpFunction(grid, -0.5 * np.log(grid))
-    xs = np.geomspace(2e-6, 0.9, 50)
-    assert np.allclose(h.log_abs(xs), -0.5 * np.log(xs), rtol=1e-12)
 
 
 def test_power_lemma_on_step_function():

@@ -164,15 +164,15 @@ def test_qb_lb_ratio_within_its_tolerance(suite_reports):
 def test_l1_rows_fail_when_hf_is_scaled(monkeypatch):
     # T_L1 is an identity for non-negative f, so H f scaled by 1 + 1e-4 must
     # fail every default row, which needs tolerances near 1e-6
-    import octool.bounds as bounds
+    import octool.hausdorff as hausdorff
 
-    exact = bounds.hausdorff_log_grid
+    exact = hausdorff.hausdorff_log_grid
 
     def scaled(*args, **kwargs):
         log_vals, rel = exact(*args, **kwargs)
         return log_vals + math.log1p(1e-4), rel
 
-    monkeypatch.setattr(bounds, "hausdorff_log_grid", scaled)
+    monkeypatch.setattr(hausdorff, "hausdorff_log_grid", scaled)
     rows = [s for s in build_default_suite() if s.theorem_id == "T_L1"]
     assert len(rows) == 4
     for s in rows:

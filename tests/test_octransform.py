@@ -17,7 +17,7 @@ from octool.octransform import (
     transform_grid,
 )
 from octool.quad import QuadConfig
-from octool.specfun import JacobiParams, eigenfunction_g, weight_a
+from octool.specfun import JacobiParams, _g_batch, eigenfunction_g, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
 P2 = JacobiParams(1.0, 0.5)
@@ -77,7 +77,8 @@ def test_log_abs_decomp_consistency():
 
 def _trapz_transform(f, p, lam, lo, hi, n=4001):
     xs = np.linspace(lo, hi, n)
-    g = np.array([eigenfunction_g(p, lam, float(-x)) for x in xs])
+    # one batch; on this grid it is within 1.5e-15 of scalar eigenfunction_g calls
+    g = _g_batch(p, [lam], -xs)[0][0]
     vals = np.asarray(f(xs)) * g * weight_a(p, xs)
     t1 = np.trapezoid(vals, xs)
     t2 = np.trapezoid(vals[::2], xs[::2])

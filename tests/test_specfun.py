@@ -134,11 +134,14 @@ def test_hyp_series_keeps_its_factors_in_range():
     assert e <= 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("w", [np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-                               np.array([[0.1], [0.2]])])
-def test_hyp_series_rejects_w_varying_along_a_leading_axis(w):
+@pytest.mark.parametrize("a,w", [(0.5, np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])),
+                                 (0.5, np.array([[0.1], [0.2]])),
+                                 (np.array([0.5, 0.6]), np.array([0.1, 0.2]))],
+                         ids=["w0", "w1", "a_along_the_last_axis"])
+def test_hyp_series_rejects_w_varying_along_a_leading_axis(a, w):
+    # and parameters varying along the last axis, w's own
     with pytest.raises(ParameterError):
-        _hyp_series(0.5, 0.5, 1.5, w)
+        _hyp_series(a, 0.5, 1.5, w)
 
 
 def test_hyp_series_peak_holds_beyond_the_unit_disc():
