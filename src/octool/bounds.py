@@ -281,38 +281,35 @@ def lp_lq_constant(k: KernelSpec, p_exp: float, q_exp: float,
     c2 = q_exp - 1.0
     rho2 = 2.0 * (params.alpha + params.beta + 1.0)
 
-    def inner(t: float) -> float:
-        # exponential rate at u -> inf: converges iff c1 < c2 t
-        rate = rho2 * s * (c1 - c2 * t)
-        if rate >= 0.0:
-            return math.inf
-
-        def gu(u):
-            u = np.asarray(u, dtype=float)
-            expo = s * (c1 * log_weight_a(params, u) - c2 * log_weight_a(params, t * u))
-            return np.exp(np.minimum(expo, 709.0))
-
-        cutoff = max(cfg.truncation_x, 200.0 / abs(rate) * rho2)
-        r = integrate_to_infinity(gu, 1.0, cfg, cutoff=cutoff)
-        r = r + integrate_to_zero(gu, 1.0, cfg)
-        return 2.0 * float(r.value)
-
     def integrand(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape)
-        for i, ti in enumerate(t.ravel()):
-            phi = float(k(ti))
-            if phi == 0.0:
-                continue
-            iv = inner(float(ti))
-            if iv == math.inf:
-                raise DivergentIntegralError(
-                    f"inner dilation integral diverges at t={ti:g}"
-                )
-            out.ravel()[i] = (
-                phi / ti * ti ** (1.0 / q_exp)
-                * iv ** ((p_exp - q_exp) / (p_exp * q_exp))
+        phi = np.asarray(k(t), dtype=float)
+        live = phi != 0.0
+        if not live.any():
+            return out
+        # the inner u-integrals of every live node as one vector-valued run,
+        # t a column; exponential rate at u -> inf: converges iff c1 < c2 t
+        t_live = t[live]
+        rate = rho2 * s * (c1 - c2 * t_live)
+        if (rate >= 0.0).any():
+            raise DivergentIntegralError(
+                f"inner dilation integral diverges at t={t_live[rate >= 0.0][0]:g}"
             )
+        t_col = t_live[:, None]
+
+        def gu(u):
+            u = np.asarray(u, dtype=float)
+            expo = s * (c1 * log_weight_a(params, u) - c2 * log_weight_a(params, t_col * u))
+            return np.exp(np.minimum(expo, 709.0))
+
+        cutoff = max(cfg.truncation_x, float(np.max(200.0 / np.abs(rate) * rho2)))
+        r = integrate_to_infinity(gu, 1.0, cfg, cutoff=cutoff)
+        iv = 2.0 * (r + integrate_to_zero(gu, 1.0, cfg)).value
+        out[live] = (
+            phi[live] / t_live * t_live ** (1.0 / q_exp)
+            * iv ** ((p_exp - q_exp) / (p_exp * q_exp))
+        )
         return out
 
     lo, hi = k.support()
@@ -327,8 +324,9 @@ def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
                          cfg: QuadConfig) -> float:
     """(A(1))^2 (p-1) inf over 0 < sigma < p-1 of
     sigma^(-1/(p-sigma)) E(phi, p-sigma), by grid search (32 geometric points
-    toward each end) with one golden-section refinement around the grid
-    minimum."""
+    toward each end) with one golden-section refinement between the grid
+    neighbours of an interior grid minimum; a minimum at an end of the grid
+    is taken as it is."""
     if not p_exp > 1:
         raise ParameterError("grand_bound_constant requires p_exp > 1")
     if _kernel_positive_on(k, 0.0, 1.0):
@@ -351,23 +349,23 @@ def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
             "E(phi, p - sigma) is infinite for every grid sigma"
         )
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi_ratio * (b - a)
-    d = a + phi_ratio * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(40):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi_ratio * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi_ratio * (b - a)
-            fd = objective(d)
-    best = min(float(np.min(vals)), fc, fd)
+    best = float(vals[i])
+    if 0 < i < grid.size - 1:
+        phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = grid[i - 1], grid[i + 1]
+        c = b - phi_ratio * (b - a)
+        d = a + phi_ratio * (b - a)
+        fc, fd = objective(c), objective(d)
+        for _ in range(40):
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - phi_ratio * (b - a)
+                fc = objective(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + phi_ratio * (b - a)
+                fd = objective(d)
+        best = min(best, fc, fd)
     a1 = weight_a(params, 1.0)
     return a1 * a1 * (p_exp - 1.0) * best
 

@@ -175,10 +175,13 @@ def _ratio_ext(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _gated_report(s, pairs, err, upper: bool) -> "VerifyReport":
-    """Gate the pair with the largest lhs/rhs: lhs <= rhs * (1 + tol) for an
-    upper bound, lhs >= rhs * (1 - tol) for a lower bound."""
-    lhs, rhs = max(pairs, key=lambda pr: _ratio_ext(pr[0], pr[1]))
+def _gated_report(s, triples, upper: bool) -> "VerifyReport":
+    """Gate the (lhs, rhs, err) triple with the largest lhs/rhs: lhs <= rhs *
+    (1 + tol) for an upper bound, lhs >= rhs * (1 - tol) for a lower bound,
+    with tol = 10 err / rhs + 1e-6 from that triple's own err.  err is the
+    quadrature error of the norms; a constant's own error stays inside the
+    1e-6 model floor."""
+    lhs, rhs, err = max(triples, key=lambda tr: _ratio_ext(tr[0], tr[1]))
     tol = _tolerance(err, rhs)
     if upper:
         if math.isinf(rhs):
@@ -195,18 +198,42 @@ def _gated_report(s, pairs, err, upper: bool) -> "VerifyReport":
     return VerifyReport(s.to_dict(), lhs, rhs, _ratio_ext(lhs, rhs), tol, status, brk)
 
 
-def _norm_pairs(s, const, p_lhs, p_rhs, domain, fns):
-    """(||H f||_{p_lhs}, const * ||f||_{p_rhs}) over ``domain`` for each f in
-    ``fns``, and the largest error estimate of any pair."""
+def _norm_pairs(s, norm, const, p_lhs, p_rhs, domain, fns) -> VerifyReport:
+    """Gate the upper bound ||H f||_{p_lhs} <= const ||f||_{p_rhs} over
+    ``domain`` for each f in ``fns``, with ``norm`` lp_norm or grand_norm;
+    a pair's err is the sum of its two norms' errors."""
     p, cfg = s.params, s.cfg
-    pairs, err = [], 0.0
+    triples = []
     for f in fns:
-        lhs = lp_norm(HausdorffImage(s.kernel, f, p, cfg), p_lhs, p, domain, cfg)
-        fn = lp_norm(f, p_rhs, p, domain, cfg)
-        pairs.append((lhs.value, const * fn.value))
+        lhs = norm(HausdorffImage(s.kernel, f, p, cfg), p_lhs, p, domain, cfg)
+        fn = norm(f, p_rhs, p, domain, cfg)
         fn_err = 0.0 if math.isinf(const) else const * fn.err_estimate
-        err = max(err, lhs.err_estimate + fn_err)
-    return pairs, err
+        triples.append((lhs.value, const * fn.value, lhs.err_estimate + fn_err))
+    return _gated_report(s, triples, upper=True)
+
+
+def _rel_err(r) -> float:
+    """err / value of a norm: 0 for a zero norm, inf for a divergent one."""
+    if math.isinf(r.value):
+        return math.inf
+    return r.err_estimate / r.value if r.value > 0.0 else 0.0
+
+
+def _witness_pairs(s, norm, p_exp, domain, witnesses) -> VerifyReport:
+    """Gate the lower bound ||H f||_{p_exp} / ||f||_{p_exp} >= bound over
+    ``domain`` for each (f, bound) in ``witnesses``, with ``norm`` lp_norm or
+    grand_norm; a ratio's err is the ratio times the sum of the two norms'
+    relative errors."""
+    p, cfg = s.params, s.cfg
+    triples = []
+    for f, bound in witnesses:
+        hf = norm(HausdorffImage(s.kernel, f, p, cfg), p_exp, p, domain, cfg)
+        fn = norm(f, p_exp, p, domain, cfg)
+        ratio = _ratio_ext(hf.value, fn.value)
+        # a ratio of 0 or inf comes from a norm that is exactly 0 or divergent
+        err = ratio * (_rel_err(hf) + _rel_err(fn)) if 0.0 < ratio < math.inf else 0.0
+        triples.append((ratio, bound, err))
+    return _gated_report(s, triples, upper=False)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +243,7 @@ def _run_t_l1(s: VerifyScenario) -> VerifyReport:
     status, phi_l1 = s.kernel.l1_status(s.cfg)
     if status != "finite":
         raise DivergentIntegralError("T_L1 requires an integrable kernel")
-    pairs, err = _norm_pairs(s, phi_l1, 1.0, 1.0, (-math.inf, math.inf), s.functions)
-    return _gated_report(s, pairs, err, upper=True)
+    return _norm_pairs(s, lp_norm, phi_l1, 1.0, 1.0, (-math.inf, math.inf), s.functions)
 
 
 def _run_t_comm_diag(s: VerifyScenario) -> VerifyReport:
@@ -236,36 +262,25 @@ def _run_t_comm_diag(s: VerifyScenario) -> VerifyReport:
 
 
 def _run_t_lp_asup(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
-    a_sup, _ = a_constants(s.kernel, p_exp, p, cfg)
-    pairs, err = _norm_pairs(s, a_sup, p_exp, p_exp, (-math.inf, math.inf), s.functions)
-    return _gated_report(s, pairs, err, upper=True)
+    a_sup, _ = a_constants(s.kernel, p_exp, s.params, s.cfg)
+    return _norm_pairs(s, lp_norm, a_sup, p_exp, p_exp, (-math.inf, math.inf), s.functions)
 
 
 def _run_t_lp_ainf(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
-    eps_list = s.exponents.get("eps_list", (0.2, 0.1, 0.05))
-    pairs, err = [], 0.0
-    for eps in eps_list:
-        fe = extremal_function("eps", p, p=p_exp, eps=eps)
-        ratio_num = lp_norm(HausdorffImage(s.kernel, fe, p, cfg), p_exp, p, (0.0, math.inf), cfg)
-        ratio_den = lp_norm(fe, p_exp, p, (0.0, math.inf), cfg)
-        lhs = _ratio_ext(ratio_num.value, ratio_den.value)
+    witnesses = []
+    for eps in s.exponents.get("eps_list", (0.2, 0.1, 0.05)):
         # the proof's displayed lower bound for this witness: the inf ratio
         # t^-(2 alpha + 1) lives on t < 1 and vanishes on t > 1
         moment_s = 1.0 / p_exp + eps - (2.0 * p.alpha + 1.0) * (1.0 - 1.0 / p_exp)
-        r = kernel_moment(s.kernel, moment_s, 0.0, 1.0, cfg)
-        bound = eps ** eps * r.value
-        if math.isfinite(bound):
-            err = max(err, eps ** eps * r.err_estimate)
-        pairs.append((lhs, bound))
-    return _gated_report(s, pairs, err, upper=False)
+        bound = eps ** eps * kernel_moment(s.kernel, moment_s, 0.0, 1.0, cfg).value
+        witnesses.append((extremal_function("eps", p, p=p_exp, eps=eps), bound))
+    return _witness_pairs(s, lp_norm, p_exp, (0.0, math.inf), witnesses)
 
 
 def _run_c_lp_sandwich(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
     if _kernel_positive_on(s.kernel, 0.0, math.inf):
         return VerifyReport(
             s.to_dict(), math.nan, math.nan, math.nan, _TOL_FLOOR, "vacuous",
@@ -275,61 +290,40 @@ def _run_c_lp_sandwich(s: VerifyScenario) -> VerifyReport:
                      "never holds here"},
         )
     # hypothesis holds: the measured ratio proxy must lie under a_sup
-    p_exp = float(s.exponents.get("p", 2.0))
-    a_sup, _ = a_constants(s.kernel, p_exp, p, cfg)
-    pairs, err = _norm_pairs(s, a_sup, p_exp, p_exp, (-math.inf, math.inf), s.functions)
-    return _gated_report(s, pairs, err, upper=True)
+    return _run_t_lp_asup(s)
 
 
 def _run_t_lplq(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 3.0))
     q_exp = float(s.exponents.get("q", 2.0))
-    c = lp_lq_constant(s.kernel, p_exp, q_exp, p, cfg)
-    pairs, err = _norm_pairs(s, c, q_exp, p_exp, (-math.inf, math.inf), s.functions)
-    return _gated_report(s, pairs, err, upper=True)
+    c = lp_lq_constant(s.kernel, p_exp, q_exp, s.params, s.cfg)
+    return _norm_pairs(s, lp_norm, c, q_exp, p_exp, (-math.inf, math.inf), s.functions)
 
 
 def _run_t_interval_e(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
-    e_val = e_constant(s.kernel, p_exp, cfg)
-    a1 = weight_a(p, 1.0)
-    const = a1 ** (1.0 - 1.0 / p_exp) * e_val
-    pairs, err = _norm_pairs(s, const, p_exp, p_exp, (0.0, 1.0), s.functions)
-    return _gated_report(s, pairs, err, upper=True)
+    e_val = e_constant(s.kernel, p_exp, s.cfg)
+    const = weight_a(s.params, 1.0) ** (1.0 - 1.0 / p_exp) * e_val
+    return _norm_pairs(s, lp_norm, const, p_exp, p_exp, (0.0, 1.0), s.functions)
 
 
 def _run_t_grand_ub(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
-    c = grand_bound_constant(s.kernel, p_exp, p, cfg)
-    pairs, err = [], 0.0
-    for f in s.functions:
-        gh = grand_norm(HausdorffImage(s.kernel, f, p, cfg), p_exp, p, (0.0, 1.0), cfg)
-        gf = grand_norm(f, p_exp, p, (0.0, 1.0), cfg)
-        pairs.append((gh.value, c * gf.value))
-        err = max(err, gh.err_estimate + c * gf.err_estimate)
-    return _gated_report(s, pairs, err, upper=True)
+    c = grand_bound_constant(s.kernel, p_exp, s.params, s.cfg)
+    return _norm_pairs(s, grand_norm, c, p_exp, p_exp, (0.0, 1.0), s.functions)
 
 
 def _run_t_grand_lb(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     p_exp = float(s.exponents.get("p", 2.0))
-    delta_list = s.exponents.get("delta_list", (0.2, 0.1))
     a1 = weight_a(p, 1.0)
-    pairs, err = [], 0.0
-    for delta in delta_list:
-        fd = extremal_function("delta", p, p=p_exp, delta=delta)
-        gh = grand_norm(HausdorffImage(s.kernel, fd, p, cfg), p_exp, p, (0.0, 1.0), cfg)
-        gf = grand_norm(fd, p_exp, p, (0.0, 1.0), cfg)
-        bound = (
-            a1 ** -(1.0 - 1.0 / p_exp)
-            * e_constant(s.kernel, p_exp / (1.0 - delta * p_exp), cfg)
-        )
-        pairs.append((_ratio_ext(gh.value, gf.value), bound))
-        err = max(err, gh.err_estimate + gf.err_estimate)
-    return _gated_report(s, pairs, err, upper=False)
+    witnesses = [
+        (extremal_function("delta", p, p=p_exp, delta=delta),
+         a1 ** -(1.0 - 1.0 / p_exp)
+         * e_constant(s.kernel, p_exp / (1.0 - delta * p_exp), cfg))
+        for delta in s.exponents.get("delta_list", (0.2, 0.1))
+    ]
+    return _witness_pairs(s, grand_norm, p_exp, (0.0, 1.0), witnesses)
 
 
 def _run_t_qb_ub(s: VerifyScenario) -> VerifyReport:
@@ -349,25 +343,21 @@ def _run_t_qb_ub(s: VerifyScenario) -> VerifyReport:
         )
     b_sup, _ = b_constants(s.kernel, p_exp, p, cfg)
     const = p_exp ** (1.0 / p_exp) * b_sup
-    pairs, err = _norm_pairs(s, const, p_exp, p_exp, (0.0, math.inf), eligible)
-    return _gated_report(s, pairs, err, upper=True)
+    return _norm_pairs(s, lp_norm, const, p_exp, p_exp, (0.0, math.inf), eligible)
 
 
 def _run_t_qb_lb(s: VerifyScenario) -> VerifyReport:
-    p, cfg = s.params, s.cfg
+    p = s.params
     p_exp = float(s.exponents.get("p", 0.5))
-    _, b_inf = b_constants(s.kernel, p_exp, p, cfg)
+    _, b_inf = b_constants(s.kernel, p_exp, p, s.cfg)
     if not 0.0 < b_inf < math.inf:
         return VerifyReport(
             s.to_dict(), math.nan, b_inf, math.nan, _TOL_FLOOR, "vacuous",
             {"note": "b_inf is not positive-finite for this kernel"},
         )
     f0 = extremal_function("zero", p, p=p_exp)
-    num = lp_norm(HausdorffImage(s.kernel, f0, p, cfg), p_exp, p, (0.0, math.inf), cfg)
-    den = lp_norm(f0, p_exp, p, (0.0, math.inf), cfg)
-    lhs = _ratio_ext(num.value, den.value)
     rhs = p_exp ** (1.0 / p_exp) * b_inf
-    return _gated_report(s, [(lhs, rhs)], num.err_estimate + den.err_estimate, upper=False)
+    return _witness_pairs(s, lp_norm, p_exp, (0.0, math.inf), [(f0, rhs)])
 
 
 def random_step_function(rng: np.random.Generator) -> FunctionSpec:

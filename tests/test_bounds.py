@@ -23,8 +23,8 @@ from octool.errors import MonotonicityError, SupportError
 from octool.harness_cli import build_default_suite, random_step_function, run_scenario
 from octool.hausdorff import HausdorffImage, make_kernel
 from octool.octransform import FunctionSpec
-from octool.quad import QuadConfig
-from octool.specfun import JacobiParams
+from octool.quad import QuadConfig, integrate_positive, integrate_to_infinity, integrate_to_zero
+from octool.specfun import JacobiParams, log_weight_a, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
 P2 = JacobiParams(1.0, 0.5)
@@ -193,6 +193,43 @@ def test_lp_lq_constant():
     assert lp_lq_constant(wide, 3.0, 2.0, P1, CFG) == math.inf
 
 
+def _lp_lq_constant_per_node(k, p_exp, q_exp, params, cfg):
+    """lp_lq_constant with one adaptive inner u-integral per outer t node."""
+    s = p_exp / (p_exp - q_exp)
+    c1, c2 = q_exp - q_exp / p_exp, q_exp - 1.0
+    rho2 = 2.0 * (params.alpha + params.beta + 1.0)
+
+    def integrand(t):
+        out = np.zeros(t.shape)
+        for i, ti in enumerate(t):
+            phi = float(k(ti))
+            if phi == 0.0:
+                continue
+            rate = rho2 * s * (c1 - c2 * ti)
+            assert rate < 0.0
+
+            def gu(u):
+                expo = s * (c1 * log_weight_a(params, u) - c2 * log_weight_a(params, ti * u))
+                return np.exp(np.minimum(expo, 709.0))
+
+            cutoff = max(cfg.truncation_x, 200.0 / abs(rate) * rho2)
+            iv = 2.0 * float((integrate_to_infinity(gu, 1.0, cfg, cutoff=cutoff)
+                              + integrate_to_zero(gu, 1.0, cfg)).value)
+            out[i] = phi / ti * ti ** (1.0 / q_exp) * iv ** ((p_exp - q_exp) / (p_exp * q_exp))
+        return out
+
+    return float(integrate_positive(integrand, *k.support(), cfg).value)
+
+
+@pytest.mark.parametrize("params", [P1, P2], ids=["half_minus_half", "one_half"])
+def test_lp_lq_constant_matches_per_node_reference(params):
+    # the outer panel's inner integrals run as one vector; the per-node loop
+    # is the reference, and the default T_LPLQ kernel gives the same value
+    k = make_kernel("power_cutoff", exponent=-2.0, lo=1.5, hi=2.0)
+    assert lp_lq_constant(k, 3.0, 2.0, params, CFG) == pytest.approx(
+        _lp_lq_constant_per_node(k, 3.0, 2.0, params, CFG), rel=1e-13, abs=0.0)
+
+
 def test_grand_norm_of_unit_function():
     one = FunctionSpec("constant_one", domain="unit_interval")
     assert grand_norm(one, 2.0, P1, (0.0, 1.0), CFG).value == \
@@ -270,6 +307,33 @@ def test_grand_bound_constant_vs_brute_force():
     assert v == pytest.approx(1.9074312589602, rel=1e-9)
     with pytest.raises(SupportError):
         grand_bound_constant(ADJOINT, 2.0, P1, CFG)
+
+
+def test_grand_bound_constant_takes_an_end_of_grid_minimum_as_it_is(monkeypatch):
+    # the minimum lies at the grid's last sigma, where a golden section
+    # cannot leave the grid: one E(phi, p - sigma) per grid point, 63 in all
+    # (the two 32-point halves share their midpoint)
+    import octool.bounds as bounds
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return e_constant(*args)
+
+    monkeypatch.setattr(bounds, "e_constant", counted)
+    assert grand_bound_constant(POWERCUT, 2.0, P1, CFG) == pytest.approx(1.9074312589602, rel=1e-9)
+    assert len(calls) == 63
+
+
+def test_grand_bound_constant_refines_an_interior_minimum():
+    # phi = t^-1.2 on (1, inf): E(phi, r) = 1 / (1.2 - 1/r), and
+    # sigma^(-1/(2 - sigma)) E(phi, 2 - sigma) has its minimum inside (0, 1)
+    sigma = np.linspace(0.3, 0.8, 500001)
+    closed = np.min(sigma ** (-1.0 / (2.0 - sigma)) / (1.2 - 1.0 / (2.0 - sigma)))
+    a1 = weight_a(P1, 1.0)
+    assert grand_bound_constant(_powercut(-1.2), 2.0, P1, CFG) == \
+        pytest.approx(a1 * a1 * closed, rel=1e-8)
 
 
 def test_hausdorff_lp_norm_divergence_detected():

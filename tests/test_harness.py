@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from octool.bounds import extremal_function, lp_norm
 from octool.harness_cli import (
     THEOREM_IDS,
     VerifyReport,
@@ -10,7 +11,7 @@ from octool.harness_cli import (
     emit_report,
     run_scenario,
 )
-from octool.hausdorff import make_kernel
+from octool.hausdorff import HausdorffImage, make_kernel
 from octool.quad import QuadConfig
 from octool.specfun import JacobiParams
 
@@ -159,6 +160,44 @@ def test_qb_lb_ratio_within_its_tolerance(suite_reports):
     (r,) = suite_reports["T_QB_LB"]
     assert abs(r.lhs - T_QB_LB_REFERENCE) <= r.tolerance * T_QB_LB_REFERENCE
     assert r.tolerance < 2e-6
+
+
+def _norms(s, f, p_exp, domain):
+    """(||H f||, ||f||) of one scenario's kernel, parameters and config."""
+    hf = lp_norm(HausdorffImage(s.kernel, f, s.params, s.cfg), p_exp, s.params, domain, s.cfg)
+    return hf, lp_norm(f, p_exp, s.params, domain, s.cfg)
+
+
+def test_qb_lb_tolerance_is_the_error_of_its_ratio(suite_reports):
+    # a lower bound gates ||H f0|| / ||f0||, whose error is the ratio times
+    # the sum of the two norms' relative errors, not the sum of their
+    # absolute errors (4x larger here)
+    (r,) = suite_reports["T_QB_LB"]
+    s = next(s for s in build_default_suite() if s.theorem_id == "T_QB_LB")
+    hf, fn = _norms(s, extremal_function("zero", s.params, p=0.5), 0.5, (0.0, math.inf))
+    rel_h, rel_f = hf.err_estimate / hf.value, fn.err_estimate / fn.value
+    assert r.lhs == hf.value / fn.value
+    assert r.err_breakdown["quadrature"] == pytest.approx(r.lhs * (rel_h + rel_f), rel=1e-12)
+    assert r.tolerance == pytest.approx(1e-6 + 10.0 * r.lhs * (rel_h + rel_f) / r.rhs, rel=1e-12)
+
+
+def test_l1_tolerance_comes_from_the_gated_pair(suite_reports):
+    # the adjoint-Hardy row at (1/2, -1/2): its gated pair (the largest
+    # lhs / rhs) is not the pair with the largest error, and the row's
+    # tolerance is set by the gated pair alone
+    s = build_default_suite()[0]
+    r = suite_reports["T_L1"][0]
+    assert (s.theorem_id, s.kernel.variant, s.params) == ("T_L1", "adjoint_hardy", P1)
+    _, phi_l1 = s.kernel.l1_status(s.cfg)
+    triples = []
+    for f in s.functions:
+        hf, fn = _norms(s, f, 1.0, (-math.inf, math.inf))
+        triples.append((hf.value, phi_l1 * fn.value, hf.err_estimate + phi_l1 * fn.err_estimate))
+    lhs, rhs, err = max(triples, key=lambda tr: tr[0] / tr[1])
+    assert (r.lhs, r.rhs) == (lhs, rhs)
+    assert err < max(tr[2] for tr in triples)
+    assert r.err_breakdown["quadrature"] == err
+    assert r.tolerance == pytest.approx(1e-6 + 10.0 * err / rhs, rel=1e-12)
 
 
 def test_l1_rows_fail_when_hf_is_scaled(monkeypatch):
