@@ -198,28 +198,44 @@ def _kernel_positive_on(k: KernelSpec, lo: float, hi: float) -> bool:
     return bool(np.any(k(t) > 0.0))
 
 
-def kernel_moment(k: KernelSpec, s: float, lo: float, hi: float,
+def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
                   cfg: QuadConfig, power: float = 1.0) -> NormResult:
     """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
     support, formed as one exponential of log phi and log t so that neither
-    factor under- or overflows on its own; +inf on divergence."""
+    factor under- or overflows on its own; +inf on divergence.
+
+    An array ``s`` is one vector-valued adaptive run, one component per
+    exponent on a shared mesh, each held to its own tolerance: value and
+    estimate are arrays of the shape of ``s``, +inf where that component
+    diverges."""
     klo, khi = k.support()
     a, b = max(lo, klo), min(hi, khi)
     if not a < b:
-        return NormResult(0.0, 0.0)
+        zero = np.zeros(np.shape(s)) if np.ndim(s) else 0.0
+        return NormResult(zero, zero)
+    s_col = np.asarray(s, dtype=float)[..., None]
 
     def integrand(t):
         log_t = np.log(np.asarray(t, dtype=float))
-        return np.exp(power * k.log_phi(log_t) + (s - 1.0) * log_t)
+        return np.exp(power * k.log_phi(log_t) + (s_col - 1.0) * log_t)
 
     try:
         # an overflowing node is an infinite value, which quad reports as
         # divergence
         with np.errstate(over="ignore"):
             r = integrate_positive(integrand, a, b, cfg)
-    except DivergentIntegralError:
-        return NormResult(math.inf, math.inf)
-    return NormResult(float(r.value), float(r.err_estimate))
+    except DivergentIntegralError as exc:
+        if np.ndim(s) == 0:
+            return NormResult(math.inf, math.inf)
+        div = exc.mask
+        value, err = np.full(div.shape, math.inf), np.full(div.shape, math.inf)
+        if not div.all():  # the other exponents in a run of their own
+            rest = kernel_moment(k, np.asarray(s)[~div], lo, hi, cfg, power)
+            value[~div], err[~div] = rest.value, rest.err_estimate
+        return NormResult(value, err)
+    if np.ndim(s) == 0:
+        return NormResult(float(r.value), float(r.err_estimate))
+    return NormResult(r.value, r.err_estimate)
 
 
 def a_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
@@ -337,13 +353,13 @@ def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
     frac = np.geomspace(1e-6, 0.5, 32)
     grid = np.unique(np.concatenate([width * frac, width * (1.0 - frac)]))
 
-    def objective(sigma: float) -> float:
-        e = e_constant(k, p_exp - sigma, cfg)
-        if e == math.inf:
-            return math.inf
+    def objective(sigma):
+        # E(phi, p - sigma), +inf where it diverges
+        e = kernel_moment(k, 1.0 / (p_exp - sigma), 1.0, math.inf, cfg).value
         return sigma ** (-1.0 / (p_exp - sigma)) * e
 
-    vals = np.array([objective(s) for s in grid])
+    # the whole grid as one vector-valued moment run
+    vals = objective(grid)
     if not np.any(np.isfinite(vals)):
         raise KernelNotIntegrableError(
             "E(phi, p - sigma) is infinite for every grid sigma"

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .octransform import FunctionSpec, oc_transform_result, transform_grid
+from .octransform import FunctionSpec, transform_grid
 from .quad import IntegralResult, QuadConfig, integrate_positive, panel_rule
 from .specfun import JacobiParams, log_sinh_cosh, log_weight_a
 
@@ -379,12 +379,19 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
     min(|x|, 1)) rather than by a support.  rel_err sums each panel's
     QUADPACK error estimate and the mass beyond such a cut, extrapolated
     geometrically from the cut panel's mass and log slope.
-    ``f`` must provide ``log_abs_decomp`` (see FunctionSpec).
+    ``f`` must provide ``log_abs_decomp`` (see FunctionSpec), and must not
+    take a negative value: the engine integrates log|f|, so a signed f would
+    give H|f|.  A ``sampled`` f with a negative value, the one catalog family
+    that can have one, raises ParameterError.
 
     With ``include_weight=False`` the exact -log A(x) term of log H f is left
     out, so callers that multiply H f by a power of A can combine the
     exponents analytically instead of cancelling two huge floats.
     """
+    if getattr(f, "family", None) == "sampled" and np.min(f.params["ys"]) < 0.0:
+        raise ParameterError(
+            "hausdorff_log_grid needs a non-negative f; this sampled f takes "
+            "negative values")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs == 0.0):
         raise SingularityError("hausdorff operator is undefined at x = 0")
@@ -615,33 +622,67 @@ class HausdorffImage:
 
 def commutation_residual(
     k: KernelSpec, f: FunctionSpec, p: JacobiParams, lam: float, cfg: QuadConfig
-) -> tuple[complex, complex, float]:
-    """Diagnostic pair (lhs, rhs, abs_gap) comparing the spectral transform
-    of H f at lam with the kernel average of the transform of f at lam*t.
+) -> tuple[complex, complex, float, float]:
+    """(lhs, rhs, gap, err) for a non-negative f: the spectral transform of
+    H f at lam, the kernel average of the transform of f at lam*t, their
+    distance |lhs - rhs| and an estimate of its error.
 
-    Requires phi integrable; raises KernelNotIntegrableError otherwise.
+    lhs is one :func:`transform_grid` call over [lam, 0] of H f, which takes
+    H f at all its nodes from one :func:`hausdorff_log_grid` call.  rhs sums
+    the transform of f at lam*t, one transform_grid batch, on 256 log-spaced
+    Gauss-Kronrod panels in t over [max(lo, 1e-8), min(hi, truncation_t)]
+    within phi's support (lo, hi).  err adds
+    - lhs's own transform_grid estimate;
+    - rhs's summed panel |Kronrod - Gauss| in t;
+    - the sum of |w phi(t)| times each transform's own estimate;
+    - phi's mass outside the t range, times the largest |u| (plus its
+      estimate) at a cut end, as oc_inverse_result charges its excised window;
+    - the engine's largest relative error times the transform of H f at 0
+      (plus its estimate): H f >= 0 and |G_lam(x)| <= G_0(x) for real lam
+      (Schapira, GAFA 2008), so this bounds what the node errors of H f
+      carry into lhs.
+
+    Like transform_grid, lhs leaves out H f beyond |x| = truncation_x.
+    Requires phi integrable; raises KernelNotIntegrableError otherwise, and
+    ParameterError for an f that takes a negative value.
     """
-    status, _ = k.l1_status(cfg)
-    if status != "finite":
+    lo, hi = k.support()
+    try:
+        l1 = integrate_positive(k, lo, hi, cfg)
+    except DivergentIntegralError:
         raise KernelNotIntegrableError(
             f"kernel {k.variant!r} is not integrable; the identity assumes it is"
-        )
+        ) from None
 
-    def hf(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape, dtype=float)
-        nonzero = x != 0.0
-        if nonzero.any():
-            out[nonzero] = hausdorff_apply_result(k, f, p, x[nonzero], cfg).value
-        return out
+    image = HausdorffImage(k, f, p, cfg)
+    rel = []
 
-    lhs = complex(oc_transform_result(hf, p, lam, cfg).value)
+    def hf_nodes(x):
+        # H f at every node of the transform, from one engine call
+        core, _, node_rel = image.log_abs_decomp(x)
+        rel.append(node_rel.max())
+        return np.exp(core - log_weight_a(p, x))
+
+    (lhs, hf0), (lhs_err, hf0_err) = transform_grid(hf_nodes, p, [lam, 0.0], cfg)
 
     # rhs: fixed log-spaced panels in t, transform evaluated as one batch
-    lo, hi = k.support()
     a = max(lo, 1e-8)
     b = min(hi, cfg.truncation_t)
-    t, wk, _ = panel_rule(np.geomspace(a, b, 257))
-    u, _ = transform_grid(f, p, lam * t, cfg)
-    rhs = complex(np.sum(wk * k(t) * u))
-    return lhs, rhs, abs(lhs - rhs)
+    t, wk, wg = panel_rule(np.geomspace(a, b, 257))
+    u, u_err = transform_grid(f, p, lam * t, cfg)
+    phi = k(t)
+    w = wk * phi
+    rhs = np.sum(w * u)
+    panel_err = np.sum(np.abs(np.sum((wk - wg) * phi * u, axis=-1)))
+    # phi's mass outside (a, b): its L1 norm less the panel sum of phi, with
+    # the errors of both
+    mass = (max(l1.value - np.sum(w), 0.0) + l1.err_estimate
+            + np.sum(np.abs(np.sum((wk - wg) * phi, axis=-1))))
+    cuts = [c for c, end in ((a, lo), (b, hi)) if c != end]
+    cut_err = 0.0
+    if cuts:
+        u_cut, u_cut_err = transform_grid(f, p, lam * np.array(cuts), cfg)
+        cut_err = mass * np.max(np.abs(u_cut) + u_cut_err)
+    err = (lhs_err + panel_err + np.sum(w * u_err) + cut_err
+           + max(rel) * (abs(hf0) + hf0_err))
+    return complex(lhs), complex(rhs), float(abs(lhs - rhs)), float(err)

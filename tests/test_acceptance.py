@@ -219,7 +219,7 @@ def test_criterion_12_diagnostics(suite_reports):
     ok &= all("gap" in r.err_breakdown and "quadrature_component" in
               r.err_breakdown for r in comm)
     ok &= all(r.err_breakdown["residual_lam0_t2_x05"] > 0.0 for r in scal)
-    _report(12, ok, "commutation gap with refinement split; "
+    _report(12, ok, "commutation gap with its error estimate; "
                     "scaling residual strictly positive")
 
 

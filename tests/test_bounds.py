@@ -311,19 +311,32 @@ def test_grand_bound_constant_vs_brute_force():
 
 def test_grand_bound_constant_takes_an_end_of_grid_minimum_as_it_is(monkeypatch):
     # the minimum lies at the grid's last sigma, where a golden section
-    # cannot leave the grid: one E(phi, p - sigma) per grid point, 63 in all
-    # (the two 32-point halves share their midpoint)
+    # cannot leave the grid: E(phi, p - sigma) at the 63 grid points (the two
+    # 32-point halves share their midpoint) as one vector-valued moment, and
+    # no scalar moment after it
     import octool.bounds as bounds
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return e_constant(*args)
+    def counted(k, s, *args, **kw):
+        calls.append(np.shape(s))
+        return kernel_moment(k, s, *args, **kw)
 
-    monkeypatch.setattr(bounds, "e_constant", counted)
+    monkeypatch.setattr(bounds, "kernel_moment", counted)
     assert grand_bound_constant(POWERCUT, 2.0, P1, CFG) == pytest.approx(1.9074312589602, rel=1e-9)
-    assert len(calls) == 63
+    assert calls == [(63,)]
+
+
+def test_kernel_moment_of_an_array_matches_scalar_calls():
+    # phi = t^-2 on (1, inf): the moment is 1 / (2 - s), divergent at s >= 2
+    s = np.array([-1.0, 0.5, 1.0, 1.5, 2.5, 1.9])
+    vec = kernel_moment(POWERCUT, s, 1.0, math.inf, CFG)
+    assert vec.value.shape == vec.err_estimate.shape == s.shape
+    assert vec.value[4] == vec.err_estimate[4] == math.inf
+    for i in (0, 1, 2, 3, 5):
+        one = kernel_moment(POWERCUT, float(s[i]), 1.0, math.inf, CFG)
+        assert abs(vec.value[i] - one.value) <= vec.err_estimate[i] + one.err_estimate
+        assert abs(vec.value[i] - 1.0 / (2.0 - s[i])) <= 1e-8 / (2.0 - s[i])
 
 
 def test_grand_bound_constant_refines_an_interior_minimum():

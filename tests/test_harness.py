@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from octool.bounds import extremal_function, lp_norm
@@ -12,6 +13,7 @@ from octool.harness_cli import (
     run_scenario,
 )
 from octool.hausdorff import HausdorffImage, make_kernel
+from octool.octransform import FunctionSpec
 from octool.quad import QuadConfig
 from octool.specfun import JacobiParams
 
@@ -75,6 +77,15 @@ def test_configuration_error_becomes_structured_failure():
     r = run_scenario(s)
     assert r.status == "fail"
     assert "error" in r.err_breakdown
+
+
+def test_signed_f_becomes_a_failure_that_names_the_error():
+    # the H f engine takes log|f|: a sign-changing f would be normed as |f|
+    xs = np.linspace(0.2, 2.0, 41)
+    signed = FunctionSpec("sampled", params={"xs": xs, "ys": np.cos(3.0 * xs)})
+    r = run_scenario(VerifyScenario("T_L1", P1, make_kernel("adjoint_hardy"), (signed,)))
+    assert r.status == "fail"
+    assert r.err_breakdown["error"].startswith("ParameterError")
 
 
 def test_exit_codes(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octool import hausdorff
+from octool.bounds import lp_norm
 from octool.errors import (
     DivergentIntegralError,
     KernelNotIntegrableError,
@@ -13,6 +15,7 @@ from octool.errors import (
     SingularityError,
 )
 from octool.hausdorff import (
+    HausdorffImage,
     KernelSpec,
     commutation_residual,
     hausdorff_apply,
@@ -20,7 +23,7 @@ from octool.hausdorff import (
     hausdorff_log_grid,
     make_kernel,
 )
-from octool.octransform import FunctionSpec, oc_transform
+from octool.octransform import FunctionSpec, oc_transform, oc_transform_result
 from octool.quad import QuadConfig
 from octool.specfun import JacobiParams, weight_a
 
@@ -381,6 +384,80 @@ def test_commutation_rejects_non_integrable_kernel():
 def test_commutation_residual_reports_gap():
     k = make_kernel("adjoint_hardy")
     f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
-    lhs, rhs, gap = commutation_residual(k, f, P1, 0.0, CFG)
+    lhs, rhs, gap, err = commutation_residual(k, f, P1, 0.0, CFG)
     assert gap == abs(lhs - rhs)
     assert np.isfinite(gap)
+    assert math.isfinite(err) and err > 0.0
+
+
+# the default T_COMM_DIAG row: adjoint Hardy on a bump at (1, 1/2), lambda = 1
+COMM_P = JacobiParams(1.0, 0.5)
+COMM_F = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
+# the row's rhs with each of its 3,840 transforms of f at lambda t taken by
+# oc_transform at rel_tol 1e-11 (the same 256 log-spaced panels in t over
+# (1e-8, 1)); 3,840 adaptive transforms take minutes, so it is pinned here
+COMM_RHS_REF = 0.10690714196958448 - 0.017506053332121543j
+
+
+@pytest.fixture(scope="module")
+def comm_lhs_ref():
+    """The row's lhs by nested adaptive quadrature at rel_tol 1e-11: an
+    oc_transform_result whose integrand takes H f from hausdorff_apply_result
+    at every node."""
+    k, fine = make_kernel("adjoint_hardy"), QuadConfig(rel_tol=1e-11)
+
+    def hf(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros(x.shape)
+        nonzero = x != 0.0
+        out[nonzero] = hausdorff_apply_result(k, COMM_F, COMM_P, x[nonzero], fine).value
+        return out
+
+    return complex(oc_transform_result(hf, COMM_P, 1.0, fine).value)
+
+
+def test_commutation_lhs_within_its_transform_estimate(comm_lhs_ref, monkeypatch):
+    # lhs is transform_grid of H f over [lambda, 0]; its own estimate, the
+    # first entry of that call's, covers its distance to the nested reference
+    grids, exact = [], hausdorff.transform_grid
+
+    def recorded(f, *args):
+        out = exact(f, *args)
+        if not isinstance(f, FunctionSpec):
+            grids.append(out)
+        return out
+
+    monkeypatch.setattr(hausdorff, "transform_grid", recorded)
+    lhs, _, _, _ = commutation_residual(make_kernel("adjoint_hardy"), COMM_F, COMM_P, 1.0, CFG)
+    [(vals, errs)] = grids
+    assert vals[0] == lhs
+    assert abs(lhs - comm_lhs_ref) <= errs[0]
+
+
+def test_commutation_estimate_covers_both_sides(comm_lhs_ref):
+    lhs, rhs, gap, err = commutation_residual(
+        make_kernel("adjoint_hardy"), COMM_F, COMM_P, 1.0, CFG)
+    assert err >= abs(lhs - comm_lhs_ref) + abs(rhs - COMM_RHS_REF)
+
+
+# cos 3x on [0.2, 2] changes sign: the engine, which integrates log|f|,
+# would return H|f| (8.51 at x = 0.5 with adjoint Hardy at (1/2, -1/2),
+# against 0.773 for H f)
+_SIGNED_XS = np.linspace(0.2, 2.0, 41)
+SIGNED = FunctionSpec("sampled", params={"xs": _SIGNED_XS, "ys": np.cos(3.0 * _SIGNED_XS)})
+
+
+def test_log_grid_rejects_a_signed_f():
+    with pytest.raises(ParameterError):
+        hausdorff_log_grid(make_kernel("adjoint_hardy"), SIGNED, P1, np.array([0.5]), CFG)
+
+
+def test_norm_of_the_image_of_a_signed_f_raises():
+    image = HausdorffImage(make_kernel("adjoint_hardy"), SIGNED, P1, CFG)
+    with pytest.raises(ParameterError):
+        lp_norm(image, 1.0, P1, (-math.inf, math.inf), CFG)
+
+
+def test_commutation_residual_rejects_a_signed_f():
+    with pytest.raises(ParameterError):
+        commutation_residual(make_kernel("adjoint_hardy"), SIGNED, P1, 1.0, CFG)

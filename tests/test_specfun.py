@@ -433,3 +433,15 @@ def test_weight_ratio_extrema_bracket_monotone_ratio(beta, gap, log10_t):
             assert step * (r1 - r0) >= -slack * r0
         for r in ratios:
             assert inf * (1 - 1e-12) <= r <= sup * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(CATALOG),
+       lams=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
+       xs=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=16))
+def test_g_is_dominated_by_g_at_zero(p, lams, xs):
+    # |G_lambda(x)| <= G_0(x) for real lambda (Schapira, GAFA 2008), which
+    # bounds what a relative error of a non-negative f carries into its
+    # transform; up to rounding and the two cells' bounds
+    g, e = _g_batch(p, [0.0, *lams], xs)
+    assert (np.abs(g[1:]) <= g[0].real * (1.0 + 1e-12) + e[1:] + e[0]).all()
