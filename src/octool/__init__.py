@@ -21,7 +21,6 @@ from .quad import (
     QuadConfig,
     integrate_finite,
     integrate_positive,
-    integrate_real_line,
     integrate_to_infinity,
     integrate_to_zero,
 )
@@ -44,7 +43,6 @@ from .octransform import (
     oc_inverse_result,
     oc_transform,
     oc_transform_result,
-    plancherel_residual,
     plancherel_residual_detailed,
     transform_grid,
 )

@@ -102,25 +102,25 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     if not a < b:
         return IntegralResult(0.0 * q, 0.0 * q, 0)
 
-    # combined weight exponent, cancelled symbolically so huge log A values
-    # cannot absorb the plain part in floating point; with |f| ~ A^(-1/r) it
-    # is 1 - p_exp/r, exactly 0 at p_exp = r, where p_exp * (-1/r) + 1 can
-    # leave a rounding residue that e^600-sized x turns into overflow
-    w_coeff = 1.0 - q / f.weight_root()
-    weighted = bool(w_coeff.any())
-    q_col, w_coeff = q[..., None], w_coeff[..., None]
+    q_col = q[..., None]
     # log sum(v) and log sum(rel v) per exponent
     log_sums = np.full((2,) + q.shape, -math.inf)
 
     def g(x):
         x = np.asarray(x, dtype=float)
-        plain, _, *rel = f.log_abs_decomp(x)
+        plain, root, *rel = f.log_abs_decomp(x)
         plain = np.atleast_1d(plain)
+        # combined weight exponent, cancelled symbolically so huge log A
+        # values cannot absorb the plain part in floating point; with |f| ~
+        # A^(-1/root) it is 1 - p_exp/root, exactly 0 at p_exp = root, where
+        # p_exp * (-1/root) + 1 can leave a rounding residue that e^600-sized
+        # x turns into overflow
+        w_coeff = 1.0 - q_col / root
         out = np.zeros(q.shape + x.shape)
         live = plain > -math.inf
         if live.any():
             expo = q_col * plain[live]
-            if weighted:
+            if w_coeff.any():
                 expo = expo + w_coeff * log_weight_a(params, x[live])
             out[..., live] = np.exp(expo)
             if rel:

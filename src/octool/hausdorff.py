@@ -75,16 +75,10 @@ class KernelSpec:
                 raise ParameterError("tabulated kernel needs matching 1-d arrays")
             if not np.all(np.diff(grid) > 0) or grid[0] <= 0:
                 raise ParameterError("tabulated grid must be positive increasing")
-        self._check_nonnegative()
-
-    def _check_nonnegative(self):
-        lo, hi = self.support()
-        a, b = max(lo, 1e-9), min(hi, 1e6)
-        t = np.geomspace(a * (1 + 1e-12) if a > 0 else 1e-9, b, 101)
-        if np.any(self(t) < 0.0):
-            raise ParameterError(
-                f"kernel {self.variant!r} is negative somewhere on its support"
-            )
+            # the linear interpolant of non-negative values is non-negative;
+            # every other variant is non-negative by its formula
+            if not np.all(vals >= 0.0):
+                raise ParameterError("tabulated kernel values must be non-negative")
 
     def support(self) -> tuple[float, float]:
         if self.variant in ("hardy", "riemann_liouville"):
@@ -99,37 +93,17 @@ class KernelSpec:
         return float(grid[0]), float(grid[-1])
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.support()
-        inside = (t > lo) & (t < hi)
-        out = np.zeros(t.shape, dtype=float)
-        ti = t[inside]
-        if self.variant == "hardy":
-            out[inside] = 1.0 / ti
-        elif self.variant == "adjoint_hardy":
-            out[inside] = 1.0
-        elif self.variant == "hlp":
-            out[inside] = 1.0 / np.maximum(1.0, ti)
-        elif self.variant == "cesaro":
-            g = self.params["gamma_c"]
-            out[inside] = g * (1.0 - ti) ** (g - 1.0)
-        elif self.variant == "riemann_liouville":
-            mu = self.params["mu"]
-            out[inside] = (1.0 - 1.0 / ti) ** (mu - 1.0) / (math.gamma(mu) * ti)
-        elif self.variant == "power_cutoff":
-            out[inside] = ti ** self.params["exponent"]
-        else:
-            grid = np.asarray(self.params["grid"], dtype=float)
-            vals = np.asarray(self.params["values"], dtype=float)
-            out[inside] = np.interp(ti, grid, vals)
-        return out
+        """phi(t) = e^(log_phi(log t)) for t > 0, and 0 elsewhere."""
+        # log t is -inf at t = 0 and NaN for t < 0, both off every support
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(self.log_phi(np.log(np.asarray(t, dtype=float))))
 
     def log_phi(self, s):
-        """log phi(e^s), -inf off the support: the one kernel log, which both
-        H f evaluators and the kernel moments use.  The catalog kernels are closed forms in s, so
-        t^exponent cannot overflow or underflow and only Cesaro and
-        Riemann-Liouville take a log per node; each formula is evaluated only
-        inside the support."""
+        """log phi(e^s), -inf off the support: the one kernel formula, which
+        ``__call__``, both H f evaluators and the kernel moments use.  The
+        catalog kernels are closed forms in s, so t^exponent cannot overflow
+        or underflow and only Cesaro and Riemann-Liouville take a log per
+        node; each formula is evaluated only inside the support."""
         s = np.asarray(s, dtype=float)
         lo, hi = self.support()
         with np.errstate(divide="ignore"):
@@ -226,12 +200,12 @@ def hausdorff_apply_result(
         # log f = -inf where f vanishes; an overflow to +inf is divergence
         with np.errstate(divide="ignore", over="ignore"):
             if log_parts is None:
-                plain, a_coeff = np.log(np.abs(fv)), 0.0
+                plain, root = np.log(np.abs(fv)), math.inf
             else:
-                plain, a_coeff = log_parts(u)
+                plain, root = log_parts(u)
             s = np.log(t)
             out = np.exp(k.log_phi(s) - s + plain
-                         + (a_coeff + 1.0) * log_weight_a(p, u) - log_ax)
+                         + (1.0 - 1.0 / root) * log_weight_a(p, u) - log_ax)
         return np.copysign(out, fv)
 
     try:
@@ -317,10 +291,10 @@ def _window_panels(s_lo, s_hi):
 
 def _fa_log(f, p, u, log_a=None):
     """log |f(u)| A(u) at u, of any shape; ``log_a`` is log A(u) if known."""
-    plain, a_coeff = f.log_abs_decomp(u.ravel())
+    plain, root = f.log_abs_decomp(u.ravel())
     if log_a is None:
         log_a = log_weight_a(p, u.ravel())
-    return (plain + (a_coeff + 1.0) * log_a.ravel()).reshape(u.shape)
+    return (plain + (1.0 - 1.0 / root) * log_a.ravel()).reshape(u.shape)
 
 
 def _panel_sums(summand, shift, half):
@@ -593,8 +567,8 @@ def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
 class HausdorffImage:
     """H f for a non-negative f, as a function the norms of ``bounds`` take
     in log space: log|H f| = log(A H f) - log A, the form of
-    ``FunctionSpec.log_abs_decomp`` with a_coeff = -1, so a norm integrand
-    forms p log(A H f) + (1 - p) log A without cancelling two huge floats.
+    ``FunctionSpec.log_abs_decomp`` with root 1, so a norm integrand forms
+    p log(A H f) + (1 - p) log A without cancelling two huge floats.
     Each call evaluates :func:`hausdorff_log_grid` at the given nodes."""
 
     def __init__(self, k: KernelSpec, f, params: JacobiParams, cfg: QuadConfig):
@@ -605,11 +579,8 @@ class HausdorffImage:
         # engine finds it 0: the norm's domain and mesh stay the caller's
         return -math.inf, math.inf
 
-    def weight_root(self) -> float:
-        return 1.0
-
     def log_abs_decomp(self, x):
-        """(log A(x) H f(x), -1.0, rel_err) at an array ``x``: -inf and 0 at
+        """(log A(x) H f(x), 1.0, rel_err) at an array ``x``: -inf and 0 at
         x = 0, and rel_err the engine's relative error estimate per node."""
         x = np.asarray(x, dtype=float)
         core, rel = np.full(x.shape, -math.inf), np.zeros(x.shape)
@@ -617,7 +588,7 @@ class HausdorffImage:
         if live.any():
             core[live], rel[live] = hausdorff_log_grid(
                 self.k, self.f, self.params, x[live], self.cfg, include_weight=False)
-        return core, -1.0, rel
+        return core, 1.0, rel
 
 
 def commutation_residual(
@@ -630,8 +601,10 @@ def commutation_residual(
     lhs is one :func:`transform_grid` call over [lam, 0] of H f, which takes
     H f at all its nodes from one :func:`hausdorff_log_grid` call.  rhs sums
     the transform of f at lam*t, one transform_grid batch, on 256 log-spaced
-    Gauss-Kronrod panels in t over [max(lo, 1e-8), min(hi, truncation_t)]
-    within phi's support (lo, hi).  err adds
+    Gauss-Kronrod panels in t over [max(lo, 1e-8), min(hi, truncation_t,
+    truncation_lambda/|lam|)] within phi's support (lo, hi): |lam t| stays
+    within the spectral range, which also bounds the batch, whose panels
+    narrow as 4/|lam t|.  err adds
     - lhs's own transform_grid estimate;
     - rhs's summed panel |Kronrod - Gauss| in t;
     - the sum of |w phi(t)| times each transform's own estimate;
@@ -644,7 +617,8 @@ def commutation_residual(
 
     Like transform_grid, lhs leaves out H f beyond |x| = truncation_x.
     Requires phi integrable; raises KernelNotIntegrableError otherwise, and
-    ParameterError for an f that takes a negative value.
+    ParameterError for an f that takes a negative value or a lam so large
+    that the t range is empty.
     """
     lo, hi = k.support()
     try:
@@ -653,6 +627,12 @@ def commutation_residual(
         raise KernelNotIntegrableError(
             f"kernel {k.variant!r} is not integrable; the identity assumes it is"
         ) from None
+    a = max(lo, 1e-8)
+    b = min(hi, cfg.truncation_t, cfg.truncation_lambda / abs(lam) if lam else math.inf)
+    if not a < b:
+        raise ParameterError(
+            f"|lam| = {abs(lam)} puts lam t beyond truncation_lambda on all of "
+            "phi's support")
 
     image = HausdorffImage(k, f, p, cfg)
     rel = []
@@ -666,8 +646,6 @@ def commutation_residual(
     (lhs, hf0), (lhs_err, hf0_err) = transform_grid(hf_nodes, p, [lam, 0.0], cfg)
 
     # rhs: fixed log-spaced panels in t, transform evaluated as one batch
-    a = max(lo, 1e-8)
-    b = min(hi, cfg.truncation_t)
     t, wk, wg = panel_rule(np.geomspace(a, b, 257))
     u, u_err = transform_grid(f, p, lam * t, cfg)
     phi = k(t)

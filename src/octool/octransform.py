@@ -34,7 +34,7 @@ __all__ = [
     "oc_transform_result",
     "oc_inverse",
     "apply_jacobi_cherednik",
-    "plancherel_residual",
+    "plancherel_residual_detailed",
 ]
 
 _FAMILIES = {
@@ -48,7 +48,8 @@ _FAMILIES = {
     "sampled",
     "zero",
 }
-_EXTREMAL = ("extremal_eps", "extremal_delta", "extremal_zero")
+# the families defined by their values; the others by log_abs_decomp
+_VALUED = ("bump", "sampled", "zero")
 _DOMAINS = {"real_line", "positive_halfline", "unit_interval"}
 
 
@@ -169,42 +170,30 @@ class FunctionSpec:
             return np.where((orig > 0.0) & (orig < 1.0), out, fill)
         return out
 
-    def _extremal(self) -> tuple[float, float, float]:
-        """(power, lo, hi): an extremal family is x^power A(x)^(-1/p) on (lo, hi)."""
+    def _extremal(self) -> tuple[float, float, float, float]:
+        """(power, lo, hi, root): power_cutoff and the extremal families are
+        x^power A(x)^(-1/root) on (lo, hi), with root = inf for power_cutoff."""
         q = self.params
+        if self.family == "power_cutoff":
+            return q.get("exponent", 0.0), 0.0, 1.0, math.inf
         if self.family == "extremal_eps":
-            return -1.0 / q["p"] - q["eps"], 1.0, math.inf
+            return -1.0 / q["p"] - q["eps"], 1.0, math.inf, q["p"]
         if self.family == "extremal_zero":
-            return -1.0 / q["p"] - 1.0, 1.0, math.inf
-        return q["delta"] - 1.0 / q["p"], 0.0, 1.0
+            return -1.0 / q["p"] - 1.0, 1.0, math.inf, q["p"]
+        return q["delta"] - 1.0 / q["p"], 0.0, 1.0, q["p"]
 
-    def __call__(self, x):
-        xx = self._coords(x)
-        fam, q = self.family, self.params
+    def _value(self, xx):
+        """f at ``xx`` from :meth:`_coords`, before the domain restriction,
+        for bump, sampled and zero, the families defined by their values."""
+        q = self.params
         out = np.zeros_like(xx)
-        if fam == "gaussian":
-            s = q.get("scale", 1.0)
-            out = np.exp(-((xx / s) ** 2))
-        elif fam == "bump":
+        if self.family == "bump":
             c, w = q.get("center", 0.0), q.get("width", 1.0)
             s = (xx - c) / w
             inside = np.abs(s) < 1.0
             si = s[inside]
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-        elif fam == "power_cutoff":
-            a = q.get("exponent", 0.0)
-            inside = (xx > 0.0) & (xx < 1.0)
-            out[inside] = xx[inside] ** a
-        elif fam in _EXTREMAL:
-            power, lo, hi = self._extremal()
-            inside = (xx > lo) & (xx < hi)
-            xi = xx[inside]
-            out[inside] = np.exp(
-                power * np.log(xi) - log_weight_a(self.jacobi, xi) / q["p"]
-            )
-        elif fam == "constant_one":
-            out = np.ones_like(xx)
-        elif fam == "sampled":
+        elif self.family == "sampled":
             xs = np.asarray(q["xs"], dtype=float)
             ys = np.asarray(q["ys"], dtype=float)
             inside = (xx >= xs[0]) & (xx <= xs[-1])
@@ -213,7 +202,14 @@ class FunctionSpec:
             else:
                 idx = np.clip(np.searchsorted(xs, xx[inside], side="right") - 1, 0, xs.size - 1)
                 out[inside] = ys[idx]
-        out = self._restrict(xx, out, 0.0)
+        return out
+
+    def __call__(self, x):
+        if self.family in _VALUED:
+            xx = self._coords(x)
+            out = self._restrict(xx, self._value(xx), 0.0)
+        else:
+            out = np.exp(np.atleast_1d(self.log_abs(x)))
         if np.ndim(x) == 0:
             return float(out[0])
         return out
@@ -221,62 +217,46 @@ class FunctionSpec:
     def log_abs(self, x):
         """log|f(x)| (-inf where f vanishes), evaluable far beyond the
         exp-range of ``__call__`` for the analytic families."""
+        plain, root = self.log_abs_decomp(x)
+        if root == math.inf:
+            return plain
+        plain = np.atleast_1d(plain)
+        # log A is -inf at x = 0: only points in the support take it
+        live = plain > -math.inf
+        plain[live] -= log_weight_a(self.jacobi, np.atleast_1d(x)[live]) / root
+        if np.ndim(x) == 0:
+            return float(plain[0])
+        return plain
+
+    def log_abs_decomp(self, x):
+        """(plain, root) with log|f(x)| = plain - log A(x) / root.
+
+        The one definition of the analytic families.  The extremal families
+        carry the weight power A^(-1/p) and report root = p, so that norm
+        integrands cancel it exactly against the measure's own weight; all
+        other families carry none and return root = inf.
+        """
         xx = self._coords(x)
         fam, q = self.family, self.params
-        out = np.full(xx.shape, -math.inf)
+        root = math.inf
         if fam == "gaussian":
             s = q.get("scale", 1.0)
             with np.errstate(over="ignore"):
-                out = -np.minimum((xx / s) ** 2, math.inf)
-        elif fam == "power_cutoff":
-            a = q.get("exponent", 0.0)
-            inside = (xx > 0.0) & (xx < 1.0)
-            out[inside] = a * np.log(xx[inside])
-        elif fam in _EXTREMAL:
-            power, lo, hi = self._extremal()
-            inside = (xx > lo) & (xx < hi)
-            xi = xx[inside]
-            out[inside] = power * np.log(xi) - log_weight_a(self.jacobi, xi) / q["p"]
+                plain = -((xx / s) ** 2)
         elif fam == "constant_one":
-            out = np.zeros(xx.shape)
-        else:
+            plain = np.zeros(xx.shape)
+        elif fam in _VALUED:
             with np.errstate(divide="ignore"):
-                out = np.log(np.abs(np.atleast_1d(self(np.asarray(x, dtype=float)))))
-            if np.ndim(x) == 0:
-                return float(out[0])
-            return out
-        out = self._restrict(xx, out, -math.inf)
+                plain = np.log(np.abs(self._value(xx)))
+        else:
+            power, lo, hi, root = self._extremal()
+            plain = np.full(xx.shape, -math.inf)
+            inside = (xx > lo) & (xx < hi)
+            plain[inside] = power * np.log(xx[inside])
+        plain = self._restrict(xx, plain, -math.inf)
         if np.ndim(x) == 0:
-            return float(out[0])
-        return out
-
-    def log_abs_decomp(self, x):
-        """(plain, a_coeff) with log|f(x)| = plain + a_coeff * log A(x).
-
-        The families built from a power of the weight report the exponent
-        symbolically so norm integrands can cancel it exactly against the
-        measure's own weight; all other families return a_coeff = 0.
-        """
-        if self.family not in _EXTREMAL:
-            return self.log_abs(x), 0.0
-        xx = self._coords(x)
-        power, lo, hi = self._extremal()
-        out = np.full(xx.shape, -math.inf)
-        inside = (xx > lo) & (xx < hi)
-        out[inside] = power * np.log(xx[inside])
-        out = self._restrict(xx, out, -math.inf)
-        a_coeff = -1.0 / self.params["p"]
-        if np.ndim(x) == 0:
-            return float(out[0]), a_coeff
-        return out, a_coeff
-
-    def weight_root(self) -> float:
-        """q such that |f| carries the weight factor A^(-1/q) of
-        :meth:`log_abs_decomp` (a_coeff = -1/q); inf when it carries none.
-        Norm integrands use it to cancel the weight exponent exactly."""
-        if self.family in _EXTREMAL:
-            return self.params["p"]
-        return math.inf
+            return float(plain[0]), root
+        return plain, root
 
     def reflected(self) -> "FunctionSpec":
         """The reflection x -> f(-x)."""
@@ -456,14 +436,6 @@ def apply_jacobi_cherednik(f, p: JacobiParams, x: float, h: float = 1e-4) -> com
 
 # ---------------------------------------------------------------------------
 # Plancherel residual
-
-def plancherel_residual(
-    f: FunctionSpec, p: JacobiParams, cfg: QuadConfig
-) -> tuple[float, complex, float]:
-    """(lhs, rhs, rel_gap) for the energy identity."""
-    lhs, rhs, rel_gap, _ = plancherel_residual_detailed(f, p, cfg)
-    return lhs, rhs, rel_gap
-
 
 def plancherel_residual_detailed(
     f: FunctionSpec, p: JacobiParams, cfg: QuadConfig

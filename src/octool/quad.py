@@ -1,4 +1,4 @@
-"""Adaptive quadrature over finite, semi-infinite, and whole-line domains.
+"""Adaptive quadrature over finite and semi-infinite domains.
 
 All integrals in the package route through this module.  The core rule is a
 Gauss-Kronrod (7, 15) pair whose nodes are interior points, so integrands with
@@ -11,7 +11,8 @@ integrands that share one adaptive mesh, each held to its own tolerance.
 infinite end of (0, inf) in log coordinates, x = b e^(-s) or x = a e^s over
 s in (0, 600], where power laws become exponentials that the dyadic blocks of
 :func:`integrate_to_infinity` resolve, with its geometric tail estimate and
-divergence test.
+divergence test.  A whole-line integral is split at 0 by its caller
+(``octransform._integrate_support``, ``bounds._integrate_folded``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "integrate_to_infinity",
     "integrate_to_zero",
     "integrate_positive",
-    "integrate_real_line",
     "panel_rule",
 ]
 
@@ -337,10 +337,3 @@ def integrate_positive(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResu
         return integrate_to_zero(f, hi, cfg)
     return integrate_finite(f, lo, hi, cfg)
 
-
-def integrate_real_line(f, cfg: QuadConfig,
-                        cutoff: float | None = None) -> IntegralResult:
-    """Integral of ``f`` over the real line, split at the origin."""
-    span = cutoff if cutoff is not None else cfg.truncation_x
-    return (integrate_to_infinity(f, 0.0, cfg, cutoff=span)
-            + integrate_to_infinity(lambda x: f(-x), 0.0, cfg, cutoff=span))

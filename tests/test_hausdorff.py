@@ -176,6 +176,54 @@ def test_kernel_validation():
         make_kernel("power_cutoff", exponent=1.0, lo=2.0, hi=1.0)
 
 
+@pytest.mark.parametrize("grid, values", [
+    # a dip narrower than any fixed sample spacing
+    ([0.5, 0.7, 0.70001, 0.7001, 2.0], [1.0, 1.0, -3.0, 1.0, 1.0]),
+    # a negative value beyond t = 1e6
+    ([1.0, 1e6, 2e6, 3e6], [1.0, 1.0, -1.0, 1.0]),
+], ids=["narrow_dip", "far_dip"])
+def test_tabulated_kernel_rejects_any_negative_value(grid, values):
+    with pytest.raises(ParameterError):
+        make_kernel("tabulated", grid=grid, values=values)
+
+
+def _tabulated_closed_form(t):
+    # linear interpolation through (0.5, 1), (1, 0.25), (2, 2), (4, 0.5)
+    return np.where(t < 1.0, 1.0 - 1.5 * (t - 0.5),
+                    np.where(t < 2.0, 0.25 + 1.75 * (t - 1.0), 2.0 - 0.75 * (t - 2.0)))
+
+
+@pytest.mark.parametrize("k, lo, hi, closed_form", [
+    (make_kernel("hardy"), 1.0, math.inf, lambda t: 1.0 / t),
+    (make_kernel("adjoint_hardy"), 0.0, 1.0, np.ones_like),
+    (make_kernel("hlp"), 0.0, math.inf, lambda t: 1.0 / np.maximum(1.0, t)),
+    (make_kernel("cesaro", gamma_c=2.5), 0.0, 1.0, lambda t: 2.5 * (1.0 - t) ** 1.5),
+    (make_kernel("cesaro", gamma_c=0.5), 0.0, 1.0, lambda t: 0.5 * (1.0 - t) ** -0.5),
+    (make_kernel("riemann_liouville", mu=0.5), 1.0, math.inf,
+     lambda t: ((t - 1.0) / t) ** -0.5 / (math.sqrt(math.pi) * t)),
+    (make_kernel("riemann_liouville", mu=2.5), 1.0, math.inf,
+     lambda t: ((t - 1.0) / t) ** 1.5 / (0.75 * math.sqrt(math.pi) * t)),
+    (make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf), 1.0, math.inf,
+     lambda t: t ** -2.0),
+    (make_kernel("power_cutoff", exponent=1.5, lo=0.25, hi=3.0), 0.25, 3.0,
+     lambda t: t ** 1.5),
+    (make_kernel("tabulated", grid=[0.5, 1.0, 2.0, 4.0], values=[1.0, 0.25, 2.0, 0.5]),
+     0.5, 4.0, _tabulated_closed_form),
+], ids=["hardy", "adjoint_hardy", "hlp", "cesaro_2.5", "cesaro_0.5", "rl_0.5",
+        "rl_2.5", "power_cutoff_tail", "power_cutoff_window", "tabulated"])
+def test_kernel_values_match_closed_forms(k, lo, hi, closed_form):
+    # phi comes from log_phi alone; on a geomspace reaching within 1e-6
+    # (relative) of each finite end it is the written-out formula, where
+    # 1 - 1/t is formed as (t - 1)/t, exact in t, to keep its own rounding
+    # out of the comparison
+    t = np.geomspace(max(lo, 1e-6) * (1.0 + 1e-6), min(hi, 1e6) * (1.0 - 1e-6), 401)
+    np.testing.assert_allclose(k(t), closed_form(t), rtol=1e-12, atol=0.0)
+    assert k(float(t[7])) == k(t)[7]
+    # 0 off the support, at t = 0 and for t < 0
+    off = np.array([-2.0, -0.5, 0.0] + [e for e in (lo, hi) if 0.0 < e < math.inf])
+    assert not k(off).any()
+
+
 def test_kernel_scale_linearity():
     base_kernel = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=4.0)
     grid = np.geomspace(1.001, 4.0, 400)
@@ -217,7 +265,7 @@ class _NoSupport:
     def log_abs_decomp(self, u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.where(u > 0.0, -4.0 * np.log(np.abs(u)), -u * u), 0.0
+            return np.where(u > 0.0, -4.0 * np.log(np.abs(u)), -u * u), math.inf
 
 
 # 150 signed x values in a fixed shuffled order, so every 64-row chunk mixes
@@ -379,6 +427,26 @@ def test_apply_array_with_zero_raises():
 def test_commutation_rejects_non_integrable_kernel():
     with pytest.raises(KernelNotIntegrableError):
         commutation_residual(make_kernel("hardy"), F, P1, 1.0, CFG)
+
+
+def test_commutation_keeps_lambda_t_within_the_spectral_range(monkeypatch):
+    # t^-2 on (1, inf) reaches truncation_t = 1e4: a t range cut only there
+    # asked transform_grid for lambda t up to 1e4, a 16 GiB batch; each
+    # batch is checked before it is computed
+    exact = hausdorff.transform_grid
+
+    def checked(f, p, lams, cfg):
+        assert np.max(np.abs(lams)) <= cfg.truncation_lambda * (1.0 + 1e-12)
+        return exact(f, p, lams, cfg)
+
+    monkeypatch.setattr(hausdorff, "transform_grid", checked)
+    k = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf)
+    f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
+    lhs, rhs, gap, err = commutation_residual(k, f, P1, 1.0, CFG)
+    assert math.isfinite(gap) and math.isfinite(err) and err > 0.0
+    # beyond lambda = truncation_lambda / lo no t is left
+    with pytest.raises(ParameterError):
+        commutation_residual(k, f, P1, 100.0, CFG)
 
 
 def test_commutation_residual_reports_gap():

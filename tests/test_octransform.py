@@ -12,7 +12,6 @@ from octool.octransform import (
     apply_jacobi_cherednik,
     oc_inverse,
     oc_transform,
-    plancherel_residual,
     plancherel_residual_detailed,
     transform_grid,
 )
@@ -55,24 +54,47 @@ def test_function_spec_serialization_roundtrip():
                            np.asarray(g(xs), dtype=float), atol=0, rtol=0)
 
 
+# every family; the sampled f takes a negative value, under both interps
+_SAMPLE_XS = [-2.0, -0.7, 0.3, 1.2, 2.5]
+_SAMPLE_YS = [0.5, -1.2, 0.4, 2.0, 0.3]
+_FAMILY_PARAMS = (
+    ("gaussian", {"scale": 1.3}),
+    ("bump", {"center": 0.2, "width": 0.9}),
+    ("power_cutoff", {"exponent": -0.7}),
+    ("extremal_eps", {"p": 2.0, "eps": 0.1}),
+    ("extremal_delta", {"p": 2.0, "delta": 0.2}),
+    ("extremal_zero", {"p": 0.5}),
+    ("constant_one", {}),
+    ("sampled", {"xs": _SAMPLE_XS, "ys": _SAMPLE_YS}),
+    ("sampled", {"xs": _SAMPLE_XS, "ys": _SAMPLE_YS, "interp": "previous"}),
+    ("zero", {}),
+)
+
+
 def test_log_abs_decomp_consistency():
     from octool.specfun import log_weight_a
     xs = np.array([-3.0, -1.5, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 1.5, 3.0])
-    families = (("extremal_eps", {"p": 2.0, "eps": 0.1}),
-                ("extremal_delta", {"p": 2.0, "delta": 0.2}),
-                ("extremal_zero", {"p": 0.5}))
     for (family, params), domain, reflect in itertools.product(
-            families, ("real_line", "positive_halfline", "unit_interval"), (False, True)):
+            _FAMILY_PARAMS, ("real_line", "positive_halfline", "unit_interval"), (False, True)):
         f = FunctionSpec(family, domain, params, P1, reflect)
+        values = f(xs)
         with np.errstate(divide="ignore"):
-            log_f = np.log(f(xs))
+            log_f = np.log(np.abs(values))
         lo, hi = f.support()
         assert np.array_equal(np.isfinite(log_f), (xs > lo) & (xs < hi))
-        plain, a_coeff = f.log_abs_decomp(xs)
-        np.testing.assert_allclose(f.log_abs(xs), log_f, rtol=1e-12)
-        np.testing.assert_allclose(plain + a_coeff * log_weight_a(P1, xs), log_f, rtol=1e-12)
-        for x, expected in zip(xs, f.log_abs(xs)):
-            assert f.log_abs(float(x)) == expected
+        log_abs = f.log_abs(xs)
+        np.testing.assert_allclose(log_abs, log_f, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(values), np.exp(log_abs), rtol=1e-12, atol=0.0)
+        plain, root = f.log_abs_decomp(xs)
+        assert root == (params["p"] if family.startswith("extremal") else math.inf)
+        live = plain > -math.inf
+        log_a = np.where(live, log_weight_a(P1, xs), 0.0)
+        np.testing.assert_allclose(plain - log_a / root, log_f, rtol=1e-12)
+        # a scalar call is the matching element of the array call
+        for x, value, log_value, plain_value in zip(xs, values, log_abs, plain):
+            assert f(float(x)) == value
+            assert f.log_abs(float(x)) == log_value
+            assert f.log_abs_decomp(float(x)) == (plain_value, root)
 
 
 def _trapz_transform(f, p, lam, lo, hi, n=4001):
@@ -204,7 +226,7 @@ def test_roundtrip_and_conjugation():
     (P3, BUMP, 0.05),
 ])
 def test_plancherel_identity(p, f, limit):
-    lhs, rhs, gap = plancherel_residual(f, p, CFG)
+    lhs, rhs, gap, _ = plancherel_residual_detailed(f, p, CFG)
     assert gap <= limit
     assert rhs.real > 0.0
 
@@ -215,9 +237,9 @@ def test_plancherel_error_estimate_honest():
 
 
 def test_plancherel_gap_decreases_with_lambda_truncation():
-    gap40 = plancherel_residual(BUMP, P1, CFG)[2]
+    gap40 = plancherel_residual_detailed(BUMP, P1, CFG)[2]
     cfg80 = QuadConfig(truncation_lambda=80.0)
-    gap80 = plancherel_residual(BUMP, P1, cfg80)[2]
+    gap80 = plancherel_residual_detailed(BUMP, P1, cfg80)[2]
     assert gap80 < gap40
 
 

@@ -11,7 +11,6 @@ from octool.quad import (
     QuadConfig,
     integrate_finite,
     integrate_positive,
-    integrate_real_line,
     integrate_to_infinity,
     integrate_to_zero,
     panel_rule,
@@ -40,11 +39,6 @@ def test_inverse_sqrt_singularity():
 def test_exponential_tail():
     r = integrate_to_infinity(lambda x: np.exp(-x), 0.0, CFG)
     assert abs(r.value - 1.0) <= 1e-9
-
-
-def test_gaussian_real_line():
-    r = integrate_real_line(lambda x: np.exp(-(x**2)), CFG)
-    assert abs(r.value - math.sqrt(math.pi)) <= 1e-9
 
 
 def test_divergent_tail_detected():
