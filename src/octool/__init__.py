@@ -19,12 +19,14 @@ from .errors import (
 from .quad import (
     IntegralResult,
     QuadConfig,
+    integrate,
     integrate_finite,
-    integrate_positive,
     integrate_to_infinity,
     integrate_to_zero,
+    panel_rule,
 )
 from .specfun import (
+    ComplexEval,
     JacobiParams,
     c_function,
     eigenfunction_g,

@@ -23,14 +23,7 @@ from .errors import (
 )
 from .hausdorff import KernelSpec
 from .octransform import FunctionSpec
-from .quad import (
-    IntegralResult,
-    QuadConfig,
-    integrate_finite,
-    integrate_positive,
-    integrate_to_infinity,
-    integrate_to_zero,
-)
+from .quad import IntegralResult, QuadConfig, integrate
 from .specfun import JacobiParams, log_weight_a, weight_a
 
 __all__ = [
@@ -63,25 +56,10 @@ class NormResult:
         return float(self.value)
 
 
-def _integrate_folded(g, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
-    """Integrate g over (a, b): split at 0 and fold each piece onto |x| for
-    :func:`integrate_positive`."""
-    pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-    total = IntegralResult(0.0, 0.0, 0)
-    for lo, hi in pieces:
-        s_lo, s_hi = sorted((abs(lo), abs(hi)))
-        sign = -1.0 if hi <= 0.0 else 1.0
-        total = total + integrate_positive(lambda x: g(sign * x), s_lo, s_hi, cfg)
-    return total
-
-
 def interval_measure(p: JacobiParams, interval: tuple[float, float],
                      cfg: QuadConfig) -> float:
     """Weight mass of the interval: integral of A over it."""
-    a, b = interval
-    if not a < b:
-        return 0.0
-    return float(_integrate_folded(lambda x: weight_a(p, x), a, b, cfg).value)
+    return float(integrate(lambda x: weight_a(p, x), *interval, cfg).value)
 
 
 def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
@@ -134,7 +112,7 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     # an overflowing node is an infinite value, which quad reports as
     # divergence
     with np.errstate(over="ignore"):
-        r = _integrate_folded(g, a, b, cfg)
+        r = integrate(g, a, b, cfg)
     if (log_sums[0] > -math.inf).all():
         r.err_estimate = r.err_estimate + q * np.exp(log_sums[1] - log_sums[0]) * r.value
     return r
@@ -187,17 +165,6 @@ def grand_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
     )
 
 
-def _kernel_positive_on(k: KernelSpec, lo: float, hi: float) -> bool:
-    """Whether the kernel has mass on (lo, hi), by support overlap plus a
-    positivity spot check."""
-    klo, khi = k.support()
-    a, b = max(lo, klo), min(hi, khi)
-    if not a < b:
-        return False
-    t = np.geomspace(max(a, 1e-12) * (1 + 1e-9), min(b, 1e9), 129)
-    return bool(np.any(k(t) > 0.0))
-
-
 def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
                   cfg: QuadConfig, power: float = 1.0) -> NormResult:
     """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
@@ -223,7 +190,7 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         # an overflowing node is an infinite value, which quad reports as
         # divergence
         with np.errstate(over="ignore"):
-            r = integrate_positive(integrand, a, b, cfg)
+            r = integrate(integrand, a, b, cfg)
     except DivergentIntegralError as exc:
         if np.ndim(s) == 0:
             return NormResult(math.inf, math.inf)
@@ -250,7 +217,7 @@ def a_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
     if not p_exp > 1:
         raise ParameterError("a_constants require p_exp > 1")
     s = 1.0 / p_exp - (2.0 * params.alpha + 1.0) * (1.0 - 1.0 / p_exp)
-    if _kernel_positive_on(k, 0.0, 1.0):
+    if k.has_mass_on(0.0, 1.0):
         a_sup = math.inf
     else:
         a_sup = kernel_moment(k, s, 1.0, math.inf, cfg).value
@@ -262,7 +229,7 @@ def e_constant(k: KernelSpec, p_exp: float, cfg: QuadConfig) -> float:
     kernel supported in [1, inf)."""
     if not p_exp > 0:
         raise ParameterError("e_constant requires p_exp > 0")
-    if _kernel_positive_on(k, 0.0, 1.0):
+    if k.has_mass_on(0.0, 1.0):
         raise SupportError("e_constant requires the kernel supported in [1, inf)")
     return kernel_moment(k, 1.0 / p_exp, 1.0, math.inf, cfg).value
 
@@ -277,7 +244,7 @@ def b_constants(k: KernelSpec, p_exp: float, params: JacobiParams,
     if not 0.0 < p_exp < 1.0:
         raise ParameterError("b_constants require 0 < p_exp < 1")
     s = 1.0 - (2.0 * params.alpha + 1.0) * (p_exp - 1.0)
-    if _kernel_positive_on(k, 1.0, math.inf):
+    if k.has_mass_on(1.0, math.inf):
         b_inf = math.inf
     else:
         b_inf = kernel_moment(k, s, 0.0, 1.0, cfg, power=p_exp).value ** (1.0 / p_exp)
@@ -319,9 +286,9 @@ def lp_lq_constant(k: KernelSpec, p_exp: float, q_exp: float,
             expo = s * (c1 * log_weight_a(params, u) - c2 * log_weight_a(params, t_col * u))
             return np.exp(np.minimum(expo, 709.0))
 
-        cutoff = max(cfg.truncation_x, float(np.max(200.0 / np.abs(rate) * rho2)))
-        r = integrate_to_infinity(gu, 1.0, cfg, cutoff=cutoff)
-        iv = 2.0 * (r + integrate_to_zero(gu, 1.0, cfg)).value
+        reach = max(cfg.truncation_x, float(np.max(200.0 / np.abs(rate) * rho2)))
+        iv = 2.0 * (integrate(gu, 1.0, math.inf, cfg, cutoff=1.0 + reach)
+                    + integrate(gu, 0.0, 1.0, cfg)).value
         out[live] = (
             phi[live] / t_live * t_live ** (1.0 / q_exp)
             * iv ** ((p_exp - q_exp) / (p_exp * q_exp))
@@ -330,7 +297,7 @@ def lp_lq_constant(k: KernelSpec, p_exp: float, q_exp: float,
 
     lo, hi = k.support()
     try:
-        r = integrate_positive(integrand, lo, hi, cfg)
+        r = integrate(integrand, lo, hi, cfg)
     except DivergentIntegralError:
         return math.inf
     return float(r.value)
@@ -345,7 +312,7 @@ def grand_bound_constant(k: KernelSpec, p_exp: float, params: JacobiParams,
     is taken as it is."""
     if not p_exp > 1:
         raise ParameterError("grand_bound_constant requires p_exp > 1")
-    if _kernel_positive_on(k, 0.0, 1.0):
+    if k.has_mass_on(0.0, 1.0):
         raise SupportError(
             "grand_bound_constant requires the kernel supported in [1, inf)"
         )
@@ -427,7 +394,7 @@ def power_lemma_check(h: FunctionSpec, s: float,
         # value: integrate each constant piece on its own
         xs = np.asarray(h.params["xs"], dtype=float)
         knots = np.unique(np.clip(-xs if h.reflect else xs, a, b))
-    lhs = sum(float(integrate_finite(h, lo, hi, cfg).value)
+    lhs = sum(float(integrate(h, lo, hi, cfg).value)
               for lo, hi in zip(knots[:-1], knots[1:])) ** s
 
     def g(u):
@@ -436,8 +403,8 @@ def power_lemma_check(h: FunctionSpec, s: float,
         return np.asarray(h(a + u)) ** s * u ** (s - 1.0)
 
     u = knots - a
-    rhs = integrate_to_zero(g, u[1], cfg).value + sum(
-        integrate_finite(g, lo, hi, cfg).value for lo, hi in zip(u[1:-1], u[2:]))
+    rhs = integrate(g, 0.0, u[1], cfg).value + sum(
+        integrate(g, lo, hi, cfg).value for lo, hi in zip(u[1:-1], u[2:]))
     return lhs, s * float(rhs)
 
 

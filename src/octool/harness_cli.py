@@ -23,7 +23,6 @@ from .errors import (
     OctoolError,
 )
 from .bounds import (
-    _kernel_positive_on,
     a_constants,
     b_constants,
     e_constant,
@@ -275,7 +274,7 @@ def _run_t_lp_ainf(s: VerifyScenario) -> VerifyReport:
 
 
 def _run_c_lp_sandwich(s: VerifyScenario) -> VerifyReport:
-    if _kernel_positive_on(s.kernel, 0.0, math.inf):
+    if s.kernel.has_mass_on(0.0, math.inf):
         return VerifyReport(
             s.to_dict(), math.nan, math.nan, math.nan, _TOL_FLOOR, "vacuous",
             {"note": "A(u)/A(tu) is monotone in u, so for every t != 1 its sup "

@@ -21,11 +21,11 @@ from .errors import (
     SingularityError,
 )
 from .octransform import FunctionSpec, transform_grid
-from .quad import IntegralResult, QuadConfig, integrate_positive, panel_rule
+from .quad import IntegralResult, QuadConfig, integrate, panel_rule
 from .specfun import JacobiParams, log_sinh_cosh, log_weight_a
 
-__all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "HausdorffImage",
-           "commutation_residual"]
+__all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "hausdorff_apply_result",
+           "hausdorff_log_grid", "HausdorffImage", "commutation_residual"]
 
 _VARIANTS = {
     "hardy",
@@ -92,6 +92,19 @@ class KernelSpec:
         grid = np.asarray(self.params["grid"], dtype=float)
         return float(grid[0]), float(grid[-1])
 
+    def has_mass_on(self, lo: float, hi: float) -> bool:
+        """Whether phi has mass on (lo, hi).  Every variant but ``tabulated``
+        is positive on its open support by its formula; a ``tabulated``
+        kernel has mass where a grid segment overlapping (lo, hi) has a
+        positive value at either end."""
+        if self.variant != "tabulated":
+            klo, khi = self.support()
+            return max(lo, klo) < min(hi, khi)
+        grid = np.asarray(self.params["grid"], dtype=float)
+        vals = np.asarray(self.params["values"], dtype=float)
+        overlap = np.maximum(grid[:-1], lo) < np.minimum(grid[1:], hi)
+        return bool(np.any(overlap & ((vals[:-1] > 0.0) | (vals[1:] > 0.0))))
+
     def __call__(self, t):
         """phi(t) = e^(log_phi(log t)) for t > 0, and 0 elsewhere."""
         # log t is -inf at t = 0 and NaN for t < 0, both off every support
@@ -140,7 +153,7 @@ class KernelSpec:
     def l1_status(self, cfg: QuadConfig) -> tuple[str, float | None]:
         """("finite", value) or ("infinite", None) for the integral of phi."""
         try:
-            r = integrate_positive(self, *self.support(), cfg)
+            r = integrate(self, *self.support(), cfg)
         except DivergentIntegralError:
             return "infinite", None
         return "finite", float(r.value)
@@ -158,20 +171,28 @@ def hausdorff_apply(
     return float(hausdorff_apply_result(k, f, p, x, cfg).value)
 
 
+def _can_be_negative(f) -> bool:
+    """Whether f may take a negative value: a plain callable, or a
+    ``sampled`` FunctionSpec with a negative value; every other f with a
+    ``log_abs_decomp`` is non-negative by its formula."""
+    if not hasattr(f, "log_abs_decomp"):
+        return True
+    return getattr(f, "family", None) == "sampled" and np.min(f.params["ys"]) < 0.0
+
+
 def hausdorff_apply_result(
-    k: KernelSpec, f, p: JacobiParams, x, cfg: QuadConfig
+    k: KernelSpec, f, p: JacobiParams, x: float, cfg: QuadConfig
 ) -> IntegralResult:
     """H f(x) with its quadrature error estimate.
 
     The integrand is formed in log space, as in :func:`hausdorff_log_grid`,
-    so that f(x/t) and A(x/t)/A(x) cannot overflow or meet as inf * 0, and it
-    takes its sign from f(x/t).  Where the t-integral diverges and f took no
-    negative value on the nodes, value and estimate are +inf; a divergence
-    where f changed sign has no value and raises DivergentIntegralError.
-
-    An array ``x`` is one adaptive run over the kernel's support, which does
-    not depend on x: each x is a component on the shared t mesh, held to its
-    own tolerance, and value and estimate have the shape of ``x``.
+    so that f(x/t) and A(x/t)/A(x) cannot overflow or meet as inf * 0.  An f
+    that may be negative, a plain callable or a ``sampled`` f with a negative
+    value, also gives the integrand its sign from f(x/t); every other f is
+    read once per node, through its ``log_abs_decomp``.  Where the
+    t-integral diverges and f took no negative value on the nodes, value and
+    estimate are +inf; a divergence where f changed sign has no value and
+    raises DivergentIntegralError.
 
     A plain callable ``f`` must not underflow to 0 where A(x/t)/A(x) grows:
     without a ``log_abs_decomp`` (as a ``FunctionSpec`` has) the product
@@ -179,24 +200,18 @@ def hausdorff_apply_result(
     adjoint Hardy at (1/2, -1/2), f(u) = u^2 / A(u) as a plain callable gives
     a finite value at x = 0.9, where H f = +inf.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
+    if x == 0.0:
         raise SingularityError("hausdorff_apply is undefined at x = 0")
-    shape = x.shape
     log_ax = log_weight_a(p, x)
-    if shape:
-        # one row of u = x/t per x
-        x, log_ax = x.reshape(-1, 1), log_ax.reshape(-1, 1)
     log_parts = getattr(f, "log_abs_decomp", None)
-    # per x: whether f(x/t) was negative at some node
-    negative = np.zeros(x.shape[:-1], dtype=bool)
+    signed = _can_be_negative(f)
+    negative = False
 
     def integrand(t):
         nonlocal negative
         t = np.asarray(t, dtype=float)
         u = x / t
-        fv = np.asarray(f(u), dtype=float)
-        negative = negative | (fv < 0.0).any(axis=-1)
+        fv = np.asarray(f(u), dtype=float) if signed else None
         # log f = -inf where f vanishes; an overflow to +inf is divergence
         with np.errstate(divide="ignore", over="ignore"):
             if log_parts is None:
@@ -206,25 +221,18 @@ def hausdorff_apply_result(
             s = np.log(t)
             out = np.exp(k.log_phi(s) - s + plain
                          + (1.0 - 1.0 / root) * log_weight_a(p, u) - log_ax)
+        if not signed:
+            return out
+        negative = negative or bool((fv < 0.0).any())
         return np.copysign(out, fv)
 
     try:
-        r = integrate_positive(integrand, *k.support(), cfg)
-    except DivergentIntegralError as exc:
-        div = True if exc.mask is None else exc.mask
-        if np.any(div & negative):
+        return integrate(integrand, *k.support(), cfg)
+    except DivergentIntegralError:
+        if negative:
             raise
         # H f(x) = +inf, as in hausdorff_log_grid
-        if not shape:
-            return IntegralResult(math.inf, math.inf)
-        value, err = np.full(div.shape, math.inf), np.full(div.shape, math.inf)
-        if not div.all():  # the other xs in a run of their own
-            rest = hausdorff_apply_result(k, f, p, x[~div, 0], cfg)
-            value[~div], err[~div] = rest.value, rest.err_estimate
-        return IntegralResult(value.reshape(shape), err.reshape(shape))
-    if shape:
-        r.value, r.err_estimate = r.value.reshape(shape), r.err_estimate.reshape(shape)
-    return r
+        return IntegralResult(math.inf, math.inf)
 
 
 # The (7, 15) pair on (-1, 1): its nodes, and as the two columns of one
@@ -329,11 +337,11 @@ def _split_points(probe, lo, hi):
     return lo + share * (hi - lo)
 
 
-def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
-                       include_weight: bool = True):
-    """log H f at each x in xs for non-negative f, entirely in log space so
-    that weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor
-    underflow.
+def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
+    """log A(x) H f(x) at each x in xs for non-negative f, entirely in log
+    space so that weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor
+    underflow, and callers that multiply H f by a power of A can combine the
+    exponents analytically instead of cancelling two huge floats.
 
     With u = x/t and sigma = log|u|, A(x) H f(x) is the integral over sigma
     of phi(|x| e^(-sigma)) f(u) A(u): a convolution in sigma.  It is taken on
@@ -356,16 +364,13 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec), and must not
     take a negative value: the engine integrates log|f|, so a signed f would
     give H|f|.  A ``sampled`` f with a negative value, the one catalog family
-    that can have one, raises ParameterError.
-
-    With ``include_weight=False`` the exact -log A(x) term of log H f is left
-    out, so callers that multiply H f by a power of A can combine the
-    exponents analytically instead of cancelling two huge floats.
+    that can have one, raises ParameterError, as does an f without
+    ``log_abs_decomp``.
     """
-    if getattr(f, "family", None) == "sampled" and np.min(f.params["ys"]) < 0.0:
+    if _can_be_negative(f):
         raise ParameterError(
-            "hausdorff_log_grid needs a non-negative f; this sampled f takes "
-            "negative values")
+            "hausdorff_log_grid needs an f with log_abs_decomp that takes no "
+            "negative value")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs == 0.0):
         raise SingularityError("hausdorff operator is undefined at x = 0")
@@ -409,8 +414,6 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig,
                 k, f, p, cfg, xs[r], log_x[r], s_lo[r], s_hi[r],
                 ja[c0:c1], jb[c0:c1], lo_cut[c0:c1], hi_cut[c0:c1],
                 cut_lo[r], cut_hi[r])
-        if include_weight and rows.size:
-            log_vals[rows] -= log_weight_a(p, xs[rows])
     return log_vals, rel_err
 
 
@@ -587,7 +590,7 @@ class HausdorffImage:
         live = x != 0.0
         if live.any():
             core[live], rel[live] = hausdorff_log_grid(
-                self.k, self.f, self.params, x[live], self.cfg, include_weight=False)
+                self.k, self.f, self.params, x[live], self.cfg)
         return core, 1.0, rel
 
 
@@ -622,7 +625,7 @@ def commutation_residual(
     """
     lo, hi = k.support()
     try:
-        l1 = integrate_positive(k, lo, hi, cfg)
+        l1 = integrate(k, lo, hi, cfg)
     except DivergentIntegralError:
         raise KernelNotIntegrableError(
             f"kernel {k.variant!r} is not integrable; the identity assumes it is"

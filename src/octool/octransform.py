@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, SingularityError
-from .quad import (
-    IntegralResult,
-    QuadConfig,
-    integrate_finite,
-    integrate_to_infinity,
-    integrate_to_zero,
-    panel_rule,
-)
+from .quad import IntegralResult, QuadConfig, integrate, integrate_finite, panel_rule
 from .specfun import (
     JacobiParams,
     _g_batch,
@@ -32,7 +25,9 @@ __all__ = [
     "FunctionSpec",
     "oc_transform",
     "oc_transform_result",
+    "transform_grid",
     "oc_inverse",
+    "oc_inverse_result",
     "apply_jacobi_cherednik",
     "plancherel_residual_detailed",
 ]
@@ -292,46 +287,20 @@ class FunctionSpec:
 # ---------------------------------------------------------------------------
 # forward / inverse transform
 
-def _integrate_support(integrand, lo: float, hi: float, cfg: QuadConfig,
-                       cutoff: float) -> IntegralResult:
-    """Integrate over (lo, hi) splitting at 0 and truncating infinite ends."""
-    total = IntegralResult(0.0, 0.0, 0)
-    pieces: list[tuple[float, float]] = []
-    if lo < 0.0 < hi:
-        pieces = [(lo, 0.0), (0.0, hi)]
-    elif lo < hi:
-        pieces = [(lo, hi)]
-    for a, b in pieces:
-        if a == -math.inf:
-            r = integrate_to_infinity(lambda s: integrand(-s), -b, cfg, cutoff=cutoff)
-        elif b == math.inf:
-            r = integrate_to_infinity(integrand, a, cfg, cutoff=cutoff)
-        elif a == 0.0:
-            r = integrate_to_zero(integrand, b, cfg)
-        elif b == 0.0:
-            r = integrate_to_zero(lambda s: integrand(-s), -a, cfg)
-        else:
-            r = integrate_finite(integrand, a, b, cfg)
-        total = total + r
-    return total
-
-
 def oc_transform_result(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> IntegralResult:
     """Transform value with its quadrature error estimate.
 
     ``f`` may be a :class:`FunctionSpec` (its support bounds the integral) or
-    any vectorized callable on the real line.
+    any vectorized callable on the real line.  The integral is cut at |x| =
+    ``truncation_x``, and the estimate charges the tail beyond the cut as a
+    geometric extrapolation of the last blocks: a bound only where the
+    integrand decays past the cut.
     """
     def integrand(x):
         return np.asarray(f(x)) * _g_batch(p, [lam], -np.asarray(x))[0][0] * weight_a(p, x)
 
-    if isinstance(f, FunctionSpec):
-        lo, hi = f.support()
-        lo = max(lo, -cfg.truncation_x) if lo != -math.inf else -math.inf
-        hi = min(hi, cfg.truncation_x) if hi != math.inf else math.inf
-    else:
-        lo, hi = -math.inf, math.inf
-    return _integrate_support(integrand, lo, hi, cfg, cutoff=cfg.truncation_x)
+    lo, hi = f.support() if isinstance(f, FunctionSpec) else (-math.inf, math.inf)
+    return integrate(integrand, lo, hi, cfg, cutoff=cfg.truncation_x)
 
 
 def oc_transform(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> complex:
@@ -448,15 +417,11 @@ def plancherel_residual_detailed(
     so the spectral integral is evaluated as twice the real part over
     lambda > 0.
     """
-    lo, hi = f.support()
-
     def sq(x):
         v = np.asarray(f(x))
         return v * v * weight_a(p, x)
 
-    lhs_res = _integrate_support(sq, max(lo, -cfg.truncation_x) if lo != -math.inf else lo,
-                                 min(hi, cfg.truncation_x) if hi != math.inf else hi,
-                                 cfg, cutoff=cfg.truncation_x)
+    lhs_res = integrate(sq, *f.support(), cfg, cutoff=cfg.truncation_x)
     lhs = float(lhs_res.value)
     if lhs == 0.0:
         return 0.0, 0.0 + 0.0j, 0.0, 0.0

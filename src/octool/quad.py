@@ -7,12 +7,13 @@ Integrands must accept a numpy array of abscissae and return an array of
 values (real or complex): shape (n,) for n abscissae, or (m, n) for m
 integrands that share one adaptive mesh, each held to its own tolerance.
 
-:func:`integrate_to_zero` and :func:`integrate_positive` reach a 0 end or an
-infinite end of (0, inf) in log coordinates, x = b e^(-s) or x = a e^s over
-s in (0, 600], where power laws become exponentials that the dyadic blocks of
+:func:`integrate` is the one integral over an interval of the whole line: it
+splits the interval at 0, folds the piece below 0 onto |x|, and reaches a 0
+end or an infinite end in log coordinates, x = b e^(-s) or x = a e^s over s
+in (0, 600], where power laws become exponentials that the dyadic blocks of
 :func:`integrate_to_infinity` resolve, with its geometric tail estimate and
-divergence test.  A whole-line integral is split at 0 by its caller
-(``octransform._integrate_support``, ``bounds._integrate_folded``).
+divergence test.  With a cutoff it cuts an end past |x| = cutoff by those
+blocks instead, charging the tail beyond the cut.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "integrate_finite",
     "integrate_to_infinity",
     "integrate_to_zero",
-    "integrate_positive",
+    "integrate",
     "panel_rule",
 ]
 
@@ -317,11 +318,36 @@ def integrate_to_zero(f, b: float, cfg: QuadConfig) -> IntegralResult:
     return integrate_to_infinity(in_log, 0.0, cfg, cutoff=span)
 
 
-def integrate_positive(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResult:
-    """Integral of ``f`` over (lo, hi) with 0 <= lo < hi <= inf, in log
-    coordinates above max(lo, 1) when hi is infinite and at a 0 end."""
-    if hi == math.inf:
-        start = max(lo, 1.0)
+def integrate(f, lo: float, hi: float, cfg: QuadConfig,
+              cutoff: float | None = None) -> IntegralResult:
+    """Integral of ``f`` over (lo, hi) for -inf <= lo < hi <= inf; 0 when the
+    interval is empty.
+
+    The interval is split at 0, and a piece below 0 is folded onto |x| as
+    f(-x).  A piece (a, b) of the half-line is reached at a 0 end by
+    :func:`integrate_to_zero` and at an infinite end in log coordinates above
+    max(a, 1).  With ``cutoff``, an end past |x| = cutoff is cut there by the
+    dyadic blocks of :func:`integrate_to_infinity`, which charge the tail
+    beyond the cut, and a piece wholly past it adds nothing.
+    """
+    total = IntegralResult(0.0, 0.0, 0)
+    if not lo < hi:
+        return total
+    if lo < 0.0:
+        total = total + _half_line(lambda x: f(-x), max(-hi, 0.0), -lo, cfg, cutoff)
+    if hi > 0.0:
+        total = total + _half_line(f, max(lo, 0.0), hi, cfg, cutoff)
+    return total
+
+
+def _half_line(f, a: float, b: float, cfg: QuadConfig, cutoff) -> IntegralResult:
+    """Integral of ``f`` over (a, b), 0 <= a < b <= inf (see :func:`integrate`)."""
+    if cutoff is not None and b > cutoff:
+        if a >= cutoff:
+            return IntegralResult(0.0, 0.0, 0)
+        return integrate_to_infinity(f, a, cfg, cutoff=cutoff - a)
+    if b == math.inf:
+        start = max(a, 1.0)
 
         def in_log(s):
             x = start * np.exp(np.asarray(s, dtype=float))
@@ -332,8 +358,7 @@ def integrate_positive(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResu
         # f(x) * x into 0 * inf
         span = min(_LOG_SPAN, math.log(np.finfo(float).max) - math.log(start))
         r = integrate_to_infinity(in_log, 0.0, cfg, cutoff=span)
-        return r + integrate_positive(f, lo, start, cfg) if start > lo else r
-    if lo == 0.0:
-        return integrate_to_zero(f, hi, cfg)
-    return integrate_finite(f, lo, hi, cfg)
-
+        return r + _half_line(f, a, start, cfg, None) if start > a else r
+    if a == 0.0:
+        return integrate_to_zero(f, b, cfg)
+    return integrate_finite(f, a, b, cfg)

@@ -25,6 +25,7 @@ __all__ = [
     "jacobi_phi",
     "eigenfunction_g",
     "weight_a",
+    "log_weight_a",
     "weight_ratio_extrema",
     "c_function",
     "plancherel_density",

@@ -23,7 +23,7 @@ from octool.errors import MonotonicityError, SupportError
 from octool.harness_cli import build_default_suite, random_step_function, run_scenario
 from octool.hausdorff import HausdorffImage, make_kernel
 from octool.octransform import FunctionSpec
-from octool.quad import QuadConfig, integrate_positive, integrate_to_infinity, integrate_to_zero
+from octool.quad import QuadConfig, integrate, integrate_to_infinity, integrate_to_zero
 from octool.specfun import JacobiParams, log_weight_a, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
@@ -109,6 +109,21 @@ def test_a_sup_divergent_moment():
 def test_b_constants_divergent_moment(kernel):
     # s = 1 + 3/2 = 5/2: phi^(1/2) t^(3/2) grows on (1, inf)
     assert b_constants(kernel, 0.5, P2, CFG) == (math.inf, math.inf)
+
+
+# a tabulated kernel whose mass below 1 is one spike 2e-5 wide, at t = 0.70001
+SPIKE = make_kernel("tabulated", grid=[0.5, 0.7, 0.70001, 0.70002, 2.0, 3.0],
+                    values=[0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+
+
+def test_kernel_mass_below_one_is_read_from_the_grid():
+    # 129 geometric samples in (0, 1) miss the spike: a_sup read 0.1166 and
+    # e_constant 0.307, where a_sup = +inf and E is undefined
+    assert SPIKE.has_mass_on(0.0, 1.0) and SPIKE.has_mass_on(0.700005, 0.700006)
+    assert not SPIKE.has_mass_on(0.5, 0.7) and not SPIKE.has_mass_on(0.70002, 2.0)
+    assert a_constants(SPIKE, 2.0, P1, CFG)[0] == math.inf
+    with pytest.raises(SupportError):
+        e_constant(SPIKE, 2.0, CFG)
 
 
 @pytest.mark.parametrize("p_exp", [0.4, 0.5, 0.55, 0.9])
@@ -218,7 +233,7 @@ def _lp_lq_constant_per_node(k, p_exp, q_exp, params, cfg):
             out[i] = phi / ti * ti ** (1.0 / q_exp) * iv ** ((p_exp - q_exp) / (p_exp * q_exp))
         return out
 
-    return float(integrate_positive(integrand, *k.support(), cfg).value)
+    return float(integrate(integrand, *k.support(), cfg).value)
 
 
 @pytest.mark.parametrize("params", [P1, P2], ids=["half_minus_half", "one_half"])

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octool.bounds import extremal_function, lp_norm
 from octool.harness_cli import (
@@ -86,6 +89,28 @@ def test_signed_f_becomes_a_failure_that_names_the_error():
     r = run_scenario(VerifyScenario("T_L1", P1, make_kernel("adjoint_hardy"), (signed,)))
     assert r.status == "fail"
     assert r.err_breakdown["error"].startswith("ParameterError")
+
+
+# CI's four cheap default theorem ids, every scenario of each
+CHEAP_IDS = ("T_INTERVAL_E", "T_QB_LB", "P_EIGEN", "D_SCALING_DIAG")
+_FINITE_POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+REPORT_STATUSES = {"pass", "fail", "vacuous", "divergent", "diagnostic_recorded"}
+
+
+@settings(max_examples=8, deadline=None)
+@given(rel_tol=st.floats(1e-10, 1.0), abs_tol=_FINITE_POSITIVE,
+       max_subdivisions=st.integers(-1, 100_000),
+       truncation_x=_FINITE_POSITIVE, truncation_lambda=_FINITE_POSITIVE,
+       truncation_t=_FINITE_POSITIVE, lambda_min=_FINITE_POSITIVE)
+def test_cheap_scenarios_finish_with_a_report_on_any_config(**fields):
+    # any config the constructor accepts gives every row a status: no raw
+    # exception and no numpy warning
+    cfg = QuadConfig(**fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in build_default_suite(cfg=cfg):
+            if s.theorem_id in CHEAP_IDS:
+                assert run_scenario(s).status in REPORT_STATUSES, s.theorem_id
 
 
 def test_exit_codes(tmp_path):

@@ -25,7 +25,7 @@ from octool.hausdorff import (
 )
 from octool.octransform import FunctionSpec, oc_transform, oc_transform_result
 from octool.quad import QuadConfig
-from octool.specfun import JacobiParams, weight_a
+from octool.specfun import JacobiParams, log_weight_a, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
 CFG = QuadConfig()
@@ -249,7 +249,7 @@ def test_log_grid_matches_direct():
     k = make_kernel("adjoint_hardy")
     xs = np.array([0.3, 0.7, 1.2])
     lg, rel = hausdorff_log_grid(k, F, P1, xs, CFG)
-    for x, l in zip(xs, lg):
+    for x, l in zip(xs, lg - log_weight_a(P1, xs)):
         direct = hausdorff_apply(k, F, P1, float(x), CFG)
         if direct == 0.0:
             assert l == -math.inf
@@ -319,30 +319,16 @@ _POSITIVE_FLOATS = st.floats(min_value=0.0, max_value=1e308, exclude_min=True,
 @given(k=st.sampled_from(_CATALOG_KERNELS), f=st.sampled_from(_CATALOG_FUNCTIONS),
        truncation_t=_POSITIVE_FLOATS, rel_tol=_POSITIVE_FLOATS,
        xs=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(-300, 300)),
-                   min_size=1, max_size=4),
-       include_weight=st.booleans())
-def test_log_grid_any_config_and_scale(k, f, truncation_t, rel_tol, xs, include_weight):
+                   min_size=1, max_size=4))
+def test_log_grid_any_config_and_scale(k, f, truncation_t, rel_tol, xs):
     # every window the clips admit lies on the lattice, whatever the config
     # and |x|: each value is a float or +-inf with a non-negative estimate
     cfg = QuadConfig(truncation_t=truncation_t, rel_tol=rel_tol)
     x = np.array([sign * 10.0 ** e for sign, e in xs])
-    lg, rel = hausdorff_log_grid(k, f, P1, x, cfg, include_weight=include_weight)
+    lg, rel = hausdorff_log_grid(k, f, P1, x, cfg)
     assert lg.shape == rel.shape == x.shape
     assert not np.isnan(lg).any()
     assert np.all(rel >= 0.0)
-
-
-@pytest.mark.parametrize("variant", ["adjoint_hardy", "hardy"])
-def test_apply_array_matches_scalar_calls(variant):
-    k = make_kernel(variant)
-    xs = np.array([0.3, 0.75, 0.9, 1.1, 1.6, -0.4, 2.5])
-    r = hausdorff_apply_result(k, F, P1, xs, CFG)
-    assert r.value.shape == xs.shape and r.err_estimate.shape == xs.shape
-    for x, v, e in zip(xs, r.value, r.err_estimate):
-        one = hausdorff_apply_result(k, F, P1, float(x), CFG)
-        assert abs(v - one.value) <= e + one.err_estimate, x
-        # each x on the shared mesh is held to its own tolerance
-        assert e <= max(CFG.abs_tol, CFG.rel_tol * abs(v)), x
 
 
 def test_apply_zero_dim_x_keeps_scalar_result():
@@ -351,8 +337,27 @@ def test_apply_zero_dim_x_keeps_scalar_result():
     one = hausdorff_apply_result(k, F, P1, 0.5, CFG)
     assert np.ndim(r.value) == 0 and np.ndim(r.err_estimate) == 0
     assert r.value == one.value and r.err_estimate == one.err_estimate
-    # the scalar path keeps its value from before the array form
+    # the value pinned for the scalar path
     assert float(one.value) == pytest.approx(1.870523029464705, rel=1e-14)
+
+
+class _LogOnly:
+    """e^(-u^2), read only through log_abs_decomp: a call for its value fails."""
+
+    def log_abs_decomp(self, u):
+        return -np.asarray(u, dtype=float) ** 2, math.inf
+
+    def __call__(self, u):
+        raise AssertionError("f read for its sign")
+
+
+def test_apply_reads_a_non_negative_f_once_per_node():
+    # only an f that may be negative is evaluated for its sign
+    for variant in ("hardy", "adjoint_hardy"):
+        k = make_kernel(variant)
+        once = hausdorff_apply_result(k, _LogOnly(), P1, 0.7, CFG)
+        spec = hausdorff_apply_result(k, FunctionSpec("gaussian"), P1, 0.7, CFG)
+        assert (once.value, once.err_estimate) == (spec.value, spec.err_estimate)
 
 
 def test_apply_divergent_extremal_is_inf():
@@ -366,9 +371,6 @@ def test_apply_divergent_extremal_is_inf():
     for x in xs:
         r = hausdorff_apply_result(k, f, P1, float(x), CFG)
         assert r.value == math.inf and r.err_estimate == math.inf
-    # an array run keeps its finite components: f(x/t) = 0 for x < 0
-    r = hausdorff_apply_result(k, f, P1, np.array([1.0, -1.0, 2.0]), CFG)
-    assert r.value.tolist() == [math.inf, 0.0, math.inf]
 
 
 def test_apply_extremal_with_overflowing_f():
@@ -386,7 +388,7 @@ def test_apply_extremal_with_overflowing_f():
         # the log grid stops at t = truncation_t max(x, 1); its estimate
         # charges the mass past the cut, 4e-7 of H f at x = 0.3
         lg, rel = hausdorff_log_grid(k, f, P1, np.array([x]), CFG)
-        assert abs(math.exp(lg[0]) - truth) <= rel[0] * truth
+        assert abs(math.exp(lg[0] - log_weight_a(P1, x)) - truth) <= rel[0] * truth
 
 
 def test_apply_signed_function():
@@ -414,14 +416,6 @@ def test_apply_divergent_signed_function_raises():
         assert hausdorff_apply(k, pos, P1, 0.5, CFG) == math.inf
         with pytest.raises(DivergentIntegralError):
             hausdorff_apply(k, neg, P1, 0.5, CFG)
-        with pytest.raises(DivergentIntegralError):
-            hausdorff_apply_result(k, neg, P1, np.array([0.5, 1.5]), CFG)
-
-
-def test_apply_array_with_zero_raises():
-    with pytest.raises(SingularityError):
-        hausdorff_apply_result(make_kernel("hardy"), F, P1,
-                               np.array([0.5, 0.0, 1.0]), CFG)
 
 
 def test_commutation_rejects_non_integrable_kernel():
@@ -478,7 +472,8 @@ def comm_lhs_ref():
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape)
         nonzero = x != 0.0
-        out[nonzero] = hausdorff_apply_result(k, COMM_F, COMM_P, x[nonzero], fine).value
+        out[nonzero] = [hausdorff_apply_result(k, COMM_F, COMM_P, v, fine).value
+                         for v in x[nonzero]]
         return out
 
     return complex(oc_transform_result(hf, COMM_P, 1.0, fine).value)

@@ -12,6 +12,7 @@ from octool.octransform import (
     apply_jacobi_cherednik,
     oc_inverse,
     oc_transform,
+    oc_transform_result,
     plancherel_residual_detailed,
     transform_grid,
 )
@@ -216,6 +217,17 @@ def test_roundtrip_and_conjugation():
         if x == 0.5:
             # real even input: the reconstruction must be essentially real
             assert abs(v.imag) <= 1e-6
+
+
+def test_support_past_the_cut_is_cut_as_the_whole_line():
+    # a support past +-truncation_x is cut at |x| = truncation_x, with the
+    # tail beyond charged as at an infinite end: the same bits as the same
+    # values given as a plain callable on the whole line
+    f = FunctionSpec("sampled", params={"xs": [-30.0, 0.0, 30.0], "ys": [1.0, 2.0, 1.0]})
+    spec = oc_transform_result(f, P1, 1.0, CFG)
+    plain = oc_transform_result(lambda x: f(x), P1, 1.0, CFG)
+    assert spec.value == plain.value
+    assert spec.err_estimate == plain.err_estimate
 
 
 @pytest.mark.parametrize("p,f,limit", [

@@ -9,8 +9,8 @@ from octool.errors import DivergentIntegralError, OctoolError, ParameterError
 from octool.hausdorff import make_kernel
 from octool.quad import (
     QuadConfig,
+    integrate,
     integrate_finite,
-    integrate_positive,
     integrate_to_infinity,
     integrate_to_zero,
     panel_rule,
@@ -140,7 +140,7 @@ def test_half_line_integrators_finish_on_any_config(max_sub, rel_tol, abs_tol, s
     f = lambda x: x ** (s - 1.0)
     for call in (lambda: integrate_to_zero(f, 1.0, cfg),
                  lambda: integrate_to_infinity(f, 1.0, cfg),
-                 lambda: integrate_positive(f, *span, cfg)):
+                 lambda: integrate(f, *span, cfg)):
         try:
             with np.errstate(over="ignore"):
                 call()
@@ -151,7 +151,7 @@ def test_half_line_integrators_finish_on_any_config(max_sub, rel_tol, abs_tol, s
 @pytest.mark.parametrize("call", [
     lambda f: integrate_finite(f, 0.0, 3.0, CFG),
     lambda f: integrate_to_zero(f, 1.0, CFG),
-    lambda f: integrate_positive(f, 0.5, math.inf, CFG),
+    lambda f: integrate(f, 0.5, math.inf, CFG),
 ], ids=["finite", "to_zero", "positive"])
 @pytest.mark.parametrize("f", [
     lambda x: np.exp(-x) * np.cos(3 * x),
@@ -175,8 +175,7 @@ def test_vector_powers_each_within_own_estimate(log_s):
     s = 10.0 ** np.asarray(log_s)
     rounding = 16 * np.finfo(float).eps / s
     for lo, hi, sign in ((0.0, 1.0, 1.0), (1.0, math.inf, -1.0)):
-        r = integrate_positive(lambda x: x[None, :] ** (sign * s[:, None] - 1.0),
-                               lo, hi, CFG)
+        r = integrate(lambda x: x[None, :] ** (sign * s[:, None] - 1.0), lo, hi, CFG)
         assert np.all(np.abs(r.value - 1.0 / s) <= r.err_estimate + rounding)
         assert np.all(r.err_estimate
                       <= np.maximum(CFG.abs_tol, CFG.rel_tol * np.abs(r.value)))
@@ -191,7 +190,7 @@ def test_vector_powers_each_within_own_estimate(log_s):
 def test_divergence_mask_names_divergent_components(lo, hi, s, divergent):
     s = np.asarray(s)
     with pytest.raises(DivergentIntegralError) as info:
-        integrate_positive(lambda x: x[None, :] ** (s[:, None] - 1.0), lo, hi, CFG)
+        integrate(lambda x: x[None, :] ** (s[:, None] - 1.0), lo, hi, CFG)
     assert info.value.mask.tolist() == divergent
 
 
@@ -214,11 +213,43 @@ def test_infinite_end_at_huge_lo(lo):
     # lo e^600 overflows: the log span is cut at the top of the double range.
     # int_lo^inf (lo/x)^2 = lo keeps the integrand representable at lo = 1e300,
     # where x^-2 itself underflows
-    r = integrate_positive(lambda x: (lo / x) ** 2, lo, math.inf, CFG)
+    r = integrate(lambda x: (lo / x) ** 2, lo, math.inf, CFG)
     assert abs(r.value - lo) <= r.err_estimate
     if lo < 1e150:
-        r = integrate_positive(lambda x: x ** -2.0, lo, math.inf, CFG)
+        r = integrate(lambda x: x ** -2.0, lo, math.inf, CFG)
         assert abs(r.value - 1.0 / lo) <= r.err_estimate
+
+
+def test_integrate_folds_the_negative_half_line():
+    # each piece below 0 is the mirrored piece of f(-x) above it, bit for bit
+    f = lambda x: np.exp(-x * x) * (2.0 + np.sin(x))
+    mirror = lambda x: f(-x)
+    for lo, hi in ((-3.0, -1.0), (-2.0, 0.0), (-math.inf, 0.0), (-math.inf, -0.5)):
+        left, right = integrate(f, lo, hi, CFG), integrate(mirror, -hi, -lo, CFG)
+        assert (left.value, left.err_estimate) == (right.value, right.err_estimate)
+    # across 0 the two pieces add up
+    whole = integrate(f, -2.0, 1.0, CFG)
+    parts = integrate(f, -2.0, 0.0, CFG) + integrate(f, 0.0, 1.0, CFG)
+    assert (whole.value, whole.err_estimate) == (parts.value, parts.err_estimate)
+    assert integrate(f, 1.0, 1.0, CFG).value == integrate(f, 2.0, 1.0, CFG).value == 0.0
+
+
+def test_integrate_cuts_every_end_past_the_cutoff_alike():
+    # a finite end past |x| = cutoff is cut as an infinite end is, tail
+    # charged; a piece wholly past the cut adds nothing
+    f = lambda x: np.exp(-np.abs(x))
+    for lo, hi in ((0.0, 30.0), (-30.0, 0.0), (2.0, 13.0), (-13.0, -2.0)):
+        a, b = sorted((abs(lo), abs(hi)))
+        cut = integrate(f, lo, hi, CFG, cutoff=12.0)
+        inf = integrate(f, a, math.inf, CFG, cutoff=12.0)
+        assert (cut.value, cut.err_estimate) == (inf.value, inf.err_estimate)
+        assert abs(cut.value - (math.exp(-a) - math.exp(-12.0))) <= 1e-12
+        assert cut.err_estimate >= math.exp(-12.0) - math.exp(-b)
+    assert integrate(f, 12.0, 30.0, CFG, cutoff=12.0).value == 0.0
+    # an interval inside the cut is integrated as without one
+    for lo, hi in ((-3.0, 5.0), (0.0, 2.0), (1.0, 2.0)):
+        with_cut, plain = integrate(f, lo, hi, CFG, cutoff=12.0), integrate(f, lo, hi, CFG)
+        assert (with_cut.value, with_cut.err_estimate) == (plain.value, plain.err_estimate)
 
 
 def test_power_cutoff_kernel_at_huge_lo_is_finite():
