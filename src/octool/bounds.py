@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hausdorff import KernelSpec
 from .octransform import FunctionSpec
-from .quad import IntegralResult, QuadConfig, integrate
+from .quad import IntegralResult, QuadConfig, integrate, integrate_batched
 from .specfun import JacobiParams, log_weight_a, weight_a
 
 __all__ = [
@@ -66,14 +66,20 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
                  domain: tuple[float, float], cfg: QuadConfig) -> IntegralResult:
     """Integral of |f|^p_exp A over domain, computed in log space so that
     f ~ A^(-1/p) tails neither overflow nor underflow.  An array of exponents
-    gives one component per exponent, integrated on one shared mesh; log |f|
+    gives one component per exponent, each held to its own tolerance; log |f|
     and log A are formed once per node set.
+
+    The integral is :func:`quad.integrate_batched`: the blocks of
+    :func:`quad.integrate` (split at 0 with x < 0 folded onto |x|, a 0 end
+    and an infinite end in log coordinates on the dyadic edges 0, 1, 3, ...,
+    511 and the cut at 600) are refined together, so ``log_abs_decomp`` is
+    called once per refinement round for every panel and both signs of x:
+    one engine call per round for a :class:`HausdorffImage`.
 
     A function whose ``log_abs_decomp`` also returns a relative error per
     node (as :class:`HausdorffImage` does) has it charged to each exponent's
-    estimate as p_exp times its node-weighted mean, sum(rel v) / sum(v) over
-    every node evaluated, times the integral; both sums are kept in log
-    space."""
+    estimate as sum w v p_exp rel over the final panels, with w the Kronrod
+    weights and v the integrand, since v carries |f|^p_exp."""
     flo, fhi = f.support()
     a, b = max(domain[0], flo), min(domain[1], fhi)
     q = np.asarray(p_exp, dtype=float)
@@ -81,11 +87,8 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
         return IntegralResult(0.0 * q, 0.0 * q, 0)
 
     q_col = q[..., None]
-    # log sum(v) and log sum(rel v) per exponent
-    log_sums = np.full((2,) + q.shape, -math.inf)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
         plain, root, *rel = f.log_abs_decomp(x)
         plain = np.atleast_1d(plain)
         # combined weight exponent, cancelled symbolically so huge log A
@@ -101,21 +104,12 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
             if w_coeff.any():
                 expo = expo + w_coeff * log_weight_a(params, x[live])
             out[..., live] = np.exp(expo)
-            if rel:
-                # a zero rel is a -inf log; an infinite node, which makes the
-                # sums NaN, ends the run as a divergence
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    both = [expo, expo + np.log(rel[0][live])]
-                    log_sums[:] = np.logaddexp(log_sums, np.logaddexp.reduce(both, axis=-1))
-        return out
+        return out, q_col * rel[0] * out if rel else None
 
     # an overflowing node is an infinite value, which quad reports as
-    # divergence
-    with np.errstate(over="ignore"):
-        r = integrate(g, a, b, cfg)
-    if (log_sums[0] > -math.inf).all():
-        r.err_estimate = r.err_estimate + q * np.exp(log_sums[1] - log_sums[0]) * r.value
-    return r
+    # divergence before it reads the inner errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrate_batched(g, a, b, cfg)
 
 
 def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
@@ -169,7 +163,9 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
                   cfg: QuadConfig, power: float = 1.0) -> NormResult:
     """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
     support, formed as one exponential of log phi and log t so that neither
-    factor under- or overflows on its own; +inf on divergence.
+    factor under- or overflows on its own; +inf on divergence.  A
+    ``tabulated`` kernel is integrated segment by segment between its grid
+    points.
 
     An array ``s`` is one vector-valued adaptive run, one component per
     exponent on a shared mesh, each held to its own tolerance: value and
@@ -181,6 +177,12 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         zero = np.zeros(np.shape(s)) if np.ndim(s) else 0.0
         return NormResult(zero, zero)
     s_col = np.asarray(s, dtype=float)[..., None]
+    # a tabulated kernel bends at its grid points: each grid segment is
+    # integrated on its own, or a narrow spike can fall between the nodes
+    knots = [a, b]
+    if k.variant == "tabulated":
+        grid = np.asarray(k.params["grid"], dtype=float)
+        knots = [a, *grid[(grid > a) & (grid < b)], b]
 
     def integrand(t):
         log_t = np.log(np.asarray(t, dtype=float))
@@ -190,7 +192,8 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         # an overflowing node is an infinite value, which quad reports as
         # divergence
         with np.errstate(over="ignore"):
-            r = integrate(integrand, a, b, cfg)
+            parts = [integrate(integrand, lo, hi, cfg) for lo, hi in zip(knots, knots[1:])]
+        r = sum(parts[1:], parts[0])
     except DivergentIntegralError as exc:
         if np.ndim(s) == 0:
             return NormResult(math.inf, math.inf)

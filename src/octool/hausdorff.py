@@ -306,12 +306,13 @@ def _fa_log(f, p, u, log_a=None):
 
 
 def _panel_sums(summand, shift, half):
-    """Kronrod sum and |Kronrod - Gauss| of each panel of e^(summand - shift),
-    overwriting ``summand``.  Each row is a dot product of its own against
-    the weight table, so its bits do not depend on the other rows."""
+    """Kronrod sum, |Kronrod - Gauss| and the plain sum of the node values of
+    each panel of e^(summand - shift), overwriting ``summand``.  Each row is a
+    dot product of its own against the weight table, so its bits do not
+    depend on the other rows."""
     np.subtract(summand, shift[:, None], out=summand)
     kd = np.exp(summand, out=summand) @ _KD_WEIGHTS
-    return kd[:, 0] * half, np.abs(kd[:, 1]) * half
+    return kd[:, 0] * half, np.abs(kd[:, 1]) * half, summand.sum(axis=1)
 
 
 def _split_points(probe, lo, hi):
@@ -359,8 +360,9 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
     +inf where the t-integral diverges: where the integrand peaks at a
     window end cut by ``truncation_t`` (or by the clip at t = 1e-8
     min(|x|, 1)) rather than by a support.  rel_err sums each panel's
-    QUADPACK error estimate and the mass beyond such a cut, extrapolated
-    geometrically from the cut panel's mass and log slope.
+    QUADPACK error estimate, the mass beyond such a cut, extrapolated
+    geometrically from the cut panel's mass and log slope, and a rounding
+    floor of eps times the row's summed node values.
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec), and must not
     take a negative value: the engine integrates log|f|, so a signed f would
     give H|f|.  A ``sampled`` f with a negative value, the one catalog family
@@ -484,7 +486,7 @@ def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
     # their inf - inf out of the exponent
     shift = np.where(live, shift, 0.0)
     probe = summand[:, _PROBE]
-    kron, diff = _panel_sums(summand, shift[row], half)
+    kron, diff, mag = _panel_sums(summand, shift[row], half)
     tail = np.zeros(n)
     for hit, panel, ratio in cut_ends:
         tail[hit] += kron[panel] * ratio / (1.0 - ratio)
@@ -533,16 +535,19 @@ def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
         np.maximum.at(raised, kr, ksum.max(axis=1))
         if (raised > shift).any():
             scale = np.exp(shift - raised)
-            kron, diff, tail, shift = kron * scale[row], diff * scale[row], tail * scale, raised
+            kron, diff, mag = kron * scale[row], diff * scale[row], mag * scale[row]
+            tail, shift = tail * scale, raised
         kprobe = ksum[:, _PROBE]
-        kk, kd = _panel_sums(ksum, shift[kr], khalf)
+        kk, kd, km = _panel_sums(ksum, shift[kr], khalf)
         m = cand.size
         hi[cand], kron[cand], diff[cand], probe[cand] = cut, kk[:m], kd[:m], kprobe[:m]
+        mag[cand] = km[:m]
         row = np.concatenate([row, cr])
         lo = np.concatenate([lo, cut])
         hi = np.concatenate([hi, khi[m:]])
         kron = np.concatenate([kron, kk[m:]])
         diff = np.concatenate([diff, kd[m:]])
+        mag = np.concatenate([mag, km[m:]])
         probe = np.concatenate([probe, kprobe[m:]])
 
     # each row's panels summed in sigma order, one after the other; the
@@ -552,7 +557,7 @@ def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
     # / K)^1.5), as scipy's quad does
     if refined:
         order = np.lexsort((lo, row))
-        row, kron, diff = row[order], kron[order], diff[order]
+        row, kron, diff, mag = row[order], kron[order], diff[order], mag[order]
     diff = np.where(diff > 0.0, diff * np.minimum(1.0, (200.0 * diff / kron) ** 1.5), 0.0)
     counts = np.bincount(row, minlength=n)
     rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
@@ -563,7 +568,11 @@ def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
     good = live & (size > 0.0)
     log_vals[good] = shift[good] + np.log(size[good])
     rel_err = np.zeros(n)
-    rel_err[good] = (err[good] + tail[good]) / size[good]
+    # the QUADPACK estimate of a converged row can read far below its
+    # rounding error (1e-33 for an error of 4e-16 on a smooth row): eps per
+    # node value, summed without the weights, bounds it
+    floor = np.finfo(float).eps * np.bincount(row, mag, minlength=n)
+    rel_err[good] = (err[good] + tail[good] + floor[good]) / size[good]
     return log_vals, rel_err
 
 

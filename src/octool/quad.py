@@ -14,6 +14,11 @@ in (0, 600], where power laws become exponentials that the dyadic blocks of
 :func:`integrate_to_infinity` resolve, with its geometric tail estimate and
 divergence test.  With a cutoff it cuts an end past |x| = cutoff by those
 blocks instead, charging the tail beyond the cut.
+
+:func:`integrate_batched` takes the same pieces and blocks for an integrand
+that is cheaper called once on many nodes than many times on few: it refines
+the panels of all blocks together in rounds, with one call of the integrand
+per round, and charges an error the integrand reports per node.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +40,7 @@ __all__ = [
     "integrate_to_infinity",
     "integrate_to_zero",
     "integrate",
+    "integrate_batched",
     "panel_rule",
 ]
 
@@ -223,27 +230,22 @@ _DIVERGENCE_WINDOW = 4
 _LOG_SPAN = 600.0
 
 
-def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
-    """Sum block integrals over increasing ``edges``, which run toward the
-    truncated end; flag non-decaying tails and estimate the one cut off,
-    component by component for a vector integrand."""
-    block_cfg = replace(
-        cfg,
-        abs_tol=cfg.abs_tol / max(len(edges) - 1, 1),
-        rel_tol=cfg.rel_tol / 4,
-    )
-    total = IntegralResult(0.0, 0.0, 0)
-    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
-    mags = []
-    for lo, hi in zip(edges, edges[1:]):
-        try:
-            r = integrate_finite(f, lo, hi, block_cfg)
-        except BudgetExhaustedError as exc:
-            # keep the block's best-effort value; its (larger) error estimate
-            # stays in the total, so accuracy loss is visible to the caller
-            r = exc.partial
-        total = total + r
-        mags.append(abs(r.value))
+def _dyadic_edges(a: float, span: float) -> list:
+    """Block edges a + 2^j - 1, j = 0, 1, ..., the last one cut at a + span."""
+    edges = [a]
+    j = 0
+    while edges[-1] < a + span:
+        edges.append(min(a + 2.0 ** (j + 1) - 1.0, a + span))
+        j += 1
+    return edges
+
+
+def _charge_tail(total: IntegralResult, edges, mags, cfg: QuadConfig) -> None:
+    """Add to ``total`` the estimate of the tail cut off beyond dyadic blocks
+    of magnitudes ``mags`` over increasing ``edges``, which run toward the
+    truncated end, or raise :class:`DivergentIntegralError` where the blocks
+    fail to shrink; component by component for a vector integrand."""
+    widths = np.diff(edges)
     # a final block clipped short of the dyadic doubling pattern (truncation
     # cutoff) would distort the shrink ratios: drop it from the window, and
     # from the floor too, or a growing integrand's clipped block would lift
@@ -258,7 +260,7 @@ def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
         # no ratio to extrapolate from: the cut-off tail may be as large as
         # the one block
         total.err_estimate = total.err_estimate + tail
-        return total
+        return
     blocks = np.array(full)
     ratios = np.divide(blocks[1:], blocks[:-1], where=blocks[:-1] > 0,
                        out=np.full(blocks[1:].shape, math.inf))
@@ -275,6 +277,28 @@ def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
             )
     r_last = np.minimum(ratios[-1], 0.9)
     total.err_estimate = total.err_estimate + tail * r_last / (1.0 - r_last)
+
+
+def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
+    """Sum block integrals over increasing ``edges``, each block held to a
+    quarter of rel_tol and its share of abs_tol, then charge the tail."""
+    block_cfg = replace(
+        cfg,
+        abs_tol=cfg.abs_tol / max(len(edges) - 1, 1),
+        rel_tol=cfg.rel_tol / 4,
+    )
+    total = IntegralResult(0.0, 0.0, 0)
+    mags = []
+    for lo, hi in zip(edges, edges[1:]):
+        try:
+            r = integrate_finite(f, lo, hi, block_cfg)
+        except BudgetExhaustedError as exc:
+            # keep the block's best-effort value; its (larger) error estimate
+            # stays in the total, so accuracy loss is visible to the caller
+            r = exc.partial
+        total = total + r
+        mags.append(abs(r.value))
+    _charge_tail(total, edges, mags, cfg)
     return total
 
 
@@ -289,12 +313,7 @@ def integrate_to_infinity(
     :class:`DivergentIntegralError`.
     """
     span = cutoff if cutoff is not None else cfg.truncation_t
-    edges = [a]
-    j = 0
-    while edges[-1] < a + span:
-        edges.append(min(a + 2.0 ** (j + 1) - 1.0, a + span))
-        j += 1
-    return _dyadic_sum(f, edges, cfg)
+    return _dyadic_sum(f, _dyadic_edges(a, span), cfg)
 
 
 def integrate_to_zero(f, b: float, cfg: QuadConfig) -> IntegralResult:
@@ -307,15 +326,75 @@ def integrate_to_zero(f, b: float, cfg: QuadConfig) -> IntegralResult:
     """
     if not b > 0.0:
         raise ParameterError(f"need b > 0, got {b}")
+    piece = _to_zero(1.0, b)
+    return _dyadic_sum(_in_s(f, piece), piece.edges, cfg)
 
-    def in_log(s):
-        x = b * np.exp(-np.asarray(s, dtype=float))
-        return f(x) * x
 
+class _Piece(NamedTuple):
+    """One piece of a line integral: x = sign X(s) over the blocks (edges[i],
+    edges[i + 1]) in s, with X(s) = s (kind 0), scale e^s (kind 1) or
+    scale e^(-s) (kind -1).  The blocks of a dyadic piece run toward a cut
+    end, whose tail :func:`_charge_tail` charges; any other piece is one
+    finite block."""
+
+    sign: float
+    kind: int
+    scale: float
+    edges: list
+    dyadic: bool
+
+
+def _to_zero(sign: float, b: float) -> _Piece:
     # x must stay a normal float: an underflow to 0 would turn a singular
     # f(x) * x into inf * 0
     span = min(_LOG_SPAN, math.log(b) - math.log(np.finfo(float).tiny))
-    return integrate_to_infinity(in_log, 0.0, cfg, cutoff=span)
+    return _Piece(sign, -1, b, _dyadic_edges(0.0, span), True)
+
+
+def _half_line_pieces(sign: float, a: float, b: float, cutoff) -> list:
+    """The pieces of (a, b), 0 <= a < b <= inf, folded by ``sign`` (see
+    :func:`integrate`)."""
+    if cutoff is not None and b > cutoff:
+        if a >= cutoff:
+            return []
+        return [_Piece(sign, 0, 1.0, _dyadic_edges(a, cutoff - a), True)]
+    if b == math.inf:
+        start = max(a, 1.0)
+        # x must stay finite: an overflow to inf would turn a decaying
+        # f(x) * x into 0 * inf
+        span = min(_LOG_SPAN, math.log(np.finfo(float).max) - math.log(start))
+        piece = _Piece(sign, 1, start, _dyadic_edges(0.0, span), True)
+        return [piece, *_half_line_pieces(sign, a, start, None)] if start > a else [piece]
+    if a == 0.0:
+        return [_to_zero(sign, b)]
+    return [_Piece(sign, 0, 1.0, [a, b], False)]
+
+
+def _line_pieces(lo: float, hi: float, cutoff) -> list:
+    """The pieces of (lo, hi), one list for each side of 0 it reaches, the
+    side x < 0 first and folded onto |x|."""
+    if not lo < hi:
+        return []
+    sides = []
+    if lo < 0.0:
+        sides.append(_half_line_pieces(-1.0, max(-hi, 0.0), -lo, cutoff))
+    if hi > 0.0:
+        sides.append(_half_line_pieces(1.0, max(lo, 0.0), hi, cutoff))
+    return sides
+
+
+def _in_s(f, piece: _Piece):
+    """The integrand of ``piece`` in s: f(sign X(s)) X'(s)."""
+    sign, kind, scale = piece.sign, piece.kind, piece.scale
+    if kind == 0:
+        return f if sign > 0.0 else (lambda x: f(-x))
+
+    def in_log(s):
+        x = scale * np.exp(kind * np.asarray(s, dtype=float))
+        with np.errstate(over="ignore"):
+            return f(sign * x) * x
+
+    return in_log
 
 
 def integrate(f, lo: float, hi: float, cfg: QuadConfig,
@@ -331,34 +410,137 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     beyond the cut, and a piece wholly past it adds nothing.
     """
     total = IntegralResult(0.0, 0.0, 0)
-    if not lo < hi:
-        return total
-    if lo < 0.0:
-        total = total + _half_line(lambda x: f(-x), max(-hi, 0.0), -lo, cfg, cutoff)
-    if hi > 0.0:
-        total = total + _half_line(f, max(lo, 0.0), hi, cfg, cutoff)
+    for side in _line_pieces(lo, hi, cutoff):
+        parts = [_dyadic_sum(_in_s(f, p), p.edges, cfg) if p.dyadic
+                 else integrate_finite(_in_s(f, p), *p.edges, cfg) for p in side]
+        if parts:
+            total = total + sum(parts[1:], parts[0])
     return total
 
 
-def _half_line(f, a: float, b: float, cfg: QuadConfig, cutoff) -> IntegralResult:
-    """Integral of ``f`` over (a, b), 0 <= a < b <= inf (see :func:`integrate`)."""
-    if cutoff is not None and b > cutoff:
-        if a >= cutoff:
-            return IntegralResult(0.0, 0.0, 0)
-        return integrate_to_infinity(f, a, cfg, cutoff=cutoff - a)
-    if b == math.inf:
-        start = max(a, 1.0)
+def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResult:
+    """The integral of :func:`integrate` over (lo, hi), on the same pieces and
+    dyadic blocks, with ``f`` called once per refinement round for the nodes
+    of every panel of every block, both signs of x in one array.
 
-        def in_log(s):
-            x = start * np.exp(np.asarray(s, dtype=float))
-            with np.errstate(over="ignore"):
-                return f(x) * x
+    ``f(x)`` returns (values, inner): values of shape (n,) for the n
+    abscissae, or (m, n) for m components, and inner the absolute error of
+    each value from a computation inside ``f``, of the same shape, or None.
+    The first round takes one (7, 15) panel per block.  Each later round
+    bisects the panels whose |Kronrod - Gauss| exceeds their fair share,
+    1 / panels, of some unconverged component's max(abs_tol, rel_tol
+    |value|).  The rounds stop when every component is within its
+    tolerance, when two rounds in a row take no unconverged component's
+    estimate 1% below its lowest so far (its noise floor), or after
+    ``max_subdivisions`` splits; the estimate is reported in every case.  It
+    sums over the final panels their |Kronrod - Gauss|, or for a split panel
+    its children's share of the change from its Kronrod sum where that is
+    larger, the tail charge of :func:`_charge_tail` on each dyadic piece's
+    block totals, whose divergence test also applies, and the inner errors
+    weighted by the Kronrod rule, sum w |inner|.  An infinite value raises
+    :class:`DivergentIntegralError`, with a mask of the components it hits
+    for a vector integrand.
+    """
+    pieces = [p for side in _line_pieces(lo, hi, None) for p in side]
+    if not pieces:
+        return IntegralResult(0.0, 0.0, 0)
+    sign = np.array([p.sign for p in pieces])
+    kind = np.array([p.kind for p in pieces])
+    scale = np.array([p.scale for p in pieces])
+    # one panel per block to start; ``block`` numbers the blocks of all pieces
+    counts = [len(p.edges) - 1 for p in pieces]
+    piece = np.repeat(np.arange(len(pieces)), counts)
+    lo_s = np.concatenate([p.edges[:-1] for p in pieces])
+    hi_s = np.concatenate([p.edges[1:] for p in pieces])
+    block = np.arange(lo_s.size)
+    shape = ()
 
-        # x must stay finite: an overflow to inf would turn a decaying
-        # f(x) * x into 0 * inf
-        span = min(_LOG_SPAN, math.log(np.finfo(float).max) - math.log(start))
-        r = integrate_to_infinity(in_log, 0.0, cfg, cutoff=span)
-        return r + _half_line(f, a, start, cfg, None) if start > a else r
-    if a == 0.0:
-        return integrate_to_zero(f, b, cfg)
-    return integrate_finite(f, a, b, cfg)
+    def panels(lo_s, hi_s, piece):
+        """Kronrod sums, |Kronrod - Gauss| and Kronrod-weighted inner errors
+        of the panels, each (m, panels)."""
+        nonlocal shape
+        half = 0.5 * (hi_s - lo_s)
+        s = (0.5 * (lo_s + hi_s))[:, None] + half[:, None] * _NODES
+        k = kind[piece, None]
+        x = np.where(k == 0, s, scale[piece, None] * np.exp(k * s))
+        jac = np.where(k == 0, 1.0, x)
+        values, inner = f((sign[piece, None] * x).ravel())
+        values = np.asarray(values)
+        shape = values.shape[:-1]
+        y = values.reshape(-1, *x.shape)
+        finite = np.isfinite(y)
+        if not finite.all():
+            if np.isnan(y).any():
+                raise ParameterError(f"integrand returned NaN inside ({lo}, {hi})")
+            # an actually-infinite integrand value means the integral is not
+            # a finite number
+            raise DivergentIntegralError(
+                f"integrand returned an infinite value inside ({lo}, {hi})",
+                mask=~finite.all(axis=(1, 2)).reshape(shape) if shape else None,
+            )
+        y = y * jac
+        kron = half * (y @ _WK)
+        diff = np.abs(kron - half * (y @ _WG15))
+        if inner is None:
+            return kron, diff, np.zeros_like(kron)
+        return kron, diff, half * ((np.abs(inner).reshape(y.shape) * jac) @ _WK)
+
+    kron, diff, inner = panels(lo_s, hi_s, piece)
+    splits, best, stalled = 0, math.inf, 0
+    while splits < cfg.max_subdivisions:
+        err = diff.sum(axis=-1)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(kron.sum(axis=-1)))
+        unconverged = err > tol
+        if not unconverged.any():
+            break
+        # the first split of a panel across a kink can raise its estimate, so
+        # the noise floor is two rounds in a row that take no unconverged
+        # estimate 1% below its lowest so far
+        stalled = 0 if (unconverged & (err <= 0.99 * best)).any() else stalled + 1
+        if stalled == 2:
+            break
+        best = np.minimum(best, err)
+        # each panel's worst unconverged component, in units of its fair share
+        share = (diff[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
+        mid = 0.5 * (lo_s + hi_s)
+        # a panel at floating-point resolution stays whole
+        cand = np.flatnonzero((share > 1.0) & (mid > lo_s) & (mid < hi_s))
+        budget = cfg.max_subdivisions - splits
+        if cand.size > budget:
+            cand = np.sort(cand[np.argsort(-share[cand], kind="stable")[:budget]])
+        if not cand.size:
+            break
+        splits += cand.size
+        # the lower child takes its parent's slot, the upper one goes last
+        m, upper = cand.size, hi_s[cand]
+        kk, kd, ki = panels(np.concatenate([lo_s[cand], mid[cand]]),
+                            np.concatenate([mid[cand], upper]), np.tile(piece[cand], 2))
+        # |K - G| can read low on a panel across a kink: the children's
+        # estimate is at least the change from their parent's Kronrod sum,
+        # shared between them as their |K - G| are
+        change = np.abs(kron[:, cand] - kk[:, :m] - kk[:, m:])
+        both = kd[:, :m] + kd[:, m:]
+        lower = np.divide(kd[:, :m], both, out=np.full(both.shape, 0.5), where=both > 0.0)
+        kd = np.maximum(kd, np.concatenate([lower, 1.0 - lower], axis=1) * np.tile(change, 2))
+        hi_s[cand] = mid[cand]
+        kron[:, cand], diff[:, cand], inner[:, cand] = kk[:, :m], kd[:, :m], ki[:, :m]
+        lo_s, hi_s = np.concatenate([lo_s, mid[cand]]), np.concatenate([hi_s, upper])
+        piece, block = np.concatenate([piece, piece[cand]]), np.concatenate([block, block[cand]])
+        kron = np.concatenate([kron, kk[:, m:]], axis=1)
+        diff = np.concatenate([diff, kd[:, m:]], axis=1)
+        inner = np.concatenate([inner, ki[:, m:]], axis=1)
+
+    def own(a):
+        """``a`` of shape (m, ...) in the shape of one node's values."""
+        return a.reshape(shape + a.shape[1:])[()]
+
+    total = IntegralResult(own(kron.sum(axis=-1)), own(diff.sum(axis=-1)), lo_s.size)
+    # each dyadic piece's block totals, for its tail charge and divergence test
+    sums = np.abs(kron @ (block[:, None] == np.arange(sum(counts))).astype(float))
+    sums = np.moveaxis(own(sums), -1, 0)
+    first = np.cumsum(counts) - counts
+    for p, b0, n in zip(pieces, first, counts):
+        if p.dyadic:
+            _charge_tail(total, p.edges, list(sums[b0:b0 + n]), cfg)
+    total.err_estimate = total.err_estimate + own(inner.sum(axis=-1))
+    return total

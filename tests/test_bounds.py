@@ -126,6 +126,20 @@ def test_kernel_mass_below_one_is_read_from_the_grid():
         e_constant(SPIKE, 2.0, CFG)
 
 
+def test_kernel_moment_of_a_tabulated_kernel_sums_its_grid_segments():
+    # the spike's mass below 1 lies in (0.7, 0.70002), between the nodes of
+    # an adaptive panel over (0.5, 1), which read 0 with an estimate of 0.
+    # The reference is the tent on the double grid points; interpolating
+    # t - 0.7 at a 1e-5 scale costs about 1e-11 relative
+    mpmath = pytest.importorskip("mpmath")
+    a, m, b = (mpmath.mpf(g) for g in SPIKE.params["grid"][1:4])
+    ref = (mpmath.quad(lambda t: (t - a) / (m - a) / mpmath.sqrt(t), [a, m])
+           + mpmath.quad(lambda t: (b - t) / (b - m) / mpmath.sqrt(t), [m, b]))
+    r = kernel_moment(SPIKE, 0.5, 0.0, 1.0, CFG)
+    assert r.value == pytest.approx(float(ref), rel=1e-10)
+    assert float(ref) == pytest.approx(1.195e-5, rel=1e-3)
+
+
 @pytest.mark.parametrize("p_exp", [0.4, 0.5, 0.55, 0.9])
 def test_e_constant_below_one(p_exp):
     # integral over (1, inf) of t^(1/p - 3): 1/(2 - 1/p) when 1/p < 2
@@ -315,6 +329,50 @@ def test_grand_ub_norm_of_image_within_its_estimate(params):
         assert abs(g.value - ref.value) <= g.err_estimate
         values.append(g.value)
     assert run_scenario(s).lhs in values
+
+
+@pytest.mark.parametrize("theorem_id", ["T_L1", "T_LP_ASUP", "T_LPLQ"])
+def test_lp_norm_of_image_within_its_estimate(theorem_id):
+    # every H f norm that the first default scenario of each id gates lies
+    # within its own estimate of a reference: ||phi||_1 ||f||_1 for T_L1,
+    # an identity for non-negative f, and a run at rel_tol / 100 otherwise
+    s = next(s for s in build_default_suite() if s.theorem_id == theorem_id)
+    p_exp = {"T_L1": 1.0, "T_LP_ASUP": s.exponents.get("p"),
+             "T_LPLQ": s.exponents.get("q")}[theorem_id]
+    fine = replace(s.cfg, rel_tol=s.cfg.rel_tol / 100)
+    line = (-math.inf, math.inf)
+    for f in s.functions:
+        r = lp_norm(HausdorffImage(s.kernel, f, s.params, s.cfg), p_exp, s.params, line, s.cfg)
+        if theorem_id == "T_L1":
+            ref = s.kernel.l1_status(fine)[1] * lp_norm(f, 1.0, s.params, line, fine).value
+        else:
+            ref = lp_norm(HausdorffImage(s.kernel, f, s.params, fine), p_exp, s.params,
+                          line, fine).value
+        assert abs(r.value - ref) <= r.err_estimate
+
+
+@pytest.mark.parametrize("theorem_id", ["T_L1", "T_LPLQ"])
+def test_lp_norm_of_image_calls_the_engine_once_per_round(theorem_id, monkeypatch):
+    # the nodes of every panel of a refinement round go to the engine in one
+    # call, so a norm takes a few calls, not one per outer panel
+    import octool.hausdorff as hausdorff
+
+    exact, calls = hausdorff.hausdorff_log_grid, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "hausdorff_log_grid", counted)
+    for s in build_default_suite():
+        if s.theorem_id != theorem_id:
+            continue
+        p_exp = 1.0 if theorem_id == "T_L1" else s.exponents["q"]
+        for f in s.functions:
+            calls.clear()
+            lp_norm(HausdorffImage(s.kernel, f, s.params, s.cfg), p_exp, s.params,
+                    (-math.inf, math.inf), s.cfg)
+            assert 1 <= len(calls) <= 16
 
 
 def test_grand_bound_constant_vs_brute_force():

@@ -218,12 +218,12 @@ def test_qb_lb_tolerance_is_the_error_of_its_ratio(suite_reports):
 
 
 def test_l1_tolerance_comes_from_the_gated_pair(suite_reports):
-    # the adjoint-Hardy row at (1/2, -1/2): its gated pair (the largest
+    # the power-cutoff row at (1/2, -1/2): its gated pair (the largest
     # lhs / rhs) is not the pair with the largest error, and the row's
     # tolerance is set by the gated pair alone
-    s = build_default_suite()[0]
-    r = suite_reports["T_L1"][0]
-    assert (s.theorem_id, s.kernel.variant, s.params) == ("T_L1", "adjoint_hardy", P1)
+    s = build_default_suite()[2]
+    r = suite_reports["T_L1"][2]
+    assert (s.theorem_id, s.kernel.variant, s.params) == ("T_L1", "power_cutoff", P1)
     _, phi_l1 = s.kernel.l1_status(s.cfg)
     triples = []
     for f in s.functions:
