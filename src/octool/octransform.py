@@ -16,6 +16,8 @@ from .quad import IntegralResult, QuadConfig, integrate, integrate_finite, panel
 from .specfun import (
     JacobiParams,
     _g_batch,
+    _g_odd,
+    _phi_batch,
     log_weight_a,
     plancherel_density,
     weight_a,
@@ -287,6 +289,17 @@ class FunctionSpec:
 # ---------------------------------------------------------------------------
 # forward / inverse transform
 
+def _support(f, cfg: QuadConfig) -> tuple[float, float]:
+    """f's support (the whole line for a plain callable); ParameterError if
+    it is not empty and lies wholly past |x| = ``truncation_x``, where the
+    cut integral would read 0 with an estimate of 0."""
+    lo, hi = f.support() if isinstance(f, FunctionSpec) else (-math.inf, math.inf)
+    if lo < hi and (lo >= cfg.truncation_x or hi <= -cfg.truncation_x):
+        raise ParameterError(
+            f"support ({lo}, {hi}) lies wholly past truncation_x = {cfg.truncation_x}")
+    return lo, hi
+
+
 def oc_transform_result(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> IntegralResult:
     """Transform value with its quadrature error estimate.
 
@@ -294,13 +307,13 @@ def oc_transform_result(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> Inte
     any vectorized callable on the real line.  The integral is cut at |x| =
     ``truncation_x``, and the estimate charges the tail beyond the cut as a
     geometric extrapolation of the last blocks: a bound only where the
-    integrand decays past the cut.
+    integrand decays past the cut.  A support wholly past the cut raises
+    ParameterError.
     """
     def integrand(x):
         return np.asarray(f(x)) * _g_batch(p, [lam], -np.asarray(x))[0][0] * weight_a(p, x)
 
-    lo, hi = f.support() if isinstance(f, FunctionSpec) else (-math.inf, math.inf)
-    return integrate(integrand, lo, hi, cfg, cutoff=cfg.truncation_x)
+    return integrate(integrand, *_support(f, cfg), cfg, cutoff=cfg.truncation_x)
 
 
 def oc_transform(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> complex:
@@ -311,43 +324,66 @@ def oc_transform(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> complex:
 def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
     """Transform of ``f`` at every lambda in ``lams`` on a shared fixed grid.
 
-    Returns (values, err), both shaped like ``lams``.  The spatial integral
-    uses composite Gauss-Kronrod panels common to all lambdas so the
-    eigenfunction series can be evaluated as one (lambda, x) batch; the panel
-    width is chosen against the fastest oscillation in the batch.  On a
-    symmetric support (lo = -hi) the panel edges are the mirror image of one
-    half, so the nodes come in exact +-x pairs and ``_g_batch`` sums the
-    series once per pair.  Intended for smooth, bounded functions (the
-    transform and spectral-identity sweeps).
+    Returns (values, err), both shaped like ``lams``.  With G_lambda(+-x) =
+    phi_lambda(x) +- o_lambda(x), o the odd part of ``_g_odd``, the integral
+    is folded onto x >= 0:
+
+        int f(x) G_lambda(-x) A dx
+            = int_0^inf A [(f(x) + f(-x)) phi_lambda - (f(x) - f(-x)) o_lambda] dx,
+
+    on composite Gauss-Kronrod panels over [a, b], b the largest |x| of f's
+    support and a = 0 if the support straddles 0 (else its smallest |x|),
+    cut at ``truncation_x``.  The panels are common to all lambdas, so each
+    series is one (lambda, x) batch; the panel width is chosen against the
+    fastest oscillation in the batch.  f is evaluated once on the stacked
+    [x; -x] nodes, each half only inside f's support, and the odd part is
+    summed only on the nodes where f(x) - f(-x) is not 0: an even f needs
+    phi alone.  Intended for smooth, bounded functions (the transform and
+    spectral-identity sweeps); a support wholly past the cut raises
+    ParameterError.
     """
     lams = np.asarray(lams, dtype=float)
-    lo, hi = f.support() if isinstance(f, FunctionSpec) else (-math.inf, math.inf)
+    lo, hi = _support(f, cfg)
     lo = max(lo, -cfg.truncation_x)
     hi = min(hi, cfg.truncation_x)
     if not lo < hi:
         z = np.zeros(lams.shape, dtype=complex)
         return z, np.zeros(lams.shape)
+    a = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
+    b = max(abs(lo), abs(hi))
     width = min(0.25, 4.0 / max(1.0, float(np.max(np.abs(lams)))))
-    n_panels = max(int(math.ceil((hi - lo) / width)), 1)
-    if lo == -hi:
-        half = np.linspace(0.0, hi, math.ceil(n_panels / 2) + 1)
-        edges = np.concatenate([-half[:0:-1], half])
-    else:
-        edges = np.linspace(lo, hi, n_panels + 1)
-    x, wk, wg = panel_rule(edges)
-    fa = np.asarray(f(x.ravel())).reshape(x.shape) * weight_a(p, x)
-    # skip panels where f A vanishes identically (compact supports, decay)
-    keep = np.max(np.abs(fa), axis=1) > 1e-18 * (np.max(np.abs(fa)) + 1e-300)
-    x, wk, wg, fa = x[keep], wk[keep], wg[keep], fa[keep]
+    n_panels = max(int(math.ceil((b - a) / width)), 1)
+    x, wk, wg = panel_rule(np.linspace(a, b, n_panels + 1))
+    nodes = np.concatenate([x.ravel(), -x.ravel()])
+    inside = (nodes >= lo) & (nodes <= hi)
+    f_inside = np.asarray(f(nodes[inside]))
+    fx = np.zeros(nodes.shape, dtype=np.result_type(f_inside, float))
+    fx[inside] = f_inside
+    f_plus, f_minus = fx.reshape(2, *x.shape)
+    w = weight_a(p, x)
+    # skip panels where f A vanishes identically on both sides (compact
+    # supports, decay)
+    size = np.maximum(np.abs(f_plus), np.abs(f_minus)) * w
+    keep = np.max(size, axis=1) > 1e-18 * (np.max(size) + 1e-300)
+    x, wk, wg = x[keep].ravel(), wk[keep], wg[keep]
+    even = ((f_plus + f_minus) * w)[keep].ravel()
+    odd = ((f_plus - f_minus) * w)[keep].ravel()
+    phi, phi_err = _phi_batch(p, lams.ravel(), x)
     # np.sum adds a strided axis in another order than a contiguous one, so
-    # the sums would depend on the layout _g_batch returns, not on its values
-    g, g_err = (np.ascontiguousarray(v).reshape(*lams.shape, *x.shape)
-                for v in _g_batch(p, lams.ravel(), -x.ravel()))
-    k_panels = np.sum(g * (fa * wk), axis=-1)
-    g_panels = np.sum(g * (fa * wg), axis=-1)
+    # the sums would depend on the layout the series return, not on its values
+    h = np.ascontiguousarray(phi * even)
+    err = np.ascontiguousarray(np.abs(even) * phi_err)
+    live = np.flatnonzero(odd)
+    if live.size:
+        o, o_err = _g_odd(p, lams.ravel(), x[live])
+        h[:, live] -= o * odd[live]
+        err[:, live] += np.abs(odd[live]) * o_err
+    h = h.reshape(*lams.shape, *wk.shape)
+    k_panels = np.sum(h * wk, axis=-1)
+    g_panels = np.sum(h * wg, axis=-1)
     vals = np.sum(k_panels, axis=-1)
     quad_err = np.sum(np.abs(k_panels - g_panels), axis=-1)
-    series_err = np.sum(np.abs(fa * wk) * g_err, axis=(-2, -1))
+    series_err = np.sum(err.reshape(h.shape) * wk, axis=(-2, -1))
     return vals, quad_err + series_err
 
 
@@ -406,6 +442,21 @@ def apply_jacobi_cherednik(f, p: JacobiParams, x: float, h: float = 1e-4) -> com
 # ---------------------------------------------------------------------------
 # Plancherel residual
 
+def _lambda_panels(cfg: QuadConfig):
+    """The Gauss-Kronrod (nodes, Kronrod weights, Gauss weights) of the
+    spectral side over [lambda_min, truncation_lambda], on panels graded
+    because the spectral integrand of a smooth f concentrates at small lambda
+    and decays rapidly."""
+    lam_edges = [cfg.lambda_min]
+    for e in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0,
+              8.0, 12.0, 16.0, 24.0, 32.0):
+        if e < cfg.truncation_lambda:
+            lam_edges.append(e)
+    while lam_edges[-1] < cfg.truncation_lambda:
+        lam_edges.append(min(lam_edges[-1] * 1.5, cfg.truncation_lambda))
+    return panel_rule(lam_edges)
+
+
 def plancherel_residual_detailed(
     f: FunctionSpec, p: JacobiParams, cfg: QuadConfig
 ) -> tuple[float, complex, float, float]:
@@ -421,7 +472,7 @@ def plancherel_residual_detailed(
         v = np.asarray(f(x))
         return v * v * weight_a(p, x)
 
-    lhs_res = integrate(sq, *f.support(), cfg, cutoff=cfg.truncation_x)
+    lhs_res = integrate(sq, *_support(f, cfg), cfg, cutoff=cfg.truncation_x)
     lhs = float(lhs_res.value)
     if lhs == 0.0:
         return 0.0, 0.0 + 0.0j, 0.0, 0.0
@@ -429,16 +480,7 @@ def plancherel_residual_detailed(
     frev = f.reflected()
     even = f.is_even
 
-    # lambda panels, graded: the spectral integrand concentrates at small
-    # lambda and decays rapidly (smooth f)
-    lam_edges = [cfg.lambda_min]
-    for e in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0,
-              8.0, 12.0, 16.0, 24.0, 32.0):
-        if e < cfg.truncation_lambda:
-            lam_edges.append(e)
-    while lam_edges[-1] < cfg.truncation_lambda:
-        lam_edges.append(min(lam_edges[-1] * 1.5, cfg.truncation_lambda))
-    lam, wk, wg = panel_rule(lam_edges)
+    lam, wk, wg = _lambda_panels(cfg)
 
     u, u_err = transform_grid(f, p, lam, cfg)
     if even:

@@ -587,16 +587,35 @@ def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
     return complex(_phi_batch(p, [lam], [x])[0][0, 0])
 
 
+def _g_odd(p: JacobiParams, lams, ax):
+    """The odd part of G_lambda at ax (m,) >= 0 for lams (n,),
+    c sinh(2x) phi^(alpha+1, beta+1)(x) with c = (rho + i lambda)/(4(alpha+1)):
+    values and element-wise error bounds, both shaped (n, m).  On the far
+    cells of ``_phi_batch`` the series is summed as
+    sinh(2x) phi^(alpha+1, beta+1), so the odd part keeps the range of
+    e^(-rho x) where sinh 2x overflows."""
+    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True)
+    coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = coef * np.sinh(2.0 * ax)[None, :]
+    # the far cells of phi_up hold sinh(2x) phi^(alpha+1, beta+1) already
+    # (and sinh 2x overflows only on far cells)
+    for rows, cols, far in _blocks(lams, _sinh_squared(ax)):
+        if far:
+            scale[np.ix_(rows, cols)] = coef[rows]
+    err = np.abs(scale)
+    err *= e2
+    return scale * phi_up, err
+
+
 def _g_batch(p: JacobiParams, lams, x):
     """G_lambda(x) for lams (n,) against x (m,): values and element-wise
     error bounds, both shaped (n, m).
 
-    G_lambda(x) = phi(x) + c sinh(2x) phi^(alpha+1, beta+1)(x) with both phi
-    even in x, so each of the two series is summed once per distinct |x| and
-    gathered back to the signed columns: G_lambda(x) and G_lambda(-x) share
-    one sum.  On the far cells of ``_phi_batch`` the second is summed as
-    sinh(2|x|) phi^(alpha+1, beta+1), so G keeps the range of e^(-rho |x|)
-    where sinh 2x overflows.
+    G_lambda(+-x) = phi(x) +- ``_g_odd``(x) with both series even in x, so
+    each is summed once per distinct |x| and gathered back to the signed
+    columns: G_lambda(x) and G_lambda(-x) share one sum, and negating the
+    odd part is exact.
     G_lambda(0) = 1 exactly, as 2F1 is 1 at z = 0.  Repeated |x| leave the
     series' batch-wide stopping scale as it is, so every column has the bits
     of a batch that holds each |x| once."""
@@ -608,22 +627,11 @@ def _g_batch(p: JacobiParams, lams, x):
         # = 1 without the set-up of two series calls
         return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
     phi, e1 = _phi_batch(p, lams, ax)
-    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True)
-    coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = coef * np.sinh(2.0 * x)[None, :]
-    # the far cells of phi_up hold sinh(2|x|) phi^(alpha+1, beta+1) already;
-    # sinh 2x is odd, so only its sign is left for them (and sinh 2x
-    # overflows only on far cells)
-    for rows, cols, far in _blocks(lams, _sinh_squared(np.abs(x))):
-        if far:
-            scale[np.ix_(rows, cols)] = coef[rows] * np.sign(x[cols])
-    err = np.abs(scale)
-    err *= e2[:, back]
+    odd, e2 = _g_odd(p, lams, ax)
+    err = e2[:, back]
     err += e1[:, back]
-    # numpy's complex product depends on operand order and on output
-    # aliasing, so only the sums are formed in place
-    vals = scale * phi_up[:, back]
+    vals = odd[:, back]
+    np.negative(vals, out=vals, where=x < 0.0)
     vals += phi[:, back]
     return vals, err
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octool import octransform
+import closed_form
+from octool import octransform, specfun
 from octool.octransform import (
     FunctionSpec,
     apply_jacobi_cherednik,
@@ -16,6 +17,7 @@ from octool.octransform import (
     plancherel_residual_detailed,
     transform_grid,
 )
+from octool.errors import ParameterError
 from octool.quad import QuadConfig
 from octool.specfun import JacobiParams, _g_batch, eigenfunction_g, weight_a
 
@@ -143,61 +145,102 @@ def test_transform_grid_matches_pointwise():
 
 
 @pytest.mark.parametrize("lam_max", [40.0, 80.0])
-def test_transform_grid_nodes_mirror_on_symmetric_support(monkeypatch, lam_max):
+def test_transform_grid_of_an_even_f_sums_phi_alone(monkeypatch, lam_max):
+    # the integral is folded onto x >= 0, and an even f has no odd part, so
+    # the shifted series of G's odd part is never summed
     seen = []
-    g_batch = octransform._g_batch
+    phi_batch = specfun._phi_batch
 
-    def spy(p, lams, x):
-        seen.append(np.array(x))
-        return g_batch(p, lams, x)
+    def spy(p, lams, x, fold_sinh2x=False):
+        seen.append((p, np.array(x)))
+        return phi_batch(p, lams, x, fold_sinh2x)
 
-    monkeypatch.setattr(octransform, "_g_batch", spy)
-    transform_grid(GAUSS, P2, np.array([0.5, lam_max]), CFG)
-    (x,) = seen
-    # every node's mirror image is a node, bit for bit, and no node is 0
-    nodes = np.sort(x)
-    assert np.array_equal(nodes, -nodes[::-1])
-    assert not np.any(nodes == 0.0)
+    monkeypatch.setattr(specfun, "_phi_batch", spy)
+    monkeypatch.setattr(octransform, "_phi_batch", spy)
+    for f in (GAUSS, BUMP):
+        transform_grid(f, P2, np.array([0.5, lam_max]), CFG)
+    assert len(seen) == 2
+    assert all(p == P2 for p, _ in seen)
+    assert all(np.all(x >= 0.0) for _, x in seen)
 
 
 def test_transform_grid_off_centre_keeps_its_values():
-    # support (0.6, 1.0) is not symmetric, so the panels are the plain
-    # linspace ones; values as computed before mirror panels, to within
-    # 4 ulps (exp and sinh may round differently on another CPU), while a
-    # change of the panels moves them by about 1e-10.  The values and bounds
-    # are those of the series summed as one matrix product per eight terms,
-    # so they also depend on the BLAS kernel
+    # support (0.6, 1.0) lies on one side of 0, so the panels are the plain
+    # linspace ones over it; pinned values to within 4 ulps (exp and sinh may
+    # round differently on another CPU), while a change of the panels moves
+    # them by about 1e-10.  The values and bounds are those of
+    # the series summed as one matrix product per eight terms, so they also
+    # depend on the BLAS kernel
     f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
     vals, errs = transform_grid(f, P2, np.array([0.5, 3.0, 17.0, 40.0]), CFG)
     pinned_vals = [
-        0.1078569119677617 - 0.017774821967687957j,
+        0.1078569119677617 - 0.017774821967687954j,
         0.03033972001844375 - 0.05989560482551219j,
         0.0017077835968421396 + 0.0014254264549695638j,
-        -4.4463532470051894e-05 - 8.61212044480845e-05j,
+        -4.446353247005195e-05 - 8.612120444808449e-05j,
     ]
-    pinned_errs = [4.665435138795736e-06, 2.6604706454019878e-06,
-                   2.5888745300686307e-07, 4.781037183465743e-05]
+    pinned_errs = [4.66543513880357e-06, 2.66047064539779e-06,
+                   2.588874530080031e-07, 4.781037183465744e-05]
     ulps = 2.0 ** -50
     assert vals.real == pytest.approx(np.real(pinned_vals), rel=ulps, abs=0.0)
     assert vals.imag == pytest.approx(np.imag(pinned_vals), rel=ulps, abs=0.0)
     assert errs == pytest.approx(pinned_errs, rel=ulps, abs=0.0)
 
 
-@pytest.mark.parametrize("f", [FunctionSpec("bump", params={"center": 0.8, "width": 0.2}), BUMP])
+@pytest.mark.parametrize("f", [
+    FunctionSpec("bump", params={"center": 0.8, "width": 0.2}),
+    BUMP,
+    FunctionSpec("bump", params={"center": 1.0, "width": 2.0}),
+])
 def test_transform_grid_ignores_the_memory_order_of_g(monkeypatch, f):
-    # the panel sums see the values of G and its bounds, not their layout: a
-    # Fortran-ordered G with the same bits gives the same bits
+    # the panel sums see the values of phi and of G's odd part and their
+    # bounds, not their layout: Fortran-ordered arrays with the same bits
+    # give the same bits
     lams = np.array([0.5, 3.0, 17.0, 40.0])
     vals, errs = transform_grid(f, P2, lams, CFG)
-    g_batch = octransform._g_batch
 
-    def fortran(p, lams, x):
-        return tuple(np.asfortranarray(v) for v in g_batch(p, lams, x))
+    def fortran(batch):
+        return lambda *args: tuple(np.asfortranarray(v) for v in batch(*args))
 
-    monkeypatch.setattr(octransform, "_g_batch", fortran)
+    for name in ("_phi_batch", "_g_odd"):
+        monkeypatch.setattr(octransform, name, fortran(getattr(octransform, name)))
     vals_f, errs_f = transform_grid(f, P2, lams, CFG)
     assert np.array_equal(vals_f, vals)
     assert np.array_equal(errs_f, errs)
+
+
+@pytest.mark.parametrize("p", [P1, P2])
+@pytest.mark.parametrize("f", [
+    FunctionSpec("bump", params={"center": 0.8, "width": 0.2}),  # one side of 0
+    FunctionSpec("bump", params={"center": 1.0, "width": 2.0}),  # (-1, 3)
+])
+def test_transform_grid_of_an_uneven_support_matches_pointwise(f, p):
+    lams = np.array([0.5, 3.0, 12.0])
+    vals, errs = transform_grid(f, p, lams, CFG)
+    for lam, v, e in zip(lams, vals, errs):
+        ref = oc_transform_result(f, p, float(lam), CFG)
+        assert abs(v - ref.value) <= e + ref.err_estimate, lam
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_transform_grid_covers_the_closed_form(doubled):
+    # the Gaussian at (1/2, -1/2) on every lambda node of the Plancherel
+    # residual's grid, at truncation_lambda and at twice it
+    cfg = QuadConfig(truncation_lambda=80.0) if doubled else CFG
+    lam = octransform._lambda_panels(cfg)[0]
+    vals, errs = transform_grid(GAUSS, P1, lam, cfg)
+    assert np.all(np.abs(vals - closed_form.gaussian_transform(lam)) <= errs)
+
+
+def test_closed_form_matches_the_series():
+    lams = np.array([0.5, 1.0, 2.5, 5.0])
+    xs = np.array([-2.0, -0.3, 0.1, 0.7, 1.5])
+    phi, phi_err = specfun._phi_batch(P1, lams, xs)
+    g, g_err = _g_batch(P1, lams, xs)
+    for ours, err, ref in ((phi, phi_err, closed_form.phi(lams, xs)),
+                           (g, g_err, closed_form.g(lams, xs))):
+        assert np.all(np.abs(ours - ref) <= err)
+        assert np.all(np.abs(ours - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
 
 
 def _noise_cut_interpolant(f, p, cfg):
@@ -208,15 +251,23 @@ def _noise_cut_interpolant(f, p, cfg):
 
 
 def test_roundtrip_and_conjugation():
+    # the bump's inverse at x = 0 depends on where the noise cut of its
+    # transform falls (cuts at 36 to 40 move it from 1.08 to 0.945), so x = 0
+    # is checked on the Gaussian, whose transform is below 1e-15 of its peak
+    # past lambda = 12; at x = 0.5 and 1.0 the bump holds for every cut
     lams, u = _noise_cut_interpolant(BUMP, P2, CFG)
     g = lambda lam: np.interp(np.abs(lam), lams, u)
     peak = float(BUMP(0.0))
-    for x in (0.0, 0.5, 1.0):
+    for x in (0.5, 1.0):
         v = oc_inverse(g, P2, x, LOOSE)
         assert abs(v.real - float(BUMP(x))) <= 0.02 * peak, x
         if x == 0.5:
             # real even input: the reconstruction must be essentially real
             assert abs(v.imag) <= 1e-6
+    short = QuadConfig(rel_tol=1e-6, abs_tol=1e-6, truncation_lambda=12.0)
+    lams, u = _noise_cut_interpolant(GAUSS, P2, short)
+    v = oc_inverse(lambda lam: np.interp(np.abs(lam), lams, u), P2, 0.0, short)
+    assert abs(v - 1.0) <= 0.02
 
 
 def test_support_past_the_cut_is_cut_as_the_whole_line():
@@ -248,11 +299,39 @@ def test_plancherel_error_estimate_honest():
     assert abs(lhs - rhs.real) <= max(err, 1e-12) + 1e-12 * lhs
 
 
-def test_plancherel_gap_decreases_with_lambda_truncation():
-    gap40 = plancherel_residual_detailed(BUMP, P1, CFG)[2]
-    cfg80 = QuadConfig(truncation_lambda=80.0)
-    gap80 = plancherel_residual_detailed(BUMP, P1, cfg80)[2]
-    assert gap80 < gap40
+@pytest.mark.parametrize("lam_cut", [40.0, 80.0])
+def test_plancherel_gap_is_the_spectral_tail(lam_cut):
+    # lhs - rhs is the closed form's spectral mass past truncation_lambda,
+    # within the run's own estimate; every cell of the (40, 80] band is
+    # dropped as noise (|transform| within 10x its bound), so the gap does not
+    # fall from 40 to 80 and its order says nothing.  rhs scaled by 1 + 1e-3
+    # fails it
+    cfg = QuadConfig(truncation_lambda=lam_cut)
+    tail = closed_form.bump_spectral_tail(lam_cut)
+    lhs, rhs, _, err = plancherel_residual_detailed(BUMP, P1, cfg)
+    assert abs(lhs - rhs.real - tail) <= err
+    assert abs(lhs - 1.001 * rhs.real - tail) > err
+
+
+def test_support_wholly_past_the_cut_raises():
+    # bump (13, 0.5) at (1/2, -1/2) transforms to 8.98e4 + 2.90e4i at
+    # lambda = 1, all of it past truncation_x = 12: the cut integral would
+    # read 0 with an estimate of 0
+    for f in (FunctionSpec("bump", params={"center": 13.0, "width": 0.5}),
+              FunctionSpec("bump", params={"center": -13.0, "width": 0.5})):
+        with pytest.raises(ParameterError):
+            transform_grid(f, P1, np.array([1.0]), CFG)
+        with pytest.raises(ParameterError):
+            oc_transform_result(f, P1, 1.0, CFG)
+        with pytest.raises(ParameterError):
+            plancherel_residual_detailed(f, P1, CFG)
+    # an empty support is not past the cut: the zero function transforms to 0
+    zero = FunctionSpec("zero")
+    vals, errs = transform_grid(zero, P1, np.array([1.0]), CFG)
+    assert vals[0] == 0.0 and errs[0] == 0.0
+    res = oc_transform_result(zero, P1, 1.0, CFG)
+    assert res.value == 0.0 and res.err_estimate == 0.0
+    assert plancherel_residual_detailed(zero, P1, CFG) == (0.0, 0.0, 0.0, 0.0)
 
 
 @settings(max_examples=10, deadline=None)
