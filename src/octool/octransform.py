@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, SingularityError
-from .quad import IntegralResult, QuadConfig, integrate, integrate_finite, panel_rule
+from .quad import IntegralResult, QuadConfig, integrate, integrate_batched, panel_rule
 from .specfun import (
     JacobiParams,
     _g_batch,
@@ -389,22 +389,29 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
 
 def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> IntegralResult:
     """Inverse-transform value with error estimate (see :func:`oc_inverse`);
-    ``g`` is called on arrays of lambda."""
-    def integrand(lams):
-        lams = np.atleast_1d(lams)
-        return (
-            g(lams)
-            * _g_batch(p, lams, [x])[0][:, 0]
-            * plancherel_density(p, lams, lambda_min=cfg.lambda_min / 2.0)
-        )
+    ``g`` is called on arrays of lambda.
 
-    pos = integrate_finite(integrand, cfg.lambda_min, cfg.truncation_lambda, cfg)
-    neg = integrate_finite(integrand, -cfg.truncation_lambda, -cfg.lambda_min, cfg)
-    total = pos + neg
-    # bound the mass of the excised (-lambda_min, lambda_min) window
-    probe = np.abs(integrand(np.array([cfg.lambda_min, -cfg.lambda_min])))
-    total.err_estimate += 2.0 * cfg.lambda_min * float(np.max(probe))
-    return total
+    With K(lambda) = G_lambda(x) density(lambda), G_(-lambda)(x) =
+    conj G_lambda(x) and density(-lambda) = conj density(lambda), so both
+    halves are one :func:`quad.integrate_batched` run over (lambda_min,
+    truncation_lambda) of the components [g(lambda) K, g(-lambda) conj K]:
+    each refinement round makes one ``_g_batch`` and one
+    ``plancherel_density`` call, on lambda > 0 only.  The estimate is the sum
+    of the components' estimates, which charge |g| times G's series bound
+    times |density| at every node, plus 2 lambda_min max|integrand(+-lambda_min)|
+    for the excised (-lambda_min, lambda_min) window.
+    """
+    def integrand(lams):
+        k, k_err = _g_batch(p, lams, [x])
+        dens = plancherel_density(p, lams, lambda_min=cfg.lambda_min / 2.0)
+        kd = k[:, 0] * dens
+        gs = np.stack([g(lams), g(-lams)])
+        return gs * np.stack([kd, np.conj(kd)]), np.abs(gs) * (k_err[:, 0] * np.abs(dens))
+
+    r = integrate_batched(integrand, cfg.lambda_min, cfg.truncation_lambda, cfg)
+    probe = np.abs(integrand(np.array([cfg.lambda_min]))[0])
+    excised = 2.0 * cfg.lambda_min * float(np.max(probe))
+    return IntegralResult(r.value.sum(), r.err_estimate.sum() + excised, r.subdivisions_used)
 
 
 def oc_inverse(g, p: JacobiParams, x: float, cfg: QuadConfig) -> complex:

@@ -16,9 +16,11 @@ divergence test.  With a cutoff it cuts an end past |x| = cutoff by those
 blocks instead, charging the tail beyond the cut.
 
 :func:`integrate_batched` takes the same pieces and blocks for an integrand
-that is cheaper called once on many nodes than many times on few: it refines
-the panels of all blocks together in rounds, with one call of the integrand
-per round, and charges an error the integrand reports per node.
+that is cheaper called once on many nodes than many times on few, as the
+weighted norms of a Hausdorff image and the inverse transform's spectral
+integral are: it refines the panels of all blocks together in rounds, with
+one call of the integrand per round, and charges an error the integrand
+reports per node.  Both adaptive integrators stop at the same noise floor.
 """
 
 from __future__ import annotations
@@ -163,6 +165,11 @@ def panel_rule(edges):
     return x, half[:, None] * _WK[None, :], half[:, None] * _WG15[None, :]
 
 
+# the noise floor of both adaptive integrators: this many splits in a row that
+# take no unconverged component's estimate 1% below its value at their start
+_STALL_SPLITS = 50
+
+
 def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
     """Adaptive integral of ``f`` over (a, b) with an embedded error estimate.
 
@@ -189,7 +196,7 @@ def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
     used = 1
     checkpoint_err, checkpoint_used = math.inf, 1
     while True:
-        if used - checkpoint_used >= 50:
+        if used - checkpoint_used >= _STALL_SPLITS:
             if not ((total_err > tol) & (total_err <= 0.99 * checkpoint_err)).any():
                 # no unconverged estimate has improved: the integrand's own
                 # noise floor is reached; report the honest estimate
@@ -430,10 +437,11 @@ def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResul
     bisects the panels whose |Kronrod - Gauss| exceeds their fair share,
     1 / panels, of some unconverged component's max(abs_tol, rel_tol
     |value|).  The rounds stop when every component is within its
-    tolerance, when two rounds in a row take no unconverged component's
-    estimate 1% below its lowest so far (its noise floor), or after
-    ``max_subdivisions`` splits; the estimate is reported in every case.  It
-    sums over the final panels their |Kronrod - Gauss|, or for a split panel
+    tolerance, when the splits since the last check, at least
+    ``_STALL_SPLITS`` of them, took no unconverged component's estimate 1%
+    below its value at that check (the noise floor of
+    :func:`integrate_finite`), or after ``max_subdivisions`` splits; the
+    estimate is reported in every case.  It sums over the final panels their |Kronrod - Gauss|, or for a split panel
     its children's share of the change from its Kronrod sum where that is
     larger, the tail charge of :func:`_charge_tail` on each dyadic piece's
     block totals, whose divergence test also applies, and the inner errors
@@ -486,20 +494,19 @@ def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResul
         return kron, diff, half * ((np.abs(inner).reshape(y.shape) * jac) @ _WK)
 
     kron, diff, inner = panels(lo_s, hi_s, piece)
-    splits, best, stalled = 0, math.inf, 0
+    splits, checkpoint_err, checkpoint_splits = 0, math.inf, 0
     while splits < cfg.max_subdivisions:
         err = diff.sum(axis=-1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(kron.sum(axis=-1)))
         unconverged = err > tol
         if not unconverged.any():
             break
-        # the first split of a panel across a kink can raise its estimate, so
-        # the noise floor is two rounds in a row that take no unconverged
-        # estimate 1% below its lowest so far
-        stalled = 0 if (unconverged & (err <= 0.99 * best)).any() else stalled + 1
-        if stalled == 2:
-            break
-        best = np.minimum(best, err)
+        # the noise floor of integrate_finite: a split across a kink can raise
+        # an estimate for some rounds before its children resolve the kink
+        if splits - checkpoint_splits >= _STALL_SPLITS:
+            if not (unconverged & (err <= 0.99 * checkpoint_err)).any():
+                break
+            checkpoint_err, checkpoint_splits = err, splits
         # each panel's worst unconverged component, in units of its fair share
         share = (diff[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
         mid = 0.5 * (lo_s + hi_s)

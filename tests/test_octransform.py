@@ -12,14 +12,15 @@ from octool.octransform import (
     FunctionSpec,
     apply_jacobi_cherednik,
     oc_inverse,
+    oc_inverse_result,
     oc_transform,
     oc_transform_result,
     plancherel_residual_detailed,
     transform_grid,
 )
 from octool.errors import ParameterError
-from octool.quad import QuadConfig
-from octool.specfun import JacobiParams, _g_batch, eigenfunction_g, weight_a
+from octool.quad import QuadConfig, panel_rule
+from octool.specfun import JacobiParams, _g_batch, eigenfunction_g, plancherel_density, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
 P2 = JacobiParams(1.0, 0.5)
@@ -268,6 +269,50 @@ def test_roundtrip_and_conjugation():
     lams, u = _noise_cut_interpolant(GAUSS, P2, short)
     v = oc_inverse(lambda lam: np.interp(np.abs(lam), lams, u), P2, 0.0, short)
     assert abs(v - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 2.0])
+def test_inverse_of_the_gaussian_transform_is_the_gaussian(x):
+    # at (1/2, -1/2) the transform of exp(-x^2) is in closed form, and past
+    # lambda = 12 its spectral integrand is below 1e-14
+    r = oc_inverse_result(closed_form.gaussian_transform, P1, x, QuadConfig(truncation_lambda=12.0))
+    err = abs(r.value - math.exp(-x * x))
+    assert err <= r.err_estimate
+    assert err <= 1e-12
+    # a real even g has a real inverse, exactly
+    assert r.value.imag == 0.0
+
+
+ROUNDTRIP = QuadConfig(rel_tol=1e-6, abs_tol=1e-6, truncation_lambda=12.0)
+
+
+@pytest.mark.parametrize("p", [P1, P2, P3])
+def test_inverse_of_a_noise_cut_interpolant_within_its_estimate(p, monkeypatch):
+    # the round trip of a Gaussian: its transform on a grid of step 0.05,
+    # noise cut, linearly interpolated.  The reference puts panels between
+    # the interpolation nodes, where g is smooth; |K - G| alone reads low on
+    # panels across its kinks
+    lams = ROUNDTRIP.lambda_min + 0.04995 + 0.05 * np.arange(240)
+    vals, errs = transform_grid(GAUSS, p, lams, CFG)
+    u = np.where(np.abs(vals) <= 10.0 * errs, 0.0, vals.real)
+    g = lambda lam: np.interp(np.abs(lam), lams, u)
+    calls = []
+    density = octransform.plancherel_density
+    monkeypatch.setattr(octransform, "plancherel_density",
+                        lambda *a, **kw: calls.append(1) or density(*a, **kw))
+    r = oc_inverse_result(g, p, 0.0, ROUNDTRIP)
+    # one density call per refinement round, for both halves of the line
+    assert len(calls) <= 30
+    assert r.value.imag == 0.0
+    inside = lams[lams < ROUNDTRIP.truncation_lambda]
+    nodes, wk, _ = panel_rule(np.concatenate(
+        [[ROUNDTRIP.lambda_min], inside, [ROUNDTRIP.truncation_lambda]]))
+    nodes, wk = nodes.ravel(), wk.ravel()
+    ref = 0.0
+    for lam in (nodes, -nodes):
+        k = _g_batch(p, lam, [0.0])[0][:, 0] * density(p, lam, lambda_min=ROUNDTRIP.lambda_min)
+        ref += np.sum(wk * g(lam) * k)
+    assert abs(r.value - ref) <= r.err_estimate
 
 
 def test_support_past_the_cut_is_cut_as_the_whole_line():

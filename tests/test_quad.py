@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_form
 from octool.errors import DivergentIntegralError, OctoolError, ParameterError
 from octool.hausdorff import make_kernel
 from octool.quad import (
     QuadConfig,
     integrate,
+    integrate_batched,
     integrate_finite,
     integrate_to_infinity,
     integrate_to_zero,
@@ -257,3 +259,20 @@ def test_power_cutoff_kernel_at_huge_lo_is_finite():
     status, value = k.l1_status(CFG)
     assert status == "finite"
     assert value == pytest.approx(1e-48, rel=1e-8)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.013, 0.049])
+def test_integrate_batched_resolves_kinks_to_its_tolerance(offset):
+    # a linear interpolant with kinks every 0.05, shaped as an inverse
+    # transform's integrand: the first splits across a kink can raise its
+    # estimate for some rounds, which is no noise floor.  The reference
+    # puts panels between the kinks, where the rule is exact
+    cfg = QuadConfig(rel_tol=1e-6)
+    lo, hi = 1e-6, 12.0
+    nodes = lo + offset + 0.05 * np.arange(240)
+    ys = closed_form.gaussian_transform(nodes) * nodes ** 2 / (2.0 * math.pi)
+    f = lambda lam: np.interp(lam, nodes, ys)
+    r = integrate_batched(lambda lam: (f(lam), None), lo, hi, cfg)
+    assert r.err_estimate <= cfg.rel_tol * abs(r.value)
+    x, wk, _ = panel_rule(np.concatenate([[lo], nodes[(nodes > lo) & (nodes < hi)], [hi]]))
+    assert abs(r.value - np.sum(f(x) * wk)) <= r.err_estimate

@@ -255,6 +255,24 @@ def test_g_batch_folds_mirrors_and_repeats(p):
     assert np.all(v[:, G_MIXED == 0.0] == 1.0)
 
 
+@pytest.mark.parametrize("p", CATALOG)
+def test_negative_lambda_is_the_conjugate_bit_for_bit(p):
+    # oc_inverse sums both halves of the lambda line from lambda > 0 alone:
+    # G_(-lambda)(x) = conj G_lambda(x) and density(-lambda) =
+    # conj density(lambda), values and bounds, nudged lambdas and far
+    # cells included
+    lams = np.array([1e-6, 4e-6, 2e-5, 0.3, 0.999, 1.0, 2.5, 11.7, 40.0, 123.4])
+    xs = np.array([-400.0, -30.0, -6.0, -1.0, -0.3, 0.0, 0.01, 0.3, 1.0, 2.5, 6.0, 30.0, 400.0])
+    far = [cols for _, cols, is_far in specfun._blocks(lams, specfun._sinh_squared(np.abs(xs)))
+           if is_far]
+    assert all(cols.any() and not cols.all() for cols in far)
+    (v, e), (w, f) = _g_batch(p, lams, xs), _g_batch(p, -lams, xs)
+    assert np.array_equal(w, np.conj(v))
+    assert np.array_equal(f, e)
+    dens = plancherel_density(p, lams, lambda_min=5e-7)
+    assert np.array_equal(plancherel_density(p, -lams, lambda_min=5e-7), np.conj(dens))
+
+
 def test_g_batch_sums_each_abs_x_once(monkeypatch):
     seen = []
     phi_batch = specfun._phi_batch
