@@ -20,10 +20,7 @@ from .quad import (
     IntegralResult,
     QuadConfig,
     integrate,
-    integrate_batched,
     integrate_finite,
-    integrate_to_infinity,
-    integrate_to_zero,
     panel_rule,
 )
 from .specfun import (

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hausdorff import KernelSpec
 from .octransform import FunctionSpec
-from .quad import IntegralResult, QuadConfig, integrate, integrate_batched
+from .quad import IntegralResult, QuadConfig, integrate
 from .specfun import JacobiParams, log_weight_a, weight_a
 
 __all__ = [
@@ -69,12 +69,12 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     gives one component per exponent, each held to its own tolerance; log |f|
     and log A are formed once per node set.
 
-    The integral is :func:`quad.integrate_batched`: the blocks of
-    :func:`quad.integrate` (split at 0 with x < 0 folded onto |x|, a 0 end
-    and an infinite end in log coordinates on the dyadic edges 0, 1, 3, ...,
-    511 and the cut at 600) are refined together, so ``log_abs_decomp`` is
-    called once per refinement round for every panel and both signs of x:
-    one engine call per round for a :class:`HausdorffImage`.
+    The integral is :func:`quad.integrate`, whose blocks (split at 0 with
+    x < 0 folded onto |x|, a 0 end and an infinite end in log coordinates on
+    the dyadic edges 0, 1, 3, ..., 511 and the cut at 600) are refined
+    together, so ``log_abs_decomp`` is called once per refinement round for
+    every panel and both signs of x: one engine call per round for a
+    :class:`HausdorffImage`.
 
     A function whose ``log_abs_decomp`` also returns a relative error per
     node (as :class:`HausdorffImage` does) has it charged to each exponent's
@@ -109,7 +109,7 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     # an overflowing node is an infinite value, which quad reports as
     # divergence before it reads the inner errors
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate_batched(g, a, b, cfg)
+        return integrate(g, a, b, cfg)
 
 
 def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,

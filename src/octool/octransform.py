@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, SingularityError
-from .quad import IntegralResult, QuadConfig, integrate, integrate_batched, panel_rule
+from .quad import IntegralResult, QuadConfig, integrate, panel_rule
 from .specfun import (
     JacobiParams,
     _g_batch,
@@ -393,7 +393,7 @@ def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> Integral
 
     With K(lambda) = G_lambda(x) density(lambda), G_(-lambda)(x) =
     conj G_lambda(x) and density(-lambda) = conj density(lambda), so both
-    halves are one :func:`quad.integrate_batched` run over (lambda_min,
+    halves are one :func:`quad.integrate` run over (lambda_min,
     truncation_lambda) of the components [g(lambda) K, g(-lambda) conj K]:
     each refinement round makes one ``_g_batch`` and one
     ``plancherel_density`` call, on lambda > 0 only.  The estimate is the sum
@@ -408,7 +408,7 @@ def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> Integral
         gs = np.stack([g(lams), g(-lams)])
         return gs * np.stack([kd, np.conj(kd)]), np.abs(gs) * (k_err[:, 0] * np.abs(dens))
 
-    r = integrate_batched(integrand, cfg.lambda_min, cfg.truncation_lambda, cfg)
+    r = integrate(integrand, cfg.lambda_min, cfg.truncation_lambda, cfg)
     probe = np.abs(integrand(np.array([cfg.lambda_min]))[0])
     excised = 2.0 * cfg.lambda_min * float(np.max(probe))
     return IntegralResult(r.value.sum(), r.err_estimate.sum() + excised, r.subdivisions_used)

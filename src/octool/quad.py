@@ -1,4 +1,4 @@
-"""Adaptive quadrature over finite and semi-infinite domains.
+"""Adaptive quadrature over the real line.
 
 All integrals in the package route through this module.  The core rule is a
 Gauss-Kronrod (7, 15) pair whose nodes are interior points, so integrands with
@@ -7,28 +7,23 @@ Integrands must accept a numpy array of abscissae and return an array of
 values (real or complex): shape (n,) for n abscissae, or (m, n) for m
 integrands that share one adaptive mesh, each held to its own tolerance.
 
-:func:`integrate` is the one integral over an interval of the whole line: it
-splits the interval at 0, folds the piece below 0 onto |x|, and reaches a 0
-end or an infinite end in log coordinates, x = b e^(-s) or x = a e^s over s
-in (0, 600], where power laws become exponentials that the dyadic blocks of
-:func:`integrate_to_infinity` resolve, with its geometric tail estimate and
-divergence test.  With a cutoff it cuts an end past |x| = cutoff by those
-blocks instead, charging the tail beyond the cut.
-
-:func:`integrate_batched` takes the same pieces and blocks for an integrand
-that is cheaper called once on many nodes than many times on few, as the
-weighted norms of a Hausdorff image and the inverse transform's spectral
-integral are: it refines the panels of all blocks together in rounds, with
-one call of the integrand per round, and charges an error the integrand
-reports per node.  Both adaptive integrators stop at the same noise floor.
+:func:`integrate` is the one integral over an interval of the whole line, and
+the one refinement algorithm.  It splits the interval at 0, folds the piece
+below 0 onto |x|, and reaches a 0 end or an infinite end in log coordinates,
+x = b e^(-s) or x = a e^s over s in (0, 600], where power laws become
+exponentials.  Those ends, and an end cut at |x| = cutoff, are covered by
+dyadic blocks whose totals give a geometric tail estimate and a divergence
+test.  The panels of every block are refined together in rounds, with one
+call of the integrand per round on all their nodes, so an integrand that is
+cheaper called once on many nodes than many times on few (the weighted norms
+of a Hausdorff image, the inverse transform's spectral integral) pays its
+fixed cost once per round.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,10 +34,7 @@ __all__ = [
     "QuadConfig",
     "IntegralResult",
     "integrate_finite",
-    "integrate_to_infinity",
-    "integrate_to_zero",
     "integrate",
-    "integrate_batched",
     "panel_rule",
 ]
 
@@ -132,27 +124,36 @@ _wg_full[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _WG15 = _wg_full
 
 
-def _gk15(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    y = np.asarray(f(x))
+def _gk15(f, lo, hi):
+    """The (7, 15) pair on the panels (lo[i], hi[i]): their Kronrod sums,
+    |Kronrod - Gauss| and Kronrod-weighted inner errors, each (m, panels)
+    for m components.
+
+    ``f(s)`` takes the (panels, 15) nodes and returns (values, inner):
+    values of shape (..., panels, 15), and inner the absolute error of each
+    value from a computation inside the integrand, of the same shape, or
+    None.  A NaN raises ParameterError, and an infinite value
+    DivergentIntegralError, with a mask of the components it hits for a
+    vector integrand."""
+    half = 0.5 * (hi - lo)
+    s = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    y, inner = f(s)
     finite = np.isfinite(y)
     if not finite.all():
         if np.isnan(y).any():
-            raise ParameterError(
-                f"integrand returned NaN inside ({a}, {b})"
-            )
+            raise ParameterError("integrand returned NaN")
         # an actually-infinite integrand value means the integral is not a
         # finite number: report divergence rather than a usage error
-        raise DivergentIntegralError(
-            f"integrand returned an infinite value inside ({a}, {b})",
-            mask=~finite.all(axis=-1) if y.ndim > 1 else None,
-        )
-    # the reduction np.sum makes, without its Python wrapper
-    k = half * np.add.reduce(_WK * y, axis=-1)
-    g = half * np.add.reduce(_WG15 * y, axis=-1)
-    return k, abs(k - g)
+        mask = ~finite.all(axis=(-2, -1))
+        raise DivergentIntegralError("integrand returned an infinite value",
+                                     mask=mask if mask.ndim else None)
+    y = y.reshape(-1, *s.shape)
+    kron = half * (y @ _WK)
+    diff = np.abs(kron - half * (y @ _WG15))
+    if inner is None:
+        # real, as an estimate is, whatever the values are
+        return kron, diff, np.zeros(kron.shape)
+    return kron, diff, half * (np.abs(inner).reshape(y.shape) @ _WK)
 
 
 def panel_rule(edges):
@@ -163,71 +164,6 @@ def panel_rule(edges):
     mid = 0.5 * (edges[:-1] + edges[1:])
     x = mid[:, None] + half[:, None] * _NODES[None, :]
     return x, half[:, None] * _WK[None, :], half[:, None] * _WG15[None, :]
-
-
-# the noise floor of both adaptive integrators: this many splits in a row that
-# take no unconverged component's estimate 1% below its value at their start
-_STALL_SPLITS = 50
-
-
-def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
-    """Adaptive integral of ``f`` over (a, b) with an embedded error estimate.
-
-    Endpoint singularities of integrable power type are handled because the
-    quadrature nodes avoid the endpoints; subdivision concentrates there.
-
-    An integrand returning shape (m, n) for n abscissae is m integrands on one
-    shared mesh: value and estimate have shape (m,), and the run stops only
-    when every component meets its own max(abs_tol, rel_tol |value|).
-    """
-    if not a < b:
-        raise ParameterError(f"need a < b, got ({a}, {b})")
-    val, err = _gk15(f, a, b)
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * abs(val))
-    if (err <= tol).all():
-        return IntegralResult(val, err, 1)
-    # an interval's priority is its worst component error in units of that
-    # component's first tolerance, times the smallest such tolerance, so a
-    # lone component keeps the plain error order: its weight is exactly 1
-    weight = tol.min() / tol
-    counter = itertools.count()
-    heap = [(-(err * weight).max(), next(counter), a, b, val, err)]
-    total_val, total_err = val, err
-    used = 1
-    checkpoint_err, checkpoint_used = math.inf, 1
-    while True:
-        if used - checkpoint_used >= _STALL_SPLITS:
-            if not ((total_err > tol) & (total_err <= 0.99 * checkpoint_err)).any():
-                # no unconverged estimate has improved: the integrand's own
-                # noise floor is reached; report the honest estimate
-                return IntegralResult(total_val, total_err, used)
-            checkpoint_err, checkpoint_used = total_err, used
-        if used >= cfg.max_subdivisions:
-            worst = np.ravel(total_err - tol).argmax()
-            raise BudgetExhaustedError(
-                f"subdivision budget {cfg.max_subdivisions} exhausted on "
-                f"({a}, {b}); err={np.ravel(total_err)[worst]:.3e} > "
-                f"tol={np.ravel(tol)[worst]:.3e}",
-                partial=IntegralResult(total_val, total_err, used),
-            )
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        midpt = 0.5 * (lo + hi)
-        if midpt <= lo or midpt >= hi:
-            # interval at floating-point resolution: keep its estimate
-            heapq.heappush(heap, (0.0, next(counter), lo, hi, v, 0.0 * e))
-            total_err = total_err - e
-        else:
-            v1, e1 = _gk15(f, lo, midpt)
-            v2, e2 = _gk15(f, midpt, hi)
-            # not in place: the totals may alias a heap entry's arrays
-            total_val = total_val + (v1 + v2 - v)
-            total_err = total_err + (e1 + e2 - e)
-            used += 1
-            heapq.heappush(heap, (-(e1 * weight).max(), next(counter), lo, midpt, v1, e1))
-            heapq.heappush(heap, (-(e2 * weight).max(), next(counter), midpt, hi, v2, e2))
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * abs(total_val))
-        if (total_err <= tol).all():
-            return IntegralResult(total_val, total_err, used)
 
 
 _SHRINK_FACTOR = 1.05  # dyadic blocks must shrink at least this fast
@@ -286,57 +222,6 @@ def _charge_tail(total: IntegralResult, edges, mags, cfg: QuadConfig) -> None:
     total.err_estimate = total.err_estimate + tail * r_last / (1.0 - r_last)
 
 
-def _dyadic_sum(f, edges, cfg: QuadConfig) -> IntegralResult:
-    """Sum block integrals over increasing ``edges``, each block held to a
-    quarter of rel_tol and its share of abs_tol, then charge the tail."""
-    block_cfg = replace(
-        cfg,
-        abs_tol=cfg.abs_tol / max(len(edges) - 1, 1),
-        rel_tol=cfg.rel_tol / 4,
-    )
-    total = IntegralResult(0.0, 0.0, 0)
-    mags = []
-    for lo, hi in zip(edges, edges[1:]):
-        try:
-            r = integrate_finite(f, lo, hi, block_cfg)
-        except BudgetExhaustedError as exc:
-            # keep the block's best-effort value; its (larger) error estimate
-            # stays in the total, so accuracy loss is visible to the caller
-            r = exc.partial
-        total = total + r
-        mags.append(abs(r.value))
-    _charge_tail(total, edges, mags, cfg)
-    return total
-
-
-def integrate_to_infinity(
-    f, a: float, cfg: QuadConfig, cutoff: float | None = None
-) -> IntegralResult:
-    """Integral of ``f`` over (a, inf), truncated at ``a + cutoff``.
-
-    The half-line is covered by dyadic blocks (a + 2^j - 1, a + 2^{j+1} - 1);
-    a geometric extrapolation of the last block bounds the truncation tail and
-    is added to the error estimate.  Blocks that stop shrinking raise
-    :class:`DivergentIntegralError`.
-    """
-    span = cutoff if cutoff is not None else cfg.truncation_t
-    return _dyadic_sum(f, _dyadic_edges(a, span), cfg)
-
-
-def integrate_to_zero(f, b: float, cfg: QuadConfig) -> IntegralResult:
-    """Integral of ``f`` over (0, b) for integrands possibly singular at 0.
-
-    With x = b e^(-s) this is the integral of f(x) x over s in (0, 600]: a
-    power singularity x^(c-1) becomes e^(-c s), so the tail beyond the cut is
-    estimated and a non-integrable singularity (c <= 0) shows up as blocks
-    that fail to shrink.
-    """
-    if not b > 0.0:
-        raise ParameterError(f"need b > 0, got {b}")
-    piece = _to_zero(1.0, b)
-    return _dyadic_sum(_in_s(f, piece), piece.edges, cfg)
-
-
 class _Piece(NamedTuple):
     """One piece of a line integral: x = sign X(s) over the blocks (edges[i],
     edges[i + 1]) in s, with X(s) = s (kind 0), scale e^s (kind 1) or
@@ -378,30 +263,21 @@ def _half_line_pieces(sign: float, a: float, b: float, cutoff) -> list:
 
 
 def _line_pieces(lo: float, hi: float, cutoff) -> list:
-    """The pieces of (lo, hi), one list for each side of 0 it reaches, the
-    side x < 0 first and folded onto |x|."""
+    """The pieces of (lo, hi), those of the side x < 0 first, folded onto
+    |x|."""
     if not lo < hi:
         return []
-    sides = []
+    pieces = []
     if lo < 0.0:
-        sides.append(_half_line_pieces(-1.0, max(-hi, 0.0), -lo, cutoff))
+        pieces += _half_line_pieces(-1.0, max(-hi, 0.0), -lo, cutoff)
     if hi > 0.0:
-        sides.append(_half_line_pieces(1.0, max(lo, 0.0), hi, cutoff))
-    return sides
+        pieces += _half_line_pieces(1.0, max(lo, 0.0), hi, cutoff)
+    return pieces
 
 
-def _in_s(f, piece: _Piece):
-    """The integrand of ``piece`` in s: f(sign X(s)) X'(s)."""
-    sign, kind, scale = piece.sign, piece.kind, piece.scale
-    if kind == 0:
-        return f if sign > 0.0 else (lambda x: f(-x))
-
-    def in_log(s):
-        x = scale * np.exp(kind * np.asarray(s, dtype=float))
-        with np.errstate(over="ignore"):
-            return f(sign * x) * x
-
-    return in_log
+# the noise floor of the refinement: this many splits in a row that take no
+# unconverged component's estimate 1% below its value at their start
+_STALL_SPLITS = 50
 
 
 def integrate(f, lo: float, hi: float, cfg: QuadConfig,
@@ -410,46 +286,37 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     interval is empty.
 
     The interval is split at 0, and a piece below 0 is folded onto |x| as
-    f(-x).  A piece (a, b) of the half-line is reached at a 0 end by
-    :func:`integrate_to_zero` and at an infinite end in log coordinates above
-    max(a, 1).  With ``cutoff``, an end past |x| = cutoff is cut there by the
-    dyadic blocks of :func:`integrate_to_infinity`, which charge the tail
-    beyond the cut, and a piece wholly past it adds nothing.
+    f(-x).  A piece (a, b) of the half-line reaches a 0 end as x = b e^(-s)
+    and an infinite end as x = max(a, 1) e^s, each on the dyadic blocks in s
+    of :func:`_dyadic_edges`.  With ``cutoff``, an end past |x| = cutoff is
+    cut there, on dyadic blocks in x from a, and a piece wholly past it adds
+    nothing.
+
+    ``f(x)`` returns values of shape (n,) for the n abscissae, or (m, n) for
+    m components; or (values, inner), with inner the absolute error of each
+    value from a computation inside ``f``, of the same shape, or None.  It is
+    called once per refinement round, on the nodes of every panel of every
+    block, both signs of x in one array, with overflow ignored: an
+    overflowing value is an infinite one.  The first round takes one (7, 15)
+    panel per block.  Each later round bisects the panels whose |Kronrod -
+    Gauss| exceeds their fair share, 1 / panels, of some unconverged
+    component's max(abs_tol, rel_tol |value|).  The rounds stop when every
+    component is within its tolerance, or at the noise floor: when the splits
+    since the last check, at least ``_STALL_SPLITS`` of them, took no
+    unconverged component's estimate 1% below its value at that check, or
+    when no panel to split can be halved in floating point.  When
+    ``max_subdivisions`` splits are spent first, :class:`BudgetExhaustedError`
+    carries the partial result.
+
+    The estimate sums over the final panels their |Kronrod - Gauss|, or for
+    a split panel its children's share of the change from its Kronrod sum
+    where that is larger; the tail charge of :func:`_charge_tail` on each
+    dyadic piece's block totals, whose divergence test also applies; and the
+    inner errors weighted by the Kronrod rule, sum w |inner|.  An infinite
+    value raises :class:`DivergentIntegralError`, with a mask of the
+    components it hits for a vector integrand.
     """
-    total = IntegralResult(0.0, 0.0, 0)
-    for side in _line_pieces(lo, hi, cutoff):
-        parts = [_dyadic_sum(_in_s(f, p), p.edges, cfg) if p.dyadic
-                 else integrate_finite(_in_s(f, p), *p.edges, cfg) for p in side]
-        if parts:
-            total = total + sum(parts[1:], parts[0])
-    return total
-
-
-def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResult:
-    """The integral of :func:`integrate` over (lo, hi), on the same pieces and
-    dyadic blocks, with ``f`` called once per refinement round for the nodes
-    of every panel of every block, both signs of x in one array.
-
-    ``f(x)`` returns (values, inner): values of shape (n,) for the n
-    abscissae, or (m, n) for m components, and inner the absolute error of
-    each value from a computation inside ``f``, of the same shape, or None.
-    The first round takes one (7, 15) panel per block.  Each later round
-    bisects the panels whose |Kronrod - Gauss| exceeds their fair share,
-    1 / panels, of some unconverged component's max(abs_tol, rel_tol
-    |value|).  The rounds stop when every component is within its
-    tolerance, when the splits since the last check, at least
-    ``_STALL_SPLITS`` of them, took no unconverged component's estimate 1%
-    below its value at that check (the noise floor of
-    :func:`integrate_finite`), or after ``max_subdivisions`` splits; the
-    estimate is reported in every case.  It sums over the final panels their |Kronrod - Gauss|, or for a split panel
-    its children's share of the change from its Kronrod sum where that is
-    larger, the tail charge of :func:`_charge_tail` on each dyadic piece's
-    block totals, whose divergence test also applies, and the inner errors
-    weighted by the Kronrod rule, sum w |inner|.  An infinite value raises
-    :class:`DivergentIntegralError`, with a mask of the components it hits
-    for a vector integrand.
-    """
-    pieces = [p for side in _line_pieces(lo, hi, None) for p in side]
+    pieces = _line_pieces(lo, hi, cutoff)
     if not pieces:
         return IntegralResult(0.0, 0.0, 0)
     sign = np.array([p.sign for p in pieces])
@@ -463,50 +330,45 @@ def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResul
     block = np.arange(lo_s.size)
     shape = ()
 
-    def panels(lo_s, hi_s, piece):
-        """Kronrod sums, |Kronrod - Gauss| and Kronrod-weighted inner errors
-        of the panels, each (m, panels)."""
-        nonlocal shape
-        half = 0.5 * (hi_s - lo_s)
-        s = (0.5 * (lo_s + hi_s))[:, None] + half[:, None] * _NODES
+    def in_s(piece):
+        """The integrand in s on panels of ``piece``: f(sign X(s)) X'(s), and
+        its inner error times X'(s)."""
         k = kind[piece, None]
-        x = np.where(k == 0, s, scale[piece, None] * np.exp(k * s))
-        jac = np.where(k == 0, 1.0, x)
-        values, inner = f((sign[piece, None] * x).ravel())
-        values = np.asarray(values)
-        shape = values.shape[:-1]
-        y = values.reshape(-1, *x.shape)
-        finite = np.isfinite(y)
-        if not finite.all():
-            if np.isnan(y).any():
-                raise ParameterError(f"integrand returned NaN inside ({lo}, {hi})")
-            # an actually-infinite integrand value means the integral is not
-            # a finite number
-            raise DivergentIntegralError(
-                f"integrand returned an infinite value inside ({lo}, {hi})",
-                mask=~finite.all(axis=(1, 2)).reshape(shape) if shape else None,
-            )
-        y = y * jac
-        kron = half * (y @ _WK)
-        diff = np.abs(kron - half * (y @ _WG15))
-        if inner is None:
-            return kron, diff, np.zeros_like(kron)
-        return kron, diff, half * ((np.abs(inner).reshape(y.shape) * jac) @ _WK)
 
-    kron, diff, inner = panels(lo_s, hi_s, piece)
+        def g(s):
+            nonlocal shape
+            x = np.where(k == 0, s, scale[piece, None] * np.exp(k * s))
+            jac = np.where(k == 0, 1.0, x)
+            with np.errstate(over="ignore"):
+                out = f((sign[piece, None] * x).ravel())
+                values, inner = out if isinstance(out, tuple) else (out, None)
+                values = np.asarray(values)
+                shape = values.shape[:-1]
+                # finiteness is tested on this product: a value that
+                # overflows on the Jacobian is an infinite one
+                y = values.reshape(shape + s.shape) * jac
+            return y, None if inner is None else np.abs(inner).reshape(y.shape) * jac
+
+        return g
+
+    kron, diff, inner = _gk15(in_s(piece), lo_s, hi_s)
     splits, checkpoint_err, checkpoint_splits = 0, math.inf, 0
-    while splits < cfg.max_subdivisions:
+    exhausted = False
+    while True:
         err = diff.sum(axis=-1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(kron.sum(axis=-1)))
         unconverged = err > tol
         if not unconverged.any():
             break
-        # the noise floor of integrate_finite: a split across a kink can raise
-        # an estimate for some rounds before its children resolve the kink
+        # a split across a kink can raise an estimate for some rounds before
+        # its children resolve the kink, so the floor is read over many splits
         if splits - checkpoint_splits >= _STALL_SPLITS:
             if not (unconverged & (err <= 0.99 * checkpoint_err)).any():
                 break
             checkpoint_err, checkpoint_splits = err, splits
+        if splits >= cfg.max_subdivisions:
+            exhausted = True
+            break
         # each panel's worst unconverged component, in units of its fair share
         share = (diff[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
         mid = 0.5 * (lo_s + hi_s)
@@ -520,8 +382,9 @@ def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResul
         splits += cand.size
         # the lower child takes its parent's slot, the upper one goes last
         m, upper = cand.size, hi_s[cand]
-        kk, kd, ki = panels(np.concatenate([lo_s[cand], mid[cand]]),
-                            np.concatenate([mid[cand], upper]), np.tile(piece[cand], 2))
+        kk, kd, ki = _gk15(in_s(np.tile(piece[cand], 2)),
+                           np.concatenate([lo_s[cand], mid[cand]]),
+                           np.concatenate([mid[cand], upper]))
         # |K - G| can read low on a panel across a kink: the children's
         # estimate is at least the change from their parent's Kronrod sum,
         # shared between them as their |K - G| are
@@ -550,4 +413,18 @@ def integrate_batched(f, lo: float, hi: float, cfg: QuadConfig) -> IntegralResul
         if p.dyadic:
             _charge_tail(total, p.edges, list(sums[b0:b0 + n]), cfg)
     total.err_estimate = total.err_estimate + own(inner.sum(axis=-1))
+    if exhausted:
+        worst = np.ravel(err - tol).argmax()
+        raise BudgetExhaustedError(
+            f"subdivision budget {cfg.max_subdivisions} exhausted on ({lo}, {hi}); "
+            f"err={np.ravel(err)[worst]:.3e} > tol={np.ravel(tol)[worst]:.3e}",
+            partial=total,
+        )
     return total
+
+
+def integrate_finite(f, a: float, b: float, cfg: QuadConfig) -> IntegralResult:
+    """:func:`integrate` over a finite interval a < b."""
+    if not -math.inf < a < b < math.inf:
+        raise ParameterError(f"need finite a < b, got ({a}, {b})")
+    return integrate(f, a, b, cfg)

@@ -23,7 +23,7 @@ from octool.errors import MonotonicityError, SupportError
 from octool.harness_cli import build_default_suite, random_step_function, run_scenario
 from octool.hausdorff import HausdorffImage, make_kernel
 from octool.octransform import FunctionSpec
-from octool.quad import QuadConfig, integrate, integrate_to_infinity, integrate_to_zero
+from octool.quad import QuadConfig, integrate
 from octool.specfun import JacobiParams, log_weight_a, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
@@ -242,8 +242,8 @@ def _lp_lq_constant_per_node(k, p_exp, q_exp, params, cfg):
                 return np.exp(np.minimum(expo, 709.0))
 
             cutoff = max(cfg.truncation_x, 200.0 / abs(rate) * rho2)
-            iv = 2.0 * float((integrate_to_infinity(gu, 1.0, cfg, cutoff=cutoff)
-                              + integrate_to_zero(gu, 1.0, cfg)).value)
+            iv = 2.0 * float((integrate(gu, 1.0, math.inf, cfg, cutoff=1.0 + cutoff)
+                              + integrate(gu, 0.0, 1.0, cfg)).value)
             out[i] = phi / ti * ti ** (1.0 / q_exp) * iv ** ((p_exp - q_exp) / (p_exp * q_exp))
         return out
 

@@ -223,6 +223,14 @@ def test_transform_grid_of_an_uneven_support_matches_pointwise(f, p):
         assert abs(v - ref.value) <= e + ref.err_estimate, lam
 
 
+def test_transform_result_has_a_real_estimate():
+    # the integrand is complex; its estimate is a real number that covers
+    # the closed form
+    r = oc_transform_result(GAUSS, P1, 1.0, CFG)
+    assert np.isrealobj(r.err_estimate) and np.ndim(r.err_estimate) == 0
+    assert abs(r.value - closed_form.gaussian_transform(1.0)) <= r.err_estimate
+
+
 @pytest.mark.parametrize("doubled", [False, True])
 def test_transform_grid_covers_the_closed_form(doubled):
     # the Gaussian at (1/2, -1/2) on every lambda node of the Plancherel
