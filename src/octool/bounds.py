@@ -79,7 +79,12 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     A function whose ``log_abs_decomp`` also returns a relative error per
     node (as :class:`HausdorffImage` does) has it charged to each exponent's
     estimate as sum w v p_exp rel over the final panels, with w the Kronrod
-    weights and v the integrand, since v carries |f|^p_exp."""
+    weights and v the integrand, since v carries |f|^p_exp.
+
+    An even f (``is_even``, which a :class:`HausdorffImage` takes from its
+    f) on a domain symmetric about 0 is folded there: (0, b) is integrated
+    once, and its value and estimate are doubled, so no node is evaluated
+    at x < 0.  The breakpoints of f are panel edges."""
     flo, fhi = f.support()
     a, b = max(domain[0], flo), min(domain[1], fhi)
     q = np.asarray(p_exp, dtype=float)
@@ -109,7 +114,11 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     # an overflowing node is an infinite value, which quad reports as
     # divergence before it reads the inner errors
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate(g, a, b, cfg)
+        if a == -b and getattr(f, "is_even", False):
+            r = integrate(g, 0.0, b, cfg)
+            return r + r
+        points = f.breakpoints() if isinstance(f, FunctionSpec) else ()
+        return integrate(g, a, b, cfg, points=points)
 
 
 def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
@@ -163,9 +172,9 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
                   cfg: QuadConfig, power: float = 1.0) -> NormResult:
     """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
     support, formed as one exponential of log phi and log t so that neither
-    factor under- or overflows on its own; +inf on divergence.  A
-    ``tabulated`` kernel is integrated segment by segment between its grid
-    points.
+    factor under- or overflows on its own; +inf on divergence.  The grid
+    points of a ``tabulated`` kernel, where it bends, are panel edges, or a
+    narrow spike could fall between the nodes.
 
     An array ``s`` is one vector-valued adaptive run, one component per
     exponent on a shared mesh, each held to its own tolerance: value and
@@ -177,12 +186,7 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         zero = np.zeros(np.shape(s)) if np.ndim(s) else 0.0
         return NormResult(zero, zero)
     s_col = np.asarray(s, dtype=float)[..., None]
-    # a tabulated kernel bends at its grid points: each grid segment is
-    # integrated on its own, or a narrow spike can fall between the nodes
-    knots = [a, b]
-    if k.variant == "tabulated":
-        grid = np.asarray(k.params["grid"], dtype=float)
-        knots = [a, *grid[(grid > a) & (grid < b)], b]
+    points = k.params["grid"] if k.variant == "tabulated" else ()
 
     def integrand(t):
         log_t = np.log(np.asarray(t, dtype=float))
@@ -192,8 +196,7 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         # an overflowing node is an infinite value, which quad reports as
         # divergence
         with np.errstate(over="ignore"):
-            parts = [integrate(integrand, lo, hi, cfg) for lo, hi in zip(knots, knots[1:])]
-        r = sum(parts[1:], parts[0])
+            r = integrate(integrand, a, b, cfg, points=points)
     except DivergentIntegralError as exc:
         if np.ndim(s) == 0:
             return NormResult(math.inf, math.inf)
@@ -391,23 +394,17 @@ def power_lemma_check(h: FunctionSpec, s: float,
         raise MonotonicityError("h must be non-negative")
     if np.any(np.diff(vals) > 1e-12 * (np.max(np.abs(vals)) + 1e-300)):
         raise MonotonicityError("h must be non-increasing on its support")
-    knots = np.array([a, b])
-    if h.family == "sampled" and h.params.get("interp") == "previous":
-        # across a jump the Gauss and Kronrod rules can agree on a wrong
-        # value: integrate each constant piece on its own
-        xs = np.asarray(h.params["xs"], dtype=float)
-        knots = np.unique(np.clip(-xs if h.reflect else xs, a, b))
-    lhs = sum(float(integrate(h, lo, hi, cfg).value)
-              for lo, hi in zip(knots[:-1], knots[1:])) ** s
+    # across a jump the Gauss and Kronrod rules can agree on a wrong value:
+    # h's breakpoints are panel edges
+    points = h.breakpoints()
+    lhs = float(integrate(h, a, b, cfg, points=points).value) ** s
 
     def g(u):
         # u = t - a, singular weight u^(s-1) at 0
         u = np.asarray(u, dtype=float)
         return np.asarray(h(a + u)) ** s * u ** (s - 1.0)
 
-    u = knots - a
-    rhs = integrate(g, 0.0, u[1], cfg).value + sum(
-        integrate(g, lo, hi, cfg).value for lo, hi in zip(u[1:-1], u[2:]))
+    rhs = integrate(g, 0.0, b - a, cfg, points=points - a).value
     return lhs, s * float(rhs)
 
 

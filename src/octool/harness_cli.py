@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import click
 import numpy as np
@@ -44,6 +44,7 @@ from .hausdorff import (
 )
 from .octransform import (
     FunctionSpec,
+    _spectral_band,
     apply_jacobi_cherednik,
     plancherel_residual_detailed,
     transform_grid,
@@ -395,8 +396,10 @@ def _run_p_plancherel(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     f = s.functions[0]
     lhs, rhs, gap, err = plancherel_residual_detailed(f, p, cfg)
-    doubled = replace(cfg, truncation_lambda=2.0 * cfg.truncation_lambda)
-    _, _, gap2, _ = plancherel_residual_detailed(f, p, doubled)
+    # the gap at a doubled cut: rhs gains the band (Lambda, 2 Lambda] alone
+    lam = cfg.truncation_lambda
+    band = _spectral_band(f, p, (lam, 1.5 * lam, 2.0 * lam), cfg)[0]
+    gap2 = abs(lhs - (rhs.real + band)) / lhs if lhs else 0.0
     tol = 0.05
     floor = _tolerance(err, lhs)
     decreasing = gap2 < gap or gap <= floor

@@ -591,6 +591,11 @@ class HausdorffImage:
         # engine finds it 0: the norm's domain and mesh stay the caller's
         return -math.inf, math.inf
 
+    @property
+    def is_even(self) -> bool:
+        # A is even, so H commutes with x -> -x: H f is even when f is
+        return getattr(self.f, "is_even", False)
+
     def log_abs_decomp(self, x):
         """(log A(x) H f(x), 1.0, rel_err) at an array ``x``: -inf and 0 at
         x = 0, and rel_err the engine's relative error estimate per node."""

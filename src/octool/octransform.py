@@ -140,16 +140,24 @@ class FunctionSpec:
 
     @property
     def is_even(self) -> bool:
-        fam, q = self.family, self.params
-        if fam == "gaussian":
-            return True
-        if fam == "constant_one" and self.domain == "real_line":
-            return True
-        if fam == "bump" and q.get("center", 0.0) == 0.0:
-            return True
+        """Whether f(-x) = f(x) for every x, bit for bit: the folds of the
+        norms and the transform rest on it, so a family on a half-line or
+        an interval, which vanishes on one side of 0 only, is not even."""
+        fam = self.family
         if fam == "zero":
             return True
-        return False
+        if self.domain != "real_line":
+            return False
+        return fam in ("gaussian", "constant_one") or (
+            fam == "bump" and self.params.get("center", 0.0) == 0.0)
+
+    def breakpoints(self) -> np.ndarray:
+        """Where f jumps or bends inside its support: the nodes of a
+        ``sampled`` f, reflected with f, and none for the other families."""
+        if self.family != "sampled":
+            return np.empty(0)
+        xs = np.asarray(self.params["xs"], dtype=float)
+        return -xs[::-1] if self.reflect else xs
 
     # -- evaluation --------------------------------------------------------
     def _coords(self, x):
@@ -308,12 +316,15 @@ def oc_transform_result(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> Inte
     ``truncation_x``, and the estimate charges the tail beyond the cut as a
     geometric extrapolation of the last blocks: a bound only where the
     integrand decays past the cut.  A support wholly past the cut raises
-    ParameterError.
+    ParameterError.  The breakpoints of a :class:`FunctionSpec` are panel
+    edges, so no panel reads across a kink or a jump of f.
     """
     def integrand(x):
         return np.asarray(f(x)) * _g_batch(p, [lam], -np.asarray(x))[0][0] * weight_a(p, x)
 
-    return integrate(integrand, *_support(f, cfg), cfg, cutoff=cfg.truncation_x)
+    points = f.breakpoints() if isinstance(f, FunctionSpec) else ()
+    return integrate(integrand, *_support(f, cfg), cfg, cutoff=cfg.truncation_x,
+                     points=points)
 
 
 def oc_transform(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> complex:
@@ -321,7 +332,7 @@ def oc_transform(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> complex:
     return complex(oc_transform_result(f, p, lam, cfg).value)
 
 
-def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
+def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig, reflected: bool = False):
     """Transform of ``f`` at every lambda in ``lams`` on a shared fixed grid.
 
     Returns (values, err), both shaped like ``lams``.  With G_lambda(+-x) =
@@ -341,14 +352,19 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
     phi alone.  Intended for smooth, bounded functions (the transform and
     spectral-identity sweeps); a support wholly past the cut raises
     ParameterError.
+
+    With ``reflected``, returns (values, err, r_values, r_err), the last two
+    the transform of f(-x), which only swaps f(x) and f(-x) in the fold: it
+    adds the odd part's term where f's own subtracts it, from the same
+    series.
     """
     lams = np.asarray(lams, dtype=float)
     lo, hi = _support(f, cfg)
     lo = max(lo, -cfg.truncation_x)
     hi = min(hi, cfg.truncation_x)
     if not lo < hi:
-        z = np.zeros(lams.shape, dtype=complex)
-        return z, np.zeros(lams.shape)
+        zero = (np.zeros(lams.shape, dtype=complex), np.zeros(lams.shape))
+        return zero + zero if reflected else zero
     a = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
     b = max(abs(lo), abs(hi))
     width = min(0.25, 4.0 / max(1.0, float(np.max(np.abs(lams)))))
@@ -373,18 +389,23 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig):
     # the sums would depend on the layout the series return, not on its values
     h = np.ascontiguousarray(phi * even)
     err = np.ascontiguousarray(np.abs(even) * phi_err)
+    folds = [h, h.copy()] if reflected else [h]
     live = np.flatnonzero(odd)
     if live.size:
         o, o_err = _g_odd(p, lams.ravel(), x[live])
-        h[:, live] -= o * odd[live]
+        o *= odd[live]
+        folds[0][:, live] -= o
+        if reflected:
+            folds[1][:, live] += o
         err[:, live] += np.abs(odd[live]) * o_err
-    h = h.reshape(*lams.shape, *wk.shape)
-    k_panels = np.sum(h * wk, axis=-1)
-    g_panels = np.sum(h * wg, axis=-1)
-    vals = np.sum(k_panels, axis=-1)
-    quad_err = np.sum(np.abs(k_panels - g_panels), axis=-1)
-    series_err = np.sum(err.reshape(h.shape) * wk, axis=(-2, -1))
-    return vals, quad_err + series_err
+    sums = []
+    for h in folds:
+        h = h.reshape(*lams.shape, *wk.shape)
+        k_panels = np.sum(h * wk, axis=-1)
+        g_panels = np.sum(h * wg, axis=-1)
+        sums.append((np.sum(k_panels, axis=-1), np.sum(np.abs(k_panels - g_panels), axis=-1)))
+    series_err = np.sum(err.reshape(*lams.shape, *wk.shape) * wk, axis=(-2, -1))
+    return tuple(v for vals, quad_err in sums for v in (vals, quad_err + series_err))
 
 
 def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> IntegralResult:
@@ -449,11 +470,10 @@ def apply_jacobi_cherednik(f, p: JacobiParams, x: float, h: float = 1e-4) -> com
 # ---------------------------------------------------------------------------
 # Plancherel residual
 
-def _lambda_panels(cfg: QuadConfig):
-    """The Gauss-Kronrod (nodes, Kronrod weights, Gauss weights) of the
-    spectral side over [lambda_min, truncation_lambda], on panels graded
-    because the spectral integrand of a smooth f concentrates at small lambda
-    and decays rapidly."""
+def _lambda_edges(cfg: QuadConfig) -> list:
+    """The edges of the spectral side's panels over [lambda_min,
+    truncation_lambda], graded because the spectral integrand of a smooth f
+    concentrates at small lambda and decays rapidly."""
     lam_edges = [cfg.lambda_min]
     for e in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0,
               8.0, 12.0, 16.0, 24.0, 32.0):
@@ -461,7 +481,46 @@ def _lambda_panels(cfg: QuadConfig):
             lam_edges.append(e)
     while lam_edges[-1] < cfg.truncation_lambda:
         lam_edges.append(min(lam_edges[-1] * 1.5, cfg.truncation_lambda))
-    return panel_rule(lam_edges)
+    return lam_edges
+
+
+def _spectral_band(f: FunctionSpec, p: JacobiParams, lam_edges, cfg: QuadConfig):
+    """The spectral side of the energy identity over the Gauss-Kronrod
+    panels on ``lam_edges``: (share, err, integrand, wk), with share its
+    part of rhs, twice the real Kronrod sum of the integrand u v density.
+
+    u and v are the transforms of f and of its reflection, from one fold
+    (one and the same for an even f); for real f the +-lambda halves pair conjugately, conj(v(-lambda)) =
+    v(lambda).  Transform values buried inside their own series-error bound
+    are pure cancellation noise and are dropped before summing.  err sums
+    the panels' |Kronrod - Gauss|, the series bounds of u and v weighted by
+    the Kronrod rule, and the charge for the dropped noise: within a panel
+    that still has resolved nodes, the true integrand at a dropped node is
+    at the level of its resolved neighbours (the same smoothness assumption
+    quadrature makes), so the panel's peak resolved level is charged over
+    the dropped weight."""
+    lam, wk, wg = panel_rule(lam_edges)
+    if f.is_even:
+        u, u_err = transform_grid(f, p, lam, cfg)
+        v, v_err = u, u_err
+    else:
+        u, u_err, v, v_err = transform_grid(f, p, lam, cfg, reflected=True)
+    dens = plancherel_density(p, lam, lambda_min=cfg.lambda_min / 2.0)
+    noisy = (np.abs(u) <= 10.0 * u_err) | (np.abs(v) <= 10.0 * v_err)
+    u = np.where(noisy, 0.0, u)
+    v = np.where(noisy, 0.0, v)
+    integrand = u * v * dens
+    share = 2.0 * float(np.sum(wk * integrand).real)
+    k_panels = np.sum(wk * integrand, axis=1)
+    quad_err = float(np.sum(np.abs(k_panels - np.sum(wg * integrand, axis=1))))
+    inner_err = float(
+        np.sum(wk * np.abs(dens) * (u_err * np.abs(v) + v_err * np.abs(u)))
+    )
+    panel_peak = np.abs(integrand).max(axis=1)
+    noise_charge = float(
+        np.sum(panel_peak * np.sum(np.where(noisy, wk, 0.0), axis=1))
+    )
+    return share, quad_err + inner_err + noise_charge, integrand, wk
 
 
 def plancherel_residual_detailed(
@@ -473,7 +532,8 @@ def plancherel_residual_detailed(
     against the spectral density, where u, v are the transforms of f and of
     its reflection.  For real f the integrand pairs conjugately in +-lambda,
     so the spectral integral is evaluated as twice the real part over
-    lambda > 0.
+    lambda > 0, by :func:`_spectral_band` over (lambda_min,
+    truncation_lambda].
     """
     def sq(x):
         v = np.asarray(f(x))
@@ -484,52 +544,22 @@ def plancherel_residual_detailed(
     if lhs == 0.0:
         return 0.0, 0.0 + 0.0j, 0.0, 0.0
 
-    frev = f.reflected()
-    even = f.is_even
-
-    lam, wk, wg = _lambda_panels(cfg)
-
-    u, u_err = transform_grid(f, p, lam, cfg)
-    if even:
-        v, v_err = u, u_err
-    else:
-        v, v_err = transform_grid(frev, p, lam, cfg)
-    dens = plancherel_density(p, lam, lambda_min=cfg.lambda_min / 2.0)
-    # conj(v(-lam)) = v(lam) for real f; the +-lambda halves pair conjugately.
-    # Transform values buried inside their own series-error bound are pure
-    # cancellation noise; drop them before summing.
-    noisy = (np.abs(u) <= 10.0 * u_err) | (np.abs(v) <= 10.0 * v_err)
-    u = np.where(noisy, 0.0, u)
-    v = np.where(noisy, 0.0, v)
-    integrand = u * v * dens
-    rhs = 2.0 * float(np.sum(wk * integrand).real) + 0.0j
-    k_panels = np.sum(wk * integrand, axis=1)
-    quad_err = float(np.sum(np.abs(k_panels - np.sum(wg * integrand, axis=1))))
-    inner_err = float(
-        np.sum(wk * np.abs(dens) * (u_err * np.abs(v) + v_err * np.abs(u)))
-    )
-    # Error charged for the dropped noise: within a panel that still has
-    # resolved nodes, the true integrand at a dropped node is at the level of
-    # its resolved neighbours (the same smoothness assumption quadrature
-    # makes), so charge the panel's peak resolved level over the dropped
-    # weight.  Panels with no resolved node at all lie beyond the point where
-    # the data says anything; together with the lambda > Lambda truncation
-    # they are covered by a geometric-decay extrapolation of the last two
-    # resolved panel masses.
-    panel_peak = np.abs(integrand).max(axis=1)
-    noise_charge = float(
-        np.sum(panel_peak * np.sum(np.where(noisy, wk, 0.0), axis=1))
-    )
-    resolved = np.flatnonzero(panel_peak > 0.0)
+    share, band_err, integrand, wk = _spectral_band(f, p, _lambda_edges(cfg), cfg)
+    rhs = share + 0.0j
+    # Panels with no resolved node at all lie beyond the point where the data
+    # says anything; together with the lambda > Lambda truncation they are
+    # covered by a geometric-decay extrapolation of the last two resolved
+    # panel masses.
+    panel_mass = np.abs(np.sum(wk * integrand, axis=1))
+    resolved = np.flatnonzero(np.abs(integrand).max(axis=1) > 0.0)
     tail = 0.0
     if resolved.size >= 2:
-        panel_mass = np.abs(k_panels)
         last, prev = float(panel_mass[resolved[-1]]), float(panel_mass[resolved[-2]])
         # floor the ratio: stretched-exponential decay slows down, so the
         # observed panel-to-panel ratio can understate the remaining mass
         ratio = min(max(last / prev, 0.5), 0.9) if prev > 0 else 0.9
         tail = last * ratio / (1.0 - ratio)
     excised = 2.0 * cfg.lambda_min * float(np.abs(integrand[0, 0]))
-    spectral_err = 2.0 * (quad_err + inner_err + noise_charge + tail) + excised
+    spectral_err = 2.0 * (band_err + tail) + excised
     rel_gap = abs(lhs - rhs) / lhs
     return lhs, rhs, rel_gap, lhs_res.err_estimate + spectral_err

@@ -13,8 +13,9 @@ below 0 onto |x|, and reaches a 0 end or an infinite end in log coordinates,
 x = b e^(-s) or x = a e^s over s in (0, 600], where power laws become
 exponentials.  Those ends, and an end cut at |x| = cutoff, are covered by
 dyadic blocks whose totals give a geometric tail estimate and a divergence
-test.  The panels of every block are refined together in rounds, with one
-call of the integrand per round on all their nodes, so an integrand that is
+test; a caller's breakpoints of the integrand are fixed panel edges.  The
+panels of every block are refined together in rounds, with one call of the
+integrand per round on all their nodes, so an integrand that is
 cheaper called once on many nodes than many times on few (the weighted norms
 of a Hausdorff image, the inverse transform's spectral integral) pays its
 fixed cost once per round.
@@ -275,13 +276,38 @@ def _line_pieces(lo: float, hi: float, cutoff) -> list:
     return pieces
 
 
+def _initial_panels(pieces: list, points):
+    """(piece, block, lo, hi) of the first round's panels: one per block of
+    each piece, cut at every breakpoint x in ``points`` that falls inside
+    the piece, at its s on the piece's side of 0."""
+    counts = [len(p.edges) - 1 for p in pieces]
+    points = np.asarray(points, dtype=float)
+    if not points.size:
+        lo_s = np.concatenate([p.edges[:-1] for p in pieces])
+        return (np.repeat(np.arange(len(pieces)), counts), np.arange(lo_s.size), lo_s,
+                np.concatenate([p.edges[1:] for p in pieces]))
+    piece, block, lo_s, hi_s = [], [], [], []
+    for i, (p, first) in enumerate(zip(pieces, np.cumsum(counts) - counts)):
+        x = p.sign * points
+        x = x[x > 0.0]
+        with np.errstate(divide="ignore", over="ignore"):
+            # a point past the double range of x / scale lies outside the piece
+            cuts = x if p.kind == 0 else p.kind * np.log(x / p.scale)
+        ends = np.union1d(p.edges, cuts[(cuts > p.edges[0]) & (cuts < p.edges[-1])])
+        piece.append(np.full(ends.size - 1, i))
+        block.append(first + np.searchsorted(p.edges, ends[:-1], side="right") - 1)
+        lo_s.append(ends[:-1])
+        hi_s.append(ends[1:])
+    return tuple(np.concatenate(a) for a in (piece, block, lo_s, hi_s))
+
+
 # the noise floor of the refinement: this many splits in a row that take no
 # unconverged component's estimate 1% below its value at their start
 _STALL_SPLITS = 50
 
 
 def integrate(f, lo: float, hi: float, cfg: QuadConfig,
-              cutoff: float | None = None) -> IntegralResult:
+              cutoff: float | None = None, points=()) -> IntegralResult:
     """Integral of ``f`` over (lo, hi) for -inf <= lo < hi <= inf; 0 when the
     interval is empty.
 
@@ -292,21 +318,29 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     cut there, on dyadic blocks in x from a, and a piece wholly past it adds
     nothing.
 
+    ``points`` are breakpoints of f, where it jumps or bends.  Each one
+    inside (lo, hi), other than 0, is a fixed panel edge from the first
+    round on, so that no panel straddles it: a breakpoint below 0 is folded
+    onto |x| as the interval is, and one inside a log-coordinate end or a
+    dyadic block cuts that block's first panel at its s.  The blocks, and so
+    the tail charge and the divergence test, stay as they are; points
+    outside (lo, hi) are ignored.
+
     ``f(x)`` returns values of shape (n,) for the n abscissae, or (m, n) for
     m components; or (values, inner), with inner the absolute error of each
     value from a computation inside ``f``, of the same shape, or None.  It is
     called once per refinement round, on the nodes of every panel of every
     block, both signs of x in one array, with overflow ignored: an
     overflowing value is an infinite one.  The first round takes one (7, 15)
-    panel per block.  Each later round bisects the panels whose |Kronrod -
-    Gauss| exceeds their fair share, 1 / panels, of some unconverged
-    component's max(abs_tol, rel_tol |value|).  The rounds stop when every
-    component is within its tolerance, or at the noise floor: when the splits
-    since the last check, at least ``_STALL_SPLITS`` of them, took no
-    unconverged component's estimate 1% below its value at that check, or
-    when no panel to split can be halved in floating point.  When
-    ``max_subdivisions`` splits are spent first, :class:`BudgetExhaustedError`
-    carries the partial result.
+    panel per block, or per stretch of a block between breakpoints.  Each
+    later round bisects the panels whose |Kronrod - Gauss| exceeds their
+    fair share, 1 / panels, of some unconverged component's max(abs_tol,
+    rel_tol |value|).  The rounds stop when every component is within its
+    tolerance, or at the noise floor: when the splits since the last check,
+    at least ``_STALL_SPLITS`` of them, took no unconverged component's
+    estimate 1% below its value at that check, or when no panel to split can
+    be halved in floating point.  When ``max_subdivisions`` splits are spent
+    first, :class:`BudgetExhaustedError` carries the partial result.
 
     The estimate sums over the final panels their |Kronrod - Gauss|, or for
     a split panel its children's share of the change from its Kronrod sum
@@ -322,12 +356,9 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     sign = np.array([p.sign for p in pieces])
     kind = np.array([p.kind for p in pieces])
     scale = np.array([p.scale for p in pieces])
-    # one panel per block to start; ``block`` numbers the blocks of all pieces
+    # ``block`` numbers the blocks of all pieces
     counts = [len(p.edges) - 1 for p in pieces]
-    piece = np.repeat(np.arange(len(pieces)), counts)
-    lo_s = np.concatenate([p.edges[:-1] for p in pieces])
-    hi_s = np.concatenate([p.edges[1:] for p in pieces])
-    block = np.arange(lo_s.size)
+    piece, block, lo_s, hi_s = _initial_panels(pieces, points)
     shape = ()
 
     def in_s(piece):

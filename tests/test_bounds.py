@@ -495,3 +495,96 @@ def test_extremal_eps_norm_where_reciprocal_rounds(params):
     f = extremal_function("eps", params, p=p_exp, eps=eps)
     truth = (eps * p_exp) ** (-1.0 / p_exp)
     assert lp_norm(f, p_exp, params, HALF, CFG).value == pytest.approx(truth, rel=1e-9)
+
+
+def test_power_lemma_takes_one_integral_per_side(monkeypatch):
+    # the jumps of a step function are breakpoints of one integrate call for
+    # each side, not one call per constant piece
+    import octool.bounds as bounds
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate", counted)
+    rng = np.random.default_rng(7)
+    for s in (0.2, 0.5, 0.8):
+        calls.clear()
+        power_lemma_check(random_step_function(rng), s, CFG)
+        assert len(calls) == 2
+
+
+def test_tabulated_kernel_moment_is_one_integral(monkeypatch):
+    # its grid points are the breakpoints of one integrate call
+    import octool.bounds as bounds
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("points"))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate", counted)
+    r = kernel_moment(SPIKE, 0.5, 0.0, 1.0, CFG)
+    assert len(calls) == 1 and list(calls[0]) == SPIKE.params["grid"]
+    assert r.value == pytest.approx(1.1952e-5, rel=1e-4)
+
+
+class _Unfolded:
+    """An image that does not declare itself even: its norm integrates both
+    sides of 0."""
+
+    def __init__(self, image):
+        self.image = image
+
+    is_even = False
+
+    def support(self):
+        return self.image.support()
+
+    def log_abs_decomp(self, x):
+        return self.image.log_abs_decomp(x)
+
+
+@pytest.mark.parametrize("kernel", [ADJOINT, POWERCUT, make_kernel("cesaro", gamma_c=2.5)])
+@pytest.mark.parametrize("f", [
+    FunctionSpec("gaussian", params={"scale": 1.0}),
+    FunctionSpec("bump", params={"center": 0.0, "width": 1.0}),
+])
+def test_even_norm_is_folded_at_zero(monkeypatch, kernel, f):
+    # A is even, so H f is even with f: its whole-line norm integrates
+    # x > 0 alone and doubles it, with the value of both sides to rounding
+    import octool.hausdorff as hausdorff
+
+    engine = hausdorff.hausdorff_log_grid
+    rows = []
+
+    def spy(k, g, p, xs, cfg):
+        rows.append(np.asarray(xs))
+        return engine(k, g, p, xs, cfg)
+
+    monkeypatch.setattr(hausdorff, "hausdorff_log_grid", spy)
+    image = HausdorffImage(kernel, f, P1, CFG)
+    assert image.is_even
+    line = (-math.inf, math.inf)
+    for p_exp in (1.0, 2.0):
+        rows.clear()
+        folded = lp_norm(image, p_exp, P1, line, CFG)
+        assert rows and all(np.all(x > 0.0) for x in rows)
+        both = lp_norm(_Unfolded(image), p_exp, P1, line, CFG)
+        assert any(np.any(x < 0.0) for x in rows)
+        assert folded.value == pytest.approx(both.value, rel=1e-15, abs=0.0)
+        assert folded.err_estimate == pytest.approx(both.err_estimate, rel=1e-6)
+
+
+def test_uneven_or_one_sided_norms_are_not_folded():
+    f = FunctionSpec("bump", params={"center": 0.3, "width": 1.0})
+    assert not HausdorffImage(ADJOINT, f, P1, CFG).is_even
+    # an even f on a domain that is not symmetric about 0 integrates it as
+    # it is
+    g = FunctionSpec("gaussian", params={"scale": 1.0})
+    half = _lp_integral(g, 2.0, P1, (-1.0, 3.0), CFG)
+    ref = integrate(lambda x: np.exp(-2.0 * x * x) * weight_a(P1, x), -1.0, 3.0, CFG)
+    assert abs(half.value - ref.value) <= half.err_estimate + ref.err_estimate

@@ -253,3 +253,37 @@ def test_l1_rows_fail_when_hf_is_scaled(monkeypatch):
     for s in rows:
         r = run_scenario(s)
         assert r.status == "fail" and r.tolerance < 2e-6, s.to_dict()
+
+
+def test_plancherel_rows_transform_only_the_new_band(monkeypatch):
+    # each row transforms the 17 panels of (lambda_min, Lambda] and the two
+    # of the new band (Lambda, 2 Lambda], 15 nodes each
+    from octool import octransform
+
+    grid = octransform.transform_grid
+    sizes = []
+
+    def spy(f, p, lams, cfg, **kwargs):
+        sizes.append(np.size(lams))
+        return grid(f, p, lams, cfg, **kwargs)
+
+    monkeypatch.setattr(octransform, "transform_grid", spy)
+    rows = [s for s in build_default_suite() if s.theorem_id == "P_PLANCHEREL"]
+    assert len(rows) == 3
+    for s in rows:
+        sizes.clear()
+        assert run_scenario(s).status == "pass"
+        assert sizes == [255, 30]
+
+
+def test_plancherel_doubled_gap_adds_nothing_past_the_cut(suite_reports):
+    # every cell of the band (Lambda, 2 Lambda] is dropped as noise, so the
+    # doubled cut's gap is the gap, and each row passes by gap <= floor
+    floors = []
+    for r in suite_reports["P_PLANCHEREL"]:
+        b = r.err_breakdown
+        assert b["rel_gap_doubled"] == b["rel_gap"]
+        floor = 10.0 * b["quadrature"] / r.lhs + 1e-6
+        assert b["rel_gap"] <= floor
+        floors.append(floor)
+    assert floors == pytest.approx([2.6e-4, 2.0e-6, 1.6e-3], rel=0.02)

@@ -544,3 +544,23 @@ def test_norm_of_the_image_of_a_signed_f_raises():
 def test_commutation_residual_rejects_a_signed_f():
     with pytest.raises(ParameterError):
         commutation_residual(make_kernel("adjoint_hardy"), SIGNED, P1, 1.0, CFG)
+
+
+@pytest.mark.parametrize("kernel", [
+    make_kernel("adjoint_hardy"),
+    make_kernel("cesaro", gamma_c=2.5),
+    make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=1.13),
+])
+@pytest.mark.parametrize("f", [
+    FunctionSpec("gaussian", params={"scale": 1.0}),
+    FunctionSpec("bump", params={"center": 0.0, "width": 1.0}),
+])
+def test_log_grid_of_an_even_f_is_even_bit_for_bit(kernel, f):
+    # the identity the fold of an even norm rests on: u = x/t and log|u|
+    # are the same at -x, and f(-u) = f(u) bit for bit
+    xs = np.geomspace(1e-3, 1e3, 41)
+    for p in (P1, JacobiParams(1.5, 1.5)):
+        plus = hausdorff_log_grid(kernel, f, p, xs, CFG)
+        minus = hausdorff_log_grid(kernel, f, p, -xs, CFG)
+        assert np.array_equal(plus[0], minus[0]) and np.array_equal(plus[1], minus[1])
+        assert HausdorffImage(kernel, f, p, CFG).is_even

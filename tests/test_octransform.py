@@ -236,7 +236,7 @@ def test_transform_grid_covers_the_closed_form(doubled):
     # the Gaussian at (1/2, -1/2) on every lambda node of the Plancherel
     # residual's grid, at truncation_lambda and at twice it
     cfg = QuadConfig(truncation_lambda=80.0) if doubled else CFG
-    lam = octransform._lambda_panels(cfg)[0]
+    lam = panel_rule(octransform._lambda_edges(cfg))[0]
     vals, errs = transform_grid(GAUSS, P1, lam, cfg)
     assert np.all(np.abs(vals - closed_form.gaussian_transform(lam)) <= errs)
 
@@ -394,3 +394,98 @@ def test_eigen_equation_property(lam, x):
     t_val = apply_jacobi_cherednik(g, P2, x)
     target = 1j * lam * eigenfunction_g(P2, lam, x)
     assert abs(t_val - target) <= 1e-5 * max(abs(target), 1e-6)
+
+
+def _sampled_sweep():
+    # nodes every 0.05 on (-3, 3), shifted by an offset, of a smooth
+    # e^(-x^2) (1 + 0.3 sin 7x): a kink at every node
+    for p in (P1, P2, P3):
+        for offset in (0.0, 0.013, 0.049):
+            xs = -3.0 + offset + 0.05 * np.arange(int((6.0 - offset) / 0.05) + 1)
+            xs = xs[xs < 3.0]
+            ys = np.exp(-xs ** 2) * (1.0 + 0.3 * np.sin(7.0 * xs))
+            yield p, FunctionSpec("sampled", params={"xs": xs, "ys": ys})
+
+
+def test_sampled_transform_within_its_estimate_across_kinks():
+    # the nodes of a sampled f are panel edges, so no panel reads across a
+    # kink; the reference puts four panels between consecutive nodes and 0,
+    # where the rule is exact on f.  Without the edges, 10 of the 54 cases
+    # were outside their estimate, the worst by 106x
+    for p, f in _sampled_sweep():
+        xs = np.union1d(f.breakpoints(), [0.0])
+        edges = np.concatenate([*(np.linspace(a, b, 5)[:-1] for a, b in zip(xs[:-1], xs[1:])),
+                                [xs[-1]]])
+        x, wk, _ = panel_rule(edges)
+        x, wk = x.ravel(), wk.ravel()
+        for lam in (0.3, 0.7, 1.5, 3.0, 6.0, 12.0):
+            r = oc_transform_result(f, p, lam, CFG)
+            ref = np.sum(f(x) * _g_batch(p, [lam], -x)[0][0] * weight_a(p, x) * wk)
+            assert abs(r.value - ref) <= r.err_estimate + 1e-14 * max(abs(ref), 1.0), (p, lam)
+
+
+def test_breakpoints_of_a_sampled_f_are_its_nodes_reflected_with_it():
+    xs = np.array([-1.0, 0.5, 2.0])
+    f = FunctionSpec("sampled", params={"xs": xs, "ys": [1.0, 2.0, 0.5]})
+    assert np.array_equal(f.breakpoints(), xs)
+    assert np.array_equal(f.reflected().breakpoints(), [-2.0, -0.5, 1.0])
+    assert BUMP.breakpoints().size == GAUSS.breakpoints().size == 0
+
+
+def test_is_even_only_on_the_real_line():
+    # a family restricted to a half-line or an interval vanishes on one side
+    # of 0 only
+    assert GAUSS.is_even and BUMP.is_even and FunctionSpec("zero").is_even
+    for domain in ("positive_halfline", "unit_interval"):
+        for family in ("gaussian", "bump", "constant_one"):
+            assert not FunctionSpec(family, domain=domain).is_even
+    assert not FunctionSpec("bump", params={"center": 0.3}).is_even
+
+
+def test_plancherel_residual_keeps_its_values_on_the_default_rows():
+    # the spectral band over (lambda_min, Lambda] of the three default
+    # P_PLANCHEREL rows, pinned to within 4 ulps as the transform values are
+    # (they depend on the BLAS kernel through the series); the Gaussian's
+    # gap is a few ulps of lhs, so it moves with any change of the sums
+    ulps = 2.0 ** -50
+    pinned = [
+        (P1, BUMP, 0.12327405684953045, 0.12327338248021769, 5.4704885196577e-06,
+         3.245325946135892e-06),
+        (P2, GAUSS, 1.4836697781107642, 1.4836697781107628, 8.9795428147538e-16,
+         1.5291869041752444e-07),
+        (P3, BUMP, 0.07622311224826014, 0.07621993891756632, 4.163213230513386e-05,
+         1.2350753702356596e-05),
+    ]
+    for p, f, *want in pinned:
+        lhs, rhs, gap, err = plancherel_residual_detailed(f, p, CFG)
+        assert rhs.imag == 0.0
+        assert [lhs, rhs.real, gap, err] == pytest.approx(want, rel=ulps, abs=0.0)
+
+
+def test_plancherel_of_an_uneven_f_takes_both_transforms_from_one_fold(monkeypatch):
+    # f and its reflection share the fold's nodes, phi and odd part: one
+    # _phi_batch call for phi and one for the odd part's shifted series
+    # (four when each transform was summed on its own), and the values of
+    # the two separate sums
+    f = FunctionSpec("bump", params={"center": 0.3, "width": 1.0})
+    calls = []
+    phi_batch = specfun._phi_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return phi_batch(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_phi_batch", spy)
+    monkeypatch.setattr(octransform, "_phi_batch", spy)
+    lhs, rhs, gap, err = plancherel_residual_detailed(f, P2, CFG)
+    assert len(calls) == 2
+    separate = (0.3205622235405713, 0.32054808744496355, 4.409782117059956e-05,
+                7.110288786449896e-05)
+    for ours, theirs in zip((lhs, rhs.real, gap), separate):
+        assert abs(ours - theirs) <= err
+    assert err == pytest.approx(separate[3], rel=1e-12)
+    # the reflection's transform is the one transform_grid gives it
+    lam = np.array([0.5, 3.0, 17.0])
+    _, _, v, v_err = transform_grid(f, P2, lam, CFG, reflected=True)
+    w, w_err = transform_grid(f.reflected(), P2, lam, CFG)
+    assert np.array_equal(v, w) and np.array_equal(v_err, w_err)

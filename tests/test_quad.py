@@ -303,3 +303,74 @@ def test_half_line_takes_few_integrand_calls():
     r = integrate(f, 0.0, math.inf, CFG)
     assert abs(r.value - 0.1) <= r.err_estimate
     assert len(calls) <= 10
+
+
+def _step(xs, ys):
+    """The left-continuous step function ys[i] on [xs[i], xs[i + 1])."""
+    return lambda x: np.where((x >= xs[0]) & (x < xs[-1]),
+                              ys[np.clip(np.searchsorted(xs, x, side="right") - 1, 0, ys.size - 1)],
+                              0.0)
+
+
+def test_step_function_is_exact_in_one_round_with_its_breakpoints():
+    # each panel between breakpoints sees one constant, where the Gauss and
+    # Kronrod rules agree on the exact value; without the breakpoints a jump
+    # inside a panel takes many rounds
+    xs = np.sort(np.random.default_rng(3).uniform(0.4, 3.0, 30))
+    ys = np.cumsum(np.random.default_rng(4).exponential(1.0, 30))[::-1].copy()
+    exact = float(np.sum(ys[:-1] * np.diff(xs)))
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return _step(xs, ys)(x)
+
+    r = integrate(f, xs[0], xs[-1], CFG, points=xs)
+    assert len(calls) == 1
+    assert abs(r.value - exact) <= 1e-14 * exact
+    assert r.err_estimate <= 1e-14 * exact
+    calls.clear()
+    integrate(f, xs[0], xs[-1], CFG)
+    assert len(calls) > 5
+
+
+def test_breakpoints_outside_the_interval_are_ignored():
+    f = lambda x: np.exp(-x) * np.cos(3.0 * x)
+    for lo, hi in ((0.5, 2.0), (-2.0, 3.0), (0.0, math.inf)):
+        plain = integrate(f, lo, hi, CFG)
+        points = [lo - 1.0, lo, hi, hi + 1.0, math.inf, -math.inf, math.nan]
+        if lo < 0.0 < hi:
+            points.append(0.0)
+        r = integrate(f, lo, hi, CFG, points=points)
+        assert (r.value, r.err_estimate) == (plain.value, plain.err_estimate)
+
+
+@pytest.mark.parametrize("lo,hi,points", [
+    (0.0, 3.0, [0.25, 1.7]),                  # next to a 0 end
+    (0.5, math.inf, [4.0, 9.5]),              # next to an infinite end
+    (-math.inf, math.inf, [-2.5, -0.3, 0.7]),  # on both sides of 0
+    (0.0, 30.0, [5.0, 11.0]),                 # inside a cut end's blocks
+])
+def test_breakpoints_are_panel_edges(lo, hi, points):
+    # no panel of any round straddles a breakpoint: its 15 nodes lie on one
+    # side of each one (the nodes of a panel are consecutive in each call)
+    panels = []
+
+    def f(x):
+        panels.append(x.reshape(-1, 15))
+        return np.exp(-np.abs(x)) * (1.0 + (np.abs(x) > 2.0))
+
+    integrate(f, lo, hi, CFG, cutoff=12.0 if hi == 30.0 else None, points=points)
+    for nodes in panels:
+        for pt in points:
+            assert np.all(np.all(nodes < pt, axis=1) | np.all(nodes > pt, axis=1))
+
+
+def test_a_jump_at_a_breakpoint_converges_next_to_each_end():
+    # e^(-|x|) on |x| < 5, 0 past it, with the jumps at +-5 given: a 0 end,
+    # an infinite end and the side below 0 meet no jump inside a panel
+    f = lambda x: np.where(np.abs(x) < 5.0, np.exp(-np.abs(x)), 0.0)
+    exact = 1.0 - math.exp(-5.0)
+    for lo, hi, times in ((0.0, math.inf, 1), (-math.inf, 0.0, 1), (-math.inf, math.inf, 2)):
+        r = integrate(f, lo, hi, CFG, points=[-5.0, 5.0])
+        assert abs(r.value - times * exact) <= r.err_estimate <= CFG.rel_tol * r.value
