@@ -44,6 +44,7 @@ from .octransform import (
     oc_transform,
     oc_transform_result,
     plancherel_residual_detailed,
+    plancherel_residual_doubled,
     transform_grid,
 )
 from .hausdorff import (

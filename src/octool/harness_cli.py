@@ -44,9 +44,8 @@ from .hausdorff import (
 )
 from .octransform import (
     FunctionSpec,
-    _spectral_band,
     apply_jacobi_cherednik,
-    plancherel_residual_detailed,
+    plancherel_residual_doubled,
     transform_grid,
 )
 from .quad import QuadConfig
@@ -395,11 +394,7 @@ def _run_l_power(s: VerifyScenario) -> VerifyReport:
 def _run_p_plancherel(s: VerifyScenario) -> VerifyReport:
     p, cfg = s.params, s.cfg
     f = s.functions[0]
-    lhs, rhs, gap, err = plancherel_residual_detailed(f, p, cfg)
-    # the gap at a doubled cut: rhs gains the band (Lambda, 2 Lambda] alone
-    lam = cfg.truncation_lambda
-    band = _spectral_band(f, p, (lam, 1.5 * lam, 2.0 * lam), cfg)[0]
-    gap2 = abs(lhs - (rhs.real + band)) / lhs if lhs else 0.0
+    lhs, rhs, gap, err, gap2 = plancherel_residual_doubled(f, p, cfg)
     tol = 0.05
     floor = _tolerance(err, lhs)
     decreasing = gap2 < gap or gap <= floor

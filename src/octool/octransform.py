@@ -32,6 +32,7 @@ __all__ = [
     "oc_inverse_result",
     "apply_jacobi_cherednik",
     "plancherel_residual_detailed",
+    "plancherel_residual_doubled",
 ]
 
 _FAMILIES = {
@@ -470,24 +471,28 @@ def apply_jacobi_cherednik(f, p: JacobiParams, x: float, h: float = 1e-4) -> com
 # ---------------------------------------------------------------------------
 # Plancherel residual
 
-def _lambda_edges(cfg: QuadConfig) -> list:
-    """The edges of the spectral side's panels over [lambda_min,
-    truncation_lambda], graded because the spectral integrand of a smooth f
-    concentrates at small lambda and decays rapidly."""
-    lam_edges = [cfg.lambda_min]
+def _lambda_edges(lo: float, hi: float) -> list:
+    """The edges of the spectral side's panels over [lo, hi], graded
+    because the spectral integrand of a smooth f concentrates at small
+    lambda and decays rapidly: the fixed edges inside (lo, hi), then steps
+    of x1.5 up to hi."""
+    lam_edges = [lo]
     for e in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0,
               8.0, 12.0, 16.0, 24.0, 32.0):
-        if e < cfg.truncation_lambda:
+        if lo < e < hi:
             lam_edges.append(e)
-    while lam_edges[-1] < cfg.truncation_lambda:
-        lam_edges.append(min(lam_edges[-1] * 1.5, cfg.truncation_lambda))
+    while lam_edges[-1] < hi:
+        lam_edges.append(min(lam_edges[-1] * 1.5, hi))
     return lam_edges
 
 
 def _spectral_band(f: FunctionSpec, p: JacobiParams, lam_edges, cfg: QuadConfig):
     """The spectral side of the energy identity over the Gauss-Kronrod
-    panels on ``lam_edges``: (share, err, integrand, wk), with share its
-    part of rhs, twice the real Kronrod sum of the integrand u v density.
+    panels on ``lam_edges``: (share, err, k_panels, panel_peak, first), with
+    share its part of rhs, twice the real Kronrod sum of the integrand
+    u v density, k_panels that sum per panel, panel_peak the largest
+    |integrand| of each panel, 0 where every node was dropped, and first
+    |integrand| at the lowest node.
 
     u and v are the transforms of f and of its reflection, from one fold
     (one and the same for an even f); for real f the +-lambda halves pair conjugately, conj(v(-lambda)) =
@@ -520,7 +525,8 @@ def _spectral_band(f: FunctionSpec, p: JacobiParams, lam_edges, cfg: QuadConfig)
     noise_charge = float(
         np.sum(panel_peak * np.sum(np.where(noisy, wk, 0.0), axis=1))
     )
-    return share, quad_err + inner_err + noise_charge, integrand, wk
+    err = quad_err + inner_err + noise_charge
+    return share, err, k_panels, panel_peak, float(np.abs(integrand[0, 0]))
 
 
 def plancherel_residual_detailed(
@@ -544,14 +550,15 @@ def plancherel_residual_detailed(
     if lhs == 0.0:
         return 0.0, 0.0 + 0.0j, 0.0, 0.0
 
-    share, band_err, integrand, wk = _spectral_band(f, p, _lambda_edges(cfg), cfg)
+    share, band_err, k_panels, panel_peak, first = _spectral_band(
+        f, p, _lambda_edges(cfg.lambda_min, cfg.truncation_lambda), cfg)
     rhs = share + 0.0j
     # Panels with no resolved node at all lie beyond the point where the data
     # says anything; together with the lambda > Lambda truncation they are
     # covered by a geometric-decay extrapolation of the last two resolved
     # panel masses.
-    panel_mass = np.abs(np.sum(wk * integrand, axis=1))
-    resolved = np.flatnonzero(np.abs(integrand).max(axis=1) > 0.0)
+    panel_mass = np.abs(k_panels)
+    resolved = np.flatnonzero(panel_peak > 0.0)
     tail = 0.0
     if resolved.size >= 2:
         last, prev = float(panel_mass[resolved[-1]]), float(panel_mass[resolved[-2]])
@@ -559,7 +566,23 @@ def plancherel_residual_detailed(
         # observed panel-to-panel ratio can understate the remaining mass
         ratio = min(max(last / prev, 0.5), 0.9) if prev > 0 else 0.9
         tail = last * ratio / (1.0 - ratio)
-    excised = 2.0 * cfg.lambda_min * float(np.abs(integrand[0, 0]))
+    excised = 2.0 * cfg.lambda_min * first
     spectral_err = 2.0 * (band_err + tail) + excised
     rel_gap = abs(lhs - rhs) / lhs
     return lhs, rhs, rel_gap, lhs_res.err_estimate + spectral_err
+
+
+def plancherel_residual_doubled(
+    f: FunctionSpec, p: JacobiParams, cfg: QuadConfig
+) -> tuple[float, complex, float, float, float]:
+    """:func:`plancherel_residual_detailed`'s (lhs, rhs, rel_gap,
+    err_estimate) and the rel_gap at a doubled cut 2 truncation_lambda,
+    whose rhs adds to rhs the band (Lambda, 2 Lambda] alone, on the panels
+    :func:`_lambda_edges` lays there, instead of transforming every node
+    below Lambda again."""
+    lhs, rhs, rel_gap, err = plancherel_residual_detailed(f, p, cfg)
+    if lhs == 0.0:
+        return lhs, rhs, rel_gap, err, 0.0
+    lam = cfg.truncation_lambda
+    band = _spectral_band(f, p, _lambda_edges(lam, 2.0 * lam), cfg)[0]
+    return lhs, rhs, rel_gap, err, abs(lhs - (rhs + band)) / lhs

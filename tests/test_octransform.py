@@ -16,6 +16,7 @@ from octool.octransform import (
     oc_transform,
     oc_transform_result,
     plancherel_residual_detailed,
+    plancherel_residual_doubled,
     transform_grid,
 )
 from octool.errors import ParameterError
@@ -236,7 +237,7 @@ def test_transform_grid_covers_the_closed_form(doubled):
     # the Gaussian at (1/2, -1/2) on every lambda node of the Plancherel
     # residual's grid, at truncation_lambda and at twice it
     cfg = QuadConfig(truncation_lambda=80.0) if doubled else CFG
-    lam = panel_rule(octransform._lambda_edges(cfg))[0]
+    lam = panel_rule(octransform._lambda_edges(cfg.lambda_min, cfg.truncation_lambda))[0]
     vals, errs = transform_grid(GAUSS, P1, lam, cfg)
     assert np.all(np.abs(vals - closed_form.gaussian_transform(lam)) <= errs)
 
@@ -350,6 +351,17 @@ def test_plancherel_identity(p, f, limit):
 def test_plancherel_error_estimate_honest():
     lhs, rhs, gap, err = plancherel_residual_detailed(BUMP, P1, CFG)
     assert abs(lhs - rhs.real) <= max(err, 1e-12) + 1e-12 * lhs
+
+
+def test_doubled_residual_adds_the_band_past_the_cut():
+    # the first four outputs are the residual at Lambda; the doubled gap
+    # adds the transform of the band (Lambda, 2 Lambda] alone, and for the
+    # Gaussian, whose band is resolved at Lambda = 3, it falls
+    cfg = QuadConfig(truncation_lambda=3.0)
+    *res, gap2 = plancherel_residual_doubled(GAUSS, P1, cfg)
+    assert tuple(res) == plancherel_residual_detailed(GAUSS, P1, cfg)
+    assert gap2 < res[2]
+    assert plancherel_residual_doubled(FunctionSpec("zero"), P1, CFG) == (0.0,) * 5
 
 
 @pytest.mark.parametrize("lam_cut", [40.0, 80.0])

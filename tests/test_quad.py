@@ -366,6 +366,17 @@ def test_breakpoints_are_panel_edges(lo, hi, points):
             assert np.all(np.all(nodes < pt, axis=1) | np.all(nodes > pt, axis=1))
 
 
+def test_a_breakpoint_at_a_block_edge_or_given_twice_adds_no_panel():
+    # (0, 30) cut at 12 has blocks in x with edges 0, 1, 3, 7, 12
+    f = lambda x: np.exp(-x) * np.cos(3.0 * x)
+    runs = {}
+    for points in ((), (3.0,), (3.0, 3.0, 7.0), (5.0,), (5.0, 5.0)):
+        r = integrate(f, 0.0, 30.0, CFG, cutoff=12.0, points=points)
+        runs[points] = (r.value, r.err_estimate)
+    assert runs[()] == runs[(3.0,)] == runs[(3.0, 3.0, 7.0)]
+    assert runs[(5.0,)] == runs[(5.0, 5.0)]
+
+
 def test_a_jump_at_a_breakpoint_converges_next_to_each_end():
     # e^(-|x|) on |x| < 5, 0 past it, with the jumps at +-5 given: a 0 end,
     # an infinite end and the side below 0 meet no jump inside a panel
