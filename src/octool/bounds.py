@@ -84,7 +84,10 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     An even f (``is_even``, which a :class:`HausdorffImage` takes from its
     f) on a domain symmetric about 0 is folded there: (0, b) is integrated
     once, and its value and estimate are doubled, so no node is evaluated
-    at x < 0.  The breakpoints of f are panel edges."""
+    at x < 0.  The breakpoints of f are panel edges.  A NaN domain end
+    raises ParameterError."""
+    if math.isnan(domain[0]) or math.isnan(domain[1]):
+        raise ParameterError(f"domain ends must not be NaN, got {tuple(domain)}")
     flo, fhi = f.support()
     a, b = max(domain[0], flo), min(domain[1], fhi)
     q = np.asarray(p_exp, dtype=float)
@@ -123,7 +126,9 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
 
 def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
             domain: tuple[float, float], cfg: QuadConfig) -> NormResult:
-    """(integral of |f|^p_exp A over domain)^(1/p_exp); +inf on divergence."""
+    """(integral of |f|^p_exp A over domain)^(1/p_exp); +inf on divergence,
+    and +inf, value and estimate, for a root past the double range (a small
+    p_exp takes a large power of the integral)."""
     if not p_exp > 0:
         raise ParameterError("lp_norm requires p_exp > 0")
     try:
@@ -133,7 +138,10 @@ def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
     base = float(r.value)
     if base == 0.0:
         return NormResult(0.0, 0.0)
-    value = base ** (1.0 / p_exp)
+    try:
+        value = base ** (1.0 / p_exp)
+    except OverflowError:
+        return NormResult(math.inf, math.inf)
     err = value * r.err_estimate / (p_exp * base)
     return NormResult(value, err)
 
@@ -179,7 +187,9 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
     An array ``s`` is one vector-valued adaptive run, one component per
     exponent on a shared mesh, each held to its own tolerance: value and
     estimate are arrays of the shape of ``s``, +inf where that component
-    diverges."""
+    diverges.  A NaN interval end raises ParameterError."""
+    if math.isnan(lo) or math.isnan(hi):
+        raise ParameterError(f"interval ends must not be NaN, got ({lo}, {hi})")
     klo, khi = k.support()
     a, b = max(lo, klo), min(hi, khi)
     if not a < b:

@@ -23,6 +23,7 @@ fixed cost once per round.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -174,66 +175,42 @@ _DIVERGENCE_WINDOW = 4
 _LOG_SPAN = 600.0
 
 
-def _dyadic_edges(a: float, span: float) -> list:
+def _dyadic_edges(a: float, span: float) -> tuple:
     """Block edges a + 2^j - 1, j = 0, 1, ..., the last one cut at a + span."""
     edges = [a]
     j = 0
     while edges[-1] < a + span:
         edges.append(min(a + 2.0 ** (j + 1) - 1.0, a + span))
         j += 1
-    return edges
+    return tuple(edges)
 
 
-def _charge_tail(total: IntegralResult, edges, mags, cfg: QuadConfig) -> None:
-    """Add to ``total`` the estimate of the tail cut off beyond dyadic blocks
-    of magnitudes ``mags`` over increasing ``edges``, which run toward the
-    truncated end, or raise :class:`DivergentIntegralError` where the blocks
-    fail to shrink; component by component for a vector integrand."""
+def _full_blocks(edges) -> int:
+    """How many of the dyadic blocks over ``edges`` are full.  A final block
+    clipped short of the doubling pattern (a truncation cutoff) would distort
+    the shrink ratios, so the tail charge leaves it out of its window, and
+    out of the divergence floor too, or a growing integrand's clipped block
+    would lift the floor over every full block and skip the divergence
+    test."""
     widths = np.diff(edges)
-    # a final block clipped short of the dyadic doubling pattern (truncation
-    # cutoff) would distort the shrink ratios: drop it from the window, and
-    # from the floor too, or a growing integrand's clipped block would lift
-    # the floor over every full block and skip the divergence test
-    full = mags
     if len(widths) >= 3:
         growth = widths[-2] / widths[-3]
         if abs(widths[-1] / widths[-2] - growth) > 0.2 * max(growth, 1e-12):
-            full = mags[:-1]
-    tail = full[-1]
-    if len(full) == 1:
-        # no ratio to extrapolate from: the cut-off tail may be as large as
-        # the one block
-        total.err_estimate = total.err_estimate + tail
-        return
-    blocks = np.array(full)
-    ratios = np.divide(blocks[1:], blocks[:-1], where=blocks[:-1] > 0,
-                       out=np.full(blocks[1:].shape, math.inf))
-    # the floor gates only the divergence test; each component's tail is
-    # charged whatever its size
-    floor = np.maximum(cfg.abs_tol, cfg.rel_tol * sum(full))
-    if len(full) > _DIVERGENCE_WINDOW:
-        divergent = (tail > floor) & (
-            ratios[-_DIVERGENCE_WINDOW:] > 1.0 / _SHRINK_FACTOR).all(axis=0)
-        if divergent.any():
-            raise DivergentIntegralError(
-                "dyadic tail blocks fail to shrink: integral looks divergent",
-                partial=total, mask=divergent if divergent.ndim else None,
-            )
-    r_last = np.minimum(ratios[-1], 0.9)
-    total.err_estimate = total.err_estimate + tail * r_last / (1.0 - r_last)
+            return len(widths) - 1
+    return len(widths)
 
 
 class _Piece(NamedTuple):
     """One piece of a line integral: x = sign X(s) over the blocks (edges[i],
     edges[i + 1]) in s, with X(s) = s (kind 0), scale e^s (kind 1) or
     scale e^(-s) (kind -1).  The blocks of a dyadic piece run toward a cut
-    end, whose tail :func:`_charge_tail` charges; any other piece is one
+    end, whose tail :func:`_charge_tails` charges; any other piece is one
     finite block."""
 
     sign: float
     kind: int
     scale: float
-    edges: list
+    edges: tuple
     dyadic: bool
 
 
@@ -260,7 +237,7 @@ def _half_line_pieces(sign: float, a: float, b: float, cutoff) -> list:
         return [piece, *_half_line_pieces(sign, a, start, None)] if start > a else [piece]
     if a == 0.0:
         return [_to_zero(sign, b)]
-    return [_Piece(sign, 0, 1.0, [a, b], False)]
+    return [_Piece(sign, 0, 1.0, (a, b), False)]
 
 
 def _line_pieces(lo: float, hi: float, cutoff) -> list:
@@ -276,32 +253,110 @@ def _line_pieces(lo: float, hi: float, cutoff) -> list:
     return pieces
 
 
-def _initial_panels(pieces: list, points):
-    """(piece, block, lo, hi) of the first round's panels: one per block of
-    each piece, cut at every breakpoint x in ``points`` that falls inside
-    the piece, at its s on the piece's side of 0."""
+def _initial_panels(pieces, points):
+    """(lo, hi, block) of the first round's panels, stacked as rows: one
+    panel per block of each piece, cut at every breakpoint x in ``points``
+    that falls inside the piece, at its s on the piece's side of 0.  The
+    blocks of all pieces are numbered in order."""
     counts = [len(p.edges) - 1 for p in pieces]
     points = np.asarray(points, dtype=float)
-    if not points.size:
-        # the blocks are the panels; the loop below gives the same arrays,
-        # but its numpy calls on empty arrays cost about 8% of the pointwise
-        # benchmark's wall time, where no call passes points (BENCH_25.json)
-        lo_s = np.concatenate([p.edges[:-1] for p in pieces])
-        return (np.repeat(np.arange(len(pieces)), counts), np.arange(lo_s.size), lo_s,
-                np.concatenate([p.edges[1:] for p in pieces]))
-    piece, block, lo_s, hi_s = [], [], [], []
-    for i, (p, first) in enumerate(zip(pieces, np.cumsum(counts) - counts)):
+    rows = []
+    for p, first in zip(pieces, np.cumsum(counts) - counts):
         x = p.sign * points
         x = x[x > 0.0]
         with np.errstate(divide="ignore", over="ignore"):
             # a point past the double range of x / scale lies outside the piece
             cuts = x if p.kind == 0 else p.kind * np.log(x / p.scale)
-        ends = np.union1d(p.edges, cuts[(cuts > p.edges[0]) & (cuts < p.edges[-1])])
-        piece.append(np.full(ends.size - 1, i))
-        block.append(first + np.searchsorted(p.edges, ends[:-1], side="right") - 1)
-        lo_s.append(ends[:-1])
-        hi_s.append(ends[1:])
-    return tuple(np.concatenate(a) for a in (piece, block, lo_s, hi_s))
+        ends = np.sort(np.concatenate([p.edges, cuts[(cuts > p.edges[0]) & (cuts < p.edges[-1])]]))
+        # a cut at an edge or given twice adds no panel (np.unique would do,
+        # but imports numpy.ma, a megabyte of memory, on its first call)
+        ends = ends[np.concatenate([[True], ends[1:] > ends[:-1]])]
+        rows.append(np.stack([ends[:-1], ends[1:],
+                              first + np.searchsorted(p.edges, ends[:-1], side="right") - 1]))
+    return np.concatenate(rows, axis=1)
+
+
+class _Layout(NamedTuple):
+    """What a line integral over (lo, hi) with a cutoff needs before its
+    integrand is called, built once per (lo, hi, cutoff) and shared
+    read-only by every call on that interval: the pieces; per block the map
+    of its piece as rows (kind, scale, sign); the first round's panels when
+    no breakpoints are given, as :func:`_initial_panels` stacks them; and
+    per dyadic piece what its tail charge reads: the window of the
+    ``_DIVERGENCE_WINDOW`` + 1 full blocks up to its last full one, whether
+    that is its only full block, whether it has enough of them for the
+    divergence test, and a block-by-piece 0/1 matrix of them."""
+
+    pieces: tuple
+    maps: np.ndarray
+    panels: np.ndarray
+    window: np.ndarray
+    single: np.ndarray
+    testable: np.ndarray
+    full: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(lo: float, hi: float, cutoff) -> _Layout | None:
+    """The :class:`_Layout` of (lo, hi) with ``cutoff``, or None when the
+    interval is empty."""
+    pieces = _line_pieces(lo, hi, cutoff)
+    if not pieces:
+        return None
+    counts = [len(p.edges) - 1 for p in pieces]
+    first = np.cumsum(counts) - counts
+    dyadic = [(b0, _full_blocks(p.edges)) for p, b0 in zip(pieces, first) if p.dyadic]
+    n_full = np.array([n for _, n in dyadic], dtype=np.intp)
+    last = np.array([b0 + n - 1 for b0, n in dyadic], dtype=np.intp)
+    full = np.zeros((sum(counts), len(dyadic)))
+    for j, (b0, n) in enumerate(dyadic):
+        full[b0:b0 + n, j] = 1.0
+    lay = _Layout(
+        tuple(pieces),
+        np.repeat([[p.kind, p.scale, p.sign] for p in pieces], counts, axis=0).T,
+        _initial_panels(pieces, ()),
+        np.maximum(last[:, None] + np.arange(-_DIVERGENCE_WINDOW, 1), 0),
+        n_full == 1, n_full > _DIVERGENCE_WINDOW, full,
+    )
+    for a in lay[1:]:
+        a.setflags(write=False)
+    return lay
+
+
+def _charge_tails(total: IntegralResult, sums, lay: _Layout, cfg: QuadConfig) -> None:
+    """Add to ``total`` the estimate of the tail cut off beyond the dyadic
+    blocks of every dyadic piece of ``lay``, from ``sums``, the blocks'
+    |totals| along the last axis, or raise :class:`DivergentIntegralError`
+    where a piece's blocks fail to shrink; component by component for a
+    vector integrand, with the mask of the components that diverge on any
+    piece.
+
+    A piece's tail is its last full block; the cut-off rest is charged as a
+    geometric series at the last ratio of full blocks, capped at 0.9, or as
+    large as the one block when it has no other."""
+    if not lay.single.size:
+        return
+    win = sums[..., lay.window]
+    tail = win[..., -1]
+    ratios = np.divide(win[..., 1:], win[..., :-1], where=win[..., :-1] > 0.0,
+                       out=np.full(win[..., 1:].shape, math.inf))
+    growing = lay.testable & (ratios > 1.0 / _SHRINK_FACTOR).all(axis=-1)
+    if growing.any():
+        # the floor gates only the divergence test; each component's tail is
+        # charged whatever its size
+        divergent = growing & (tail > np.maximum(cfg.abs_tol, cfg.rel_tol * (sums @ lay.full)))
+        if divergent.any():
+            raise DivergentIntegralError(
+                "dyadic tail blocks fail to shrink: integral looks divergent",
+                partial=total, mask=divergent.any(axis=-1) if divergent.ndim > 1 else None,
+            )
+    r_last = np.minimum(ratios[..., -1], 0.9)
+    charge = np.where(lay.single, tail, tail * r_last / (1.0 - r_last))
+    # piece by piece, so that the estimate sums in the pieces' order
+    err = total.err_estimate
+    for c in np.moveaxis(charge, -1, 0):
+        err = err + c
+    total.err_estimate = err
 
 
 # the noise floor of the refinement: this many splits in a row that take no
@@ -312,14 +367,15 @@ _STALL_SPLITS = 50
 def integrate(f, lo: float, hi: float, cfg: QuadConfig,
               cutoff: float | None = None, points=()) -> IntegralResult:
     """Integral of ``f`` over (lo, hi) for -inf <= lo < hi <= inf; 0 when the
-    interval is empty.
+    interval is empty, ParameterError when lo, hi or ``cutoff`` is NaN.
 
     The interval is split at 0, and a piece below 0 is folded onto |x| as
     f(-x).  A piece (a, b) of the half-line reaches a 0 end as x = b e^(-s)
     and an infinite end as x = max(a, 1) e^s, each on the dyadic blocks in s
     of :func:`_dyadic_edges`.  With ``cutoff``, an end past |x| = cutoff is
     cut there, on dyadic blocks in x from a, and a piece wholly past it adds
-    nothing.
+    nothing.  This layout of pieces and blocks is built once per (lo, hi,
+    cutoff) and reused by later calls on the same interval (:func:`_layout`).
 
     ``points`` are breakpoints of f, where it jumps or bends.  Each one
     inside (lo, hi), other than 0, is a fixed panel edge from the first
@@ -347,34 +403,32 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
 
     The estimate sums over the final panels their |Kronrod - Gauss|, or for
     a split panel its children's share of the change from its Kronrod sum
-    where that is larger; the tail charge of :func:`_charge_tail` on each
+    where that is larger; the tail charge of :func:`_charge_tails` on each
     dyadic piece's block totals, whose divergence test also applies; and the
     inner errors weighted by the Kronrod rule, sum w |inner|.  An infinite
     value raises :class:`DivergentIntegralError`, with a mask of the
     components it hits for a vector integrand.
     """
-    pieces = _line_pieces(lo, hi, cutoff)
-    if not pieces:
+    if math.isnan(lo) or math.isnan(hi) or (cutoff is not None and math.isnan(cutoff)):
+        raise ParameterError(f"interval ends and cutoff must not be NaN, got "
+                             f"({lo}, {hi}) with cutoff {cutoff}")
+    lay = _layout(float(lo), float(hi), None if cutoff is None else float(cutoff))
+    if lay is None:
         return IntegralResult(0.0, 0.0, 0)
-    sign = np.array([p.sign for p in pieces])
-    kind = np.array([p.kind for p in pieces])
-    scale = np.array([p.scale for p in pieces])
-    # ``block`` numbers the blocks of all pieces
-    counts = [len(p.edges) - 1 for p in pieces]
-    piece, block, lo_s, hi_s = _initial_panels(pieces, points)
+    panels = _initial_panels(lay.pieces, points) if np.size(points) else lay.panels
     shape = ()
 
-    def in_s(piece):
-        """The integrand in s on panels of ``piece``: f(sign X(s)) X'(s), and
+    def in_s(block):
+        """The integrand in s on panels of ``block``: f(sign X(s)) X'(s), and
         its inner error times X'(s)."""
-        k = kind[piece, None]
+        k, scale, sign = lay.maps[:, block.astype(np.intp), None]
 
         def g(s):
             nonlocal shape
-            x = np.where(k == 0, s, scale[piece, None] * np.exp(k * s))
+            x = np.where(k == 0, s, scale * np.exp(k * s))
             jac = np.where(k == 0, 1.0, x)
             with np.errstate(over="ignore"):
-                out = f((sign[piece, None] * x).ravel())
+                out = f((sign * x).ravel())
                 values, inner = out if isinstance(out, tuple) else (out, None)
                 values = np.asarray(values)
                 shape = values.shape[:-1]
@@ -385,10 +439,17 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
 
         return g
 
-    kron, diff, inner = _gk15(in_s(piece), lo_s, hi_s)
+    # one row per panel quantity, one column per panel: lo, hi and block in
+    # s, then the Kronrod sums, |K - G| and inner errors of the m components
+    lo_s, hi_s, block = panels
+    kron, diff, inner = _gk15(in_s(block), lo_s, hi_s)
+    m = kron.shape[0]
+    state = np.concatenate([panels, kron, diff, inner])
     splits, checkpoint_err, checkpoint_splits = 0, math.inf, 0
     exhausted = False
     while True:
+        lo_s, hi_s, block = state[:3].real
+        kron, diff = state[3:3 + m], state[3 + m:3 + 2 * m].real
         err = diff.sum(axis=-1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(kron.sum(axis=-1)))
         unconverged = err > tol
@@ -415,38 +476,31 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
             break
         splits += cand.size
         # the lower child takes its parent's slot, the upper one goes last
-        m, upper = cand.size, hi_s[cand]
-        kk, kd, ki = _gk15(in_s(np.tile(piece[cand], 2)),
-                           np.concatenate([lo_s[cand], mid[cand]]),
-                           np.concatenate([mid[cand], upper]))
+        c = cand.size
+        kids = np.stack([np.concatenate([lo_s[cand], mid[cand]]),
+                         np.concatenate([mid[cand], hi_s[cand]]),
+                         np.concatenate([block[cand], block[cand]])])
+        kk, kd, ki = _gk15(in_s(kids[2]), kids[0], kids[1])
         # |K - G| can read low on a panel across a kink: the children's
         # estimate is at least the change from their parent's Kronrod sum,
         # shared between them as their |K - G| are
-        change = np.abs(kron[:, cand] - kk[:, :m] - kk[:, m:])
-        both = kd[:, :m] + kd[:, m:]
-        lower = np.divide(kd[:, :m], both, out=np.full(both.shape, 0.5), where=both > 0.0)
-        kd = np.maximum(kd, np.concatenate([lower, 1.0 - lower], axis=1) * np.tile(change, 2))
-        hi_s[cand] = mid[cand]
-        kron[:, cand], diff[:, cand], inner[:, cand] = kk[:, :m], kd[:, :m], ki[:, :m]
-        lo_s, hi_s = np.concatenate([lo_s, mid[cand]]), np.concatenate([hi_s, upper])
-        piece, block = np.concatenate([piece, piece[cand]]), np.concatenate([block, block[cand]])
-        kron = np.concatenate([kron, kk[:, m:]], axis=1)
-        diff = np.concatenate([diff, kd[:, m:]], axis=1)
-        inner = np.concatenate([inner, ki[:, m:]], axis=1)
+        change = np.abs(kron[:, cand] - kk[:, :c] - kk[:, c:])
+        both = kd[:, :c] + kd[:, c:]
+        lower = np.divide(kd[:, :c], both, out=np.full(both.shape, 0.5), where=both > 0.0)
+        kd = np.maximum(kd, np.concatenate([lower * change, (1.0 - lower) * change], axis=1))
+        kids = np.concatenate([kids, kk, kd, ki])
+        state = np.concatenate([state, kids[:, c:]], axis=1)
+        state[:, cand] = kids[:, :c]
 
     def own(a):
         """``a`` of shape (m, ...) in the shape of one node's values."""
         return a.reshape(shape + a.shape[1:])[()]
 
-    total = IntegralResult(own(kron.sum(axis=-1)), own(diff.sum(axis=-1)), lo_s.size)
-    # each dyadic piece's block totals, for its tail charge and divergence test
-    sums = np.abs(kron @ (block[:, None] == np.arange(sum(counts))).astype(float))
-    sums = np.moveaxis(own(sums), -1, 0)
-    first = np.cumsum(counts) - counts
-    for p, b0, n in zip(pieces, first, counts):
-        if p.dyadic:
-            _charge_tail(total, p.edges, list(sums[b0:b0 + n]), cfg)
-    total.err_estimate = total.err_estimate + own(inner.sum(axis=-1))
+    total = IntegralResult(own(kron.sum(axis=-1)), own(err), lo_s.size)
+    # each dyadic block's |total|, for its piece's tail charge and divergence test
+    blocks = np.arange(lay.maps.shape[1])
+    _charge_tails(total, own(np.abs(kron @ (block[:, None] == blocks).astype(float))), lay, cfg)
+    total.err_estimate = total.err_estimate + own(state[3 + 2 * m:].real.sum(axis=-1))
     if exhausted:
         worst = np.ravel(err - tol).argmax()
         raise BudgetExhaustedError(

@@ -81,8 +81,9 @@ class ComplexEval:
 # ---------------------------------------------------------------------------
 # log-gamma
 
-# B_{2n} / (2n (2n-1)) for the Stirling series, n = 1..12
-_STIRLING = np.array([
+# B_{2n} / (2n (2n-1)) for the Stirling series, n = 1..12, highest first for
+# Horner's rule
+_STIRLING = (
     1.0 / 12.0,
     -1.0 / 360.0,
     1.0 / 1260.0,
@@ -95,8 +96,7 @@ _STIRLING = np.array([
     -174611.0 / 125400.0,
     77683.0 / 5796.0,
     -236364091.0 / 1506960.0,
-])
-_STIRLING_POWERS = np.arange(_STIRLING.size)
+)[::-1]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12
@@ -131,7 +131,15 @@ def _log_gamma(z):
     inv = 1.0 / w
     main = (w - 0.5) * np.log(w)
     s = main - w + _HALF_LOG_2PI
-    s += inv * ((inv * inv)[..., None] ** _STIRLING_POWERS @ _STIRLING)
+    # sum_n B_2n / (2n (2n-1)) w^(1-2n) by Horner's rule in 1/w^2
+    inv2 = inv * inv
+    series = _STIRLING[0] * inv2
+    for coef in _STIRLING[1:-1]:
+        series += coef
+        series *= inv2
+    series += _STIRLING[-1]
+    series *= inv
+    s += series
     size += np.abs(main) + np.abs(w)
     return s - shift, _ROUND * size, pole
 
@@ -160,7 +168,12 @@ def _forbidden_c(c: complex) -> bool:
     return nearest <= 0 and abs(c.real - nearest) < _POLE_TOL
 
 
-_BLOCK = 8  # series terms per step of _hyp_series
+# series terms per step of _hyp_series: _BLOCK on a batch of many cells,
+# _LONG_BLOCK on one of at most _FEW_CELLS, where numpy's fixed cost per call
+# outweighs the arithmetic of the terms past a column's last useful one
+_BLOCK = 8
+_LONG_BLOCK = 48
+_FEW_CELLS = 16
 _REBALANCE = 64  # half the exponent gap at which _hyp_series rebalances p and q
 
 
@@ -176,13 +189,16 @@ def _hyp_series(a, b, c, w):
 
     Term n of element (row, column) is p_n q_n: the row's Pochhammer product
     p_n = (a)_n (b)_n / ((c)_n n!) times the column's power q_n = w^n.  So
-    a step of ``_BLOCK`` terms is one complex matrix product, added to the
-    sums: the live columns' powers q w^(j+1) (columns x 8) times the rows'
-    products p times the running products of the step's ratios (8 x rows).
-    Once the largest |p| and |q| drift more than 2^(2 ``_REBALANCE``) apart,
-    a step's end scales them by reciprocal powers of two that balance them:
-    every product keeps its bits, and neither factor leaves the float range
-    while the terms stay in it.
+    a step of L terms is one complex matrix product, added to the sums: the
+    live columns' powers q w^(j+1) (columns x L) times the rows' products p
+    times the running products of the step's ratios (L x rows).  L is
+    ``_BLOCK`` (8), or ``_LONG_BLOCK`` (48) on a batch of at most
+    ``_FEW_CELLS`` cells, which then sums a typical series in one or two
+    steps instead of five or more, each a few dozen numpy calls.  Once the
+    largest |p| and |q| drift more than 2^(2 ``_REBALANCE``) apart, a step's
+    end scales them by reciprocal powers of two that balance them: every
+    product keeps its bits, and neither factor leaves the float range while
+    the terms stay in it.
 
     Once per step come the budget check, the batch scale and the stopping
     test: each column retires at the first step end where its largest
@@ -191,18 +207,19 @@ def _hyp_series(a, b, c, w):
     columns' current sums and the retired columns' final sums).  Its sum and
     truncation bound |q| |p| r/(1-r) are recorded there, and it leaves the
     working arrays, so a batch no longer iterates every element until its
-    slowest one converges.  Stopping at a step end costs at most ``_BLOCK``
-    - 1 terms, each below the column's truncation bound.
+    slowest one converges.  Stopping at a step end costs at most L - 1
+    terms, each below the column's truncation bound.
 
     The round-off bound is 5e-16 sqrt(terms) times the larger of the
     element's largest |term| and its |sum|, with the slowest column's term
     count, so no bound is tighter than a whole-batch run would give.  The
     rounding of p and q carries over to every later term, so a sum larger
-    than each of its terms is charged at its own size.  A step can raise an
-    element's largest |term| only where the screen max_j |q w^(j+1)| times
-    max_j |p ratios_j| exceeds it; the rows the screen flags take the step's
-    exact maximum.  A term or tail bound that overflows raises
-    NonConvergenceError at the end of its step.
+    than each of its terms is charged at its own size.  A few-cell batch
+    takes every step's largest |term| per element as one broadcast maximum.
+    On a larger one a step can raise an element's largest |term| only where
+    the screen max_j |q w^(j+1)| times max_j |p ratios_j| exceeds it; the
+    rows the screen flags take the step's exact maximum.  A term or tail
+    bound that overflows raises NonConvergenceError at the end of its step.
     """
     w = np.asarray(w, dtype=complex)
     if math.prod(w.shape[:-1]) > 1:
@@ -216,11 +233,13 @@ def _hyp_series(a, b, c, w):
     a, b, c = (np.broadcast_to(np.asarray(v, dtype=complex), shape[:-1] + (1,)).reshape(-1)
                for v in (a, b, c))
     w = np.broadcast_to(w.reshape(-1), shape[-1:])
+    few = a.size * w.size <= _FEW_CELLS
+    step = _LONG_BLOCK if few else _BLOCK
     # the arrays hold one row per column, so a column moves as one contiguous
     # row.  Rows [:k] hold the live columns, rows [k:] the retired ones in
     # their final state: a retiring column swaps rows with a live one, and
     # the swaps are undone at the end.  trunc is scratch for the live rows
-    powers = np.cumprod(np.repeat(w[:, None], _BLOCK, axis=1), axis=1)  # w^(j+1)
+    powers = np.cumprod(np.repeat(w[:, None], step, axis=1), axis=1)  # w^(j+1)
     # max_j |w^(j+1)|, widened to cover the rounding of |q w^(j+1)|
     wpeak = np.abs(powers).max(axis=1) * (1.0 + 2.0 ** -48)
     q = np.ones(w.shape, dtype=complex)  # w^n and p_n, scaled by 2^e and 2^-e
@@ -236,7 +255,7 @@ def _hyp_series(a, b, c, w):
     k = w.size
     scale_retired = 0.0
     n = 0
-    offsets = np.arange(_BLOCK, dtype=float)[:, None]
+    offsets = np.arange(step, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         while k:
             s, pk, tabs, wk, qk = total[:k], peak[:k], trunc[:k], wabs[:k], q[:k]
@@ -255,22 +274,25 @@ def _hyp_series(a, b, c, w):
                 s += np.matmul(col_f, row_f, out=terms[:k])
                 # every peak is at least 1, the first term's size
                 row_abs = np.abs(row_f)
-                col_max, row_max = qabs[:k] * wpeak[:k], row_abs.max(axis=0, initial=0.0)
-                if float(col_max.max()) * float(row_max.max(initial=0.0)) > 1.0:
-                    np.multiply(col_max[:, None], row_max, out=tabs)
-                    tabs -= pk
-                    rise = np.flatnonzero(tabs.max(axis=0) > 0.0)
-                    if rise.size:
-                        # most rows are updated in place, a few through a
-                        # copy no larger than half of tabs, their scratch
-                        flagged = slice(None) if 2 * rise.size > a.size else rise
-                        sub = pk[:, flagged]
-                        scratch = tabs.reshape(-1)[:sub.size].reshape(sub.shape)
-                        for cj, rj in zip(np.abs(col_f).T, row_abs[:, flagged]):
-                            np.multiply(cj[:, None], rj, out=scratch)
-                            np.maximum(sub, scratch, out=sub)
-                        pk[:, flagged] = sub
-                n += _BLOCK
+                if few:
+                    np.maximum(pk, (np.abs(col_f)[:, :, None] * row_abs).max(axis=1), out=pk)
+                else:
+                    col_max, row_max = qabs[:k] * wpeak[:k], row_abs.max(axis=0, initial=0.0)
+                    if float(col_max.max()) * float(row_max.max(initial=0.0)) > 1.0:
+                        np.multiply(col_max[:, None], row_max, out=tabs)
+                        tabs -= pk
+                        rise = np.flatnonzero(tabs.max(axis=0) > 0.0)
+                        if rise.size:
+                            # most rows are updated in place, a few through a
+                            # copy no larger than half of tabs, their scratch
+                            flagged = slice(None) if 2 * rise.size > a.size else rise
+                            sub = pk[:, flagged]
+                            scratch = tabs.reshape(-1)[:sub.size].reshape(sub.shape)
+                            for cj, rj in zip(np.abs(col_f).T, row_abs[:, flagged]):
+                                np.multiply(cj[:, None], rj, out=scratch)
+                                np.maximum(sub, scratch, out=sub)
+                            pk[:, flagged] = sub
+                n += step
                 qk[:] = col_f[:, -1]
                 p = row_f[-1]
                 pabs, qabs = np.abs(p), np.abs(qk)
@@ -413,22 +435,21 @@ def _hyp2f1_batch(a, b, c, z):
     out = np.empty((a.shape[0], z.shape[0]), dtype=complex)
     err = np.empty(out.shape)
     terms = 0
-    d = (b - a)[:, 0]
-    integer = (np.abs(d.imag) < _POLE_TOL) & (np.abs(d.real - np.round(d.real)) < _POLE_TOL)
-    every = np.ones(integer.shape, dtype=bool)
     zero = z == 0.0
     out[:, zero], err[:, zero] = 1.0, 0.0
-    direct = np.abs(z) <= _DIRECT_RADIUS
-    far = np.abs(z) > _PFAFF_RADIUS
-    pieces = (
-        (every, direct & ~zero, "direct"),
-        (every, ~direct & ~far, "pfaff"),
-        (integer, far, "pfaff"),
-        (~integer, far, "connection"),
-    )
+    az = np.abs(z)
+    far = az > _PFAFF_RADIUS
+    pieces = [(None, (az <= _DIRECT_RADIUS) & ~zero, "direct"),
+              (None, (az > _DIRECT_RADIUS) & ~far, "pfaff")]
+    if far.any():
+        d = (b - a)[:, 0]
+        integer = (np.abs(d.imag) < _POLE_TOL) & (np.abs(d.real - np.round(d.real)) < _POLE_TOL)
+        pieces += [(integer, far, "pfaff"), (~integer, far, "connection")]
     for rows, cols, method in pieces:
-        if not (rows.any() and cols.any()):
+        if not cols.any() or (rows is not None and not rows.any()):
             continue
+        cols = np.flatnonzero(cols)
+        rows = np.arange(a.shape[0]) if rows is None else np.flatnonzero(rows)
         ar, br, zz = a[rows], b[rows], z[cols][None, :]
         if method == "direct":
             s, e, n = _hyp_series(ar, br, c, zz)
@@ -452,8 +473,8 @@ def _hyp2f1_batch(a, b, c, z):
                     n = max(n, n2)
             s = pref * s
             e = e * np.abs(pref)
-        out[np.ix_(rows, cols)] = s
-        err[np.ix_(rows, cols)] = e
+        out[rows[:, None], cols] = s
+        err[rows[:, None], cols] = e
         terms = max(terms, n)
     return out, err, terms
 
@@ -512,30 +533,38 @@ def _phi_far(p: JacobiParams, lams, ax, fold_sinh2x: bool):
     return weight * s.real, err
 
 
-def _blocks(lams, sz):
-    """(rows, cols, far) blocks that cover a batch of lams (n,) against
-    sz = sinh^2 x (m,).  The far cells, |lambda| >= 1 with sz >
-    ``_PFAFF_RADIUS`` and every lambda with sz > ``_RETRY_RADIUS``, are
-    those where ``_hyp2f1_batch`` would take its connection formula with no
-    Pfaff retry; the near ones are every row at sz <= ``_PFAFF_RADIUS`` and
-    the rows |lambda| < 1 up to ``_RETRY_RADIUS``."""
-    small = np.abs(lams) < 1.0
-    return (
-        (np.ones(small.shape, dtype=bool), sz <= _PFAFF_RADIUS, False),
-        (small, (sz > _PFAFF_RADIUS) & (sz <= _RETRY_RADIUS), False),
-        (~small, sz > _PFAFF_RADIUS, True),
-        (small, sz > _RETRY_RADIUS, True),
-    )
-
-
-def _sinh_squared(ax):
-    """sinh^2 x, inf past |x| = 355: only far cells lie there, and they do
-    not use it."""
+def _blocks(lams, ax):
+    """The non-empty (rows, cols, cells, z) blocks that cover a batch of lams
+    (n,) against ax (m,) >= 0: the block's row and column indices, its index
+    ``cells`` into an (n, m) array, and z = -sinh^2 x on its columns for a
+    near block or None for a far one.  The far cells, |lambda| >= 1 with
+    sinh^2 x > ``_PFAFF_RADIUS`` and every lambda with sinh^2 x >
+    ``_RETRY_RADIUS``, are those where ``_hyp2f1_batch`` would take its
+    connection formula with no Pfaff retry; the near ones are every row at
+    sinh^2 x <= ``_PFAFF_RADIUS`` and the rows |lambda| < 1 up to
+    ``_RETRY_RADIUS``.  sinh^2 x is inf past |x| = 355, where only far cells
+    lie, which do not use it."""
     with np.errstate(over="ignore"):
-        return np.sinh(ax) ** 2
+        sz = np.sinh(ax) ** 2
+    small = np.abs(lams) < 1.0
+    near = sz <= _PFAFF_RADIUS
+    masks = [(None, near, True)]
+    if not small.all():
+        masks.append((~small, ~near, False))
+    if small.any():
+        retry = sz <= _RETRY_RADIUS
+        masks += [(small, ~near & retry, True), (small, ~retry, False)]
+    blocks = []
+    for rows, cols, is_near in masks:
+        if not cols.any():
+            continue
+        cols = np.flatnonzero(cols)
+        rows = np.arange(lams.size) if rows is None else np.flatnonzero(rows)
+        blocks.append((rows, cols, (rows[:, None], cols), -sz[cols] if is_near else None))
+    return blocks
 
 
-def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False):
+def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None):
     """phi_lambda(x) for lams (n,) against x (m,): values and element-wise
     error bounds, both shaped (n, m).
 
@@ -543,7 +572,8 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False):
     cell, and exactly real; with ``fold_sinh2x`` they hold
     sinh(2|x|) phi_lambda(x) instead, with sinh 2x folded into their
     exponent.  The near blocks go through ``_hyp2f1_batch`` at
-    z = -sinh^2 x.
+    z = -sinh^2 x.  A caller that has the ``_blocks`` of lams and |x| passes
+    them as ``blocks``.
 
     phi is even in lambda; |lambda| below 1e-5 is nudged to 1e-5, where the
     c(lambda) poles of the far formula cancel.  Koornwinder's Laplace
@@ -552,25 +582,21 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False):
     0 <= phi_0 - phi_nudged <= h phi_0 with h = (1e-5 x)^2 / 2, so a nudged
     cell adds h/(1 - h) (|value| + bound) to its bound.
     """
-    lams = np.asarray(lams, dtype=float).copy()
+    lams = np.asarray(lams, dtype=float)
     nudged = np.abs(lams) < _LAMBDA_NUDGE
-    lams[nudged] = _LAMBDA_NUDGE
+    lams = np.where(nudged, _LAMBDA_NUDGE, lams)
     ax = np.abs(np.asarray(x, dtype=float))
-    sz = _sinh_squared(ax)
     vals = np.empty((lams.size, ax.size), dtype=complex)
     err = np.empty(vals.shape)
-    for rows, cols, far in _blocks(lams, sz):
-        if not (rows.any() and cols.any()):
-            continue
+    for rows, cols, cells, z in _blocks(lams, ax) if blocks is None else blocks:
         lr = lams[rows]
-        if far:
+        if z is None:
             v, e = _phi_far(p, lr, ax[cols], fold_sinh2x)
         else:
-            v, e, _ = _hyp2f1_batch(0.5 * (p.rho + 1j * lr), 0.5 * (p.rho - 1j * lr),
-                                    p.alpha + 1.0, -sz[cols])
-        block = np.ix_(rows, cols)
-        vals[block] = v
-        err[block] = e
+            v, e, _ = _hyp2f1_batch(
+                0.5 * (p.rho + 1j * lr), 0.5 * (p.rho - 1j * lr), p.alpha + 1.0, z)
+        vals[cells] = v
+        err[cells] = e
     if np.any(nudged):
         vals[nudged, :] = vals[nudged, :].real
         h = 0.5 * (_LAMBDA_NUDGE * ax) ** 2
@@ -587,22 +613,25 @@ def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
     return complex(_phi_batch(p, [lam], [x])[0][0, 0])
 
 
-def _g_odd(p: JacobiParams, lams, ax):
+def _g_odd(p: JacobiParams, lams, ax, blocks=None):
     """The odd part of G_lambda at ax (m,) >= 0 for lams (n,),
     c sinh(2x) phi^(alpha+1, beta+1)(x) with c = (rho + i lambda)/(4(alpha+1)):
     values and element-wise error bounds, both shaped (n, m).  On the far
     cells of ``_phi_batch`` the series is summed as
     sinh(2x) phi^(alpha+1, beta+1), so the odd part keeps the range of
-    e^(-rho x) where sinh 2x overflows."""
-    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True)
+    e^(-rho x) where sinh 2x overflows.  ``blocks`` are the ``_blocks`` of
+    lams and ax, when the caller has them."""
+    if blocks is None:
+        blocks = _blocks(lams, ax)
+    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True, blocks=blocks)
     coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = coef * np.sinh(2.0 * ax)[None, :]
     # the far cells of phi_up hold sinh(2x) phi^(alpha+1, beta+1) already
     # (and sinh 2x overflows only on far cells)
-    for rows, cols, far in _blocks(lams, _sinh_squared(ax)):
-        if far:
-            scale[np.ix_(rows, cols)] = coef[rows]
+    for rows, _, cells, z in blocks:
+        if z is None:
+            scale[cells] = coef[rows]
     err = np.abs(scale)
     err *= e2
     return scale * phi_up, err
@@ -615,7 +644,7 @@ def _g_batch(p: JacobiParams, lams, x):
     G_lambda(+-x) = phi(x) +- ``_g_odd``(x) with both series even in x, so
     each is summed once per distinct |x| and gathered back to the signed
     columns: G_lambda(x) and G_lambda(-x) share one sum, and negating the
-    odd part is exact.
+    odd part is exact.  Both share one ``_blocks`` layout.
     G_lambda(0) = 1 exactly, as 2F1 is 1 at z = 0.  Repeated |x| leave the
     series' batch-wide stopping scale as it is, so every column has the bits
     of a batch that holds each |x| once."""
@@ -626,8 +655,9 @@ def _g_batch(p: JacobiParams, lams, x):
         # x = 0 only, as in an inverse transform at the origin: G_lambda(0)
         # = 1 without the set-up of two series calls
         return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
-    phi, e1 = _phi_batch(p, lams, ax)
-    odd, e2 = _g_odd(p, lams, ax)
+    blocks = _blocks(lams, ax)
+    phi, e1 = _phi_batch(p, lams, ax, blocks=blocks)
+    odd, e2 = _g_odd(p, lams, ax, blocks)
     err = e2[:, back]
     err += e1[:, back]
     vals = odd[:, back]

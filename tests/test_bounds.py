@@ -19,7 +19,7 @@ from octool.bounds import (
     mphi_check,
     power_lemma_check,
 )
-from octool.errors import MonotonicityError, SupportError
+from octool.errors import MonotonicityError, ParameterError, SupportError
 from octool.harness_cli import build_default_suite, random_step_function, run_scenario
 from octool.hausdorff import HausdorffImage, make_kernel
 from octool.octransform import FunctionSpec
@@ -588,3 +588,26 @@ def test_uneven_or_one_sided_norms_are_not_folded():
     half = _lp_integral(g, 2.0, P1, (-1.0, 3.0), CFG)
     ref = integrate(lambda x: np.exp(-2.0 * x * x) * weight_a(P1, x), -1.0, 3.0, CFG)
     assert abs(half.value - ref.value) <= half.err_estimate + ref.err_estimate
+
+
+@pytest.mark.parametrize("domain", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+def test_nan_domain_ends_raise(domain):
+    # the clip to the support turned a NaN end into an empty domain, 0 +- 0
+    gauss = FunctionSpec("gaussian", params={"scale": 1.0})
+    with pytest.raises(ParameterError, match="NaN"):
+        lp_norm(gauss, 2.0, P1, domain, CFG)
+    with pytest.raises(ParameterError, match="NaN"):
+        kernel_moment(ADJOINT, 0.5, *domain, CFG)
+
+
+def test_lp_norm_past_the_double_range_is_infinite():
+    # at p = 0.01 the Gaussian's whole-line integral to the power 100 passes
+    # 1e308, and the root raised a raw OverflowError; at p = 0.05 it is
+    # still a double
+    gauss = FunctionSpec("gaussian", params={"scale": 1.0})
+    line = (-math.inf, math.inf)
+    small = lp_norm(gauss, 0.01, P1, line, CFG)
+    assert small.value == math.inf and small.err_estimate == math.inf
+    finite = lp_norm(gauss, 0.05, P1, line, CFG)
+    assert 1e185 < finite.value < math.inf
+    assert finite.err_estimate < 1e-8 * finite.value

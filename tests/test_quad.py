@@ -12,6 +12,7 @@ from octool.errors import (
     OctoolError,
     ParameterError,
 )
+from octool import quad
 from octool.hausdorff import make_kernel
 from octool.quad import (
     QuadConfig,
@@ -385,3 +386,86 @@ def test_a_jump_at_a_breakpoint_converges_next_to_each_end():
     for lo, hi, times in ((0.0, math.inf, 1), (-math.inf, 0.0, 1), (-math.inf, math.inf, 2)):
         r = integrate(f, lo, hi, CFG, points=[-5.0, 5.0])
         assert abs(r.value - times * exact) <= r.err_estimate <= CFG.rel_tol * r.value
+
+
+def test_layout_is_reused_read_only():
+    # one layout per (lo, hi, cutoff), shared by every call on the interval:
+    # a call with breakpoints between two plain ones changes none of its
+    # arrays, and the plain calls agree bit for bit
+    def f(x):
+        return np.exp(-x * x) * (1.0 + 0.5 * np.abs(x - 0.3))
+
+    first = integrate(f, -math.inf, math.inf, CFG)
+    lay = quad._layout(-math.inf, math.inf, None)
+    arrays = lay[1:]
+    assert arrays and all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        lay.panels[0, 0] = 1.0
+    before = [a.copy() for a in arrays]
+    cut = integrate(f, -math.inf, math.inf, CFG, points=[-2.0, 0.3, 1.7])
+    assert cut.value != first.value
+    again = integrate(f, -math.inf, math.inf, CFG)
+    assert quad._layout(-math.inf, math.inf, None) is lay
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert (again.value, again.err_estimate, again.subdivisions_used) == \
+        (first.value, first.err_estimate, first.subdivisions_used)
+
+
+@pytest.mark.parametrize("lo,hi,cutoff", [
+    (math.nan, 1.0, None), (0.0, math.nan, None), (math.nan, math.nan, None),
+    (-math.inf, math.inf, math.nan), (0.0, 30.0, math.nan),
+])
+def test_nan_interval_ends_raise(lo, hi, cutoff):
+    # a NaN end failed every comparison and read 0 +- 0; it is refused
+    # before a layout is built for it
+    size = quad._layout.cache_info().currsize
+    with pytest.raises(ParameterError, match="NaN"):
+        integrate(np.exp, lo, hi, CFG, cutoff=cutoff)
+    assert quad._layout.cache_info().currsize == size
+
+
+def _charge_tail_reference(err, edges, mags, cfg):
+    """One dyadic piece's tail charge, a piece at a time over a list of
+    block magnitudes; returns the new estimate, or None where the blocks
+    fail to shrink."""
+    widths = np.diff(edges)
+    full = mags
+    if len(widths) >= 3:
+        growth = widths[-2] / widths[-3]
+        if abs(widths[-1] / widths[-2] - growth) > 0.2 * max(growth, 1e-12):
+            full = mags[:-1]
+    tail = full[-1]
+    if len(full) == 1:
+        return err + tail
+    blocks = np.array(full)
+    ratios = np.divide(blocks[1:], blocks[:-1], where=blocks[:-1] > 0,
+                       out=np.full(blocks[1:].shape, math.inf))
+    floor = np.maximum(cfg.abs_tol, cfg.rel_tol * sum(full))
+    if len(full) > 4 and ((tail > floor) & (ratios[-4:] > 1.0 / 1.05).all(axis=0)).any():
+        return None
+    r_last = np.minimum(ratios[-1], 0.9)
+    return err + tail * r_last / (1.0 - r_last)
+
+
+@pytest.mark.parametrize("lo,hi,cutoff", [
+    (-math.inf, math.inf, None), (0.0, math.inf, None), (-3.0, 0.5, None),
+    (-math.inf, math.inf, 12.0), (0.0, 30.0, 12.0), (0.2, 1.5, None),
+])
+def test_tail_charge_matches_a_piece_at_a_time(lo, hi, cutoff):
+    # every dyadic piece's charge from one array pass over all of them, bit
+    # for bit the charges added a piece at a time, on shrinking block
+    # magnitudes of two components
+    lay = quad._layout(lo, hi, cutoff)
+    n_blocks = lay.maps.shape[1]
+    rng = np.random.default_rng(n_blocks)
+    sums = np.exp(-rng.uniform(0.5, 3.0, (2, n_blocks)).cumsum(axis=1))
+    total = quad.IntegralResult(np.zeros(2), np.full(2, 1e-9))
+    quad._charge_tails(total, sums, lay, CFG)
+    ref = np.full(2, 1e-9)
+    first = 0
+    for p in lay.pieces:
+        n = len(p.edges) - 1
+        if p.dyadic:
+            ref = _charge_tail_reference(ref, p.edges, list(sums.T[first:first + n]), CFG)
+        first += n
+    assert np.array_equal(total.err_estimate, ref)

@@ -111,12 +111,44 @@ def test_hyp_series_column_permutation_is_exact():
 
 
 def test_hyp_series_batch_matches_one_column_calls():
+    # the batch of 41 x 36 cells takes 8-term steps, a one-cell call long
+    # ones: every cell agrees within the sum of the two bounds
     a, b, c = SERIES_ABC
-    s, e, _ = _hyp_series(a, b, c, SERIES_W)
+    assert a.size * SERIES_W.size > specfun._FEW_CELLS
+    s, e, n = _hyp_series(a, b, c, SERIES_W)
+    assert (n - 1) % specfun._BLOCK == 0 and (n - 1) % specfun._LONG_BLOCK != 0
     for i in range(0, SERIES_LAMS.size, 4):
         for j, w in enumerate(SERIES_W):
-            s1, e1, _ = _hyp_series(a[i, 0], b[i, 0], c, w)
+            s1, e1, n1 = _hyp_series(a[i, 0], b[i, 0], c, w)
+            assert (n1 - 1) % specfun._LONG_BLOCK == 0
             assert abs(s1 - s[i, j]) <= e1 + e[i, j], (SERIES_LAMS[i], w)
+
+
+@pytest.mark.parametrize("p", CATALOG)
+def test_scalar_phi_and_g_match_a_batch_of_eight_term_steps(p, monkeypatch):
+    # lambda in [1, 40] against direct-series, Pfaff and far columns, three
+    # of each, so every series of the batch has 27 cells, above the
+    # threshold; the scalar calls sum one-cell series in long steps
+    lams = np.linspace(1.0, 40.0, 9)
+    xs = np.array([0.05, 0.3, 0.6, 0.9, 1.1, 1.2, 1.5, 2.5, 6.0])
+    cells = []
+    series = specfun._hyp_series
+
+    def spy(a, b, c, w):
+        cells.append(int(np.prod(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(w)))))
+        return series(a, b, c, w)
+
+    monkeypatch.setattr(specfun, "_hyp_series", spy)
+    batches = [batch(p, lams, xs) for batch in (_phi_batch, _g_batch)]
+    assert min(cells) > specfun._FEW_CELLS
+    monkeypatch.undo()
+    for scalar, batch, (v, e) in zip((jacobi_phi, eigenfunction_g), (_phi_batch, _g_batch),
+                                     batches):
+        for i, lam in enumerate(lams):
+            for j, x in enumerate(xs):
+                one, one_e = batch(p, [lam], [x])
+                assert scalar(p, lam, x) == one[0, 0]
+                assert abs(one[0, 0] - v[i, j]) <= one_e[0, 0] + e[i, j], (scalar.__name__, lam, x)
 
 
 def test_hyp_series_keeps_its_factors_in_range():
@@ -263,9 +295,8 @@ def test_negative_lambda_is_the_conjugate_bit_for_bit(p):
     # cells included
     lams = np.array([1e-6, 4e-6, 2e-5, 0.3, 0.999, 1.0, 2.5, 11.7, 40.0, 123.4])
     xs = np.array([-400.0, -30.0, -6.0, -1.0, -0.3, 0.0, 0.01, 0.3, 1.0, 2.5, 6.0, 30.0, 400.0])
-    far = [cols for _, cols, is_far in specfun._blocks(lams, specfun._sinh_squared(np.abs(xs)))
-           if is_far]
-    assert all(cols.any() and not cols.all() for cols in far)
+    far = [cols for _, cols, _, z in specfun._blocks(lams, np.abs(xs)) if z is None]
+    assert far and all(0 < cols.size < xs.size for cols in far)
     (v, e), (w, f) = _g_batch(p, lams, xs), _g_batch(p, -lams, xs)
     assert np.array_equal(w, np.conj(v))
     assert np.array_equal(f, e)
