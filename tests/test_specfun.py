@@ -166,6 +166,31 @@ def test_hyp_series_keeps_its_factors_in_range():
     assert e <= 1e-13 * abs(ref)
 
 
+def test_few_cells_take_short_steps_where_long_ones_would_overflow():
+    # at (1, 1/2), lambda = 7e4 and x = 1e-4, 48 terms from n = 0 raise the
+    # Pochhammer product past 1e308 while the terms peak near 1e3: a one-cell
+    # call takes 8-term steps there, as a batch of more than _FEW_CELLS does,
+    # and both agree within their bounds
+    lams, xs = np.array([7e4, 7.1e4]), np.linspace(1e-4, 2e-4, 9)
+    assert lams.size * xs.size > specfun._FEW_CELLS
+    a, b = (P2.rho + 1j * lams[:, None]) / 2, (P2.rho - 1j * lams[:, None]) / 2
+    w = -np.sinh(xs) ** 2
+    s, e, n = _hyp_series(a, b, P2.alpha + 1.0, w)
+    s1, e1, n1 = _hyp_series(a[0, 0], b[0, 0], P2.alpha + 1.0, w[0])
+    assert (n1 - 1) % specfun._LONG_BLOCK != 0
+    assert abs(s1 - s[0, 0]) <= e1 + e[0, 0]
+    for batch, scalar in ((_phi_batch, jacobi_phi), (_g_batch, eigenfunction_g)):
+        v, err = batch(P2, lams, xs)
+        assert np.isfinite(err).all()
+        one, one_err = batch(P2, lams[:1], xs[:1])
+        assert scalar(P2, lams[0], xs[0]) == one[0, 0]
+        assert abs(one[0, 0] - v[0, 0]) <= one_err[0, 0] + err[0, 0], scalar.__name__
+    # |a|, |b| = 4e4 at a small z: the direct series of gauss_2f1
+    a, b, z = 0.5 + 4e4j, 0.5 - 4e4j, -1e-10
+    r = gauss_2f1(a, b, 1.5, z)
+    assert abs(r.value - complex(mpmath.hyp2f1(a, b, 1.5, z))) <= r.abs_err_estimate
+
+
 @pytest.mark.parametrize("a,w", [(0.5, np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])),
                                  (0.5, np.array([[0.1], [0.2]])),
                                  (np.array([0.5, 0.6]), np.array([0.1, 0.2]))],
@@ -296,7 +321,7 @@ def test_negative_lambda_is_the_conjugate_bit_for_bit(p):
     lams = np.array([1e-6, 4e-6, 2e-5, 0.3, 0.999, 1.0, 2.5, 11.7, 40.0, 123.4])
     xs = np.array([-400.0, -30.0, -6.0, -1.0, -0.3, 0.0, 0.01, 0.3, 1.0, 2.5, 6.0, 30.0, 400.0])
     far = [cols for _, cols, _, z in specfun._blocks(lams, np.abs(xs)) if z is None]
-    assert far and all(0 < cols.size < xs.size for cols in far)
+    assert len(far) == 2 and all(0 < cols.size < xs.size for cols in far)
     (v, e), (w, f) = _g_batch(p, lams, xs), _g_batch(p, -lams, xs)
     assert np.array_equal(w, np.conj(v))
     assert np.array_equal(f, e)
