@@ -174,25 +174,35 @@ def _ratio_ext(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _gated_report(s, triples, upper: bool) -> "VerifyReport":
-    """Gate the (lhs, rhs, err) triple with the largest lhs/rhs: lhs <= rhs *
-    (1 + tol) for an upper bound, lhs >= rhs * (1 - tol) for a lower bound,
-    with tol = 10 err / rhs + 1e-6 from that triple's own err.  err is the
-    quadrature error of the norms; a constant's own error stays inside the
-    1e-6 model floor."""
-    lhs, rhs, err = max(triples, key=lambda tr: _ratio_ext(tr[0], tr[1]))
+def _gate(lhs: float, rhs: float, err: float, upper: bool) -> tuple[str, float, float]:
+    """(status, margin, tol) of one (lhs, rhs, err) pair: lhs <= rhs (1 +
+    tol) for an upper bound, lhs >= rhs (1 - tol) for a lower bound, with
+    tol = 10 err / rhs + 1e-6 from the pair's own err.  The margin is how
+    near the pair is to failing, (lhs - rhs) / (rhs tol) for an upper bound
+    and (rhs - lhs) / (rhs tol) for a lower one: above 1 it fails."""
     tol = _tolerance(err, rhs)
     if upper:
         if math.isinf(rhs):
-            status = "divergent"
-        else:
-            status = "pass" if lhs <= rhs * (1.0 + tol) else "fail"
+            return "divergent", -math.inf, tol
+        status, gap = ("pass" if lhs <= rhs * (1.0 + tol) else "fail"), lhs - rhs
     elif math.isinf(lhs):
-        status = "pass" if rhs > 0.0 else "vacuous"
+        return ("pass" if rhs > 0.0 else "vacuous"), -math.inf, tol
     elif math.isinf(rhs):
-        status = "fail"
+        return "fail", math.inf, tol
     else:
-        status = "pass" if lhs >= rhs * (1.0 - tol) else "fail"
+        status, gap = ("pass" if lhs >= rhs * (1.0 - tol) else "fail"), rhs - lhs
+    margin = gap / (abs(rhs) * tol) if rhs else math.copysign(math.inf, gap)
+    # a NaN lhs fails every comparison
+    return status, margin if status == "pass" or margin > 1.0 else math.inf, tol
+
+
+def _gated_report(s, triples, upper: bool) -> "VerifyReport":
+    """Gate every (lhs, rhs, err) triple on its own (see :func:`_gate`): the
+    row passes only if every pair passes, and reports the pair nearest to
+    failing, a failing one first.  err is the quadrature error of the
+    norms; a constant's own error stays inside the 1e-6 model floor."""
+    gates = [(*_gate(lhs, rhs, err, upper), lhs, rhs, err) for lhs, rhs, err in triples]
+    status, _, tol, lhs, rhs, err = max(gates, key=lambda g: (g[0] == "fail", g[1]))
     brk = {"quadrature": err, "model": _TOL_FLOOR}
     return VerifyReport(s.to_dict(), lhs, rhs, _ratio_ext(lhs, rhs), tol, status, brk)
 

@@ -5,6 +5,17 @@ non-negative kernel ``phi`` supported in (0, infinity), together with the
 catalog of named kernels (Hardy, adjoint Hardy, Hardy-Littlewood-Polya,
 Cesaro, Riemann-Liouville) and a diagnostic comparing the spectral transform
 of ``H f`` with the kernel-averaged transform of ``f``.
+
+:func:`hausdorff_log_grid`, the engine behind every H f norm, integrates in
+sigma = log|x/t| on a fixed panel lattice.  A kernel states its power pieces,
+the parts of its support where phi(t) = t^m (hardy, adjoint Hardy, a power
+cutoff, and hlp as two pieces split at its kink t = 1).  On a power piece the
+integrand is one row-free function, e^(log f A - m sigma), scaled per x by
+|x|^m, so each call sums it once per panel in a table, refines a table panel
+once when a row needs it, and each x takes its whole panels from the table
+with one multiply; an x evaluates afresh only the cut panels at its window
+ends and kinks.  Cesaro, Riemann-Liouville and tabulated kernels have no
+power pieces and add log phi at each node of the same lattice.
 """
 
 from __future__ import annotations
@@ -104,6 +115,17 @@ class KernelSpec:
         vals = np.asarray(self.params["values"], dtype=float)
         overlap = np.maximum(grid[:-1], lo) < np.minimum(grid[1:], hi)
         return bool(np.any(overlap & ((vals[:-1] > 0.0) | (vals[1:] > 0.0))))
+
+    def power_pieces(self) -> tuple:
+        """((lo, hi, m), ...) in increasing t: the pieces of the support on
+        which phi(t) = t^m, which :func:`hausdorff_log_grid` integrates from
+        one row-free table; ``hlp`` has two, split at its kink t = 1.
+        Cesaro, Riemann-Liouville and tabulated kernels have none: ()."""
+        if self.variant == "hlp":
+            return (0.0, 1.0, 0.0), (1.0, math.inf, -1.0)
+        m = {"hardy": -1.0, "adjoint_hardy": 0.0,
+             "power_cutoff": self.params.get("exponent")}.get(self.variant)
+        return () if m is None else ((*self.support(), float(m)),)
 
     def __call__(self, t):
         """phi(t) = e^(log_phi(log t)) for t > 0, and 0 elsewhere."""
@@ -235,10 +257,10 @@ def hausdorff_apply_result(
         return IntegralResult(math.inf, math.inf)
 
 
-# The (7, 15) pair on (-1, 1): its nodes, and as the two columns of one
-# table its Kronrod weights and the Kronrod-minus-Gauss weights
+# The (7, 15) pair on (-1, 1): its nodes, and as the columns of one table
+# its Kronrod weights, the Kronrod-minus-Gauss weights and ones
 _UNIT_NODES, _WK, _WG = (w[0] for w in panel_rule([-1.0, 1.0]))
-_KD_WEIGHTS = np.stack([_WK, _WK - _WG], axis=-1)
+_KD_WEIGHTS = np.stack([_WK, _WK - _WG, np.ones(_WK.size)], axis=-1)
 # u = e^sigma is a finite non-zero double on this range; a window reaching
 # past it is cut there, as by an artificial clip
 _SIGMA_MIN, _SIGMA_MAX = -744.0, 709.0
@@ -267,11 +289,12 @@ with np.errstate(over="ignore"):
 # log sinh u and log cosh u at the lattice nodes, which log A combines: the
 # weight is evaluated once per node for every call
 _LATTICE_LOG_SINH, _LATTICE_LOG_COSH = log_sinh_cosh(_LATTICE_U)
-# panels of all the rows of one array pass: 8192 panels of 15 nodes keep
-# each temporary near 1 MB
+# panels of all the rows of one array pass: 8192 panels keep each temporary
+# near 1 MB where a row reads its panels node by node, and table entries,
+# one number a panel, ran slower in larger passes
 _CHUNK_PANELS = 8192
-# refinement of a row whose estimate exceeds rel_tol: at most this many
-# rounds, and this many panel splits in all
+# refinement of a table panel or a row whose estimate exceeds rel_tol: at
+# most this many rounds, and this many panel splits in all
 _REFINE_ROUNDS = 12
 _REFINE_SPLITS = 64
 # the nodes a panel keeps for choosing its split point: the two at each
@@ -279,19 +302,38 @@ _REFINE_SPLITS = 64
 # share of the panel's width
 _PROBE = [0, 1, -2, -1]
 _E40_REACH = -20.0 * (_UNIT_NODES[1] - _UNIT_NODES[0])
+# |K - G| of a panel whose node values carry a relative rounding of eps |L|,
+# L their log, is at most about twice that of its Kronrod sum; a panel within
+# 16 times that is at its rounding floor, and splitting it gains nothing
+_NOISE = 32.0 * np.finfo(float).eps
 
 
-def _window_panels(s_lo, s_hi):
-    """(ja, jb, lo_cut, hi_cut): the whole lattice panels ja .. jb-1 inside
-    each window (s_lo, s_hi), and the inner edges of its two cut panels
-    (s_lo, lo_cut) and (hi_cut, s_hi).  A cut panel narrower than half of
-    its lattice neighbour takes the neighbour in; a window with no whole
-    panel left is halved."""
-    e = _EDGES
+def _side_edges(ends) -> np.ndarray:
+    """The panel edges in sigma = log|u| on one side of u = 0: the
+    lattice's, and those of ``ends`` (log|u| at f's support ends and
+    breakpoints on that side) that lie inside it, so that no panel
+    straddles a point where f starts, stops, jumps or bends."""
+    ends = ends[(ends > _EDGES[0]) & (ends < _EDGES[-1])]
+    if not ends.size:
+        return _EDGES
+    e = np.sort(np.concatenate([_EDGES, ends]))
+    return e[np.concatenate([[True], e[1:] > e[:-1]])]
+
+
+def _window_panels(e, s_lo, s_hi, clip_lo, clip_hi):
+    """(ja, jb, lo_cut, hi_cut): the whole panels ja .. jb-1 of the edges
+    ``e`` inside each window (s_lo, s_hi), and the inner edges of its two
+    cut panels (s_lo, lo_cut) and (hi_cut, s_hi).  A window end on an edge
+    leaves its cut panel empty, unless it is an artificial clip
+    (``clip_lo``, ``clip_hi``), whose cut panel the divergence test and the
+    tail charge read.  A cut panel narrower than half of its neighbour takes
+    the neighbour in; a window with no whole panel left is halved."""
     ja = np.searchsorted(e, s_lo, side="left")
     jb = np.searchsorted(e, s_hi, side="right") - 1
-    ja = ja + ((ja < jb) & (e[ja] - s_lo < 0.5 * (e[ja + 1] - e[ja])))
-    jb = jb - ((ja < jb) & (s_hi - e[jb] < 0.5 * (e[jb] - e[jb - 1])))
+    on_lo = (e[ja] == s_lo) & ~clip_lo
+    on_hi = (e[jb] == s_hi) & ~clip_hi
+    ja = ja + ((ja < jb) & ~on_lo & (e[ja] - s_lo < 0.5 * (e[ja + 1] - e[ja])))
+    jb = jb - ((ja < jb) & ~on_hi & (s_hi - e[jb] < 0.5 * (e[jb] - e[jb - 1])))
     has = ja < jb
     mid = 0.5 * (s_lo + s_hi)
     return ja, np.where(has, jb, ja), np.where(has, e[ja], mid), np.where(has, e[jb], mid)
@@ -306,13 +348,23 @@ def _fa_log(f, p, u, log_a=None):
 
 
 def _panel_sums(summand, shift, half):
-    """Kronrod sum, |Kronrod - Gauss| and the plain sum of the node values of
-    each panel of e^(summand - shift), overwriting ``summand``.  Each row is a
-    dot product of its own against the weight table, so its bits do not
-    depend on the other rows."""
+    """(panels, 3): the Kronrod sum, |Kronrod - Gauss| and the plain sum of
+    the node values of each panel of e^(summand - shift); ``summand`` is
+    overwritten.  Each row is a dot product of its own against the weight
+    table, so its bits do not depend on the other rows; a lone row is
+    doubled, since a one-row product takes another summation order."""
     np.subtract(summand, shift[:, None], out=summand)
-    kd = np.exp(summand, out=summand) @ _KD_WEIGHTS
-    return kd[:, 0] * half, np.abs(kd[:, 1]) * half, summand.sum(axis=1)
+    vals = np.exp(summand, out=summand)
+    out = (np.repeat(vals, 2, axis=0) @ _KD_WEIGHTS)[:1] if half.size == 1 else vals @ _KD_WEIGHTS
+    out[:, :2] *= half[:, None]
+    np.abs(out[:, 1], out=out[:, 1])
+    return out
+
+
+def _quadpack(kron, diff):
+    """QUADPACK's estimate of a panel's Kronrod error from its |K - G|:
+    |K - G| min(1, (200 |K - G| / K)^1.5), as scipy's quad reports it."""
+    return np.where(diff > 0.0, diff * np.minimum(1.0, (200.0 * diff / kron) ** 1.5), 0.0)
 
 
 def _split_points(probe, lo, hi):
@@ -338,6 +390,155 @@ def _split_points(probe, lo, hi):
     return lo + share * (hi - lo)
 
 
+def _refine(owner, lo, hi, sums, probe, shift, live, evaluate, rel_tol, base=None):
+    """Refine the panels of each owner, a table panel or a row: while a live
+    owner's summed |Kronrod - Gauss| exceeds ``rel_tol`` of its summed
+    Kronrod sum, split its panels that carry more than their share of that
+    tolerance at :func:`_split_points`, in up to 12 rounds of at most 64
+    splits per owner in all.  ``base`` (owners, 3) holds each owner's
+    Kronrod sum, |K - G| and count of the panels it does not refine (a
+    row's table panels).  ``sums`` are the :func:`_panel_sums` columns
+    relative to the owner's ``shift``, and ``probe`` each panel's log values
+    at its two nodes nearest each end.  ``evaluate(owner, sigma)``
+    gives the log integrand at the children's nodes; a child that peaks
+    above its owner's shift raises it, and the owner's sums are rescaled to
+    it.  The lower child takes its parent's slot and the upper one goes at
+    the end, and no owner's panels depend on another's.  Returns (owner,
+    origin, lo, hi, sums, probe, shift), origin being the index of the panel
+    each one was refined from, or None where no panel split."""
+    n = shift.size
+    base = np.zeros((n, 3)) if base is None else base.copy()
+    origin = None
+    splits = np.zeros(n, dtype=np.intp)
+    whole = np.zeros(owner.size, dtype=bool)
+    for _ in range(_REFINE_ROUNDS):
+        kron, diff = sums[:, 0], sums[:, 1]
+        size = base[:, 0] + np.bincount(owner, kron, minlength=n)
+        need = live & (base[:, 1] + np.bincount(owner, diff, minlength=n) > rel_tol * size)
+        need &= splits < _REFINE_SPLITS
+        if not need.any():
+            break
+        # a panel is split when it carries more than its share of the tolerance
+        fair = rel_tol * size / (base[:, 2] + np.bincount(owner, minlength=n))
+        cand = np.flatnonzero(need[owner] & (diff > fair[owner]) & ~whole)
+        if not cand.size:
+            break
+        cut = _split_points(probe[cand], lo[cand], hi[cand])
+        # a panel at floating-point resolution stays whole, and so does one
+        # whose |K - G| is within the rounding of its largest node values (a
+        # log value L is known to eps |L|, and so is e^L); neither is tried
+        # again
+        ok = (cut > lo[cand]) & (cut < hi[cand]) & (
+            diff[cand] > _NOISE * np.abs(probe[cand].max(axis=1)) * kron[cand])
+        whole[cand[~ok]] = True
+        cand, cut = cand[ok], cut[ok]
+        co = owner[cand]
+        budget = _REFINE_SPLITS - splits
+        if (np.bincount(co, minlength=n) > budget).any():
+            # within an owner's remaining budget, its worst panels; the
+            # candidates keep their order, so no owner's depends on another's
+            order = np.lexsort((-diff[cand], co))
+            rank = np.empty(cand.size, dtype=np.intp)
+            rank[order] = np.arange(cand.size) - np.searchsorted(co[order], co[order])
+            keep = rank < budget[co]
+            cand, cut, co = cand[keep], cut[keep], co[keep]
+        if not cand.size:
+            break
+        if origin is None:
+            origin = np.arange(owner.size)
+        splits += np.bincount(co, minlength=n)
+        klo = np.concatenate([lo[cand], cut])
+        khi = np.concatenate([cut, hi[cand]])
+        ko = np.concatenate([co, co])
+        khalf = 0.5 * (khi - klo)
+        ksum = evaluate(ko, 0.5 * (klo + khi)[:, None] + khalf[:, None] * _UNIT_NODES)
+        # a peak the first nodes missed (a boundary layer at a window end)
+        # raises its owner's shift, and the owner's sums are rescaled to it
+        raised = shift.copy()
+        np.maximum.at(raised, ko, ksum.max(axis=1))
+        if (raised > shift).any():
+            scale = np.exp(shift - raised)
+            sums *= scale[owner, None]
+            base[:, :2] *= scale[:, None]
+            shift = raised
+        kprobe = ksum[:, _PROBE]
+        ksums = _panel_sums(ksum, shift[ko], khalf)
+        m = cand.size
+        hi[cand], sums[cand], probe[cand] = cut, ksums[:m], kprobe[:m]
+        owner = np.concatenate([owner, co])
+        origin = np.concatenate([origin, origin[cand]])
+        lo = np.concatenate([lo, cut])
+        hi = np.concatenate([hi, khi[m:]])
+        sums = np.concatenate([sums, ksums[m:]])
+        probe = np.concatenate([probe, kprobe[m:]])
+        whole = np.concatenate([whole, np.zeros(m, dtype=bool)])
+    return owner, origin, lo, hi, sums, probe, shift
+
+
+class _Table:
+    """The whole panels that the rows of one call take on one side of
+    u = 0, panel by panel: ``lo``, ``hi`` and ``m``, the power t^m of phi
+    on the piece the panel serves.
+
+    For a kernel with power pieces, a panel holds the sums of the row-free
+    e^(log f A - m sigma), relative to e^peak, its largest node value:
+    ``peak``, ``sums`` and ``probe`` from its 15 nodes, and once a row of
+    the call needs it refined, ``fine_peak`` and ``fine_sums`` refined to
+    its own rel_tol (``done``).  The sums are the :func:`_panel_sums`
+    columns and the error the panel reports, summed over its sub-panels in
+    sigma order: QUADPACK's, or its |K - G| as it is while it has not met
+    ``rel_tol`` on its own.
+    For a kernel without power pieces, ``nodes`` holds log f A at the 15
+    nodes, to which a row adds its log phi.  A panel depends on nothing but
+    itself."""
+
+    def __init__(self, f, p, side, edges, parts, power, rel_tol):
+        j = np.concatenate([np.empty(0, dtype=np.intp), *(jj for jj, _ in parts)])
+        self.m = np.concatenate([np.empty(0), *(np.full(jj.size, m or 0.0) for jj, m in parts)])
+        self.lo, self.hi = lo, hi = edges[j], edges[j + 1]
+        half = 0.5 * (hi - lo)
+        sigma = 0.5 * (lo + hi)[:, None] + half[:, None] * _UNIT_NODES
+        u = side * np.exp(sigma)
+        # log A from the lattice's own nodes where a panel is a lattice panel
+        lat = np.minimum(np.searchsorted(_EDGES, lo), _EDGES.size - 2)
+        on = (_EDGES[lat] == lo) & (_EDGES[lat + 1] == hi)
+        es, ec = p.weight_exponents
+        log_a = np.empty(sigma.shape)
+        log_a[on] = es * _LATTICE_LOG_SINH[lat[on]] + ec * _LATTICE_LOG_COSH[lat[on]]
+        log_a[~on] = log_weight_a(p, u[~on])
+        summand = _fa_log(f, p, u, log_a)
+        self.nodes = None
+        if not power:
+            self.nodes = summand
+            return
+        summand -= self.m[:, None] * sigma
+        self.peak = summand.max(axis=1)
+        self.live = np.isfinite(self.peak)
+        self.probe = summand[:, _PROBE]
+        sums = _panel_sums(summand, np.where(self.live, self.peak, 0.0), half)
+        sums[~self.live] = 0.0
+        # QUADPACK's scaling of |K - G| holds where the rule resolves the
+        # panel; one that has not met rel_tol on its own, as at an essential
+        # zero of f, reports its |K - G| as it is
+        unmet = sums[:, 1] > rel_tol * sums[:, 0]
+        self.sums = np.concatenate([sums, np.where(unmet, sums[:, 1], _quadpack(
+            sums[:, 0], sums[:, 1]))[:, None]], axis=1)
+        self.fine_peak, self.fine_sums = self.peak.copy(), self.sums.copy()
+        self.done = np.zeros(lo.size, dtype=bool)
+
+    def settle(self, which, owner, lo, sums, shift):
+        """Store the refinement of the panels ``which``: their sub-panels
+        (owner, lo, sums) as :func:`_refine` left them, owner i standing
+        for which[i], and each one's ``shift``."""
+        order = np.lexsort((lo, owner))
+        owner, sums = owner[order], sums[order]
+        sums = np.concatenate([sums, _quadpack(sums[:, 0], sums[:, 1])[:, None]], axis=1)
+        self.fine_sums[which] = np.stack(
+            [np.bincount(owner, c, minlength=which.size) for c in sums.T], axis=1)
+        self.fine_peak[which] = np.where(self.live[which], shift, self.peak[which])
+        self.done[which] = True
+
+
 def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
     """log A(x) H f(x) at each x in xs for non-negative f, entirely in log
     space so that weight-cancelling tails (f ~ A^(-1/p)) neither overflow nor
@@ -347,20 +548,37 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
     With u = x/t and sigma = log|u|, A(x) H f(x) is the integral over sigma
     of phi(|x| e^(-sigma)) f(u) A(u): a convolution in sigma.  It is taken on
     one fixed Gauss-Kronrod (7, 15) panel lattice in sigma, anchored at
-    sigma = 0, 0.1 wide for |u| in (e^-8, e^8) and graded outward.  Each
-    array pass evaluates log f A once per node of the lattice panels its
-    rows need; a row adds log phi at log t = log|x| - sigma, and evaluates
-    afresh only two cut panels at its own window ends.  A row whose summed
-    |Kronrod - Gauss| exceeds ``cfg.rel_tol`` splits the panels that carry
-    more than their share of it, in up to 12 rounds of at most 64 splits in
-    all.  A row's panels are summed in sigma order, so its result does not
-    depend on the other x values or on the chunking.
+    sigma = 0, 0.1 wide for |u| in (e^-8, e^8) and graded outward, with f's
+    support ends and breakpoints added as edges.
+
+    On a power piece t^m of phi (:meth:`KernelSpec.power_pieces`), phi at
+    t = |x| e^(-sigma) is |x|^m e^(-m sigma), so the integrand is one
+    row-free function scaled per x.  For each sign of u and each piece, one
+    table per call holds every panel the rows take whole: its sums of
+    e^(log f A - m sigma) from its 15 nodes, relative to its peak.  A row
+    takes its whole panels from the table, each scaled by e^(m log|x| +
+    peak - shift), one multiply per panel, and evaluates afresh only its
+    cut panels: at its window ends and, for ``hlp``, at its kink t = 1,
+    where each side has its own piece.  A row whose summed |Kronrod - Gauss|
+    exceeds ``cfg.rel_tol`` takes the table panels that carry more than
+    their share of it refined.  A table panel is refined once per call, to
+    its own rel_tol, in the same rounds
+    as the rows' cut panels, which a row splits where they carry more than
+    their share of its tolerance: up to 12 rounds of at most 64 splits per
+    panel or row.  A kernel without power pieces (Cesaro,
+    Riemann-Liouville, tabulated) reads log f A at the table's nodes, adds
+    log phi at t = |x| e^(-sigma) per node, and refines any of its panels.
+    A row's panels are summed in sigma order, and a table panel depends on
+    nothing but itself, so a row's result does not depend on the other x
+    values or on the chunking.
 
     Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes and
     +inf where the t-integral diverges: where the integrand peaks at a
     window end cut by ``truncation_t`` (or by the clip at t = 1e-8
     min(|x|, 1)) rather than by a support.  rel_err sums each panel's
-    QUADPACK error estimate, the mass beyond such a cut, extrapolated
+    QUADPACK error estimate (a table panel that has not met rel_tol on its
+    own, as at an essential zero of f, its |Kronrod - Gauss| as it is,
+    whose QUADPACK scaling reads low there), the mass beyond such a cut, extrapolated
     geometrically from the cut panel's mass and log slope, and a rounding
     floor of eps times the row's summed node values.
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec), and must not
@@ -381,6 +599,7 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
         flo, fhi = f.support()
     except AttributeError:
         flo, fhi = -math.inf, math.inf
+    points = np.asarray(getattr(f, "breakpoints", tuple)(), dtype=float)
     # one errstate for the whole pass: -inf logs, underflowing exponentials
     # and the inf - inf of empty rows are all expected and handled
     with np.errstate(all="ignore"):
@@ -393,9 +612,11 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
         # The divergence test and the tail charge look only at a clipped end
         log_x = np.log(np.abs(xs))
         pos = xs > 0.0
-        # log|u| at f's support ends on either side of 0, and log t at phi's
-        f_lo, f_hi, f_lo_neg, f_hi_neg, k_lo, k_hi = np.log(np.maximum(
-            [flo, fhi, -fhi, -flo, klo, khi], 0.0))
+        # log|u| at f's support ends and breakpoints on either side of 0,
+        # and log t at phi's support ends
+        logs = np.log(np.maximum(np.concatenate(
+            [[flo, fhi, -fhi, -flo, klo, khi], points, -points]), 0.0))
+        f_lo, f_hi, f_lo_neg, f_hi_neg, k_lo, k_hi = logs[:6]
         lo_g = np.maximum(np.where(pos, f_lo, f_lo_neg), log_x - k_hi)
         hi_g = np.minimum(np.where(pos, f_hi, f_hi_neg), log_x - k_lo)
         lo_c = np.maximum(np.minimum(log_x, 0.0) - math.log(cfg.truncation_t), _SIGMA_MIN)
@@ -404,174 +625,257 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
         s_lo, s_hi = np.maximum(lo_g, lo_c), np.minimum(hi_g, hi_c)
         log_vals = np.full(xs.shape, -math.inf)
         rel_err = np.zeros(xs.shape)
-        rows = np.flatnonzero(s_lo < s_hi)
-        ja, jb, lo_cut, hi_cut = _window_panels(s_lo[rows], s_hi[rows])
-        # the rows in chunks of about _CHUNK_PANELS panels, counting each
-        # row's whole panels and its two cut panels
-        chunk = np.cumsum(jb - ja + 2) // _CHUNK_PANELS
-        starts = np.flatnonzero(np.diff(chunk, prepend=-1))
-        for c0, c1 in zip(starts, [*starts[1:], rows.size]):
-            r = rows[c0:c1]
-            log_vals[r], rel_err[r] = _log_grid_rows(
-                k, f, p, cfg, xs[r], log_x[r], s_lo[r], s_hi[r],
-                ja[c0:c1], jb[c0:c1], lo_cut[c0:c1], hi_cut[c0:c1],
-                cut_lo[r], cut_hi[r])
+        pts, neg = logs[6:6 + points.size], logs[6 + points.size:]
+        for side, mine, ends in ((1.0, pos, [f_lo, f_hi, *pts]),
+                                 (-1.0, ~pos, [f_lo_neg, f_hi_neg, *neg])):
+            r = np.flatnonzero(mine & (s_lo < s_hi))
+            if r.size:
+                log_vals[r], rel_err[r] = _log_grid_side(
+                    k, f, p, cfg, side, _side_edges(np.array(ends)), xs[r], log_x[r],
+                    s_lo[r], s_hi[r], cut_lo[r], cut_hi[r])
     return log_vals, rel_err
 
 
-def _log_grid_rows(k, f, p, cfg, x, log_x, s_lo, s_hi, ja, jb,
-                   lo_cut, hi_cut, cut_lo, cut_hi):
-    """(log A(x) H f(x), rel_err) for the rows of one array pass of
-    :func:`hausdorff_log_grid`."""
-    n = x.size
-    sign = np.where(x < 0.0, -1.0, 1.0)
-    # each row's panels in sigma order: the lower cut panel, its whole
-    # lattice panels ja .. jb-1, the upper cut panel
-    counts = jb - ja + 2
-    first = np.cumsum(counts) - counts
-    last = first + counts - 1
-    row = np.repeat(np.arange(n), counts)
-    gidx = np.arange(row.size) + np.repeat(ja - first - 1, counts)
-    lo, hi = _EDGES[gidx], _EDGES[gidx + 1]
-    lo[first], hi[first], lo[last], hi[last] = s_lo, lo_cut, hi_cut, s_hi
-    half = 0.5 * (hi - lo)
-    # log f A once per node of the lattice panels the rows need, in one
-    # table per sign of u, side by side; ``offset`` takes a row's lattice
-    # index to its table row
-    es, ec = p.weight_exponents
-    tables, offset, filled = [], np.zeros(n, dtype=np.intp), 0
-    for side in (sign[0],) if (sign == sign[0]).all() else (1.0, -1.0):
-        mine = (sign == side) & (jb > ja)
-        if mine.any():
-            j = slice(ja[mine].min(), jb[mine].max())
-            log_a = es * _LATTICE_LOG_SINH[j] + ec * _LATTICE_LOG_COSH[j]
-            tables.append(_fa_log(f, p, side * _LATTICE_U[j], log_a))
-            offset[mine] = filled - j.start
-            filled += j.stop - j.start
-    # the cut panels' rows of the gather are overwritten afresh
-    ends = np.concatenate([first, last])
-    if tables:
-        table = np.concatenate(tables) if len(tables) > 1 else tables[0]
-        summand = table[np.clip(gidx + offset[row], 0, filled - 1)]
-    else:
-        summand = np.empty((row.size, _UNIT_NODES.size))
-    sigma = _LATTICE_SIGMA[gidx]
-    sigma[ends] = 0.5 * (lo[ends] + hi[ends])[:, None] + half[ends, None] * _UNIT_NODES
-    summand[ends] = _fa_log(f, p, sign[row[ends], None] * np.exp(sigma[ends]))
-    # log t = log|x| - sigma
-    summand += k.log_phi(np.subtract(log_x[row, None], sigma, out=sigma))
+def _log_grid_side(k, f, p, cfg, side, edges, x, log_x, s_lo, s_hi, cut_lo, cut_hi):
+    """(log A(x) H f(x), rel_err) for the rows of :func:`hausdorff_log_grid`
+    on one side of x = 0, whose windows are not empty: their segments, one
+    per piece of phi, the call's table of their whole panels, and the rows
+    in chunks."""
+    n = log_x.size
+    # the pieces of phi in sigma order, that is by decreasing t; a kernel
+    # without power pieces is one piece, read through log phi
+    order = k.power_pieces()[::-1] or ((*k.support(), None),)
+    power = order[0][2] is not None
+    seg_row, seg_piece, seg_lo, seg_hi = np.arange(n), np.zeros(n, dtype=np.intp), s_lo, s_hi
+    if len(order) > 1:
+        # a segment per piece, split at sigma = log|x| - log t of each kink
+        bounds = [s_lo, *(np.clip(log_x - math.log(a), s_lo, s_hi) for a, _, _ in order[:-1]), s_hi]
+        seg_lo, seg_hi = np.stack(bounds[:-1], axis=1).ravel(), np.stack(bounds[1:], axis=1).ravel()
+        keep = np.flatnonzero(seg_lo < seg_hi)
+        seg_row, seg_piece = keep // len(order), keep % len(order)
+        seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
+    ja, jb, lo_cut, hi_cut = _window_panels(
+        edges, seg_lo, seg_hi, cut_lo[seg_row] & (seg_lo == s_lo[seg_row]),
+        cut_hi[seg_row] & (seg_hi == s_hi[seg_row]))
+    # one table for the whole call: per piece, the panels its segments take
+    # whole; ta .. ta + jb - ja - 1 are a segment's table entries
+    ta = np.zeros(seg_row.size, dtype=np.intp)
+    parts, filled = [], 0
+    for i, (_, _, m) in enumerate(order):
+        mine = np.flatnonzero((seg_piece == i) & (ja < jb))
+        if mine.size:
+            used = np.cumsum(np.bincount(ja[mine], minlength=edges.size)
+                             - np.bincount(jb[mine], minlength=edges.size)) > 0
+            ta[mine] = filled + np.cumsum(used)[ja[mine]] - 1
+            parts.append((np.flatnonzero(used), m))
+            filled += parts[-1][0].size
+    table = _Table(f, p, side, edges, parts, power, cfg.rel_tol)
+    seg = (seg_row, np.array([m or 0.0 for _, _, m in order])[seg_piece], seg_lo, lo_cut,
+           hi_cut, seg_hi, ta, ta + jb - ja)
+    # the rows in chunks of about _CHUNK_PANELS panels
+    count = np.cumsum((lo_cut > seg_lo) + (jb - ja) + (seg_hi > hi_cut))
+    if count[-1] <= _CHUNK_PANELS:
+        return _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table)
+    chunk = count[np.searchsorted(seg_row, np.arange(n), side="right") - 1] // _CHUNK_PANELS
+    starts = np.flatnonzero(np.diff(chunk, prepend=-1))
+    log_vals, rel_err = np.empty(n), np.empty(n)
+    for r0, r1 in zip(starts, [*starts[1:], n]):
+        c = slice(*np.searchsorted(seg_row, [r0, r1]))
+        log_vals[r0:r1], rel_err[r0:r1] = _log_grid_rows(
+            k, f, p, cfg, side, x[r0:r1], log_x[r0:r1], cut_lo[r0:r1], cut_hi[r0:r1],
+            (seg[0][c] - r0, *(a[c] for a in seg[1:])), table)
+    return log_vals, rel_err
 
-    # the shift is each row's largest node value; an integrand peaking at
-    # the outermost node next to an artificial cut, with non-negligible
-    # magnitude, grows toward the cut: the t-integral diverges there
-    shift = np.maximum.reduceat(summand.ravel(), first * _UNIT_NODES.size)
+
+def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
+    """(log A(x) H f(x), rel_err) for the rows of one array pass of
+    :func:`hausdorff_log_grid`, from their segments ``seg`` and the call's
+    ``table`` of whole panels."""
+    n = log_x.size
+    srow, sm, s_lo, lo_cut, hi_cut, s_hi, ta, tb = seg
+    power = table.nodes is None
+    # each row's panels in sigma order, segment by segment: its lower cut
+    # panel unless that is empty, its whole panels from the table, its
+    # upper cut panel unless that is empty; ``start`` is a segment's first
+    # place in that order
+    has_lo, has_hi = lo_cut > s_lo, s_hi > hi_cut
+    w = tb - ta
+    count = has_lo + w + has_hi
+    start = np.cumsum(count) - count
+    total = int(start[-1] + count[-1])
+    skip = np.cumsum(w) - w
+    at = np.arange(int(skip[-1] + w[-1]))
+    wtab = at + np.repeat(ta - skip, w)
+    wlay = at + np.repeat(start + has_lo - skip, w)
+    wrow = np.repeat(srow, w)
+    # the panels a row reads node by node: its cut panels, evaluated
+    # afresh, and for a kernel without power pieces the table's panels too,
+    # which then puts them all in sigma order
+    lower, upper = np.flatnonzero(has_lo), np.flatnonzero(has_hi)
+    cuts = np.concatenate([lower, upper])
+    nlay = np.concatenate([start[lower], (start + count - 1)[upper]])
+    nlo = np.concatenate([s_lo[lower], hi_cut[upper]])
+    nhi = np.concatenate([lo_cut[lower], s_hi[upper]])
+    nrow = srow[cuts]
+    if not power:
+        order = np.empty(total, dtype=np.intp)
+        order[np.concatenate([nlay, wlay])] = np.arange(total)
+        nlay, nrow = np.arange(total), np.concatenate([nrow, wrow])[order]
+        nlo = np.concatenate([nlo, table.lo[wtab]])[order]
+        nhi = np.concatenate([nhi, table.hi[wtab]])[order]
+        wtab = np.concatenate([np.full(cuts.size, -1), wtab])[order]
+    half = 0.5 * (nhi - nlo)
+    sigma = 0.5 * (nlo + nhi)[:, None] + half[:, None] * _UNIT_NODES
+    if power:
+        summand = _fa_log(f, p, side * np.exp(sigma))
+    else:
+        summand = table.nodes[np.maximum(wtab, 0)] if table.nodes.size else np.empty(sigma.shape)
+        own = np.flatnonzero(wtab < 0)
+        summand[own] = _fa_log(f, p, side * np.exp(sigma[own]))
+    # log t = log|x| - sigma
+    summand += k.log_phi(np.subtract(log_x[nrow, None], sigma, out=sigma))
+    probe = summand[:, _PROBE]
+    # the node values next to an artificial cut: the lower cut panel of a
+    # row's first segment or the upper one of its last
+    first = np.searchsorted(srow, np.arange(n))
+    last = np.append(first[1:], srow.size) - 1
+    hit_lo, hit_hi = np.flatnonzero(cut_lo), np.flatnonzero(cut_hi)
+    if power:
+        end_lo = np.searchsorted(lower, first[hit_lo])
+        end_hi = lower.size + np.searchsorted(upper, last[hit_hi])
+    else:
+        end_lo, end_hi = start[first[hit_lo]], (start + count - 1)[last[hit_hi]]
+    ends = [(hit_lo, 0, end_lo, summand[end_lo]), (hit_hi, -1, end_hi, summand[end_hi])]
+
+    # the shift is each row's largest node value, where a table panel's is
+    # its peak scaled by |x|^m; each row's whole panels are contiguous
+    if power:
+        shift = np.full(n, -math.inf)
+        np.maximum.at(shift, nrow, summand.max(axis=1))
+        wcount = np.bincount(srow, w, minlength=n).astype(np.intp)
+        lx = np.repeat(sm * log_x[srow], w)
+        top = lx + table.peak[wtab]
+        if at.size:
+            most = np.maximum.reduceat(top, np.minimum(np.cumsum(wcount) - wcount, at.size - 1))
+            shift = np.maximum(shift, np.where(wcount > 0, most, -math.inf))
+    else:
+        shift = np.maximum.reduceat(summand.ravel(), start[first] * _UNIT_NODES.size)
     live = np.isfinite(shift)
+    shift = np.where(live, shift, 0.0)
+    sums = _panel_sums(summand, shift[nrow], half)
+    base, fresh = None, np.empty(0, dtype=np.intp)
+    if power:
+        # a row whose estimate exceeds rel_tol takes its table panels that
+        # carry more than their share of it refined, each once for the call
+        # and to its own rel_tol; the rest it takes as their 15 nodes give
+        # them.  A table panel's entry is scaled by one multiply
+        scaled = table.sums[wtab]
+        scale = np.exp(top - shift[wrow])
+        kron = np.bincount(wrow, scaled[:, 0] * scale, minlength=n)
+        diff = np.bincount(wrow, scaled[:, 1] * scale, minlength=n)
+        size = kron + np.bincount(nrow, sums[:, 0], minlength=n)
+        fair = cfg.rel_tol * size / (wcount + np.bincount(nrow, minlength=n))
+        need = live & (diff + np.bincount(nrow, sums[:, 1], minlength=n) > cfg.rel_tol * size)
+        pick = np.flatnonzero(need[wrow])
+        pick = pick[scaled[pick, 1] * scale[pick] > fair[wrow[pick]]]
+        if pick.size:
+            # while the cut panels refine, a picked panel counts as converged
+            diff -= np.bincount(wrow[pick], scaled[pick, 1] * scale[pick], minlength=n)
+            fresh = np.flatnonzero(np.bincount(wtab[pick], minlength=table.lo.size))
+            fresh = fresh[~table.done[fresh]]
+        base = np.stack([kron, diff, wcount], axis=1).astype(float)
+    # an integrand peaking at the outermost node next to an artificial cut,
+    # with non-negligible magnitude, grows toward the cut: the t-integral
+    # diverges there.  The mass beyond the cut: the next panel of the cut
+    # panel's width is taken as r times its mass, r = e^(-slope * width)
+    # from its two outermost nodes, at most 0.9 as in quad's dyadic tail
     divergent = np.zeros(n, dtype=bool)
-    # the mass beyond an artificial cut: the next panel of the cut panel's
-    # width is taken as r times its mass, r = e^(-slope * width) from its
-    # two outermost nodes, at most 0.9 as in quad's dyadic tail
+    tail = np.zeros(n)
     span = 0.5 * (_UNIT_NODES[-1] - _UNIT_NODES[0])
-    cut_ends = []
-    for cut, panel, out, inner in ((cut_lo, first, 0, -1), (cut_hi, last, -1, 0)):
-        if cut.any():
-            hit, end = np.flatnonzero(cut), summand[panel[cut]]
-            divergent[hit] |= end[:, out] == shift[hit]
-            ratio = np.exp(np.fmin((end[:, out] - end[:, inner]) / span, math.log(0.9)))
-            cut_ends.append((hit, panel[cut], ratio))
-    divergent &= live
+    for hit, out, panel, end in ends:
+        divergent[hit] |= live[hit] & (end[:, out] == shift[hit])
+        ratio = np.exp(np.fmin((end[:, out] - end[:, -1 - out]) / span, math.log(0.9)))
+        tail[hit] += sums[panel, 0] * ratio / (1.0 - ratio)
     if divergent.any():
         divergent[divergent] = shift[divergent] - log_weight_a(p, x[divergent]) > -650.0
         live &= ~divergent
-    # rows that are not live are dropped below; shifting them by 0 keeps
-    # their inf - inf out of the exponent
-    shift = np.where(live, shift, 0.0)
-    probe = summand[:, _PROBE]
-    kron, diff, mag = _panel_sums(summand, shift[row], half)
-    tail = np.zeros(n)
-    for hit, panel, ratio in cut_ends:
-        tail[hit] += kron[panel] * ratio / (1.0 - ratio)
 
-    splits = np.zeros(n, dtype=np.intp)
-    refined = False
-    for _ in range(_REFINE_ROUNDS):
-        size = np.bincount(row, kron, minlength=n)
-        need = live & (np.bincount(row, diff, minlength=n) > cfg.rel_tol * size)
-        need &= splits < _REFINE_SPLITS
-        if not need.any():
-            break
-        # a panel is split when it carries more than its share of the tolerance
-        fair = cfg.rel_tol * size / np.bincount(row, minlength=n)
-        cand = np.flatnonzero(need[row] & (diff > fair[row]))
-        cut = _split_points(probe[cand], lo[cand], hi[cand])
-        # a panel at floating-point resolution stays whole
-        ok = (cut > lo[cand]) & (cut < hi[cand])
-        cand, cut = cand[ok], cut[ok]
-        cr = row[cand]
-        budget = _REFINE_SPLITS - splits
-        if (np.bincount(cr, minlength=n) > budget).any():
-            # within a row's remaining budget, its worst panels; the
-            # candidates keep their order, so no row's depends on another's
-            order = np.lexsort((-diff[cand], cr))
-            rank = np.empty(cand.size, dtype=np.intp)
-            rank[order] = np.arange(cand.size) - np.searchsorted(cr[order], cr[order])
-            keep = rank < budget[cr]
-            cand, cut, cr = cand[keep], cut[keep], cr[keep]
-        if not cand.size:
-            break
-        refined = True
-        splits += np.bincount(cr, minlength=n)
-        # the two children: the lower one takes the parent's slot, the upper
-        # one goes at the end
-        klo = np.concatenate([lo[cand], cut])
-        khi = np.concatenate([cut, hi[cand]])
-        kr = np.concatenate([cr, cr])
-        khalf = 0.5 * (khi - klo)
-        ksig = 0.5 * (klo + khi)[:, None] + khalf[:, None] * _UNIT_NODES
-        ksum = (_fa_log(f, p, sign[kr, None] * np.exp(ksig))
-                + k.log_phi(log_x[kr, None] - ksig))
-        # a peak the first nodes missed (a boundary layer at a window end)
-        # raises its row's shift, and the row's sums are rescaled to it
-        raised = shift.copy()
-        np.maximum.at(raised, kr, ksum.max(axis=1))
-        if (raised > shift).any():
-            scale = np.exp(shift - raised)
-            kron, diff, mag = kron * scale[row], diff * scale[row], mag * scale[row]
-            tail, shift = tail * scale, raised
-        kprobe = ksum[:, _PROBE]
-        kk, kd, km = _panel_sums(ksum, shift[kr], khalf)
-        m = cand.size
-        hi[cand], kron[cand], diff[cand], probe[cand] = cut, kk[:m], kd[:m], kprobe[:m]
-        mag[cand] = km[:m]
-        row = np.concatenate([row, cr])
-        lo = np.concatenate([lo, cut])
-        hi = np.concatenate([hi, khi[m:]])
-        kron = np.concatenate([kron, kk[m:]])
-        diff = np.concatenate([diff, kd[m:]])
-        mag = np.concatenate([mag, km[m:]])
-        probe = np.concatenate([probe, kprobe[m:]])
+    # the picked table panels not refined yet join the same rounds, as
+    # owners 0 .. t-1
+    t = fresh.size
+    if t:
+        nrow = np.concatenate([np.arange(t), nrow + t])
+        nlo, nhi = np.concatenate([table.lo[fresh], nlo]), np.concatenate([table.hi[fresh], nhi])
+        sums = np.concatenate([table.sums[fresh, :3], sums])
+        probe = np.concatenate([table.probe[fresh], probe])
+        shift = np.concatenate([np.where(table.live[fresh], table.peak[fresh], 0.0), shift])
+        live = np.concatenate([table.live[fresh], live])
+        base = np.concatenate([np.zeros((t, 3)), base])
 
-    # each row's panels summed in sigma order, one after the other; the
-    # zeros that pad the shorter rows add nothing.  |K - G| is the error of
-    # the Gauss sum: refinement is driven by it, but a panel reports
-    # QUADPACK's estimate of the Kronrod error, |K - G| min(1, (200 |K - G|
-    # / K)^1.5), as scipy's quad does
-    if refined:
-        order = np.lexsort((lo, row))
-        row, kron, diff, mag = row[order], kron[order], diff[order], mag[order]
-    diff = np.where(diff > 0.0, diff * np.minimum(1.0, (200.0 * diff / kron) ** 1.5), 0.0)
-    counts = np.bincount(row, minlength=n)
-    rank = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-    pad = np.zeros((2, n, int(counts.max())))
-    pad[0, row, rank], pad[1, row, rank] = kron, diff
-    size, err = np.cumsum(pad, axis=-1)[..., -1]
+    def evaluate(owner, s):
+        # log t = log|x| - sigma for a row, and sigma m for a table panel
+        v = _fa_log(f, p, side * np.exp(s))
+        if not t:
+            return v + k.log_phi(log_x[owner, None] - s)
+        mine = np.flatnonzero(owner >= t)
+        other = np.flatnonzero(owner < t)
+        v[other] -= table.m[fresh[owner[other]], None] * s[other]
+        v[mine] += k.log_phi(log_x[owner[mine] - t, None] - s[mine])
+        return v
+
+    nrow, origin, nlo, _, sums, _, raised = _refine(
+        nrow, nlo, nhi, sums, probe, shift, live, evaluate, cfg.rel_tol, base)
+    if t:
+        mine = nrow >= t
+        table.settle(fresh, nrow[~mine], nlo[~mine], sums[~mine], raised[:t])
+        nrow, nlo, sums = nrow[mine] - t, nlo[mine], sums[mine]
+        origin = None if origin is None else origin[mine] - t
+        shift, raised, live = shift[t:], raised[t:], live[t:]
+    if power:
+        if pick.size:
+            # a picked panel enters refined, and its peak can raise its
+            # row's shift
+            scaled[pick] = table.fine_sums[wtab[pick]]
+            top[pick] = lx[pick] + table.fine_peak[wtab[pick]]
+            most = raised.copy()
+            np.maximum.at(most, wrow[pick], top[pick])
+            most = np.where(live, most, raised)
+            sums *= np.exp(raised - most)[nrow, None]
+            raised = most
+        scale = np.exp(top - raised[wrow]) if pick.size or (raised != shift).any() else scale
+        scaled *= scale[:, None]
+    tail *= np.exp(shift - raised)
+
+    # each row's panels in sigma order, a split panel replaced by its
+    # pieces in sigma order, summed one after the other.  |K - G| is the
+    # error of the Gauss sum: refinement is driven by it, but a panel
+    # reports QUADPACK's estimate of the Kronrod error, which a table panel
+    # brings summed over its sub-panels
+    npos, wpos = nlay, wlay
+    if origin is not None:
+        order = np.lexsort((nlo, origin))
+        nrow, origin, sums = nrow[order], origin[order], sums[order]
+        pieces = np.ones(total, dtype=np.intp)
+        pieces[nlay] = np.bincount(origin, minlength=nlay.size)
+        place = np.cumsum(pieces) - pieces
+        npos = place[nlay[origin]] + np.arange(origin.size) - np.searchsorted(origin, origin)
+        wpos, total = place[wlay], int(place[-1] + pieces[-1])
+    owners, kron, err, mag = (np.empty(total, dtype=np.intp), np.empty(total),
+                              np.empty(total), np.empty(total))
+    owners[npos], kron[npos], mag[npos] = nrow, sums[:, 0], sums[:, 2]
+    err[npos] = _quadpack(sums[:, 0], sums[:, 1])
+    if power:
+        owners[wpos], kron[wpos], err[wpos], mag[wpos] = wrow, scaled[:, 0], scaled[:, 3], scaled[:, 2]
+    size = np.bincount(owners, kron, minlength=n)
+    err = np.bincount(owners, err, minlength=n)
     log_vals = np.where(divergent, math.inf, -math.inf)
     good = live & (size > 0.0)
-    log_vals[good] = shift[good] + np.log(size[good])
+    log_vals[good] = raised[good] + np.log(size[good])
     rel_err = np.zeros(n)
     # the QUADPACK estimate of a converged row can read far below its
     # rounding error (1e-33 for an error of 4e-16 on a smooth row): eps per
     # node value, summed without the weights, bounds it
-    floor = np.finfo(float).eps * np.bincount(row, mag, minlength=n)
+    floor = np.finfo(float).eps * np.bincount(owners, mag, minlength=n)
     rel_err[good] = (err[good] + tail[good] + floor[good]) / size[good]
     return log_vals, rel_err
 

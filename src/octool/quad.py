@@ -152,6 +152,12 @@ def _gk15(f, lo, hi):
     y = y.reshape(-1, *s.shape)
     kron = half * (y @ _WK)
     diff = np.abs(kron - half * (y @ _WG15))
+    if half.min(initial=math.inf) < _TINY:
+        # a panel narrower than the smallest normal double takes its nodes
+        # and sums in subnormal steps of 2^-1074, each rounded: sixteen of
+        # them per node value bound what |K - G| cannot see
+        diff = diff + np.where(half < _TINY, 16.0 * np.finfo(float).smallest_subnormal
+                               * np.abs(y).max(axis=-1), 0.0)
     if inner is None:
         # real, as an estimate is, whatever the values are
         return kron, diff, np.zeros(kron.shape)
@@ -168,6 +174,7 @@ def panel_rule(edges):
     return x, half[:, None] * _WK[None, :], half[:, None] * _WG15[None, :]
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
 _SHRINK_FACTOR = 1.05  # dyadic blocks must shrink at least this fast
 _DIVERGENCE_WINDOW = 4
 # log-coordinate span of a 0 or infinite end: e^(-0.05 s) reaches 1e-13 by
@@ -235,8 +242,10 @@ def _half_line_pieces(sign: float, a: float, b: float, cutoff) -> list:
         span = min(_LOG_SPAN, math.log(np.finfo(float).max) - math.log(start))
         piece = _Piece(sign, 1, start, _dyadic_edges(0.0, span), True)
         return [piece, *_half_line_pieces(sign, a, start, None)] if start > a else [piece]
-    if a == 0.0:
+    if a == 0.0 and b > _TINY:
         return [_to_zero(sign, b)]
+    # an interval from 0 to a b at or below the smallest normal double has no
+    # room for a log span: it is one plain block
     return [_Piece(sign, 0, 1.0, (a, b), False)]
 
 

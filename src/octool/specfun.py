@@ -390,19 +390,34 @@ _RETRY_RADIUS = 200.0
 
 def _gamma_quotient(numerators, denominators):
     """exp(sum log Gamma(num) - sum log Gamma(den)) over arrays broadcasting
-    together, from one log-gamma call, and a bound on its relative rounding
-    error.  An element is zero where one of its denominators sits at a pole,
-    NonConvergenceError if a numerator does."""
+    together, from one log-gamma call, a bound on its relative rounding
+    error, and a bound on the quotient where it was dropped.
+
+    An element is zero where one of its denominators lies within _POLE_TOL
+    of a pole -n, NonConvergenceError if a numerator does.  Off the pole by
+    d, the dropped quotient is the other factors' times 1/Gamma(-n + d),
+    at most (n! + 1) |d| in size; that bound is the third array, 0 where
+    nothing was dropped, or None when no element was."""
     args = np.broadcast_arrays(*numerators, *denominators)
     lg, lg_err, pole = _log_gamma(np.stack(args))
     k = len(numerators)
     if pole[:k].any():
         z = np.stack(args[:k])[pole[:k]][0]
         raise NonConvergenceError(f"degenerate parameter combination (Gamma pole at {z})")
+    # log Gamma reads 0 at a pole, so s leaves those denominators out
     s = lg[:k].sum(axis=0) - lg[k:].sum(axis=0)
     q = np.exp(s)
-    q[pole[k:].any(axis=0)] = 0.0
-    return q, lg_err.sum(axis=0) + _ROUND * np.abs(s)
+    dropped = None
+    at_pole = pole[k:].any(axis=0)
+    if at_pole.any():
+        den = np.stack(args[k:]).astype(complex)
+        n = -np.round(den.real)
+        with np.errstate(over="ignore"):
+            fact = np.exp([math.lgamma(v + 1.0) for v in np.where(pole[k:], n, 0.0).ravel()])
+        factor = np.where(pole[k:], (fact.reshape(n.shape) + 1.0) * np.abs(den + n), 1.0)
+        dropped = np.where(at_pole, np.abs(q) * factor.prod(axis=0), 0.0)
+        q[at_pole] = 0.0
+    return q, lg_err.sum(axis=0) + _ROUND * np.abs(s), dropped
 
 
 def _hyp_near_one(a, b, c, u):
@@ -416,13 +431,17 @@ def _hyp_near_one(a, b, c, u):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     s = c - a - b
-    (coef1, coef2), (r1, r2) = _gamma_quotient(
+    (coef1, coef2), (r1, r2), dropped = _gamma_quotient(
         [c, np.stack([s, -s])], [np.stack([c - a, a]), np.stack([c - b, b])]
     )
     s1, e1, n1 = _hyp_series(a, b, 1.0 - s, u)
     s2, e2, n2 = _hyp_series(c - a, c - b, 1.0 + s, u)
     log_u = np.log(u)
     pref2 = np.exp(s * log_u)  # u^(c-a-b), u > 0 real
+    if dropped is not None:
+        # a term dropped at a pole of its denominator: at most its bound
+        # times its series
+        dropped = dropped[0] * (np.abs(s1) + e1) + dropped[1] * np.abs(pref2) * (np.abs(s2) + e2)
     s2 *= pref2
     s2 *= coef2
     s1 *= coef1
@@ -434,6 +453,8 @@ def _hyp_near_one(a, b, c, u):
     err += e2
     err += np.abs(s1) * r1
     err += np.abs(s2) * (r2 + _ROUND * np.abs(s) * np.abs(log_u))
+    if dropped is not None:
+        err += dropped
     s1 += s2
     return s1, err, n1 + n2
 

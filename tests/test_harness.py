@@ -11,6 +11,7 @@ from octool.harness_cli import (
     THEOREM_IDS,
     VerifyReport,
     VerifyScenario,
+    _gated_report,
     build_default_suite,
     emit_report,
     run_scenario,
@@ -287,3 +288,33 @@ def test_plancherel_doubled_gap_adds_nothing_past_the_cut(suite_reports):
         assert b["rel_gap"] <= floor
         floors.append(floor)
     assert floors == pytest.approx([2.6e-4, 2.0e-6, 1.6e-3], rel=0.02)
+
+
+@pytest.mark.parametrize("upper, failing, easier", [
+    # an upper bound: lhs 2 over rhs 1 fails at err 0, while lhs 3 over rhs 1,
+    # the larger ratio, passes at err 1, whose tolerance is 10
+    (True, (2.0, 1.0, 0.0), (3.0, 1.0, 1.0)),
+    # a lower bound: a ratio of 0.5 under a bound of 1 fails, while a ratio
+    # of 2 passes
+    (False, (0.5, 1.0, 0.0), (2.0, 1.0, 0.0)),
+], ids=["upper", "lower"])
+def test_a_row_fails_when_any_pair_fails(upper, failing, easier):
+    # the pair with the largest ratio passing must not hide one that fails
+    s = build_default_suite()[0]
+    for triples in ([failing, easier], [easier, failing]):
+        r = _gated_report(s, triples, upper=upper)
+        assert r.status == "fail" and (r.lhs, r.rhs) == failing[:2]
+    assert _gated_report(s, [easier], upper=upper).status == "pass"
+
+
+def test_a_row_reports_the_pair_nearest_to_failing():
+    # both pairs pass.  Under an upper bound 0.999999 over 1 at err 0 has
+    # the larger ratio, but 0.99 over 1 at err 0.1 is nearer its own gate;
+    # under a lower bound 1.5 over 1 has the larger ratio, and 1.01 over 1
+    # at err 0.1 is nearer
+    s = build_default_suite()[0]
+    near, far = (0.99, 1.0, 0.1), (0.999999, 1.0, 0.0)
+    for upper in (True, False):
+        pairs = [near, far] if upper else [(1.01, 1.0, 0.1), (1.5, 1.0, 0.0)]
+        r = _gated_report(s, pairs, upper=upper)
+        assert r.status == "pass" and (r.lhs, r.rhs) == pairs[0][:2]

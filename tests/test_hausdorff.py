@@ -564,3 +564,100 @@ def test_log_grid_of_an_even_f_is_even_bit_for_bit(kernel, f):
         minus = hausdorff_log_grid(kernel, f, p, -xs, CFG)
         assert np.array_equal(plus[0], minus[0]) and np.array_equal(plus[1], minus[1])
         assert HausdorffImage(kernel, f, p, CFG).is_even
+
+
+_POWER_KERNELS = [
+    make_kernel("hardy"), make_kernel("adjoint_hardy"),
+    make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf),
+    make_kernel("power_cutoff", exponent=-2.0, lo=1.5, hi=2.0),
+    make_kernel("hlp"),
+]
+_SAMPLED_XS = np.linspace(0.2, 2.0, 9)
+_TABLE_FUNCTIONS = [
+    FunctionSpec("gaussian"),
+    FunctionSpec("bump", params={"center": 0.8, "width": 0.2}),
+    FunctionSpec("bump", params={"center": 0.0, "width": 1.0}),
+    FunctionSpec("sampled", params={"xs": _SAMPLED_XS, "ys": 1.5 + np.sin(3.0 * _SAMPLED_XS)}),
+]
+# seeded x in +-[1e-9, 1e9]
+_TABLE_XS = np.random.default_rng(27).choice([-1.0, 1.0], 24) * 10.0 ** np.random.default_rng(
+    28).uniform(-9.0, 9.0, 24)
+
+
+@pytest.mark.parametrize("k", _POWER_KERNELS, ids=["hardy", "adjoint_hardy", "power_cutoff_tail",
+                                                   "power_cutoff_window", "hlp"])
+def test_table_path_within_its_estimate_of_a_finer_run(k):
+    # the power kernels take their whole panels from the row-free table; a
+    # run at rel_tol / 100 is the reference each value's estimate must cover
+    fine = QuadConfig(rel_tol=CFG.rel_tol / 100.0)
+    for p in (P1, JacobiParams(1.0, 0.5), JacobiParams(1.5, 1.5)):
+        fns = [*_TABLE_FUNCTIONS, FunctionSpec("extremal_eps", params={"p": 2.0, "eps": 0.1},
+                                               jacobi=p)]
+        for f in fns:
+            lg, rel = hausdorff_log_grid(k, f, p, _TABLE_XS, CFG)
+            ref, ref_rel = hausdorff_log_grid(k, f, p, _TABLE_XS, fine)
+            finite = np.isfinite(ref)
+            assert np.array_equal(lg[~finite], ref[~finite]), (k.variant, f.family, p)
+            gap = np.abs(np.expm1(lg[finite] - ref[finite]))
+            # a log value L is itself known to eps |L|, a relative error of
+            # H f that no quadrature estimate carries
+            rounding = 4.0 * np.finfo(float).eps * np.abs(ref[finite])
+            assert np.all(gap <= rel[finite] + ref_rel[finite] + rounding), (k.variant, f.family, p)
+
+
+# H f for hlp = adjoint Hardy + Hardy on the Gaussian at (1/2, -1/2); at
+# x = e^0.7 its kink sigma = log x lies on a lattice edge
+_HLP_XS = np.array([0.5, 1.3, 2.0, 3.0, math.exp(0.7)])
+
+
+def test_hlp_kink_is_a_panel_edge():
+    # each side of the kink t = 1 is its own power piece, so no panel
+    # straddles it; the estimate covers the error against the sum of the
+    # two one-piece kernels at rel_tol 1e-14
+    f, tight = FunctionSpec("gaussian"), QuadConfig(rel_tol=1e-14)
+    lg, rel = hausdorff_log_grid(make_kernel("hlp"), f, P1, _HLP_XS, CFG)
+    parts = [hausdorff_log_grid(make_kernel(v), f, P1, _HLP_XS, tight)
+             for v in ("adjoint_hardy", "hardy")]
+    ref = np.exp(parts[0][0]) + np.exp(parts[1][0])
+    ref_err = np.exp(parts[0][0]) * parts[0][1] + np.exp(parts[1][0]) * parts[1][1]
+    assert np.all(np.abs(np.exp(lg) - ref) <= rel * ref + ref_err)
+
+
+class _Counted:
+    """A FunctionSpec read through log_abs_decomp, recording every u."""
+
+    def __init__(self, f):
+        self.f, self.seen = f, []
+
+    def support(self):
+        return self.f.support()
+
+    def breakpoints(self):
+        return self.f.breakpoints()
+
+    def log_abs_decomp(self, u):
+        self.seen.append(np.array(u, dtype=float))
+        return self.f.log_abs_decomp(u)
+
+
+def test_rows_evaluate_only_their_cut_panels_beyond_the_table():
+    # adjoint Hardy on the bump (0.8, 0.2): a row with x < 0.6 takes the
+    # window (log 0.6, 0), both of its ends f's support ends on panel edges,
+    # so 1 row and 200 rows read log f A at the same table nodes and nothing
+    # else; a row with 0.6 < x < 1 adds only the nodes of its cut panel at
+    # sigma = log x, whose panel and its neighbour are at most 0.2 wide
+    k = make_kernel("adjoint_hardy")
+    bump = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
+
+    def nodes(xs):
+        f = _Counted(bump)
+        hausdorff_log_grid(k, f, P1, xs, CFG)
+        return np.sort(np.concatenate(f.seen))
+
+    one = nodes(np.array([0.3]))
+    assert np.array_equal(nodes(np.geomspace(1e-3, 0.59, 200)), one)
+    cut = np.geomspace(0.61, 0.99, 100)
+    more = nodes(np.concatenate([np.geomspace(1e-3, 0.59, 100), cut]))
+    extra = more[~np.isin(more, one)]
+    assert np.isin(one, more).all() and extra.size
+    assert np.all(np.min(np.abs(np.log(extra)[:, None] - np.log(cut)), axis=1) <= 0.2)

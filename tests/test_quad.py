@@ -469,3 +469,13 @@ def test_tail_charge_matches_a_piece_at_a_time(lo, hi, cutoff):
             ref = _charge_tail_reference(ref, p.edges, list(sums.T[first:first + n]), CFG)
         first += n
     assert np.array_equal(total.err_estimate, ref)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-310), (-1e-310, 1e-310), (-1e-315, 0.0)])
+def test_interval_to_a_subnormal_end_is_one_plain_block(lo, hi):
+    # the log span from the end to the smallest normal double is not
+    # positive, so the piece had no block and a reshape raised ValueError;
+    # the estimate covers the subnormal rounding of the block's sums
+    r = integrate(np.ones_like, lo, hi, CFG)
+    assert abs(r.value - (hi - lo)) <= r.err_estimate
+    assert r.err_estimate <= 1e-320

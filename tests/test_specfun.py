@@ -519,3 +519,16 @@ def test_g_is_dominated_by_g_at_zero(p, lams, xs):
     # transform; up to rounding and the two cells' bounds
     g, e = _g_batch(p, [0.0, *lams], xs)
     assert (np.abs(g[1:]) <= g[0].real * (1.0 + 1e-12) + e[1:] + e[0]).all()
+
+
+def test_connection_term_dropped_near_a_pole_is_charged():
+    # c - b = -4.697e-19 i lies within _POLE_TOL of the pole 0 of Gamma, so
+    # its connection coefficient, about 7.7e-8 here, is dropped; its bound
+    # (n! + 1) |d| times the other factors is charged to the estimate
+    a, b = 1 + 6.106e-12j, 1 + 4.697e-19j
+    r = gauss_2f1(a, b, 1.0, -3.0)
+    with mpmath.workdps(30):
+        truth = complex(mpmath.hyp2f1(a, b, 1, -3))
+    assert abs(r.value - truth) <= r.abs_err_estimate
+    q, rel, dropped = specfun._gamma_quotient([np.array([1.0])], [np.array([-2.0 + 1e-13j])])
+    assert q[0] == 0.0 and dropped[0] == pytest.approx(3.0 * 1e-13, rel=1e-12)
