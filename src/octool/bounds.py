@@ -180,9 +180,9 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
                   cfg: QuadConfig, power: float = 1.0) -> NormResult:
     """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
     support, formed as one exponential of log phi and log t so that neither
-    factor under- or overflows on its own; +inf on divergence.  The grid
-    points of a ``tabulated`` kernel, where it bends, are panel edges, or a
-    narrow spike could fall between the nodes.
+    factor under- or overflows on its own; +inf on divergence.  The
+    kernel's breakpoints, where it bends, are panel edges, or a narrow
+    spike of a ``tabulated`` kernel could fall between the nodes.
 
     An array ``s`` is one vector-valued adaptive run, one component per
     exponent on a shared mesh, each held to its own tolerance: value and
@@ -196,7 +196,7 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         zero = np.zeros(np.shape(s)) if np.ndim(s) else 0.0
         return NormResult(zero, zero)
     s_col = np.asarray(s, dtype=float)[..., None]
-    points = k.params["grid"] if k.variant == "tabulated" else ()
+    points = k.breakpoints()
 
     def integrand(t):
         log_t = np.log(np.asarray(t, dtype=float))

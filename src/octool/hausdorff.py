@@ -7,15 +7,17 @@ Cesaro, Riemann-Liouville) and a diagnostic comparing the spectral transform
 of ``H f`` with the kernel-averaged transform of ``f``.
 
 :func:`hausdorff_log_grid`, the engine behind every H f norm, integrates in
-sigma = log|x/t| on a fixed panel lattice.  A kernel states its power pieces,
-the parts of its support where phi(t) = t^m (hardy, adjoint Hardy, a power
-cutoff, and hlp as two pieces split at its kink t = 1).  On a power piece the
-integrand is one row-free function, e^(log f A - m sigma), scaled per x by
-|x|^m, so each call sums it once per panel in a table, refines a table panel
-once when a row needs it, and each x takes its whole panels from the table
-with one multiply; an x evaluates afresh only the cut panels at its window
-ends and kinks.  Cesaro, Riemann-Liouville and tabulated kernels have no
-power pieces and add log phi at each node of the same lattice.
+sigma = log|x/t| on a fixed panel lattice.  A kernel states its pieces
+(:meth:`KernelSpec.pieces`): its support cut where phi bends, each with the
+power m where phi(t) = t^m on it.  Each x cuts its window at the piece edges
+and evaluates afresh only the cut panels there and at its window ends.  On a
+power piece the integrand is one row-free function, e^(log f A - m sigma),
+scaled per x by |x|^m, so each call sums it once per panel in a table,
+refines a table panel once when a row needs it, and each x takes its whole
+panels from the table with one multiply.  Pieces without a power (Cesaro,
+Riemann-Liouville, a tabulated kernel's grid segments) read log f A from the
+table and add log phi at each node.  Every panel reports the |Kronrod - Gauss|
+its refinement reads.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class KernelSpec:
             lo, hi = q.get("lo", 0.0), q.get("hi", math.inf)
             if not 0.0 <= lo < hi:
                 raise ParameterError("power_cutoff needs 0 <= lo < hi")
+            if "exponent" not in q:
+                raise ParameterError("power_cutoff needs an exponent")
         if self.variant == "tabulated":
             grid = np.asarray(q["grid"], dtype=float)
             vals = np.asarray(q["values"], dtype=float)
@@ -91,17 +95,33 @@ class KernelSpec:
             if not np.all(vals >= 0.0):
                 raise ParameterError("tabulated kernel values must be non-negative")
 
+    def pieces(self) -> tuple:
+        """((lo, hi, m), ...) in increasing t: phi's support cut where phi
+        bends, each piece with the power m where phi(t) = t^m on it, or None.
+        Hardy, adjoint Hardy and a power cutoff are one power piece, ``hlp``
+        two, split at its kink t = 1; Cesaro and Riemann-Liouville are one
+        piece without a power, and a ``tabulated`` kernel one per grid
+        segment.  The support, the breakpoints and the H f engine's segments
+        are read from it."""
+        v, q = self.variant, self.params
+        if v == "hlp":
+            return (0.0, 1.0, 0.0), (1.0, math.inf, -1.0)
+        if v == "power_cutoff":
+            return ((q.get("lo", 0.0), q.get("hi", math.inf), float(q["exponent"])),)
+        if v == "tabulated":
+            grid = np.asarray(q["grid"], dtype=float).tolist()
+            return tuple((a, b, None) for a, b in zip(grid, grid[1:]))
+        lo, hi = (1.0, math.inf) if v in ("hardy", "riemann_liouville") else (0.0, 1.0)
+        return ((lo, hi, {"hardy": -1.0, "adjoint_hardy": 0.0}.get(v)),)
+
     def support(self) -> tuple[float, float]:
-        if self.variant in ("hardy", "riemann_liouville"):
-            return 1.0, math.inf
-        if self.variant in ("adjoint_hardy", "cesaro"):
-            return 0.0, 1.0
-        if self.variant == "hlp":
-            return 0.0, math.inf
-        if self.variant == "power_cutoff":
-            return self.params.get("lo", 0.0), self.params.get("hi", math.inf)
-        grid = np.asarray(self.params["grid"], dtype=float)
-        return float(grid[0]), float(grid[-1])
+        pieces = self.pieces()
+        return pieces[0][0], pieces[-1][1]
+
+    def breakpoints(self) -> tuple:
+        """The edges between pieces, inside the support, where phi bends:
+        t = 1 for ``hlp``, the inner grid points of a ``tabulated`` kernel."""
+        return tuple(lo for lo, _, _ in self.pieces()[1:])
 
     def has_mass_on(self, lo: float, hi: float) -> bool:
         """Whether phi has mass on (lo, hi).  Every variant but ``tabulated``
@@ -115,17 +135,6 @@ class KernelSpec:
         vals = np.asarray(self.params["values"], dtype=float)
         overlap = np.maximum(grid[:-1], lo) < np.minimum(grid[1:], hi)
         return bool(np.any(overlap & ((vals[:-1] > 0.0) | (vals[1:] > 0.0))))
-
-    def power_pieces(self) -> tuple:
-        """((lo, hi, m), ...) in increasing t: the pieces of the support on
-        which phi(t) = t^m, which :func:`hausdorff_log_grid` integrates from
-        one row-free table; ``hlp`` has two, split at its kink t = 1.
-        Cesaro, Riemann-Liouville and tabulated kernels have none: ()."""
-        if self.variant == "hlp":
-            return (0.0, 1.0, 0.0), (1.0, math.inf, -1.0)
-        m = {"hardy": -1.0, "adjoint_hardy": 0.0,
-             "power_cutoff": self.params.get("exponent")}.get(self.variant)
-        return () if m is None else ((*self.support(), float(m)),)
 
     def __call__(self, t):
         """phi(t) = e^(log_phi(log t)) for t > 0, and 0 elsewhere."""
@@ -249,7 +258,7 @@ def hausdorff_apply_result(
         return np.copysign(out, fv)
 
     try:
-        return integrate(integrand, *k.support(), cfg)
+        return integrate(integrand, *k.support(), cfg, points=k.breakpoints())
     except DivergentIntegralError:
         if negative:
             raise
@@ -359,12 +368,6 @@ def _panel_sums(summand, shift, half):
     out[:, :2] *= half[:, None]
     np.abs(out[:, 1], out=out[:, 1])
     return out
-
-
-def _quadpack(kron, diff):
-    """QUADPACK's estimate of a panel's Kronrod error from its |K - G|:
-    |K - G| min(1, (200 |K - G| / K)^1.5), as scipy's quad reports it."""
-    return np.where(diff > 0.0, diff * np.minimum(1.0, (200.0 * diff / kron) ** 1.5), 0.0)
 
 
 def _split_points(probe, lo, hi):
@@ -484,15 +487,13 @@ class _Table:
     e^(log f A - m sigma), relative to e^peak, its largest node value:
     ``peak``, ``sums`` and ``probe`` from its 15 nodes, and once a row of
     the call needs it refined, ``fine_peak`` and ``fine_sums`` refined to
-    its own rel_tol (``done``).  The sums are the :func:`_panel_sums`
-    columns and the error the panel reports, summed over its sub-panels in
-    sigma order: QUADPACK's, or its |K - G| as it is while it has not met
-    ``rel_tol`` on its own.
+    its own rel_tol (``done``), the :func:`_panel_sums` columns summed over
+    its sub-panels in sigma order.
     For a kernel without power pieces, ``nodes`` holds log f A at the 15
-    nodes, to which a row adds its log phi.  A panel depends on nothing but
-    itself."""
+    nodes, to which a row adds its log phi; its pieces share the panels.
+    A panel depends on nothing but itself."""
 
-    def __init__(self, f, p, side, edges, parts, power, rel_tol):
+    def __init__(self, f, p, side, edges, parts, power):
         j = np.concatenate([np.empty(0, dtype=np.intp), *(jj for jj, _ in parts)])
         self.m = np.concatenate([np.empty(0), *(np.full(jj.size, m or 0.0) for jj, m in parts)])
         self.lo, self.hi = lo, hi = edges[j], edges[j + 1]
@@ -515,14 +516,8 @@ class _Table:
         self.peak = summand.max(axis=1)
         self.live = np.isfinite(self.peak)
         self.probe = summand[:, _PROBE]
-        sums = _panel_sums(summand, np.where(self.live, self.peak, 0.0), half)
-        sums[~self.live] = 0.0
-        # QUADPACK's scaling of |K - G| holds where the rule resolves the
-        # panel; one that has not met rel_tol on its own, as at an essential
-        # zero of f, reports its |K - G| as it is
-        unmet = sums[:, 1] > rel_tol * sums[:, 0]
-        self.sums = np.concatenate([sums, np.where(unmet, sums[:, 1], _quadpack(
-            sums[:, 0], sums[:, 1]))[:, None]], axis=1)
+        self.sums = _panel_sums(summand, np.where(self.live, self.peak, 0.0), half)
+        self.sums[~self.live] = 0.0
         self.fine_peak, self.fine_sums = self.peak.copy(), self.sums.copy()
         self.done = np.zeros(lo.size, dtype=bool)
 
@@ -532,7 +527,6 @@ class _Table:
         for which[i], and each one's ``shift``."""
         order = np.lexsort((lo, owner))
         owner, sums = owner[order], sums[order]
-        sums = np.concatenate([sums, _quadpack(sums[:, 0], sums[:, 1])[:, None]], axis=1)
         self.fine_sums[which] = np.stack(
             [np.bincount(owner, c, minlength=which.size) for c in sums.T], axis=1)
         self.fine_peak[which] = np.where(self.live[which], shift, self.peak[which])
@@ -551,36 +545,38 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
     sigma = 0, 0.1 wide for |u| in (e^-8, e^8) and graded outward, with f's
     support ends and breakpoints added as edges.
 
-    On a power piece t^m of phi (:meth:`KernelSpec.power_pieces`), phi at
+    Each row's window is cut into one segment per piece of phi
+    (:meth:`KernelSpec.pieces`), at sigma = log|x| - log t of each piece
+    edge, so no panel straddles a kink of phi.  On a power piece t^m, phi at
     t = |x| e^(-sigma) is |x|^m e^(-m sigma), so the integrand is one
-    row-free function scaled per x.  For each sign of u and each piece, one
-    table per call holds every panel the rows take whole: its sums of
-    e^(log f A - m sigma) from its 15 nodes, relative to its peak.  A row
-    takes its whole panels from the table, each scaled by e^(m log|x| +
-    peak - shift), one multiply per panel, and evaluates afresh only its
-    cut panels: at its window ends and, for ``hlp``, at its kink t = 1,
-    where each side has its own piece.  A row whose summed |Kronrod - Gauss|
-    exceeds ``cfg.rel_tol`` takes the table panels that carry more than
-    their share of it refined.  A table panel is refined once per call, to
-    its own rel_tol, in the same rounds
-    as the rows' cut panels, which a row splits where they carry more than
-    their share of its tolerance: up to 12 rounds of at most 64 splits per
-    panel or row.  A kernel without power pieces (Cesaro,
-    Riemann-Liouville, tabulated) reads log f A at the table's nodes, adds
-    log phi at t = |x| e^(-sigma) per node, and refines any of its panels.
-    A row's panels are summed in sigma order, and a table panel depends on
-    nothing but itself, so a row's result does not depend on the other x
-    values or on the chunking.
+    row-free function scaled per x.  For each sign of u and each power
+    piece, one table per call holds every panel the rows take whole: its
+    sums of e^(log f A - m sigma) from its 15 nodes, relative to its peak.
+    A row takes its whole panels from the table, each scaled by e^(m log|x|
+    + peak - shift), one multiply per panel, and evaluates afresh only its
+    cut panels: at its window ends and at the piece edges.  A row whose
+    summed |Kronrod - Gauss| exceeds ``cfg.rel_tol`` takes the table panels
+    that carry more than their share of it refined.  A table panel is
+    refined once per call, to its own rel_tol, in the same rounds as the
+    rows' cut panels, which a row splits where they carry more than their
+    share of its tolerance: up to 12 rounds of at most 64 splits per panel
+    or row.  Pieces without a power (Cesaro, Riemann-Liouville, tabulated)
+    share one part of the table, log f A at its nodes, to which a row adds
+    log phi at t = |x| e^(-sigma) per node, and a row refines any of its
+    panels.  A row's panels are summed in sigma order, and a table panel
+    depends on nothing but itself, so a row's result does not depend on the
+    other x values or on the chunking.
 
     Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes and
     +inf where the t-integral diverges: where the integrand peaks at a
     window end cut by ``truncation_t`` (or by the clip at t = 1e-8
-    min(|x|, 1)) rather than by a support.  rel_err sums each panel's
-    QUADPACK error estimate (a table panel that has not met rel_tol on its
-    own, as at an essential zero of f, its |Kronrod - Gauss| as it is,
-    whose QUADPACK scaling reads low there), the mass beyond such a cut, extrapolated
-    geometrically from the cut panel's mass and log slope, and a rounding
-    floor of eps times the row's summed node values.
+    min(|x|, 1)) rather than by a support.  rel_err is the relative error of
+    e^log_vals: each panel's |Kronrod - Gauss|, the one error the
+    refinement reads, summed over the row (a table panel's over its
+    sub-panels); the mass beyond such a cut, extrapolated geometrically from
+    the cut panel's mass and log slope; a rounding floor of eps times the
+    row's summed node values; and the rounding of the log value returned,
+    4 eps |log_vals|.
     ``f`` must provide ``log_abs_decomp`` (see FunctionSpec), and must not
     take a negative value: the engine integrates log|f|, so a signed f would
     give H|f|.  A ``sampled`` f with a negative value, the one catalog family
@@ -642,34 +638,34 @@ def _log_grid_side(k, f, p, cfg, side, edges, x, log_x, s_lo, s_hi, cut_lo, cut_
     per piece of phi, the call's table of their whole panels, and the rows
     in chunks."""
     n = log_x.size
-    # the pieces of phi in sigma order, that is by decreasing t; a kernel
-    # without power pieces is one piece, read through log phi
-    order = k.power_pieces()[::-1] or ((*k.support(), None),)
+    # the pieces of phi in sigma order, that is by decreasing t
+    order = k.pieces()[::-1]
     power = order[0][2] is not None
-    seg_row, seg_piece, seg_lo, seg_hi = np.arange(n), np.zeros(n, dtype=np.intp), s_lo, s_hi
-    if len(order) > 1:
-        # a segment per piece, split at sigma = log|x| - log t of each kink
-        bounds = [s_lo, *(np.clip(log_x - math.log(a), s_lo, s_hi) for a, _, _ in order[:-1]), s_hi]
-        seg_lo, seg_hi = np.stack(bounds[:-1], axis=1).ravel(), np.stack(bounds[1:], axis=1).ravel()
-        keep = np.flatnonzero(seg_lo < seg_hi)
-        seg_row, seg_piece = keep // len(order), keep % len(order)
-        seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
+    # a segment per piece, split at sigma = log|x| - log t of each kink
+    bounds = [s_lo, *(np.clip(log_x - math.log(a), s_lo, s_hi) for a, _, _ in order[:-1]), s_hi]
+    seg_lo, seg_hi = np.stack(bounds[:-1], axis=1).ravel(), np.stack(bounds[1:], axis=1).ravel()
+    keep = np.flatnonzero(seg_lo < seg_hi)
+    seg_row, seg_piece = keep // len(order), keep % len(order)
+    seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
     ja, jb, lo_cut, hi_cut = _window_panels(
         edges, seg_lo, seg_hi, cut_lo[seg_row] & (seg_lo == s_lo[seg_row]),
         cut_hi[seg_row] & (seg_hi == s_hi[seg_row]))
-    # one table for the whole call: per piece, the panels its segments take
-    # whole; ta .. ta + jb - ja - 1 are a segment's table entries
+    # one table for the whole call: per power piece, the panels its
+    # segments take whole, and one part for all the pieces without a power,
+    # whose node values do not depend on the piece; ta .. ta + jb - ja - 1
+    # are a segment's table entries
     ta = np.zeros(seg_row.size, dtype=np.intp)
     parts, filled = [], 0
-    for i, (_, _, m) in enumerate(order):
-        mine = np.flatnonzero((seg_piece == i) & (ja < jb))
+    part = seg_piece if power else np.zeros(seg_piece.size, dtype=np.intp)
+    for i, (_, _, m) in enumerate(order if power else order[:1]):
+        mine = np.flatnonzero((part == i) & (ja < jb))
         if mine.size:
             used = np.cumsum(np.bincount(ja[mine], minlength=edges.size)
                              - np.bincount(jb[mine], minlength=edges.size)) > 0
             ta[mine] = filled + np.cumsum(used)[ja[mine]] - 1
             parts.append((np.flatnonzero(used), m))
             filled += parts[-1][0].size
-    table = _Table(f, p, side, edges, parts, power, cfg.rel_tol)
+    table = _Table(f, p, side, edges, parts, power)
     seg = (seg_row, np.array([m or 0.0 for _, _, m in order])[seg_piece], seg_lo, lo_cut,
            hi_cut, seg_hi, ta, ta + jb - ja)
     # the rows in chunks of about _CHUNK_PANELS panels
@@ -806,7 +802,7 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
     if t:
         nrow = np.concatenate([np.arange(t), nrow + t])
         nlo, nhi = np.concatenate([table.lo[fresh], nlo]), np.concatenate([table.hi[fresh], nhi])
-        sums = np.concatenate([table.sums[fresh, :3], sums])
+        sums = np.concatenate([table.sums[fresh], sums])
         probe = np.concatenate([table.probe[fresh], probe])
         shift = np.concatenate([np.where(table.live[fresh], table.peak[fresh], 0.0), shift])
         live = np.concatenate([table.live[fresh], live])
@@ -847,10 +843,8 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
     tail *= np.exp(shift - raised)
 
     # each row's panels in sigma order, a split panel replaced by its
-    # pieces in sigma order, summed one after the other.  |K - G| is the
-    # error of the Gauss sum: refinement is driven by it, but a panel
-    # reports QUADPACK's estimate of the Kronrod error, which a table panel
-    # brings summed over its sub-panels
+    # pieces in sigma order, summed one after the other; each reports the
+    # |K - G| its refinement read, a table panel summed over its sub-panels
     npos, wpos = nlay, wlay
     if origin is not None:
         order = np.lexsort((nlo, origin))
@@ -860,23 +854,21 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
         place = np.cumsum(pieces) - pieces
         npos = place[nlay[origin]] + np.arange(origin.size) - np.searchsorted(origin, origin)
         wpos, total = place[wlay], int(place[-1] + pieces[-1])
-    owners, kron, err, mag = (np.empty(total, dtype=np.intp), np.empty(total),
-                              np.empty(total), np.empty(total))
-    owners[npos], kron[npos], mag[npos] = nrow, sums[:, 0], sums[:, 2]
-    err[npos] = _quadpack(sums[:, 0], sums[:, 1])
+    owners, cols = np.empty(total, dtype=np.intp), np.empty((total, 3))
+    owners[npos], cols[npos] = nrow, sums
     if power:
-        owners[wpos], kron[wpos], err[wpos], mag[wpos] = wrow, scaled[:, 0], scaled[:, 3], scaled[:, 2]
-    size = np.bincount(owners, kron, minlength=n)
-    err = np.bincount(owners, err, minlength=n)
+        owners[wpos], cols[wpos] = wrow, scaled
+    size, err, mag = (np.bincount(owners, c, minlength=n) for c in cols.T)
     log_vals = np.where(divergent, math.inf, -math.inf)
     good = live & (size > 0.0)
     log_vals[good] = raised[good] + np.log(size[good])
     rel_err = np.zeros(n)
-    # the QUADPACK estimate of a converged row can read far below its
-    # rounding error (1e-33 for an error of 4e-16 on a smooth row): eps per
-    # node value, summed without the weights, bounds it
-    floor = np.finfo(float).eps * np.bincount(owners, mag, minlength=n)
-    rel_err[good] = (err[good] + tail[good] + floor[good]) / size[good]
+    # |K - G| of a smooth converged row can read far below its rounding
+    # error: eps per node value, summed without the weights, bounds that;
+    # and the log value returned, L, is itself known to a few eps |L|
+    eps = np.finfo(float).eps
+    floor = eps * mag[good] + 4.0 * eps * np.abs(log_vals[good]) * size[good]
+    rel_err[good] = (err[good] + tail[good] + floor) / size[good]
     return log_vals, rel_err
 
 

@@ -175,6 +175,10 @@ def panel_rule(edges):
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
+# a 0 end reached in log coordinates stops at _TINY and charges the rest,
+# (0, _TINY), to its tail; below e^36 _TINY its few dyadic blocks cannot
+# see that rest, so (0, b) there is one plain block
+_LOG_ZERO_MIN = math.exp(36.0) * _TINY
 _SHRINK_FACTOR = 1.05  # dyadic blocks must shrink at least this fast
 _DIVERGENCE_WINDOW = 4
 # log-coordinate span of a 0 or infinite end: e^(-0.05 s) reaches 1e-13 by
@@ -242,10 +246,8 @@ def _half_line_pieces(sign: float, a: float, b: float, cutoff) -> list:
         span = min(_LOG_SPAN, math.log(np.finfo(float).max) - math.log(start))
         piece = _Piece(sign, 1, start, _dyadic_edges(0.0, span), True)
         return [piece, *_half_line_pieces(sign, a, start, None)] if start > a else [piece]
-    if a == 0.0 and b > _TINY:
+    if a == 0.0 and b > _LOG_ZERO_MIN:
         return [_to_zero(sign, b)]
-    # an interval from 0 to a b at or below the smallest normal double has no
-    # room for a log span: it is one plain block
     return [_Piece(sign, 0, 1.0, (a, b), False)]
 
 
@@ -386,7 +388,8 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     The interval is split at 0, and a piece below 0 is folded onto |x| as
     f(-x).  A piece (a, b) of the half-line reaches a 0 end as x = b e^(-s)
     and an infinite end as x = max(a, 1) e^s, each on the dyadic blocks in s
-    of :func:`_dyadic_edges`.  With ``cutoff``, an end past |x| = cutoff is
+    of :func:`_dyadic_edges`; (0, b) with b below e^36 times the smallest
+    normal double is one plain block instead.  With ``cutoff``, an end past |x| = cutoff is
     cut there, on dyadic blocks in x from a, and a piece wholly past it adds
     nothing.  This layout of pieces and blocks is built once per (lo, hi,
     cutoff) and reused by later calls on the same interval (:func:`_layout`).

@@ -174,6 +174,23 @@ def test_kernel_validation():
         make_kernel("riemann_liouville", mu=0.0)
     with pytest.raises(ParameterError):
         make_kernel("power_cutoff", exponent=1.0, lo=2.0, hi=1.0)
+    # its one piece needs the power
+    with pytest.raises(ParameterError):
+        make_kernel("power_cutoff", lo=1.0)
+
+
+def test_pieces_state_support_and_breakpoints():
+    for k, pieces in [
+        (make_kernel("hardy"), ((1.0, math.inf, -1.0),)),
+        (make_kernel("hlp"), ((0.0, 1.0, 0.0), (1.0, math.inf, -1.0))),
+        (make_kernel("cesaro", gamma_c=2.5), ((0.0, 1.0, None),)),
+        (make_kernel("power_cutoff", exponent=-2.0, lo=1.5, hi=2.0), ((1.5, 2.0, -2.0),)),
+        (make_kernel("tabulated", grid=[0.5, 1.0, 4.0], values=[1.0, 0.0, 2.0]),
+         ((0.5, 1.0, None), (1.0, 4.0, None))),
+    ]:
+        assert k.pieces() == pieces
+        assert k.support() == (pieces[0][0], pieces[-1][1])
+        assert k.breakpoints() == tuple(lo for lo, _, _ in pieces[1:])
 
 
 @pytest.mark.parametrize("grid, values", [
@@ -268,8 +285,9 @@ ADJOINT_GAUSSIAN_REFERENCE = {
 
 
 def test_log_grid_estimate_has_a_rounding_floor():
-    # the QUADPACK estimate alone read 9.1e-34, 3.7e-31 and 5.2e-16 relative
-    # here, for errors of 4.1e-16, 1.2e-15 and 4.1e-14
+    # QUADPACK's scaling of |K - G|, which the engine once reported, read
+    # 9.1e-34, 3.7e-31 and 5.2e-16 relative here, for errors of 4.1e-16,
+    # 1.2e-15 and 4.1e-14
     xs = np.array(list(ADJOINT_GAUSSIAN_REFERENCE))
     lg, rel = hausdorff_log_grid(make_kernel("adjoint_hardy"), FunctionSpec("gaussian"),
                                  P1, xs, CFG)
@@ -599,10 +617,7 @@ def test_table_path_within_its_estimate_of_a_finer_run(k):
             finite = np.isfinite(ref)
             assert np.array_equal(lg[~finite], ref[~finite]), (k.variant, f.family, p)
             gap = np.abs(np.expm1(lg[finite] - ref[finite]))
-            # a log value L is itself known to eps |L|, a relative error of
-            # H f that no quadrature estimate carries
-            rounding = 4.0 * np.finfo(float).eps * np.abs(ref[finite])
-            assert np.all(gap <= rel[finite] + ref_rel[finite] + rounding), (k.variant, f.family, p)
+            assert np.all(gap <= rel[finite] + ref_rel[finite]), (k.variant, f.family, p)
 
 
 # H f for hlp = adjoint Hardy + Hardy on the Gaussian at (1/2, -1/2); at
@@ -621,6 +636,105 @@ def test_hlp_kink_is_a_panel_edge():
     ref = np.exp(parts[0][0]) + np.exp(parts[1][0])
     ref_err = np.exp(parts[0][0]) * parts[0][1] + np.exp(parts[1][0]) * parts[1][1]
     assert np.all(np.abs(np.exp(lg) - ref) <= rel * ref + ref_err)
+
+
+TABULATED = make_kernel("tabulated", grid=[0.5, 1.0, 2.0, 4.0], values=[1.0, 0.25, 2.0, 0.5])
+_TABULATED_FUNCTIONS = {
+    "gaussian": (FunctionSpec("gaussian"), lambda u: mpmath.exp(-u * u)),
+    "bump": (FunctionSpec("bump", params={"center": 0.0, "width": 1.0}),
+             lambda u: mpmath.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else mpmath.mpf(0)),
+}
+
+
+def _mp_weight(p, u):
+    return mpmath.sinh(abs(u)) ** (2 * p.alpha + 1) * mpmath.cosh(u) ** (2 * p.beta + 1)
+
+
+def _mp_image(phi, fn, p, x, points):
+    """H f(x) by mpmath: the t-integral of phi(t)/t f(x/t) A(x/t)/A(x),
+    split at ``points``."""
+    x = mpmath.mpf(x)
+    return mpmath.quad(lambda t: phi(t) / t * fn(x / t) * _mp_weight(p, x / t),
+                       points) / _mp_weight(p, x)
+
+
+@pytest.mark.parametrize("p", [P1, JacobiParams(1.0, 0.5)], ids=["half", "one_half"])
+@pytest.mark.parametrize("name", list(_TABULATED_FUNCTIONS))
+def test_tabulated_kernel_bends_at_panel_edges(p, name):
+    # each grid segment is a piece, so a row's panels end at every grid
+    # point, as at hlp's kink; with the points inside panels the estimate
+    # read 1e-13 where the error was up to 4.6e-8
+    f, fn = _TABULATED_FUNCTIONS[name]
+    grid = [mpmath.mpf(g) for g in TABULATED.params["grid"]]
+    vals = [mpmath.mpf(v) for v in TABULATED.params["values"]]
+
+    def phi(t):
+        j = max(i for i in range(3) if grid[i] <= t)
+        return vals[j] + (vals[j + 1] - vals[j]) * (t - grid[j]) / (grid[j + 1] - grid[j])
+
+    mpmath.mp.dps = 40
+    try:
+        xs = np.array([0.3, 0.7, 1.3, 2.2, 3.1])
+        lg, rel = hausdorff_log_grid(TABULATED, f, p, xs, CFG)
+        for x, l, r in zip(xs, lg, rel):
+            # the bump vanishes for t <= x: there the range starts
+            lo = max(grid[0], mpmath.mpf(x) if name == "bump" else 0)
+            ref = float(_mp_image(phi, fn, p, x, [lo, *(t for t in grid if t > lo)]))
+            assert abs(math.exp(l - log_weight_a(p, x)) - ref) <= r * ref, x
+    finally:
+        mpmath.mp.dps = 15
+
+
+def test_cesaro_singular_end_within_its_estimate():
+    # (1 - t)^1.5 bends without bound at t = 1, in each row's cut panel,
+    # whose |K - G| covers the error; QUADPACK's scaling of it read 6.2e-13,
+    # 1.3e-13 and 8.4e-14 here, for errors of 4.1e-11, 6.9e-12 and 3.9e-12
+    k, (f, fn) = make_kernel("cesaro", gamma_c=2.5), _TABULATED_FUNCTIONS["gaussian"]
+    xs = np.array([0.5, 0.2476, 0.13])
+    lg, rel = hausdorff_log_grid(k, f, P1, xs, CFG)
+    mpmath.mp.dps = 60
+    try:
+        for x, l, r in zip(xs, lg, rel):
+            ref = float(_mp_image(lambda t: 2.5 * (1 - t) ** 1.5, fn, P1, x,
+                                  [0, x / 8, x / 2, x, 1]))
+            assert abs(math.exp(l - log_weight_a(P1, x)) - ref) <= r * ref, x
+    finally:
+        mpmath.mp.dps = 15
+
+
+def test_many_kinks_on_many_rows_match_one_x_calls():
+    # 199 pieces on 300 rows: each row's segments, chunked with the other
+    # rows', give what it gives alone, bit for bit
+    grid = np.geomspace(0.1, 10.0, 200)
+    k = make_kernel("tabulated", grid=grid, values=1.5 + np.sin(3.0 * grid))
+    xs = np.random.default_rng(29).choice([-1.0, 1.0], 300) * np.geomspace(1e-2, 1e2, 300)
+    f = FunctionSpec("gaussian")
+    lg, rel = hausdorff_log_grid(k, f, P1, xs, CFG)
+    assert np.isfinite(lg).all() and np.all(rel > 0.0)
+    one = [hausdorff_log_grid(k, f, P1, np.array([x]), CFG) for x in xs]
+    assert lg.tobytes() == np.concatenate([o[0] for o in one]).tobytes()
+    assert rel.tobytes() == np.concatenate([o[1] for o in one]).tobytes()
+
+
+def test_adaptive_hlp_takes_its_kink_as_a_panel_edge(monkeypatch):
+    # hausdorff_apply_result passes phi's breakpoints to integrate, as
+    # kernel_moment does; its value agrees with the engine's within both
+    # estimates
+    calls = []
+    exact = hausdorff.integrate
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs.get("points"))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "integrate", recorded)
+    f = FunctionSpec("gaussian")
+    for x in _HLP_XS:
+        r = hausdorff_apply_result(make_kernel("hlp"), f, P1, float(x), CFG)
+        lg, rel = hausdorff_log_grid(make_kernel("hlp"), f, P1, np.array([x]), CFG)
+        v = math.exp(lg[0] - log_weight_a(P1, float(x)))
+        assert abs(r.value - v) <= r.err_estimate + rel[0] * v
+    assert all(tuple(c) == (1.0,) for c in calls) and len(calls) == _HLP_XS.size
 
 
 class _Counted:

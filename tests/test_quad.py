@@ -479,3 +479,16 @@ def test_interval_to_a_subnormal_end_is_one_plain_block(lo, hi):
     r = integrate(np.ones_like, lo, hi, CFG)
     assert abs(r.value - (hi - lo)) <= r.err_estimate
     assert r.err_estimate <= 1e-320
+
+
+@pytest.mark.parametrize("b", [3e-308, 1e-307, 1e-300])
+@pytest.mark.parametrize("f, exact", [
+    (np.ones_like, lambda b: b),
+    (lambda x: x ** -0.5, lambda b: 2.0 * math.sqrt(b)),
+], ids=["one", "inverse_root"])
+def test_interval_from_zero_just_above_the_smallest_normal_is_one_plain_block(b, f, exact):
+    # a log-coordinate piece stops at the smallest normal double, 2.2e-308,
+    # and its one or few dyadic blocks missed the rest: 1 over (0, 3e-308)
+    # read 7.7e-309 with an estimate of 7.7e-309
+    r = integrate(f, 0.0, b, CFG)
+    assert abs(r.value - exact(b)) <= r.err_estimate
