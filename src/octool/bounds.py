@@ -84,7 +84,9 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     An even f (``is_even``, which a :class:`HausdorffImage` takes from its
     f) on a domain symmetric about 0 is folded there: (0, b) is integrated
     once, and its value and estimate are doubled, so no node is evaluated
-    at x < 0.  The breakpoints of f are panel edges.  A NaN domain end
+    at x < 0.  The breakpoints of any f that states them (a
+    :class:`FunctionSpec`, a :class:`HausdorffImage`) are panel edges, on
+    either path: the folded one takes those above 0.  A NaN domain end
     raises ParameterError."""
     if math.isnan(domain[0]) or math.isnan(domain[1]):
         raise ParameterError(f"domain ends must not be NaN, got {tuple(domain)}")
@@ -117,10 +119,11 @@ def _lp_integral(f: FunctionSpec, p_exp, params: JacobiParams,
     # an overflowing node is an infinite value, which quad reports as
     # divergence before it reads the inner errors
     with np.errstate(over="ignore", invalid="ignore"):
+        # integrate ignores the points outside its interval
+        points = getattr(f, "breakpoints", tuple)()
         if a == -b and getattr(f, "is_even", False):
-            r = integrate(g, 0.0, b, cfg)
+            r = integrate(g, 0.0, b, cfg, points=points)
             return r + r
-        points = f.breakpoints() if isinstance(f, FunctionSpec) else ()
         return integrate(g, a, b, cfg, points=points)
 
 

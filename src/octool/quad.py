@@ -18,7 +18,11 @@ panels of every block are refined together in rounds, with one call of the
 integrand per round on all their nodes, so an integrand that is
 cheaper called once on many nodes than many times on few (the weighted norms
 of a Hausdorff image, the inverse transform's spectral integral) pays its
-fixed cost once per round.
+fixed cost once per round.  The rounds stop at every component's tolerance
+or at one of three noise floors: the splits stall, no panel left to split
+can be halved, or every such panel reads within the inner error of its own
+nodes, which an integrand computed by another approximation (a transform,
+a series) reports with its values.
 """
 
 from __future__ import annotations
@@ -415,8 +419,13 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     tolerance, or at the noise floor: when the splits since the last check,
     at least ``_STALL_SPLITS`` of them, took no unconverged component's
     estimate 1% below its value at that check, or when no panel to split can
-    be halved in floating point.  When ``max_subdivisions`` splits are spent
-    first, :class:`BudgetExhaustedError` carries the partial result.
+    be halved in floating point, or is above the noise of its own nodes.  A
+    panel whose |Kronrod - Gauss| is at or below its Kronrod-weighted inner
+    error, sum w |inner|, on every unconverged component is not split: its
+    children could not read below that charge, which the estimate already
+    carries; an integrand that returns no inner errors skips this test.
+    When ``max_subdivisions`` splits are spent first,
+    :class:`BudgetExhaustedError` carries the partial result.
 
     The estimate sums over the final panels their |Kronrod - Gauss|, or for
     a split panel its children's share of the change from its Kronrod sum
@@ -433,7 +442,8 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     if lay is None:
         return IntegralResult(0.0, 0.0, 0)
     panels = _initial_panels(lay.pieces, points) if np.size(points) else lay.panels
-    shape = ()
+    # noisy: whether f has reported inner errors, which the split rule reads
+    shape, noisy = (), False
 
     def in_s(block):
         """The integrand in s on panels of ``block``: f(sign X(s)) X'(s), and
@@ -441,12 +451,13 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         k, scale, sign = lay.maps[:, block.astype(np.intp), None]
 
         def g(s):
-            nonlocal shape
+            nonlocal shape, noisy
             x = np.where(k == 0, s, scale * np.exp(k * s))
             jac = np.where(k == 0, 1.0, x)
             with np.errstate(over="ignore"):
                 out = f((sign * x).ravel())
                 values, inner = out if isinstance(out, tuple) else (out, None)
+                noisy = noisy or inner is not None
                 values = np.asarray(values)
                 shape = values.shape[:-1]
                 # finiteness is tested on this product: a value that
@@ -485,7 +496,14 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         share = (diff[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
         mid = 0.5 * (lo_s + hi_s)
         # a panel at floating-point resolution stays whole
-        cand = np.flatnonzero((share > 1.0) & (mid > lo_s) & (mid < hi_s))
+        split = (share > 1.0) & (mid > lo_s) & (mid < hi_s)
+        if noisy:
+            # and so does one whose |K - G| is within the noise of its own
+            # nodes, sum w |inner|, on every unconverged component: its
+            # children could not read below the inner error the estimate
+            # already charges
+            split &= (diff[unconverged] > state[3 + 2 * m:].real[unconverged]).any(axis=0)
+        cand = np.flatnonzero(split)
         budget = cfg.max_subdivisions - splits
         if cand.size > budget:
             cand = np.sort(cand[np.argsort(-share[cand], kind="stable")[:budget]])

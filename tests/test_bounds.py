@@ -630,3 +630,59 @@ def test_lp_norm_past_the_double_range_is_infinite():
     finite = lp_norm(gauss, 0.05, P1, line, CFG)
     assert 1e185 < finite.value < math.inf
     assert finite.err_estimate < 1e-8 * finite.value
+
+
+@pytest.mark.parametrize("f", [
+    FunctionSpec("bump", params={"center": 0.0, "width": 1.0}),
+    FunctionSpec("bump", params={"center": 0.8, "width": 0.2}),
+])
+def test_norm_of_an_image_takes_its_breakpoints_as_panel_edges(monkeypatch, f):
+    # the centred bump's image is even, so its norm folds onto (0, inf) and
+    # the breakpoints above 0 cut its panels; the other's is not folded
+    import octool.bounds as bounds
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args[1:3], kwargs.get("points")))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "integrate", counted)
+    image = HausdorffImage(ADJOINT, f, P1, CFG)
+    bp = image.breakpoints()
+    assert bp.size
+    lp_norm(image, 2.0, P1, (-math.inf, math.inf), CFG)
+    [(interval, points)] = calls
+    assert interval == ((0.0, math.inf) if image.is_even else (-math.inf, math.inf))
+    assert set(bp[bp > interval[0]]) <= set(points)
+
+
+def test_lplq_witness_norm_within_its_estimate_in_few_engine_calls(monkeypatch):
+    # x^(-1/3 - 0.05) A^(-1/3) under t^-2 on (1.5, 2): its image bends at
+    # x = 1.5 and 2, which are panel edges; it took 11 engine calls when the
+    # norm refined toward them
+    import octool.hausdorff as hausdorff
+
+    exact, calls = hausdorff.hausdorff_log_grid, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "hausdorff_log_grid", counted)
+    line = (-math.inf, math.inf)
+    for s in build_default_suite():
+        if s.theorem_id != "T_LPLQ":
+            continue
+        f, q = s.functions[0], s.exponents["q"]
+        assert f.family == "extremal_eps"
+        calls.clear()
+        r = lp_norm(HausdorffImage(s.kernel, f, s.params, s.cfg), q, s.params, line, s.cfg)
+        assert len(calls) <= 10
+        fine = replace(s.cfg, rel_tol=s.cfg.rel_tol / 100)
+        ref = lp_norm(HausdorffImage(s.kernel, f, s.params, fine), q, s.params, line, fine)
+        assert abs(r.value - ref.value) <= r.err_estimate
+        # and the whole row, three norms of H f, takes at most 10
+        calls.clear()
+        run_scenario(s)
+        assert len(calls) <= 10

@@ -541,6 +541,47 @@ def test_commutation_estimate_covers_both_sides(comm_lhs_ref):
     assert err >= abs(lhs - comm_lhs_ref) + abs(rhs - COMM_RHS_REF)
 
 
+# ROADMAP item 13's probe: t^-2 on (1, inf), a Gaussian, (1, 1/2), lambda = 1.
+# Its rhs from 256 fixed log-spaced panels in t over (1e-8, 40), 3,840
+# transforms with an estimate of 6.05e-4 in all
+PROBE_K = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf)
+PROBE_RHS_FIXED = 0.9260984613810396 - 1.974e-7j
+
+
+def _spy_transform_rows(monkeypatch):
+    """The number of lambdas of every transform_grid call commutation_residual
+    makes, as a list the spy appends to."""
+    exact, rows = hausdorff.transform_grid, []
+
+    def spy(f, p, lams, cfg):
+        rows.append(np.size(lams))
+        return exact(f, p, lams, cfg)
+
+    monkeypatch.setattr(hausdorff, "transform_grid", spy)
+    return rows
+
+
+def test_commutation_probe_stops_at_the_noise_of_its_transforms(monkeypatch):
+    # lambda t reaches truncation_lambda = 40, where the transforms of the
+    # Gaussian are series noise, each within its own estimate: panels there
+    # stay whole once their |K - G| is within that noise, where splitting
+    # them took the rhs to 4,218 transform rows and a 215 MB peak
+    rows = _spy_transform_rows(monkeypatch)
+    gaussian = FunctionSpec("gaussian", params={"scale": 1.0})
+    lhs, rhs, gap, err = commutation_residual(PROBE_K, gaussian, COMM_P, 1.0, CFG)
+    assert sum(rows) < 600
+    assert math.isfinite(gap) and 0.0 < err < math.inf
+    assert abs(rhs - PROBE_RHS_FIXED) <= err
+
+
+def test_commutation_default_row_transforms_few_rows(monkeypatch):
+    # the default T_COMM_DIAG row's rhs is one integrate run over phi's
+    # support, one transform batch per round; the 256 fixed panels took 3,840
+    rows = _spy_transform_rows(monkeypatch)
+    commutation_residual(make_kernel("adjoint_hardy"), COMM_F, COMM_P, 1.0, CFG)
+    assert sum(rows) <= 200
+
+
 # cos 3x on [0.2, 2] changes sign: the engine, which integrates log|f|,
 # would return H|f| (8.51 at x = 0.5 with adjoint Hardy at (1/2, -1/2),
 # against 0.773 for H f)
@@ -775,3 +816,57 @@ def test_rows_evaluate_only_their_cut_panels_beyond_the_table():
     extra = more[~np.isin(more, one)]
     assert np.isin(one, more).all() and extra.size
     assert np.all(np.min(np.abs(np.log(extra)[:, None] - np.log(cut)), axis=1) <= 0.2)
+
+
+# f's finite non-zero support ends and its inner breakpoints, u, for the
+# products u t
+_KINK_BUMP = (FunctionSpec("bump", params={"center": 0.8, "width": 0.2}),
+              [0.8 - 0.2, 0.8 + 0.2], [])
+_KINK_SAMPLED = (FunctionSpec("sampled", params={"xs": [-1.0, 0.0, 0.5, 2.0],
+                                                 "ys": [1.0, 2.0, 0.5, 1.0]}),
+                 [-1.0, 2.0], [0.5])
+
+
+@pytest.mark.parametrize("k, t_end, t_inner", [
+    (make_kernel("hardy"), [1.0], []),
+    (make_kernel("adjoint_hardy"), [1.0], []),
+    (make_kernel("hlp"), [], [1.0]),
+    (make_kernel("cesaro", gamma_c=2.5), [1.0], []),
+    (make_kernel("riemann_liouville", mu=1.5), [1.0], []),
+    (make_kernel("power_cutoff", exponent=-2.0, lo=1.5, hi=2.0), [1.5, 2.0], []),
+    (make_kernel("power_cutoff", exponent=-0.5), [], []),
+    (make_kernel("tabulated", grid=[0.5, 1.0, 2.0, 4.0], values=[1.0, 3.0, 0.5, 1.0]),
+     [0.5, 4.0], [1.0, 2.0]),
+])
+@pytest.mark.parametrize("f, u_end, u_inner", [_KINK_BUMP, _KINK_SAMPLED])
+def test_image_breakpoints_are_the_products_of_the_kinks(k, t_end, t_inner, f, u_end, u_inner):
+    # H f(x) integrates f(x/t) against phi(t): an end of f or phi meets every
+    # kink of the other at x = u t; 0 and infinite ends carry no kink, and
+    # two inner kinks (0.5 against 1 and 2) are left out
+    bp = HausdorffImage(k, f, P1, CFG).breakpoints()
+    expected = {a * b for a in u_end for b in t_end + t_inner}
+    expected |= {a * b for a in u_inner for b in t_end}
+    assert list(bp) == sorted(expected)
+
+
+def test_image_of_a_plain_callable_has_no_breakpoints():
+    image = HausdorffImage(make_kernel("hlp"), lambda x: np.exp(-x * x), P1, CFG)
+    assert image.breakpoints().size == 0
+
+
+def test_image_bends_at_its_breakpoints():
+    # T_LPLQ's witness, x^(-1/3 - 0.05) A^(-1/3) from x = 1, under t^-2 on
+    # (1.5, 2): H f is 0 up to x = 1.5 and bends at 1.5 and 2, where its
+    # one-sided slopes differ
+    from octool.bounds import extremal_function
+
+    f = extremal_function("eps", P1, p=3.0, eps=0.05)
+    k = make_kernel("power_cutoff", exponent=-2.0, lo=1.5, hi=2.0)
+    image = HausdorffImage(k, f, P1, CFG)
+    assert list(image.breakpoints()) == [1.5, 2.0]
+    h = 1e-4
+    for x in (1.5, 2.0):
+        xs = np.array([x - 2 * h, x - h, x, x + h, x + 2 * h])
+        hf = np.exp(image.log_abs_decomp(xs)[0] - log_weight_a(P1, xs))
+        left, right = (hf[2] - hf[0]) / (2 * h), (hf[4] - hf[2]) / (2 * h)
+        assert abs(right - left) > 0.1 * max(abs(left), abs(right))

@@ -492,3 +492,39 @@ def test_interval_from_zero_just_above_the_smallest_normal_is_one_plain_block(b,
     # read 7.7e-309 with an estimate of 7.7e-309
     r = integrate(f, 0.0, b, CFG)
     assert abs(r.value - exact(b)) <= r.err_estimate
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 3.0), (0.0, 2.0)])
+@pytest.mark.parametrize("delta", [1e-4, 1e-6])
+def test_a_panel_within_the_noise_of_its_nodes_is_not_split(lo, hi, delta):
+    # cos x plus a deterministic ripple of amplitude delta, reported as each
+    # node's inner error: no split can read below it, so the run stops in its
+    # first round, far inside the budget, with an estimate that covers the
+    # ripple; told nothing of it, the same integrand takes 7 to 9 rounds and
+    # 175 to 379 panels to reach the stall exit
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x) + delta * np.sin(1e7 * x * x), np.full(x.shape, delta)
+
+    r = integrate(f, lo, hi, CFG)
+    assert len(calls) == 1 and r.subdivisions_used <= 10
+    assert abs(r.value - (math.sin(hi) - math.sin(lo))) <= r.err_estimate
+
+
+@pytest.mark.parametrize("inner", [False, True])
+def test_an_integrand_without_inner_errors_keeps_its_bits_and_rounds(inner):
+    # pinned before a panel within its nodes' noise stayed whole: zero inner
+    # errors, returned as zeros or not at all, leave every split as it was
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        y = np.sqrt(np.abs(x - 0.3)) * np.exp(x)
+        return (y, np.zeros(x.shape)) if inner else y
+
+    r = integrate(f, 0.0, 2.0, CFG)
+    assert float(r.value).hex() == "0x1.8c624c17b3261p+2"
+    assert float(r.err_estimate).hex() == "0x1.52c028b2e9a31p-26"
+    assert (r.subdivisions_used, len(calls)) == (24, 12)
