@@ -934,29 +934,32 @@ def commutation_residual(
     H f at all its nodes from one :func:`hausdorff_log_grid` call.  rhs is
     one :func:`quad.integrate` run in t over (lo, b), phi's support (lo, hi)
     cut at b = min(hi, truncation_t, truncation_lambda/|lam|), so that |lam t|
-    stays within the spectral range, which also bounds each batch; phi's
-    breakpoints are panel edges, and a 0 end is reached in log coordinates.
-    Its components are phi(t) u(lam t), u the transform of f, with phi(t)
-    times u's own estimate as its inner error, and phi(t) itself; each
-    refinement round takes u at that round's new nodes from one
-    transform_grid batch, and a panel whose |Kronrod - Gauss| is within its
-    nodes' inner error is not split.  err adds
+    stays within the spectral range; phi's breakpoints are panel edges, and
+    a 0 end is reached in log coordinates.  A batch holds that round's new
+    nodes, 30 per split panel.
+    It integrates phi(t) u(lam t), u the transform of f, with |phi(t)|
+    times u's own estimate as its inner error; each refinement round takes
+    u at that round's new nodes from one transform_grid batch, and a panel
+    whose |Kronrod - Gauss| is within its nodes' inner error is not split.
+    err adds
     - lhs's own transform_grid estimate;
     - rhs's integrate estimate: the final panels' |Kronrod - Gauss| in t,
-      the Kronrod-weighted phi times each transform's own estimate, and the
-      tail charge of a 0 end;
-    - for b < hi, phi's mass beyond b, its L1 norm less the integral of phi
-      over (lo, b) plus the estimates of both, times |u| (plus its estimate)
-      at b, as oc_inverse_result charges its excised window;
+      the Kronrod-weighted |phi| times each transform's own estimate, and
+      the tail charge of a 0 end;
+    - for b < hi, phi's mass beyond b, its integral over (b, hi) plus that
+      integral's estimate, times |u| (plus its estimate) at b, as
+      oc_inverse_result charges its excised window;
     - the engine's largest relative error times the transform of H f at 0
       (plus its estimate): H f >= 0 and |G_lam(x)| <= G_0(x) for real lam
       (Schapira, GAFA 2008), so this bounds what the node errors of H f
       carry into lhs.
 
     Like transform_grid, lhs leaves out H f beyond |x| = truncation_x.
-    Requires phi integrable; raises KernelNotIntegrableError otherwise, and
+    Requires phi integrable; raises KernelNotIntegrableError otherwise,
     ParameterError for an f that takes a negative value or a lam so large
-    that the t range is empty.
+    that the t range is empty, and BudgetExhaustedError when the rhs's run
+    in t spends ``max_subdivisions`` splits before it converges or reaches
+    its noise floor.
     """
     lo, hi = k.support()
     try:
@@ -983,16 +986,15 @@ def commutation_residual(
     (lhs, hf0), (lhs_err, hf0_err) = transform_grid(hf_nodes, p, [lam, 0.0], cfg)
 
     def averaged(t):
-        # phi(t) u(lam t) and phi(t), u from one transform batch per round
+        # phi(t) u(lam t), u from one transform batch per round
         u, u_err = transform_grid(f, p, lam * t, cfg)
         phi = k(t)
-        return np.stack([phi * u, phi]), np.stack([phi * u_err, np.zeros(t.shape)])
+        return phi * u, np.abs(phi) * u_err
 
     r = integrate(averaged, lo, b, cfg, points=k.breakpoints())
-    rhs = r.value[0]
-    err = lhs_err + r.err_estimate[0] + max(rel) * (abs(hf0) + hf0_err)
+    err = lhs_err + r.err_estimate + max(rel) * (abs(hf0) + hf0_err)
     if b < hi:
-        mass = max(l1.value - r.value[1].real, 0.0) + l1.err_estimate + r.err_estimate[1]
+        mass = integrate(k, b, hi, cfg, points=k.breakpoints())
         u_cut, u_cut_err = transform_grid(f, p, [lam * b], cfg)
-        err += mass * (abs(u_cut[0]) + u_cut_err[0])
-    return complex(lhs), complex(rhs), float(abs(lhs - rhs)), float(err)
+        err += (abs(mass.value) + mass.err_estimate) * (abs(u_cut[0]) + u_cut_err[0])
+    return complex(lhs), complex(r.value), float(abs(lhs - r.value)), float(err)

@@ -420,10 +420,11 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     at least ``_STALL_SPLITS`` of them, took no unconverged component's
     estimate 1% below its value at that check, or when no panel to split can
     be halved in floating point, or is above the noise of its own nodes.  A
-    panel whose |Kronrod - Gauss| is at or below its Kronrod-weighted inner
-    error, sum w |inner|, on every unconverged component is not split: its
-    children could not read below that charge, which the estimate already
-    carries; an integrand that returns no inner errors skips this test.
+    panel is split only for an unconverged component whose |Kronrod - Gauss|
+    there is above its Kronrod-weighted inner error, sum w |inner|: below
+    it, children could not read lower than that charge, which the estimate
+    already carries.  Without inner errors that noise is 0, and every panel
+    with a non-zero |Kronrod - Gauss| may split.
     When ``max_subdivisions`` splits are spent first,
     :class:`BudgetExhaustedError` carries the partial result.
 
@@ -442,8 +443,7 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     if lay is None:
         return IntegralResult(0.0, 0.0, 0)
     panels = _initial_panels(lay.pieces, points) if np.size(points) else lay.panels
-    # noisy: whether f has reported inner errors, which the split rule reads
-    shape, noisy = (), False
+    shape = ()
 
     def in_s(block):
         """The integrand in s on panels of ``block``: f(sign X(s)) X'(s), and
@@ -451,13 +451,12 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         k, scale, sign = lay.maps[:, block.astype(np.intp), None]
 
         def g(s):
-            nonlocal shape, noisy
+            nonlocal shape
             x = np.where(k == 0, s, scale * np.exp(k * s))
             jac = np.where(k == 0, 1.0, x)
             with np.errstate(over="ignore"):
                 out = f((sign * x).ravel())
                 values, inner = out if isinstance(out, tuple) else (out, None)
-                noisy = noisy or inner is not None
                 values = np.asarray(values)
                 shape = values.shape[:-1]
                 # finiteness is tested on this product: a value that
@@ -492,18 +491,15 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         if splits >= cfg.max_subdivisions:
             exhausted = True
             break
-        # each panel's worst unconverged component, in units of its fair share
-        share = (diff[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
+        # each panel's worst unconverged component, in units of its fair
+        # share, counting only a component whose |K - G| is above the noise
+        # of the panel's own nodes, sum w |inner|: below it, children could
+        # not read lower than the inner error the estimate already charges
+        over = np.where(diff > state[3 + 2 * m:].real, diff, 0.0)
+        share = (over[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
         mid = 0.5 * (lo_s + hi_s)
         # a panel at floating-point resolution stays whole
-        split = (share > 1.0) & (mid > lo_s) & (mid < hi_s)
-        if noisy:
-            # and so does one whose |K - G| is within the noise of its own
-            # nodes, sum w |inner|, on every unconverged component: its
-            # children could not read below the inner error the estimate
-            # already charges
-            split &= (diff[unconverged] > state[3 + 2 * m:].real[unconverged]).any(axis=0)
-        cand = np.flatnonzero(split)
+        cand = np.flatnonzero((share > 1.0) & (mid > lo_s) & (mid < hi_s))
         budget = cfg.max_subdivisions - splits
         if cand.size > budget:
             cand = np.sort(cand[np.argsort(-share[cand], kind="stable")[:budget]])

@@ -582,6 +582,20 @@ def test_commutation_default_row_transforms_few_rows(monkeypatch):
     assert sum(rows) <= 200
 
 
+def test_commutation_near_truncation_lambda_splits_only_above_the_noise(monkeypatch):
+    # phi = (1 - t)^(-1/2) / 2 on (0, 1) and lambda = 39, so lambda t nears
+    # truncation_lambda = 40 at phi's singular end: the rhs stops at the
+    # transforms' noise in 212 rows, batches of at most 150.  Integrating
+    # phi beside phi u, with no inner error, let its |K - G| split the noisy
+    # panels of phi u: 60,152 rows, a batch of 20,610, a 207 MB peak and an
+    # exhausted budget
+    rows = _spy_transform_rows(monkeypatch)
+    k = make_kernel("cesaro", gamma_c=0.5)
+    lhs, rhs, gap, err = commutation_residual(k, COMM_F, COMM_P, 39.0, CFG)
+    assert sum(rows) <= 400 and max(rows) <= 200
+    assert math.isfinite(gap) and 0.0 < err < 1e-3
+
+
 # cos 3x on [0.2, 2] changes sign: the engine, which integrates log|f|,
 # would return H|f| (8.51 at x = 0.5 with adjoint Hardy at (1/2, -1/2),
 # against 0.773 for H f)

@@ -528,3 +528,25 @@ def test_an_integrand_without_inner_errors_keeps_its_bits_and_rounds(inner):
     assert float(r.value).hex() == "0x1.8c624c17b3261p+2"
     assert float(r.err_estimate).hex() == "0x1.52c028b2e9a31p-26"
     assert (r.subdivisions_used, len(calls)) == (24, 12)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6])
+def test_a_noisy_component_adds_no_splits_to_a_clean_one(delta):
+    # the ripple of the first test as component 0, with its inner error,
+    # beside the kinked integrand of the second as component 1, without: a
+    # panel splits only for a component above its own noise, so the pair
+    # takes the clean one's 24 splits and bits; split wherever either read
+    # above the other's noise, it took 613 to 742
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        noisy = np.cos(x) + delta * np.sin(1e7 * x * x)
+        kinked = np.sqrt(np.abs(x - 0.3)) * np.exp(x)
+        return (np.stack([noisy, kinked]),
+                np.stack([np.full(x.shape, delta), np.zeros(x.shape)]))
+
+    r = integrate(f, 0.0, 2.0, CFG)
+    assert (r.subdivisions_used, len(calls)) == (24, 12)
+    assert float(r.value[1]).hex() == "0x1.8c624c17b3261p+2"
+    assert abs(r.value[0] - math.sin(2.0)) <= r.err_estimate[0]
