@@ -258,9 +258,11 @@ def _run_t_l1(s: VerifyScenario) -> VerifyReport:
 def _run_t_comm_diag(s: VerifyScenario) -> VerifyReport:
     lam = float(s.exponents.get("lam", 1.0))
     lhs, rhs, gap, err = commutation_residual(s.kernel, s.functions[0], s.params, lam, s.cfg)
+    # a gap beyond its estimate is real: G_lambda(t x) != G_(lambda t)(x)
     return VerifyReport(
         s.to_dict(), abs(lhs), abs(rhs), _ratio_ext(abs(lhs), abs(rhs)),
-        _TOL_FLOOR, "diagnostic_recorded", {"gap": gap, "quadrature_component": err},
+        _TOL_FLOOR, "diagnostic_recorded",
+        {"gap": gap, "quadrature_component": err, "gap_exceeds_estimate": gap > err},
     )
 
 

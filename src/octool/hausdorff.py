@@ -114,6 +114,16 @@ class KernelSpec:
         lo, hi = (1.0, math.inf) if v in ("hardy", "riemann_liouville") else (0.0, 1.0)
         return ((lo, hi, {"hardy": -1.0, "adjoint_hardy": 0.0}.get(v)),)
 
+    def power_end(self):
+        """tau -> phi(hi - tau) for a kernel that is a non-integer power of
+        hi - t at the end hi of its support, Cesaro unless gamma_c is an
+        integer, or None.  It takes phi from tau itself: hi - tau rounds to hi
+        below tau ~ 1e-16, where phi(hi) = 0 would drop a mass of tau^gamma_c."""
+        g = self.params.get("gamma_c")
+        if self.variant != "cesaro" or g == round(g):
+            return None
+        return lambda tau: g * np.asarray(tau, dtype=float) ** (g - 1.0)
+
     def support(self) -> tuple[float, float]:
         pieces = self.pieces()
         return pieces[0][0], pieces[-1][1]
@@ -930,29 +940,32 @@ def commutation_residual(
     H f at lam, the kernel average of the transform of f at lam*t, their
     distance |lhs - rhs| and an estimate of its error.
 
-    lhs is one :func:`transform_grid` call over [lam, 0] of H f, which takes
-    H f at all its nodes from one :func:`hausdorff_log_grid` call.  rhs is
+    lhs is one :func:`transform_grid` call at lam of H f, which takes H f
+    and the engine's error at the nodes of each of its refinement rounds
+    from one :func:`hausdorff_log_grid` call, made only between the extreme
+    products of f's and phi's support ends, outside which H f vanishes.
+    A H f tends to a constant at 0 for adjoint Hardy, so the transform
+    grades its first s panel there.  rhs is
     one :func:`quad.integrate` run in t over (lo, b), phi's support (lo, hi)
     cut at b = min(hi, truncation_t, truncation_lambda/|lam|), so that |lam t|
     stays within the spectral range; phi's breakpoints are panel edges, and
-    a 0 end is reached in log coordinates.  A batch holds that round's new
+    a 0 end is reached in log coordinates.  So is phi's power end, when b
+    reaches it (:meth:`KernelSpec.power_end`), in tau = hi - t, with phi
+    taken from tau.  A batch holds that round's new
     nodes, 30 per split panel.
     It integrates phi(t) u(lam t), u the transform of f, with |phi(t)|
     times u's own estimate as its inner error; each refinement round takes
     u at that round's new nodes from one transform_grid batch, and a panel
     whose |Kronrod - Gauss| is within its nodes' inner error is not split.
     err adds
-    - lhs's own transform_grid estimate;
+    - lhs's own transform_grid estimate, which carries the engine's node
+      errors through the Abel integrals;
     - rhs's integrate estimate: the final panels' |Kronrod - Gauss| in t,
       the Kronrod-weighted |phi| times each transform's own estimate, and
       the tail charge of a 0 end;
     - for b < hi, phi's mass beyond b, its integral over (b, hi) plus that
       integral's estimate, times |u| (plus its estimate) at b, as
-      oc_inverse_result charges its excised window;
-    - the engine's largest relative error times the transform of H f at 0
-      (plus its estimate): H f >= 0 and |G_lam(x)| <= G_0(x) for real lam
-      (Schapira, GAFA 2008), so this bounds what the node errors of H f
-      carry into lhs.
+      oc_inverse_result charges its excised window.
 
     Like transform_grid, lhs leaves out H f beyond |x| = truncation_x.
     Requires phi integrable; raises KernelNotIntegrableError otherwise,
@@ -975,15 +988,24 @@ def commutation_residual(
             "phi's support")
 
     image = HausdorffImage(k, f, p, cfg)
-    rel = []
+    # H f(x) takes f at x / t for t in phi's support: it vanishes outside the
+    # products of the two supports' ends (0 inf, undefined, is left open)
+    with np.errstate(invalid="ignore"):
+        ends = np.multiply.outer(f.support(), (lo, hi)).ravel()
+    hf_lo, hf_hi = ((-math.inf, math.inf) if np.isnan(ends).any()
+                    else (float(ends.min()), float(ends.max())))
 
     def hf_nodes(x):
-        # H f at every node of the transform, from one engine call
-        core, _, node_rel = image.log_abs_decomp(x)
-        rel.append(node_rel.max())
-        return np.exp(core - log_weight_a(p, x))
+        # H f and the engine's error at every node of the transform where H f
+        # may not vanish, from one engine call
+        out, err = np.zeros(x.shape), np.zeros(x.shape)
+        live = (x != 0.0) & (x >= hf_lo) & (x <= hf_hi)
+        core, _, node_rel = image.log_abs_decomp(x[live])
+        out[live] = np.exp(core - log_weight_a(p, x[live]))
+        err[live] = node_rel * out[live]
+        return out, err
 
-    (lhs, hf0), (lhs_err, hf0_err) = transform_grid(hf_nodes, p, [lam, 0.0], cfg)
+    lhs, lhs_err = transform_grid(hf_nodes, p, [lam], cfg)
 
     def averaged(t):
         # phi(t) u(lam t), u from one transform batch per round
@@ -991,10 +1013,23 @@ def commutation_residual(
         phi = k(t)
         return phi * u, np.abs(phi) * u_err
 
-    r = integrate(averaged, lo, b, cfg, points=k.breakpoints())
-    err = lhs_err + r.err_estimate + max(rel) * (abs(hf0) + hf0_err)
+    phi_hi = k.power_end()
+    if phi_hi is not None and b == hi:
+        # t = hi - tau, so that phi's power end is a 0 end in tau, reached in
+        # log coordinates: bisection in t halves its way toward it, 46 splits
+        # for Cesaro gamma_c = 1/2 at rel_tol 1e-8
+
+        def from_end(tau):
+            u, u_err = transform_grid(f, p, lam * (hi - tau), cfg)
+            phi = phi_hi(tau)
+            return phi * u, phi * u_err
+
+        r = integrate(from_end, 0.0, hi - lo, cfg)
+    else:
+        r = integrate(averaged, lo, b, cfg, points=k.breakpoints())
+    err = lhs_err[0] + r.err_estimate
     if b < hi:
         mass = integrate(k, b, hi, cfg, points=k.breakpoints())
         u_cut, u_cut_err = transform_grid(f, p, [lam * b], cfg)
         err += (abs(mass.value) + mass.err_estimate) * (abs(u_cut[0]) + u_cut_err[0])
-    return complex(lhs), complex(r.value), float(abs(lhs - r.value)), float(err)
+    return complex(lhs[0]), complex(r.value), float(abs(lhs[0] - r.value)), float(err)

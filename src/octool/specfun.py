@@ -721,6 +721,85 @@ def eigenfunction_g(p: JacobiParams, lam: float, x: float) -> complex:
     return complex(_g_batch(p, [lam], [x])[0][0, 0])
 
 
+# terms of the kernel's 2F1 before NonConvergenceError: its argument is below
+# 1/2, so the terms fall at least geometrically once n passes about 2 alpha
+_KERNEL_BUDGET = 2000
+
+
+def _mehler_kernel(p: JacobiParams, s, d):
+    """c_alpha K(x, s) at x = s + d for s >= 0 and d > 0 broadcasting
+    together, and an element-wise error bound: Koornwinder's Mehler-type
+    integral (1984) phi_lambda(x) = c_alpha (sinh 2x)^(-2 alpha)
+    (cosh x)^(alpha - beta) int_0^x cos(lambda s) K(x, s) ds, with
+
+        K(x, s) = (cosh 2x - cosh 2s)^(alpha - 1/2)
+                  2F1(alpha + beta, alpha - beta; alpha + 1/2; z),
+        z = (cosh x - cosh s) / (2 cosh x),
+        c_alpha = 2^(alpha + 3/2) Gamma(alpha + 1) / (sqrt(pi) Gamma(alpha + 1/2)).
+
+    K is positive and free of lambda, and z lies in [0, 1/2).  The
+    differences are products of sinh at s + d/2 and d/2, so they keep their
+    digits as d -> 0.
+
+    The 2F1 is a real power series in z with no lambda in it, so its
+    coefficients c_n = (a)_n (b)_n / ((c)_n n!) are scalars, and it is
+    summed by Horner's rule up to the term N where the geometric bound on
+    the rest at the largest z, |c_N| z^N R / (1 - R) with R = z max(1,
+    (a + N)/(c + N)) max(1, (b + N)/(N + 1)) (every later term ratio is
+    below it, as each factor moves monotonically towards 1), falls below
+    _ROUND: N = 0 where alpha + beta or alpha - beta is 0, as at (1/2, -1/2)
+    and (3/2, 3/2), about 50 at z near 1/2 on (1, 1/2).  Every term of the
+    rest grows with z, so the bound is that rest plus _ROUND (N + 1) times
+    the summed |terms|.  A plain recurrence over the whole array, or
+    ``_hyp_series`` with its complex steps, costs several times more."""
+    a, b, c = p.alpha + p.beta, p.alpha - p.beta, p.alpha + 0.5
+    s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
+    total = size = np.ones(s.shape)
+    coefs, rest = [1.0], 0.0
+    if a * b != 0.0 or p.alpha != 0.5:
+        # sinh and cosh of m = s + d/2 and of h = d/2: cosh x - cosh s =
+        # 2 sinh m sinh h, cosh 2x - cosh 2s = 8 sinh m cosh m sinh h cosh h
+        # and cosh x = cosh m cosh h + sinh m sinh h
+        sm, sh = np.sinh(s + 0.5 * d), np.sinh(0.5 * d)
+        prod, cosh_both = sm * sh, np.sqrt((1.0 + sm * sm) * (1.0 + sh * sh))
+    # a + n and b + n vanish only at n = 0 (a > -1, b >= 0): then the series
+    # is 1, with no z to compute
+    if a * b != 0.0:
+        z = prod / (cosh_both + prod)
+        z_max = float(z.max(initial=0.0))
+        term = 1.0
+        for n in range(_KERNEL_BUDGET):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
+            coefs.append(term)
+            # every later term ratio, from c_(n+2) / c_(n+1) on, is below it
+            bound = (z_max * max(1.0, (a + n + 1.0) / (c + n + 1.0))
+                     * max(1.0, (b + n + 1.0) / (n + 2.0)))
+            rest = abs(term) * z_max ** (n + 1) * bound / (1.0 - bound) if bound < 1.0 else math.inf
+            if rest <= _ROUND:
+                break
+        else:
+            raise NonConvergenceError(
+                f"Mehler kernel series did not converge within {_KERNEL_BUDGET} terms")
+        total = np.full(z.shape, coefs[-1])
+        for coef in coefs[-2::-1]:
+            total *= z
+            total += coef
+        size = total
+        if any(coef < 0.0 for coef in coefs):
+            size = np.full(z.shape, abs(coefs[-1]))
+            for coef in coefs[-2::-1]:
+                size *= z
+                size += abs(coef)
+    log_c = ((p.alpha + 1.5) * math.log(2.0) + math.lgamma(p.alpha + 1.0)
+             - 0.5 * math.log(math.pi) - math.lgamma(p.alpha + 0.5))
+    scale = math.exp(log_c)
+    if p.alpha != 0.5:
+        scale = scale * (8.0 * prod * cosh_both) ** (p.alpha - 0.5)
+    # the rest at z_max bounds the rest at every smaller z
+    err = size * (_ROUND * len(coefs)) + rest
+    return scale * total, scale * err
+
+
 # ---------------------------------------------------------------------------
 # Weight and its scaling-ratio extrema
 

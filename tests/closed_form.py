@@ -9,8 +9,17 @@ the second from G = phi + c sinh(2x) phi^(3/2, 1/2) and the derivative
 identity phi' = -(rho^2 + lambda^2) / (4(alpha + 1)) sinh(2x) phi^(alpha+1, beta+1).
 An even f has the transform (2/lambda) int_0^inf f(x) sin(lambda x) sinh x dx,
 since the odd part of G integrates to 0 against it, and the spectral density
-is lambda (lambda + i) / (2 pi).  They stay here: a closed-form branch in the
-library would be a second phi path.
+is lambda (lambda + i) / (2 pi).
+
+At (3/2, 3/2), rho = 4, the quadratic transformation phi^(a,a)_lambda(x) =
+phi^(a,-1/2)_(lambda/2)(2x) (Koornwinder, 1984) gives phi the spherical
+function of hyperbolic 5-space,
+
+    phi_mu(r) = 3 (sin(mu r) cosh r / sinh^3 r - mu cos(mu r) / sinh^2 r) / (mu (mu^2 + 1)),
+
+and |c(lambda)|^-2 is the polynomial 4 lambda^2 (lambda^2 + 4) / 9, so the
+real part of the density is lambda^2 (lambda^2 + 4) / (18 pi).  They stay
+here: a closed-form branch in the library would be a second phi path.
 """
 import math
 
@@ -62,3 +71,36 @@ def bump_spectral_tail(lam_cut, lam_end=300.0):
     lams = (mid[:, None] + half[:, None] * t).ravel()
     weights = (half[:, None] * w).ravel()
     return 4.0 / math.pi * float(np.sum(weights * bump_sine_integral(lams) ** 2))
+
+
+def phi_p3(lams, x):
+    """phi_lambda(x) at (3/2, 3/2) on the (lambda, x) grid; lambda and x != 0."""
+    mu = np.asarray(lams, dtype=float)[:, None] / 2.0
+    r = 2.0 * np.abs(np.asarray(x, dtype=float))[None, :]
+    sh = np.sinh(r)
+    return 3.0 * (np.sin(mu * r) * np.cosh(r) / sh ** 3 - mu * np.cos(mu * r) / sh ** 2) \
+        / (mu * (mu * mu + 1.0))
+
+
+def bump_transform_p3(lams, n=1000):
+    """The transform at (3/2, 3/2) of the bump f = exp(1 - 1/(1 - x^2)) on
+    (-1, 1), int f phi_lambda A dx with A = sinh^4|x| cosh^4 x: f is even, so
+    the odd part of G drops out.  The integrand is even, smooth and vanishes
+    to all orders at +-1, so the midpoint rule on [-1, 1] (n panels a side)
+    converges faster than any power of 1/n for lambda well below pi n."""
+    x = (np.arange(n) + 0.5) / n
+    f = np.exp(1.0 - 1.0 / (1.0 - x * x))
+    w = 2.0 * f * (np.sinh(x) * np.cosh(x)) ** 4 / n
+    return phi_p3(lams, x) @ w
+
+
+def bump_spectral_tail_p3(lam_cut, lam_end=300.0):
+    """The spectral side of the bump's Plancherel identity at (3/2, 3/2) past
+    lam_cut: 2 int_cut^inf transform^2 lambda^2 (lambda^2 + 4) / (18 pi)
+    dlambda, on unit-wide Gauss-Legendre panels to lam_end."""
+    t, w = np.polynomial.legendre.leggauss(12)
+    edges = np.arange(lam_cut, lam_end + 0.5, 1.0)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    lams = (mid[:, None] + half[:, None] * t).ravel()
+    weights = (half[:, None] * w).ravel() * lams ** 2 * (lams ** 2 + 4.0) / (18.0 * math.pi)
+    return 2.0 * float(np.sum(weights * bump_transform_p3(lams) ** 2))

@@ -24,7 +24,7 @@ from octool.hausdorff import (
     make_kernel,
 )
 from octool.octransform import FunctionSpec, oc_transform, oc_transform_result
-from octool.quad import QuadConfig
+from octool.quad import QuadConfig, integrate
 from octool.specfun import JacobiParams, log_weight_a, weight_a
 
 P1 = JacobiParams(0.5, -0.5)
@@ -518,8 +518,8 @@ def comm_lhs_ref():
 
 
 def test_commutation_lhs_within_its_transform_estimate(comm_lhs_ref, monkeypatch):
-    # lhs is transform_grid of H f over [lambda, 0]; its own estimate, the
-    # first entry of that call's, covers its distance to the nested reference
+    # lhs is transform_grid of H f at lambda; that call's own estimate
+    # covers its distance to the nested reference
     grids, exact = [], hausdorff.transform_grid
 
     def recorded(f, *args):
@@ -542,10 +542,10 @@ def test_commutation_estimate_covers_both_sides(comm_lhs_ref):
 
 
 # ROADMAP item 13's probe: t^-2 on (1, inf), a Gaussian, (1, 1/2), lambda = 1.
-# Its rhs from 256 fixed log-spaced panels in t over (1e-8, 40), 3,840
-# transforms with an estimate of 6.05e-4 in all
+# Its rhs from 64 fixed log-spaced panels in t over (1, 40), 960 transforms:
+# their estimates and the panels' |Kronrod - Gauss| come to 7.5e-12
 PROBE_K = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf)
-PROBE_RHS_FIXED = 0.9260984613810396 - 1.974e-7j
+PROBE_RHS_FIXED = 0.9260984932804106
 
 
 def _spy_transform_rows(monkeypatch):
@@ -563,14 +563,16 @@ def _spy_transform_rows(monkeypatch):
 
 def test_commutation_probe_stops_at_the_noise_of_its_transforms(monkeypatch):
     # lambda t reaches truncation_lambda = 40, where the transforms of the
-    # Gaussian are series noise, each within its own estimate: panels there
-    # stay whole once their |K - G| is within that noise, where splitting
-    # them took the rhs to 4,218 transform rows and a 215 MB peak
+    # Gaussian are below 1e-170 and each within its own estimate: panels
+    # there stay whole once their |K - G| is within that noise.  When the
+    # transforms were series noise, splitting them took the rhs to 4,218
+    # transform rows and a 215 MB peak.  The transforms of an even f are real
     rows = _spy_transform_rows(monkeypatch)
     gaussian = FunctionSpec("gaussian", params={"scale": 1.0})
     lhs, rhs, gap, err = commutation_residual(PROBE_K, gaussian, COMM_P, 1.0, CFG)
     assert sum(rows) < 600
     assert math.isfinite(gap) and 0.0 < err < math.inf
+    assert rhs.imag == 0.0
     assert abs(rhs - PROBE_RHS_FIXED) <= err
 
 
@@ -584,16 +586,31 @@ def test_commutation_default_row_transforms_few_rows(monkeypatch):
 
 def test_commutation_near_truncation_lambda_splits_only_above_the_noise(monkeypatch):
     # phi = (1 - t)^(-1/2) / 2 on (0, 1) and lambda = 39, so lambda t nears
-    # truncation_lambda = 40 at phi's singular end: the rhs stops at the
-    # transforms' noise in 212 rows, batches of at most 150.  Integrating
-    # phi beside phi u, with no inner error, let its |K - G| split the noisy
+    # truncation_lambda = 40 at phi's singular end.  The transforms of f hold
+    # their values to small estimates there, so the rhs converges to rel_tol:
+    # in tau = 1 - t, with that end reached in log coordinates, in 301 rows,
+    # batches of at most 150; bisection in t took 1,381.  Integrating phi
+    # beside phi u, with no inner error, let its |K - G| split the noisy
     # panels of phi u: 60,152 rows, a batch of 20,610, a 207 MB peak and an
     # exhausted budget
     rows = _spy_transform_rows(monkeypatch)
     k = make_kernel("cesaro", gamma_c=0.5)
     lhs, rhs, gap, err = commutation_residual(k, COMM_F, COMM_P, 39.0, CFG)
     assert sum(rows) <= 400 and max(rows) <= 200
-    assert math.isfinite(gap) and 0.0 < err < 1e-3
+    assert math.isfinite(gap) and 0.0 < err < 1e-6
+
+
+def test_power_end_keeps_the_mass_next_to_it():
+    # Cesaro gamma_c = 0.1 in tau = 1 - t: 1 - tau rounds to 1 below
+    # tau ~ 1e-16, where phi(1) = 0 would drop tau^0.1 ~ 0.025 of its mass
+    k = make_kernel("cesaro", gamma_c=0.1)
+    phi_hi = k.power_end()
+    tau = np.array([0.5, 1e-3, 1e-9])
+    assert np.allclose(phi_hi(tau), k(1.0 - tau), rtol=1e-6, atol=0.0)
+    r = integrate(phi_hi, 0.0, 1.0, CFG)
+    assert abs(r.value - 1.0) <= r.err_estimate < 1e-8
+    for smooth in (make_kernel("cesaro", gamma_c=2.0), make_kernel("adjoint_hardy")):
+        assert smooth.power_end() is None
 
 
 # cos 3x on [0.2, 2] changes sign: the engine, which integrates log|f|,

@@ -149,44 +149,48 @@ def test_transform_grid_matches_pointwise():
 @pytest.mark.parametrize("lam_max", [40.0, 80.0])
 def test_transform_grid_of_an_even_f_sums_phi_alone(monkeypatch, lam_max):
     # the integral is folded onto x >= 0, and an even f has no odd part, so
-    # the shifted series of G's odd part is never summed
+    # only the Abel transform at (alpha, beta) is built: the kernel at the
+    # shifted pair, which G's odd part needs, is never evaluated, and the
+    # cosine transform of a real F is real
     seen = []
-    phi_batch = specfun._phi_batch
+    kernel = octransform._mehler_kernel
 
-    def spy(p, lams, x, fold_sinh2x=False):
-        seen.append((p, np.array(x)))
-        return phi_batch(p, lams, x, fold_sinh2x)
+    def spy(q, s, d):
+        seen.append((q, np.array(s), np.array(d)))
+        return kernel(q, s, d)
 
-    monkeypatch.setattr(specfun, "_phi_batch", spy)
-    monkeypatch.setattr(octransform, "_phi_batch", spy)
+    monkeypatch.setattr(octransform, "_mehler_kernel", spy)
     for f in (GAUSS, BUMP):
-        transform_grid(f, P2, np.array([0.5, lam_max]), CFG)
-    assert len(seen) == 2
-    assert all(p == P2 for p, _ in seen)
-    assert all(np.all(x >= 0.0) for _, x in seen)
+        vals, _ = transform_grid(f, P2, np.array([0.5, lam_max]), CFG)
+        assert np.all(vals.imag == 0.0)
+    assert seen and all(q == P2 for q, _, _ in seen)
+    assert all(np.all(s >= 0.0) and np.all(d > 0.0) for _, s, d in seen)
+
+
+# the transform of the bump (0.8, 0.2) at (1, 1/2) and of its reflection,
+# int f(x) G_lambda(-x) A(x) dx by mpmath.quad at 30 digits on pieces of width
+# 0.05, with phi and G's odd part from mpmath.hyp2f1
+OFF_CENTRE_MPMATH = {
+    0.5: (0.10785691392805859 - 0.01777482239489329j, 0.2856051378769915 + 0.01777482239489329j),
+    12.0: (0.0006553904003610768 - 0.006568270516419859j,
+           0.003392169782202685 + 0.006568270516419859j),
+    40.0: (-4.521919781207656e-05 - 8.547581815770016e-05j,
+           -3.453472054236404e-05 + 8.547581815770016e-05j),
+}
 
 
 def test_transform_grid_off_centre_keeps_its_values():
-    # support (0.6, 1.0) lies on one side of 0, so the panels are the plain
-    # linspace ones over it; pinned values to within 4 ulps (exp and sinh may
-    # round differently on another CPU), while a change of the panels moves
-    # them by about 1e-10.  The values and bounds are those of
-    # the series summed as one matrix product per eight terms, so they also
-    # depend on the BLAS kernel
+    # support (0.6, 1.0) lies on one side of 0, so f has an odd part; each
+    # value and that of the reflection lies within its estimate of mpmath,
+    # and the estimates are small.  The series path this replaced read
+    # -4.446e-05 - 8.612e-05i at lambda = 40, 7.7e-7 off
     f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
-    vals, errs = transform_grid(f, P2, np.array([0.5, 3.0, 17.0, 40.0]), CFG)
-    pinned_vals = [
-        0.1078569119677617 - 0.017774821967687954j,
-        0.03033972001844375 - 0.05989560482551219j,
-        0.0017077835968421396 + 0.0014254264549695638j,
-        -4.446353247005195e-05 - 8.612120444808449e-05j,
-    ]
-    pinned_errs = [4.66543513880357e-06, 2.66047064539779e-06,
-                   2.588874530080031e-07, 4.781037183465744e-05]
-    ulps = 2.0 ** -50
-    assert vals.real == pytest.approx(np.real(pinned_vals), rel=ulps, abs=0.0)
-    assert vals.imag == pytest.approx(np.imag(pinned_vals), rel=ulps, abs=0.0)
-    assert errs == pytest.approx(pinned_errs, rel=ulps, abs=0.0)
+    lams = np.array(list(OFF_CENTRE_MPMATH))
+    vals, errs, r_vals, r_errs = transform_grid(f, P2, lams, CFG, reflected=True)
+    refs = np.array(list(OFF_CENTRE_MPMATH.values()))
+    for ours, err, ref in ((vals, errs, refs[:, 0]), (r_vals, r_errs, refs[:, 1])):
+        assert np.all(np.abs(ours - ref) <= err)
+        assert np.all(err <= 1e-7)
 
 
 @pytest.mark.parametrize("f", [
@@ -195,17 +199,16 @@ def test_transform_grid_off_centre_keeps_its_values():
     FunctionSpec("bump", params={"center": 1.0, "width": 2.0}),
 ])
 def test_transform_grid_ignores_the_memory_order_of_g(monkeypatch, f):
-    # the panel sums see the values of phi and of G's odd part and their
-    # bounds, not their layout: Fortran-ordered arrays with the same bits
-    # give the same bits
+    # the panel sums see the values of the Abel kernel and its bounds, not
+    # their layout: Fortran-ordered arrays with the same bits give the same
+    # bits
     lams = np.array([0.5, 3.0, 17.0, 40.0])
     vals, errs = transform_grid(f, P2, lams, CFG)
 
-    def fortran(batch):
-        return lambda *args: tuple(np.asfortranarray(v) for v in batch(*args))
+    def fortran(kernel):
+        return lambda *args: tuple(np.asfortranarray(v) for v in kernel(*args))
 
-    for name in ("_phi_batch", "_g_odd"):
-        monkeypatch.setattr(octransform, name, fortran(getattr(octransform, name)))
+    monkeypatch.setattr(octransform, "_mehler_kernel", fortran(octransform._mehler_kernel))
     vals_f, errs_f = transform_grid(f, P2, lams, CFG)
     assert np.array_equal(vals_f, vals)
     assert np.array_equal(errs_f, errs)
@@ -224,6 +227,17 @@ def test_transform_grid_of_an_uneven_support_matches_pointwise(f, p):
         assert abs(v - ref.value) <= e + ref.err_estimate, lam
 
 
+def test_transform_grid_of_a_complex_f_matches_pointwise():
+    # a complex-valued callable: both parts go through the Abel integrals
+    f = lambda x: BUMP(np.asarray(x) - 0.3) * (1.0 + 0.5j * np.sin(np.asarray(x)))
+    lams = np.array([0.5, 3.0])
+    vals, errs = transform_grid(f, P2, lams, CFG)
+    for lam, v, e in zip(lams, vals, errs):
+        ref = oc_transform_result(f, P2, float(lam), QuadConfig(rel_tol=1e-12))
+        assert abs(v - ref.value) <= e + ref.err_estimate
+        assert abs(v.imag) > 1e-3
+
+
 def test_transform_result_has_a_real_estimate():
     # the integrand is complex; its estimate is a real number that covers
     # the closed form
@@ -235,11 +249,74 @@ def test_transform_result_has_a_real_estimate():
 @pytest.mark.parametrize("doubled", [False, True])
 def test_transform_grid_covers_the_closed_form(doubled):
     # the Gaussian at (1/2, -1/2) on every lambda node of the Plancherel
-    # residual's grid, at truncation_lambda and at twice it
+    # residual's grid, at truncation_lambda and at twice it: every estimate
+    # covers its error and is below 1e-10 (the series path's reached 4.2e-2
+    # at lambda = 40, where it was 1.0e-3 off a value of 2e-175)
     cfg = QuadConfig(truncation_lambda=80.0) if doubled else CFG
     lam = panel_rule(octransform._lambda_edges(cfg.lambda_min, cfg.truncation_lambda))[0]
     vals, errs = transform_grid(GAUSS, P1, lam, cfg)
-    assert np.all(np.abs(vals - closed_form.gaussian_transform(lam)) <= errs)
+    miss = np.abs(vals - closed_form.gaussian_transform(lam))
+    assert np.all(miss <= errs)
+    assert np.all(errs <= 1e-10)
+    assert np.all(miss[lam >= 40.0] <= 1e-12)
+
+
+# the transforms of the Gaussian and of the bump (0.8, 0.2) and its
+# reflection: int f(x) G_lambda(-x) A(x) dx by mpmath.quad at 30 digits, on
+# pieces of width 1/8 over (0, 10) (0, 11 at (3/2, 3/2)) for the Gaussian, an
+# even f, as 2 int_0 f phi A, and of width 0.05 over the bump's support
+MPMATH_TRANSFORMS = {
+    (P2, 0.5): (3.7269321882193496, 0.10785691392805859 - 0.01777482239489329j,
+                0.2856051378769915 + 0.01777482239489329j),
+    (P2, 12.0): (-1.110278100918588e-15, 0.0006553904003610768 - 0.006568270516419859j,
+                 0.003392169782202685 + 0.006568270516419859j),
+    (P2, 40.0): (9.175169914339368e-36, -4.521919781207656e-05 - 8.547581815770016e-05j,
+                 -3.453472054236404e-05 + 8.547581815770016e-05j),
+    (P3, 0.5): (22.812122822493933, 0.09115989881086316 - 0.014500920622381893j,
+                0.32317462876897346 + 0.014500920622381893j),
+    (P3, 12.0): (-3.1667582374019994e-17, 0.002213292668047591 - 0.00397079209069866j,
+                 0.004860487395180031 + 0.00397079209069866j),
+    (P3, 40.0): (4.619237289436667e-35, 4.868630521357429e-07 - 4.4078654817680385e-05j,
+                 9.30259401567182e-06 + 4.4078654817680385e-05j),
+}
+
+
+@pytest.mark.parametrize("p", [P2, P3])
+def test_transform_grid_against_mpmath(p):
+    lams = np.array([0.5, 12.0, 40.0])
+    refs = np.array([MPMATH_TRANSFORMS[p, lam] for lam in lams])
+    vals, errs = transform_grid(GAUSS, p, lams, CFG)
+    assert np.all(np.abs(vals - refs[:, 0]) <= errs)
+    off = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
+    vals, errs, r_vals, r_errs = transform_grid(off, p, lams, CFG, reflected=True)
+    assert np.all(np.abs(vals - refs[:, 1]) <= errs)
+    assert np.all(np.abs(r_vals - refs[:, 2]) <= r_errs)
+
+
+def _over_a(x):
+    """e^(-x^2) / A(x) on x > 0 at (1/2, -1/2), 0 elsewhere: f A tends to 1
+    at 0, as A H f does for adjoint Hardy."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = x > 0.0
+    out[pos] = np.exp(-x[pos] ** 2) / weight_a(P1, x[pos])
+    return out
+
+
+def test_transform_grid_of_an_f_whose_f_a_tends_to_a_constant():
+    # F_e grows as log(1/s) at 0, so the first s panel is graded; the
+    # transform is int_0^inf e^(-x^2) G_lambda(-x) dx, here from the closed-form
+    # G on 40-point Gauss-Legendre panels of width 1/8 over (0, 7).  The
+    # estimate's largest part is the graded rule's tail (0, e1 e^-16)
+    lams = np.array([0.5, 3.0, 12.0])
+    vals, errs = transform_grid(_over_a, P1, lams, CFG)
+    t, w = np.polynomial.legendre.leggauss(40)
+    edges = np.arange(0.0, 7.01, 0.125)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    x = (mid[:, None] + half[:, None] * t).ravel()
+    ref = (closed_form.g(lams, -x) * np.exp(-x * x)) @ (half[:, None] * w).ravel()
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert np.all(errs <= 2e-6)
 
 
 def test_closed_form_matches_the_series():
@@ -367,10 +444,8 @@ def test_doubled_residual_adds_the_band_past_the_cut():
 @pytest.mark.parametrize("lam_cut", [40.0, 80.0])
 def test_plancherel_gap_is_the_spectral_tail(lam_cut):
     # lhs - rhs is the closed form's spectral mass past truncation_lambda,
-    # within the run's own estimate; every cell of the (40, 80] band is
-    # dropped as noise (|transform| within 10x its bound), so the gap does not
-    # fall from 40 to 80 and its order says nothing.  rhs scaled by 1 + 1e-3
-    # fails it
+    # within the run's own estimate, at 40 and at 80, where the transforms
+    # resolve the band (40, 80] too.  rhs scaled by 1 + 1e-3 fails it
     cfg = QuadConfig(truncation_lambda=lam_cut)
     tail = closed_form.bump_spectral_tail(lam_cut)
     lhs, rhs, _, err = plancherel_residual_detailed(BUMP, P1, cfg)
@@ -455,47 +530,63 @@ def test_is_even_only_on_the_real_line():
 
 
 def test_plancherel_residual_keeps_its_values_on_the_default_rows():
-    # the spectral band over (lambda_min, Lambda] of the three default
-    # P_PLANCHEREL rows, pinned to within 4 ulps as the transform values are
-    # (they depend on the BLAS kernel through the series); the Gaussian's
-    # gap is a few ulps of lhs, so it moves with any change of the sums
+    # the three default P_PLANCHEREL rows.  lhs, the integral of f^2 A, is
+    # pinned to within 4 ulps; each gap is the spectral mass past
+    # truncation_lambda, within the row's estimate: the bump's closed forms at
+    # (1/2, -1/2) and (3/2, 3/2), and none for the Gaussian, whose transform
+    # past lambda = 40 is below 1e-170 (so its gap is rounding)
     ulps = 2.0 ** -50
-    pinned = [
-        (P1, BUMP, 0.12327405684953045, 0.12327338248021769, 5.4704885196577e-06,
-         3.245325946135892e-06),
-        (P2, GAUSS, 1.4836697781107642, 1.4836697781107628, 8.9795428147538e-16,
-         1.5291869041752444e-07),
-        (P3, BUMP, 0.07622311224826014, 0.07621993891756632, 4.163213230513386e-05,
-         1.2350753702356596e-05),
-    ]
-    for p, f, *want in pinned:
+    for p, f, lhs_pinned in ((P1, BUMP, 0.12327405684953045), (P2, GAUSS, 1.4836697781107642),
+                             (P3, BUMP, 0.07622311224826014)):
         lhs, rhs, gap, err = plancherel_residual_detailed(f, p, CFG)
         assert rhs.imag == 0.0
-        assert [lhs, rhs.real, gap, err] == pytest.approx(want, rel=ulps, abs=0.0)
+        assert lhs == pytest.approx(lhs_pinned, rel=ulps, abs=0.0)
+        if p == P1:
+            tail = closed_form.bump_spectral_tail(CFG.truncation_lambda)
+        elif f is GAUSS:
+            tail = 0.0
+            assert gap <= 1e-14
+        else:
+            tail = closed_form.bump_spectral_tail_p3(CFG.truncation_lambda)
+        assert abs(lhs - rhs.real - tail) <= err
+
+
+# int f^2 A dx for the bump (0.3, 1) at (1, 1/2), by mpmath.quad at 30 digits
+# on (-0.7, 0) and (0, 1.3)
+UNEVEN_LHS_MPMATH = 0.320562223540571154563934291404
 
 
 def test_plancherel_of_an_uneven_f_takes_both_transforms_from_one_fold(monkeypatch):
-    # f and its reflection share the fold's nodes, phi and odd part: one
-    # _phi_batch call for phi and one for the odd part's shifted series
-    # (four when each transform was summed on its own), and the values of
-    # the two separate sums
+    # f and its reflection share one fold: one pair of Abel transforms,
+    # whose odd one enters the two transforms with opposite signs
     f = FunctionSpec("bump", params={"center": 0.3, "width": 1.0})
     calls = []
-    phi_batch = specfun._phi_batch
+    abel = octransform._abel
 
     def spy(*args, **kwargs):
         calls.append(args[0])
-        return phi_batch(*args, **kwargs)
+        return abel(*args, **kwargs)
 
-    monkeypatch.setattr(specfun, "_phi_batch", spy)
-    monkeypatch.setattr(octransform, "_phi_batch", spy)
+    monkeypatch.setattr(octransform, "_abel", spy)
     lhs, rhs, gap, err = plancherel_residual_detailed(f, P2, CFG)
-    assert len(calls) == 2
-    separate = (0.3205622235405713, 0.32054808744496355, 4.409782117059956e-05,
-                7.110288786449896e-05)
-    for ours, theirs in zip((lhs, rhs.real, gap), separate):
-        assert abs(ours - theirs) <= err
-    assert err == pytest.approx(separate[3], rel=1e-12)
+    assert len(calls) == 1
+    # lhs against mpmath; rhs against the same band (lambda_min, Lambda] on
+    # fixed quarter-wide panels, its transforms from two separate calls
+    assert abs(lhs - UNEVEN_LHS_MPMATH) <= err
+    edges = np.concatenate([[CFG.lambda_min], np.arange(0.25, CFG.truncation_lambda + 0.1, 0.25)])
+    lam, wk, wg = panel_rule(edges)
+    u, u_err = transform_grid(f, P2, lam, CFG)
+    v, v_err = transform_grid(f.reflected(), P2, lam, CFG)
+    dens = plancherel_density(P2, lam, lambda_min=CFG.lambda_min / 2.0)
+    ref = 2.0 * np.sum(wk * u * v * dens).real
+    ref_err = 2.0 * (np.sum(np.abs(np.sum((wk - wg) * u * v * dens, axis=1)))
+                     + np.sum(wk * np.abs(dens) * (u_err * np.abs(v) + v_err * np.abs(u))))
+    assert ref_err <= 1e-3 * err
+    assert abs(rhs.real - ref) <= err
+    # err covers the gap, the spectral mass past Lambda, and most of it is
+    # the tail extrapolation's charge for that mass: err is 3.4 times the
+    # gap, where the series path read 7.1e-5, 5 times its gap
+    assert abs(lhs - rhs.real) <= err <= 4.0 * abs(lhs - rhs.real)
     # the reflection's transform is the one transform_grid gives it
     lam = np.array([0.5, 3.0, 17.0])
     _, _, v, v_err = transform_grid(f, P2, lam, CFG, reflected=True)

@@ -532,3 +532,40 @@ def test_connection_term_dropped_near_a_pole_is_charged():
     assert abs(r.value - truth) <= r.abs_err_estimate
     q, rel, dropped = specfun._gamma_quotient([np.array([1.0])], [np.array([-2.0 + 1e-13j])])
     assert q[0] == 0.0 and dropped[0] == pytest.approx(3.0 * 1e-13, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [P1, P2, P3])
+def test_mehler_kernel_integrates_to_phi_at_lambda_zero(p):
+    # Koornwinder's Mehler-type integral at lambda = 0: c_alpha (sinh 2x)^(-2
+    # alpha) (cosh x)^(alpha - beta) int_0^x K(x, s) ds = phi_0(x), here in
+    # s = x (1 - u^2), which takes up K's (x - s)^(alpha - 1/2) end.  A
+    # prefactor of 2^(3 alpha + 3/2) would be off by exactly 2^(2 alpha)
+    from octool.quad import panel_rule
+    u, wu, _ = panel_rule(np.linspace(0.0, 1.0, 9))
+    for x in (0.3, 1.0, 2.0):
+        s = x * (1.0 - u * u)
+        k, k_err = specfun._mehler_kernel(p, s, x - s)
+        assert np.all(k > 0.0) and np.all(k_err <= 1e-13 * k)
+        mehler = (np.sinh(2.0 * x) ** (-2.0 * p.alpha) * np.cosh(x) ** (p.alpha - p.beta)
+                  * np.sum(k * 2.0 * x * u * wu))
+        # phi_0 within its own bound, which charges the nudge to lambda = 1e-5
+        phi, phi_err = _phi_batch(p, [0.0], [x])
+        assert abs(mehler - phi[0, 0]) <= phi_err[0, 0] + 1e-14
+
+
+def test_mehler_kernel_sums_its_2f1_in_closed_form_where_it_is_one():
+    # at (1/2, -1/2) and (3/2, 3/2) one of alpha + beta, alpha - beta is 0, so
+    # the kernel's 2F1 is 1; at (1, 1/2) it is (1 - z)^(-1/2).  The reference
+    # takes cosh 2x - cosh 2s and z at 30 digits
+    mpmath.mp.dps = 30
+    s, d = [0.0, 0.3, 2.0], [0.5, 1e-6, 3.0]
+    for p, exponent in ((P1, 0.0), (P3, 0.0), (P2, -0.5)):
+        c = 2.0 ** (p.alpha + 1.5) * math.gamma(p.alpha + 1.0) / (
+            math.sqrt(math.pi) * math.gamma(p.alpha + 0.5))
+        k, k_err = specfun._mehler_kernel(p, np.array(s), np.array(d))
+        for kv, ke, sv, dv in zip(k, k_err, s, d):
+            x, s_mp = mpmath.mpf(sv) + mpmath.mpf(dv), mpmath.mpf(sv)
+            z = (mpmath.cosh(x) - mpmath.cosh(s_mp)) / (2 * mpmath.cosh(x))
+            want = float(c * (mpmath.cosh(2 * x) - mpmath.cosh(2 * s_mp)) ** (p.alpha - 0.5)
+                         * (1 - z) ** exponent)
+            assert abs(kv - want) <= ke + 1e-15 * want
