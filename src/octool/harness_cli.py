@@ -448,21 +448,25 @@ def _run_d_scaling_diag(s: VerifyScenario) -> VerifyReport:
     # the lambda and x values they take
     lam_all = sorted({lam * t for lam in lams for t in ts} | set(lams))
     x_all = sorted({t * x for x in xs for t in ts} | set(xs))
-    g = _g_batch(p, lam_all, x_all)[0].tolist()
+    g, g_err = (a.tolist() for a in _g_batch(p, lam_all, x_all))
     row = {lam: i for i, lam in enumerate(lam_all)}
     col = {x: j for j, x in enumerate(x_all)}
-    worst = 0.0
+    worst, bound = 0.0, 0.0
     at_zero = 0.0
     for lam in lams:
         for t in ts:
             for x in xs:
-                r = abs(g[row[lam]][col[t * x]] - g[row[lam * t]][col[x]])
-                worst = max(worst, r)
+                cells = (row[lam], col[t * x]), (row[lam * t], col[x])
+                r = abs(g[cells[0][0]][cells[0][1]] - g[cells[1][0]][cells[1][1]])
+                if r > worst:
+                    # the series bounds of the worst residual's two values
+                    worst, bound = r, sum(g_err[i][j] for i, j in cells)
                 if lam == 0.0 and t == 2.0 and x == 0.5:
                     at_zero = r
     return VerifyReport(
         s.to_dict(), worst, 0.0, math.nan, _TOL_FLOOR, "diagnostic_recorded",
-        {"max_residual": worst, "residual_lam0_t2_x05": at_zero},
+        {"max_residual": worst, "residual_lam0_t2_x05": at_zero,
+         "gap_exceeds_estimate": worst > bound},
     )
 
 

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .octransform import FunctionSpec, transform_grid
+from .octransform import FunctionSpec, _abel_transform, _cosine_transform, transform_grid
 from .quad import IntegralResult, QuadConfig, integrate, panel_rule
 from .specfun import JacobiParams, log_sinh_cosh, log_weight_a
 
@@ -954,8 +954,9 @@ def commutation_residual(
     taken from tau.  A batch holds that round's new
     nodes, 30 per split panel.
     It integrates phi(t) u(lam t), u the transform of f, with |phi(t)|
-    times u's own estimate as its inner error; each refinement round takes
-    u at that round's new nodes from one transform_grid batch, and a panel
+    times u's own estimate as its inner error; f's Abel transforms are built
+    once, for |lam t| up to |lam| b, and each refinement round takes u at
+    that round's new nodes from one cosine transform of them, and a panel
     whose |Kronrod - Gauss| is within its nodes' inner error is not split.
     err adds
     - lhs's own transform_grid estimate, which carries the engine's node
@@ -1006,10 +1007,11 @@ def commutation_residual(
         return out, err
 
     lhs, lhs_err = transform_grid(hf_nodes, p, [lam], cfg)
+    abel = _abel_transform(f, p, cfg, abs(lam) * b if lam else 0.0)
 
     def averaged(t):
-        # phi(t) u(lam t), u from one transform batch per round
-        u, u_err = transform_grid(f, p, lam * t, cfg)
+        # phi(t) u(lam t), u from one cosine transform per round
+        u, u_err = _cosine_transform(abel, p, lam * t)
         phi = k(t)
         return phi * u, np.abs(phi) * u_err
 
@@ -1020,7 +1022,7 @@ def commutation_residual(
         # for Cesaro gamma_c = 1/2 at rel_tol 1e-8
 
         def from_end(tau):
-            u, u_err = transform_grid(f, p, lam * (hi - tau), cfg)
+            u, u_err = _cosine_transform(abel, p, lam * (hi - tau))
             phi = phi_hi(tau)
             return phi * u, phi * u_err
 
@@ -1030,6 +1032,6 @@ def commutation_residual(
     err = lhs_err[0] + r.err_estimate
     if b < hi:
         mass = integrate(k, b, hi, cfg, points=k.breakpoints())
-        u_cut, u_cut_err = transform_grid(f, p, [lam * b], cfg)
+        u_cut, u_cut_err = _cosine_transform(abel, p, [lam * b])
         err += (abs(mass.value) + mass.err_estimate) * (abs(u_cut[0]) + u_cut_err[0])
     return complex(lhs[0]), complex(r.value), float(abs(lhs[0] - r.value)), float(err)

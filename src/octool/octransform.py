@@ -5,13 +5,16 @@ differential-difference operator, the Plancherel-identity residual, and the
 catalog of evaluable test functions (:class:`FunctionSpec`).  The batched
 forward transform, :func:`transform_grid`, follows Koornwinder's
 factorisation of the Jacobi transform (1984): an Abel transform of f, free of
-lambda, then one cosine transform for every lambda, so no Jacobi series in
-lambda is summed.
+lambda and on s panels sized by it alone, then Filon's cosine rule (1928)
+for every lambda, so no Jacobi series in lambda is summed and one Abel
+transform serves every lambda of a call chain.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -342,7 +345,15 @@ _UNIT, _UNIT_WK, _UNIT_WG = (w[0] for w in panel_rule([-1.0, 1.0]))
 # an Abel panel is bisected while its |Kronrod - Gauss| exceeds this share of
 # its component's mean |F| under the s rule, for at most _ABEL_ROUNDS rounds
 _ABEL_RTOL = 1e-11
+# an s panel is bisected while the integral of |P15 - P7| over it, P15 and P7
+# F's interpolants on its Kronrod and its Gauss nodes, exceeds this share of
+# F's mass (the odd half of each weighted by its largest 4 |c_lambda|)
+_S_RTOL = 1e-9
 _ABEL_ROUNDS = 24
+# the width of the s panels before any is bisected
+_S_WIDTH = 0.25
+# cos(lambda s) cells per block of the cosine step, a megabyte
+_COSINE_CELLS = 1 << 17
 # f against the Abel weight below this share of its peak on an s panel and
 # every panel after it: the integrals end before that panel
 _NEGLIGIBLE = 1e-18
@@ -351,10 +362,93 @@ _NEGLIGIBLE = 1e-18
 _GRADED_T = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0])
 
 
-def _abel(sides, p: JacobiParams, s, ws, edges, odd: bool, lattice=None, gain=1.0):
-    """The Abel transforms of f at the s nodes: (F, err), each (2, n) with
-    rows even and odd (the odd row 0 unless ``odd``), and err a bound per
-    node.  With h_e = f(x) + f(-x) and h_o = (f(x) - f(-x)) / sinh 2x,
+def _gauss_legendre(m: int):
+    """The m-point Gauss-Legendre rule on (-1, 1): the roots of P_m by
+    Newton's method from Tricomi's (1 - (m - 1) / (8 m^3)) cos(pi (i - 1/4)
+    / (m + 1/2)), P_m and P_m' by the three-term recurrence, and the weights
+    2 / ((1 - x^2) P_m'(x)^2).  No LAPACK call, whose buffers would add a
+    megabyte and a half to the resident memory of every process."""
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5)) * (1.0 - (m - 1.0) / (8.0 * m ** 3))
+    step = np.ones(m)
+    for _ in range(100):
+        p_prev, p = np.ones(m), x
+        for k in range(2, m + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        slope = m * (x * p - p_prev) / (x * x - 1.0)
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+        step = p / slope
+        x = x - step
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _lagrange(nodes, v):
+    """The Lagrange basis of ``nodes`` at the points v: (v.size, nodes.size)."""
+    own = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(own, 1.0)
+    ratio = (v[:, None, None] - nodes[None, None, :]) / own
+    diag = np.arange(nodes.size)
+    ratio[:, diag, diag] = 1.0
+    return np.prod(ratio, axis=-1)
+
+
+def _filon_rule(v, w):
+    """A fine rule (v, w) on (-1, 1) with the matrices that take F at the 15
+    Kronrod nodes to P15 and to P15 - P7 at its nodes, each times w."""
+    p15 = _lagrange(_UNIT, v)
+    p7 = np.zeros(p15.shape)
+    gauss = _UNIT_WG > 0.0
+    p7[:, gauss] = _lagrange(_UNIT[gauss], v)
+    rule = v, w[:, None] * p15, w[:, None] * (p15 - p7)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+# Filon's rule: the cosine integral of F's interpolants on an s panel, taken
+# on a Gauss rule of m points, exact to rounding for cos(omega v) times a
+# polynomial of degree 14 while omega, lambda times the panel's half-width
+# (in s), is at most the cap: (m, cap)
+_FILON_SIZES = ((16, 2.0), (20, 6.0), (24, 10.0), (32, 20.0), (64, 70.0))
+
+
+def _filon_level(omega):
+    """The Filon rule for the phases ``omega``: the index into _FILON_SIZES
+    of the smallest rule whose cap covers each, or past the largest cap,
+    len(_FILON_SIZES) - 2 + the number of copies of the largest rule needed
+    on equal sub-panels."""
+    caps = np.array([cap for _, cap in _FILON_SIZES])
+    level = np.searchsorted(caps, omega)
+    over = level == caps.size
+    level[over] = caps.size - 2 + np.ceil(omega[over] / caps[-1]).astype(int)
+    return level
+
+
+@functools.lru_cache(maxsize=16)
+def _filon_rule_at(level: int):
+    """The rule of a :func:`_filon_level` level, built on its first use, so
+    that importing the package costs nothing for rules a process never
+    needs."""
+    n = max(level - len(_FILON_SIZES) + 2, 1)
+    v, w = _gauss_legendre(_FILON_SIZES[min(level, len(_FILON_SIZES) - 1)][0])
+    return _filon_rule(np.ravel((np.arange(1.0 - n, n, 2.0)[:, None] + v) / n), np.tile(w, n) / n)
+
+
+def _s_nodes(centre, half, graded, e1: float):
+    """The nodes of s panels, (panels, 15), and ds/du there: a panel's
+    coordinate u = centre + half _UNIT is s itself, or t = log(e1 / s) on a
+    graded panel, where s = e1 e^-t and |ds/dt| = s."""
+    u = centre[:, None] + half[:, None] * _UNIT
+    s = np.where(graded[:, None], e1 * np.exp(-u), u)
+    return s, np.where(graded[:, None], s, 1.0)
+
+
+def _abel(sides, p: JacobiParams, panels, edges, odd: bool, lattice=None, gain=1.0):
+    """The Abel transforms of f on an s rule that resolves them: (panels,
+    F, err), ``panels`` the final s panels (centre, half, graded, e1) of
+    :func:`_s_nodes`, and F and err each (2, panels, 15), rows even and odd
+    (the odd row 0 unless ``odd``), err a bound per node.  With h_e = f(x)
+    + f(-x) and h_o = (f(x) - f(-x)) / sinh 2x,
 
         F_e(s) = int_s^b h_e(x) 2^(-2 alpha) sinh x (cosh x)^(beta - alpha + 1)
                  c_alpha K(x, s) dx,
@@ -371,38 +465,70 @@ def _abel(sides, p: JacobiParams, s, ws, edges, odd: bool, lattice=None, gain=1.
     panels, whose nodes, and so whose f values, every s shares, each panel
     for the s at least one panel below it.  The first per-s panels end at
     every edge and at sqrt(s) 2^m, the geometric grading of K's branch points
-    at r = +-i sqrt(2s + r^2); then rounds bisect every panel whose
-    |Kronrod - Gauss| exceeds both _ABEL_RTOL times its component's mean |F|
-    (weighted by ``ws``, the s rule's weights) and the Kronrod-weighted node
-    errors of f and K there, with one ``sides`` call on all new nodes per
-    round; with a lattice, also the graded rule's tail (:func:`_graded_tail`)
-    in the transform's value, where F_o enters times at most ``gain``.  err
-    sums |Kronrod - Gauss| and those node errors."""
-    s = np.asarray(s, dtype=float)
+    at r = +-i sqrt(2s + r^2).  Then each round bisects
+    - every Abel panel whose |Kronrod - Gauss| exceeds both _ABEL_RTOL times
+      its component's mean |F| (weighted by the s rule) and the
+      Kronrod-weighted node errors of f and K there; with a lattice, also
+      the graded rule's tail (:func:`_graded_tail`) in the transform's value,
+      where F_o enters times at most ``gain``;
+    - every s panel off the graded rule whose integral of |P15 - P7| (on
+      the first Filon rule) exceeds _S_RTOL times F's mass, the graded tail with a
+      lattice, and the node errors there, the odd half of each weighted by
+      ``gain``.  A node of its halves starts on its own first Abel panels
+      and on the x where the panels of the nearest node of the cut panel
+      end, so it needs few rounds of its own;
+    with one ``sides`` call on all new nodes per round.  err sums |Kronrod -
+    Gauss| and those node errors."""
+    centre, half, graded, e1 = panels
     lo_x, hi_x = edges[0], edges[-1]
     shared = lattice is not None
     if not shared:
-        upper, lattice = np.full(s.shape, hi_x), np.array([hi_x])
-    else:
-        upper = lattice[np.minimum(np.searchsorted(lattice, s, side="right") + 1, lattice.size - 1)]
-    reach = np.sqrt(np.maximum(upper - s, 0.0))
-    start = np.sqrt(np.maximum(lo_x - s, 0.0))
-    levels = math.ceil(math.log2(max(reach.max(), 1.0) / math.sqrt(max(s.min(), 1e-300))))
-    cand = np.concatenate([
-        np.sqrt(np.maximum(np.asarray(edges)[None, :] - s[:, None], 0.0)),
-        np.sqrt(s)[:, None] * 2.0 ** np.arange(min(levels, 60) + 1),
-    ], axis=1)
-    cand = np.sort(np.clip(cand, start[:, None], reach[:, None]), axis=1)
-    live = cand[:, 1:] > cand[:, :-1]
-    near = [np.nonzero(live)[0], cand[:, :-1][live], cand[:, 1:][live]]
-    far = [lattice[:-1].copy(), lattice[1:].copy()]
+        lattice = np.array([hi_x])
     # (pair, constant, power of cosh x, sign of f(-x)): the even half's
     # weight also carries sinh x, the odd half's has lost it to sinh 2x
     components = [(p, 2.0 ** (-2.0 * p.alpha), p.beta - p.alpha + 1.0, 1.0)]
     if odd:
         components.append((p.shifted(), 2.0 ** (-2.0 * p.alpha - 3.0), p.beta - p.alpha, -1.0))
+    gains = np.array([1.0, gain])[:len(components)]
+    indicator = _filon_rule_at(0)[2]
 
-    def sums(sj, d, x, jac, f_plus, f_minus, node_err, half, served=None):
+    def reach_of(s):
+        # where each s node's own panels end
+        if not shared:
+            return np.full(s.shape, hi_x)
+        return lattice[np.minimum(np.searchsorted(lattice, s, side="right") + 1, lattice.size - 1)]
+
+    def first_panels(s, upper, base: int, x_edges=None):
+        """The first Abel panels (owner, lo, hi) in r of the nodes ``s``,
+        owners counted from ``base``, with edges at f's edges and at the x of
+        ``x_edges`` (one row per node, inf past its last) as well."""
+        reach = np.sqrt(np.maximum(upper - s, 0.0))
+        start = np.sqrt(np.maximum(lo_x - s, 0.0))
+        levels = math.ceil(math.log2(max(reach.max(), 1.0) / math.sqrt(max(s.min(), 1e-300))))
+        x_all = np.broadcast_to(np.asarray(edges), (s.size, len(edges)))
+        if x_edges is not None:
+            x_all = np.concatenate([x_all, x_edges], axis=1)
+        cand = np.concatenate([
+            np.sqrt(np.maximum(x_all - s[:, None], 0.0)),
+            np.sqrt(s)[:, None] * 2.0 ** np.arange(min(levels, 60) + 1),
+        ], axis=1)
+        cand = np.sort(np.clip(cand, start[:, None], reach[:, None]), axis=1)
+        live = cand[:, 1:] > cand[:, :-1]
+        return [base + np.nonzero(live)[0], cand[:, :-1][live], cand[:, 1:][live]]
+
+    def panel_ends(s, owner, hi, donors):
+        """The x where the Abel panels of each node in ``donors`` end, one
+        row per donor, inf past its last."""
+        mine = np.flatnonzero(np.isin(owner, donors))
+        mine = mine[np.argsort(owner[mine], kind="stable")]
+        row = np.searchsorted(donors, owner[mine])
+        counts = np.bincount(row, minlength=donors.size)
+        col = np.arange(mine.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        out = np.full((donors.size, max(int(counts.max(initial=0)), 1)), np.inf)
+        out[row, col] = s[owner[mine]] + hi[mine] ** 2
+        return out
+
+    def sums(sj, d, x, jac, f_plus, f_minus, node_err, half):
         """Kronrod sums, |Kronrod - Gauss| and node errors of the panels whose
         nodes are x = sj + d, per component (leading axis)."""
         out = []
@@ -415,47 +541,80 @@ def _abel(sides, p: JacobiParams, s, ws, edges, odd: bool, lattice=None, gain=1.
             h = f_plus + sign * f_minus
             y = h * weight * k
             e = (np.abs(h) * k_err + node_err * k) * weight
-            if served is not None:
-                y, e = y * served, e * served
             kron = half * (y @ _UNIT_WK)
             out.append((kron, np.abs(kron - half * (y @ _UNIT_WG)), half * (e @ _UNIT_WK)))
         return [np.stack(v) for v in zip(*out)]
 
-    def evaluate(near_new, far_new):
-        """The sums of new near panels (owner, lo, hi) in r and new lattice
-        panels (lo, hi) in x, each lattice panel for every s (0 where it
-        does not serve that s), from one ``sides`` call."""
+    def far_sums(s, upper, flo, fhi, values):
+        # the sums of lattice panels (flo, fhi), whose f values are
+        # ``values``, for the nodes s: 0 where a panel does not serve an s
+        out = [np.zeros((len(components), s.size, flo.size))] * 3
+        rows, cols = np.nonzero(flo[None, :] >= upper[:, None])
+        if not rows.size:
+            return out
+        fhalf = 0.5 * (fhi - flo)[cols]
+        x_far = 0.5 * (flo + fhi)[cols, None] + fhalf[:, None] * _UNIT
+        got = sums(s[rows, None], x_far - s[rows, None], x_far, 1.0,
+                   *(v[cols] for v in values), fhalf)
+        out = [np.zeros(o.shape, dtype=g.dtype) for o, g in zip(out, got)]
+        for o, g in zip(out, got):
+            o[:, rows, cols] = g
+        return out
+
+    def evaluate(s, upper, near_new, far_new):
+        """The sums of new near panels (owner, lo, hi) in r and of new
+        lattice panels (lo, hi) in x for every s, and those panels' f
+        values, from one ``sides`` call."""
         owner, lo, hi = near_new
-        half = 0.5 * (hi - lo)
-        r = 0.5 * (lo + hi)[:, None] + half[:, None] * _UNIT
+        half_r = 0.5 * (hi - lo)
+        r = 0.5 * (lo + hi)[:, None] + half_r[:, None] * _UNIT
         sj = s[owner][:, None]
         x_near = sj + r * r
         flo, fhi = far_new
-        fhalf = 0.5 * (fhi - flo)
-        x_far = 0.5 * (flo + fhi)[:, None] + fhalf[:, None] * _UNIT
+        x_far = 0.5 * (flo + fhi)[:, None] + 0.5 * (fhi - flo)[:, None] * _UNIT
         values = sides(np.concatenate([x_near, x_far]))
-        at_near, at_far = ([v[:len(owner)] for v in values], [v[len(owner):] for v in values])
-        near_sums = sums(sj, r * r, x_near, 2.0 * r, *at_near, half)
-        served = (flo[None, :] >= upper[:, None])[:, :, None]
-        d = np.where(served, x_far[None] - s[:, None, None], 1.0)
-        far_sums = sums(s[:, None, None], d, x_far[None], 1.0, *at_far, fhalf[None, :], served)
-        return near_sums, far_sums
+        at_far = [v[len(owner):] for v in values]
+        near_sums = sums(sj, r * r, x_near, 2.0 * r, *(v[:len(owner)] for v in values), half_r)
+        return near_sums, far_sums(s, upper, flo, fhi, at_far), at_far
 
+    s, jac = _s_nodes(centre, half, graded, e1)
+    ws = half[:, None] * jac * _UNIT_WK
+    s, ws = s.ravel(), ws.ravel()
+    upper = reach_of(s)
     # each set of panels: their geometry ([owner,] lo, hi), then their sums
-    # (Kronrod, |Kronrod - Gauss|, node errors)
-    sets = [near, far]
-    for part, sums_ in zip(sets, evaluate(near, far)):
-        part += sums_
+    # (Kronrod, |Kronrod - Gauss|, node errors); the lattice panels' f values
+    # (f(x), f(-x), node errors, each (15, panels)) stay with them, for the
+    # s nodes that come later
+    near = first_panels(s, upper, 0)
+    far = [lattice[:-1].copy(), lattice[1:].copy()]
+    near_sums, far_part, at_far = evaluate(s, upper, near, far)
+    sets = [near + near_sums, far + far_part]
+    far_values = [v.T for v in at_far]
     for _ in range(_ABEL_ROUNDS):
-        (_, _, _, kron, diff, inner), (_, _, fk, fd, fi) = sets
-        totals = _per_node(sets[0][0], kron, s.size) + fk.sum(axis=-1)
-        floor = _ABEL_RTOL * (np.abs(totals) @ ws) / ws.sum()
+        (owner, _, _, kron, diff, inner), (_, _, fk, fd, fi) = sets
+        totals = _per_node(owner, kron, s.size) + fk.sum(axis=-1)
+        node_err = _per_node(owner, diff + inner, s.size) + (fd + fi).sum(axis=-1)
+        mass = np.abs(totals) @ ws
+        floor = _ABEL_RTOL * mass / ws.sum()
+        s_floor = _S_RTOL * (gains @ mass)
         if shared:
             # nothing below the graded rule's own tail, in the transform's
             # value, where F_o enters times at most ``gain``, is worth resolving
-            gains = np.array([1.0, gain])[:len(totals)]
-            floor = np.maximum(floor, (_graded_tail(totals, ws) @ gains) / ws.sum() / gains)
-        over = [(diff > np.maximum(floor[:, None], inner)).any(axis=0),
+            tail = _graded_tail(totals, ws) @ gains
+            floor = np.maximum(floor, tail / ws.sum() / gains)
+            s_floor = max(s_floor, tail)
+        # the s panels whose interpolants P15 and P7 part by more than that
+        # share of F's mass and than their nodes' errors
+        per_panel = totals.reshape(len(gains), -1, _UNIT.size)
+        spread = gains @ (np.abs(per_panel @ indicator.T).sum(axis=-1) * half)
+        noise = gains @ (node_err * ws).reshape(per_panel.shape).sum(axis=-1)
+        # (a panel too narrow to halve in floating point stays whole)
+        s_cut = np.flatnonzero((spread > np.maximum(s_floor, noise)) & ~graded
+                               & (centre - half < centre) & (centre < centre + half))
+        kept = np.ones(centre.size, dtype=bool)
+        kept[s_cut] = False
+        dead = np.repeat(~kept, _UNIT.size)
+        over = [(diff > np.maximum(floor[:, None], inner)).any(axis=0) & ~dead[owner],
                 (fd > np.maximum(floor[:, None, None], fi)).any(axis=(0, 1))]
         cuts, kids = [], []
         for part, flagged in zip(sets, over):
@@ -466,16 +625,57 @@ def _abel(sides, p: JacobiParams, s, ws, edges, odd: bool, lattice=None, gain=1.
             kids.append([np.concatenate([g[cut]] * 2) for g in owners]
                         + [np.concatenate([lo[cut], mid[cut]]),
                            np.concatenate([mid[cut], hi[cut]])])
-        if not (cuts[0].size or cuts[1].size):
+        if not (cuts[0].size or cuts[1].size or s_cut.size):
             break
-        for part, cut, kid, kid_sums in zip(sets, cuts, kids, evaluate(*kids)):
-            part[:] = _bisected(part, cut, kid + kid_sums)
+        if s_cut.size:
+            # the halves of the cut s panels, whose nodes come last: each new
+            # node starts on the Abel panels of the nearest node of its
+            # parent, mapped to its own r, as well as on its own first ones
+            parent = np.concatenate([s_cut, s_cut])
+            new_half = 0.5 * half[parent]
+            new_centre = centre[parent] + np.repeat([-1.0, 1.0], s_cut.size) * new_half
+            s_new, _ = _s_nodes(new_centre, new_half, np.zeros(parent.size, dtype=bool), e1)
+            old_s = s.reshape(-1, _UNIT.size)[parent]
+            nearest = np.abs(s_new[:, :, None] - old_s[:, None, :]).argmin(axis=-1)
+            donor = (parent[:, None] * _UNIT.size + nearest).ravel()
+            donors = _sorted_edges(donor)
+            which = np.searchsorted(donors, donor)
+            x_edges = panel_ends(s, sets[0][0], sets[0][2], donors)[which]
+            s_new = s_new.ravel()
+            up_new = reach_of(s_new)
+            # the cut s panels' nodes go, with their Abel panels and lattice
+            # sums
+            keep = ~dead
+            index = np.cumsum(keep) - 1
+            alive = keep[sets[0][0]]
+            sets[0] = [a[..., alive] for a in sets[0]]
+            sets[0][0] = index[sets[0][0]]
+            kids[0][0] = index[kids[0][0]]
+            cuts[0] = (np.cumsum(alive) - 1)[cuts[0]]
+            sets[1][2:] = [a[:, keep] for a in sets[1][2:]]
+            first = first_panels(s_new, up_new, int(keep.sum()), x_edges)
+            kids[0] = [np.concatenate([k, n]) for k, n in zip(kids[0], first)]
+            centre = np.concatenate([centre[kept], new_centre])
+            half = np.concatenate([half[kept], new_half])
+            graded = np.concatenate([graded[kept], np.zeros(parent.size, dtype=bool)])
+            s_all, jac = _s_nodes(centre, half, graded, e1)
+            ws = (half[:, None] * jac * _UNIT_WK).ravel()
+            s, upper = s_all.ravel(), np.concatenate([upper[keep], up_new])
+            # the lattice panels, kept and cut alike, for the new nodes
+            flo, fhi = sets[1][:2]
+            new_rows = far_sums(s_new, up_new, flo, fhi, [v.T for v in far_values])
+            sets[1][2:] = [np.concatenate([a, b], axis=1) for a, b in zip(sets[1][2:], new_rows)]
+        near_sums, far_part, at_far = evaluate(s, upper, kids[0], kids[1])
+        sets[0] = _bisected(sets[0], cuts[0], kids[0] + near_sums)
+        sets[1] = _bisected(sets[1], cuts[1], kids[1] + far_part)
+        far_values = _bisected(far_values, cuts[1], [v.T for v in at_far])
     (owner, _, _, kron, diff, inner), (_, _, fk, fd, fi) = sets
     out, err = np.zeros((2, s.size), dtype=kron.dtype), np.zeros((2, s.size))
     rows = kron.shape[0]
     out[:rows] = _per_node(owner, kron, s.size) + fk.sum(axis=-1)
     err[:rows] = _per_node(owner, diff + inner, s.size) + (fd + fi).sum(axis=-1)
-    return out, err
+    shape = (2, centre.size, _UNIT.size)
+    return (centre, half, graded, e1), out.reshape(shape), err.reshape(shape)
 
 
 def _per_node(owner, rows, n: int):
@@ -502,7 +702,8 @@ def _graded_tail(F, ws):
 def _bisected(arrays, cut, kids):
     """``arrays``, panels along their last axis, with each panel in ``cut``
     replaced by its lower child and its upper child appended; ``kids`` hold
-    the lower children of ``cut`` and then the upper ones."""
+    the lower children of ``cut``, then the upper ones, then any new panels
+    to append after them."""
     c = cut.size
     out = []
     for a, k in zip(arrays, kids):
@@ -513,77 +714,42 @@ def _bisected(arrays, cut, kids):
 
 
 def _sorted_edges(*parts):
-    """The values of ``parts``, sorted, each once (np.union1d would do, but
-    imports numpy.ma, a megabyte of memory, on its first call)."""
+    """The values of ``parts``, sorted, each once (np.union1d or np.unique
+    would do, but import numpy.ma, a megabyte of memory, on their first
+    call)."""
     e = np.sort(np.concatenate(parts))
     return e[np.concatenate([[True], e[1:] > e[:-1]])]
 
 
-def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig, reflected: bool = False):
-    """Transform of ``f`` at every lambda in ``lams``, from one Abel transform.
+class _AbelTransform(NamedTuple):
+    """F_e and F_o of one f on their s panels (:func:`_s_nodes`), the input
+    of every cosine transform of f."""
 
-    Returns (values, err), both shaped like ``lams``.  With G_lambda(+-x) =
-    phi_lambda(x) +- c_lambda sinh(2x) phi^(alpha+1, beta+1)_lambda(x),
-    c_lambda = (rho + i lambda) / (4 (alpha + 1)), the integral folds onto
-    x >= 0, and Koornwinder's factorisation of the Jacobi transform (1984),
-    Fubini on the Mehler-type integral of ``specfun._mehler_kernel``, turns
-    each half into a cosine transform of an Abel transform free of lambda:
+    centre: np.ndarray
+    half: np.ndarray
+    graded: np.ndarray
+    e1: float
+    # (components, panels, 15): F_e (and F_o) times |ds/du| at the nodes
+    y: np.ndarray
+    # (components,): the estimate's lambda-free part, bounding |cos| by 1
+    inner: np.ndarray
 
-        int f(x) G_lambda(-x) A dx
-            = int_0^b cos(lambda s) [F_e(s) - 4 c_lambda F_o(s)] ds,
 
-    F_e the Abel transform of f(x) + f(-x) and F_o that of (f(x) - f(-x)) /
-    sinh 2x at (alpha + 1, beta + 1) (:func:`_abel`; F_o is 0 for an f that
-    is even on the nodes), b the largest |x| of f's support cut at
-    ``truncation_x``.  F_e and F_o are built once, on composite
-    Gauss-Kronrod panels in s over [0, b] of width min(0.25, 4 / max
-    |lambda|), with f's support ends and breakpoints as edges in s and in x;
-    the panels past the last one where f times the Abel weight at s = 0
-    reaches 1e-18 of its peak are left out.  Each lambda is then one row of
-    a real cos(lambda s) matrix, and c_lambda multiplies its row's odd sum.
-
-    Where f A does not vanish at 0 (the image of adjoint Hardy: A H f tends
-    to a constant), F_e grows as log(1/s), and the first s panel (0, e1) is
-    graded: its rule runs in t = log(e1 / s) on ``_GRADED_T``, and the rest
-    (0, e1 e^-16) is charged as a geometric tail of the graded panels' masses.
-    Each s node's Abel integral is then graded towards s as well, so there
-    the s nodes share f's values on a lattice of x panels, dyadic below e1
-    and a quarter of an s panel wide above it, and each keeps only its first
-    two lattice panels to itself.  The test is
-    f A at the first two nodes: it falls at least as fast as sqrt(x) for a
-    bounded f, where f A vanishes as x^(2 alpha + 1), and no grading is
-    needed.
-
-    ``f`` is a :class:`FunctionSpec` or a vectorized callable on the real
-    line that returns values, or (values, inner) with inner the absolute
-    error of each value, as :func:`quad.integrate` takes it: the Abel rule
-    does not split a panel below those errors, and charges them.
-
-    err adds, per lambda, the s rule's |Kronrod - Gauss| of each half (the
-    odd one times 4 |c_lambda|), and, bounding |cos| by 1, the
-    Kronrod-weighted errors of F_e and F_o (the Abel rule's own |Kronrod -
-    Gauss|, the kernel's bound and f's node errors), _ROUND per unit of
-    sum w |F|, and the graded tail.  Intended for smooth, bounded functions
-    and for the image H f (the transform and spectral-identity sweeps); a
-    support wholly past the cut raises ParameterError.
-
-    With ``reflected``, returns (values, err, r_values, r_err), the last two
-    the transform of f(-x), which only swaps f(x) and f(-x): it adds the
-    odd part's term where f's own subtracts it, from the same Abel transforms.
-    """
-    lams = np.asarray(lams, dtype=float)
+def _abel_transform(f, p: JacobiParams, cfg: QuadConfig, lam_max: float):
+    """The Abel transforms of ``f`` for every cosine transform up to
+    |lambda| = ``lam_max``, which sets only the weight 4 |c_lambda| of F_o in
+    the s panels' split rule; None where f vanishes on the cut line.  See
+    :func:`transform_grid`."""
     lo, hi = _support(f, cfg)
     lo = max(lo, -cfg.truncation_x)
     hi = min(hi, cfg.truncation_x)
-    zero = (np.zeros(lams.shape, dtype=complex), np.zeros(lams.shape))
     if not lo < hi:
-        return zero + zero if reflected else zero
+        return None
     a = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
     b = max(abs(lo), abs(hi))
     bends = np.abs(f.breakpoints()) if isinstance(f, FunctionSpec) else np.empty(0)
     mirrored = isinstance(f, FunctionSpec) and f.is_even
-    width = min(0.25, 4.0 / max(1.0, float(np.max(np.abs(lams), initial=0.0))))
-    n_panels = max(int(math.ceil(b / width)), 1)
+    n_panels = max(int(math.ceil(b / _S_WIDTH)), 1)
     s_edges = _sorted_edges(np.linspace(0.0, b, n_panels + 1), [a], bends[bends < b])
 
     def sides(x):
@@ -614,48 +780,157 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig, reflected: bool = 
             * np.sinh(x) ** (2.0 * p.alpha) * np.cosh(x) ** (p.beta - p.alpha + 1.0))
     live = np.flatnonzero(np.max(size, axis=1) > _NEGLIGIBLE * np.max(size))
     if not live.size:
-        return zero + zero if reflected else zero
+        return None
     s_edges = s_edges[:live[-1] + 2]
     edges = _sorted_edges([a, s_edges[-1]], bends[(bends > a) & (bends < s_edges[-1])])
     odd = not np.array_equal(f_plus, f_minus)
     e_size = np.abs(f_plus[0, :2] + f_minus[0, :2]) * weight_a(p, x[0, :2])
     graded = e_size[0] > 0.0 and e_size[0] > math.sqrt(x[0, 0] / x[0, 1]) * e_size[1]
 
-    s, wk, wg = panel_rule(s_edges)
-    lattice = None
+    lo_s, hi_s = s_edges[:-1], s_edges[1:]
+    centre, half = 0.5 * (lo_s + hi_s), 0.5 * (hi_s - lo_s)
+    lattice, e1 = None, 0.0
+    is_graded = np.zeros(centre.size, dtype=bool)
     if graded:
-        t, tk, tg = panel_rule(_GRADED_T)
-        fine = s_edges[1] * np.exp(-t)
-        s, wk, wg = (np.concatenate([u, v[1:]]) for u, v in
-                     ((fine, s), (tk * fine, wk), (tg * fine, wg)))
-        # every s shares f's values on a lattice, dyadic below e1
-        levels = math.ceil(math.log2(s_edges[1] / fine.min())) + 2
-        quarters = np.linspace(s_edges[1], s_edges[-1], 4 * (len(s_edges) - 2) + 1)
-        lattice = _sorted_edges(s_edges[1] * 2.0 ** -np.arange(1.0, levels + 1.0),
-                                quarters, s_edges, edges)
+        # the first panel in t = log(e1 / s), and every s shares f's values
+        # on a lattice, dyadic below e1
+        e1 = s_edges[1]
+        t_lo, t_hi = _GRADED_T[:-1], _GRADED_T[1:]
+        centre = np.concatenate([0.5 * (t_lo + t_hi), centre[1:]])
+        half = np.concatenate([0.5 * (t_hi - t_lo), half[1:]])
+        is_graded = np.arange(centre.size) < t_lo.size
+        levels = math.ceil(_GRADED_T[-1] / math.log(2.0)) + 2
+        quarters = np.linspace(e1, s_edges[-1], 4 * (len(s_edges) - 2) + 1)
+        lattice = _sorted_edges(e1 * 2.0 ** -np.arange(1.0, levels + 1.0), quarters, s_edges, edges)
+    gain = abs(p.rho + 1j * lam_max) / (p.alpha + 1.0)
+    panels, F, F_err = _abel(sides, p, (centre, half, is_graded, e1), edges, odd, lattice, gain)
+    centre, half, is_graded, e1 = panels
+    _, jac = _s_nodes(*panels)
+    wk = half[:, None] * jac * _UNIT_WK
+    inner = (F_err * wk).sum(axis=(1, 2)) + _ROUND * (np.abs(F) * wk).sum(axis=(1, 2))
+    if graded:
+        inner += _graded_tail(F.reshape(2, -1), wk.ravel())
+    rows = 2 if odd else 1
+    return _AbelTransform(centre, half, is_graded, e1, F[:rows] * jac, inner[:rows])
+
+
+def _cosine_transform(F: _AbelTransform | None, p: JacobiParams, lams, reflected: bool = False):
+    """:func:`transform_grid`'s output at ``lams`` from the Abel transforms
+    ``F`` of :func:`_abel_transform`."""
+    lams = np.asarray(lams, dtype=float)
+    zero = (np.zeros(lams.shape, dtype=complex), np.zeros(lams.shape))
+    if F is None:
+        return zero + zero if reflected else zero
     flat = lams.ravel()
-    gain = float(np.max(np.abs(p.rho + 1j * flat), initial=p.rho)) / (p.alpha + 1.0)
-    F, F_err = _abel(sides, p, s.ravel(), wk.ravel(), edges, odd, lattice, gain)
-    inner = F_err @ wk.ravel() + _ROUND * (np.abs(F) @ wk.ravel())
-    if graded:
-        inner += _graded_tail(F, wk.ravel())
-    F = F.reshape(2, *s.shape)
-    # per s panel and lambda, the Kronrod and Gauss sums of cos(lambda s) F_e
-    # and, for an f with an odd part, F_o: one real (lambda x s) matrix
-    halves = F[:2 if odd else 1]
-    rules = np.stack([w * h for h in halves for w in (wk, wg)], axis=1)
-    panel = np.matmul(rules, np.cos(np.multiply.outer(s, flat)))
-    even = panel[:, 0].sum(axis=0)
-    err = np.abs(panel[:, 0] - panel[:, 1]).sum(axis=0) + inner[0]
+    if not np.all(np.isfinite(flat)):
+        raise ParameterError("every lambda of a transform must be finite")
+    rows = F.y.shape[0]
+    value = np.zeros((rows, flat.size), dtype=np.result_type(F.y, float))
+    est = np.zeros((rows, flat.size))
+    # each panel's phase per unit of lambda over its half-width: |ds/du| is
+    # largest at a graded panel's lower t end
+    reach = F.half * np.where(F.graded, F.e1 * np.exp(-(F.centre - F.half)), 1.0)
+    level = _filon_level(np.abs(flat) * float(reach.max()))
+    # (np.unique would import numpy.ma, a megabyte, on its first call)
+    for lev in sorted(set(level.tolist())):
+        v, wp15, wdiff = _filon_rule_at(lev)
+        u = F.centre[:, None] + F.half[:, None] * v
+        s = np.where(F.graded[:, None], F.e1 * np.exp(-u), u)
+        # P15 and P15 - P7 at the fine nodes, times the fine weights and the
+        # half-widths: (panels, fine nodes, 2 rows)
+        weights = np.concatenate([F.y @ wp15.T, F.y @ wdiff.T]) * F.half[:, None]
+        weights = weights.transpose(1, 2, 0)
+        idx = np.flatnonzero(level == lev)
+        step = max(1, _COSINE_CELLS // s.size)
+        for j in range(0, idx.size, step):
+            chunk = idx[j:j + step]
+            # per panel, the integrals of cos(lambda s) P15 and of cos(lambda
+            # s) (P15 - P7): (panels, lambda, 2 rows)
+            panel = np.matmul(np.cos(flat[chunk, None, None] * s[None]).transpose(1, 0, 2), weights)
+            value[:, chunk] = panel[..., :rows].sum(axis=0).T
+            est[:, chunk] = np.abs(panel[..., rows:]).sum(axis=0).T
+    even = value[0]
+    err = est[0] + F.inner[0]
     odd_sum = 0j
-    if odd:
+    if rows == 2:
         four_c = (p.rho + 1j * flat) / (p.alpha + 1.0)
-        odd_sum = four_c * panel[:, 2].sum(axis=0)
-        err += np.abs(four_c) * (np.abs(panel[:, 2] - panel[:, 3]).sum(axis=0) + inner[1])
+        odd_sum = four_c * value[1]
+        err = err + np.abs(four_c) * (est[1] + F.inner[1])
     out = [(even - odd_sum).reshape(lams.shape), err.reshape(lams.shape)]
     if reflected:
         out += [(even + odd_sum).reshape(lams.shape), err.reshape(lams.shape)]
     return tuple(out)
+
+
+def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig, reflected: bool = False):
+    """Transform of ``f`` at every lambda in ``lams``, from one Abel transform.
+
+    Returns (values, err), both shaped like ``lams``.  With G_lambda(+-x) =
+    phi_lambda(x) +- c_lambda sinh(2x) phi^(alpha+1, beta+1)_lambda(x),
+    c_lambda = (rho + i lambda) / (4 (alpha + 1)), the integral folds onto
+    x >= 0, and Koornwinder's factorisation of the Jacobi transform (1984),
+    Fubini on the Mehler-type integral of ``specfun._mehler_kernel``, turns
+    each half into a cosine transform of an Abel transform free of lambda:
+
+        int f(x) G_lambda(-x) A dx
+            = int_0^b cos(lambda s) [F_e(s) - 4 c_lambda F_o(s)] ds,
+
+    F_e the Abel transform of f(x) + f(-x) and F_o that of (f(x) - f(-x)) /
+    sinh 2x at (alpha + 1, beta + 1) (:func:`_abel`; F_o is 0 for an f that
+    is even on the nodes), b the largest |x| of f's support cut at
+    ``truncation_x``.
+
+    F_e and F_o are built once, on Gauss-Kronrod panels in s sized by F
+    alone: they start a quarter wide over [0, b], with f's support ends and
+    breakpoints as edges in s and in x, and the panels past the last one
+    where f times the Abel weight at s = 0 reaches 1e-18 of its peak are left
+    out.  An s panel is then bisected, in the Abel transform's own rounds,
+    while the integral of |P15 - P7| over it, P15 and P7 F's interpolants on
+    its 15 Kronrod and 7 Gauss nodes, exceeds _S_RTOL = 1e-9 of F's mass,
+    F_o weighted by 4 |c_lambda| at the largest |lambda|.
+
+    The cosine step is Filon's rule (Filon, 1928): on each s panel it
+    integrates cos(lambda s) exactly, to rounding, against P15, on a
+    Gauss-Legendre rule of 16 to 64 points sized by lambda times the panel's
+    half-width (copies of the largest on sub-panels beyond it), so the panels
+    need to resolve F and not the cosine, and a value at lambda does not
+    depend on the other lambda of the batch.  c_lambda multiplies the odd
+    half's sum.
+
+    Where f A does not vanish at 0 (the image of adjoint Hardy: A H f tends
+    to a constant), F_e grows as log(1/s), and the first s panel (0, e1) is
+    graded: its rule runs in t = log(e1 / s) on ``_GRADED_T``, Filon's rule
+    too, with s = e1 e^-t, and the rest (0, e1 e^-16) is charged as a
+    geometric tail of the graded panels' masses.  Each s node's Abel
+    integral is then graded towards s as well, so there the s nodes share
+    f's values on a lattice of x panels, dyadic below e1 and a quarter of an
+    s panel wide above it, and each keeps only its first two lattice panels
+    to itself.  The test is f A at the first two nodes: it falls at least as
+    fast as sqrt(x) for a bounded f, where f A vanishes as x^(2 alpha + 1),
+    and no grading is needed.
+
+    ``f`` is a :class:`FunctionSpec` or a vectorized callable on the real
+    line that returns values, or (values, inner) with inner the absolute
+    error of each value, as :func:`quad.integrate` takes it: the Abel rule
+    does not split a panel below those errors, and charges them.
+
+    err adds, per lambda, Filon's estimate of each half, the sum over s
+    panels of |int cos(lambda s) (P15 - P7) ds| (the odd one times 4
+    |c_lambda|; at lambda = 0 it is the panel's |Kronrod - Gauss|), and,
+    bounding |cos| by 1, the Kronrod-weighted errors of F_e and F_o (the
+    Abel rule's own |Kronrod - Gauss|, the kernel's bound and f's node
+    errors), _ROUND per unit of sum w |F|, and the graded tail.  Intended
+    for smooth, bounded functions and for the image H f (the transform and
+    spectral-identity sweeps); a support wholly past the cut raises
+    ParameterError.
+
+    With ``reflected``, returns (values, err, r_values, r_err), the last two
+    the transform of f(-x), which only swaps f(x) and f(-x): it adds the
+    odd part's term where f's own subtracts it, from the same Abel transforms.
+    """
+    lams = np.asarray(lams, dtype=float)
+    F = _abel_transform(f, p, cfg, float(np.max(np.abs(lams), initial=0.0)))
+    return _cosine_transform(F, p, lams, reflected)
 
 
 def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> IntegralResult:
@@ -735,23 +1010,24 @@ def _lambda_edges(lo: float, hi: float) -> list:
     return lam_edges
 
 
-def _spectral_band(f: FunctionSpec, p: JacobiParams, lam_edges, cfg: QuadConfig):
+def _spectral_band(F: _AbelTransform | None, f: FunctionSpec, p: JacobiParams, lam_edges,
+                   cfg: QuadConfig):
     """The spectral side of the energy identity over the Gauss-Kronrod
     panels on ``lam_edges``: (share, err, k_panels, first), with share its
     part of rhs, twice the real Kronrod sum of the integrand u v density,
     k_panels that sum per panel, and first |integrand| at the lowest node.
 
-    u and v are the transforms of f and of its reflection, from one fold
-    (one and the same for an even f); for real f the +-lambda halves pair
-    conjugately, conj(v(-lambda)) = v(lambda).  err sums the panels'
-    |Kronrod - Gauss| and the transforms' estimates of u and v weighted by
-    the Kronrod rule."""
+    u and v are the cosine transforms of ``F``, f's Abel transforms, for f
+    and for its reflection (one and the same for an even f); for real f the
+    +-lambda halves pair conjugately, conj(v(-lambda)) = v(lambda).  err sums
+    the panels' |Kronrod - Gauss| and the transforms' estimates of u and v
+    weighted by the Kronrod rule."""
     lam, wk, wg = panel_rule(lam_edges)
     if f.is_even:
-        u, u_err = transform_grid(f, p, lam, cfg)
+        u, u_err = _cosine_transform(F, p, lam)
         v, v_err = u, u_err
     else:
-        u, u_err, v, v_err = transform_grid(f, p, lam, cfg, reflected=True)
+        u, u_err, v, v_err = _cosine_transform(F, p, lam, reflected=True)
     dens = plancherel_density(p, lam, lambda_min=cfg.lambda_min / 2.0)
     integrand = u * v * dens
     share = 2.0 * float(np.sum(wk * integrand).real)
@@ -763,18 +1039,9 @@ def _spectral_band(f: FunctionSpec, p: JacobiParams, lam_edges, cfg: QuadConfig)
     return share, quad_err + inner_err, k_panels, float(np.abs(integrand[0, 0]))
 
 
-def plancherel_residual_detailed(
-    f: FunctionSpec, p: JacobiParams, cfg: QuadConfig
-) -> tuple[float, complex, float, float]:
-    """(lhs, rhs, rel_gap, err_estimate) for the energy identity.
-
-    lhs = integral of |f|^2 A over x; rhs = integral of u(lam) * conj(v(-lam))
-    against the spectral density, where u, v are the transforms of f and of
-    its reflection.  For real f the integrand pairs conjugately in +-lambda,
-    so the spectral integral is evaluated as twice the real part over
-    lambda > 0, by :func:`_spectral_band` over (lambda_min,
-    truncation_lambda].
-    """
+def _plancherel(f: FunctionSpec, p: JacobiParams, cfg: QuadConfig, doubled: bool):
+    """:func:`plancherel_residual_doubled`'s outputs, the last only with
+    ``doubled``; f's Abel transforms are built once, for both bands."""
     def sq(x):
         v = np.asarray(f(x))
         return v * v * weight_a(p, x)
@@ -782,10 +1049,11 @@ def plancherel_residual_detailed(
     lhs_res = integrate(sq, *_support(f, cfg), cfg, cutoff=cfg.truncation_x)
     lhs = float(lhs_res.value)
     if lhs == 0.0:
-        return 0.0, 0.0 + 0.0j, 0.0, 0.0
-
+        return 0.0, 0.0 + 0.0j, 0.0, 0.0, 0.0
+    lam = cfg.truncation_lambda
+    F = _abel_transform(f, p, cfg, lam)
     share, band_err, k_panels, first = _spectral_band(
-        f, p, _lambda_edges(cfg.lambda_min, cfg.truncation_lambda), cfg)
+        F, f, p, _lambda_edges(cfg.lambda_min, lam), cfg)
     rhs = share + 0.0j
     # the lambda > Lambda truncation is charged as a geometric-decay
     # extrapolation of the last two panel masses
@@ -800,7 +1068,26 @@ def plancherel_residual_detailed(
     excised = 2.0 * cfg.lambda_min * first
     spectral_err = 2.0 * (band_err + tail) + excised
     rel_gap = abs(lhs - rhs) / lhs
-    return lhs, rhs, rel_gap, lhs_res.err_estimate + spectral_err
+    gap2 = 0.0
+    if doubled:
+        band = _spectral_band(F, f, p, _lambda_edges(lam, 2.0 * lam), cfg)[0]
+        gap2 = abs(lhs - (rhs + band)) / lhs
+    return lhs, rhs, rel_gap, lhs_res.err_estimate + spectral_err, gap2
+
+
+def plancherel_residual_detailed(
+    f: FunctionSpec, p: JacobiParams, cfg: QuadConfig
+) -> tuple[float, complex, float, float]:
+    """(lhs, rhs, rel_gap, err_estimate) for the energy identity.
+
+    lhs = integral of |f|^2 A over x; rhs = integral of u(lam) * conj(v(-lam))
+    against the spectral density, where u, v are the transforms of f and of
+    its reflection.  For real f the integrand pairs conjugately in +-lambda,
+    so the spectral integral is evaluated as twice the real part over
+    lambda > 0, by :func:`_spectral_band` over (lambda_min,
+    truncation_lambda].
+    """
+    return _plancherel(f, p, cfg, doubled=False)[:4]
 
 
 def plancherel_residual_doubled(
@@ -809,11 +1096,6 @@ def plancherel_residual_doubled(
     """:func:`plancherel_residual_detailed`'s (lhs, rhs, rel_gap,
     err_estimate) and the rel_gap at a doubled cut 2 truncation_lambda,
     whose rhs adds to rhs the band (Lambda, 2 Lambda] alone, on the panels
-    :func:`_lambda_edges` lays there, instead of transforming every node
-    below Lambda again."""
-    lhs, rhs, rel_gap, err = plancherel_residual_detailed(f, p, cfg)
-    if lhs == 0.0:
-        return lhs, rhs, rel_gap, err, 0.0
-    lam = cfg.truncation_lambda
-    band = _spectral_band(f, p, _lambda_edges(lam, 2.0 * lam), cfg)[0]
-    return lhs, rhs, rel_gap, err, abs(lhs - (rhs + band)) / lhs
+    :func:`_lambda_edges` lays there, from the same Abel transforms of f,
+    instead of transforming every node below Lambda again."""
+    return _plancherel(f, p, cfg, doubled=True)

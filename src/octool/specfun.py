@@ -128,9 +128,16 @@ def _log_gamma(z):
         shift += logs.sum(axis=-1)
         size += np.abs(logs).sum(axis=-1)
     w = z + k
+    s, main = _stirling(w)
+    size += np.abs(main) + np.abs(w)
+    return s - shift, _ROUND * size, pole
+
+
+def _stirling(w):
+    """(log Gamma(w), (w - 1/2) log w) by Stirling's series, for Re w >= 10:
+    the second is the term whose size bounds the rounding."""
     inv = 1.0 / w
     main = (w - 0.5) * np.log(w)
-    s = main - w + _HALF_LOG_2PI
     # sum_n B_2n / (2n (2n-1)) w^(1-2n) by Horner's rule in 1/w^2
     inv2 = inv * inv
     series = _STIRLING[0] * inv2
@@ -139,9 +146,8 @@ def _log_gamma(z):
         series *= inv2
     series += _STIRLING[-1]
     series *= inv
-    s += series
-    size += np.abs(main) + np.abs(w)
-    return s - shift, _ROUND * size, pole
+    series += main - w + _HALF_LOG_2PI
+    return series, main
 
 
 def log_gamma_complex(z):
@@ -726,6 +732,28 @@ def eigenfunction_g(p: JacobiParams, lam: float, x: float) -> complex:
 _KERNEL_BUDGET = 2000
 
 
+def _kernel_series(a: float, b: float, c: float, z_max: float, budget: int = _KERNEL_BUDGET):
+    """The coefficients c_n = (a)_n (b)_n / ((c)_n n!) of 2F1(a, b; c; z) up
+    to the term N where the geometric bound on the rest at z_max, |c_N|
+    z_max^N R / (1 - R) with R = z_max max(1, |a + N| / (c + N)) max(1, |b +
+    N| / (N + 1)) (every later term ratio is below it, as each factor moves
+    monotonically towards 1 once it passes it), falls below _ROUND, and that
+    rest; the series ends, with no rest, at the n where a + n or b + n is 0.
+    None if that takes more than ``budget`` terms after the first."""
+    coefs, term = [1.0], 1.0
+    for n in range(budget):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        if term == 0.0:
+            return coefs, 0.0
+        coefs.append(term)
+        bound = (z_max * max(1.0, abs(a + n + 1.0) / (c + n + 1.0))
+                 * max(1.0, abs(b + n + 1.0) / (n + 2.0)))
+        rest = abs(term) * z_max ** (n + 1) * bound / (1.0 - bound) if bound < 1.0 else math.inf
+        if rest <= _ROUND:
+            return coefs, rest
+    return None
+
+
 def _mehler_kernel(p: JacobiParams, s, d):
     """c_alpha K(x, s) at x = s + d for s >= 0 and d > 0 broadcasting
     together, and an element-wise error bound: Koornwinder's Mehler-type
@@ -742,16 +770,20 @@ def _mehler_kernel(p: JacobiParams, s, d):
     digits as d -> 0.
 
     The 2F1 is a real power series in z with no lambda in it, so its
-    coefficients c_n = (a)_n (b)_n / ((c)_n n!) are scalars, and it is
-    summed by Horner's rule up to the term N where the geometric bound on
-    the rest at the largest z, |c_N| z^N R / (1 - R) with R = z max(1,
-    (a + N)/(c + N)) max(1, (b + N)/(N + 1)) (every later term ratio is
-    below it, as each factor moves monotonically towards 1), falls below
-    _ROUND: N = 0 where alpha + beta or alpha - beta is 0, as at (1/2, -1/2)
-    and (3/2, 3/2), about 50 at z near 1/2 on (1, 1/2).  Every term of the
-    rest grows with z, so the bound is that rest plus _ROUND (N + 1) times
-    the summed |terms|.  A plain recurrence over the whole array, or
-    ``_hyp_series`` with its complex steps, costs several times more."""
+    coefficients are scalars (:func:`_kernel_series`), and it is summed by
+    Horner's rule.  Euler's transformation gives it a second form,
+    (1 - z)^(1/2 - alpha) 2F1(1/2 - beta, 1/2 + beta; alpha + 1/2; z), and
+    the shorter series is summed: the first is 1 where alpha + beta or
+    alpha - beta is 0, as at (1/2, -1/2) and (3/2, 3/2), and the second is
+    1 where beta = +-1/2 and ends at n = 1 where beta = 3/2, as at (1, 1/2),
+    (3/2, 1/2) and (2, 3/2), where the first takes about 50 terms at z near
+    1/2.  In the
+    second, (1 - z)^(1/2 - alpha) joins K's power: (cosh 2x - cosh 2s)
+    (1 - z)^-1 = 8 sinh m sinh h cosh x.  Every term of the rest grows with
+    z, so the bound is that rest plus _ROUND (N + 1) times the summed
+    |terms|, times the power where it enters.  A plain recurrence over the
+    whole array, or ``_hyp_series`` with its complex steps, costs several
+    times more."""
     a, b, c = p.alpha + p.beta, p.alpha - p.beta, p.alpha + 0.5
     s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
     total = size = np.ones(s.shape)
@@ -764,22 +796,21 @@ def _mehler_kernel(p: JacobiParams, s, d):
         prod, cosh_both = sm * sh, np.sqrt((1.0 + sm * sm) * (1.0 + sh * sh))
     # a + n and b + n vanish only at n = 0 (a > -1, b >= 0): then the series
     # is 1, with no z to compute
-    if a * b != 0.0:
+    # Euler's form is 1, with no z to compute, where beta = +-1/2 (a + b
+    # is then 2 alpha or 0 and the plain series is no shorter)
+    euler = a * b != 0.0 and abs(p.beta) == 0.5
+    if a * b != 0.0 and not euler:
         z = prod / (cosh_both + prod)
         z_max = float(z.max(initial=0.0))
-        term = 1.0
-        for n in range(_KERNEL_BUDGET):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
-            coefs.append(term)
-            # every later term ratio, from c_(n+2) / c_(n+1) on, is below it
-            bound = (z_max * max(1.0, (a + n + 1.0) / (c + n + 1.0))
-                     * max(1.0, (b + n + 1.0) / (n + 2.0)))
-            rest = abs(term) * z_max ** (n + 1) * bound / (1.0 - bound) if bound < 1.0 else math.inf
-            if rest <= _ROUND:
-                break
-        else:
+        # Euler's form first: where it ends early, the plain series is
+        # summed only if it is no longer
+        other = _kernel_series(0.5 - p.beta, 0.5 + p.beta, c, z_max)
+        plain = _kernel_series(a, b, c, z_max,
+                               _KERNEL_BUDGET if other is None else len(other[0]) - 1)
+        if plain is None and other is None:
             raise NonConvergenceError(
                 f"Mehler kernel series did not converge within {_KERNEL_BUDGET} terms")
+        (coefs, rest), euler = (plain, False) if plain is not None else (other, True)
         total = np.full(z.shape, coefs[-1])
         for coef in coefs[-2::-1]:
             total *= z
@@ -793,10 +824,15 @@ def _mehler_kernel(p: JacobiParams, s, d):
     log_c = ((p.alpha + 1.5) * math.log(2.0) + math.lgamma(p.alpha + 1.0)
              - 0.5 * math.log(math.pi) - math.lgamma(p.alpha + 0.5))
     scale = math.exp(log_c)
+    # the rest at z_max bounds the rest at every smaller z; two more units
+    # for the constant and the product
+    err = size * (_ROUND * (len(coefs) + 2)) + rest
     if p.alpha != 0.5:
-        scale = scale * (8.0 * prod * cosh_both) ** (p.alpha - 0.5)
-    # the rest at z_max bounds the rest at every smaller z
-    err = size * (_ROUND * len(coefs)) + rest
+        scale = scale * (8.0 * prod * (cosh_both + prod if euler else cosh_both)) ** (p.alpha - 0.5)
+        # the power's base carries the rounding of sinh and cosh at m and h,
+        # about 1 + m and 1 + h units each, which the power multiplies
+        grow = _ROUND * abs(p.alpha - 0.5)
+        err += total * ((s + d) * (2.0 * grow) + (8.0 * grow + _ROUND))
     return scale * total, scale * err
 
 
@@ -883,6 +919,18 @@ def c_function(
     return complex(np.exp(_log_c(p, lam)[0]))
 
 
+def _log_abs_gamma(x: float, y):
+    """log|Gamma(x + i y)| for a scalar x > 0 and an array y: the shift
+    recurrence to Re >= 10 in real logs, log|z + j| = log((x + j)^2 + y^2) / 2,
+    then one complex Stirling sum."""
+    k = max(math.ceil(10.0 - x), 0)
+    # one row per y, so that each sum runs in the same order whatever the
+    # number of rows
+    shifts = (y * y)[:, None] + (x + np.arange(k)) ** 2
+    s, _ = _stirling((x + k) + 1j * y)
+    return s.real - 0.5 * np.log(shifts).sum(axis=-1)
+
+
 def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA_MIN):
     """Complex density of the spectral measure w.r.t. d lambda:
     (1 - rho/(i lambda)) / (8 pi |c(lambda)|^2), with |c|^2 normalized
@@ -891,11 +939,23 @@ def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA
     transform computed by this package; verified independently against
     the closed-form sine-kernel reduction at (alpha, beta) = (1/2, -1/2).
 
+    Only Re log c(lambda) enters, so it is taken in real logs of |Gamma|:
+    log Gamma(alpha + 1) is a scalar, log|Gamma(i lambda)| = log(pi / (lambda
+    sinh pi lambda)) / 2 with log sinh u = u - log 2 + log(1 - e^(-2u)), and
+    the two others are :func:`_log_abs_gamma` at y = lambda / 2.  A scalar
+    lambda takes the path of a batch, and has its bits.
+
     ``lam`` may be a scalar (complex result) or an array (complex array);
     PoleError if any |lambda| is below ``lambda_min``."""
     lam = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam) < lambda_min):
         raise PoleError(f"density pole at lambda=0 (|lambda| < {lambda_min})")
-    inv_c2 = np.exp(-2.0 * (_log_c(p, lam)[0].real - p.rho * math.log(2.0)))
-    out = (1.0 - p.rho / (1j * lam)) * inv_c2 / (8.0 * math.pi)
-    return complex(out) if out.ndim == 0 else out
+    flat = lam.ravel()
+    y = np.abs(flat)
+    u = math.pi * y
+    log_sinh = u - math.log(2.0) + np.log(-np.expm1(-2.0 * u))
+    log_c = (math.lgamma(p.alpha + 1.0) + 0.5 * (math.log(math.pi) - np.log(y) - log_sinh)
+             - _log_abs_gamma(0.5 * p.rho, 0.5 * y)
+             - _log_abs_gamma(0.5 * (p.alpha - p.beta + 1.0), 0.5 * y))
+    out = (1.0 - p.rho / (1j * flat)) * np.exp(-2.0 * log_c) / (8.0 * math.pi)
+    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)

@@ -19,7 +19,7 @@ from octool.harness_cli import (
 from octool.hausdorff import HausdorffImage, make_kernel
 from octool.octransform import FunctionSpec
 from octool.quad import QuadConfig
-from octool.specfun import JacobiParams
+from octool.specfun import JacobiParams, _g_batch
 
 P1 = JacobiParams(0.5, -0.5)
 
@@ -257,24 +257,32 @@ def test_l1_rows_fail_when_hf_is_scaled(monkeypatch):
 
 
 def test_plancherel_rows_transform_only_the_new_band(monkeypatch):
-    # each row transforms the 17 panels of (lambda_min, Lambda] and the two
-    # of the new band (Lambda, 2 Lambda], 15 nodes each
+    # each row builds f's Abel transforms once, then takes the cosine
+    # transforms of the 17 panels of (lambda_min, Lambda] and of the two of
+    # the new band (Lambda, 2 Lambda], 15 nodes each, from them
     from octool import octransform
 
-    grid = octransform.transform_grid
-    sizes = []
+    cosine, abel = octransform._cosine_transform, octransform._abel
+    sizes, abels = [], []
 
-    def spy(f, p, lams, cfg, **kwargs):
+    def spy(F, p, lams, *args, **kwargs):
         sizes.append(np.size(lams))
-        return grid(f, p, lams, cfg, **kwargs)
+        return cosine(F, p, lams, *args, **kwargs)
 
-    monkeypatch.setattr(octransform, "transform_grid", spy)
+    def abel_spy(*args, **kwargs):
+        abels.append(args[0])
+        return abel(*args, **kwargs)
+
+    monkeypatch.setattr(octransform, "_cosine_transform", spy)
+    monkeypatch.setattr(octransform, "_abel", abel_spy)
     rows = [s for s in build_default_suite() if s.theorem_id == "P_PLANCHEREL"]
     assert len(rows) == 3
     for s in rows:
         sizes.clear()
+        abels.clear()
         assert run_scenario(s).status == "pass"
         assert sizes == [255, 30]
+        assert len(abels) == 1
 
 
 def test_plancherel_doubled_gap_falls_on_the_bump_rows(suite_reports):
@@ -302,6 +310,25 @@ def test_commutation_diagnostic_says_its_gap_is_real(suite_reports):
     assert b["gap_exceeds_estimate"] is True
     assert abs(b["gap"] - 0.10815) <= 5.2e-5
     assert 0.0 < b["quadrature_component"] <= 5.2e-6
+
+
+def test_scaling_diagnostic_says_its_gap_is_real(suite_reports):
+    # G_lambda(t x) is not G_(lambda t)(x): the worst residual of the
+    # D_SCALING_DIAG grid, 0.27, is far beyond the series bounds of its two
+    # values, which the row recomputes from one _g_batch call
+    [r] = suite_reports["D_SCALING_DIAG"]
+    b = r.err_breakdown
+    assert b["gap_exceeds_estimate"] is True
+    lams, ts, xs = (0.0, 0.5, 1.0, 2.0), (0.5, 2.0), (0.3, 0.5, 1.0)
+    cells = [((lam, t * x), (lam * t, x)) for lam in lams for t in ts for x in xs]
+    g = {}
+    for a, c in cells:
+        for lam, x in (a, c):
+            v, e = _g_batch(JacobiParams(0.5, -0.5), [lam], [x])
+            g[lam, x] = (v[0, 0], e[0, 0])
+    worst = max(cells, key=lambda ac: abs(g[ac[0]][0] - g[ac[1]][0]))
+    assert abs(g[worst[0]][0] - g[worst[1]][0]) == pytest.approx(b["max_residual"], rel=1e-12)
+    assert g[worst[0]][1] + g[worst[1]][1] <= 1e-9 * b["max_residual"]
 
 
 @pytest.mark.parametrize("upper, failing, easier", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octool import hausdorff
+from octool import hausdorff, octransform
 from octool.bounds import lp_norm
 from octool.errors import (
     DivergentIntegralError,
@@ -549,15 +549,21 @@ PROBE_RHS_FIXED = 0.9260984932804106
 
 
 def _spy_transform_rows(monkeypatch):
-    """The number of lambdas of every transform_grid call commutation_residual
-    makes, as a list the spy appends to."""
-    exact, rows = hausdorff.transform_grid, []
+    """The number of lambdas of every transform commutation_residual takes,
+    its lhs's transform_grid call and each cosine transform of its rhs, as a
+    list the spies append to."""
+    grid, cosine, rows = hausdorff.transform_grid, hausdorff._cosine_transform, []
 
-    def spy(f, p, lams, cfg):
+    def grid_spy(f, p, lams, cfg):
         rows.append(np.size(lams))
-        return exact(f, p, lams, cfg)
+        return grid(f, p, lams, cfg)
 
-    monkeypatch.setattr(hausdorff, "transform_grid", spy)
+    def cosine_spy(abel, p, lams):
+        rows.append(np.size(lams))
+        return cosine(abel, p, lams)
+
+    monkeypatch.setattr(hausdorff, "transform_grid", grid_spy)
+    monkeypatch.setattr(hausdorff, "_cosine_transform", cosine_spy)
     return rows
 
 
@@ -566,11 +572,21 @@ def test_commutation_probe_stops_at_the_noise_of_its_transforms(monkeypatch):
     # Gaussian are below 1e-170 and each within its own estimate: panels
     # there stay whole once their |K - G| is within that noise.  When the
     # transforms were series noise, splitting them took the rhs to 4,218
-    # transform rows and a 215 MB peak.  The transforms of an even f are real
+    # transform rows and a 215 MB peak.  The transforms of an even f are real.
+    # One Abel transform per f: H f's for the lhs, and f's for every round of
+    # the rhs, which took 7 at one per round
     rows = _spy_transform_rows(monkeypatch)
+    abel, abels = octransform._abel, []
+
+    def abel_spy(*args, **kwargs):
+        abels.append(args[0])
+        return abel(*args, **kwargs)
+
+    monkeypatch.setattr(octransform, "_abel", abel_spy)
     gaussian = FunctionSpec("gaussian", params={"scale": 1.0})
     lhs, rhs, gap, err = commutation_residual(PROBE_K, gaussian, COMM_P, 1.0, CFG)
-    assert sum(rows) < 600
+    assert sum(rows) < 600 and len(rows) > 2
+    assert len(abels) == 2
     assert math.isfinite(gap) and 0.0 < err < math.inf
     assert rhs.imag == 0.0
     assert abs(rhs - PROBE_RHS_FIXED) <= err

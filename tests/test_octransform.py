@@ -319,6 +319,34 @@ def test_transform_grid_of_an_f_whose_f_a_tends_to_a_constant():
     assert np.all(errs <= 2e-6)
 
 
+
+def test_graded_transform_splits_its_s_panels_within_its_estimate():
+    # (e^(-x^2) + 3 bump(0.8, 0.1)) / A(x) on x > 0 at (1/2, -1/2): f A tends
+    # to 1 at 0, so the first s panel is graded and the s nodes share f's
+    # values on a lattice, and the narrow bump makes the s panels near it
+    # split, each new node taking the lattice panels from f's stored values.
+    # The reference is the closed-form G on 40-point Gauss-Legendre panels
+    narrow = FunctionSpec("bump", params={"center": 0.8, "width": 0.1})
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        pos = x > 0.0
+        out[pos] = (np.exp(-x[pos] ** 2) + 3.0 * narrow(x[pos])) / weight_a(P1, x[pos])
+        return out
+
+    lams = np.array([0.5, 3.0, 12.0, 30.0])
+    abel = octransform._abel_transform(f, P1, CFG, float(lams.max()))
+    assert abel.graded.any() and np.any(abel.half[~abel.graded] < 0.1)
+    vals, errs = transform_grid(f, P1, lams, CFG)
+    t, w = np.polynomial.legendre.leggauss(40)
+    edges = np.union1d(np.arange(0.0, 7.01, 0.125), np.linspace(0.7, 0.9, 41))
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    x = (mid[:, None] + half[:, None] * t).ravel()
+    ref = (closed_form.g(lams, -x) * (np.exp(-x * x) + 3.0 * narrow(x))) @ (half[:, None] * w).ravel()
+    assert np.all(np.abs(vals - ref) <= errs)
+    assert np.all(errs <= 2e-6)
+
 def test_closed_form_matches_the_series():
     lams = np.array([0.5, 1.0, 2.5, 5.0])
     xs = np.array([-2.0, -0.3, 0.1, 0.7, 1.5])
@@ -474,6 +502,14 @@ def test_support_wholly_past_the_cut_raises():
     assert plancherel_residual_detailed(zero, P1, CFG) == (0.0, 0.0, 0.0, 0.0)
 
 
+
+def test_a_lambda_that_is_not_finite_raises():
+    # Filon's rule sizes its Gauss rule by lambda: an infinite or NaN lambda
+    # has none, and raises ParameterError rather than a raw error
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            transform_grid(GAUSS, P1, np.array([1.0, bad]), CFG)
+
 @settings(max_examples=10, deadline=None)
 @given(st.floats(0.3, 3.0), st.floats(0.2, 2.0))
 def test_eigen_equation_property(lam, x):
@@ -592,3 +628,52 @@ def test_plancherel_of_an_uneven_f_takes_both_transforms_from_one_fold(monkeypat
     _, _, v, v_err = transform_grid(f, P2, lam, CFG, reflected=True)
     w, w_err = transform_grid(f.reflected(), P2, lam, CFG)
     assert np.array_equal(v, w) and np.array_equal(v_err, w_err)
+
+
+@pytest.mark.parametrize("p", [P1, P2, P3])
+def test_a_transform_does_not_depend_on_the_rest_of_its_batch(p):
+    # the s panels resolve F alone and Filon's rule integrates cos(lambda s)
+    # on each, so a value at lambda agrees, within the two estimates, whether
+    # the batch ends at 12 or at 2 Lambda, and every estimate stays below
+    # 1e-9.  With panels sized by the largest lambda, the off-centre bump at
+    # (1/2, -1/2) and lambda = 0.5 read 2.4e-7 in a batch that stopped at 12
+    lam_max = 2.0 * CFG.truncation_lambda
+    for f in (GAUSS, BUMP, FunctionSpec("bump", params={"center": 0.8, "width": 0.2})):
+        long_vals, long_errs = transform_grid(f, p, np.array([0.5, 12.0, 40.0, lam_max]), CFG)
+        assert np.all(long_errs <= 1e-9)
+        for lams, at in (([0.5, 12.0], slice(0, 2)), ([40.0], slice(2, 3))):
+            vals, errs = transform_grid(f, p, np.array(lams), CFG)
+            assert np.all(errs <= 1e-9)
+            assert np.all(np.abs(vals - long_vals[at]) <= errs + long_errs[at])
+
+
+def test_plancherel_rhs_of_the_gaussian_against_its_closed_form():
+    # at (1/2, -1/2) the Gaussian's transform and the density's real part,
+    # lambda^2 / (2 pi), are closed forms: rhs is twice their integral over
+    # (lambda_min, Lambda], here on 1/8-wide panels, within rhs's estimate
+    lhs, rhs, gap, err = plancherel_residual_detailed(GAUSS, P1, CFG)
+    edges = np.concatenate([[CFG.lambda_min], np.arange(0.125, CFG.truncation_lambda + 0.1, 0.125)])
+    lam, wk, _ = panel_rule(edges)
+    ref = 2.0 * np.sum(wk * closed_form.gaussian_transform(lam) ** 2 * lam ** 2 / (2.0 * math.pi))
+    assert rhs.imag == 0.0
+    assert abs(rhs.real - ref) <= err
+    assert abs(rhs.real - ref) <= 1e-12 * ref
+
+
+def test_filon_rule_integrates_cosine_against_the_interpolant():
+    # int cos(omega v + phase) P15(v) dv on (-1, 1), P15 the interpolant of
+    # 15 values on the Kronrod nodes, against a 400-point Gauss rule: each
+    # level of the rule, copies of the largest on sub-panels past its cap
+    # included, is exact to rounding, and its P15 - P7 matrix gives 0 on
+    # values a degree-6 polynomial takes
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(15)
+    t, w = np.polynomial.legendre.leggauss(400)
+    p15 = octransform._lagrange(octransform._UNIT, t)
+    for omega in (0.0, 1.5, 9.0, 19.0, 60.0, 150.0):
+        v, wp15, wdiff = octransform._filon_rule_at(int(octransform._filon_level(np.array([omega]))[0]))
+        for phase in (0.0, 0.7):
+            ours = np.cos(omega * v + phase) @ wp15 @ values
+            ref = (w * np.cos(omega * t + phase)) @ p15 @ values
+            assert abs(ours - ref) <= 1e-14 * np.sum(np.abs(values)), omega
+        assert np.all(np.abs(wdiff @ octransform._UNIT ** 6) <= 1e-14)

@@ -480,6 +480,51 @@ def test_density_positive_real_part():
             assert abs(d - one) <= 1e-15 * abs(one)
 
 
+@pytest.mark.parametrize("p", [*CATALOG, JacobiParams(0.7, 0.2)])
+def test_density_against_mpmath(p):
+    # (1 - rho / (i lambda)) |Gamma(rho/2 + i lambda/2) Gamma((alpha - beta +
+    # 1)/2 + i lambda/2)|^2 / (Gamma(alpha + 1) |Gamma(i lambda)|)^2 / (8 pi)
+    # at 30 digits, over lambda in [1e-6, 200]
+    lams = np.geomspace(1e-6, 200.0, 40)
+    ours = plancherel_density(p, lams)
+    with mpmath.workdps(30):
+        for lam, d in zip(lams, ours):
+            y = mpmath.mpf(float(lam))
+            inv_c2 = (abs(mpmath.gamma(mpmath.mpf(p.rho) / 2 + 0.5j * y)
+                          * mpmath.gamma(mpmath.mpf(p.alpha - p.beta + 1.0) / 2 + 0.5j * y)) ** 2
+                      / (mpmath.gamma(mpmath.mpf(p.alpha) + 1) * abs(mpmath.gamma(1j * y))) ** 2)
+            ref = complex((1 - p.rho / (1j * y)) * inv_c2 / (8 * mpmath.pi))
+            assert abs(d - ref) <= 2e-13 * abs(ref), lam
+
+
+@pytest.mark.parametrize("p", [JacobiParams(1.0, 0.5), JacobiParams(2.0, 1.5),
+                               JacobiParams(1.5, 0.5), JacobiParams(1.0, -0.5),
+                               JacobiParams(0.7, 0.2)])
+def test_mehler_kernel_against_mpmath(p):
+    # c_alpha (cosh 2x - cosh 2s)^(alpha - 1/2) 2F1(alpha + beta, alpha - beta;
+    # alpha + 1/2; z) at 30 digits: each value within its bound and within
+    # 5e-15 relative.  At (1, 1/2) and its shift (2, 3/2), and at (3/2, 1/2),
+    # Euler's form ends at n <= 1 where the plain series takes about 50
+    # terms, so the bound is a few units, as at (1, -1/2), where Euler's form
+    # is 1 too; at (0.7, 0.2) neither form ends
+    rng = np.random.default_rng(7)
+    s = np.concatenate([[0.0, 1e-8, 0.5], 12.0 * rng.random(20)])
+    d = np.concatenate([[1e-3, 2.0, 1e-7], 10.0 ** rng.uniform(-8.0, 1.0, 20)])
+    k, k_err = specfun._mehler_kernel(p, s, d)
+    ends = p.beta in (-0.5, 0.5, 1.5)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(p.alpha)
+        c = 2 ** (a + 1.5) * mpmath.gamma(a + 1) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(a + 0.5))
+        for si, di, ki, ei in zip(s, d, k, k_err):
+            sm, x = mpmath.mpf(float(si)), mpmath.mpf(float(si)) + mpmath.mpf(float(di))
+            z = (mpmath.cosh(x) - mpmath.cosh(sm)) / (2 * mpmath.cosh(x))
+            ref = float(c * (mpmath.cosh(2 * x) - mpmath.cosh(2 * sm)) ** (a - 0.5)
+                        * mpmath.hyp2f1(a + p.beta, a - p.beta, a + 0.5, z))
+            assert abs(ki - ref) <= ei and abs(ki - ref) <= 5e-15 * ref
+            if ends:
+                assert ei <= 2e-14 * ref
+
+
 def test_weight_ratio_extrema_sides():
     assert weight_ratio_extrema(P1, 2.0) == (2.0 ** -2.0, 0.0)  # t^-(2a+1) at u -> 0
     assert weight_ratio_extrema(P1, 0.5) == (math.inf, 0.5 ** -2.0)
