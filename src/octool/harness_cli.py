@@ -232,13 +232,15 @@ def _witness_pairs(s, norm, p_exp, domain, witnesses) -> VerifyReport:
     """Gate the lower bound ||H f||_{p_exp} / ||f||_{p_exp} >= bound over
     ``domain`` for each (f, bound) in ``witnesses``, with ``norm`` lp_norm or
     grand_norm; a ratio's err is the ratio times the sum of the two norms'
-    relative errors."""
+    relative errors.  A pair whose two norms are both infinite has no ratio:
+    it reads NaN, which fails its gate."""
     p, cfg = s.params, s.cfg
     triples = []
     for f, bound in witnesses:
         hf = norm(HausdorffImage(s.kernel, f, p, cfg), p_exp, p, domain, cfg)
         fn = norm(f, p_exp, p, domain, cfg)
-        ratio = _ratio_ext(hf.value, fn.value)
+        both_inf = math.isinf(hf.value) and math.isinf(fn.value)
+        ratio = math.nan if both_inf else _ratio_ext(hf.value, fn.value)
         # a ratio of 0 or inf comes from a norm that is exactly 0 or divergent
         err = ratio * (_rel_err(hf) + _rel_err(fn)) if 0.0 < ratio < math.inf else 0.0
         triples.append((ratio, bound, err))

@@ -33,9 +33,9 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .octransform import FunctionSpec, _abel_transform, _cosine_transform, transform_grid
+from .octransform import FunctionSpec, _abel_transform, _cosine_transform
 from .quad import IntegralResult, QuadConfig, integrate, panel_rule
-from .specfun import JacobiParams, log_sinh_cosh, log_weight_a
+from .specfun import JacobiParams, _g_batch, log_sinh_cosh, log_weight_a
 
 __all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "hausdorff_apply_result",
            "hausdorff_log_grid", "HausdorffImage", "commutation_residual"]
@@ -940,12 +940,17 @@ def commutation_residual(
     H f at lam, the kernel average of the transform of f at lam*t, their
     distance |lhs - rhs| and an estimate of its error.
 
-    lhs is one :func:`transform_grid` call at lam of H f, which takes H f
-    and the engine's error at the nodes of each of its refinement rounds
-    from one :func:`hausdorff_log_grid` call, made only between the extreme
-    products of f's and phi's support ends, outside which H f vanishes.
-    A H f tends to a constant at 0 for adjoint Hardy, so the transform
-    grades its first s panel there.  rhs is
+    lhs is one :func:`quad.integrate` run in x of A H f G_lambda(-x) over
+    the extreme products of f's and phi's support ends, outside which H f
+    vanishes, cut at |x| = truncation_x.  Each refinement round takes A H f
+    = exp(log A H f), which neither overflows nor meets inf * 0 as x -> 0,
+    and the engine's relative error at its new nodes from one
+    :func:`hausdorff_log_grid` call, and G with its bound from one
+    ``_g_batch`` call; the inner error of a node is |A H f| times |G| times
+    that relative error plus G's bound.  A 0 end, where A H f tends to a
+    constant for adjoint Hardy, is reached in log coordinates.  (No
+    ``cutoff``: its tail charge extrapolates from the last full dyadic block
+    and reads far above an integrand that is negligible at the cut.)  rhs is
     one :func:`quad.integrate` run in t over (lo, b), phi's support (lo, hi)
     cut at b = min(hi, truncation_t, truncation_lambda/|lam|), so that |lam t|
     stays within the spectral range; phi's breakpoints are panel edges, and
@@ -959,8 +964,8 @@ def commutation_residual(
     that round's new nodes from one cosine transform of them, and a panel
     whose |Kronrod - Gauss| is within its nodes' inner error is not split.
     err adds
-    - lhs's own transform_grid estimate, which carries the engine's node
-      errors through the Abel integrals;
+    - lhs's integrate estimate: its final panels' |Kronrod - Gauss|, the
+      Kronrod-weighted inner errors and the tail charge of a 0 end;
     - rhs's integrate estimate: the final panels' |Kronrod - Gauss| in t,
       the Kronrod-weighted |phi| times each transform's own estimate, and
       the tail charge of a 0 end;
@@ -971,9 +976,9 @@ def commutation_residual(
     Like transform_grid, lhs leaves out H f beyond |x| = truncation_x.
     Requires phi integrable; raises KernelNotIntegrableError otherwise,
     ParameterError for an f that takes a negative value or a lam so large
-    that the t range is empty, and BudgetExhaustedError when the rhs's run
-    in t spends ``max_subdivisions`` splits before it converges or reaches
-    its noise floor.
+    that the t range is empty, and BudgetExhaustedError when the lhs's run
+    in x or the rhs's in t spends ``max_subdivisions`` splits before it
+    converges or reaches its noise floor.
     """
     lo, hi = k.support()
     try:
@@ -996,17 +1001,15 @@ def commutation_residual(
     hf_lo, hf_hi = ((-math.inf, math.inf) if np.isnan(ends).any()
                     else (float(ends.min()), float(ends.max())))
 
-    def hf_nodes(x):
-        # H f and the engine's error at every node of the transform where H f
-        # may not vanish, from one engine call
-        out, err = np.zeros(x.shape), np.zeros(x.shape)
-        live = (x != 0.0) & (x >= hf_lo) & (x <= hf_hi)
-        core, _, node_rel = image.log_abs_decomp(x[live])
-        out[live] = np.exp(core - log_weight_a(p, x[live]))
-        err[live] = node_rel * out[live]
-        return out, err
+    def transformed(x):
+        # A H f G_lambda(-x), A H f from one engine call per round, with the
+        # engine's relative error and G's bound
+        core, _, rel = image.log_abs_decomp(x)
+        ahf = np.exp(core)
+        g, g_err = _g_batch(p, [lam], -x)
+        return ahf * g[0], ahf * (rel * np.abs(g[0]) + g_err[0])
 
-    lhs, lhs_err = transform_grid(hf_nodes, p, [lam], cfg)
+    lhs = integrate(transformed, max(hf_lo, -cfg.truncation_x), min(hf_hi, cfg.truncation_x), cfg)
     abel = _abel_transform(f, p, cfg, abs(lam) * b if lam else 0.0)
 
     def averaged(t):
@@ -1029,9 +1032,9 @@ def commutation_residual(
         r = integrate(from_end, 0.0, hi - lo, cfg)
     else:
         r = integrate(averaged, lo, b, cfg, points=k.breakpoints())
-    err = lhs_err[0] + r.err_estimate
+    err = lhs.err_estimate + r.err_estimate
     if b < hi:
         mass = integrate(k, b, hi, cfg, points=k.breakpoints())
         u_cut, u_cut_err = _cosine_transform(abel, p, [lam * b])
         err += (abs(mass.value) + mass.err_estimate) * (abs(u_cut[0]) + u_cut_err[0])
-    return complex(lhs[0]), complex(r.value), float(abs(lhs[0] - r.value)), float(err)
+    return complex(lhs.value), complex(r.value), float(abs(lhs.value - r.value)), float(err)

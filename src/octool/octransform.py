@@ -325,10 +325,14 @@ def oc_transform_result(f, p: JacobiParams, lam: float, cfg: QuadConfig) -> Inte
     geometric extrapolation of the last blocks: a bound only where the
     integrand decays past the cut.  A support wholly past the cut raises
     ParameterError.  The breakpoints of a :class:`FunctionSpec` are panel
-    edges, so no panel reads across a kink or a jump of f.
+    edges, so no panel reads across a kink or a jump of f.  G's bound enters
+    as each node's inner error, |f| A times it, as in
+    :func:`oc_inverse_result`.
     """
     def integrand(x):
-        return np.asarray(f(x)) * _g_batch(p, [lam], -np.asarray(x))[0][0] * weight_a(p, x)
+        fa = np.asarray(f(x)) * weight_a(p, x)
+        g, g_err = _g_batch(p, [lam], -np.asarray(x))
+        return fa * g[0], np.abs(fa) * g_err[0]
 
     points = f.breakpoints() if isinstance(f, FunctionSpec) else ()
     return integrate(integrand, *_support(f, cfg), cfg, cutoff=cfg.truncation_x,
@@ -357,9 +361,6 @@ _COSINE_CELLS = 1 << 17
 # f against the Abel weight below this share of its peak on an s panel and
 # every panel after it: the integrals end before that panel
 _NEGLIGIBLE = 1e-18
-# the graded s rule of the first panel (0, e1), where F is unbounded: panels
-# on these edges in t = log(e1 / s), and (0, e1 e^-16) charged as a tail
-_GRADED_T = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0])
 
 
 def _gauss_legendre(m: int):
@@ -434,21 +435,12 @@ def _filon_rule_at(level: int):
     return _filon_rule(np.ravel((np.arange(1.0 - n, n, 2.0)[:, None] + v) / n), np.tile(w, n) / n)
 
 
-def _s_nodes(centre, half, graded, e1: float):
-    """The nodes of s panels, (panels, 15), and ds/du there: a panel's
-    coordinate u = centre + half _UNIT is s itself, or t = log(e1 / s) on a
-    graded panel, where s = e1 e^-t and |ds/dt| = s."""
-    u = centre[:, None] + half[:, None] * _UNIT
-    s = np.where(graded[:, None], e1 * np.exp(-u), u)
-    return s, np.where(graded[:, None], s, 1.0)
-
-
-def _abel(sides, p: JacobiParams, panels, edges, odd: bool, lattice=None, gain=1.0):
+def _abel(sides, p: JacobiParams, panels, edges, odd: bool, gain=1.0):
     """The Abel transforms of f on an s rule that resolves them: (panels,
-    F, err), ``panels`` the final s panels (centre, half, graded, e1) of
-    :func:`_s_nodes`, and F and err each (2, panels, 15), rows even and odd
-    (the odd row 0 unless ``odd``), err a bound per node.  With h_e = f(x)
-    + f(-x) and h_o = (f(x) - f(-x)) / sinh 2x,
+    F, err), ``panels`` the final s panels (centre, half), whose (7, 15)
+    nodes are centre + half _UNIT, and F and err each (2, panels, 15), rows
+    even and odd (the odd row 0 unless ``odd``), err a bound per node.  With
+    h_e = f(x) + f(-x) and h_o = (f(x) - f(-x)) / sinh 2x,
 
         F_e(s) = int_s^b h_e(x) 2^(-2 alpha) sinh x (cosh x)^(beta - alpha + 1)
                  c_alpha K(x, s) dx,
@@ -460,30 +452,21 @@ def _abel(sides, p: JacobiParams, panels, edges, odd: bool, lattice=None, gain=1
     ends, its support (edges[0], edges[-1]) on x >= 0.
 
     Each integral runs in r = sqrt(x - s), which takes up K's (x - s)^(alpha
-    - 1/2) end, up to b, or with ``lattice`` (sorted x edges) only up to the
-    second lattice edge above s: the rest is summed on the lattice's
-    panels, whose nodes, and so whose f values, every s shares, each panel
-    for the s at least one panel below it.  The first per-s panels end at
-    every edge and at sqrt(s) 2^m, the geometric grading of K's branch points
-    at r = +-i sqrt(2s + r^2).  Then each round bisects
+    - 1/2) end, up to b.  Its first panels end at every edge and at sqrt(s)
+    2^m, the geometric grading of K's branch points at r = +-i sqrt(2s +
+    r^2).  Then each round bisects
     - every Abel panel whose |Kronrod - Gauss| exceeds both _ABEL_RTOL times
       its component's mean |F| (weighted by the s rule) and the
-      Kronrod-weighted node errors of f and K there; with a lattice, also
-      the graded rule's tail (:func:`_graded_tail`) in the transform's value,
-      where F_o enters times at most ``gain``;
-    - every s panel off the graded rule whose integral of |P15 - P7| (on
-      the first Filon rule) exceeds _S_RTOL times F's mass, the graded tail with a
-      lattice, and the node errors there, the odd half of each weighted by
-      ``gain``.  A node of its halves starts on its own first Abel panels
-      and on the x where the panels of the nearest node of the cut panel
-      end, so it needs few rounds of its own;
+      Kronrod-weighted node errors of f and K there;
+    - every s panel whose integral of |P15 - P7| (on the first Filon rule)
+      exceeds _S_RTOL times F's mass and the node errors there, the odd
+      half of each weighted by ``gain``.  A node of its halves starts on its
+      own first Abel panels and on the x where the panels of the nearest
+      node of the cut panel end, so it needs few rounds of its own;
     with one ``sides`` call on all new nodes per round.  err sums |Kronrod -
     Gauss| and those node errors."""
-    centre, half, graded, e1 = panels
+    centre, half = panels
     lo_x, hi_x = edges[0], edges[-1]
-    shared = lattice is not None
-    if not shared:
-        lattice = np.array([hi_x])
     # (pair, constant, power of cosh x, sign of f(-x)): the even half's
     # weight also carries sinh x, the odd half's has lost it to sinh 2x
     components = [(p, 2.0 ** (-2.0 * p.alpha), p.beta - p.alpha + 1.0, 1.0)]
@@ -492,17 +475,11 @@ def _abel(sides, p: JacobiParams, panels, edges, odd: bool, lattice=None, gain=1
     gains = np.array([1.0, gain])[:len(components)]
     indicator = _filon_rule_at(0)[2]
 
-    def reach_of(s):
-        # where each s node's own panels end
-        if not shared:
-            return np.full(s.shape, hi_x)
-        return lattice[np.minimum(np.searchsorted(lattice, s, side="right") + 1, lattice.size - 1)]
-
-    def first_panels(s, upper, base: int, x_edges=None):
+    def first_panels(s, base: int, x_edges=None):
         """The first Abel panels (owner, lo, hi) in r of the nodes ``s``,
         owners counted from ``base``, with edges at f's edges and at the x of
         ``x_edges`` (one row per node, inf past its last) as well."""
-        reach = np.sqrt(np.maximum(upper - s, 0.0))
+        reach = np.sqrt(np.maximum(hi_x - s, 0.0))
         start = np.sqrt(np.maximum(lo_x - s, 0.0))
         levels = math.ceil(math.log2(max(reach.max(), 1.0) / math.sqrt(max(s.min(), 1e-300))))
         x_all = np.broadcast_to(np.asarray(edges), (s.size, len(edges)))
@@ -528,105 +505,59 @@ def _abel(sides, p: JacobiParams, panels, edges, odd: bool, lattice=None, gain=1
         out[row, col] = s[owner[mine]] + hi[mine] ** 2
         return out
 
-    def sums(sj, d, x, jac, f_plus, f_minus, node_err, half):
-        """Kronrod sums, |Kronrod - Gauss| and node errors of the panels whose
-        nodes are x = sj + d, per component (leading axis)."""
-        out = []
+    def evaluate(s, owner, lo, hi):
+        """Kronrod sums, |Kronrod - Gauss| and node errors of the Abel panels
+        (owner, lo, hi) in r, per component (leading axis), from one
+        ``sides`` call."""
+        half_r = 0.5 * (hi - lo)
+        r = 0.5 * (lo + hi)[:, None] + half_r[:, None] * _UNIT
+        sj, d = s[owner][:, None], r * r
+        x = sj + d
+        f_plus, f_minus, node_err = sides(x)
         ch = np.cosh(x)
+        out = []
         for q, scale, power, sign in components:
             k, k_err = _mehler_kernel(q, sj, d)
-            weight = scale * jac if power == 0.0 else scale * ch ** power * jac
+            weight = 2.0 * scale * r if power == 0.0 else 2.0 * scale * ch ** power * r
             if sign > 0.0:
                 weight = weight * np.sinh(x)
             h = f_plus + sign * f_minus
             y = h * weight * k
             e = (np.abs(h) * k_err + node_err * k) * weight
-            kron = half * (y @ _UNIT_WK)
-            out.append((kron, np.abs(kron - half * (y @ _UNIT_WG)), half * (e @ _UNIT_WK)))
+            kron = half_r * (y @ _UNIT_WK)
+            out.append((kron, np.abs(kron - half_r * (y @ _UNIT_WG)), half_r * (e @ _UNIT_WK)))
         return [np.stack(v) for v in zip(*out)]
 
-    def far_sums(s, upper, flo, fhi, values):
-        # the sums of lattice panels (flo, fhi), whose f values are
-        # ``values``, for the nodes s: 0 where a panel does not serve an s
-        out = [np.zeros((len(components), s.size, flo.size))] * 3
-        rows, cols = np.nonzero(flo[None, :] >= upper[:, None])
-        if not rows.size:
-            return out
-        fhalf = 0.5 * (fhi - flo)[cols]
-        x_far = 0.5 * (flo + fhi)[cols, None] + fhalf[:, None] * _UNIT
-        got = sums(s[rows, None], x_far - s[rows, None], x_far, 1.0,
-                   *(v[cols] for v in values), fhalf)
-        out = [np.zeros(o.shape, dtype=g.dtype) for o, g in zip(out, got)]
-        for o, g in zip(out, got):
-            o[:, rows, cols] = g
-        return out
-
-    def evaluate(s, upper, near_new, far_new):
-        """The sums of new near panels (owner, lo, hi) in r and of new
-        lattice panels (lo, hi) in x for every s, and those panels' f
-        values, from one ``sides`` call."""
-        owner, lo, hi = near_new
-        half_r = 0.5 * (hi - lo)
-        r = 0.5 * (lo + hi)[:, None] + half_r[:, None] * _UNIT
-        sj = s[owner][:, None]
-        x_near = sj + r * r
-        flo, fhi = far_new
-        x_far = 0.5 * (flo + fhi)[:, None] + 0.5 * (fhi - flo)[:, None] * _UNIT
-        values = sides(np.concatenate([x_near, x_far]))
-        at_far = [v[len(owner):] for v in values]
-        near_sums = sums(sj, r * r, x_near, 2.0 * r, *(v[:len(owner)] for v in values), half_r)
-        return near_sums, far_sums(s, upper, flo, fhi, at_far), at_far
-
-    s, jac = _s_nodes(centre, half, graded, e1)
-    ws = half[:, None] * jac * _UNIT_WK
-    s, ws = s.ravel(), ws.ravel()
-    upper = reach_of(s)
-    # each set of panels: their geometry ([owner,] lo, hi), then their sums
-    # (Kronrod, |Kronrod - Gauss|, node errors); the lattice panels' f values
-    # (f(x), f(-x), node errors, each (15, panels)) stay with them, for the
-    # s nodes that come later
-    near = first_panels(s, upper, 0)
-    far = [lattice[:-1].copy(), lattice[1:].copy()]
-    near_sums, far_part, at_far = evaluate(s, upper, near, far)
-    sets = [near + near_sums, far + far_part]
-    far_values = [v.T for v in at_far]
+    s = (centre[:, None] + half[:, None] * _UNIT).ravel()
+    ws = (half[:, None] * _UNIT_WK).ravel()
+    # the Abel panels: their geometry (owner, lo, hi), then their sums
+    # (Kronrod, |Kronrod - Gauss|, node errors)
+    abel = first_panels(s, 0)
+    abel += evaluate(s, *abel)
     for _ in range(_ABEL_ROUNDS):
-        (owner, _, _, kron, diff, inner), (_, _, fk, fd, fi) = sets
-        totals = _per_node(owner, kron, s.size) + fk.sum(axis=-1)
-        node_err = _per_node(owner, diff + inner, s.size) + (fd + fi).sum(axis=-1)
+        owner, lo, hi, kron, diff, inner = abel
+        totals = _per_node(owner, kron, s.size)
+        node_err = _per_node(owner, diff + inner, s.size)
         mass = np.abs(totals) @ ws
         floor = _ABEL_RTOL * mass / ws.sum()
-        s_floor = _S_RTOL * (gains @ mass)
-        if shared:
-            # nothing below the graded rule's own tail, in the transform's
-            # value, where F_o enters times at most ``gain``, is worth resolving
-            tail = _graded_tail(totals, ws) @ gains
-            floor = np.maximum(floor, tail / ws.sum() / gains)
-            s_floor = max(s_floor, tail)
         # the s panels whose interpolants P15 and P7 part by more than that
         # share of F's mass and than their nodes' errors
         per_panel = totals.reshape(len(gains), -1, _UNIT.size)
         spread = gains @ (np.abs(per_panel @ indicator.T).sum(axis=-1) * half)
         noise = gains @ (node_err * ws).reshape(per_panel.shape).sum(axis=-1)
         # (a panel too narrow to halve in floating point stays whole)
-        s_cut = np.flatnonzero((spread > np.maximum(s_floor, noise)) & ~graded
+        s_cut = np.flatnonzero((spread > np.maximum(_S_RTOL * (gains @ mass), noise))
                                & (centre - half < centre) & (centre < centre + half))
         kept = np.ones(centre.size, dtype=bool)
         kept[s_cut] = False
         dead = np.repeat(~kept, _UNIT.size)
-        over = [(diff > np.maximum(floor[:, None], inner)).any(axis=0) & ~dead[owner],
-                (fd > np.maximum(floor[:, None, None], fi)).any(axis=(0, 1))]
-        cuts, kids = [], []
-        for part, flagged in zip(sets, over):
-            *owners, lo, hi = part[:-3]
-            mid = 0.5 * (lo + hi)
-            cut = np.flatnonzero(flagged & (mid > lo) & (mid < hi))
-            cuts.append(cut)
-            kids.append([np.concatenate([g[cut]] * 2) for g in owners]
-                        + [np.concatenate([lo[cut], mid[cut]]),
-                           np.concatenate([mid[cut], hi[cut]])])
-        if not (cuts[0].size or cuts[1].size or s_cut.size):
+        mid = 0.5 * (lo + hi)
+        cut = np.flatnonzero((diff > np.maximum(floor[:, None], inner)).any(axis=0)
+                             & ~dead[owner] & (mid > lo) & (mid < hi))
+        if not (cut.size or s_cut.size):
             break
+        kids = [np.concatenate([owner[cut]] * 2), np.concatenate([lo[cut], mid[cut]]),
+                np.concatenate([mid[cut], hi[cut]])]
         if s_cut.size:
             # the halves of the cut s panels, whose nodes come last: each new
             # node starts on the Abel panels of the nearest node of its
@@ -634,48 +565,35 @@ def _abel(sides, p: JacobiParams, panels, edges, odd: bool, lattice=None, gain=1
             parent = np.concatenate([s_cut, s_cut])
             new_half = 0.5 * half[parent]
             new_centre = centre[parent] + np.repeat([-1.0, 1.0], s_cut.size) * new_half
-            s_new, _ = _s_nodes(new_centre, new_half, np.zeros(parent.size, dtype=bool), e1)
+            s_new = new_centre[:, None] + new_half[:, None] * _UNIT
             old_s = s.reshape(-1, _UNIT.size)[parent]
             nearest = np.abs(s_new[:, :, None] - old_s[:, None, :]).argmin(axis=-1)
             donor = (parent[:, None] * _UNIT.size + nearest).ravel()
             donors = _sorted_edges(donor)
             which = np.searchsorted(donors, donor)
-            x_edges = panel_ends(s, sets[0][0], sets[0][2], donors)[which]
-            s_new = s_new.ravel()
-            up_new = reach_of(s_new)
-            # the cut s panels' nodes go, with their Abel panels and lattice
-            # sums
+            x_edges = panel_ends(s, owner, hi, donors)[which]
+            # the cut s panels' nodes go, with their Abel panels
             keep = ~dead
             index = np.cumsum(keep) - 1
-            alive = keep[sets[0][0]]
-            sets[0] = [a[..., alive] for a in sets[0]]
-            sets[0][0] = index[sets[0][0]]
-            kids[0][0] = index[kids[0][0]]
-            cuts[0] = (np.cumsum(alive) - 1)[cuts[0]]
-            sets[1][2:] = [a[:, keep] for a in sets[1][2:]]
-            first = first_panels(s_new, up_new, int(keep.sum()), x_edges)
-            kids[0] = [np.concatenate([k, n]) for k, n in zip(kids[0], first)]
+            alive = keep[owner]
+            abel = [a[..., alive] for a in abel]
+            abel[0] = index[abel[0]]
+            kids[0] = index[kids[0]]
+            cut = (np.cumsum(alive) - 1)[cut]
+            first = first_panels(s_new.ravel(), int(keep.sum()), x_edges)
+            kids = [np.concatenate([k, n]) for k, n in zip(kids, first)]
             centre = np.concatenate([centre[kept], new_centre])
             half = np.concatenate([half[kept], new_half])
-            graded = np.concatenate([graded[kept], np.zeros(parent.size, dtype=bool)])
-            s_all, jac = _s_nodes(centre, half, graded, e1)
-            ws = (half[:, None] * jac * _UNIT_WK).ravel()
-            s, upper = s_all.ravel(), np.concatenate([upper[keep], up_new])
-            # the lattice panels, kept and cut alike, for the new nodes
-            flo, fhi = sets[1][:2]
-            new_rows = far_sums(s_new, up_new, flo, fhi, [v.T for v in far_values])
-            sets[1][2:] = [np.concatenate([a, b], axis=1) for a, b in zip(sets[1][2:], new_rows)]
-        near_sums, far_part, at_far = evaluate(s, upper, kids[0], kids[1])
-        sets[0] = _bisected(sets[0], cuts[0], kids[0] + near_sums)
-        sets[1] = _bisected(sets[1], cuts[1], kids[1] + far_part)
-        far_values = _bisected(far_values, cuts[1], [v.T for v in at_far])
-    (owner, _, _, kron, diff, inner), (_, _, fk, fd, fi) = sets
+            s = (centre[:, None] + half[:, None] * _UNIT).ravel()
+            ws = (half[:, None] * _UNIT_WK).ravel()
+        abel = _bisected(abel, cut, kids + evaluate(s, *kids))
+    owner, _, _, kron, diff, inner = abel
     out, err = np.zeros((2, s.size), dtype=kron.dtype), np.zeros((2, s.size))
     rows = kron.shape[0]
-    out[:rows] = _per_node(owner, kron, s.size) + fk.sum(axis=-1)
-    err[:rows] = _per_node(owner, diff + inner, s.size) + (fd + fi).sum(axis=-1)
+    out[:rows] = _per_node(owner, kron, s.size)
+    err[:rows] = _per_node(owner, diff + inner, s.size)
     shape = (2, centre.size, _UNIT.size)
-    return (centre, half, graded, e1), out.reshape(shape), err.reshape(shape)
+    return (centre, half), out.reshape(shape), err.reshape(shape)
 
 
 def _per_node(owner, rows, n: int):
@@ -685,18 +603,6 @@ def _per_node(owner, rows, n: int):
     if np.iscomplexobj(rows):
         return _per_node(owner, rows.real, n) + 1j * _per_node(owner, rows.imag, n)
     return np.stack([np.bincount(owner, r, n) for r in rows])
-
-
-def _graded_tail(F, ws):
-    """The charge for (0, e1 e^-16) below a graded s rule, whose panels come
-    first among the s nodes of ``F`` (rows per component) and of ``ws``, its
-    weights: the last graded panel's mass times r / (1 - r), r the ratio of
-    the last two panels' masses capped at 0.9."""
-    m = (len(_GRADED_T) - 1) * _UNIT.size
-    mass = (np.abs(F[:, :m]) * ws[:m]).reshape(F.shape[0], -1, _UNIT.size).sum(axis=-1)
-    last, prev = mass[:, -1], mass[:, -2]
-    ratio = np.minimum(np.divide(last, prev, out=np.full(last.shape, 0.9), where=prev > 0.0), 0.9)
-    return last * ratio / (1.0 - ratio)
 
 
 def _bisected(arrays, cut, kids):
@@ -722,14 +628,12 @@ def _sorted_edges(*parts):
 
 
 class _AbelTransform(NamedTuple):
-    """F_e and F_o of one f on their s panels (:func:`_s_nodes`), the input
-    of every cosine transform of f."""
+    """F_e and F_o of one f on their s panels, whose (7, 15) nodes are
+    centre + half _UNIT: the input of every cosine transform of f."""
 
     centre: np.ndarray
     half: np.ndarray
-    graded: np.ndarray
-    e1: float
-    # (components, panels, 15): F_e (and F_o) times |ds/du| at the nodes
+    # (components, panels, 15): F_e (and F_o) at the nodes
     y: np.ndarray
     # (components,): the estimate's lambda-free part, bounding |cos| by 1
     inner: np.ndarray
@@ -738,7 +642,8 @@ class _AbelTransform(NamedTuple):
 def _abel_transform(f, p: JacobiParams, cfg: QuadConfig, lam_max: float):
     """The Abel transforms of ``f`` for every cosine transform up to
     |lambda| = ``lam_max``, which sets only the weight 4 |c_lambda| of F_o in
-    the s panels' split rule; None where f vanishes on the cut line.  See
+    the s panels' split rule; None where f vanishes on the cut line, and
+    ParameterError where f A does not vanish at 0.  See
     :func:`transform_grid`."""
     lo, hi = _support(f, cfg)
     lo = max(lo, -cfg.truncation_x)
@@ -773,7 +678,8 @@ def _abel_transform(f, p: JacobiParams, cfg: QuadConfig, lam_max: float):
     # f on the s panels' nodes as x: where the integrals end (f against the
     # Abel weight at s = 0, sinh^(2 alpha) x (cosh x)^(beta - alpha + 1),
     # which bounds every F_e(s) and F_o(s) from above), whether f has an odd
-    # part, and whether F_e is unbounded at 0
+    # part, and whether f A vanishes at 0, falling at least as fast as
+    # sqrt(x) over the first two nodes, as it does for a bounded f
     x, _, _ = panel_rule(s_edges)
     f_plus, f_minus, _ = sides(x)
     size = (np.maximum(np.abs(f_plus), np.abs(f_minus))
@@ -785,33 +691,17 @@ def _abel_transform(f, p: JacobiParams, cfg: QuadConfig, lam_max: float):
     edges = _sorted_edges([a, s_edges[-1]], bends[(bends > a) & (bends < s_edges[-1])])
     odd = not np.array_equal(f_plus, f_minus)
     e_size = np.abs(f_plus[0, :2] + f_minus[0, :2]) * weight_a(p, x[0, :2])
-    graded = e_size[0] > 0.0 and e_size[0] > math.sqrt(x[0, 0] / x[0, 1]) * e_size[1]
+    if e_size[0] > 0.0 and e_size[0] > math.sqrt(x[0, 0] / x[0, 1]) * e_size[1]:
+        raise ParameterError("f A does not vanish at 0, so its Abel transform is unbounded there")
 
     lo_s, hi_s = s_edges[:-1], s_edges[1:]
-    centre, half = 0.5 * (lo_s + hi_s), 0.5 * (hi_s - lo_s)
-    lattice, e1 = None, 0.0
-    is_graded = np.zeros(centre.size, dtype=bool)
-    if graded:
-        # the first panel in t = log(e1 / s), and every s shares f's values
-        # on a lattice, dyadic below e1
-        e1 = s_edges[1]
-        t_lo, t_hi = _GRADED_T[:-1], _GRADED_T[1:]
-        centre = np.concatenate([0.5 * (t_lo + t_hi), centre[1:]])
-        half = np.concatenate([0.5 * (t_hi - t_lo), half[1:]])
-        is_graded = np.arange(centre.size) < t_lo.size
-        levels = math.ceil(_GRADED_T[-1] / math.log(2.0)) + 2
-        quarters = np.linspace(e1, s_edges[-1], 4 * (len(s_edges) - 2) + 1)
-        lattice = _sorted_edges(e1 * 2.0 ** -np.arange(1.0, levels + 1.0), quarters, s_edges, edges)
     gain = abs(p.rho + 1j * lam_max) / (p.alpha + 1.0)
-    panels, F, F_err = _abel(sides, p, (centre, half, is_graded, e1), edges, odd, lattice, gain)
-    centre, half, is_graded, e1 = panels
-    _, jac = _s_nodes(*panels)
-    wk = half[:, None] * jac * _UNIT_WK
+    (centre, half), F, F_err = _abel(
+        sides, p, (0.5 * (lo_s + hi_s), 0.5 * (hi_s - lo_s)), edges, odd, gain)
+    wk = half[:, None] * _UNIT_WK
     inner = (F_err * wk).sum(axis=(1, 2)) + _ROUND * (np.abs(F) * wk).sum(axis=(1, 2))
-    if graded:
-        inner += _graded_tail(F.reshape(2, -1), wk.ravel())
     rows = 2 if odd else 1
-    return _AbelTransform(centre, half, is_graded, e1, F[:rows] * jac, inner[:rows])
+    return _AbelTransform(centre, half, F[:rows], inner[:rows])
 
 
 def _cosine_transform(F: _AbelTransform | None, p: JacobiParams, lams, reflected: bool = False):
@@ -827,15 +717,11 @@ def _cosine_transform(F: _AbelTransform | None, p: JacobiParams, lams, reflected
     rows = F.y.shape[0]
     value = np.zeros((rows, flat.size), dtype=np.result_type(F.y, float))
     est = np.zeros((rows, flat.size))
-    # each panel's phase per unit of lambda over its half-width: |ds/du| is
-    # largest at a graded panel's lower t end
-    reach = F.half * np.where(F.graded, F.e1 * np.exp(-(F.centre - F.half)), 1.0)
-    level = _filon_level(np.abs(flat) * float(reach.max()))
+    level = _filon_level(np.abs(flat) * float(F.half.max()))
     # (np.unique would import numpy.ma, a megabyte, on its first call)
     for lev in sorted(set(level.tolist())):
         v, wp15, wdiff = _filon_rule_at(lev)
-        u = F.centre[:, None] + F.half[:, None] * v
-        s = np.where(F.graded[:, None], F.e1 * np.exp(-u), u)
+        s = F.centre[:, None] + F.half[:, None] * v
         # P15 and P15 - P7 at the fine nodes, times the fine weights and the
         # half-widths: (panels, fine nodes, 2 rows)
         weights = np.concatenate([F.y @ wp15.T, F.y @ wdiff.T]) * F.half[:, None]
@@ -897,17 +783,12 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig, reflected: bool = 
     depend on the other lambda of the batch.  c_lambda multiplies the odd
     half's sum.
 
-    Where f A does not vanish at 0 (the image of adjoint Hardy: A H f tends
-    to a constant), F_e grows as log(1/s), and the first s panel (0, e1) is
-    graded: its rule runs in t = log(e1 / s) on ``_GRADED_T``, Filon's rule
-    too, with s = e1 e^-t, and the rest (0, e1 e^-16) is charged as a
-    geometric tail of the graded panels' masses.  Each s node's Abel
-    integral is then graded towards s as well, so there the s nodes share
-    f's values on a lattice of x panels, dyadic below e1 and a quarter of an
-    s panel wide above it, and each keeps only its first two lattice panels
-    to itself.  The test is f A at the first two nodes: it falls at least as
-    fast as sqrt(x) for a bounded f, where f A vanishes as x^(2 alpha + 1),
-    and no grading is needed.
+    f A must vanish at 0, as it does for a bounded f, where it falls as
+    x^(2 alpha + 1): where it does not, F_e grows as log(1/s) or faster, and
+    ParameterError is raised.  The test is f A at the first two nodes, which
+    must fall at least as fast as sqrt(x).  (The image H f of adjoint Hardy,
+    whose A H f tends to a constant, is transformed by
+    ``hausdorff.commutation_residual`` as one integral in x.)
 
     ``f`` is a :class:`FunctionSpec` or a vectorized callable on the real
     line that returns values, or (values, inner) with inner the absolute
@@ -919,10 +800,9 @@ def transform_grid(f, p: JacobiParams, lams, cfg: QuadConfig, reflected: bool = 
     |c_lambda|; at lambda = 0 it is the panel's |Kronrod - Gauss|), and,
     bounding |cos| by 1, the Kronrod-weighted errors of F_e and F_o (the
     Abel rule's own |Kronrod - Gauss|, the kernel's bound and f's node
-    errors), _ROUND per unit of sum w |F|, and the graded tail.  Intended
-    for smooth, bounded functions and for the image H f (the transform and
-    spectral-identity sweeps); a support wholly past the cut raises
-    ParameterError.
+    errors), and _ROUND per unit of sum w |F|.  Intended for smooth,
+    bounded functions (the transform and spectral-identity sweeps); a
+    support wholly past the cut raises ParameterError.
 
     With ``reflected``, returns (values, err, r_values, r_err), the last two
     the transform of f(-x), which only swaps f(x) and f(-x): it adds the

@@ -9,13 +9,14 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError, PoleError
-from .quad import QuadConfig
+from .quad import QuadConfig, panel_rule
 
 __all__ = [
     "JacobiParams",
@@ -478,10 +479,9 @@ def _hyp2f1_batch(a, b, c, z):
     directly to avoid cancellation, except on rows whose connection exponent
     b - a is an integer: the formula degenerates there, so those rows stay on
     the series at w.  Near such rows it cancels; see ``_CONNECTION_TOL``.
-    ``_phi_batch`` sends none of its far cells here: it sums their
-    Harish-Chandra expansion, one series where this formula takes two, so
-    the connection formula serves ``gauss_2f1`` and the phi rows with
-    |lambda| < 1 up to ``_RETRY_RADIUS``.
+    It serves ``gauss_2f1`` alone: ``_phi_batch`` sums no 2F1 at -sinh^2 x,
+    whose series cancel at large |lambda| (its near cells are Mehler
+    integrals, its far cells the Harish-Chandra expansion).
     """
     a = np.asarray(a, dtype=complex)[:, None]
     b = np.asarray(b, dtype=complex)[:, None]
@@ -595,11 +595,12 @@ def _blocks(lams, ax):
     ``cells`` into an (n, m) array, and z = -sinh^2 x on its columns for a
     near block or None for a far one.  The far cells, |lambda| >= 1 with
     sinh^2 x > ``_PFAFF_RADIUS`` and every lambda with sinh^2 x >
-    ``_RETRY_RADIUS``, are those where ``_hyp2f1_batch`` would take its
-    connection formula with no Pfaff retry; the near ones are every row at
-    sinh^2 x <= ``_PFAFF_RADIUS`` and the rows |lambda| < 1 up to
-    ``_RETRY_RADIUS``.  sinh^2 x is inf past |x| = 355, where only far cells
-    lie, which do not use it."""
+    ``_RETRY_RADIUS``, take the Harish-Chandra expansion (``_phi_far``),
+    within 1e-10 of phi relative to max(|phi|, 1) there up to lambda = 200;
+    the near ones, every row at sinh^2 x <= ``_PFAFF_RADIUS`` and the rows
+    |lambda| < 1, where c(lambda) has its pole, up to ``_RETRY_RADIUS``, the
+    Mehler integral (``_phi_near``).  sinh^2 x is inf past |x| = 355, where
+    only far cells lie, which do not use it."""
     with np.errstate(over="ignore"):
         sz = np.sinh(ax) ** 2
     small = np.abs(lams) < 1.0
@@ -627,39 +628,138 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None)
     The far cells of ``_blocks`` are summed by ``_phi_far``: one series per
     cell, and exactly real; with ``fold_sinh2x`` they hold
     sinh(2|x|) phi_lambda(x) instead, with sinh 2x folded into their
-    exponent.  The near blocks go through ``_hyp2f1_batch`` at
-    z = -sinh^2 x.  A caller that has the ``_blocks`` of lams and |x| passes
-    them as ``blocks``.
+    exponent.  The near blocks are Koornwinder's Mehler-type integral
+    (``_phi_near``).  A caller that has the ``_blocks`` of lams and |x|
+    passes them as ``blocks``.
 
-    phi is even in lambda; |lambda| below 1e-5 is nudged to 1e-5, where the
-    c(lambda) poles of the far formula cancel.  Koornwinder's Laplace
-    representation phi_lambda(x) = int cos(lambda s) e^(-rho s) dm_x(s), m_x
-    a positive measure on [-|x|, |x|] for alpha >= beta >= -1/2, gives
-    0 <= phi_0 - phi_nudged <= h phi_0 with h = (1e-5 x)^2 / 2, so a nudged
-    cell adds h/(1 - h) (|value| + bound) to its bound.
+    phi is even in lambda.  On the far cells |lambda| below 1e-5 is nudged
+    to 1e-5, where the c(lambda) poles of the far formula cancel.
+    Koornwinder's Laplace representation phi_lambda(x) = int cos(lambda s)
+    e^(-rho s) dm_x(s), m_x a positive measure on [-|x|, |x|] for alpha >=
+    beta >= -1/2, gives 0 <= phi_0 - phi_nudged <= h phi_0 with h = (1e-5
+    x)^2 / 2, so a nudged cell adds h/(1 - h) (|value| + bound) to its bound.
     """
     lams = np.asarray(lams, dtype=float)
-    nudged = np.abs(lams) < _LAMBDA_NUDGE
-    lams = np.where(nudged, _LAMBDA_NUDGE, lams)
     ax = np.abs(np.asarray(x, dtype=float))
     vals = np.empty((lams.size, ax.size), dtype=complex)
     err = np.empty(vals.shape)
     for rows, cols, cells, z in _blocks(lams, ax) if blocks is None else blocks:
         lr = lams[rows]
-        if z is None:
-            v, e = _phi_far(p, lr, ax[cols], fold_sinh2x)
-        else:
-            v, e, _ = _hyp2f1_batch(
-                0.5 * (p.rho + 1j * lr), 0.5 * (p.rho - 1j * lr), p.alpha + 1.0, z)
-        vals[cells] = v
-        err[cells] = e
-    if np.any(nudged):
-        vals[nudged, :] = vals[nudged, :].real
-        h = 0.5 * (_LAMBDA_NUDGE * ax) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # h reaches 1 only past |x| = 1.4e5
-            err[nudged, :] += np.where(
-                h < 1.0, h / (1.0 - h) * (np.abs(vals[nudged, :]) + err[nudged, :]), np.inf)
+        if z is not None:
+            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], -z)
+            continue
+        nudged = np.abs(lr) < _LAMBDA_NUDGE
+        v, e = _phi_far(p, np.where(nudged, _LAMBDA_NUDGE, lr), ax[cols], fold_sinh2x)
+        if nudged.any():
+            h = 0.5 * (_LAMBDA_NUDGE * ax[cols]) ** 2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # h reaches 1 only past |x| = 1.4e5
+                e[nudged] += np.where(h < 1.0, h / (1.0 - h) * (np.abs(v[nudged]) + e[nudged]),
+                                      np.inf)
+        vals[cells], err[cells] = v, e
+    return vals, err
+
+
+# the phase lambda s of a Mehler integral turns by at most _MEHLER_PHASE over
+# one of its s panels, of which it takes from _MEHLER_PANELS to
+# _MEHLER_BUDGET, and a block's cos(lambda s) table holds at most
+# _MEHLER_CELLS entries at a time
+_MEHLER_PHASE = 1.0
+_MEHLER_PANELS = 4
+_MEHLER_BUDGET = 1 << 12
+_MEHLER_CELLS = 1 << 16
+# past this sinh^2 x times the largest 2F1 term ratio, phi is 1 to rounding
+_FLAT = 2.0 ** -60
+# the (7, 15) pair on (-1, 1), and its Kronrod and Kronrod-minus-Gauss
+# weights as the columns of one table
+_UNIT, _UNIT_WK, _UNIT_WG = (w[0] for w in panel_rule([-1.0, 1.0]))
+_KD = np.stack([_UNIT_WK, _UNIT_WK - _UNIT_WG], axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _mehler_rule(panels: int, grade: int):
+    """The rule of a Mehler integral on ``panels`` s panels of equal width,
+    s = x (1 - u^2), so u = sqrt(k / ``panels``) at the edges, the first
+    panel cut at u_1 2^-j, j = 1 .. ``grade``: its P (7, 15) panels' nodes as
+    u^2 and their weights as 2 u times the half-widths, each flat (15 P,),
+    and the unit Kronrod weights tiled to match."""
+    edges = np.sqrt(np.linspace(0.0, 1.0, panels + 1))
+    edges = np.concatenate([[0.0], edges[1] * 2.0 ** -np.arange(grade, 0.0, -1.0), edges[1:]])
+    half = 0.5 * np.diff(edges)[:, None]
+    u = (edges[:-1, None] + half) + half * _UNIT
+    rule = (u * u).ravel(), (2.0 * half * u).ravel(), np.tile(_UNIT_WK, half.size)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _phi_near(p: JacobiParams, lams, ax, sz):
+    """phi_lambda(x) for lams (n,) against ax (m,) >= 0, sz = sinh^2 ax,
+    from Koornwinder's Mehler-type integral (1984), in s = x (1 - u^2):
+
+        phi_lambda(x) = (cosh x)^(alpha - beta) int_0^1 cos(lambda s)
+                        c_alpha K(x, s) (sinh 2x)^(-2 alpha) 2 x u du,
+
+    c_alpha K / (sinh 2x)^(2 alpha - 1) from :func:`_mehler_kernel` with unit
+    = sinh 2x.  The substitution takes up K's (x - s)^(alpha - 1/2) end: the
+    integrand is a polynomial in u there when 2 alpha is an integer, and
+    otherwise the first panel is graded towards u = 0 until its rest is
+    below rounding.  The panels are equal in s, 2^k of them, at least
+    _MEHLER_PANELS (which keeps K's branch point at s = -x, u = sqrt 2, well
+    away from each) and the fewest that keep the largest |lambda| s of the
+    block within _MEHLER_PHASE per panel (NonConvergenceError past
+    _MEHLER_BUDGET, |lambda| x > 4096, or at a lambda that is not finite);
+    every lambda row is one cos(lambda s) table against the nodes' Kronrod
+    and Kronrod-minus-Gauss weights.  K is positive and free of lambda, so
+    |phi_lambda| <= phi_0 holds by construction.  The bound adds per cell
+    the panels' |Kronrod - Gauss|, the Kronrod-weighted kernel bound with
+    |cos| <= 1, and a rounding charge of _ROUND (2 |lambda| x + P + 16 + 4
+    |2 alpha - 1|) times sum w K, P the number of panels.
+    Where sinh^2 x times the largest term ratio of phi's 2F1 series at z =
+    -sinh^2 x is at most _FLAT, phi is 1 and the bound is the series' rest,
+    its first term over one minus that ratio."""
+    lam_max = float(np.max(np.abs(lams), initial=0.0))
+    c = p.alpha + 1.0
+    ratio = (max(c, 1.0) + lam_max * lam_max / (4.0 * c)) * sz
+    vals = np.ones((lams.size, ax.size))
+    err = np.zeros(vals.shape)
+    flat = ratio <= _FLAT
+    if flat.any():
+        first = (p.rho ** 2 + lams[:, None] ** 2) / (4.0 * c) * sz[flat]
+        err[:, flat] = first / (1.0 - ratio[flat])
+    live = np.flatnonzero(~flat)
+    reach = lam_max * ax[live] / _MEHLER_PHASE
+    if not np.all(reach <= _MEHLER_BUDGET):
+        raise NonConvergenceError(
+            f"the Mehler integral at |lambda| = {lam_max} needs more than {_MEHLER_BUDGET} panels")
+    grade = 0 if (2.0 * p.alpha).is_integer() else math.ceil(53.0 / (2.0 * p.alpha + 1.0))
+    levels = np.ceil(np.log2(np.maximum(reach, _MEHLER_PANELS)))
+    charge = _ROUND * (2.0 * np.abs(lams)[:, None] * ax + 16.0 + 4.0 * abs(2.0 * p.alpha - 1.0))
+    for level in sorted(set(levels.tolist())):
+        panels = 2 ** int(level)
+        uu, wu, wk = _mehler_rule(panels, grade)
+        group = live[levels == level]
+        step = max(1, _MEHLER_CELLS // uu.size)
+        for j in range(0, group.size, step):
+            cols = group[j:j + step]
+            x = ax[cols, None]
+            d = x * uu
+            s = x - d
+            unit = np.sinh(2.0 * x)
+            k, k_err = _mehler_kernel(p, s, d, unit)
+            jac = wu * (x / unit)
+            y = k * jac
+            pref = np.cosh(ax[cols]) ** (p.alpha - p.beta)
+            inner = ((k_err * jac) @ wk) * pref
+            size = (y @ wk) * pref
+            rows = max(1, _MEHLER_CELLS // s.size)
+            for i in range(0, lams.size, rows):
+                r = slice(i, i + rows)
+                table = np.cos(lams[r, None, None] * s) * y
+                sums = table.reshape(*table.shape[:2], -1, _UNIT.size) @ _KD
+                vals[r, cols] = sums[..., 0].sum(axis=-1) * pref
+                err[r, cols] = np.abs(sums[..., 1]).sum(axis=-1) * pref + inner \
+                    + (charge[r, cols] + _ROUND * panels) * size
     return vals, err
 
 
@@ -697,19 +797,19 @@ def _g_batch(p: JacobiParams, lams, x):
     """G_lambda(x) for lams (n,) against x (m,): values and element-wise
     error bounds, both shaped (n, m).
 
-    G_lambda(+-x) = phi(x) +- ``_g_odd``(x) with both series even in x, so
-    each is summed once per distinct |x| and gathered back to the signed
+    G_lambda(+-x) = phi(x) +- ``_g_odd``(x) with both parts even in x, so
+    each is computed once per distinct |x| and gathered back to the signed
     columns: G_lambda(x) and G_lambda(-x) share one sum, and negating the
     odd part is exact.  Both share one ``_blocks`` layout.
-    G_lambda(0) = 1 exactly, as 2F1 is 1 at z = 0.  Repeated |x| leave the
-    series' batch-wide stopping scale as it is, so every column has the bits
-    of a batch that holds each |x| once."""
+    G_lambda(0) = 1 exactly, as phi is 1 and the odd part 0 at x = 0.
+    Repeated |x| leave the far series' batch-wide stopping scale as it is,
+    so every column has the bits of a batch that holds each |x| once."""
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
     ax, back = np.unique(np.abs(x), return_inverse=True)
     if not ax.any():
         # x = 0 only, as in an inverse transform at the origin: G_lambda(0)
-        # = 1 without the set-up of two series calls
+        # = 1 without the set-up of two phi calls
         return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
     blocks = _blocks(lams, ax)
     phi, e1 = _phi_batch(p, lams, ax, blocks=blocks)
@@ -754,9 +854,10 @@ def _kernel_series(a: float, b: float, c: float, z_max: float, budget: int = _KE
     return None
 
 
-def _mehler_kernel(p: JacobiParams, s, d):
-    """c_alpha K(x, s) at x = s + d for s >= 0 and d > 0 broadcasting
-    together, and an element-wise error bound: Koornwinder's Mehler-type
+def _mehler_kernel(p: JacobiParams, s, d, unit=1.0):
+    """c_alpha K(x, s) / unit^(2 alpha - 1) at x = s + d for s >= 0, d > 0
+    and unit > 0 broadcasting together, and an element-wise error bound (the
+    division's rounding aside): Koornwinder's Mehler-type
     integral (1984) phi_lambda(x) = c_alpha (sinh 2x)^(-2 alpha)
     (cosh x)^(alpha - beta) int_0^x cos(lambda s) K(x, s) ds, with
 
@@ -783,7 +884,9 @@ def _mehler_kernel(p: JacobiParams, s, d):
     z, so the bound is that rest plus _ROUND (N + 1) times the summed
     |terms|, times the power where it enters.  A plain recurrence over the
     whole array, or ``_hyp_series`` with its complex steps, costs several
-    times more."""
+    times more.  ``unit`` divides each sinh factor of K's power, so that
+    with unit = sinh 2x the power of K / (sinh 2x)^(2 alpha - 1) stays near
+    1 as x -> 0, where K alone would underflow."""
     a, b, c = p.alpha + p.beta, p.alpha - p.beta, p.alpha + 0.5
     s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
     total = size = np.ones(s.shape)
@@ -828,7 +931,8 @@ def _mehler_kernel(p: JacobiParams, s, d):
     # for the constant and the product
     err = size * (_ROUND * (len(coefs) + 2)) + rest
     if p.alpha != 0.5:
-        scale = scale * (8.0 * prod * (cosh_both + prod if euler else cosh_both)) ** (p.alpha - 0.5)
+        scale = scale * (8.0 * (sm / unit) * (sh / unit)
+                         * (cosh_both + prod if euler else cosh_both)) ** (p.alpha - 0.5)
         # the power's base carries the rounding of sinh and cosh at m and h,
         # about 1 + m and 1 + h units each, which the power multiplies
         grow = _ROUND * abs(p.alpha - 0.5)

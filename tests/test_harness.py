@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octool import harness_cli
 from octool.bounds import extremal_function, lp_norm
 from octool.harness_cli import (
     THEOREM_IDS,
@@ -180,6 +181,18 @@ def test_lp_ainf_divergent_bound_detected(suite_reports):
     # the adjoint-Hardy bound integrand behaves like t^(-3/2 + eps) at 0
     (r,) = suite_reports["T_LP_AINF"]
     assert r.rhs == math.inf and r.ratio == 1.0 and r.status == "pass"
+
+
+def test_a_witness_pair_of_two_infinite_norms_fails():
+    # extremal_delta at delta = 0.001 and p = 2 on (1/2, -1/2): both norms of
+    # the t^-2 (1, inf) pair read inf (ROADMAP item 16), where the ratio is at
+    # most a_sup = 0.4.  Their ratio is NaN, so the pair fails even a bound
+    # of 0.99 that it passed as inf / inf = 1
+    p = JacobiParams(0.5, -0.5)
+    s = VerifyScenario("T_LP_AINF", p, make_kernel("power_cutoff", exponent=-2.0, lo=1.0))
+    witness = extremal_function("delta", p, p=2.0, delta=0.001)
+    r = harness_cli._witness_pairs(s, lp_norm, 2.0, (0.0, math.inf), [(witness, 0.99)])
+    assert r.status == "fail" and math.isnan(r.lhs)
 
 
 # ||H f0||_{1/2} / ||f0||_{1/2} for adjoint Hardy on the p = 1/2 extremal

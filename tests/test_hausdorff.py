@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_form
 from octool import hausdorff, octransform
 from octool.bounds import lp_norm
 from octool.errors import (
@@ -463,15 +464,15 @@ def test_commutation_rejects_non_integrable_kernel():
 
 def test_commutation_keeps_lambda_t_within_the_spectral_range(monkeypatch):
     # t^-2 on (1, inf) reaches truncation_t = 1e4: a t range cut only there
-    # asked transform_grid for lambda t up to 1e4, a 16 GiB batch; each
-    # batch is checked before it is computed
-    exact = hausdorff.transform_grid
+    # asked for transforms at lambda t up to 1e4, a 16 GiB batch; each
+    # cosine transform of the rhs is checked before it is computed
+    exact = hausdorff._cosine_transform
 
-    def checked(f, p, lams, cfg):
-        assert np.max(np.abs(lams)) <= cfg.truncation_lambda * (1.0 + 1e-12)
-        return exact(f, p, lams, cfg)
+    def checked(abel, p, lams):
+        assert np.max(np.abs(lams)) <= CFG.truncation_lambda * (1.0 + 1e-12)
+        return exact(abel, p, lams)
 
-    monkeypatch.setattr(hausdorff, "transform_grid", checked)
+    monkeypatch.setattr(hausdorff, "_cosine_transform", checked)
     k = make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf)
     f = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
     lhs, rhs, gap, err = commutation_residual(k, f, P1, 1.0, CFG)
@@ -495,8 +496,11 @@ COMM_P = JacobiParams(1.0, 0.5)
 COMM_F = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
 # the row's rhs with each of its 3,840 transforms of f at lambda t taken by
 # oc_transform at rel_tol 1e-11 (the same 256 log-spaced panels in t over
-# (1e-8, 1)); 3,840 adaptive transforms take minutes, so it is pinned here
-COMM_RHS_REF = 0.10690714196958448 - 0.017506053332121543j
+# (1e-8, 1)); 3,840 adaptive transforms take minutes, so it is pinned here.
+# The second term is the rest over (0, 1e-8), where u(lambda t) is u(0) =
+# 0.110843080432000 (oc_transform at rel_tol 1e-11, estimate 9e-14) to
+# within 1e-16 of it
+COMM_RHS_REF = 0.10690714196958448 - 0.017506053332121543j + 1e-8 * 0.11084308043200047
 
 
 @pytest.fixture(scope="module")
@@ -517,22 +521,55 @@ def comm_lhs_ref():
     return complex(oc_transform_result(hf, COMM_P, 1.0, fine).value)
 
 
+def _lhs_estimate(monkeypatch, *args):
+    """commutation_residual(*args) and the estimate of its lhs, the one
+    integrate run in x whose value is lhs."""
+    runs, exact = [], hausdorff.integrate
+
+    def recorded(*a, **kw):
+        runs.append(exact(*a, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(hausdorff, "integrate", recorded)
+    out = commutation_residual(*args)
+    [lhs_err] = [r.err_estimate for r in runs if r.value == out[0]]
+    return out, lhs_err
+
+
 def test_commutation_lhs_within_its_transform_estimate(comm_lhs_ref, monkeypatch):
-    # lhs is transform_grid of H f at lambda; that call's own estimate
-    # covers its distance to the nested reference
-    grids, exact = [], hausdorff.transform_grid
+    # lhs is one integrate run in x of A H f G_lambda(-x); that run's own
+    # estimate covers its distance to the nested reference, and is below
+    # 1e-8 (the transform of H f on a graded s rule read 3.1e-7)
+    (lhs, _, _, _), lhs_err = _lhs_estimate(
+        monkeypatch, make_kernel("adjoint_hardy"), COMM_F, COMM_P, 1.0, CFG)
+    assert abs(lhs - comm_lhs_ref) <= lhs_err <= 1e-8
 
-    def recorded(f, *args):
-        out = exact(f, *args)
-        if not isinstance(f, FunctionSpec):
-            grids.append(out)
-        return out
 
-    monkeypatch.setattr(hausdorff, "transform_grid", recorded)
-    lhs, _, _, _ = commutation_residual(make_kernel("adjoint_hardy"), COMM_F, COMM_P, 1.0, CFG)
-    [(vals, errs)] = grids
-    assert vals[0] == lhs
-    assert abs(lhs - comm_lhs_ref) <= errs[0]
+@pytest.mark.parametrize("lam", [0.5, 3.0, 12.0, 30.0])
+def test_commutation_lhs_where_a_h_f_tends_to_a_constant(lam, monkeypatch):
+    # adjoint Hardy on the Gaussian at (1/2, -1/2): A H f(x) = int_|x|^inf
+    # e^(-u^2) sinh^2 u du / u tends to a constant at 0, and is even, so lhs
+    # = 2 int_0^inf A H f phi_lambda dx with the closed-form phi.  The
+    # reference takes both integrals on 40-point Gauss-Legendre panels of
+    # width 1/8 over (0, 8)
+    t, w = np.polynomial.legendre.leggauss(40)
+    edges = np.arange(0.0, 8.01, 0.125)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    x = mid[:, None] + half[:, None] * t
+
+    def g(u):
+        return np.exp(-u * u) * np.sinh(u) ** 2 / u
+
+    # A H f at each node: the rest of its own panel, then every panel above
+    rest = ((edges[1:, None] - x)[..., None] / 2.0 * w) * g(
+        ((edges[1:, None] + x)[..., None] + (edges[1:, None] - x)[..., None] * t) / 2.0)
+    above = np.cumsum(((half[:, None] * w) * g(x)).sum(axis=1)[::-1])[::-1]
+    ahf = rest.sum(axis=-1) + np.append(above[1:], 0.0)[:, None]
+    ref = 2.0 * np.sum(half[:, None] * w * ahf * closed_form.phi([lam], x.ravel()).reshape(x.shape))
+    gaussian = FunctionSpec("gaussian", params={"scale": 1.0})
+    (lhs, _, _, _), lhs_err = _lhs_estimate(
+        monkeypatch, make_kernel("adjoint_hardy"), gaussian, P1, lam, CFG)
+    assert abs(lhs - ref) <= lhs_err <= 1e-8
 
 
 def test_commutation_estimate_covers_both_sides(comm_lhs_ref):
@@ -550,19 +587,13 @@ PROBE_RHS_FIXED = 0.9260984932804106
 
 def _spy_transform_rows(monkeypatch):
     """The number of lambdas of every transform commutation_residual takes,
-    its lhs's transform_grid call and each cosine transform of its rhs, as a
-    list the spies append to."""
-    grid, cosine, rows = hausdorff.transform_grid, hausdorff._cosine_transform, []
-
-    def grid_spy(f, p, lams, cfg):
-        rows.append(np.size(lams))
-        return grid(f, p, lams, cfg)
+    each cosine transform of its rhs, as a list the spy appends to."""
+    cosine, rows = hausdorff._cosine_transform, []
 
     def cosine_spy(abel, p, lams):
         rows.append(np.size(lams))
         return cosine(abel, p, lams)
 
-    monkeypatch.setattr(hausdorff, "transform_grid", grid_spy)
     monkeypatch.setattr(hausdorff, "_cosine_transform", cosine_spy)
     return rows
 
@@ -573,21 +604,29 @@ def test_commutation_probe_stops_at_the_noise_of_its_transforms(monkeypatch):
     # there stay whole once their |K - G| is within that noise.  When the
     # transforms were series noise, splitting them took the rhs to 4,218
     # transform rows and a 215 MB peak.  The transforms of an even f are real.
-    # One Abel transform per f: H f's for the lhs, and f's for every round of
-    # the rhs, which took 7 at one per round
+    # One Abel transform, f's, for every round of the rhs, which took 7 at
+    # one per round; the lhs is one integrate run in x, whose rounds take H f
+    # at 630 nodes (its transform on a graded s rule took 124,950)
     rows = _spy_transform_rows(monkeypatch)
     abel, abels = octransform._abel, []
+    grid, nodes = hausdorff.hausdorff_log_grid, []
 
     def abel_spy(*args, **kwargs):
         abels.append(args[0])
         return abel(*args, **kwargs)
 
+    def grid_spy(k, f, p, xs, cfg):
+        nodes.append(np.size(xs))
+        return grid(k, f, p, xs, cfg)
+
     monkeypatch.setattr(octransform, "_abel", abel_spy)
+    monkeypatch.setattr(hausdorff, "hausdorff_log_grid", grid_spy)
     gaussian = FunctionSpec("gaussian", params={"scale": 1.0})
     lhs, rhs, gap, err = commutation_residual(PROBE_K, gaussian, COMM_P, 1.0, CFG)
     assert sum(rows) < 600 and len(rows) > 2
-    assert len(abels) == 2
-    assert math.isfinite(gap) and 0.0 < err < math.inf
+    assert len(abels) == 1
+    assert sum(nodes) <= 1000
+    assert math.isfinite(gap) and 0.0 < err < 1e-6
     assert rhs.imag == 0.0
     assert abs(rhs - PROBE_RHS_FIXED) <= err
 

@@ -246,6 +246,22 @@ def test_transform_result_has_a_real_estimate():
     assert abs(r.value - closed_form.gaussian_transform(1.0)) <= r.err_estimate
 
 
+def test_transform_result_charges_the_bound_of_g(monkeypatch):
+    # G's bound at each node enters the estimate as |f| A times it: with a
+    # bound of 1e-3 the estimate is at least 1e-3 int |f| A dx, which is
+    # sqrt(pi) (e - 1) / 2 for the Gaussian at (1/2, -1/2)
+    exact = octransform._g_batch
+
+    def loose(p, lams, x):
+        v, e = exact(p, lams, x)
+        return v, np.full(e.shape, 1e-3)
+
+    monkeypatch.setattr(octransform, "_g_batch", loose)
+    r = oc_transform_result(GAUSS, P1, 1.0, CFG)
+    mass = math.sqrt(math.pi) * (math.e - 1.0) / 2.0
+    assert r.err_estimate >= 1e-3 * mass * (1.0 - 1e-8)
+
+
 @pytest.mark.parametrize("doubled", [False, True])
 def test_transform_grid_covers_the_closed_form(doubled):
     # the Gaussian at (1/2, -1/2) on every lambda node of the Plancherel
@@ -293,59 +309,20 @@ def test_transform_grid_against_mpmath(p):
     assert np.all(np.abs(r_vals - refs[:, 2]) <= r_errs)
 
 
-def _over_a(x):
-    """e^(-x^2) / A(x) on x > 0 at (1/2, -1/2), 0 elsewhere: f A tends to 1
-    at 0, as A H f does for adjoint Hardy."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    pos = x > 0.0
-    out[pos] = np.exp(-x[pos] ** 2) / weight_a(P1, x[pos])
-    return out
-
-
-def test_transform_grid_of_an_f_whose_f_a_tends_to_a_constant():
-    # F_e grows as log(1/s) at 0, so the first s panel is graded; the
-    # transform is int_0^inf e^(-x^2) G_lambda(-x) dx, here from the closed-form
-    # G on 40-point Gauss-Legendre panels of width 1/8 over (0, 7).  The
-    # estimate's largest part is the graded rule's tail (0, e1 e^-16)
-    lams = np.array([0.5, 3.0, 12.0])
-    vals, errs = transform_grid(_over_a, P1, lams, CFG)
-    t, w = np.polynomial.legendre.leggauss(40)
-    edges = np.arange(0.0, 7.01, 0.125)
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    x = (mid[:, None] + half[:, None] * t).ravel()
-    ref = (closed_form.g(lams, -x) * np.exp(-x * x)) @ (half[:, None] * w).ravel()
-    assert np.all(np.abs(vals - ref) <= errs)
-    assert np.all(errs <= 2e-6)
-
-
-
-def test_graded_transform_splits_its_s_panels_within_its_estimate():
-    # (e^(-x^2) + 3 bump(0.8, 0.1)) / A(x) on x > 0 at (1/2, -1/2): f A tends
-    # to 1 at 0, so the first s panel is graded and the s nodes share f's
-    # values on a lattice, and the narrow bump makes the s panels near it
-    # split, each new node taking the lattice panels from f's stored values.
-    # The reference is the closed-form G on 40-point Gauss-Legendre panels
-    narrow = FunctionSpec("bump", params={"center": 0.8, "width": 0.1})
-
-    def f(x):
+def test_transform_grid_raises_where_f_a_does_not_vanish_at_0():
+    # e^(-x^2) / A(x) on x > 0 at (1/2, -1/2): f A tends to 1 at 0, as A H f
+    # does for adjoint Hardy, so F_e grows as log(1/s) there.  The image H f
+    # is transformed as one integral in x (hausdorff.commutation_residual)
+    def over_a(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
         pos = x > 0.0
-        out[pos] = (np.exp(-x[pos] ** 2) + 3.0 * narrow(x[pos])) / weight_a(P1, x[pos])
+        out[pos] = np.exp(-x[pos] ** 2) / weight_a(P1, x[pos])
         return out
 
-    lams = np.array([0.5, 3.0, 12.0, 30.0])
-    abel = octransform._abel_transform(f, P1, CFG, float(lams.max()))
-    assert abel.graded.any() and np.any(abel.half[~abel.graded] < 0.1)
-    vals, errs = transform_grid(f, P1, lams, CFG)
-    t, w = np.polynomial.legendre.leggauss(40)
-    edges = np.union1d(np.arange(0.0, 7.01, 0.125), np.linspace(0.7, 0.9, 41))
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    x = (mid[:, None] + half[:, None] * t).ravel()
-    ref = (closed_form.g(lams, -x) * (np.exp(-x * x) + 3.0 * narrow(x))) @ (half[:, None] * w).ravel()
-    assert np.all(np.abs(vals - ref) <= errs)
-    assert np.all(errs <= 2e-6)
+    with pytest.raises(ParameterError):
+        transform_grid(over_a, P1, np.array([0.5, 3.0]), CFG)
+
 
 def test_closed_form_matches_the_series():
     lams = np.array([0.5, 1.0, 2.5, 5.0])

@@ -212,14 +212,23 @@ def test_hyp_series_peak_holds_beyond_the_unit_disc():
 
 @pytest.mark.parametrize("lam,x", [(1000.0, 1.0), (2000.0, 0.5), (2000.0, 1.0)])
 def test_overflowing_series_raise_at_once(lam, x):
-    # the terms pass the float range long before the series would converge:
-    # the call stops there, rather than warning and spinning to the budget
+    # phi's own 2F1 at z = -sinh^2 x: the terms pass the float range long
+    # before the series would converge, and gauss_2f1 stops there, rather
+    # than warning and spinning to the budget.  G_lambda(x) sums no such
+    # series: its near cells are Mehler integrals, finite and within G_0,
+    # up to |lambda| x = 4096, past which they raise at once
+    a = 0.5 * (P2.rho + 1j * lam)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError, match="overflow"):
-            eigenfunction_g(P2, lam, x)
+            gauss_2f1(a, a.conjugate(), P2.alpha + 1.0, -math.sinh(x) ** 2)
+        with pytest.raises(NonConvergenceError, match="Mehler"):
+            eigenfunction_g(P2, 10.0 * lam, x)
+        (g0, g), (e0, e) = _g_batch(P2, [0.0, lam], [x])
     assert time.perf_counter() - t0 < 1.0
+    assert np.isfinite(g).all() and e[0] < 1e-8
+    assert abs(g[0]) <= g0[0].real + e0[0] + e[0]
 
 
 @pytest.mark.parametrize("lam,x", [(500.0, 0.5), (500.0, 1.0), (1000.0, 0.5)])
@@ -267,6 +276,55 @@ def test_series_bounds_hold_up_to_lambda_80(p):
                 assert abs(v[i, j] - ref) <= e[i, j] + slack, (batch.__name__, lam, x)
                 v1, e1 = batch(p, [lam], [x])
                 assert abs(v1[0, 0] - ref) <= e1[0, 0] + slack, (batch.__name__, lam, x)
+
+
+def _phi_ref(p, lam, x):
+    """phi_lambda(x): the closed form at (1/2, -1/2), (x / sinh x) sinc(lambda
+    x / pi), and mpmath's 2F1 at 30 digits elsewhere."""
+    if p == P1:
+        return float(x / math.sinh(x) * np.sinc(lam * x / math.pi)) if x else 1.0
+    with mpmath.workdps(30):
+        a = (p.rho + 1j * mpmath.mpf(lam)) / 2
+        return complex(mpmath.hyp2f1(a, mpmath.conj(a), p.alpha + 1, -mpmath.sinh(x) ** 2)).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(CATALOG),
+       lams=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=4),
+       xs=st.lists(st.floats(0.0, 12.0, exclude_min=True), min_size=1, max_size=4))
+def test_phi_within_its_bound_and_1e_8_up_to_lambda_200(p, lams, xs):
+    # the near cells are Mehler integrals, which do not cancel (ROADMAP item
+    # 1: the series there was off by up to 1e65 at lambda = 200): each cell,
+    # in a mixed batch and alone, lies within its bound and within 1e-8 of
+    # max(|phi|, 1), |phi_lambda| <= phi_0 up to the bounds, and a batch
+    # costs a cell at most 10 times its error alone.  The slack of 1e-15
+    # max(|phi|, 1) covers the closed form's own rounding
+    v, e = _phi_batch(p, lams, xs)
+    v0, e0 = _phi_batch(p, [0.0], xs)
+    for i, lam in enumerate(lams):
+        for j, x in enumerate(xs):
+            ref = _phi_ref(p, lam, x)
+            scale = max(abs(ref), 1.0)
+            one, one_e = _phi_batch(p, [lam], [x])
+            assert jacobi_phi(p, lam, x) == one[0, 0]
+            alone, mixed = abs(one[0, 0] - ref), abs(v[i, j] - ref)
+            assert alone <= one_e[0, 0] + 1e-15 * scale, (lam, x)
+            assert mixed <= e[i, j] + 1e-15 * scale, (lam, x)
+            assert max(alone, mixed) <= 1e-8 * scale, (lam, x)
+            assert mixed <= 10.0 * alone + 1e-15 * scale, (lam, x)
+            assert abs(v[i, j]) <= v0[0, j].real + e0[0, j] + e[i, j], (lam, x)
+
+
+def test_scalar_values_that_were_wrong_against_mpmath():
+    # jacobi_phi read 6.7e7 here, where |phi| <= 1, and eigenfunction_g
+    # 187 - 284i (ROADMAP item 1); now each is within 1e-13 of mpmath at 30
+    # digits and within its bound
+    phi_ref = _phi_ref(P2, 200.0, 0.3)
+    _, g_ref = _phi_and_g_mpmath(P2, 60.0, 1.0)
+    for got, (v, e), ref in ((jacobi_phi(P2, 200.0, 0.3), _phi_batch(P2, [200.0], [0.3]), phi_ref),
+                             (eigenfunction_g(P2, 60.0, 1.0), _g_batch(P2, [60.0], [1.0]), g_ref)):
+        assert got == v[0, 0]
+        assert abs(got - ref) <= min(e[0, 0], 1e-13 * max(abs(ref), 1.0))
 
 
 CANCELLING_LAMS = (40.0, 60.0, 80.0)
