@@ -451,10 +451,14 @@ def _abel(sides, p: JacobiParams, panels, edges, odd: bool, gain=1.0):
     their node errors; ``edges`` are the sorted x where f starts, bends or
     ends, its support (edges[0], edges[-1]) on x >= 0.
 
-    Each integral runs in r = sqrt(x - s), which takes up K's (x - s)^(alpha
-    - 1/2) end, up to b.  Its first panels end at every edge and at sqrt(s)
-    2^m, the geometric grading of K's branch points at r = +-i sqrt(2s +
-    r^2).  Then each round bisects
+    Each integral runs in r = sqrt(x - s) up to b, so K's (x - s)^(alpha -
+    1/2) end is r^(2 alpha).  Below alpha = 0, where that is unbounded, a
+    panel from r = 0 runs in t = r^q, q = 2 alpha + 1, with the kernel's
+    unit r: its weights 2 r (dr/dt) r^(2 alpha' - 1), alpha' the
+    component's alpha, are 2 r^(2 alpha' - 2 alpha) / q (and r at least
+    2^-400 keeps r^2 a normal double).  Its first panels end at every edge
+    and at sqrt(s) 2^m, the geometric grading of K's branch points at r =
+    +-i sqrt(2s + r^2).  Then each round bisects
     - every Abel panel whose |Kronrod - Gauss| exceeds both _ABEL_RTOL times
       its component's mean |F| (weighted by the s rule) and the
       Kronrod-weighted node errors of f and K there;
@@ -505,20 +509,31 @@ def _abel(sides, p: JacobiParams, panels, edges, odd: bool, gain=1.0):
         out[row, col] = s[owner[mine]] + hi[mine] ** 2
         return out
 
+    q = 2.0 * p.alpha + 1.0
+
     def evaluate(s, owner, lo, hi):
         """Kronrod sums, |Kronrod - Gauss| and node errors of the Abel panels
         (owner, lo, hi) in r, per component (leading axis), from one
         ``sides`` call."""
         half_r = 0.5 * (hi - lo)
         r = 0.5 * (lo + hi)[:, None] + half_r[:, None] * _UNIT
+        unit, ends = 1.0, np.flatnonzero(lo == 0.0) if q < 1.0 else lo[:0]
+        if ends.size:
+            half_r[ends] = 0.5 * hi[ends] ** q
+            r[ends] = np.maximum((half_r[ends, None] * (1.0 + _UNIT)) ** (1.0 / q), 2.0 ** -400)
+            unit = np.ones(r.shape)
+            unit[ends] = r[ends]
         sj, d = s[owner][:, None], r * r
         x = sj + d
         f_plus, f_minus, node_err = sides(x)
         ch = np.cosh(x)
         out = []
-        for q, scale, power, sign in components:
-            k, k_err = _mehler_kernel(q, sj, d)
-            weight = 2.0 * scale * r if power == 0.0 else 2.0 * scale * ch ** power * r
+        for comp, scale, power, sign in components:
+            k, k_err = _mehler_kernel(comp, sj, d, unit)
+            jac = 2.0 * r
+            if ends.size:
+                jac[ends] = 2.0 / q * r[ends] ** (2.0 * (comp.alpha - p.alpha))
+            weight = scale * jac if power == 0.0 else scale * ch ** power * jac
             if sign > 0.0:
                 weight = weight * np.sinh(x)
             h = f_plus + sign * f_minus
@@ -679,7 +694,8 @@ def _abel_transform(f, p: JacobiParams, cfg: QuadConfig, lam_max: float):
     # Abel weight at s = 0, sinh^(2 alpha) x (cosh x)^(beta - alpha + 1),
     # which bounds every F_e(s) and F_o(s) from above), whether f has an odd
     # part, and whether f A vanishes at 0, falling at least as fast as
-    # sqrt(x) over the first two nodes, as it does for a bounded f
+    # x^min(1/2, alpha + 1/2) over the first two nodes, as a bounded f's
+    # x^(2 alpha + 1) does
     x, _, _ = panel_rule(s_edges)
     f_plus, f_minus, _ = sides(x)
     size = (np.maximum(np.abs(f_plus), np.abs(f_minus))
@@ -691,8 +707,11 @@ def _abel_transform(f, p: JacobiParams, cfg: QuadConfig, lam_max: float):
     edges = _sorted_edges([a, s_edges[-1]], bends[(bends > a) & (bends < s_edges[-1])])
     odd = not np.array_equal(f_plus, f_minus)
     e_size = np.abs(f_plus[0, :2] + f_minus[0, :2]) * weight_a(p, x[0, :2])
-    if e_size[0] > 0.0 and e_size[0] > math.sqrt(x[0, 0] / x[0, 1]) * e_size[1]:
-        raise ParameterError("f A does not vanish at 0, so its Abel transform is unbounded there")
+    fall = min(0.5, p.alpha + 0.5)
+    if e_size[0] > 0.0 and e_size[0] > (x[0, 0] / x[0, 1]) ** fall * e_size[1]:
+        raise ParameterError(
+            f"f A falls slower than x^{fall:g} at 0: its Abel transform is unbounded there, "
+            "or too steep for the s rule")
 
     lo_s, hi_s = s_edges[:-1], s_edges[1:]
     gain = abs(p.rho + 1j * lam_max) / (p.alpha + 1.0)

@@ -466,82 +466,49 @@ def _hyp_near_one(a, b, c, u):
     return s1, err, n1 + n2
 
 
-def _hyp2f1_batch(a, b, c, z):
-    """2F1(a, b; c; z) for a batch: ``a``, ``b`` of shape (n,), real z <= 0 of
-    shape (m,); returns (values (n, m), element-wise error bounds (n, m),
-    terms of the longest series).
-
-    2F1(a, b; c; 0) = 1 exactly, with no series summed; direct series
-    elsewhere inside |z| <= 0.5; beyond, the argument transformation
-    w = z/(z-1) maps (-inf, 0] into [0, 1) and the series is summed there
-    with the prefactor (1-z)^(-a), up to w = 0.7.  Past that the series at w
-    is replaced by the connection formula in 1-w, with 1-w = 1/(1-z) computed
-    directly to avoid cancellation, except on rows whose connection exponent
-    b - a is an integer: the formula degenerates there, so those rows stay on
-    the series at w.  Near such rows it cancels; see ``_CONNECTION_TOL``.
-    It serves ``gauss_2f1`` alone: ``_phi_batch`` sums no 2F1 at -sinh^2 x,
-    whose series cancel at large |lambda| (its near cells are Mehler
-    integrals, its far cells the Harish-Chandra expansion).
-    """
-    a = np.asarray(a, dtype=complex)[:, None]
-    b = np.asarray(b, dtype=complex)[:, None]
-    z = np.asarray(z, dtype=float)
-    if np.any(z > 0):
-        raise ParameterError("argument must satisfy z <= 0")
-    out = np.empty((a.shape[0], z.shape[0]), dtype=complex)
-    err = np.empty(out.shape)
-    terms = 0
-    zero = z == 0.0
-    out[:, zero], err[:, zero] = 1.0, 0.0
-    az = np.abs(z)
-    far = az > _PFAFF_RADIUS
-    pieces = [(None, (az <= _DIRECT_RADIUS) & ~zero, "direct"),
-              (None, (az > _DIRECT_RADIUS) & ~far, "pfaff")]
-    if far.any():
-        d = (b - a)[:, 0]
-        integer = (np.abs(d.imag) < _POLE_TOL) & (np.abs(d.real - np.round(d.real)) < _POLE_TOL)
-        pieces += [(integer, far, "pfaff"), (~integer, far, "connection")]
-    for rows, cols, method in pieces:
-        if not cols.any() or (rows is not None and not rows.any()):
-            continue
-        cols = np.flatnonzero(cols)
-        rows = np.arange(a.shape[0]) if rows is None else np.flatnonzero(rows)
-        ar, br, zz = a[rows], b[rows], z[cols][None, :]
-        if method == "direct":
-            s, e, n = _hyp_series(ar, br, c, zz)
-        else:
-            w = zz / (zz - 1.0)
-            pref = np.exp(-ar * np.log1p(-zz))  # (1-z)^(-a), 1-z >= 1 real
-            if method == "pfaff":
-                s, e, n = _hyp_series(ar, c - br, c, w)
-            else:
-                s, e, n = _hyp_near_one(ar, c - br, c, 1.0 / (1.0 - zz))
-                apref = np.abs(pref)
-                retry = (e * apref > _CONNECTION_TOL * np.maximum(np.abs(s) * apref, 1.0)) \
-                    & (zz >= -_RETRY_RADIUS)
-                if retry.any():
-                    rr, rc = retry.any(axis=1), retry.any(axis=0)
-                    s2, e2, n2 = _hyp_series(ar[rr], c - br[rr], c, w[:, rc])
-                    block = np.ix_(rr, rc)
-                    tighter = e2 < e[block]
-                    s[block] = np.where(tighter, s2, s[block])
-                    e[block] = np.where(tighter, e2, e[block])
-                    n = max(n, n2)
-            s = pref * s
-            e = e * np.abs(pref)
-        out[rows[:, None], cols] = s
-        err[rows[:, None], cols] = e
-        terms = max(terms, n)
-    return out, err, terms
-
-
 def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
-    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0."""
-    c = complex(c)
+    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0.
+
+    2F1(a, b; c; 0) = 1 exactly, with no series summed; the direct series
+    inside |z| <= 0.5; beyond, the argument transformation w = z/(z-1) maps
+    (-inf, 0] into [0, 1) and the series is summed there with the prefactor
+    (1-z)^(-a), up to w = 0.7.  Past that the series at w is replaced by the
+    connection formula in 1-w, with 1-w = 1/(1-z) computed directly to avoid
+    cancellation, unless the connection exponent b - a is an integer: the
+    formula degenerates there, so the series at w stays.  Near such a b - a
+    the formula cancels: up to |z| = _RETRY_RADIUS, where its bound exceeds
+    _CONNECTION_TOL, the series at w is summed too and the tighter of the
+    two kept.  ``_phi_batch`` sums no 2F1 at -sinh^2 x, whose series cancel
+    at large |lambda| (its near cells are Mehler integrals, its far cells
+    the Harish-Chandra expansion)."""
+    c, z = complex(c), float(z)
     if _forbidden_c(c):
         raise ParameterError(f"c={c} is a non-positive integer")
-    val, err, n = _hyp2f1_batch([a], [b], c, [float(z)])
-    return ComplexEval(complex(val[0, 0]), float(err[0, 0]), n)
+    if z > 0.0:
+        raise ParameterError("argument must satisfy z <= 0")
+    if z == 0.0:
+        return ComplexEval(1.0 + 0.0j, 0.0, 0)
+    # (1, 1) arrays: one row and one column of _hyp_series
+    a, b, zz = np.full((1, 1), a, dtype=complex), np.full((1, 1), b, dtype=complex), np.full((1, 1), z)
+    if -z <= _DIRECT_RADIUS:
+        s, e, n = _hyp_series(a, b, c, zz)
+    else:
+        w = zz / (zz - 1.0)
+        pref = np.exp(-a * np.log1p(-zz))  # (1-z)^(-a), 1-z >= 1 real
+        d = complex(b[0, 0] - a[0, 0])
+        if -z <= _PFAFF_RADIUS or (abs(d.imag) < _POLE_TOL and abs(d.real - round(d.real)) < _POLE_TOL):
+            s, e, n = _hyp_series(a, c - b, c, w)
+        else:
+            s, e, n = _hyp_near_one(a, c - b, c, 1.0 / (1.0 - zz))
+            apref = abs(pref[0, 0])
+            if e[0, 0] * apref > _CONNECTION_TOL * max(abs(s[0, 0]) * apref, 1.0) and z >= -_RETRY_RADIUS:
+                s2, e2, n2 = _hyp_series(a, c - b, c, w)
+                n = max(n, n2)
+                if e2[0, 0] < e[0, 0]:
+                    s, e = s2, e2
+        s = pref * s
+        e = e * np.abs(pref)
+    return ComplexEval(complex(s[0, 0]), float(e[0, 0]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +557,10 @@ def _phi_far(p: JacobiParams, lams, ax, fold_sinh2x: bool):
 
 
 def _blocks(lams, ax):
-    """The non-empty (rows, cols, cells, z) blocks that cover a batch of lams
+    """The non-empty (rows, cols, cells, sz) blocks that cover a batch of lams
     (n,) against ax (m,) >= 0: the block's row and column indices, its index
-    ``cells`` into an (n, m) array, and z = -sinh^2 x on its columns for a
-    near block or None for a far one.  The far cells, |lambda| >= 1 with
+    ``cells`` into an (n, m) array, and sinh^2 x on its columns for a near
+    block or None for a far one.  The far cells, |lambda| >= 1 with
     sinh^2 x > ``_PFAFF_RADIUS`` and every lambda with sinh^2 x >
     ``_RETRY_RADIUS``, take the Harish-Chandra expansion (``_phi_far``),
     within 1e-10 of phi relative to max(|phi|, 1) there up to lambda = 200;
@@ -617,7 +584,7 @@ def _blocks(lams, ax):
             continue
         cols = np.flatnonzero(cols)
         rows = np.arange(lams.size) if rows is None else np.flatnonzero(rows)
-        blocks.append((rows, cols, (rows[:, None], cols), -sz[cols] if is_near else None))
+        blocks.append((rows, cols, (rows[:, None], cols), sz[cols] if is_near else None))
     return blocks
 
 
@@ -643,10 +610,10 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None)
     ax = np.abs(np.asarray(x, dtype=float))
     vals = np.empty((lams.size, ax.size), dtype=complex)
     err = np.empty(vals.shape)
-    for rows, cols, cells, z in _blocks(lams, ax) if blocks is None else blocks:
+    for rows, cols, cells, sz in _blocks(lams, ax) if blocks is None else blocks:
         lr = lams[rows]
-        if z is not None:
-            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], -z)
+        if sz is not None:
+            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], sz)
             continue
         nudged = np.abs(lr) < _LAMBDA_NUDGE
         v, e = _phi_far(p, np.where(nudged, _LAMBDA_NUDGE, lr), ax[cols], fold_sinh2x)
@@ -677,17 +644,38 @@ _KD = np.stack([_UNIT_WK, _UNIT_WK - _UNIT_WG], axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
-def _mehler_rule(panels: int, grade: int):
-    """The rule of a Mehler integral on ``panels`` s panels of equal width,
-    s = x (1 - u^2), so u = sqrt(k / ``panels``) at the edges, the first
-    panel cut at u_1 2^-j, j = 1 .. ``grade``: its P (7, 15) panels' nodes as
-    u^2 and their weights as 2 u times the half-widths, each flat (15 P,),
-    and the unit Kronrod weights tiled to match."""
+def _mehler_rule(panels: int, alpha: float):
+    """The rule of a Mehler integral of order ``alpha`` on ``panels`` s
+    panels of equal width, s = x (1 - u^2), so u = sqrt(k / ``panels``) at
+    the edges: its P (7, 15) panels' nodes as u^2, their weights as 2 u times
+    the half-widths, each flat (15 P,), the unit Kronrod weights tiled to
+    match, and the factor by which each node multiplies the kernel's unit.
+
+    Near u = 0 the integrand is u^(2 alpha) times a series in u^2.  Where 2
+    alpha is not an integer, the first panel is cut at e 2^j, j = 0 .. grade
+    - 1, e = u_1 2^-grade, and its innermost part (0, e) runs in t = u^q, q
+    = 2 alpha + 1, with the unit times u: the integrand is then the series
+    in t^(2 / q), whose first non-constant term is about e^2 times the
+    first, so grade = ceil(53 / (q + 2)) leaves it (and the rule's error
+    there) below rounding.  Its weights 2 / q times the half-width in t
+    hold no power of u, and its u, at least 2^-400, keep u^2 x a normal
+    double."""
     edges = np.sqrt(np.linspace(0.0, 1.0, panels + 1))
-    edges = np.concatenate([[0.0], edges[1] * 2.0 ** -np.arange(grade, 0.0, -1.0), edges[1:]])
+    graded = not (2.0 * alpha).is_integer()
+    if graded:
+        q = 2.0 * alpha + 1.0
+        cuts = edges[1] * 2.0 ** -np.arange(math.ceil(53.0 / (q + 2.0)), 0.0, -1.0)
+        edges = np.concatenate([[0.0], cuts, edges[1:]])
     half = 0.5 * np.diff(edges)[:, None]
     u = (edges[:-1, None] + half) + half * _UNIT
-    rule = (u * u).ravel(), (2.0 * half * u).ravel(), np.tile(_UNIT_WK, half.size)
+    w = 2.0 * half * u
+    root = np.ones(u.shape if graded else 1)
+    if graded:
+        half_t = 0.5 * edges[1] ** q
+        u[0] = np.maximum((half_t * (1.0 + _UNIT)) ** (1.0 / q), 2.0 ** -400)
+        w[0] = 2.0 * half_t / q
+        root[0] = u[0]
+    rule = (u * u).ravel(), w.ravel(), np.tile(_UNIT_WK, half.size), root.ravel()
     for a in rule:
         a.setflags(write=False)
     return rule
@@ -703,10 +691,10 @@ def _phi_near(p: JacobiParams, lams, ax, sz):
     c_alpha K / (sinh 2x)^(2 alpha - 1) from :func:`_mehler_kernel` with unit
     = sinh 2x.  The substitution takes up K's (x - s)^(alpha - 1/2) end: the
     integrand is a polynomial in u there when 2 alpha is an integer, and
-    otherwise the first panel is graded towards u = 0 until its rest is
-    below rounding.  The panels are equal in s, 2^k of them, at least
-    _MEHLER_PANELS (which keeps K's branch point at s = -x, u = sqrt 2, well
-    away from each) and the fewest that keep the largest |lambda| s of the
+    otherwise :func:`_mehler_rule` grades the first panel and runs its
+    innermost part in t = u^(2 alpha + 1).  The panels are equal in s, 2^k
+    of them, at least _MEHLER_PANELS (which keeps K's branch point at s =
+    -x, u = sqrt 2, well away from each) and the fewest that keep the largest |lambda| s of the
     block within _MEHLER_PHASE per panel (NonConvergenceError past
     _MEHLER_BUDGET, |lambda| x > 4096, or at a lambda that is not finite);
     every lambda row is one cos(lambda s) table against the nodes' Kronrod
@@ -732,12 +720,11 @@ def _phi_near(p: JacobiParams, lams, ax, sz):
     if not np.all(reach <= _MEHLER_BUDGET):
         raise NonConvergenceError(
             f"the Mehler integral at |lambda| = {lam_max} needs more than {_MEHLER_BUDGET} panels")
-    grade = 0 if (2.0 * p.alpha).is_integer() else math.ceil(53.0 / (2.0 * p.alpha + 1.0))
     levels = np.ceil(np.log2(np.maximum(reach, _MEHLER_PANELS)))
     charge = _ROUND * (2.0 * np.abs(lams)[:, None] * ax + 16.0 + 4.0 * abs(2.0 * p.alpha - 1.0))
     for level in sorted(set(levels.tolist())):
         panels = 2 ** int(level)
-        uu, wu, wk = _mehler_rule(panels, grade)
+        uu, wu, wk, root = _mehler_rule(panels, p.alpha)
         group = live[levels == level]
         step = max(1, _MEHLER_CELLS // uu.size)
         for j in range(0, group.size, step):
@@ -746,7 +733,7 @@ def _phi_near(p: JacobiParams, lams, ax, sz):
             d = x * uu
             s = x - d
             unit = np.sinh(2.0 * x)
-            k, k_err = _mehler_kernel(p, s, d, unit)
+            k, k_err = _mehler_kernel(p, s, d, unit * root)
             jac = wu * (x / unit)
             y = k * jac
             pref = np.cosh(ax[cols]) ** (p.alpha - p.beta)
@@ -785,8 +772,8 @@ def _g_odd(p: JacobiParams, lams, ax, blocks=None):
         scale = coef * np.sinh(2.0 * ax)[None, :]
     # the far cells of phi_up hold sinh(2x) phi^(alpha+1, beta+1) already
     # (and sinh 2x overflows only on far cells)
-    for rows, _, cells, z in blocks:
-        if z is None:
+    for rows, _, cells, sz in blocks:
+        if sz is None:
             scale[cells] = coef[rows]
     err = np.abs(scale)
     err *= e2

@@ -288,13 +288,14 @@ def _phi_ref(p, lam, x):
         return complex(mpmath.hyp2f1(a, mpmath.conj(a), p.alpha + 1, -mpmath.sinh(x) ** 2)).real
 
 
-@settings(max_examples=30, deadline=None)
-@given(p=st.sampled_from(CATALOG),
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(CATALOG + (JacobiParams(0.7, 0.2), JacobiParams(-0.3, -0.5))),
        lams=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=4),
        xs=st.lists(st.floats(0.0, 12.0, exclude_min=True), min_size=1, max_size=4))
 def test_phi_within_its_bound_and_1e_8_up_to_lambda_200(p, lams, xs):
     # the near cells are Mehler integrals, which do not cancel (ROADMAP item
-    # 1: the series there was off by up to 1e65 at lambda = 200): each cell,
+    # 1: the series there was off by up to 1e65 at lambda = 200), also where
+    # 2 alpha is not an integer and K's end needs the graded rule: each cell,
     # in a mixed batch and alone, lies within its bound and within 1e-8 of
     # max(|phi|, 1), |phi_lambda| <= phi_0 up to the bounds, and a batch
     # costs a cell at most 10 times its error alone.  The slack of 1e-15
@@ -325,6 +326,23 @@ def test_scalar_values_that_were_wrong_against_mpmath():
                              (eigenfunction_g(P2, 60.0, 1.0), _g_batch(P2, [60.0], [1.0]), g_ref)):
         assert got == v[0, 0]
         assert abs(got - ref) <= min(e[0, 0], 1e-13 * max(abs(ref), 1.0))
+
+
+@pytest.mark.parametrize("p", [JacobiParams(0.7, 0.2), JacobiParams(-0.45, -0.5),
+                               JacobiParams(-0.4999, -0.5)])
+def test_g_where_2_alpha_is_not_an_integer_against_mpmath(p):
+    # the first panel of a Mehler integral at such a pair runs in t = u^(2
+    # alpha + 1), on a grade that stays below 28 levels as alpha -> -1/2
+    # (G was NaN at alpha = -0.45, where the grade in u alone took 530
+    # levels, and its edges fell below the doubles at alpha = -0.49)
+    lams, xs = [0.0, 0.7, 40.0, 200.0], [-1.2, 1e-4, 0.3, 3.0]
+    batches = [batch(p, lams, xs) for batch in (_phi_batch, _g_batch)]
+    for i, lam in enumerate(lams):
+        for j, x in enumerate(xs):
+            refs = _phi_and_g_mpmath(p, lam, x)
+            for (v, e), ref in zip(batches, refs):
+                assert abs(v[i, j] - ref) <= min(e[i, j], 1e-10 * max(abs(ref), 1.0)), (lam, x)
+            assert abs(eigenfunction_g(p, lam, x) - refs[1]) <= 1e-10 * max(abs(refs[1]), 1.0)
 
 
 CANCELLING_LAMS = (40.0, 60.0, 80.0)
