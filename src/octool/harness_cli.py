@@ -461,7 +461,7 @@ def _run_d_scaling_diag(s: VerifyScenario) -> VerifyReport:
                 cells = (row[lam], col[t * x]), (row[lam * t], col[x])
                 r = abs(g[cells[0][0]][cells[0][1]] - g[cells[1][0]][cells[1][1]])
                 if r > worst:
-                    # the series bounds of the worst residual's two values
+                    # the _g_batch bounds of the worst residual's two values
                     worst, bound = r, sum(g_err[i][j] for i, j in cells)
                 if lam == 0.0 and t == 2.0 and x == 0.5:
                     at_zero = r

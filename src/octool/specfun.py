@@ -113,25 +113,56 @@ def _log_gamma(z):
     recurrence log Gamma(z) = log Gamma(z+1) - log(z).  The values are
     differences of terms far larger than themselves (log Gamma(1) = 0 comes
     out of terms near 20), so the bound is _ROUND times the summed magnitudes.
+
+    Below Re z = -10, where the recurrence would take -Re z steps, the
+    reflection log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
+    takes Stirling's series at 1 - z, Re(1 - z) > 11, directly.  For Im z
+    >= 0 (the conjugate below), sin(pi z) = (i/2) e^(-i pi z) (1 - e^(2 pi i
+    z)) with |e^(2 pi i z)| <= 1, and the log taken term by term, log(1/2) +
+    pi Im z + i pi (1/2 - Re z) + log(1 - e^(2 pi i z)), is continuous in
+    the upper half plane and equals the principal log sin(pi z) at Re z =
+    1/2, where the reflection holds on the principal branch: so it holds
+    with this log everywhere above the cut, with no multiple of 2 pi i to
+    add.  e^(2 pi i z) is taken at Re z less its nearest integer, which is
+    exact, so it keeps its digits at any |Re z|.
     """
     z = np.asarray(z, dtype=complex)
     nearest = np.round(z.real)
     pole = (np.abs(z.imag) < _POLE_TOL) & (nearest <= 0) & (np.abs(z.real - nearest) < _POLE_TOL)
     z = np.where(pole, 1.0, z)
+    reflect = (z.real < -10.0) & np.isfinite(z)
+    zs = np.where(reflect, 1.0 - z, z)
     # shifts per element; none for a non-finite z, which gives a non-finite value
-    k = np.where((z.real < 10.0) & np.isfinite(z), np.ceil(10.0 - z.real), 0.0)
+    k = np.where((zs.real < 10.0) & np.isfinite(zs), np.ceil(10.0 - zs.real), 0.0)
     shift = np.zeros(z.shape, dtype=complex)
     size = np.zeros(z.shape)
     n_shift = int(k.max(initial=0.0))
     for j0 in range(0, n_shift, _SHIFT_CHUNK):  # chunks bound the memory
         j = np.arange(j0, min(j0 + _SHIFT_CHUNK, n_shift))
-        logs = np.log(np.where(j < k[..., None], z[..., None] + j, 1.0))
+        logs = np.log(np.where(j < k[..., None], zs[..., None] + j, 1.0))
         shift += logs.sum(axis=-1)
         size += np.abs(logs).sum(axis=-1)
-    w = z + k
+    w = zs + k
     s, main = _stirling(w)
     size += np.abs(main) + np.abs(w)
-    return s - shift, _ROUND * size, pole
+    s -= shift
+    if reflect.any():
+        x, y = z.real, np.abs(z.imag)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # 1 - e^(a + i b) = 2 sin^2(b/2) - expm1(a) cos b - i e^a sin b at
+            # a = -2 pi y and b = 2 pi (Re z - round(Re z)), exact in [-pi,
+            # pi]: no digit cancels, also next to a pole, where b -> 0
+            a, b = -2.0 * math.pi * y, 2.0 * math.pi * (x - np.round(x))
+            log_rest = np.log((2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b))
+                              - 1j * (np.exp(a) * np.sin(b)))
+            im = math.pi * (0.5 - x)
+            log_sin = (math.log(0.5) + math.pi * y + log_rest.real) + 1j * (im + log_rest.imag)
+            log_sin = np.where(np.signbit(z.imag), np.conj(log_sin), log_sin)
+            s = np.where(reflect, math.log(math.pi) - log_sin - s, s)
+            # the terms' sizes, and a few units more for log(1 - e^(a + i b))
+            size = np.where(reflect, size + (math.log(math.pi) + 4.0) + math.pi * y
+                            + 2.0 * np.abs(im) + np.abs(log_rest), size)
+    return s, _ROUND * size, pole
 
 
 def _stirling(w):
@@ -479,8 +510,9 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
     the formula cancels: up to |z| = _RETRY_RADIUS, where its bound exceeds
     _CONNECTION_TOL, the series at w is summed too and the tighter of the
     two kept.  ``_phi_batch`` sums no 2F1 at -sinh^2 x, whose series cancel
-    at large |lambda| (its near cells are Mehler integrals, its far cells
-    the Harish-Chandra expansion)."""
+    at large |lambda|: its cells are Mehler integrals, near the origin in
+    any batch and up to a phase max(|lambda|, 1/2) |x| of 32 in a batch of
+    at most 4 lambda and 4 x, and the Harish-Chandra expansion elsewhere."""
     c, z = complex(c), float(z)
     if _forbidden_c(c):
         raise ParameterError(f"c={c} is a non-positive integer")
@@ -556,18 +588,30 @@ def _phi_far(p: JacobiParams, lams, ax, fold_sinh2x: bool):
     return weight * s.real, err
 
 
-def _blocks(lams, ax):
-    """The non-empty (rows, cols, cells, sz) blocks that cover a batch of lams
-    (n,) against ax (m,) >= 0: the block's row and column indices, its index
-    ``cells`` into an (n, m) array, and sinh^2 x on its columns for a near
-    block or None for a far one.  The far cells, |lambda| >= 1 with
-    sinh^2 x > ``_PFAFF_RADIUS`` and every lambda with sinh^2 x >
-    ``_RETRY_RADIUS``, take the Harish-Chandra expansion (``_phi_far``),
-    within 1e-10 of phi relative to max(|phi|, 1) there up to lambda = 200;
-    the near ones, every row at sinh^2 x <= ``_PFAFF_RADIUS`` and the rows
-    |lambda| < 1, where c(lambda) has its pole, up to ``_RETRY_RADIUS``, the
-    Mehler integral (``_phi_near``).  sinh^2 x is inf past |x| = 355, where
-    only far cells lie, which do not use it."""
+def _blocks(p: JacobiParams, lams, ax):
+    """The non-empty (rows, cols, cells, near) blocks that cover a batch of
+    lams (n,) against ax (m,) >= 0 at ``p`` and its shift, each cell once:
+    the block's row and column indices, its index ``cells`` into an (n, m)
+    array, and for a near block the rest of its ``_phi_near`` arguments
+    (sinh^2 x on its columns, and the panels they need where the default
+    does not hold), None for a far one.
+
+    The near blocks are the Mehler integral (``_phi_near``): every row at
+    sinh^2 x <= ``_PFAFF_RADIUS``; the rows |lambda| < 1, where c(lambda)
+    has its pole, up to ``_RETRY_RADIUS``; and, in a batch of at most
+    ``_SMALL_SIDE`` lambda and x values, every other cell with max(|lambda|,
+    1/2) x <= ``_NEAR_PHASE`` and (2 alpha + 3) x <= ``_MEHLER_RANGE``, on
+    panels that turn max(|lambda|, 1) s by ``_REROUTE_PHASE``.  There one
+    integral costs less than a series and its complex log-Gamma c-function,
+    or little more, while a larger batch shares the series' fixed cost over
+    its cells and keeps it.  The rule is per cell, so that a cell takes in a
+    small batch the path it takes alone: the rows that reach the same
+    number of columns, sorted by x, share a near block and a far block.  The
+    far cells, the rest of |lambda| >= 1 with sinh^2 x > ``_PFAFF_RADIUS``
+    and of every lambda with sinh^2 x > ``_RETRY_RADIUS``, take the
+    Harish-Chandra expansion (``_phi_far``), within 1e-10 of phi relative to
+    max(|phi|, 1) there up to lambda = 200.  sinh^2 x is inf past |x| =
+    355, where only far cells lie, which do not use it."""
     with np.errstate(over="ignore"):
         sz = np.sinh(ax) ** 2
     small = np.abs(lams) < 1.0
@@ -578,13 +622,33 @@ def _blocks(lams, ax):
     if small.any():
         retry = sz <= _RETRY_RADIUS
         masks += [(small, ~near & retry, True), (small, ~retry, False)]
+    reroute = max(lams.size, ax.size) <= _SMALL_SIDE
     blocks = []
     for rows, cols, is_near in masks:
         if not cols.any():
             continue
         cols = np.flatnonzero(cols)
         rows = np.arange(lams.size) if rows is None else np.flatnonzero(rows)
-        blocks.append((rows, cols, (rows[:, None], cols), sz[cols] if is_near else None))
+        if is_near or not reroute:
+            blocks.append((rows, cols, (rows[:, None], cols), (sz[cols],) if is_near else None))
+            continue
+        # the columns sorted by x, and per row how many of them it takes
+        # near: NaN and inf take none
+        cols = cols[np.argsort(ax[cols], kind="stable")]
+        x = ax[cols]
+        with np.errstate(invalid="ignore"):
+            ok = ((np.maximum(np.abs(lams[rows]), 0.5)[:, None] * x <= _NEAR_PHASE)
+                  & ((2.0 * p.alpha + 3.0) * x <= _MEHLER_RANGE))
+        reach = ok.sum(axis=1)
+        for k in sorted(set(reach.tolist())):
+            group = rows[reach == k]
+            c = cols[:k]
+            if k:
+                turns = max(float(np.abs(lams[group]).max()), 1.0) * ax[c] / _REROUTE_PHASE
+                blocks.append((group, c, (group[:, None], c), (sz[c], turns)))
+            if k < cols.size:
+                c = cols[k:]
+                blocks.append((group, c, (group[:, None], c), None))
     return blocks
 
 
@@ -592,12 +656,13 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None)
     """phi_lambda(x) for lams (n,) against x (m,): values and element-wise
     error bounds, both shaped (n, m).
 
-    The far cells of ``_blocks`` are summed by ``_phi_far``: one series per
-    cell, and exactly real; with ``fold_sinh2x`` they hold
-    sinh(2|x|) phi_lambda(x) instead, with sinh 2x folded into their
-    exponent.  The near blocks are Koornwinder's Mehler-type integral
-    (``_phi_near``).  A caller that has the ``_blocks`` of lams and |x|
-    passes them as ``blocks``.
+    The near blocks of ``_blocks`` are Koornwinder's Mehler-type integral
+    (``_phi_near``): every cell near the origin, and in a small batch every
+    cell with max(|lambda|, 1/2) |x| <= 32.  Its far cells, in a large batch
+    or past that phase, are summed by ``_phi_far``: one series per block,
+    exactly real; with ``fold_sinh2x`` they hold sinh(2|x|) phi_lambda(x)
+    instead, with sinh 2x folded into their exponent.  A caller that has
+    the ``_blocks`` of lams and |x| passes them as ``blocks``.
 
     phi is even in lambda.  On the far cells |lambda| below 1e-5 is nudged
     to 1e-5, where the c(lambda) poles of the far formula cancel.
@@ -610,10 +675,10 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None)
     ax = np.abs(np.asarray(x, dtype=float))
     vals = np.empty((lams.size, ax.size), dtype=complex)
     err = np.empty(vals.shape)
-    for rows, cols, cells, sz in _blocks(lams, ax) if blocks is None else blocks:
+    for rows, cols, cells, near in _blocks(p, lams, ax) if blocks is None else blocks:
         lr = lams[rows]
-        if sz is not None:
-            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], sz)
+        if near is not None:
+            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], *near)
             continue
         nudged = np.abs(lr) < _LAMBDA_NUDGE
         v, e = _phi_far(p, np.where(nudged, _LAMBDA_NUDGE, lr), ax[cols], fold_sinh2x)
@@ -635,6 +700,31 @@ _MEHLER_PHASE = 1.0
 _MEHLER_PANELS = 4
 _MEHLER_BUDGET = 1 << 12
 _MEHLER_CELLS = 1 << 16
+# _blocks takes a far cell of a batch of at most _SMALL_SIDE lambda and x
+# values near where max(|lambda|, 1/2) x <= _NEAR_PHASE (so x <= 64), on
+# panels that turn max(|lambda|, 1) s by at most _REROUTE_PHASE each.  At 1
+# radian a panel's |K - G| read up to 1e5 times the series' bound at (3/2,
+# 3/2); past a phase of 32 the integral, which cancels, read up to 6e-13 of
+# |G| off where the series read 1e-14.  Median ms of 40 G batches, series /
+# integral, at (1, 1/2) and (3/2, 3/2) past sinh^2 x = 7/3 (one core of a
+# shared 2-core Linux container), by lambda x x values:
+#   1 x 1  0.66-0.73 / 0.30-0.38     4 x 1  0.74-0.78 / 0.41-0.46
+#   1 x 4  0.68-0.72 / 0.60-0.82     4 x 2  0.77-0.80 / 0.60-0.70
+#   2 x 4  0.77-0.81 / 0.84-0.95     4 x 4  0.79-0.86 / 0.93-1.39
+#   1 x 8  0.69-0.73 / 0.65-1.18     1 x 16 0.70-0.74 / 0.74-2.71
+# (4 x 4 at (0.7, 0.2), whose first panel is graded: 0.78 / 1.68-1.97).  Each
+# x takes its own kernel, so past about 4 x the integral costs more; 4 x 4 is
+# kept, at up to 2.5 times the series, so that a cell of a batch of 4 lambda
+# and 4 x takes the path it takes alone and its error stays within 10 times
+# its error alone (a series cell was 7.4e-13 off where the integral alone
+# read 1e-19)
+_NEAR_PHASE = 32.0
+_REROUTE_PHASE = 0.5
+_SMALL_SIDE = 4
+# and keeps (2 alpha + 3) x within this, where the near integrand of the
+# shifted pair, about e^(-(2 alpha + 3) x), is a normal double and
+# cosh x^(alpha - beta) finite
+_MEHLER_RANGE = 600.0
 # past this sinh^2 x times the largest 2F1 term ratio, phi is 1 to rounding
 _FLAT = 2.0 ** -60
 # the (7, 15) pair on (-1, 1), and its Kronrod and Kronrod-minus-Gauss
@@ -681,7 +771,7 @@ def _mehler_rule(panels: int, alpha: float):
     return rule
 
 
-def _phi_near(p: JacobiParams, lams, ax, sz):
+def _phi_near(p: JacobiParams, lams, ax, sz, turns=None):
     """phi_lambda(x) for lams (n,) against ax (m,) >= 0, sz = sinh^2 ax,
     from Koornwinder's Mehler-type integral (1984), in s = x (1 - u^2):
 
@@ -694,9 +784,11 @@ def _phi_near(p: JacobiParams, lams, ax, sz):
     otherwise :func:`_mehler_rule` grades the first panel and runs its
     innermost part in t = u^(2 alpha + 1).  The panels are equal in s, 2^k
     of them, at least _MEHLER_PANELS (which keeps K's branch point at s =
-    -x, u = sqrt 2, well away from each) and the fewest that keep the largest |lambda| s of the
-    block within _MEHLER_PHASE per panel (NonConvergenceError past
-    _MEHLER_BUDGET, |lambda| x > 4096, or at a lambda that is not finite);
+    -x, u = sqrt 2, well away from each) and the fewest that keep the
+    largest |lambda| s of the block within _MEHLER_PHASE per panel, or,
+    where ``turns`` is given, the fewest of at least ``turns`` per column
+    (NonConvergenceError past _MEHLER_BUDGET, |lambda| x > 4096, or at a
+    lambda that is not finite);
     every lambda row is one cos(lambda s) table against the nodes' Kronrod
     and Kronrod-minus-Gauss weights.  K is positive and free of lambda, so
     |phi_lambda| <= phi_0 holds by construction.  The bound adds per cell
@@ -704,19 +796,18 @@ def _phi_near(p: JacobiParams, lams, ax, sz):
     |cos| <= 1, and a rounding charge of _ROUND (2 |lambda| x + P + 16 + 4
     |2 alpha - 1|) times sum w K, P the number of panels.
     Where sinh^2 x times the largest term ratio of phi's 2F1 series at z =
-    -sinh^2 x is at most _FLAT, phi is 1 and the bound is the series' rest,
-    its first term over one minus that ratio."""
+    -sinh^2 x is at most _FLAT, at the cell's own lambda, phi is 1 and the
+    bound is the series' rest, its first term over one minus that ratio."""
     lam_max = float(np.max(np.abs(lams), initial=0.0))
     c = p.alpha + 1.0
-    ratio = (max(c, 1.0) + lam_max * lam_max / (4.0 * c)) * sz
+    lam2 = lams[:, None] ** 2
+    ratio = (max(c, 1.0) + lam2 / (4.0 * c)) * sz
     vals = np.ones((lams.size, ax.size))
     err = np.zeros(vals.shape)
+    # a cell is flat at its own lambda, so alone and in a batch alike
     flat = ratio <= _FLAT
-    if flat.any():
-        first = (p.rho ** 2 + lams[:, None] ** 2) / (4.0 * c) * sz[flat]
-        err[:, flat] = first / (1.0 - ratio[flat])
-    live = np.flatnonzero(~flat)
-    reach = lam_max * ax[live] / _MEHLER_PHASE
+    live = np.flatnonzero(~flat.all(axis=0))
+    reach = (lam_max * ax / _MEHLER_PHASE if turns is None else turns)[live]
     if not np.all(reach <= _MEHLER_BUDGET):
         raise NonConvergenceError(
             f"the Mehler integral at |lambda| = {lam_max} needs more than {_MEHLER_BUDGET} panels")
@@ -747,6 +838,9 @@ def _phi_near(p: JacobiParams, lams, ax, sz):
                 vals[r, cols] = sums[..., 0].sum(axis=-1) * pref
                 err[r, cols] = np.abs(sums[..., 1]).sum(axis=-1) * pref + inner \
                     + (charge[r, cols] + _ROUND * panels) * size
+    if flat.any():
+        vals[flat] = 1.0
+        err[flat] = ((p.rho ** 2 + lam2) / (4.0 * c) * sz / (1.0 - ratio))[flat]
     return vals, err
 
 
@@ -765,15 +859,15 @@ def _g_odd(p: JacobiParams, lams, ax, blocks=None):
     e^(-rho x) where sinh 2x overflows.  ``blocks`` are the ``_blocks`` of
     lams and ax, when the caller has them."""
     if blocks is None:
-        blocks = _blocks(lams, ax)
+        blocks = _blocks(p, lams, ax)
     phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True, blocks=blocks)
     coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = coef * np.sinh(2.0 * ax)[None, :]
     # the far cells of phi_up hold sinh(2x) phi^(alpha+1, beta+1) already
     # (and sinh 2x overflows only on far cells)
-    for rows, _, cells, sz in blocks:
-        if sz is None:
+    for rows, _, cells, near in blocks:
+        if near is None:
             scale[cells] = coef[rows]
     err = np.abs(scale)
     err *= e2
@@ -798,7 +892,7 @@ def _g_batch(p: JacobiParams, lams, x):
         # x = 0 only, as in an inverse transform at the origin: G_lambda(0)
         # = 1 without the set-up of two phi calls
         return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
-    blocks = _blocks(lams, ax)
+    blocks = _blocks(p, lams, ax)
     phi, e1 = _phi_batch(p, lams, ax, blocks=blocks)
     odd, e2 = _g_odd(p, lams, ax, blocks)
     err = e2[:, back]

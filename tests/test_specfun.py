@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from octool.errors import NonConvergenceError, ParameterError
@@ -292,6 +292,7 @@ def _phi_ref(p, lam, x):
 @given(p=st.sampled_from(CATALOG + (JacobiParams(0.7, 0.2), JacobiParams(-0.3, -0.5))),
        lams=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=4),
        xs=st.lists(st.floats(0.0, 12.0, exclude_min=True), min_size=1, max_size=4))
+@example(p=JacobiParams(0.7, 0.2), lams=[0.0, 155.0], xs=[1.0, 4.0, 1.25])
 def test_phi_within_its_bound_and_1e_8_up_to_lambda_200(p, lams, xs):
     # the near cells are Mehler integrals, which do not cancel (ROADMAP item
     # 1: the series there was off by up to 1e65 at lambda = 200), also where
@@ -326,6 +327,111 @@ def test_scalar_values_that_were_wrong_against_mpmath():
                              (eigenfunction_g(P2, 60.0, 1.0), _g_batch(P2, [60.0], [1.0]), g_ref)):
         assert got == v[0, 0]
         assert abs(got - ref) <= min(e[0, 0], 1e-13 * max(abs(ref), 1.0))
+
+
+# cells past sinh^2 x = 7/3 with max(|lambda|, 1/2) x <= 32, which a small
+# batch takes to the Mehler integral rather than the series (summed at the
+# nudged lambda = 1e-5 where lambda = 0)
+REROUTED = ((0.0, 5.0), (0.0, 64.0), (0.3, 7.0), (0.45, 64.0), (1.0, 20.0), (3.0, 2.0),
+            (7.0, 3.0), (12.0, 2.5), (20.0, 1.5))
+REROUTED_BATCH = ([0.0, 3.0, 12.0], [1.5, 2.0, 2.5])
+
+
+@pytest.mark.parametrize("p", [*CATALOG, *(q.shifted() for q in CATALOG), JacobiParams(0.7, 0.2)])
+def test_rerouted_cells_against_mpmath(p):
+    # jacobi_phi, eigenfunction_g and one small batch: each cell within its
+    # bound and within 1e-12 of mpmath at 40 digits, relative to max(|ref|, 1)
+    lams, xs = REROUTED_BATCH
+    batch_cells = [(lam, x) for lam in lams for x in xs]
+    refs = {cell: _phi_and_g_mpmath(p, *cell) for cell in REROUTED + tuple(batch_cells)}
+    for lam, x in REROUTED:
+        assert all(z is not None for *_, z in specfun._blocks(p, np.array([lam]), np.array([x])))
+        for scalar, batch, ref in zip((jacobi_phi, eigenfunction_g), (_phi_batch, _g_batch),
+                                      refs[lam, x]):
+            (v,), (e,) = batch(p, [lam], [x])
+            assert scalar(p, lam, x) == v[0]
+            assert abs(v[0] - ref) <= min(e[0], 1e-12 * max(abs(ref), 1.0)), (scalar.__name__, lam, x)
+    for k, batch in enumerate((_phi_batch, _g_batch)):
+        v, e = batch(p, lams, xs)
+        assert all(z is not None for *_, z in specfun._blocks(p, np.array(lams), np.array(xs)))
+        for (i, j), cell in zip(np.ndindex(v.shape), batch_cells):
+            ref = refs[cell][k]
+            assert abs(v[i, j] - ref) <= min(e[i, j], 1e-12 * max(abs(ref), 1.0)), (batch.__name__, cell)
+
+
+def test_phi_at_lambda_0_and_x_64_against_mpmath():
+    # at (2, 3/2) the series summed at the nudged lambda = 1e-5 reads phi_0(64)
+    # 6.6e-8 off relative to |phi|; the Mehler integral on 128 panels reads
+    # 9.4e-16 (and 1.7e-10 on 4)
+    p = P2.shifted()
+    ref = _phi_ref(p, 0.0, 64.0)
+    (v,), (e,) = _phi_batch(p, [0.0], [64.0])
+    assert abs(v[0] - ref) <= min(e[0], 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("p,lams,xs", [(P1, [0.0, 6.0], [11.0]),
+                                       (JacobiParams(-0.3, -0.5), [14.0, 112.0], [1.3, 2.2]),
+                                       (P2, [0.5, 3.0, 40.0], [1.5, 2.0, 5.0, 70.0])])
+def test_a_cell_of_a_small_batch_takes_its_path_alone(p, lams, xs):
+    # one rule for the whole batch puts lambda = 0 at x = 11 on the nudged
+    # series in the first (7.4e-13 off) and on the integral alone (1e-19
+    # off), which the phi test's 10x batch-against-alone check refuses; one
+    # per block of the split puts lambda = 14 at x = 2.2 on the series in
+    # the second (1.5e-15 off) and on the integral alone (1.4e-16 off)
+    lams, ax = np.array(lams), np.array(xs)
+
+    def far(lams, ax):
+        out = np.zeros((lams.size, ax.size), dtype=bool)
+        for _, _, cells, z in specfun._blocks(p, lams, ax):
+            out[cells] = z is None
+        return out
+
+    batch = far(lams, ax)
+    assert batch.any() and not batch.all()
+    for i, lam in enumerate(lams):
+        for j, x in enumerate(ax):
+            assert batch[i, j] == far(lams[i:i + 1], ax[j:j + 1])[0, 0], (lam, x)
+
+
+def test_a_flat_cell_reads_1_in_a_batch_as_alone():
+    # phi_0(1e-10) is 1 to rounding; lambda = 16 beside it lifted the
+    # batch's flat test, taken at the largest lambda, past 2^-60, and the
+    # graded rule read 1 - 1.1e-15
+    p = JacobiParams(-0.3, -0.5)
+    (v, e), (w, f) = _phi_batch(p, [0.0, 16.0], [1e-10]), _phi_batch(p, [0.0], [1e-10])
+    assert v[0, 0] == w[0, 0] == 1.0 and e[0, 0] == f[0, 0]
+
+
+def test_a_large_alpha_keeps_the_series_where_the_integral_underflows():
+    # at (12, 0) the shifted pair's Mehler integrand at x = 40 is about
+    # e^(-27 x), below the doubles, though G ~ e^(-13 x) is not: past (2
+    # alpha + 3) x = 600 the cell stays on the series
+    p = JacobiParams(12.0, 0.0)
+    for lam in (0.0, 0.5):
+        _, ref = _phi_and_g_mpmath(p, lam, 40.0)
+        (v,), (e,) = _g_batch(p, [lam], [40.0])
+        assert abs(v[0] - ref) <= min(e[0], 1e-6 * abs(ref)), lam
+
+
+@pytest.mark.parametrize("lams,xs", [([1.0], np.linspace(0.05, 12.0, 300)),
+                                     (np.linspace(0.0, 40.0, 255), [2.0]),
+                                     ([5.0], np.linspace(1.3, 6.0, 8)),
+                                     ([0.5, 1.0, 2.0, 5.0], [1.5 - 1e-4, 1.5, 1.5 + 1e-4, 2.0, 0.7])],
+                         ids=["one_lambda_300_x", "255_lambda_one_x", "one_lambda_8_x", "4_lambda_5_x"])
+def test_a_large_batch_keeps_the_series(lams, xs):
+    # a batch of more than 4 lambda or 4 x keeps the parent's split, where
+    # the series is the cheaper (one lambda = 5 over 8 x: 0.71 ms per G
+    # batch against 1.18 for the integral, medians on one core of a shared
+    # 2-core Linux container), and its far cells stay far: |lambda| >= 1
+    # past sinh^2 x = 7/3, and every lambda past sinh^2 x = 200
+    lams, ax = np.asarray(lams, dtype=float), np.asarray(xs, dtype=float)
+    sz = np.sinh(ax) ** 2
+    want = np.where(np.abs(lams)[:, None] >= 1.0, sz > 7.0 / 3.0, sz > 200.0)
+    for p in CATALOG:
+        far = np.zeros(want.shape, dtype=bool)
+        for _, _, cells, z in specfun._blocks(p, lams, ax):
+            far[cells] = z is None
+        assert np.array_equal(far, want)
 
 
 @pytest.mark.parametrize("p", [JacobiParams(0.7, 0.2), JacobiParams(-0.45, -0.5),
@@ -396,8 +502,10 @@ def test_negative_lambda_is_the_conjugate_bit_for_bit(p):
     # cells included
     lams = np.array([1e-6, 4e-6, 2e-5, 0.3, 0.999, 1.0, 2.5, 11.7, 40.0, 123.4])
     xs = np.array([-400.0, -30.0, -6.0, -1.0, -0.3, 0.0, 0.01, 0.3, 1.0, 2.5, 6.0, 30.0, 400.0])
-    far = [cols for _, cols, _, z in specfun._blocks(lams, np.abs(xs)) if z is None]
-    assert len(far) == 2 and all(0 < cols.size < xs.size for cols in far)
+    far = [(rows, cols) for rows, cols, _, z in specfun._blocks(p, lams, np.abs(xs)) if z is None]
+    # a nudged row and the largest lambda both have far cells, and near ones
+    assert {0, lams.size - 1} <= {i for rows, _ in far for i in rows.tolist()}
+    assert all(0 < cols.size < xs.size for _, cols in far)
     (v, e), (w, f) = _g_batch(p, lams, xs), _g_batch(p, -lams, xs)
     assert np.array_equal(w, np.conj(v))
     assert np.array_equal(f, e)
@@ -484,6 +592,22 @@ def test_log_gamma_complex_grid():
             continue  # keep away from the real-axis poles
         truth = complex(mpmath.loggamma(z))
         assert abs(log_gamma_complex(z) - truth) <= 1e-12 * max(abs(truth), 1.0)
+
+
+@pytest.mark.parametrize("re", [-1e3, -1e6, -1e9])
+def test_log_gamma_far_left_against_mpmath(re):
+    # below Re z = -10 the reflection formula, in constant time: the shift
+    # recurrence took time linear in -Re z (33 ms at -99999.5 + 3i)
+    for im in (-40.0, -3.0, -0.5, 0.25, 1.0, 7.0, 400.0):
+        for z in (complex(re + 0.5, im), complex(re - 0.3, im)):
+            t0 = time.perf_counter()
+            got = log_gamma_complex(z)
+            assert time.perf_counter() - t0 < 5e-3, z
+            with mpmath.workdps(30):
+                truth = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+            vals, bound, _ = specfun._log_gamma(z)
+            assert got == complex(vals)
+            assert abs(got - truth) <= min(float(bound), 1e-14 * abs(truth)), z
 
 
 def test_weight_closed_form():
