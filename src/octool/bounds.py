@@ -132,8 +132,8 @@ def lp_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
     """(integral of |f|^p_exp A over domain)^(1/p_exp); +inf on divergence,
     and +inf, value and estimate, for a root past the double range (a small
     p_exp takes a large power of the integral)."""
-    if not p_exp > 0:
-        raise ParameterError("lp_norm requires p_exp > 0")
+    if not 0.0 < p_exp < math.inf:
+        raise ParameterError(f"lp_norm requires a finite p_exp > 0, got {p_exp}")
     try:
         r = _lp_integral(f, p_exp, params, domain, cfg)
     except DivergentIntegralError:
@@ -156,8 +156,8 @@ def grand_norm(f: FunctionSpec, p_exp: float, params: JacobiParams,
     on a geometric eps grid, 32 points refined toward each endpoint.  The
     integrals for the whole grid are one vector-valued adaptive run, each
     exponent held to its own tolerance."""
-    if not p_exp > 1:
-        raise ParameterError("grand_norm requires p_exp > 1")
+    if not 1.0 < p_exp < math.inf:
+        raise ParameterError(f"grand_norm requires a finite p_exp > 1, got {p_exp}")
     mass = interval_measure(params, interval, cfg)
     if not 0.0 < mass < math.inf:
         raise ParameterError("grand_norm needs an interval of finite positive mass")

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .octransform import FunctionSpec, _abel_transform, _cosine_transform
 from .quad import IntegralResult, QuadConfig, integrate, panel_rule
-from .specfun import JacobiParams, _g_batch, log_sinh_cosh, log_weight_a
+from .specfun import JacobiParams, _g_batch, _require_finite, log_sinh_cosh, log_weight_a
 
 __all__ = ["KernelSpec", "make_kernel", "hausdorff_apply", "hausdorff_apply_result",
            "hausdorff_log_grid", "HausdorffImage", "commutation_residual"]
@@ -239,8 +239,10 @@ def hausdorff_apply_result(
     without a ``log_abs_decomp`` (as a ``FunctionSpec`` has) the product
     f A is formed from f's value, so a divergent H f can read finite.  With
     adjoint Hardy at (1/2, -1/2), f(u) = u^2 / A(u) as a plain callable gives
-    a finite value at x = 0.9, where H f = +inf.
+    a finite value at x = 0.9, where H f = +inf.  A NaN or infinite x
+    raises ParameterError.
     """
+    _require_finite("x", x)
     if x == 0.0:
         raise SingularityError("hausdorff_apply is undefined at x = 0")
     log_ax = log_weight_a(p, x)
@@ -591,13 +593,14 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
     take a negative value: the engine integrates log|f|, so a signed f would
     give H|f|.  A ``sampled`` f with a negative value, the one catalog family
     that can have one, raises ParameterError, as does an f without
-    ``log_abs_decomp``.
+    ``log_abs_decomp``.  A NaN or infinite x raises ParameterError.
     """
     if _can_be_negative(f):
         raise ParameterError(
             "hausdorff_log_grid needs an f with log_abs_decomp that takes no "
             "negative value")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    _require_finite("x", xs)
     if np.any(xs == 0.0):
         raise SingularityError("hausdorff operator is undefined at x = 0")
     klo, khi = k.support()

@@ -25,6 +25,7 @@ from .specfun import (
     JacobiParams,
     _g_batch,
     _mehler_kernel,
+    _require_finite,
     log_weight_a,
     plancherel_density,
     weight_a,
@@ -844,8 +845,11 @@ def oc_inverse_result(g, p: JacobiParams, x: float, cfg: QuadConfig) -> Integral
     ``plancherel_density`` call, on lambda > 0 only.  The estimate is the sum
     of the components' estimates, which charge |g| times G's series bound
     times |density| at every node, plus 2 lambda_min max|integrand(+-lambda_min)|
-    for the excised (-lambda_min, lambda_min) window.
+    for the excised (-lambda_min, lambda_min) window.  A NaN or infinite x
+    raises ParameterError.
     """
+    _require_finite("x", x)
+
     def integrand(lams):
         k, k_err = _g_batch(p, lams, [x])
         dens = plancherel_density(p, lams, lambda_min=cfg.lambda_min / 2.0)

@@ -141,8 +141,7 @@ def _gk15(f, lo, hi):
     None.  A NaN raises ParameterError, and an infinite value
     DivergentIntegralError, with a mask of the components it hits for a
     vector integrand."""
-    half = 0.5 * (hi - lo)
-    s = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    half, s = _panel_nodes(lo, hi)
     y, inner = f(s)
     finite = np.isfinite(y)
     if not finite.all():
@@ -166,6 +165,13 @@ def _gk15(f, lo, hi):
         # real, as an estimate is, whatever the values are
         return kron, diff, np.zeros(kron.shape)
     return kron, diff, half * (np.abs(inner).reshape(y.shape) @ _WK)
+
+
+def _panel_nodes(lo, hi):
+    """The half-widths of the panels (lo[i], hi[i]) and their (panels, 15)
+    Kronrod nodes."""
+    half = 0.5 * (hi - lo)
+    return half, (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
 
 
 def panel_rule(edges):
@@ -296,19 +302,31 @@ class _Layout(NamedTuple):
     integrand is called, built once per (lo, hi, cutoff) and shared
     read-only by every call on that interval: the pieces; per block the map
     of its piece as rows (kind, scale, sign); the first round's panels when
-    no breakpoints are given, as :func:`_initial_panels` stacks them; and
-    per dyadic piece what its tail charge reads: the window of the
-    ``_DIVERGENCE_WINDOW`` + 1 full blocks up to its last full one, whether
-    that is its only full block, whether it has enough of them for the
-    divergence test, and a block-by-piece 0/1 matrix of them."""
+    no breakpoints are given, as :func:`_initial_panels` stacks them, with
+    their nodes' signed abscissae, flat, and the Jacobian X'(s) there, as
+    :func:`_signed_nodes` gives them; and per dyadic piece what its tail
+    charge reads: the window of the ``_DIVERGENCE_WINDOW`` + 1 full blocks
+    up to its last full one, whether that is its only full block, whether
+    it has enough of them for the divergence test, and a block-by-piece 0/1
+    matrix of them."""
 
     pieces: tuple
     maps: np.ndarray
     panels: np.ndarray
+    nodes: np.ndarray
+    jac: np.ndarray
     window: np.ndarray
     single: np.ndarray
     testable: np.ndarray
     full: np.ndarray
+
+
+def _signed_nodes(maps, block, s):
+    """The abscissae x = sign X(s) of the nodes s, (panels, 15), of panels of
+    the blocks ``block``, flat, and X'(s), (panels, 15)."""
+    k, scale, sign = maps[:, block.astype(np.intp), None]
+    x = np.where(k == 0, s, scale * np.exp(k * s))
+    return (sign * x).ravel(), np.where(k == 0, 1.0, x)
 
 
 # a layout takes 40 to 220 us to build (a finite interval to the whole line,
@@ -331,10 +349,11 @@ def _layout(lo: float, hi: float, cutoff) -> _Layout | None:
     full = np.zeros((sum(counts), len(dyadic)))
     for j, (b0, n) in enumerate(dyadic):
         full[b0:b0 + n, j] = 1.0
+    maps = np.repeat([[p.kind, p.scale, p.sign] for p in pieces], counts, axis=0).T
+    panels = _initial_panels(pieces, ())
     lay = _Layout(
-        tuple(pieces),
-        np.repeat([[p.kind, p.scale, p.sign] for p in pieces], counts, axis=0).T,
-        _initial_panels(pieces, ()),
+        tuple(pieces), maps, panels,
+        *_signed_nodes(maps, panels[2], _panel_nodes(panels[0], panels[1])[1]),
         np.maximum(last[:, None] + np.arange(-_DIVERGENCE_WINDOW, 1), 0),
         n_full == 1, n_full > _DIVERGENCE_WINDOW, full,
     )
@@ -358,9 +377,11 @@ def _charge_tails(total: IntegralResult, sums, lay: _Layout, cfg: QuadConfig) ->
         return
     win = sums[..., lay.window]
     tail = win[..., -1]
-    ratios = np.divide(win[..., 1:], win[..., :-1], where=win[..., :-1] > 0.0,
-                       out=np.full(win[..., 1:].shape, math.inf))
-    growing = lay.testable & (ratios > 1.0 / _SHRINK_FACTOR).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a block after an empty one reads an infinite ratio: x / 0 is inf,
+        # and 0 / 0 NaN, which passes no comparison and which fmin drops
+        ratios = win[..., 1:] / win[..., :-1]
+    growing = lay.testable & ~(ratios <= 1.0 / _SHRINK_FACTOR).any(axis=-1)
     if growing.any():
         # the floor gates only the divergence test; each component's tail is
         # charged whatever its size
@@ -370,12 +391,12 @@ def _charge_tails(total: IntegralResult, sums, lay: _Layout, cfg: QuadConfig) ->
                 "dyadic tail blocks fail to shrink: integral looks divergent",
                 partial=total, mask=divergent.any(axis=-1) if divergent.ndim > 1 else None,
             )
-    r_last = np.minimum(ratios[..., -1], 0.9)
+    r_last = np.fmin(ratios[..., -1], 0.9)
     charge = np.where(lay.single, tail, tail * r_last / (1.0 - r_last))
     # piece by piece, so that the estimate sums in the pieces' order
     err = total.err_estimate
-    for c in np.moveaxis(charge, -1, 0):
-        err = err + c
+    for j in range(charge.shape[-1]):
+        err = err + charge[..., j]
     total.err_estimate = err
 
 
@@ -395,8 +416,11 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     of :func:`_dyadic_edges`; (0, b) with b below e^36 times the smallest
     normal double is one plain block instead.  With ``cutoff``, an end past |x| = cutoff is
     cut there, on dyadic blocks in x from a, and a piece wholly past it adds
-    nothing.  This layout of pieces and blocks is built once per (lo, hi,
-    cutoff) and reused by later calls on the same interval (:func:`_layout`).
+    nothing.  This layout of pieces and blocks, with the abscissae and
+    Jacobian of the first round's panels, is built once per (lo, hi, cutoff)
+    and reused by later calls on the same interval (:func:`_layout`): a call
+    without breakpoints pays no set-up for its first round, and one whose
+    every component converges there returns without the refinement's state.
 
     ``points`` are breakpoints of f, where it jumps or bends.  Each one
     inside (lo, hi), other than 0, is a fixed panel edge from the first
@@ -446,16 +470,15 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     shape = ()
 
     def in_s(block):
-        """The integrand in s on panels of ``block``: f(sign X(s)) X'(s), and
-        its inner error times X'(s)."""
-        k, scale, sign = lay.maps[:, block.astype(np.intp), None]
+        """The integrand in s on panels of ``block``, or on the layout's
+        first round where None: f(sign X(s)) X'(s), and its inner error
+        times X'(s)."""
 
         def g(s):
             nonlocal shape
-            x = np.where(k == 0, s, scale * np.exp(k * s))
-            jac = np.where(k == 0, 1.0, x)
+            x, jac = (lay.nodes, lay.jac) if block is None else _signed_nodes(lay.maps, block, s)
             with np.errstate(over="ignore"):
-                out = f((sign * x).ravel())
+                out = f(x)
                 values, inner = out if isinstance(out, tuple) else (out, None)
                 values = np.asarray(values)
                 shape = values.shape[:-1]
@@ -466,17 +489,18 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
 
         return g
 
-    # one row per panel quantity, one column per panel: lo, hi and block in
-    # s, then the Kronrod sums, |K - G| and inner errors of the m components
+    # the panels' lo, hi and block in s, and their Kronrod sums, |K - G| and
+    # inner errors, one column per panel; an integral converged in its first
+    # round ends there, and one that is refined holds them as the rows of
+    # one ``state`` array.  Without breakpoints the first round's abscissae
+    # and Jacobian are the layout's own
     lo_s, hi_s, block = panels
-    kron, diff, inner = _gk15(in_s(block), lo_s, hi_s)
+    kron, diff, inner = _gk15(in_s(None if panels is lay.panels else block), lo_s, hi_s)
     m = kron.shape[0]
-    state = np.concatenate([panels, kron, diff, inner])
+    state = None
     splits, checkpoint_err, checkpoint_splits = 0, math.inf, 0
     exhausted = False
     while True:
-        lo_s, hi_s, block = state[:3].real
-        kron, diff = state[3:3 + m], state[3 + m:3 + 2 * m].real
         err = diff.sum(axis=-1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(kron.sum(axis=-1)))
         unconverged = err > tol
@@ -491,11 +515,13 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         if splits >= cfg.max_subdivisions:
             exhausted = True
             break
+        if state is None:
+            state = np.concatenate([panels, kron, diff, inner])
         # each panel's worst unconverged component, in units of its fair
         # share, counting only a component whose |K - G| is above the noise
         # of the panel's own nodes, sum w |inner|: below it, children could
         # not read lower than the inner error the estimate already charges
-        over = np.where(diff > state[3 + 2 * m:].real, diff, 0.0)
+        over = np.where(diff > inner, diff, 0.0)
         share = (over[unconverged] / tol[unconverged, None]).max(axis=0) * lo_s.size
         mid = 0.5 * (lo_s + hi_s)
         # a panel at floating-point resolution stays whole
@@ -522,6 +548,8 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         kids = np.concatenate([kids, kk, kd, ki])
         state = np.concatenate([state, kids[:, c:]], axis=1)
         state[:, cand] = kids[:, :c]
+        lo_s, hi_s, block = state[:3].real
+        kron, diff, inner = state[3:3 + m], state[3 + m:3 + 2 * m].real, state[3 + 2 * m:].real
 
     def own(a):
         """``a`` of shape (m, ...) in the shape of one node's values."""
@@ -531,7 +559,7 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     # each dyadic block's |total|, for its piece's tail charge and divergence test
     blocks = np.arange(lay.maps.shape[1])
     _charge_tails(total, own(np.abs(kron @ (block[:, None] == blocks).astype(float))), lay, cfg)
-    total.err_estimate = total.err_estimate + own(state[3 + 2 * m:].real.sum(axis=-1))
+    total.err_estimate = total.err_estimate + own(inner.sum(axis=-1))
     if exhausted:
         worst = np.ravel(err - tol).argmax()
         raise BudgetExhaustedError(

@@ -549,6 +549,15 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
 _LAMBDA_NUDGE = 1e-5
 
 
+def _require_finite(name: str, value) -> None:
+    """ParameterError unless every entry of ``value``, a number or an
+    array, is finite: a NaN or infinite lambda or x has no phi, G, c or
+    density, and would surface later as a raw RuntimeWarning or as a
+    convergence failure that names another cause."""
+    if not np.isfinite(value).all():
+        raise ParameterError(f"{name} must be finite, got {value}")
+
+
 def _phi_far(p: JacobiParams, lams, ax, fold_sinh2x: bool):
     """phi_lambda(x) for lams (n,) against ax (m,) >= 0 from the
     Harish-Chandra expansion phi_lambda = c(lambda) Phi_lambda +
@@ -652,7 +661,7 @@ def _blocks(p: JacobiParams, lams, ax):
     return blocks
 
 
-def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None):
+def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None, near=None):
     """phi_lambda(x) for lams (n,) against x (m,): values and element-wise
     error bounds, both shaped (n, m).
 
@@ -661,8 +670,11 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None)
     cell with max(|lambda|, 1/2) |x| <= 32.  Its far cells, in a large batch
     or past that phase, are summed by ``_phi_far``: one series per block,
     exactly real; with ``fold_sinh2x`` they hold sinh(2|x|) phi_lambda(x)
-    instead, with sinh 2x folded into their exponent.  A caller that has
-    the ``_blocks`` of lams and |x| passes them as ``blocks``.
+    instead, with sinh 2x folded into their exponent.  A lambda or x that is
+    NaN or infinite raises ParameterError.  A caller that has
+    the ``_blocks`` of lams and |x| passes them as ``blocks``, and one that
+    has their near blocks' (values, bounds) already, in the order of
+    ``blocks``, passes those as ``near``.
 
     phi is even in lambda.  On the far cells |lambda| below 1e-5 is nudged
     to 1e-5, where the c(lambda) poles of the far formula cancel.
@@ -672,13 +684,19 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None)
     x)^2 / 2, so a nudged cell adds h/(1 - h) (|value| + bound) to its bound.
     """
     lams = np.asarray(lams, dtype=float)
-    ax = np.abs(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if blocks is None:
+        # a caller with blocks has checked its lams and x
+        _require_finite("lambda", lams)
+        _require_finite("x", x)
+    ax = np.abs(x)
     vals = np.empty((lams.size, ax.size), dtype=complex)
     err = np.empty(vals.shape)
-    for rows, cols, cells, near in _blocks(p, lams, ax) if blocks is None else blocks:
+    done = iter(near or ())
+    for rows, cols, cells, args in _blocks(p, lams, ax) if blocks is None else blocks:
         lr = lams[rows]
-        if near is not None:
-            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], *near)
+        if args is not None:
+            vals[cells], err[cells] = _phi_near(p, lr, ax[cols], *args) if near is None else next(done)
             continue
         nudged = np.abs(lr) < _LAMBDA_NUDGE
         v, e = _phi_far(p, np.where(nudged, _LAMBDA_NUDGE, lr), ax[cols], fold_sinh2x)
@@ -771,7 +789,7 @@ def _mehler_rule(panels: int, alpha: float):
     return rule
 
 
-def _phi_near(p: JacobiParams, lams, ax, sz, turns=None):
+def _phi_near(p, lams, ax, sz, turns=None):
     """phi_lambda(x) for lams (n,) against ax (m,) >= 0, sz = sinh^2 ax,
     from Koornwinder's Mehler-type integral (1984), in s = x (1 - u^2):
 
@@ -797,25 +815,39 @@ def _phi_near(p: JacobiParams, lams, ax, sz, turns=None):
     |2 alpha - 1|) times sum w K, P the number of panels.
     Where sinh^2 x times the largest term ratio of phi's 2F1 series at z =
     -sinh^2 x is at most _FLAT, at the cell's own lambda, phi is 1 and the
-    bound is the series' rest, its first term over one minus that ratio."""
+    bound is the series' rest, its first term over one minus that ratio.
+
+    ``p`` is one pair, whose (values, bounds) are returned, or a tuple of a
+    pair and its shift, which share :func:`_mehler_rule` where 2 alpha is an
+    integer: then one pass returns both pairs' (values, bounds), bit for bit
+    the two single-pair calls, and computes d, s, unit, the Jacobian, the
+    cos(lambda s) table and the kernel's sinh products once for both.  A
+    column flat in one pair only groups the pairs' columns apart, and each
+    pair takes its own pass."""
+    pairs = (p,) if isinstance(p, JacobiParams) else p
     lam_max = float(np.max(np.abs(lams), initial=0.0))
-    c = p.alpha + 1.0
     lam2 = lams[:, None] ** 2
-    ratio = (max(c, 1.0) + lam2 / (4.0 * c)) * sz
-    vals = np.ones((lams.size, ax.size))
-    err = np.zeros(vals.shape)
-    # a cell is flat at its own lambda, so alone and in a batch alike
-    flat = ratio <= _FLAT
-    live = np.flatnonzero(~flat.all(axis=0))
+    # per pair: its values, bounds and rounding charge, the largest term
+    # ratio of its series and the cells flat by it
+    out = []
+    for q in pairs:
+        c = q.alpha + 1.0
+        ratio = (max(c, 1.0) + lam2 / (4.0 * c)) * sz
+        # a cell is flat at its own lambda, so alone and in a batch alike
+        out.append((np.ones((lams.size, ax.size)), np.zeros((lams.size, ax.size)),
+                    _ROUND * (2.0 * np.abs(lams)[:, None] * ax + 16.0 + 4.0 * abs(2.0 * q.alpha - 1.0)),
+                    ratio, ratio <= _FLAT))
+    live = np.flatnonzero(~out[0][4].all(axis=0))
+    if len(pairs) > 1 and not np.array_equal(live, np.flatnonzero(~out[1][4].all(axis=0))):
+        return tuple(_phi_near(q, lams, ax, sz, turns) for q in pairs)
     reach = (lam_max * ax / _MEHLER_PHASE if turns is None else turns)[live]
     if not np.all(reach <= _MEHLER_BUDGET):
         raise NonConvergenceError(
             f"the Mehler integral at |lambda| = {lam_max} needs more than {_MEHLER_BUDGET} panels")
     levels = np.ceil(np.log2(np.maximum(reach, _MEHLER_PANELS)))
-    charge = _ROUND * (2.0 * np.abs(lams)[:, None] * ax + 16.0 + 4.0 * abs(2.0 * p.alpha - 1.0))
     for level in sorted(set(levels.tolist())):
         panels = 2 ** int(level)
-        uu, wu, wk, root = _mehler_rule(panels, p.alpha)
+        uu, wu, wk, root = _mehler_rule(panels, pairs[0].alpha)
         group = live[levels == level]
         step = max(1, _MEHLER_CELLS // uu.size)
         for j in range(0, group.size, step):
@@ -824,24 +856,32 @@ def _phi_near(p: JacobiParams, lams, ax, sz, turns=None):
             d = x * uu
             s = x - d
             unit = np.sinh(2.0 * x)
-            k, k_err = _mehler_kernel(p, s, d, unit * root)
             jac = wu * (x / unit)
-            y = k * jac
-            pref = np.cosh(ax[cols]) ** (p.alpha - p.beta)
-            inner = ((k_err * jac) @ wk) * pref
-            size = (y @ wk) * pref
+            cosh = np.cosh(ax[cols])
+            # the kernel's unit, times u on a graded first panel's inner part
+            unit = unit * root
+            geometry = _mehler_geometry(s, d, unit) if len(pairs) > 1 else None
+            parts = []
+            for q in pairs:
+                k, k_err = _mehler_kernel(q, s, d, unit, geometry)
+                y = k * jac
+                pref = cosh ** (q.alpha - q.beta)
+                parts.append((y, pref, ((k_err * jac) @ wk) * pref, (y @ wk) * pref))
             rows = max(1, _MEHLER_CELLS // s.size)
             for i in range(0, lams.size, rows):
                 r = slice(i, i + rows)
-                table = np.cos(lams[r, None, None] * s) * y
-                sums = table.reshape(*table.shape[:2], -1, _UNIT.size) @ _KD
-                vals[r, cols] = sums[..., 0].sum(axis=-1) * pref
-                err[r, cols] = np.abs(sums[..., 1]).sum(axis=-1) * pref + inner \
-                    + (charge[r, cols] + _ROUND * panels) * size
-    if flat.any():
-        vals[flat] = 1.0
-        err[flat] = ((p.rho ** 2 + lam2) / (4.0 * c) * sz / (1.0 - ratio))[flat]
-    return vals, err
+                cos = np.cos(lams[r, None, None] * s)
+                for (vals, err, charge, *_), (y, pref, inner, size) in zip(out, parts):
+                    table = cos * y
+                    sums = table.reshape(*table.shape[:2], -1, _UNIT.size) @ _KD
+                    vals[r, cols] = sums[..., 0].sum(axis=-1) * pref
+                    err[r, cols] = np.abs(sums[..., 1]).sum(axis=-1) * pref + inner \
+                        + (charge[r, cols] + _ROUND * panels) * size
+    for (vals, err, _, ratio, flat), q in zip(out, pairs):
+        if flat.any():
+            vals[flat] = 1.0
+            err[flat] = ((q.rho ** 2 + lam2) / (4.0 * (q.alpha + 1.0)) * sz / (1.0 - ratio))[flat]
+    return out[0][:2] if len(pairs) == 1 else tuple(o[:2] for o in out)
 
 
 def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
@@ -850,17 +890,18 @@ def jacobi_phi(p: JacobiParams, lam: float, x: float) -> complex:
     return complex(_phi_batch(p, [lam], [x])[0][0, 0])
 
 
-def _g_odd(p: JacobiParams, lams, ax, blocks=None):
+def _g_odd(p: JacobiParams, lams, ax, blocks=None, near=None):
     """The odd part of G_lambda at ax (m,) >= 0 for lams (n,),
     c sinh(2x) phi^(alpha+1, beta+1)(x) with c = (rho + i lambda)/(4(alpha+1)):
     values and element-wise error bounds, both shaped (n, m).  On the far
     cells of ``_phi_batch`` the series is summed as
     sinh(2x) phi^(alpha+1, beta+1), so the odd part keeps the range of
     e^(-rho x) where sinh 2x overflows.  ``blocks`` are the ``_blocks`` of
-    lams and ax, when the caller has them."""
+    lams and ax, and ``near`` the near blocks' phi^(alpha+1, beta+1), when
+    the caller has them."""
     if blocks is None:
         blocks = _blocks(p, lams, ax)
-    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True, blocks=blocks)
+    phi_up, e2 = _phi_batch(p.shifted(), lams, ax, fold_sinh2x=True, blocks=blocks, near=near)
     coef = ((p.rho + 1j * lams) / (4.0 * (p.alpha + 1.0)))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         scale = coef * np.sinh(2.0 * ax)[None, :]
@@ -881,20 +922,31 @@ def _g_batch(p: JacobiParams, lams, x):
     G_lambda(+-x) = phi(x) +- ``_g_odd``(x) with both parts even in x, so
     each is computed once per distinct |x| and gathered back to the signed
     columns: G_lambda(x) and G_lambda(-x) share one sum, and negating the
-    odd part is exact.  Both share one ``_blocks`` layout.
-    G_lambda(0) = 1 exactly, as phi is 1 and the odd part 0 at x = 0.
+    odd part is exact.  Both share one ``_blocks`` layout, and where 2
+    alpha is an integer, as at every catalog pair, one Mehler pass: each near
+    block is one pair-form ``_phi_near`` call of p and its shift, whose
+    rules then agree; at a fractional 2 alpha each pair takes its own.
+    G_lambda(0) = 1 exactly, as phi is 1 and the odd part 0 at x = 0.  A
+    lambda or x that is NaN or infinite raises ParameterError.
     Repeated |x| leave the far series' batch-wide stopping scale as it is,
     so every column has the bits of a batch that holds each |x| once."""
     lams = np.asarray(lams, dtype=float)
     x = np.asarray(x, dtype=float)
+    _require_finite("lambda", lams)
+    _require_finite("x", x)
     ax, back = np.unique(np.abs(x), return_inverse=True)
     if not ax.any():
         # x = 0 only, as in an inverse transform at the origin: G_lambda(0)
         # = 1 without the set-up of two phi calls
         return np.ones((lams.size, x.size), dtype=complex), np.zeros((lams.size, x.size))
     blocks = _blocks(p, lams, ax)
-    phi, e1 = _phi_batch(p, lams, ax, blocks=blocks)
-    odd, e2 = _g_odd(p, lams, ax, blocks)
+    near = up_near = None
+    if (2.0 * p.alpha).is_integer():
+        both = [_phi_near((p, p.shifted()), lams[rows], ax[cols], *args)
+                for rows, cols, _, args in blocks if args is not None]
+        near, up_near = [b[0] for b in both], [b[1] for b in both]
+    phi, e1 = _phi_batch(p, lams, ax, blocks=blocks, near=near)
+    odd, e2 = _g_odd(p, lams, ax, blocks, near=up_near)
     err = e2[:, back]
     err += e1[:, back]
     vals = odd[:, back]
@@ -935,7 +987,17 @@ def _kernel_series(a: float, b: float, c: float, z_max: float, budget: int = _KE
     return None
 
 
-def _mehler_kernel(p: JacobiParams, s, d, unit=1.0):
+def _mehler_geometry(s, d, unit):
+    """What K takes from x = s + d and ``unit`` alone, free of the pair: with
+    m = s + d/2 and h = d/2, (sinh m sinh h, cosh m cosh h, 8 (sinh m /
+    unit) (sinh h / unit)).  cosh x - cosh s = 2 sinh m sinh h, cosh 2x -
+    cosh 2s = 8 sinh m cosh m sinh h cosh h and cosh x = cosh m cosh h +
+    sinh m sinh h."""
+    sm, sh = np.sinh(s + 0.5 * d), np.sinh(0.5 * d)
+    return sm * sh, np.sqrt((1.0 + sm * sm) * (1.0 + sh * sh)), 8.0 * (sm / unit) * (sh / unit)
+
+
+def _mehler_kernel(p: JacobiParams, s, d, unit=1.0, geometry=None):
     """c_alpha K(x, s) / unit^(2 alpha - 1) at x = s + d for s >= 0, d > 0
     and unit > 0 broadcasting together, and an element-wise error bound (the
     division's rounding aside): Koornwinder's Mehler-type
@@ -967,17 +1029,17 @@ def _mehler_kernel(p: JacobiParams, s, d, unit=1.0):
     whole array, or ``_hyp_series`` with its complex steps, costs several
     times more.  ``unit`` divides each sinh factor of K's power, so that
     with unit = sinh 2x the power of K / (sinh 2x)^(2 alpha - 1) stays near
-    1 as x -> 0, where K alone would underflow."""
+    1 as x -> 0, where K alone would underflow.  ``geometry``, the
+    :func:`_mehler_geometry` of s, d and unit, is passed by a caller that
+    evaluates the kernels of two pairs on the same nodes."""
     a, b, c = p.alpha + p.beta, p.alpha - p.beta, p.alpha + 0.5
     s, d = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(d, dtype=float))
     total = size = np.ones(s.shape)
     coefs, rest = [1.0], 0.0
-    if a * b != 0.0 or p.alpha != 0.5:
-        # sinh and cosh of m = s + d/2 and of h = d/2: cosh x - cosh s =
-        # 2 sinh m sinh h, cosh 2x - cosh 2s = 8 sinh m cosh m sinh h cosh h
-        # and cosh x = cosh m cosh h + sinh m sinh h
-        sm, sh = np.sinh(s + 0.5 * d), np.sinh(0.5 * d)
-        prod, cosh_both = sm * sh, np.sqrt((1.0 + sm * sm) * (1.0 + sh * sh))
+    if geometry is None and (a * b != 0.0 or p.alpha != 0.5):
+        geometry = _mehler_geometry(s, d, unit)
+    if geometry is not None:
+        prod, cosh_both, base = geometry
     # a + n and b + n vanish only at n = 0 (a > -1, b >= 0): then the series
     # is 1, with no z to compute
     # Euler's form is 1, with no z to compute, where beta = +-1/2 (a + b
@@ -1012,8 +1074,7 @@ def _mehler_kernel(p: JacobiParams, s, d, unit=1.0):
     # for the constant and the product
     err = size * (_ROUND * (len(coefs) + 2)) + rest
     if p.alpha != 0.5:
-        scale = scale * (8.0 * (sm / unit) * (sh / unit)
-                         * (cosh_both + prod if euler else cosh_both)) ** (p.alpha - 0.5)
+        scale = scale * (base * (cosh_both + prod if euler else cosh_both)) ** (p.alpha - 0.5)
         # the power's base carries the rounding of sinh and cosh at m and h,
         # about 1 + m and 1 + h units each, which the power multiplies
         grow = _ROUND * abs(p.alpha - 0.5)
@@ -1098,7 +1159,9 @@ def _log_c(p: JacobiParams, lam):
 def c_function(
     p: JacobiParams, lam: float, lambda_min: float = _DEFAULT_LAMBDA_MIN
 ) -> complex:
-    """Harish-Chandra-type c-function, via log-gamma arithmetic."""
+    """Harish-Chandra-type c-function, via log-gamma arithmetic;
+    ParameterError at a lambda that is NaN or infinite."""
+    _require_finite("lambda", lam)
     if abs(lam) < lambda_min:
         raise PoleError(f"c-function pole at lambda=0 (|lambda| < {lambda_min})")
     return complex(np.exp(_log_c(p, lam)[0]))
@@ -1131,8 +1194,10 @@ def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA
     lambda takes the path of a batch, and has its bits.
 
     ``lam`` may be a scalar (complex result) or an array (complex array);
-    PoleError if any |lambda| is below ``lambda_min``."""
+    PoleError if any |lambda| is below ``lambda_min``, and ParameterError if
+    any is NaN or infinite."""
     lam = np.asarray(lam, dtype=float)
+    _require_finite("lambda", lam)
     if np.any(np.abs(lam) < lambda_min):
         raise PoleError(f"density pole at lambda=0 (|lambda| < {lambda_min})")
     flat = lam.ravel()

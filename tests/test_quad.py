@@ -13,6 +13,7 @@ from octool.errors import (
     ParameterError,
 )
 from octool import quad
+from octool.bounds import extremal_function, lp_norm
 from octool.hausdorff import make_kernel
 from octool.quad import (
     QuadConfig,
@@ -20,6 +21,7 @@ from octool.quad import (
     integrate_finite,
     panel_rule,
 )
+from octool.specfun import JacobiParams
 
 CFG = QuadConfig()
 
@@ -550,3 +552,70 @@ def test_a_noisy_component_adds_no_splits_to_a_clean_one(delta):
     assert (r.subdivisions_used, len(calls)) == (24, 12)
     assert float(r.value[1]).hex() == "0x1.8c624c17b3261p+2"
     assert abs(r.value[0] - math.sin(2.0)) <= r.err_estimate[0]
+
+
+def _edge_points(lay):
+    """The x of the layout's interior first-round panel edges whose s, read
+    back from x as a breakpoint is, lands on the edge itself."""
+    kept = []
+    for (lo, _, block) in lay.panels.T[1:]:
+        k, scale, sign = lay.maps[:, int(block)]
+        x = sign * (lo if k == 0 else scale * math.exp(k * lo))
+        if np.array_equal(quad._initial_panels(lay.pieces, [x]), lay.panels):
+            kept.append(x)
+    return kept
+
+
+@pytest.mark.parametrize("lo,hi,cutoff", [
+    (0.0, 1.0, None),         # a 0 end
+    (0.5, math.inf, None),    # an infinite end
+    (0.0, 30.0, 12.0),        # a cut end
+])
+def test_first_round_from_the_layout_matches_recomputed_abscissae(lo, hi, cutoff):
+    # breakpoints that are already edges of the layout's first-round panels
+    # leave those panels as they are, but take the path that recomputes the
+    # abscissae and Jacobian from them: bit for bit the plain call, which
+    # reads them from the layout, in value, estimate and subdivisions, on a
+    # run that converges in its first round and on one that is refined
+    lay = quad._layout(lo, hi, cutoff)
+    points = _edge_points(lay)
+    assert len(points) >= 2
+    for g in (lambda x: np.exp(-x), lambda x: np.cos(5.0 * x) * np.exp(-0.2 * x)):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return g(x)
+
+        plain = integrate(f, lo, hi, CFG, cutoff=cutoff)
+        assert seen[0] is lay.nodes
+        n = len(seen)
+        cut = integrate(f, lo, hi, CFG, cutoff=cutoff, points=points)
+        assert seen[n] is not lay.nodes and np.array_equal(seen[n], lay.nodes)
+        assert len(seen) == 2 * n
+        assert float(cut.value).hex() == float(plain.value).hex()
+        assert float(cut.err_estimate).hex() == float(plain.err_estimate).hex()
+        assert cut.subdivisions_used == plain.subdivisions_used
+
+
+def test_first_round_and_refined_results_keep_their_bits():
+    # pinned when the first round was recomputed from the panels on every
+    # call: two integrals that converge in their first round, and one that
+    # is refined
+    one = integrate(lambda x: np.ones_like(x), 0.0, 1.0, CFG)
+    assert (float(one.value).hex(), float(one.err_estimate).hex(), one.subdivisions_used) == \
+        ("0x1.0000000000001p+0", "0x1.31fcdb758a4fcp-34", 10)
+    p = JacobiParams(1.0, 0.5)
+    norm = lp_norm(extremal_function("delta", p, p=2.0, delta=0.2), 2.0, p, (0.0, math.inf), CFG)
+    assert (float(norm.value).hex(), float(norm.err_estimate).hex()) == \
+        ("0x1.94c583ada5b53p+0", "0x1.2ce6961a14e30p-35")
+    calls = []
+
+    def decay(x):
+        calls.append(x.size)
+        return np.exp(-x)
+
+    r = integrate(decay, 0.0, math.inf, CFG)
+    assert len(calls) == 2
+    assert (float(r.value).hex(), float(r.err_estimate).hex(), r.subdivisions_used) == \
+        ("0x1.0000000000001p+0", "0x1.a5a2dabc8c6dcp-34", 22)

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from octool.bounds import grand_norm, lp_norm
 from octool.errors import NonConvergenceError, ParameterError
 from octool import specfun
+from octool.hausdorff import hausdorff_apply, hausdorff_log_grid, make_kernel
+from octool.octransform import FunctionSpec, oc_inverse
+from octool.quad import QuadConfig
 from octool.specfun import (
     JacobiParams,
     _g_batch,
@@ -529,6 +533,88 @@ def test_g_batch_sums_each_abs_x_once(monkeypatch):
         assert x.size == G_XS.size + 1
 
 
+# the catalog and a pair whose kernel 2F1 is a series in z at its shift
+SHARED_PAIRS = (*CATALOG, JacobiParams(2.0, 1.5))
+
+
+def _flat_in_one_pair(p):
+    """An x whose cell at lambda = 0 is flat in p's series and not in its
+    shift's: sinh^2 x = 2^-60 / (alpha + 1.5), between the two largest term
+    ratios' thresholds 2^-60 / (alpha + 1) and 2^-60 / (alpha + 2)."""
+    return math.asinh(math.sqrt(2.0 ** -60 / (p.alpha + 1.5)))
+
+
+def _two_passes(monkeypatch):
+    """Route every pair-form ``_phi_near`` call through two single-pair
+    calls, as a G batch at a fractional 2 alpha takes them."""
+    near = specfun._phi_near
+
+    def single(p, *args):
+        return near(p, *args) if isinstance(p, JacobiParams) else tuple(near(q, *args) for q in p)
+
+    monkeypatch.setattr(specfun, "_phi_near", single)
+
+
+@pytest.mark.parametrize("p", SHARED_PAIRS)
+def test_the_pair_form_of_phi_near_is_two_single_calls(p, monkeypatch):
+    # one Mehler pass for phi and phi^(alpha+1, beta+1) gives each pair's
+    # values and bounds bit for bit, block by block and through G, on near,
+    # far, mixed and 4 x 4 batches and on a cell flat in one pair only
+    up = p.shifted()
+    flat = _flat_in_one_pair(p)
+    batches = {
+        "near": ([0.0, 2.5], [0.3, -1.1]),
+        "far": ([3.0, 7.0], [40.0, -60.0]),
+        "mixed": ([0.0, 0.5, 6.0], [0.2, 2.0, -9.0]),
+        "4x4": ([0.0, 1.5, 8.0, 30.0], [0.05, -0.9, 2.4, 5.0]),
+        "flat": ([0.0, 4.0], [flat, 0.4]),
+        "flat alone": ([0.0], [flat]),
+    }
+    shared, kinds = {}, {}
+    for name, (lams, xs) in batches.items():
+        lams, ax = np.array(lams), np.abs(xs)
+        blocks = specfun._blocks(p, lams, ax)
+        kinds[name] = {args is not None for *_, args in blocks}
+        for rows, cols, _, args in blocks:
+            if args is None:
+                continue
+            both = specfun._phi_near((p, up), lams[rows], ax[cols], *args)
+            for (v, e), q in zip(both, (p, up)):
+                w, f = specfun._phi_near(q, lams[rows], ax[cols], *args)
+                assert np.array_equal(v, w) and np.array_equal(e, f)
+        shared[name] = _g_batch(p, lams, xs)
+    assert (kinds["near"], kinds["far"], kinds["mixed"]) == ({True}, {False}, {True, False})
+    # the flat cell is flat in p only; alone, it leaves p no live column
+    # and its shift one, and each pair takes its own pass
+    sz = np.sinh(flat) ** 2
+    assert (p.alpha + 1.0) * sz <= specfun._FLAT < (p.alpha + 2.0) * sz
+    _two_passes(monkeypatch)
+    for name, (lams, xs) in batches.items():
+        (v, e), (w, f) = shared[name], _g_batch(p, lams, xs)
+        assert np.array_equal(v, w) and np.array_equal(e, f), name
+
+
+@pytest.mark.parametrize("p,shared", [(P2, True), (P3, True), (JacobiParams(0.7, 0.2), False)])
+def test_g_batch_shares_one_mehler_pass_where_2_alpha_is_an_integer(p, shared, monkeypatch):
+    # where 2 alpha is an integer p and its shift share _mehler_rule, and
+    # each near block is one pair-form call; at (0.7, 0.2) the first panel
+    # of each is graded differently, and each pair takes its own pass
+    calls = []
+    near = specfun._phi_near
+
+    def spy(q, *args):
+        calls.append(q)
+        return near(q, *args)
+
+    monkeypatch.setattr(specfun, "_phi_near", spy)
+    _g_batch(p, [0.0, 3.0], [0.4, -1.2])
+    if shared:
+        assert calls and all(q == (p, p.shifted()) for q in calls)
+    else:
+        assert set(calls) == {p, p.shifted()}
+        assert calls.count(p) == calls.count(p.shifted())
+
+
 @pytest.mark.parametrize("p", CATALOG)
 def test_far_cells_against_mpmath(p):
     # |lambda| >= 1 with sinh^2 x > 7/3: the Harish-Chandra expansion, real
@@ -814,3 +900,36 @@ def test_mehler_kernel_sums_its_2f1_in_closed_form_where_it_is_one():
             want = float(c * (mpmath.cosh(2 * x) - mpmath.cosh(2 * s_mp)) ** (p.alpha - 0.5)
                          * (1 - z) ** exponent)
             assert abs(kv - want) <= ke + 1e-15 * want
+
+
+_K, _F = make_kernel("hardy"), FunctionSpec("gaussian")
+# one call per entry point that takes lambda, x or p_exp, at a value v of it
+ENTRY_CALLS = {
+    "jacobi_phi x": lambda v: jacobi_phi(P2, 1.0, v),
+    "jacobi_phi lambda": lambda v: jacobi_phi(P2, v, 1.0),
+    "eigenfunction_g x": lambda v: eigenfunction_g(P2, 1.0, v),
+    "eigenfunction_g lambda": lambda v: eigenfunction_g(P2, v, 1.0),
+    "_g_batch x": lambda v: _g_batch(P2, [1.0, 2.0], [0.5, v]),
+    "_g_batch lambda": lambda v: _g_batch(P2, [1.0, v], [0.5, 3.0]),
+    "_phi_batch x": lambda v: _phi_batch(P2, [1.0, 2.0], [0.5, v]),
+    "_phi_batch lambda": lambda v: _phi_batch(P2, [1.0, v], [0.5, 3.0]),
+    "c_function": lambda v: specfun.c_function(P2, v),
+    "plancherel_density": lambda v: plancherel_density(P2, v),
+    "plancherel_density batch": lambda v: plancherel_density(P2, np.array([1.0, v])),
+    "hausdorff_apply": lambda v: hausdorff_apply(_K, _F, P2, v, QuadConfig()),
+    "hausdorff_log_grid": lambda v: hausdorff_log_grid(_K, _F, P2, np.array([1.0, v]), QuadConfig()),
+    "oc_inverse": lambda v: oc_inverse(lambda lam: np.exp(-lam * lam), P2, v, QuadConfig()),
+    "lp_norm": lambda v: lp_norm(_F, v, P2, (0.0, math.inf), QuadConfig()),
+    "grand_norm": lambda v: grand_norm(_F, v, P2, (0.0, 1.0), QuadConfig()),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", list(ENTRY_CALLS))
+def test_a_non_finite_input_raises_parameter_error_at_entry(call, value):
+    # a NaN or infinite lambda, x or p_exp read as a raw RuntimeWarning, a
+    # panel budget, a series overflow or a NaN integrand; each entry now
+    # refuses it, once per call, before any work
+    with pytest.raises(ParameterError, match="finite"):
+        ENTRY_CALLS[call](value)
