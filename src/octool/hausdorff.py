@@ -12,17 +12,20 @@ sigma = log|x/t| on a fixed panel lattice.  A kernel states its pieces
 power m where phi(t) = t^m on it.  Each x cuts its window at the piece edges
 and evaluates afresh only the cut panels there and at its window ends.  On a
 power piece the integrand is one row-free function, e^(log f A - m sigma),
-scaled per x by |x|^m, so each call sums it once per panel in a table,
-refines a table panel once when a row needs it, and each x takes its whole
-panels from the table with one multiply.  Pieces without a power (Cesaro,
+scaled per x by |x|^m, so a table sums it once per panel, the first time a
+row takes the panel whole, and refines a table panel once when a row needs
+it; each x takes its whole panels from the table with one multiply, and only
+those that can add more than exactly 0.  Pieces without a power (Cesaro,
 Riemann-Liouville, a tabulated kernel's grid segments) read log f A from the
-table and add log phi at each node.  Every panel reports the |Kronrod - Gauss|
-its refinement reads.
+table and add log phi at each node.  A :class:`HausdorffImage` keeps its
+tables for all of its calls.  Every panel reports the |Kronrod - Gauss| its
+refinement reads.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,9 +162,11 @@ class KernelSpec:
         or underflow and only Cesaro and Riemann-Liouville take a log per
         node; each formula is evaluated only inside the support."""
         s = np.asarray(s, dtype=float)
+        if s.ndim == 0:
+            # the formulas below work in place, on arrays
+            return self.log_phi(s.reshape(1))[0]
         lo, hi = self.support()
-        with np.errstate(divide="ignore"):
-            lo, hi = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi)
+        lo, hi = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi)
         inside = None
         if not (s.size and s.min() > lo and s.max() < hi):
             inside = (s > lo) & (s < hi)
@@ -172,19 +177,32 @@ class KernelSpec:
         elif v == "adjoint_hardy":
             val = np.zeros(s.shape)
         elif v == "hlp":
-            val = -np.maximum(s, 0.0)
+            val = np.negative(np.maximum(s, 0.0))
         elif v == "power_cutoff":
             val = q["exponent"] * s
         elif v == "cesaro":
             g = q["gamma_c"]
-            val = math.log(g) + (g - 1.0) * np.log(-np.expm1(s))
+            # in place: log g + (g - 1) log(-expm1(s)) with one temporary
+            val = np.expm1(s)
+            np.negative(val, out=val)
+            np.log(val, out=val)
+            val *= g - 1.0
+            val += math.log(g)
         elif v == "riemann_liouville":
             mu = q["mu"]
-            val = (mu - 1.0) * np.log(-np.expm1(-s)) - s - math.lgamma(mu)
+            # in place: (mu - 1) log(-expm1(-s)) - s - log Gamma(mu)
+            val = np.negative(s)
+            np.expm1(val, out=val)
+            np.negative(val, out=val)
+            np.log(val, out=val)
+            val *= mu - 1.0
+            val -= s
+            val -= math.lgamma(mu)
         else:
             grid = np.asarray(q["grid"], dtype=float)
             with np.errstate(divide="ignore"):
-                val = np.log(np.interp(np.exp(s), grid, np.asarray(q["values"], dtype=float)))
+                val = np.interp(np.exp(s), grid, np.asarray(q["values"], dtype=float))
+                np.log(val, out=val)
         if inside is None:
             return val
         out = np.full(inside.shape, -math.inf)
@@ -314,6 +332,15 @@ _LATTICE_LOG_SINH, _LATTICE_LOG_COSH = log_sinh_cosh(_LATTICE_U)
 # near 1 MB where a row reads its panels node by node, and table entries,
 # one number a panel, ran slower in larger passes
 _CHUNK_PANELS = 8192
+# the HausdorffImage whose log_abs_decomp is running: hausdorff_log_grid
+# uses its tables when called with its k, f, params and cfg
+_IMAGE = ContextVar("_IMAGE", default=None)
+# e^v is exactly 0 below v = -745.2: a table panel whose peak lies this far
+# below its row's shift adds 0 whatever the rounding of its scale
+_UNDERFLOW = 747.0
+# a pass trims its rows' ranges of table panels only where they hold more
+# than this many panels in all: trimming a few costs more than it saves
+_TRIM_PANELS = 256
 # refinement of a table panel or a row whose estimate exceeds rel_tol: at
 # most this many rounds, and this many panel splits in all
 _REFINE_ROUNDS = 12
@@ -321,12 +348,13 @@ _REFINE_SPLITS = 64
 # the nodes a panel keeps for choosing its split point: the two at each
 # end; a fall of e^40 at the log slope between two of them takes this
 # share of the panel's width
-_PROBE = [0, 1, -2, -1]
+_PROBE = np.array([0, 1, -2, -1])
 _E40_REACH = -20.0 * (_UNIT_NODES[1] - _UNIT_NODES[0])
 # |K - G| of a panel whose node values carry a relative rounding of eps |L|,
 # L their log, is at most about twice that of its Kronrod sum; a panel within
 # 16 times that is at its rounding floor, and splitting it gains nothing
-_NOISE = 32.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_NOISE = 32.0 * _EPS
 
 
 def _side_edges(ends) -> np.ndarray:
@@ -349,8 +377,8 @@ def _window_panels(e, s_lo, s_hi, clip_lo, clip_hi):
     (``clip_lo``, ``clip_hi``), whose cut panel the divergence test and the
     tail charge read.  A cut panel narrower than half of its neighbour takes
     the neighbour in; a window with no whole panel left is halved."""
-    ja = np.searchsorted(e, s_lo, side="left")
-    jb = np.searchsorted(e, s_hi, side="right") - 1
+    ja = e.searchsorted(s_lo, side="left")
+    jb = e.searchsorted(s_hi, side="right") - 1
     on_lo = (e[ja] == s_lo) & ~clip_lo
     on_hi = (e[jb] == s_hi) & ~clip_hi
     ja = ja + ((ja < jb) & ~on_lo & (e[ja] - s_lo < 0.5 * (e[ja + 1] - e[ja])))
@@ -368,6 +396,15 @@ def _fa_log(f, p, u, log_a=None):
     return (plain + (1.0 - 1.0 / root) * log_a.ravel()).reshape(u.shape)
 
 
+def _nodes(lo, hi):
+    """(half, sigma): the half-width of each panel (lo, hi) and its 15
+    Kronrod nodes, built in one array: large temporaries cost page faults."""
+    half = 0.5 * (hi - lo)
+    sigma = half[:, None] * _UNIT_NODES
+    sigma += (0.5 * (lo + hi))[:, None]
+    return half, sigma
+
+
 def _panel_sums(summand, shift, half):
     """(panels, 3): the Kronrod sum, |Kronrod - Gauss| and the plain sum of
     the node values of each panel of e^(summand - shift); ``summand`` is
@@ -376,7 +413,7 @@ def _panel_sums(summand, shift, half):
     doubled, since a one-row product takes another summation order."""
     np.subtract(summand, shift[:, None], out=summand)
     vals = np.exp(summand, out=summand)
-    out = (np.repeat(vals, 2, axis=0) @ _KD_WEIGHTS)[:1] if half.size == 1 else vals @ _KD_WEIGHTS
+    out = (vals.repeat(2, axis=0) @ _KD_WEIGHTS)[:1] if half.size == 1 else vals @ _KD_WEIGHTS
     out[:, :2] *= half[:, None]
     np.abs(out[:, 1], out=out[:, 1])
     return out
@@ -418,130 +455,211 @@ def _refine(owner, lo, hi, sums, probe, shift, live, evaluate, rel_tol, base=Non
     gives the log integrand at the children's nodes; a child that peaks
     above its owner's shift raises it, and the owner's sums are rescaled to
     it.  The lower child takes its parent's slot and the upper one goes at
-    the end, and no owner's panels depend on another's.  Returns (owner,
+    the end, and no owner's panels depend on another's.
+    An owner that splits no panel in a round never splits one again, since
+    nothing of its own changed, so each round reads only the panels of the
+    owners that split in the last one, in place order: each owner's sums
+    are summed over its own panels in the same order as over all of them.
+    The panels are kept in arrays that grow by doubling.  Returns (owner,
     origin, lo, hi, sums, probe, shift), origin being the index of the panel
     each one was refined from, or None where no panel split."""
-    n = shift.size
+    n, count = shift.size, owner.size
     base = np.zeros((n, 3)) if base is None else base.copy()
     origin = None
     splits = np.zeros(n, dtype=np.intp)
-    whole = np.zeros(owner.size, dtype=bool)
+    whole = np.zeros(count, dtype=bool)
+    # the panels of the owners that may still split, None for all panels
+    # (where those are most of them, reading them all costs less)
+    act = None
     for _ in range(_REFINE_ROUNDS):
-        kron, diff = sums[:, 0], sums[:, 1]
-        size = base[:, 0] + np.bincount(owner, kron, minlength=n)
-        need = live & (base[:, 1] + np.bincount(owner, diff, minlength=n) > rel_tol * size)
+        if act is None:
+            o, kron, diff, wh = owner[:count], sums[:count, 0], sums[:count, 1], whole[:count]
+        else:
+            o, kron, diff, wh = owner[act], sums[act, 0], sums[act, 1], whole[act]
+        size = base[:, 0] + np.bincount(o, kron, minlength=n)
+        need = live & (base[:, 1] + np.bincount(o, diff, minlength=n) > rel_tol * size)
         need &= splits < _REFINE_SPLITS
-        if not need.any():
-            break
         # a panel is split when it carries more than its share of the tolerance
-        fair = rel_tol * size / (base[:, 2] + np.bincount(owner, minlength=n))
-        cand = np.flatnonzero(need[owner] & (diff > fair[owner]) & ~whole)
-        if not cand.size:
+        fair = rel_tol * size / (base[:, 2] + np.bincount(o, minlength=n))
+        pick = (need[o] & (diff > fair[o]) & ~wh).nonzero()[0]
+        if not pick.size:
             break
+        cand = pick if act is None else act[pick]
         cut = _split_points(probe[cand], lo[cand], hi[cand])
         # a panel at floating-point resolution stays whole, and so does one
         # whose |K - G| is within the rounding of its largest node values (a
         # log value L is known to eps |L|, and so is e^L); neither is tried
         # again
         ok = (cut > lo[cand]) & (cut < hi[cand]) & (
-            diff[cand] > _NOISE * np.abs(probe[cand].max(axis=1)) * kron[cand])
+            diff[pick] > _NOISE * np.abs(probe[cand].max(axis=1)) * kron[pick])
         whole[cand[~ok]] = True
-        cand, cut = cand[ok], cut[ok]
+        cand, cut, cdiff = cand[ok], cut[ok], diff[pick[ok]]
         co = owner[cand]
         budget = _REFINE_SPLITS - splits
         if (np.bincount(co, minlength=n) > budget).any():
             # within an owner's remaining budget, its worst panels; the
             # candidates keep their order, so no owner's depends on another's
-            order = np.lexsort((-diff[cand], co))
+            order = np.lexsort((-cdiff, co))
             rank = np.empty(cand.size, dtype=np.intp)
-            rank[order] = np.arange(cand.size) - np.searchsorted(co[order], co[order])
+            rank[order] = np.arange(cand.size) - co[order].searchsorted(co[order])
             keep = rank < budget[co]
             cand, cut, co = cand[keep], cut[keep], co[keep]
         if not cand.size:
             break
         if origin is None:
-            origin = np.arange(owner.size)
-        splits += np.bincount(co, minlength=n)
+            origin = np.arange(count)
+        split = np.bincount(co, minlength=n)
+        splits += split
         klo = np.concatenate([lo[cand], cut])
         khi = np.concatenate([cut, hi[cand]])
         ko = np.concatenate([co, co])
-        khalf = 0.5 * (khi - klo)
-        ksum = evaluate(ko, 0.5 * (klo + khi)[:, None] + khalf[:, None] * _UNIT_NODES)
+        khalf, ksigma = _nodes(klo, khi)
+        ksum = evaluate(ko, ksigma)
         # a peak the first nodes missed (a boundary layer at a window end)
-        # raises its owner's shift, and the owner's sums are rescaled to it
+        # raises its owner's shift, and the owner's sums are rescaled to it;
+        # only an owner that split can be raised
         raised = shift.copy()
         np.maximum.at(raised, ko, ksum.max(axis=1))
         if (raised > shift).any():
             scale = np.exp(shift - raised)
-            sums *= scale[owner, None]
+            if act is None:
+                sums[:count] *= scale[o, None]
+            else:
+                sums[act] *= scale[o, None]
             base[:, :2] *= scale[:, None]
             shift = raised
         kprobe = ksum[:, _PROBE]
         ksums = _panel_sums(ksum, shift[ko], khalf)
         m = cand.size
         hi[cand], sums[cand], probe[cand] = cut, ksums[:m], kprobe[:m]
-        owner = np.concatenate([owner, co])
-        origin = np.concatenate([origin, origin[cand]])
-        lo = np.concatenate([lo, cut])
-        hi = np.concatenate([hi, khi[m:]])
-        sums = np.concatenate([sums, ksums[m:]])
-        probe = np.concatenate([probe, kprobe[m:]])
-        whole = np.concatenate([whole, np.zeros(m, dtype=bool)])
-    return owner, origin, lo, hi, sums, probe, shift
+        if count + m > owner.size:
+            owner, origin, lo, hi, sums, probe, whole = (
+                _grown(a, count, count + m) for a in (owner, origin, lo, hi, sums, probe, whole))
+        new = slice(count, count + m)
+        owner[new], origin[new], lo[new], hi[new] = co, origin[cand], cut, khi[m:]
+        sums[new], probe[new], whole[new] = ksums[m:], kprobe[m:], False
+        go = split[o] > 0
+        act = np.concatenate([go.nonzero()[0] if act is None else act[go],
+                              np.arange(count, count + m)])
+        count += m
+        if 2 * act.size > count:
+            act = None
+    if origin is not None:
+        origin = origin[:count]
+    return owner[:count], origin, lo[:count], hi[:count], sums[:count], probe[:count], shift
+
+
+def _grown(a, count, need):
+    """A copy of ``a`` with room for at least ``need`` rows, twice as many
+    as it had where that is more, its first ``count`` rows kept."""
+    out = np.empty((max(need, 2 * a.shape[0]), *a.shape[1:]), dtype=a.dtype)
+    out[:count] = a[:count]
+    return out
 
 
 class _Table:
-    """The whole panels that the rows of one call take on one side of
-    u = 0, panel by panel: ``lo``, ``hi`` and ``m``, the power t^m of phi
-    on the piece the panel serves.
+    """The whole panels that rows take on one side of u = 0, indexed by slot
+    and panel of the side's ``edges``: entry slot * width + j for panel j,
+    ``width`` one more than the panels, so that a slot's entry ranges may
+    end on its spare last entry.  A panel is evaluated the first time a row
+    takes it whole (``filled``).
 
-    For a kernel with power pieces, a panel holds the sums of the row-free
+    For a kernel with power pieces, one slot per piece in sigma order, with
+    its power t^m in ``ms``: a panel holds the sums of the row-free
     e^(log f A - m sigma), relative to e^peak, its largest node value:
-    ``peak``, ``sums`` and ``probe`` from its 15 nodes, and once a row of
-    the call needs it refined, ``fine_peak`` and ``fine_sums`` refined to
-    its own rel_tol (``done``), the :func:`_panel_sums` columns summed over
-    its sub-panels in sigma order.
-    For a kernel without power pieces, ``nodes`` holds log f A at the 15
-    nodes, to which a row adds its log phi; its pieces share the panels.
-    A panel depends on nothing but itself."""
+    ``peak``, ``sums`` and ``probe`` from its 15 nodes, and once a row
+    needs it refined, ``fine_peak`` and ``fine_sums`` refined to its own
+    rel_tol (``done``), the :func:`_panel_sums` columns summed over its
+    sub-panels in sigma order.
+    For a kernel without power pieces, one slot and ``ms`` None: ``nodes``
+    holds log f A at the 15 nodes, to which a row adds its log phi; its
+    pieces share the panels.
+    A panel depends on nothing but itself, so one table serves every call
+    of a :class:`HausdorffImage`."""
 
-    def __init__(self, f, p, side, edges, parts, power):
-        j = np.concatenate([np.empty(0, dtype=np.intp), *(jj for jj, _ in parts)])
-        self.m = np.concatenate([np.empty(0), *(np.full(jj.size, m or 0.0) for jj, m in parts)])
-        self.lo, self.hi = lo, hi = edges[j], edges[j + 1]
-        half = 0.5 * (hi - lo)
-        sigma = 0.5 * (lo + hi)[:, None] + half[:, None] * _UNIT_NODES
-        u = side * np.exp(sigma)
+    def __init__(self, f, p, side, edges, ms):
+        self.f, self.p, self.side, self.edges, self.ms = f, p, side, edges, ms
+        self.width = edges.size
+        size = self.width * (1 if ms is None else ms.size)
+        self.filled = np.zeros(size, dtype=bool)
+        if ms is None:
+            self.nodes = np.empty((size, _UNIT_NODES.size))
+            return
+        self.peak = np.full(size, -math.inf)
+        self.sums, self.probe = np.zeros((size, 3)), np.zeros((size, len(_PROBE)))
+        self.fine_peak, self.fine_sums = self.peak.copy(), self.sums.copy()
+        self.done = np.zeros(size, dtype=bool)
+        self._hulls = None
+
+    def fill(self, ja, jb):
+        """Evaluate the panels of the entries ja .. jb - 1 of each range
+        that are not filled yet."""
+        size = self.filled.size
+        used = (np.bincount(ja, minlength=size) - np.bincount(jb, minlength=size)).cumsum() > 0
+        new = (used & ~self.filled).nonzero()[0]
+        if not new.size:
+            return
+        self.filled[new] = True
+        slot, j = np.divmod(new, self.width)
+        lo, hi = self.edges[j], self.edges[j + 1]
+        half, sigma = _nodes(lo, hi)
+        u = self.side * np.exp(sigma)
         # log A from the lattice's own nodes where a panel is a lattice panel
-        lat = np.minimum(np.searchsorted(_EDGES, lo), _EDGES.size - 2)
+        lat = np.minimum(_EDGES.searchsorted(lo), _EDGES.size - 2)
         on = (_EDGES[lat] == lo) & (_EDGES[lat + 1] == hi)
-        es, ec = p.weight_exponents
+        es, ec = self.p.weight_exponents
         log_a = np.empty(sigma.shape)
         log_a[on] = es * _LATTICE_LOG_SINH[lat[on]] + ec * _LATTICE_LOG_COSH[lat[on]]
-        log_a[~on] = log_weight_a(p, u[~on])
-        summand = _fa_log(f, p, u, log_a)
-        self.nodes = None
-        if not power:
-            self.nodes = summand
+        log_a[~on] = log_weight_a(self.p, u[~on])
+        summand = _fa_log(self.f, self.p, u, log_a)
+        if self.ms is None:
+            self.nodes[new] = summand
             return
-        summand -= self.m[:, None] * sigma
-        self.peak = summand.max(axis=1)
-        self.live = np.isfinite(self.peak)
-        self.probe = summand[:, _PROBE]
-        self.sums = _panel_sums(summand, np.where(self.live, self.peak, 0.0), half)
-        self.sums[~self.live] = 0.0
-        self.fine_peak, self.fine_sums = self.peak.copy(), self.sums.copy()
-        self.done = np.zeros(lo.size, dtype=bool)
+        summand -= self.ms[slot][:, None] * sigma
+        peak = summand.max(axis=1)
+        live = np.isfinite(peak)
+        self.peak[new] = self.fine_peak[new] = peak
+        self.probe[new] = summand[:, _PROBE]
+        sums = _panel_sums(summand, np.where(live, peak, 0.0), half)
+        sums[~live] = 0.0
+        self.sums[new] = self.fine_sums[new] = sums
+        self._hulls = None
+
+    def hull(self, entry, floor):
+        """(first, end) for each query: the entries first .. end - 1 of the
+        slot of ``entry`` span every filled panel there whose peak exceeds
+        ``floor``, and first >= end where none does."""
+        if self._hulls is None:
+            # per slot, its entries by decreasing peak, and the lowest and
+            # the highest entry among the first c of them
+            slots = self.peak.size // self.width
+            order = np.lexsort((-self.peak, np.arange(self.peak.size) // self.width))
+            order = order.reshape(slots, self.width)
+            none = np.zeros((slots, 1), dtype=np.intp)
+            self._hulls = (-self.peak[order],
+                           np.hstack([none + self.peak.size, np.minimum.accumulate(order, axis=1)]),
+                           np.hstack([none, np.maximum.accumulate(order, axis=1) + 1]))
+        desc, first, end = self._hulls
+        slot = entry // self.width
+        if desc.shape[0] == 1:
+            c = desc[0].searchsorted(-floor)
+        else:
+            c = np.empty(entry.size, dtype=np.intp)
+            for s in range(desc.shape[0]):
+                mine = slot == s
+                c[mine] = desc[s].searchsorted(-floor[mine])
+        return first[slot, c], end[slot, c]
 
     def settle(self, which, owner, lo, sums, shift):
-        """Store the refinement of the panels ``which``: their sub-panels
+        """Store the refinement of the entries ``which``: their sub-panels
         (owner, lo, sums) as :func:`_refine` left them, owner i standing
         for which[i], and each one's ``shift``."""
         order = np.lexsort((lo, owner))
         owner, sums = owner[order], sums[order]
         self.fine_sums[which] = np.stack(
             [np.bincount(owner, c, minlength=which.size) for c in sums.T], axis=1)
-        self.fine_peak[which] = np.where(self.live[which], shift, self.peak[which])
+        peak = self.peak[which]
+        self.fine_peak[which] = np.where(np.isfinite(peak), shift, peak)
         self.done[which] = True
 
 
@@ -562,22 +680,29 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
     edge, so no panel straddles a kink of phi.  On a power piece t^m, phi at
     t = |x| e^(-sigma) is |x|^m e^(-m sigma), so the integrand is one
     row-free function scaled per x.  For each sign of u and each power
-    piece, one table per call holds every panel the rows take whole: its
-    sums of e^(log f A - m sigma) from its 15 nodes, relative to its peak.
-    A row takes its whole panels from the table, each scaled by e^(m log|x|
-    + peak - shift), one multiply per panel, and evaluates afresh only its
-    cut panels: at its window ends and at the piece edges.  A row whose
-    summed |Kronrod - Gauss| exceeds ``cfg.rel_tol`` takes the table panels
-    that carry more than their share of it refined.  A table panel is
-    refined once per call, to its own rel_tol, in the same rounds as the
+    piece, one table holds every panel the rows take whole: its sums of
+    e^(log f A - m sigma) from its 15 nodes, relative to its peak, evaluated
+    the first time a row takes the panel.  A :class:`HausdorffImage` keeps
+    its tables across its calls; any other call builds its own.  A row
+    takes its whole panels from the table, each scaled by e^(m log|x| +
+    peak - shift), one multiply per panel, and evaluates afresh only its cut
+    panels: at its window ends and at the piece edges.  A whole panel whose
+    scale is exactly 0 adds exactly 0, so a row reads only the range of its
+    table panels that can add more, and counts the rest in its fair share.
+    A row whose summed |Kronrod - Gauss| exceeds ``cfg.rel_tol`` takes the
+    table panels that carry more than their share of it refined.  A table
+    panel is refined once, to its own rel_tol, in the same rounds as the
     rows' cut panels, which a row splits where they carry more than their
     share of its tolerance: up to 12 rounds of at most 64 splits per panel
     or row.  Pieces without a power (Cesaro, Riemann-Liouville, tabulated)
-    share one part of the table, log f A at its nodes, to which a row adds
+    share one slot of the table, log f A at its nodes, to which a row adds
     log phi at t = |x| e^(-sigma) per node, and a row refines any of its
-    panels.  A row's panels are summed in sigma order, and a table panel
-    depends on nothing but itself, so a row's result does not depend on the
-    other x values or on the chunking.
+    panels but those that sum to exactly 0.  A row's panels are summed in
+    sigma order, and a table panel depends on nothing but itself, so a
+    row's result does not depend on the other x values, on the chunking or
+    on the calls before.  The rows go in blocks of at most 8192 segments and
+    chunks of about 8192 panels, so memory does not grow with the number of
+    x values or pieces.
 
     Returns (log_vals, rel_err) with log_vals = -inf where H f vanishes and
     +inf where the t-integral diverges: where the integrand peaks at a
@@ -601,8 +726,13 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
             "negative value")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     _require_finite("x", xs)
-    if np.any(xs == 0.0):
+    if (xs == 0.0).any():
         raise SingularityError("hausdorff operator is undefined at x = 0")
+    # the tables of the image this call evaluates, or new ones
+    image = _IMAGE.get()
+    same = image is not None and all(
+        a is b for a, b in zip((image.k, image.f, image.params, image.cfg), (k, f, p, cfg)))
+    tables = image._tables if same else {}
     klo, khi = k.support()
     try:
         flo, fhi = f.support()
@@ -635,164 +765,185 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
         log_vals = np.full(xs.shape, -math.inf)
         rel_err = np.zeros(xs.shape)
         pts, neg = logs[6:6 + points.size], logs[6 + points.size:]
+        # the power t^m of each piece of phi in sigma order, or None
+        ms = [m for _, _, m in k.pieces()[::-1]]
+        ms = None if ms[0] is None else np.array(ms)
         for side, mine, ends in ((1.0, pos, [f_lo, f_hi, *pts]),
                                  (-1.0, ~pos, [f_lo_neg, f_hi_neg, *neg])):
-            r = np.flatnonzero(mine & (s_lo < s_hi))
+            r = (mine & (s_lo < s_hi)).nonzero()[0]
             if r.size:
+                if side not in tables:
+                    tables[side] = _Table(f, p, side, _side_edges(np.array(ends)), ms)
                 log_vals[r], rel_err[r] = _log_grid_side(
-                    k, f, p, cfg, side, _side_edges(np.array(ends)), xs[r], log_x[r],
-                    s_lo[r], s_hi[r], cut_lo[r], cut_hi[r])
+                    k, cfg, tables[side], xs[r], log_x[r], s_lo[r], s_hi[r], cut_lo[r],
+                    cut_hi[r])
     return log_vals, rel_err
 
 
-def _log_grid_side(k, f, p, cfg, side, edges, x, log_x, s_lo, s_hi, cut_lo, cut_hi):
+def _log_grid_side(k, cfg, table, x, log_x, s_lo, s_hi, cut_lo, cut_hi):
     """(log A(x) H f(x), rel_err) for the rows of :func:`hausdorff_log_grid`
-    on one side of x = 0, whose windows are not empty: their segments, one
-    per piece of phi, the call's table of their whole panels, and the rows
-    in chunks."""
+    on one side of x = 0, whose windows are not empty, in blocks of rows of
+    at most _CHUNK_PANELS segments: a block's segments, one per piece of
+    phi, its whole panels filled in the ``table``, and its rows in chunks."""
     n = log_x.size
     # the pieces of phi in sigma order, that is by decreasing t
     order = k.pieces()[::-1]
-    power = order[0][2] is not None
-    # a segment per piece, split at sigma = log|x| - log t of each kink
-    bounds = [s_lo, *(np.clip(log_x - math.log(a), s_lo, s_hi) for a, _, _ in order[:-1]), s_hi]
-    seg_lo, seg_hi = np.stack(bounds[:-1], axis=1).ravel(), np.stack(bounds[1:], axis=1).ravel()
-    keep = np.flatnonzero(seg_lo < seg_hi)
-    seg_row, seg_piece = keep // len(order), keep % len(order)
-    seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
-    ja, jb, lo_cut, hi_cut = _window_panels(
-        edges, seg_lo, seg_hi, cut_lo[seg_row] & (seg_lo == s_lo[seg_row]),
-        cut_hi[seg_row] & (seg_hi == s_hi[seg_row]))
-    # one table for the whole call: per power piece, the panels its
-    # segments take whole, and one part for all the pieces without a power,
-    # whose node values do not depend on the piece; ta .. ta + jb - ja - 1
-    # are a segment's table entries
-    ta = np.zeros(seg_row.size, dtype=np.intp)
-    parts, filled = [], 0
-    part = seg_piece if power else np.zeros(seg_piece.size, dtype=np.intp)
-    for i, (_, _, m) in enumerate(order if power else order[:1]):
-        mine = np.flatnonzero((part == i) & (ja < jb))
-        if mine.size:
-            used = np.cumsum(np.bincount(ja[mine], minlength=edges.size)
-                             - np.bincount(jb[mine], minlength=edges.size)) > 0
-            ta[mine] = filled + np.cumsum(used)[ja[mine]] - 1
-            parts.append((np.flatnonzero(used), m))
-            filled += parts[-1][0].size
-    table = _Table(f, p, side, edges, parts, power)
-    seg = (seg_row, np.array([m or 0.0 for _, _, m in order])[seg_piece], seg_lo, lo_cut,
-           hi_cut, seg_hi, ta, ta + jb - ja)
-    # the rows in chunks of about _CHUNK_PANELS panels
-    count = np.cumsum((lo_cut > seg_lo) + (jb - ja) + (seg_hi > hi_cut))
-    if count[-1] <= _CHUNK_PANELS:
-        return _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table)
-    chunk = count[np.searchsorted(seg_row, np.arange(n), side="right") - 1] // _CHUNK_PANELS
-    starts = np.flatnonzero(np.diff(chunk, prepend=-1))
+    kinks = np.array([math.log(a) for a, _, _ in order[:-1]])
     log_vals, rel_err = np.empty(n), np.empty(n)
-    for r0, r1 in zip(starts, [*starts[1:], n]):
-        c = slice(*np.searchsorted(seg_row, [r0, r1]))
-        log_vals[r0:r1], rel_err[r0:r1] = _log_grid_rows(
-            k, f, p, cfg, side, x[r0:r1], log_x[r0:r1], cut_lo[r0:r1], cut_hi[r0:r1],
-            (seg[0][c] - r0, *(a[c] for a in seg[1:])), table)
+    step = max(1, _CHUNK_PANELS // len(order))
+    b0 = 0
+    while b0 < n:
+        b = slice(b0, b0 + step)
+        lx, lo, hi = log_x[b], s_lo[b], s_hi[b]
+        # a segment per piece, split at sigma = log|x| - log t of each kink
+        bounds = np.empty((lx.size, len(order) + 1))
+        bounds[:, 0], bounds[:, -1] = lo, hi
+        bounds[:, 1:-1] = np.clip(lx[:, None] - kinks, lo[:, None], hi[:, None])
+        seg_lo, seg_hi = bounds[:, :-1].ravel(), bounds[:, 1:].ravel()
+        keep = (seg_lo < seg_hi).nonzero()[0]
+        seg_row, seg_piece = keep // len(order), keep % len(order)
+        seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
+        ja, jb, lo_cut, hi_cut = _window_panels(
+            table.edges, seg_lo, seg_hi, cut_lo[b][seg_row] & (seg_lo == lo[seg_row]),
+            cut_hi[b][seg_row] & (seg_hi == hi[seg_row]))
+        # a segment takes the table entries ja .. jb - 1 whole, in its
+        # piece's slot for a power piece; all other pieces share one slot
+        if table.ms is not None:
+            ja, jb = ja + seg_piece * table.width, jb + seg_piece * table.width
+        whole = ja < jb
+        table.fill(ja[whole], jb[whole])
+        seg = (seg_row, seg_lo, lo_cut, hi_cut, seg_hi, ja, jb)
+        # the rows in chunks of about _CHUNK_PANELS panels
+        count = ((lo_cut > seg_lo) + (jb - ja) + (seg_hi > hi_cut)).cumsum()
+        rows = lx.size
+        starts = [0]
+        if count[-1] >= _CHUNK_PANELS:
+            chunk = count[seg_row.searchsorted(np.arange(rows), side="right") - 1] // _CHUNK_PANELS
+            starts += list((chunk[1:] != chunk[:-1]).nonzero()[0] + 1)
+        # the rows of a block's last chunk go with the next block's
+        ends = [*starts[1:], rows]
+        if len(starts) > 1 and b0 + rows < n:
+            starts, ends = starts[:-1], ends[:-1]
+        for r0, r1 in zip(starts, ends):
+            c = slice(*seg_row.searchsorted([r0, r1]))
+            r = slice(b0 + r0, b0 + r1)
+            log_vals[r], rel_err[r] = _log_grid_rows(
+                k, cfg, table, x[r], log_x[r], cut_lo[r], cut_hi[r],
+                (seg[0][c] - r0, *(a[c] for a in seg[1:])))
+        b0 += ends[-1]
     return log_vals, rel_err
 
 
-def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
+def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
     """(log A(x) H f(x), rel_err) for the rows of one array pass of
-    :func:`hausdorff_log_grid`, from their segments ``seg`` and the call's
-    ``table`` of whole panels."""
+    :func:`hausdorff_log_grid`, from their segments ``seg`` and the
+    ``table`` of whole panels, filled for them."""
+    f, p, side = table.f, table.p, table.side
     n = log_x.size
-    srow, sm, s_lo, lo_cut, hi_cut, s_hi, ta, tb = seg
-    power = table.nodes is None
+    srow, s_lo, lo_cut, hi_cut, s_hi, ja, jb = seg
+    power = table.ms is not None
+    has_lo, has_hi = lo_cut > s_lo, s_hi > hi_cut
+    # the panels a row reads node by node: its cut panels, evaluated
+    # afresh, and for a kernel without power pieces the table's panels too
+    lower, upper = has_lo.nonzero()[0], has_hi.nonzero()[0]
+    cuts = np.concatenate([lower, upper])
+    nlo = np.concatenate([s_lo[lower], hi_cut[upper]])
+    nhi = np.concatenate([lo_cut[lower], s_hi[upper]])
+    nrow = srow[cuts]
+    # the node values next to an artificial cut: the lower cut panel of a
+    # row's first segment or the upper one of its last
+    first = srow.searchsorted(np.arange(n))
+    last = np.concatenate([first[1:], [srow.size]]) - 1
+    hit_lo, hit_hi = cut_lo.nonzero()[0], cut_hi.nonzero()[0]
+    if power:
+        # every table panel of a row counts in its fair share
+        wcount = np.bincount(srow, jb - ja, minlength=n).astype(np.intp)
+        half, sigma = _nodes(nlo, nhi)
+        summand = _fa_log(f, p, side * np.exp(sigma))
+        # log t = log|x| - sigma
+        summand += k.log_phi(np.subtract(log_x[nrow, None], sigma, out=sigma))
+        end_lo = lower.searchsorted(first[hit_lo])
+        end_hi = lower.size + upper.searchsorted(last[hit_hi])
+        # the shift is each row's largest node value, where a table panel's
+        # is its peak scaled by |x|^m; rounding is monotone, so a segment's
+        # largest is its scale times the range max of the table's peaks
+        shift = np.full(n, -math.inf)
+        np.maximum.at(shift, nrow, summand.max(axis=1))
+        lx = table.ms[ja // table.width] * log_x[srow]
+        full = (ja < jb).nonzero()[0]
+        if full.size:
+            ranges = np.empty(2 * full.size, dtype=np.intp)
+            ranges[::2], ranges[1::2] = ja[full], jb[full]
+            most = np.maximum.reduceat(table.peak, ranges)[::2]
+            np.maximum.at(shift, srow[full], lx[full] + most)
+        live = np.isfinite(shift)
+        shift = np.where(live, shift, 0.0)
+        if wcount.sum() > _TRIM_PANELS:
+            # a whole panel whose e^(top - shift) is exactly 0 adds exactly
+            # 0 to its row and is never picked: each segment reads only the
+            # range of panels that its table says can add more
+            a, b = table.hull(ja[full], shift[srow[full]] - lx[full] - _UNDERFLOW)
+            ja, jb = ja.copy(), jb.copy()
+            ja[full] = np.maximum(ja[full], a)
+            jb[full] = np.maximum(np.minimum(jb[full], b), ja[full])
     # each row's panels in sigma order, segment by segment: its lower cut
     # panel unless that is empty, its whole panels from the table, its
     # upper cut panel unless that is empty; ``start`` is a segment's first
     # place in that order
-    has_lo, has_hi = lo_cut > s_lo, s_hi > hi_cut
-    w = tb - ta
+    w = jb - ja
     count = has_lo + w + has_hi
-    start = np.cumsum(count) - count
+    start = count.cumsum() - count
     total = int(start[-1] + count[-1])
-    skip = np.cumsum(w) - w
+    skip = w.cumsum() - w
     at = np.arange(int(skip[-1] + w[-1]))
-    wtab = at + np.repeat(ta - skip, w)
-    wlay = at + np.repeat(start + has_lo - skip, w)
-    wrow = np.repeat(srow, w)
-    # the panels a row reads node by node: its cut panels, evaluated
-    # afresh, and for a kernel without power pieces the table's panels too,
-    # which then puts them all in sigma order
-    lower, upper = np.flatnonzero(has_lo), np.flatnonzero(has_hi)
-    cuts = np.concatenate([lower, upper])
+    wtab = at + (ja - skip).repeat(w)
+    wlay = at + (start + has_lo - skip).repeat(w)
+    wrow = srow.repeat(w)
     nlay = np.concatenate([start[lower], (start + count - 1)[upper]])
-    nlo = np.concatenate([s_lo[lower], hi_cut[upper]])
-    nhi = np.concatenate([lo_cut[lower], s_hi[upper]])
-    nrow = srow[cuts]
     if not power:
+        # every panel in sigma order, the table's read from its nodes
         order = np.empty(total, dtype=np.intp)
         order[np.concatenate([nlay, wlay])] = np.arange(total)
         nlay, nrow = np.arange(total), np.concatenate([nrow, wrow])[order]
-        nlo = np.concatenate([nlo, table.lo[wtab]])[order]
-        nhi = np.concatenate([nhi, table.hi[wtab]])[order]
+        nlo = np.concatenate([nlo, table.edges[wtab]])[order]
+        nhi = np.concatenate([nhi, table.edges[wtab + 1]])[order]
         wtab = np.concatenate([np.full(cuts.size, -1), wtab])[order]
-    half = 0.5 * (nhi - nlo)
-    sigma = 0.5 * (nlo + nhi)[:, None] + half[:, None] * _UNIT_NODES
-    if power:
-        summand = _fa_log(f, p, side * np.exp(sigma))
-    else:
-        summand = table.nodes[np.maximum(wtab, 0)] if table.nodes.size else np.empty(sigma.shape)
-        own = np.flatnonzero(wtab < 0)
+        half, sigma = _nodes(nlo, nhi)
+        summand = table.nodes[np.maximum(wtab, 0)]
+        own = (wtab < 0).nonzero()[0]
         summand[own] = _fa_log(f, p, side * np.exp(sigma[own]))
-    # log t = log|x| - sigma
-    summand += k.log_phi(np.subtract(log_x[nrow, None], sigma, out=sigma))
-    probe = summand[:, _PROBE]
-    # the node values next to an artificial cut: the lower cut panel of a
-    # row's first segment or the upper one of its last
-    first = np.searchsorted(srow, np.arange(n))
-    last = np.append(first[1:], srow.size) - 1
-    hit_lo, hit_hi = np.flatnonzero(cut_lo), np.flatnonzero(cut_hi)
-    if power:
-        end_lo = np.searchsorted(lower, first[hit_lo])
-        end_hi = lower.size + np.searchsorted(upper, last[hit_hi])
-    else:
+        summand += k.log_phi(np.subtract(log_x[nrow, None], sigma, out=sigma))
         end_lo, end_hi = start[first[hit_lo]], (start + count - 1)[last[hit_hi]]
-    ends = [(hit_lo, 0, end_lo, summand[end_lo]), (hit_hi, -1, end_hi, summand[end_hi])]
-
-    # the shift is each row's largest node value, where a table panel's is
-    # its peak scaled by |x|^m; each row's whole panels are contiguous
-    if power:
-        shift = np.full(n, -math.inf)
-        np.maximum.at(shift, nrow, summand.max(axis=1))
-        wcount = np.bincount(srow, w, minlength=n).astype(np.intp)
-        lx = np.repeat(sm * log_x[srow], w)
-        top = lx + table.peak[wtab]
-        if at.size:
-            most = np.maximum.reduceat(top, np.minimum(np.cumsum(wcount) - wcount, at.size - 1))
-            shift = np.maximum(shift, np.where(wcount > 0, most, -math.inf))
-    else:
         shift = np.maximum.reduceat(summand.ravel(), start[first] * _UNIT_NODES.size)
-    live = np.isfinite(shift)
-    shift = np.where(live, shift, 0.0)
+        live = np.isfinite(shift)
+        shift = np.where(live, shift, 0.0)
+    probe = summand[:, _PROBE]
+    ends = [(hit_lo, 0, end_lo, summand[end_lo]), (hit_hi, -1, end_hi, summand[end_hi])]
     sums = _panel_sums(summand, shift[nrow], half)
-    base, fresh = None, np.empty(0, dtype=np.intp)
+    fresh = np.empty(0, dtype=np.intp)
     if power:
         # a row whose estimate exceeds rel_tol takes its table panels that
-        # carry more than their share of it refined, each once for the call
-        # and to its own rel_tol; the rest it takes as their 15 nodes give
-        # them.  A table panel's entry is scaled by one multiply
+        # carry more than their share of it refined, each once for the
+        # table and to its own rel_tol; the rest it takes as their 15 nodes
+        # give them.  A table panel's entry is scaled by one multiply
         scaled = table.sums[wtab]
+        lxw = lx.repeat(w)
+        top = lxw + table.peak[wtab]
         scale = np.exp(top - shift[wrow])
         kron = np.bincount(wrow, scaled[:, 0] * scale, minlength=n)
         diff = np.bincount(wrow, scaled[:, 1] * scale, minlength=n)
         size = kron + np.bincount(nrow, sums[:, 0], minlength=n)
         fair = cfg.rel_tol * size / (wcount + np.bincount(nrow, minlength=n))
         need = live & (diff + np.bincount(nrow, sums[:, 1], minlength=n) > cfg.rel_tol * size)
-        pick = np.flatnonzero(need[wrow])
+        pick = need[wrow].nonzero()[0]
         pick = pick[scaled[pick, 1] * scale[pick] > fair[wrow[pick]]]
         if pick.size:
             # while the cut panels refine, a picked panel counts as converged
             diff -= np.bincount(wrow[pick], scaled[pick, 1] * scale[pick], minlength=n)
-            fresh = np.flatnonzero(np.bincount(wtab[pick], minlength=table.lo.size))
+            fresh = np.bincount(wtab[pick], minlength=table.done.size).nonzero()[0]
             fresh = fresh[~table.done[fresh]]
-        base = np.stack([kron, diff, wcount], axis=1).astype(float)
+        base = np.empty((n, 3))
+        base[:, 0], base[:, 1], base[:, 2] = kron, diff, wcount
     # an integrand peaking at the outermost node next to an artificial cut,
     # with non-negligible magnitude, grows toward the cut: the t-integral
     # diverges there.  The mass beyond the cut: the next panel of the cut
@@ -808,17 +959,32 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
     if divergent.any():
         divergent[divergent] = shift[divergent] - log_weight_a(p, x[divergent]) > -650.0
         live &= ~divergent
+    if not power:
+        # a panel whose node values are all 0 adds exactly 0 and is never
+        # split: where an eighth of the panels are such, they are dropped
+        # and counted in their rows' fair shares
+        zero = sums[:, 2] == 0.0
+        base = np.zeros((n, 3))
+        if 8 * zero.sum() > total:
+            base[:, 2] = np.bincount(nrow[zero], minlength=n)
+            keep = (~zero).nonzero()[0]
+            nrow, nlo, nhi, sums, probe = nrow[keep], nlo[keep], nhi[keep], sums[keep], probe[keep]
+            nlay = np.arange(keep.size)
+            total = keep.size
 
     # the picked table panels not refined yet join the same rounds, as
     # owners 0 .. t-1
     t = fresh.size
     if t:
+        fj = fresh % table.width
         nrow = np.concatenate([np.arange(t), nrow + t])
-        nlo, nhi = np.concatenate([table.lo[fresh], nlo]), np.concatenate([table.hi[fresh], nhi])
+        nlo = np.concatenate([table.edges[fj], nlo])
+        nhi = np.concatenate([table.edges[fj + 1], nhi])
         sums = np.concatenate([table.sums[fresh], sums])
         probe = np.concatenate([table.probe[fresh], probe])
-        shift = np.concatenate([np.where(table.live[fresh], table.peak[fresh], 0.0), shift])
-        live = np.concatenate([table.live[fresh], live])
+        peak = table.peak[fresh]
+        shift = np.concatenate([np.where(np.isfinite(peak), peak, 0.0), shift])
+        live = np.concatenate([np.isfinite(peak), live])
         base = np.concatenate([np.zeros((t, 3)), base])
 
     def evaluate(owner, s):
@@ -826,14 +992,18 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
         v = _fa_log(f, p, side * np.exp(s))
         if not t:
             return v + k.log_phi(log_x[owner, None] - s)
-        mine = np.flatnonzero(owner >= t)
-        other = np.flatnonzero(owner < t)
-        v[other] -= table.m[fresh[owner[other]], None] * s[other]
+        mine = (owner >= t).nonzero()[0]
+        other = (owner < t).nonzero()[0]
+        v[other] -= table.ms[fresh[owner[other]] // table.width][:, None] * s[other]
         v[mine] += k.log_phi(log_x[owner[mine] - t, None] - s[mine])
         return v
 
-    nrow, origin, nlo, _, sums, _, raised = _refine(
-        nrow, nlo, nhi, sums, probe, shift, live, evaluate, cfg.rel_tol, base)
+    origin, raised = None, shift
+    if not power or t or need.any():
+        # (a power row that needed no refinement before its divergence test
+        # needs none after it)
+        nrow, origin, nlo, _, sums, _, raised = _refine(
+            nrow, nlo, nhi, sums, probe, shift, live, evaluate, cfg.rel_tol, base)
     if t:
         mine = nrow >= t
         table.settle(fresh, nrow[~mine], nlo[~mine], sums[~mine], raised[:t])
@@ -845,7 +1015,7 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
             # a picked panel enters refined, and its peak can raise its
             # row's shift
             scaled[pick] = table.fine_sums[wtab[pick]]
-            top[pick] = lx[pick] + table.fine_peak[wtab[pick]]
+            top[pick] = lxw[pick] + table.fine_peak[wtab[pick]]
             most = raised.copy()
             np.maximum.at(most, wrow[pick], top[pick])
             most = np.where(live, most, raised)
@@ -864,14 +1034,15 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
         nrow, origin, sums = nrow[order], origin[order], sums[order]
         pieces = np.ones(total, dtype=np.intp)
         pieces[nlay] = np.bincount(origin, minlength=nlay.size)
-        place = np.cumsum(pieces) - pieces
-        npos = place[nlay[origin]] + np.arange(origin.size) - np.searchsorted(origin, origin)
-        wpos, total = place[wlay], int(place[-1] + pieces[-1])
-    owners, cols = np.empty(total, dtype=np.intp), np.empty((total, 3))
-    owners[npos], cols[npos] = nrow, sums
+        place = pieces.cumsum() - pieces
+        npos = place[nlay[origin]] + np.arange(origin.size) - origin.searchsorted(origin)
+        wpos = place[wlay] if power else None
+        total = int(place[-1] + pieces[-1])
+    owners, cols = np.empty(total, dtype=np.intp), np.empty((3, total))
+    owners[npos], cols[:, npos] = nrow, sums.T
     if power:
-        owners[wpos], cols[wpos] = wrow, scaled
-    size, err, mag = (np.bincount(owners, c, minlength=n) for c in cols.T)
+        owners[wpos], cols[:, wpos] = wrow, scaled.T
+    size, err, mag = (np.bincount(owners, c, minlength=n) for c in cols)
     log_vals = np.where(divergent, math.inf, -math.inf)
     good = live & (size > 0.0)
     log_vals[good] = raised[good] + np.log(size[good])
@@ -879,8 +1050,7 @@ def _log_grid_rows(k, f, p, cfg, side, x, log_x, cut_lo, cut_hi, seg, table):
     # |K - G| of a smooth converged row can read far below its rounding
     # error: eps per node value, summed without the weights, bounds that;
     # and the log value returned, L, is itself known to a few eps |L|
-    eps = np.finfo(float).eps
-    floor = eps * mag[good] + 4.0 * eps * np.abs(log_vals[good]) * size[good]
+    floor = _EPS * mag[good] + 4.0 * _EPS * np.abs(log_vals[good]) * size[good]
     rel_err[good] = (err[good] + tail[good] + floor) / size[good]
     return log_vals, rel_err
 
@@ -890,11 +1060,15 @@ class HausdorffImage:
     in log space: log|H f| = log(A H f) - log A, the form of
     ``FunctionSpec.log_abs_decomp`` with root 1, so a norm integrand forms
     p log(A H f) + (1 - p) log A without cancelling two huge floats.
-    Each call evaluates :func:`hausdorff_log_grid` at the given nodes, and
+    Each call evaluates :func:`hausdorff_log_grid` at the given nodes, on
+    tables the image keeps for all of its calls: a whole panel is evaluated
+    and refined once for the image, so a later call evaluates f only at the
+    nodes of its own cut panels and of panels no call took before.
     :meth:`breakpoints` states where H f bends, for the norms' panel edges."""
 
     def __init__(self, k: KernelSpec, f, params: JacobiParams, cfg: QuadConfig):
         self.k, self.f, self.params, self.cfg = k, f, params, cfg
+        self._tables = {}
 
     def support(self) -> tuple[float, float]:
         # whatever the supports of phi and f, H f is left to vanish where the
@@ -931,8 +1105,13 @@ class HausdorffImage:
         core, rel = np.full(x.shape, -math.inf), np.zeros(x.shape)
         live = x != 0.0
         if live.any():
-            core[live], rel[live] = hausdorff_log_grid(
-                self.k, self.f, self.params, x[live], self.cfg)
+            # the engine takes the image's tables from _IMAGE while it runs
+            token = _IMAGE.set(self)
+            try:
+                core[live], rel[live] = hausdorff_log_grid(
+                    self.k, self.f, self.params, x[live], self.cfg)
+            finally:
+                _IMAGE.reset(token)
         return core, 1.0, rel
 
 

@@ -547,6 +547,11 @@ def gauss_2f1(a: complex, b: complex, c: complex, z: float) -> ComplexEval:
 # Jacobi function and eigenfunction
 
 _LAMBDA_NUDGE = 1e-5
+# past this |lambda|, lambda^2 is within a factor 1e8 of overflow: the Mehler
+# integral stops, and the density takes log|c| from Stirling's leading terms
+_LAMBDA_SQUARE_MAX = 1e150
+# e^v overflows past this v
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _require_finite(name: str, value) -> None:
@@ -701,9 +706,9 @@ def _phi_batch(p: JacobiParams, lams, x, fold_sinh2x: bool = False, blocks=None,
         nudged = np.abs(lr) < _LAMBDA_NUDGE
         v, e = _phi_far(p, np.where(nudged, _LAMBDA_NUDGE, lr), ax[cols], fold_sinh2x)
         if nudged.any():
-            h = 0.5 * (_LAMBDA_NUDGE * ax[cols]) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # h reaches 1 only past |x| = 1.4e5
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # h reaches 1 only past |x| = 1.4e5, and overflows past 1e159
+                h = 0.5 * (_LAMBDA_NUDGE * ax[cols]) ** 2
                 e[nudged] += np.where(h < 1.0, h / (1.0 - h) * (np.abs(v[nudged]) + e[nudged]),
                                       np.inf)
         vals[cells], err[cells] = v, e
@@ -826,6 +831,13 @@ def _phi_near(p, lams, ax, sz, turns=None):
     pair takes its own pass."""
     pairs = (p,) if isinstance(p, JacobiParams) else p
     lam_max = float(np.max(np.abs(lams), initial=0.0))
+    if lam_max > _LAMBDA_SQUARE_MAX:
+        # lambda^2 would overflow: phi is 1 at x = 0, and past its range
+        # anywhere else
+        if ax.any():
+            raise NonConvergenceError(
+                f"the Mehler integral at |lambda| = {lam_max} is past its range")
+        lams = np.zeros(lams.shape)
     lam2 = lams[:, None] ** 2
     # per pair: its values, bounds and rounding charge, the largest term
     # ratio of its series and the cells flat by it
@@ -1099,11 +1111,18 @@ def log_sinh_cosh(x):
     and 0 at x = 0, and |x| + log-half for large |x|, so that neither
     overflows."""
     ax = np.abs(np.asarray(x, dtype=float))
-    big = ax > 30.0
+    # in place on 1-d arrays, and |x| - log 2 only where |x| > 30: the H f
+    # engine takes log A at every node it evaluates
+    flat = ax.reshape(-1)
+    ls = np.minimum(flat, 30.0)
+    lc = np.cosh(ls)
     with np.errstate(divide="ignore"):
-        ls = np.where(big, ax - math.log(2.0), np.log(np.sinh(np.minimum(ax, 30.0))))
-        lc = np.where(big, ax - math.log(2.0), np.log(np.cosh(np.minimum(ax, 30.0))))
-    return ls, lc
+        np.log(np.sinh(ls, out=ls), out=ls)
+    np.log(lc, out=lc)
+    big = flat > 30.0
+    if big.any():
+        ls[big] = lc[big] = flat[big] - math.log(2.0)
+    return ls.reshape(ax.shape), lc.reshape(ax.shape)
 
 
 def log_weight_a(p: JacobiParams, x):
@@ -1202,10 +1221,30 @@ def plancherel_density(p: JacobiParams, lam, lambda_min: float = _DEFAULT_LAMBDA
         raise PoleError(f"density pole at lambda=0 (|lambda| < {lambda_min})")
     flat = lam.ravel()
     y = np.abs(flat)
+    huge = y > _LAMBDA_SQUARE_MAX
+    if huge.any():
+        # where y^2 would overflow, Stirling's leading terms give log|c| =
+        # log Gamma(alpha + 1) - log(2 pi) / 2 - log(y) / 2 - alpha log(y / 2),
+        # whose first correction, O(1 / y), is below rounding
+        far = y[huge]
+        y = np.where(huge, 1.0, y)
     u = math.pi * y
     log_sinh = u - math.log(2.0) + np.log(-np.expm1(-2.0 * u))
     log_c = (math.lgamma(p.alpha + 1.0) + 0.5 * (math.log(math.pi) - np.log(y) - log_sinh)
              - _log_abs_gamma(0.5 * p.rho, 0.5 * y)
              - _log_abs_gamma(0.5 * (p.alpha - p.beta + 1.0), 0.5 * y))
-    out = (1.0 - p.rho / (1j * flat)) * np.exp(-2.0 * log_c) / (8.0 * math.pi)
+    if huge.any():
+        log_c[huge] = (math.lgamma(p.alpha + 1.0) - 0.5 * math.log(2.0 * math.pi)
+                       - 0.5 * np.log(far) - p.alpha * np.log(0.5 * far))
+    e2 = -2.0 * log_c
+    over = e2 > _LOG_FLOAT_MAX if e2.max(initial=0.0) > _LOG_FLOAT_MAX else None
+    if over is not None:
+        e_over, e2[over] = e2[over], 0.0
+    out = (1.0 - p.rho / (1j * flat)) * np.exp(e2) / (8.0 * math.pi)
+    if over is not None:
+        # where e^e2 overflows, the density is e^(e2 - log 8 pi) (1 + i rho
+        # / lambda), inf past the float range
+        with np.errstate(over="ignore"):
+            size = np.exp(e_over - math.log(8.0 * math.pi))
+        out.real[over], out.imag[over] = size, size * (p.rho / flat[over])
     return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)

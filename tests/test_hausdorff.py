@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -902,6 +903,51 @@ def test_rows_evaluate_only_their_cut_panels_beyond_the_table():
     extra = more[~np.isin(more, one)]
     assert np.isin(one, more).all() and extra.size
     assert np.all(np.min(np.abs(np.log(extra)[:, None] - np.log(cut)), axis=1) <= 0.2)
+
+
+def test_image_reads_f_again_only_at_its_cut_panels():
+    # an image keeps its table across its calls: a second call on new x
+    # evaluates f only at the nodes of its rows' cut panels, each row's the
+    # panel (log x, sigma) up to the lattice edge at most 0.15 above it (of
+    # the window (log x, 0)), and returns what a call of its own returns,
+    # bit for bit.  A table built per call read its panels up to sigma = 0
+    k = make_kernel("adjoint_hardy")
+    bump = FunctionSpec("bump", params={"center": 0.8, "width": 0.2})
+    f = _Counted(bump)
+    image = HausdorffImage(k, f, P1, CFG)
+    image.log_abs_decomp(np.geomspace(0.61, 0.99, 60))
+    f.seen.clear()
+    cut = np.array([0.7, 0.75])
+    core, _, rel = image.log_abs_decomp(cut)
+    above = np.log(np.concatenate(f.seen))[:, None] - np.log(cut)
+    assert above.size
+    assert np.all(np.any((above > 0.0) & (above <= 0.15), axis=1))
+    alone = hausdorff_log_grid(k, bump, P1, cut, CFG)
+    assert core.tobytes() == alone[0].tobytes() and rel.tobytes() == alone[1].tobytes()
+
+
+# SHA-256 of the log values and estimates, as bytes, of a Gaussian at (1,
+# 1/2): out to |x| = 1e300 under three power kernels, where a row reads only
+# the table panels that can add more than exactly 0, and under Cesaro, whose
+# rows drop their panels that sum to exactly 0.  Taken before either skip.
+_FAR_XS = np.concatenate([-np.geomspace(1e-3, 1e300, 20), np.geomspace(1e-300, 1e300, 41)])
+_PINNED = {
+    "power_cutoff": (make_kernel("power_cutoff", exponent=-2.0, lo=1.0, hi=math.inf), _FAR_XS,
+                     "541645e94da3ef6581070e80401818ebfc4d2d8c6b2b27f8688444a6a040fbbc"),
+    "adjoint_hardy": (make_kernel("adjoint_hardy"), _FAR_XS,
+                      "5231feb57226b1655e158ef04d952b605ad6234083fb8f2dd0bbc00ba6e9eb3f"),
+    "hlp": (make_kernel("hlp"), _FAR_XS,
+            "32fc7fff50c2340f54aae71eb1bef1f95431e1f1b77c3768d5f73f29619e6f63"),
+    "cesaro": (make_kernel("cesaro", gamma_c=2.5), np.geomspace(1e-8, 1e8, 61),
+               "cba8f885b8eb07cafa3258a30f84784b41bca5dc0587df7080368cffeaa16430"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_log_grid_bytes_are_pinned(name):
+    k, xs, digest = _PINNED[name]
+    lg, rel = hausdorff_log_grid(k, FunctionSpec("gaussian"), JacobiParams(1.0, 0.5), xs, CFG)
+    assert hashlib.sha256(lg.tobytes() + rel.tobytes()).hexdigest() == digest, (lg, rel)
 
 
 # f's finite non-zero support ends and its inner breakpoints, u, for the

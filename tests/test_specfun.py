@@ -933,3 +933,39 @@ def test_a_non_finite_input_raises_parameter_error_at_entry(call, value):
     # refuses it, once per call, before any work
     with pytest.raises(ParameterError, match="finite"):
         ENTRY_CALLS[call](value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_at_a_huge_lambda_is_its_stirling_limit_or_inf():
+    # lambda^2 overflowed in _log_abs_gamma past 1e154 and read 0j; past
+    # 1e150 log|c| is Stirling's leading terms, which at (1/2, -1/2) give
+    # the closed form (lambda^2 + i lambda) / (2 pi), finite up to 3.3e154,
+    # and a density past the float range is inf, its imaginary part signed
+    # as lambda
+    for lam in (1e152, -1e154, 3e154):
+        want = complex(lam * (lam / (2.0 * math.pi)), lam / (2.0 * math.pi))
+        got = plancherel_density(P1, lam)
+        assert abs(got.real / want.real - 1.0) <= 1e-12
+        assert abs(got.imag / want.imag - 1.0) <= 1e-12
+    assert plancherel_density(P1, 3.0) == pytest.approx(complex(9.0, 3.0) / (2.0 * math.pi),
+                                                        rel=1e-14)
+    assert plancherel_density(P2, 1e300) == complex(math.inf, math.inf)
+    batch = plancherel_density(P2, np.array([3.0, -1e300]))
+    assert batch[0] == plancherel_density(P2, 3.0)
+    assert batch[1] == complex(math.inf, -math.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenfunction_at_a_huge_lambda_raises_or_is_one_at_zero():
+    # lambda^2 overflowed in _phi_near; the Mehler integral is past its
+    # range there except at x = 0, where G is 1
+    with pytest.raises(NonConvergenceError, match="past its range"):
+        eigenfunction_g(P2, 1e300, 1.0)
+    assert eigenfunction_g(P2, 1e300, 0.0) == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_at_a_huge_x_is_zero():
+    # the nudge charge of _phi_batch squared 1e-5 x and overflowed; G decays
+    # as e^(-rho x), so the inverse there is 0
+    assert oc_inverse(lambda lam: np.exp(-lam * lam), P2, 1e300, QuadConfig()) == 0j
