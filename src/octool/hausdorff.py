@@ -162,11 +162,9 @@ class KernelSpec:
         or underflow and only Cesaro and Riemann-Liouville take a log per
         node; each formula is evaluated only inside the support."""
         s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            # the formulas below work in place, on arrays
-            return self.log_phi(s.reshape(1))[0]
         lo, hi = self.support()
-        lo, hi = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi)
+        with np.errstate(divide="ignore"):
+            lo, hi = math.log(lo) if lo > 0.0 else -math.inf, math.log(hi)
         inside = None
         if not (s.size and s.min() > lo and s.max() < hi):
             inside = (s > lo) & (s < hi)
@@ -177,32 +175,19 @@ class KernelSpec:
         elif v == "adjoint_hardy":
             val = np.zeros(s.shape)
         elif v == "hlp":
-            val = np.negative(np.maximum(s, 0.0))
+            val = -np.maximum(s, 0.0)
         elif v == "power_cutoff":
             val = q["exponent"] * s
         elif v == "cesaro":
             g = q["gamma_c"]
-            # in place: log g + (g - 1) log(-expm1(s)) with one temporary
-            val = np.expm1(s)
-            np.negative(val, out=val)
-            np.log(val, out=val)
-            val *= g - 1.0
-            val += math.log(g)
+            val = math.log(g) + (g - 1.0) * np.log(-np.expm1(s))
         elif v == "riemann_liouville":
             mu = q["mu"]
-            # in place: (mu - 1) log(-expm1(-s)) - s - log Gamma(mu)
-            val = np.negative(s)
-            np.expm1(val, out=val)
-            np.negative(val, out=val)
-            np.log(val, out=val)
-            val *= mu - 1.0
-            val -= s
-            val -= math.lgamma(mu)
+            val = (mu - 1.0) * np.log(-np.expm1(-s)) - s - math.lgamma(mu)
         else:
             grid = np.asarray(q["grid"], dtype=float)
             with np.errstate(divide="ignore"):
-                val = np.interp(np.exp(s), grid, np.asarray(q["values"], dtype=float))
-                np.log(val, out=val)
+                val = np.log(np.interp(np.exp(s), grid, np.asarray(q["values"], dtype=float)))
         if inside is None:
             return val
         out = np.full(inside.shape, -math.inf)
@@ -338,9 +323,6 @@ _IMAGE = ContextVar("_IMAGE", default=None)
 # e^v is exactly 0 below v = -745.2: a table panel whose peak lies this far
 # below its row's shift adds 0 whatever the rounding of its scale
 _UNDERFLOW = 747.0
-# a pass trims its rows' ranges of table panels only where they hold more
-# than this many panels in all: trimming a few costs more than it saves
-_TRIM_PANELS = 256
 # refinement of a table panel or a row whose estimate exceeds rel_tol: at
 # most this many rounds, and this many panel splits in all
 _REFINE_ROUNDS = 12
@@ -348,13 +330,12 @@ _REFINE_SPLITS = 64
 # the nodes a panel keeps for choosing its split point: the two at each
 # end; a fall of e^40 at the log slope between two of them takes this
 # share of the panel's width
-_PROBE = np.array([0, 1, -2, -1])
+_PROBE = [0, 1, -2, -1]
 _E40_REACH = -20.0 * (_UNIT_NODES[1] - _UNIT_NODES[0])
 # |K - G| of a panel whose node values carry a relative rounding of eps |L|,
 # L their log, is at most about twice that of its Kronrod sum; a panel within
 # 16 times that is at its rounding floor, and splitting it gains nothing
-_EPS = np.finfo(float).eps
-_NOISE = 32.0 * _EPS
+_NOISE = 32.0 * np.finfo(float).eps
 
 
 def _side_edges(ends) -> np.ndarray:
@@ -377,8 +358,8 @@ def _window_panels(e, s_lo, s_hi, clip_lo, clip_hi):
     (``clip_lo``, ``clip_hi``), whose cut panel the divergence test and the
     tail charge read.  A cut panel narrower than half of its neighbour takes
     the neighbour in; a window with no whole panel left is halved."""
-    ja = e.searchsorted(s_lo, side="left")
-    jb = e.searchsorted(s_hi, side="right") - 1
+    ja = np.searchsorted(e, s_lo, side="left")
+    jb = np.searchsorted(e, s_hi, side="right") - 1
     on_lo = (e[ja] == s_lo) & ~clip_lo
     on_hi = (e[jb] == s_hi) & ~clip_hi
     ja = ja + ((ja < jb) & ~on_lo & (e[ja] - s_lo < 0.5 * (e[ja + 1] - e[ja])))
@@ -398,10 +379,11 @@ def _fa_log(f, p, u, log_a=None):
 
 def _nodes(lo, hi):
     """(half, sigma): the half-width of each panel (lo, hi) and its 15
-    Kronrod nodes, built in one array: large temporaries cost page faults."""
+    Kronrod nodes, built in one array (a large temporary is allocated, and
+    page-faulted, afresh each time)."""
     half = 0.5 * (hi - lo)
     sigma = half[:, None] * _UNIT_NODES
-    sigma += (0.5 * (lo + hi))[:, None]
+    sigma += 0.5 * (lo + hi)[:, None]
     return half, sigma
 
 
@@ -413,7 +395,7 @@ def _panel_sums(summand, shift, half):
     doubled, since a one-row product takes another summation order."""
     np.subtract(summand, shift[:, None], out=summand)
     vals = np.exp(summand, out=summand)
-    out = (vals.repeat(2, axis=0) @ _KD_WEIGHTS)[:1] if half.size == 1 else vals @ _KD_WEIGHTS
+    out = (np.repeat(vals, 2, axis=0) @ _KD_WEIGHTS)[:1] if half.size == 1 else vals @ _KD_WEIGHTS
     out[:, :2] *= half[:, None]
     np.abs(out[:, 1], out=out[:, 1])
     return out
@@ -468,23 +450,21 @@ def _refine(owner, lo, hi, sums, probe, shift, live, evaluate, rel_tol, base=Non
     origin = None
     splits = np.zeros(n, dtype=np.intp)
     whole = np.zeros(count, dtype=bool)
-    # the panels of the owners that may still split, None for all panels
-    # (where those are most of them, reading them all costs less)
-    act = None
+    # the panels of the owners that may still split, in place order
+    act = np.arange(count)
     for _ in range(_REFINE_ROUNDS):
-        if act is None:
-            o, kron, diff, wh = owner[:count], sums[:count, 0], sums[:count, 1], whole[:count]
-        else:
-            o, kron, diff, wh = owner[act], sums[act, 0], sums[act, 1], whole[act]
+        o, kron, diff = owner[act], sums[act, 0], sums[act, 1]
         size = base[:, 0] + np.bincount(o, kron, minlength=n)
         need = live & (base[:, 1] + np.bincount(o, diff, minlength=n) > rel_tol * size)
         need &= splits < _REFINE_SPLITS
+        if not need.any():
+            break
         # a panel is split when it carries more than its share of the tolerance
         fair = rel_tol * size / (base[:, 2] + np.bincount(o, minlength=n))
-        pick = (need[o] & (diff > fair[o]) & ~wh).nonzero()[0]
+        pick = np.flatnonzero(need[o] & (diff > fair[o]) & ~whole[act])
         if not pick.size:
             break
-        cand = pick if act is None else act[pick]
+        cand = act[pick]
         cut = _split_points(probe[cand], lo[cand], hi[cand])
         # a panel at floating-point resolution stays whole, and so does one
         # whose |K - G| is within the rounding of its largest node values (a
@@ -501,7 +481,7 @@ def _refine(owner, lo, hi, sums, probe, shift, live, evaluate, rel_tol, base=Non
             # candidates keep their order, so no owner's depends on another's
             order = np.lexsort((-cdiff, co))
             rank = np.empty(cand.size, dtype=np.intp)
-            rank[order] = np.arange(cand.size) - co[order].searchsorted(co[order])
+            rank[order] = np.arange(cand.size) - np.searchsorted(co[order], co[order])
             keep = rank < budget[co]
             cand, cut, co = cand[keep], cut[keep], co[keep]
         if not cand.size:
@@ -522,10 +502,7 @@ def _refine(owner, lo, hi, sums, probe, shift, live, evaluate, rel_tol, base=Non
         np.maximum.at(raised, ko, ksum.max(axis=1))
         if (raised > shift).any():
             scale = np.exp(shift - raised)
-            if act is None:
-                sums[:count] *= scale[o, None]
-            else:
-                sums[act] *= scale[o, None]
+            sums[act] *= scale[o, None]
             base[:, :2] *= scale[:, None]
             shift = raised
         kprobe = ksum[:, _PROBE]
@@ -538,12 +515,9 @@ def _refine(owner, lo, hi, sums, probe, shift, live, evaluate, rel_tol, base=Non
         new = slice(count, count + m)
         owner[new], origin[new], lo[new], hi[new] = co, origin[cand], cut, khi[m:]
         sums[new], probe[new], whole[new] = ksums[m:], kprobe[m:], False
-        go = split[o] > 0
-        act = np.concatenate([go.nonzero()[0] if act is None else act[go],
-                              np.arange(count, count + m)])
+        # an owner that split no panel never splits one again
+        act = np.concatenate([act[split[o] > 0], np.arange(count, count + m)])
         count += m
-        if 2 * act.size > count:
-            act = None
     if origin is not None:
         origin = origin[:count]
     return owner[:count], origin, lo[:count], hi[:count], sums[:count], probe[:count], shift
@@ -570,7 +544,8 @@ class _Table:
     ``peak``, ``sums`` and ``probe`` from its 15 nodes, and once a row
     needs it refined, ``fine_peak`` and ``fine_sums`` refined to its own
     rel_tol (``done``), the :func:`_panel_sums` columns summed over its
-    sub-panels in sigma order.
+    sub-panels in sigma order.  Both hold those columns as rows, one entry
+    a column, so that rows read them as three contiguous gathers.
     For a kernel without power pieces, one slot and ``ms`` None: ``nodes``
     holds log f A at the 15 nodes, to which a row adds its log phi; its
     pieces share the panels.
@@ -586,7 +561,7 @@ class _Table:
             self.nodes = np.empty((size, _UNIT_NODES.size))
             return
         self.peak = np.full(size, -math.inf)
-        self.sums, self.probe = np.zeros((size, 3)), np.zeros((size, len(_PROBE)))
+        self.sums, self.probe = np.zeros((3, size)), np.zeros((size, len(_PROBE)))
         self.fine_peak, self.fine_sums = self.peak.copy(), self.sums.copy()
         self.done = np.zeros(size, dtype=bool)
         self._hulls = None
@@ -595,8 +570,8 @@ class _Table:
         """Evaluate the panels of the entries ja .. jb - 1 of each range
         that are not filled yet."""
         size = self.filled.size
-        used = (np.bincount(ja, minlength=size) - np.bincount(jb, minlength=size)).cumsum() > 0
-        new = (used & ~self.filled).nonzero()[0]
+        used = np.cumsum(np.bincount(ja, minlength=size) - np.bincount(jb, minlength=size)) > 0
+        new = np.flatnonzero(used & ~self.filled)
         if not new.size:
             return
         self.filled[new] = True
@@ -605,7 +580,7 @@ class _Table:
         half, sigma = _nodes(lo, hi)
         u = self.side * np.exp(sigma)
         # log A from the lattice's own nodes where a panel is a lattice panel
-        lat = np.minimum(_EDGES.searchsorted(lo), _EDGES.size - 2)
+        lat = np.minimum(np.searchsorted(_EDGES, lo), _EDGES.size - 2)
         on = (_EDGES[lat] == lo) & (_EDGES[lat + 1] == hi)
         es, ec = self.p.weight_exponents
         log_a = np.empty(sigma.shape)
@@ -622,7 +597,7 @@ class _Table:
         self.probe[new] = summand[:, _PROBE]
         sums = _panel_sums(summand, np.where(live, peak, 0.0), half)
         sums[~live] = 0.0
-        self.sums[new] = self.fine_sums[new] = sums
+        self.sums[:, new] = self.fine_sums[:, new] = sums.T
         self._hulls = None
 
     def hull(self, entry, floor):
@@ -642,12 +617,12 @@ class _Table:
         desc, first, end = self._hulls
         slot = entry // self.width
         if desc.shape[0] == 1:
-            c = desc[0].searchsorted(-floor)
+            c = np.searchsorted(desc[0], -floor)
         else:
             c = np.empty(entry.size, dtype=np.intp)
             for s in range(desc.shape[0]):
                 mine = slot == s
-                c[mine] = desc[s].searchsorted(-floor[mine])
+                c[mine] = np.searchsorted(desc[s], -floor[mine])
         return first[slot, c], end[slot, c]
 
     def settle(self, which, owner, lo, sums, shift):
@@ -656,8 +631,8 @@ class _Table:
         for which[i], and each one's ``shift``."""
         order = np.lexsort((lo, owner))
         owner, sums = owner[order], sums[order]
-        self.fine_sums[which] = np.stack(
-            [np.bincount(owner, c, minlength=which.size) for c in sums.T], axis=1)
+        self.fine_sums[:, which] = np.stack(
+            [np.bincount(owner, c, minlength=which.size) for c in sums.T])
         peak = self.peak[which]
         self.fine_peak[which] = np.where(np.isfinite(peak), shift, peak)
         self.done[which] = True
@@ -726,7 +701,7 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
             "negative value")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     _require_finite("x", xs)
-    if (xs == 0.0).any():
+    if np.any(xs == 0.0):
         raise SingularityError("hausdorff operator is undefined at x = 0")
     # the tables of the image this call evaluates, or new ones
     image = _IMAGE.get()
@@ -770,7 +745,7 @@ def hausdorff_log_grid(k: KernelSpec, f, p: JacobiParams, xs, cfg: QuadConfig):
         ms = None if ms[0] is None else np.array(ms)
         for side, mine, ends in ((1.0, pos, [f_lo, f_hi, *pts]),
                                  (-1.0, ~pos, [f_lo_neg, f_hi_neg, *neg])):
-            r = (mine & (s_lo < s_hi)).nonzero()[0]
+            r = np.flatnonzero(mine & (s_lo < s_hi))
             if r.size:
                 if side not in tables:
                     tables[side] = _Table(f, p, side, _side_edges(np.array(ends)), ms)
@@ -800,7 +775,7 @@ def _log_grid_side(k, cfg, table, x, log_x, s_lo, s_hi, cut_lo, cut_hi):
         bounds[:, 0], bounds[:, -1] = lo, hi
         bounds[:, 1:-1] = np.clip(lx[:, None] - kinks, lo[:, None], hi[:, None])
         seg_lo, seg_hi = bounds[:, :-1].ravel(), bounds[:, 1:].ravel()
-        keep = (seg_lo < seg_hi).nonzero()[0]
+        keep = np.flatnonzero(seg_lo < seg_hi)
         seg_row, seg_piece = keep // len(order), keep % len(order)
         seg_lo, seg_hi = seg_lo[keep], seg_hi[keep]
         ja, jb, lo_cut, hi_cut = _window_panels(
@@ -813,19 +788,23 @@ def _log_grid_side(k, cfg, table, x, log_x, s_lo, s_hi, cut_lo, cut_hi):
         whole = ja < jb
         table.fill(ja[whole], jb[whole])
         seg = (seg_row, seg_lo, lo_cut, hi_cut, seg_hi, ja, jb)
-        # the rows in chunks of about _CHUNK_PANELS panels
-        count = ((lo_cut > seg_lo) + (jb - ja) + (seg_hi > hi_cut)).cumsum()
+        # the rows in chunks of about _CHUNK_PANELS panels read; a power
+        # row trims about half of its whole panels as dead (324,558 of
+        # 634,704 stay read in a default pass), so those count half
+        w = jb - ja if table.ms is None else (jb - ja) // 2
+        count = np.cumsum((lo_cut > seg_lo) + w + (seg_hi > hi_cut))
         rows = lx.size
         starts = [0]
         if count[-1] >= _CHUNK_PANELS:
-            chunk = count[seg_row.searchsorted(np.arange(rows), side="right") - 1] // _CHUNK_PANELS
-            starts += list((chunk[1:] != chunk[:-1]).nonzero()[0] + 1)
+            chunk = count[np.searchsorted(seg_row, np.arange(rows), side="right") - 1]
+            chunk //= _CHUNK_PANELS
+            starts += list(np.flatnonzero(np.diff(chunk)) + 1)
         # the rows of a block's last chunk go with the next block's
         ends = [*starts[1:], rows]
         if len(starts) > 1 and b0 + rows < n:
             starts, ends = starts[:-1], ends[:-1]
         for r0, r1 in zip(starts, ends):
-            c = slice(*seg_row.searchsorted([r0, r1]))
+            c = slice(*np.searchsorted(seg_row, [r0, r1]))
             r = slice(b0 + r0, b0 + r1)
             log_vals[r], rel_err[r] = _log_grid_rows(
                 k, cfg, table, x[r], log_x[r], cut_lo[r], cut_hi[r],
@@ -845,16 +824,16 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
     has_lo, has_hi = lo_cut > s_lo, s_hi > hi_cut
     # the panels a row reads node by node: its cut panels, evaluated
     # afresh, and for a kernel without power pieces the table's panels too
-    lower, upper = has_lo.nonzero()[0], has_hi.nonzero()[0]
+    lower, upper = np.flatnonzero(has_lo), np.flatnonzero(has_hi)
     cuts = np.concatenate([lower, upper])
     nlo = np.concatenate([s_lo[lower], hi_cut[upper]])
     nhi = np.concatenate([lo_cut[lower], s_hi[upper]])
     nrow = srow[cuts]
     # the node values next to an artificial cut: the lower cut panel of a
     # row's first segment or the upper one of its last
-    first = srow.searchsorted(np.arange(n))
-    last = np.concatenate([first[1:], [srow.size]]) - 1
-    hit_lo, hit_hi = cut_lo.nonzero()[0], cut_hi.nonzero()[0]
+    first = np.searchsorted(srow, np.arange(n))
+    last = np.append(first[1:], srow.size) - 1
+    hit_lo, hit_hi = np.flatnonzero(cut_lo), np.flatnonzero(cut_hi)
     if power:
         # every table panel of a row counts in its fair share
         wcount = np.bincount(srow, jb - ja, minlength=n).astype(np.intp)
@@ -862,15 +841,15 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         summand = _fa_log(f, p, side * np.exp(sigma))
         # log t = log|x| - sigma
         summand += k.log_phi(np.subtract(log_x[nrow, None], sigma, out=sigma))
-        end_lo = lower.searchsorted(first[hit_lo])
-        end_hi = lower.size + upper.searchsorted(last[hit_hi])
+        end_lo = np.searchsorted(lower, first[hit_lo])
+        end_hi = lower.size + np.searchsorted(upper, last[hit_hi])
         # the shift is each row's largest node value, where a table panel's
         # is its peak scaled by |x|^m; rounding is monotone, so a segment's
         # largest is its scale times the range max of the table's peaks
         shift = np.full(n, -math.inf)
         np.maximum.at(shift, nrow, summand.max(axis=1))
         lx = table.ms[ja // table.width] * log_x[srow]
-        full = (ja < jb).nonzero()[0]
+        full = np.flatnonzero(ja < jb)
         if full.size:
             ranges = np.empty(2 * full.size, dtype=np.intp)
             ranges[::2], ranges[1::2] = ja[full], jb[full]
@@ -878,7 +857,7 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
             np.maximum.at(shift, srow[full], lx[full] + most)
         live = np.isfinite(shift)
         shift = np.where(live, shift, 0.0)
-        if wcount.sum() > _TRIM_PANELS:
+        if full.size:
             # a whole panel whose e^(top - shift) is exactly 0 adds exactly
             # 0 to its row and is never picked: each segment reads only the
             # range of panels that its table says can add more
@@ -892,13 +871,13 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
     # place in that order
     w = jb - ja
     count = has_lo + w + has_hi
-    start = count.cumsum() - count
+    start = np.cumsum(count) - count
     total = int(start[-1] + count[-1])
-    skip = w.cumsum() - w
+    skip = np.cumsum(w) - w
     at = np.arange(int(skip[-1] + w[-1]))
-    wtab = at + (ja - skip).repeat(w)
-    wlay = at + (start + has_lo - skip).repeat(w)
-    wrow = srow.repeat(w)
+    wtab = at + np.repeat(ja - skip, w)
+    wlay = at + np.repeat(start + has_lo - skip, w)
+    wrow = np.repeat(srow, w)
     nlay = np.concatenate([start[lower], (start + count - 1)[upper]])
     if not power:
         # every panel in sigma order, the table's read from its nodes
@@ -910,7 +889,7 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         wtab = np.concatenate([np.full(cuts.size, -1), wtab])[order]
         half, sigma = _nodes(nlo, nhi)
         summand = table.nodes[np.maximum(wtab, 0)]
-        own = (wtab < 0).nonzero()[0]
+        own = np.flatnonzero(wtab < 0)
         summand[own] = _fa_log(f, p, side * np.exp(sigma[own]))
         summand += k.log_phi(np.subtract(log_x[nrow, None], sigma, out=sigma))
         end_lo, end_hi = start[first[hit_lo]], (start + count - 1)[last[hit_hi]]
@@ -926,24 +905,23 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         # carry more than their share of it refined, each once for the
         # table and to its own rel_tol; the rest it takes as their 15 nodes
         # give them.  A table panel's entry is scaled by one multiply
-        scaled = table.sums[wtab]
-        lxw = lx.repeat(w)
+        scaled = table.sums[:, wtab]
+        lxw = np.repeat(lx, w)
         top = lxw + table.peak[wtab]
         scale = np.exp(top - shift[wrow])
-        kron = np.bincount(wrow, scaled[:, 0] * scale, minlength=n)
-        diff = np.bincount(wrow, scaled[:, 1] * scale, minlength=n)
+        kron = np.bincount(wrow, scaled[0] * scale, minlength=n)
+        diff = np.bincount(wrow, scaled[1] * scale, minlength=n)
         size = kron + np.bincount(nrow, sums[:, 0], minlength=n)
         fair = cfg.rel_tol * size / (wcount + np.bincount(nrow, minlength=n))
         need = live & (diff + np.bincount(nrow, sums[:, 1], minlength=n) > cfg.rel_tol * size)
-        pick = need[wrow].nonzero()[0]
-        pick = pick[scaled[pick, 1] * scale[pick] > fair[wrow[pick]]]
+        pick = np.flatnonzero(need[wrow])
+        pick = pick[scaled[1, pick] * scale[pick] > fair[wrow[pick]]]
         if pick.size:
             # while the cut panels refine, a picked panel counts as converged
-            diff -= np.bincount(wrow[pick], scaled[pick, 1] * scale[pick], minlength=n)
-            fresh = np.bincount(wtab[pick], minlength=table.done.size).nonzero()[0]
+            diff -= np.bincount(wrow[pick], scaled[1, pick] * scale[pick], minlength=n)
+            fresh = np.flatnonzero(np.bincount(wtab[pick], minlength=table.done.size))
             fresh = fresh[~table.done[fresh]]
-        base = np.empty((n, 3))
-        base[:, 0], base[:, 1], base[:, 2] = kron, diff, wcount
+        base = np.stack([kron, diff, wcount], axis=1).astype(float)
     # an integrand peaking at the outermost node next to an artificial cut,
     # with non-negligible magnitude, grows toward the cut: the t-integral
     # diverges there.  The mass beyond the cut: the next panel of the cut
@@ -961,13 +939,12 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         live &= ~divergent
     if not power:
         # a panel whose node values are all 0 adds exactly 0 and is never
-        # split: where an eighth of the panels are such, they are dropped
-        # and counted in their rows' fair shares
+        # split: it is dropped and counted in its row's fair share
         zero = sums[:, 2] == 0.0
         base = np.zeros((n, 3))
-        if 8 * zero.sum() > total:
+        if zero.any():
             base[:, 2] = np.bincount(nrow[zero], minlength=n)
-            keep = (~zero).nonzero()[0]
+            keep = np.flatnonzero(~zero)
             nrow, nlo, nhi, sums, probe = nrow[keep], nlo[keep], nhi[keep], sums[keep], probe[keep]
             nlay = np.arange(keep.size)
             total = keep.size
@@ -980,7 +957,7 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         nrow = np.concatenate([np.arange(t), nrow + t])
         nlo = np.concatenate([table.edges[fj], nlo])
         nhi = np.concatenate([table.edges[fj + 1], nhi])
-        sums = np.concatenate([table.sums[fresh], sums])
+        sums = np.concatenate([table.sums[:, fresh].T, sums])
         probe = np.concatenate([table.probe[fresh], probe])
         peak = table.peak[fresh]
         shift = np.concatenate([np.where(np.isfinite(peak), peak, 0.0), shift])
@@ -992,8 +969,8 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         v = _fa_log(f, p, side * np.exp(s))
         if not t:
             return v + k.log_phi(log_x[owner, None] - s)
-        mine = (owner >= t).nonzero()[0]
-        other = (owner < t).nonzero()[0]
+        mine = np.flatnonzero(owner >= t)
+        other = np.flatnonzero(owner < t)
         v[other] -= table.ms[fresh[owner[other]] // table.width][:, None] * s[other]
         v[mine] += k.log_phi(log_x[owner[mine] - t, None] - s[mine])
         return v
@@ -1014,7 +991,7 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         if pick.size:
             # a picked panel enters refined, and its peak can raise its
             # row's shift
-            scaled[pick] = table.fine_sums[wtab[pick]]
+            scaled[:, pick] = table.fine_sums[:, wtab[pick]]
             top[pick] = lxw[pick] + table.fine_peak[wtab[pick]]
             most = raised.copy()
             np.maximum.at(most, wrow[pick], top[pick])
@@ -1022,7 +999,7 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
             sums *= np.exp(raised - most)[nrow, None]
             raised = most
         scale = np.exp(top - raised[wrow]) if pick.size or (raised != shift).any() else scale
-        scaled *= scale[:, None]
+        scaled *= scale
     tail *= np.exp(shift - raised)
 
     # each row's panels in sigma order, a split panel replaced by its
@@ -1034,14 +1011,15 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
         nrow, origin, sums = nrow[order], origin[order], sums[order]
         pieces = np.ones(total, dtype=np.intp)
         pieces[nlay] = np.bincount(origin, minlength=nlay.size)
-        place = pieces.cumsum() - pieces
-        npos = place[nlay[origin]] + np.arange(origin.size) - origin.searchsorted(origin)
+        place = np.cumsum(pieces) - pieces
+        npos = place[nlay[origin]] + np.arange(origin.size) - np.searchsorted(origin, origin)
+        # (a pass without powers has no wlay left once it drops panels)
         wpos = place[wlay] if power else None
         total = int(place[-1] + pieces[-1])
     owners, cols = np.empty(total, dtype=np.intp), np.empty((3, total))
     owners[npos], cols[:, npos] = nrow, sums.T
     if power:
-        owners[wpos], cols[:, wpos] = wrow, scaled.T
+        owners[wpos], cols[:, wpos] = wrow, scaled
     size, err, mag = (np.bincount(owners, c, minlength=n) for c in cols)
     log_vals = np.where(divergent, math.inf, -math.inf)
     good = live & (size > 0.0)
@@ -1050,7 +1028,8 @@ def _log_grid_rows(k, cfg, table, x, log_x, cut_lo, cut_hi, seg):
     # |K - G| of a smooth converged row can read far below its rounding
     # error: eps per node value, summed without the weights, bounds that;
     # and the log value returned, L, is itself known to a few eps |L|
-    floor = _EPS * mag[good] + 4.0 * _EPS * np.abs(log_vals[good]) * size[good]
+    eps = np.finfo(float).eps
+    floor = eps * mag[good] + 4.0 * eps * np.abs(log_vals[good]) * size[good]
     rel_err[good] = (err[good] + tail[good] + floor) / size[good]
     return log_vals, rel_err
 

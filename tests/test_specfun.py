@@ -937,18 +937,20 @@ def test_a_non_finite_input_raises_parameter_error_at_entry(call, value):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_at_a_huge_lambda_is_its_stirling_limit_or_inf():
-    # lambda^2 overflowed in _log_abs_gamma past 1e154 and read 0j; past
-    # 1e150 log|c| is Stirling's leading terms, which at (1/2, -1/2) give
-    # the closed form (lambda^2 + i lambda) / (2 pi), finite up to 3.3e154,
-    # and a density past the float range is inf, its imaginary part signed
-    # as lambda
-    for lam in (1e152, -1e154, 3e154):
+    # lambda^2 overflowed in _log_abs_gamma past 1e154 and read 0j, and the
+    # exact logs cancel from about 1e8 (at 1e16 no digit was left, and from
+    # there to 1e154 the density read 1 / (8 pi)); past 1e7 log|c| is
+    # Stirling's leading terms, which at (1/2, -1/2) give the closed form
+    # (lambda^2 + i lambda) / (2 pi), finite up to 3.3e154, and a density
+    # past the float range is inf, its imaginary part signed as lambda
+    for lam in (2e7, -1e10, 1e12, 1e16, 1e120, 1e152, -1e154, 3e154):
         want = complex(lam * (lam / (2.0 * math.pi)), lam / (2.0 * math.pi))
         got = plancherel_density(P1, lam)
         assert abs(got.real / want.real - 1.0) <= 1e-12
         assert abs(got.imag / want.imag - 1.0) <= 1e-12
     assert plancherel_density(P1, 3.0) == pytest.approx(complex(9.0, 3.0) / (2.0 * math.pi),
                                                         rel=1e-14)
+    assert plancherel_density(P2, 1e120) == complex(math.inf, math.inf)
     assert plancherel_density(P2, 1e300) == complex(math.inf, math.inf)
     batch = plancherel_density(P2, np.array([3.0, -1e300]))
     assert batch[0] == plancherel_density(P2, 3.0)
