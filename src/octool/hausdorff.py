@@ -602,28 +602,22 @@ class _Table:
 
     def hull(self, entry, floor):
         """(first, end) for each query: the entries first .. end - 1 of the
-        slot of ``entry`` span every filled panel there whose peak exceeds
+        slot of ``entry`` span every panel there whose peak exceeds
         ``floor``, and first >= end where none does."""
         if self._hulls is None:
-            # per slot, its entries by decreasing peak, and the lowest and
-            # the highest entry among the first c of them
-            slots = self.peak.size // self.width
-            order = np.lexsort((-self.peak, np.arange(self.peak.size) // self.width))
-            order = order.reshape(slots, self.width)
-            none = np.zeros((slots, 1), dtype=np.intp)
-            self._hulls = (-self.peak[order],
-                           np.hstack([none + self.peak.size, np.minimum.accumulate(order, axis=1)]),
-                           np.hstack([none, np.maximum.accumulate(order, axis=1) + 1]))
-        desc, first, end = self._hulls
-        slot = entry // self.width
-        if desc.shape[0] == 1:
-            c = np.searchsorted(desc[0], -floor)
-        else:
-            c = np.empty(entry.size, dtype=np.intp)
-            for s in range(desc.shape[0]):
-                mine = slot == s
-                c[mine] = np.searchsorted(desc[s], -floor[mine])
-        return first[slot, c], end[slot, c]
+            # per slot, the running max of its peaks from its first entry
+            # and, negated, from its last: both rise, so a query is a search
+            peak = self.peak.reshape(-1, self.width)
+            self._hulls = (np.fmax.accumulate(peak, axis=1),
+                           -np.fmax.accumulate(peak[:, ::-1], axis=1)[:, ::-1])
+        ahead, behind = self._hulls
+        base = entry - entry % self.width
+        first, end = np.empty(entry.size, dtype=np.intp), np.empty(entry.size, dtype=np.intp)
+        for s in range(ahead.shape[0]):
+            mine = base == s * self.width
+            first[mine] = np.searchsorted(ahead[s], floor[mine], side="right")
+            end[mine] = np.searchsorted(behind[s], -floor[mine])
+        return base + first, base + end
 
     def settle(self, which, owner, lo, sums, shift):
         """Store the refinement of the entries ``which``: their sub-panels
