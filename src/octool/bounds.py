@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
     SupportError,
 )
-from .hausdorff import KernelSpec
+from .hausdorff import KernelSpec, phi_integral
 from .octransform import FunctionSpec
 from .quad import IntegralResult, QuadConfig, integrate
 from .specfun import JacobiParams, log_weight_a, weight_a
@@ -183,7 +183,9 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
                   cfg: QuadConfig, power: float = 1.0) -> NormResult:
     """Integral of phi(t)^power t^(s-1) over (lo, hi) within the kernel
     support, formed as one exponential of log phi and log t so that neither
-    factor under- or overflows on its own; +inf on divergence.  The
+    factor under- or overflows on its own; +inf on divergence.  It is one
+    :func:`hausdorff.phi_integral`: a power end of phi (Cesaro,
+    Riemann-Liouville) is reached in tau = |t - end|, and elsewhere the
     kernel's breakpoints, where it bends, are panel edges, or a narrow
     spike of a ``tabulated`` kernel could fall between the nodes.
 
@@ -199,17 +201,15 @@ def kernel_moment(k: KernelSpec, s, lo: float, hi: float,
         zero = np.zeros(np.shape(s)) if np.ndim(s) else 0.0
         return NormResult(zero, zero)
     s_col = np.asarray(s, dtype=float)[..., None]
-    points = k.breakpoints()
 
-    def integrand(t):
-        log_t = np.log(np.asarray(t, dtype=float))
-        return np.exp(power * k.log_phi(log_t) + (s_col - 1.0) * log_t)
+    def integrand(t, log_phi):
+        return np.exp(power * log_phi + (s_col - 1.0) * np.log(t))
 
     try:
         # an overflowing node is an infinite value, which quad reports as
         # divergence
         with np.errstate(over="ignore"):
-            r = integrate(integrand, a, b, cfg, points=points)
+            r = phi_integral(k, integrand, a, b, cfg)
     except DivergentIntegralError as exc:
         if np.ndim(s) == 0:
             return NormResult(math.inf, math.inf)

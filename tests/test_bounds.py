@@ -519,7 +519,8 @@ def test_power_lemma_takes_one_integral_per_side(monkeypatch):
 def test_tabulated_kernel_moment_is_one_integral(monkeypatch):
     # its inner grid points are the breakpoints of one integrate call; the
     # outer two are the support's ends
-    import octool.bounds as bounds
+    # (kernel_moment integrates through hausdorff.phi_integral)
+    import octool.hausdorff as hausdorff
 
     calls = []
 
@@ -527,7 +528,7 @@ def test_tabulated_kernel_moment_is_one_integral(monkeypatch):
         calls.append(kwargs.get("points"))
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "integrate", counted)
+    monkeypatch.setattr(hausdorff, "integrate", counted)
     r = kernel_moment(SPIKE, 0.5, 0.0, 1.0, CFG)
     assert len(calls) == 1 and list(calls[0]) == SPIKE.params["grid"][1:-1]
     assert r.value == pytest.approx(1.1952e-5, rel=1e-4)
@@ -537,7 +538,8 @@ def test_hlp_kernel_moment_takes_its_kink_as_a_panel_edge(monkeypatch):
     # 1/max(1, t) bends at t = 1, a breakpoint of its one integrate call;
     # the moment t^(s - 1) phi(t) over (0, 2) at s = 1/2 is
     # 2 + 2 (1 - 1/sqrt 2)
-    import octool.bounds as bounds
+    # (kernel_moment integrates through hausdorff.phi_integral)
+    import octool.hausdorff as hausdorff
 
     calls = []
 
@@ -545,7 +547,7 @@ def test_hlp_kernel_moment_takes_its_kink_as_a_panel_edge(monkeypatch):
         calls.append(kwargs.get("points"))
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "integrate", counted)
+    monkeypatch.setattr(hausdorff, "integrate", counted)
     r = kernel_moment(make_kernel("hlp"), 0.5, 0.0, 2.0, CFG)
     assert calls == [(1.0,)]
     assert abs(r.value - (4.0 - math.sqrt(2.0))) <= r.err_estimate
