@@ -33,6 +33,7 @@ import math
 from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,9 +129,9 @@ class KernelSpec:
         |t - end|, as a :class:`_PowerEnd`, or None: Cesaro's
         gamma_c tau^(gamma_c - 1) at t = 1 unless gamma_c is an integer, and
         Riemann-Liouville's tau^(mu - 1) (1 + tau)^(-mu) / Gamma(mu) at t = 1
-        unless mu is one.  It takes phi from tau itself: end -+ tau rounds to
-        the end below tau ~ 1e-16, where phi(end) = 0 or inf would drop or
-        blow up a mass of tau^gamma_c or tau^mu."""
+        unless mu is an integer.  It takes phi from tau itself: end -+ tau
+        rounds to the end below tau ~ 1e-16, where phi(end) = 0 or inf would
+        drop or blow up a mass of tau^gamma_c or tau^mu."""
         v, q = self.variant, self.params
         if v == "cesaro" and q["gamma_c"] != round(q["gamma_c"]):
             g = q["gamma_c"]
@@ -210,26 +211,26 @@ class KernelSpec:
 
     def l1_status(self, cfg: QuadConfig) -> tuple[str, float | None]:
         """("finite", value) or ("infinite", None) for the integral of phi
-        over its support, one :func:`phi_integral`: a power end is reached in
-        tau, where bisection in t read 0.97575 for Cesaro gamma_c = 0.1."""
+        over its support.  A power end is reached in tau by
+        :func:`phi_integral`, where bisection in t read 0.97575 for Cesaro
+        gamma_c = 0.1; any other kernel is one run in t without panel edges."""
         try:
-            r = phi_integral(self, lambda t, log_phi: np.exp(log_phi), *self.support(), cfg)
+            if self.power_end() is None:
+                r = integrate(self, *self.support(), cfg)
+            else:
+                r = phi_integral(self, lambda t, log_phi: np.exp(log_phi), *self.support(), cfg)
         except DivergentIntegralError:
             return "infinite", None
         return "finite", float(r.value)
 
 
-@dataclass(frozen=True)
-class _PowerEnd:
+class _PowerEnd(NamedTuple):
     """phi next to the end ``at`` of its support, t = at + sign tau for tau
-    > 0: ``log_phi(tau)`` is log phi there, and a call gives phi."""
+    > 0, where ``log_phi(tau)`` is log phi."""
 
     at: float
     sign: float
     log_phi: Callable
-
-    def __call__(self, tau):
-        return np.exp(self.log_phi(np.asarray(tau, dtype=float)))
 
 
 def phi_integral(k: KernelSpec, g, lo: float, hi: float, cfg: QuadConfig) -> IntegralResult:

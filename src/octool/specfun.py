@@ -258,14 +258,7 @@ def _hyp_series(a, b, c, w):
     ``_BLOCK`` (8), or ``_LONG_BLOCK`` (48) on a batch of at most
     ``_FEW_CELLS`` cells whose rows' ratios keep p in range over a long step
     (:func:`_step_length`), which then sums a typical series in one or two
-    steps instead of five or more, each a few dozen numpy calls.  A batch
-    of at most ``_FEW_CELLS`` cells takes no matrix product, whose rounding
-    depends on the batch's shape: each element takes q_(n+1) = q_n w and
-    adds its terms to its sum one by one, in order, so that its terms and
-    partial sums are bit for bit those of a one-cell call, in any such batch
-    and at either step length; only the step end at which it stops may
-    differ.  (A far cell of ``_phi_batch`` at |lambda| = 167 read 4e-14 off
-    in a batch of two x values, 2e-15 alone.)  Once the
+    steps instead of five or more, each a few dozen numpy calls.  Once the
     largest |p| and |q| drift more than 2^(2 ``_REBALANCE``) apart, a step's
     end scales them by reciprocal powers of two that balance them: every
     product keeps its bits, and neither factor leaves the float range while
@@ -307,7 +300,6 @@ def _hyp_series(a, b, c, w):
                for v in (a, b, c))
     w = np.broadcast_to(w.reshape(-1), shape[-1:])
     step = _step_length(a, b, c, a.size * w.size)
-    ordered = a.size * w.size <= _FEW_CELLS
     # the arrays hold one row per column, so a column moves as one contiguous
     # row.  Rows [:k] hold the live columns, rows [k:] the retired ones in
     # their final state: a retiring column swaps rows with a live one, and
@@ -343,18 +335,8 @@ def _hyp_series(a, b, c, w):
                 rlast = float(np.abs(ratio[-1]).max(initial=0.0))
                 ratio[0] *= p
                 row_f = np.cumprod(ratio, axis=0, out=ratio)
-                if ordered:
-                    # q_(n+1) = q_n w, and the sum s + t_n term by term
-                    col_f = np.repeat(powers[:k, :1], step, axis=1)
-                    col_f[:, 0] *= qk
-                    np.cumprod(col_f, axis=1, out=col_f)
-                    t = col_f[:, :, None] * row_f
-                    t[:, 0] += s
-                    np.add.accumulate(t, axis=1, out=t)
-                    s[:] = t[:, -1]
-                else:
-                    col_f = qk[:, None] * powers[:k]
-                    s += np.matmul(col_f, row_f, out=terms[:k])
+                col_f = qk[:, None] * powers[:k]
+                s += np.matmul(col_f, row_f, out=terms[:k])
                 # every peak is at least 1, the first term's size
                 row_abs = np.abs(row_f)
                 # a long step's batch is small enough to broadcast; the

@@ -660,10 +660,10 @@ def test_power_end_keeps_the_mass_next_to_it():
     # Cesaro gamma_c = 0.1 in tau = 1 - t: 1 - tau rounds to 1 below
     # tau ~ 1e-16, where phi(1) = 0 would drop tau^0.1 ~ 0.025 of its mass
     k = make_kernel("cesaro", gamma_c=0.1)
-    phi_hi = k.power_end()
+    end = k.power_end()
     tau = np.array([0.5, 1e-3, 1e-9])
-    assert np.allclose(phi_hi(tau), k(1.0 - tau), rtol=1e-6, atol=0.0)
-    r = integrate(phi_hi, 0.0, 1.0, CFG)
+    assert np.allclose(np.exp(end.log_phi(tau)), k(1.0 - tau), rtol=1e-6, atol=0.0)
+    r = integrate(lambda tau: np.exp(end.log_phi(tau)), 0.0, 1.0, CFG)
     assert abs(r.value - 1.0) <= r.err_estimate < 1e-8
     for smooth in (make_kernel("cesaro", gamma_c=2.0), make_kernel("adjoint_hardy")):
         assert smooth.power_end() is None
@@ -750,16 +750,6 @@ def test_power_end_keeps_the_far_ends_divergence():
     exact = float(0.5 * mpmath.beta(0.05, 0.5) / mpmath.sinh(1) ** 2)
     assert exact == pytest.approx(7.7306069955, rel=1e-10)
     assert abs(r.value - exact) <= r.err_estimate < 1e-6
-
-
-def test_l1_status_takes_a_tabulated_kernels_grid_as_panel_edges():
-    # a tent of mass 1e-5 on (0.7, 0.70002) falls between the nodes of a
-    # panel over (0.5, 0.9): without the grid as edges the mass read 0.075
-    # within 3.5e-10
-    grid = [0.5, 0.7, 0.70001, 0.70002, 0.9, 1.2]
-    values = [0.0, 0.0, 1.0, 0.0, 0.0, 0.5]
-    status, l1 = make_kernel("tabulated", grid=grid, values=values).l1_status(CFG)
-    assert status == "finite" and l1 == pytest.approx(np.trapezoid(values, grid), rel=1e-12)
 
 
 # cos 3x on [0.2, 2] changes sign: the engine, which integrates log|f|,
