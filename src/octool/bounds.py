@@ -408,17 +408,17 @@ def power_lemma_check(h: FunctionSpec, s: float,
     if np.any(np.diff(vals) > 1e-12 * (np.max(np.abs(vals)) + 1e-300)):
         raise MonotonicityError("h must be non-increasing on its support")
     # across a jump the Gauss and Kronrod rules can agree on a wrong value:
-    # h's breakpoints are panel edges
-    points = h.breakpoints()
-    lhs = float(integrate(h, a, b, cfg, points=points).value) ** s
+    # h's breakpoints are panel edges.  Both sides are one run in u = t - a,
+    # which evaluates h once per node for both
 
     def g(u):
-        # u = t - a, singular weight u^(s-1) at 0
+        # the weight u^(s-1) of the rhs is singular at 0
         u = np.asarray(u, dtype=float)
-        return np.asarray(h(a + u)) ** s * u ** (s - 1.0)
+        hu = np.asarray(h(a + u))
+        return np.stack([hu, hu ** s * u ** (s - 1.0)])
 
-    rhs = integrate(g, 0.0, b - a, cfg, points=points - a).value
-    return lhs, s * float(rhs)
+    lhs, rhs = integrate(g, 0.0, b - a, cfg, points=h.breakpoints() - a).value
+    return float(lhs) ** s, s * float(rhs)
 
 
 def mphi_check(k: KernelSpec, f: FunctionSpec, params: JacobiParams,

@@ -194,11 +194,23 @@ class KernelSpec:
         elif v == "power_cutoff":
             val = q["exponent"] * s
         elif v == "cesaro":
+            # in place, in the order of log g + (g - 1) log(-expm1(s))
             g = q["gamma_c"]
-            val = math.log(g) + (g - 1.0) * np.log(-np.expm1(s))
+            val = np.expm1(s, out=np.empty(s.shape))
+            np.negative(val, out=val)
+            np.log(val, out=val)
+            val *= g - 1.0
+            val += math.log(g)
         elif v == "riemann_liouville":
+            # in place, in the order of (mu - 1) log(-expm1(-s)) - s - log Gamma(mu)
             mu = q["mu"]
-            val = (mu - 1.0) * np.log(-np.expm1(-s)) - s - math.lgamma(mu)
+            val = np.negative(s, out=np.empty(s.shape))
+            np.expm1(val, out=val)
+            np.negative(val, out=val)
+            np.log(val, out=val)
+            val *= mu - 1.0
+            val -= s
+            val -= math.lgamma(mu)
         else:
             grid = np.asarray(q["grid"], dtype=float)
             with np.errstate(divide="ignore"):
@@ -213,10 +225,12 @@ class KernelSpec:
         """("finite", value) or ("infinite", None) for the integral of phi
         over its support.  A power end is reached in tau by
         :func:`phi_integral`, where bisection in t read 0.97575 for Cesaro
-        gamma_c = 0.1; any other kernel is one run in t without panel edges."""
+        gamma_c = 0.1; any other kernel is one run in t with its breakpoints
+        (hlp's kink, a ``tabulated`` kernel's inner grid points) as panel
+        edges, so that no panel straddles a bend."""
         try:
             if self.power_end() is None:
-                r = integrate(self, *self.support(), cfg)
+                r = integrate(self, *self.support(), cfg, points=self.breakpoints())
             else:
                 r = phi_integral(self, lambda t, log_phi: np.exp(log_phi), *self.support(), cfg)
         except DivergentIntegralError:

@@ -135,14 +135,15 @@ def _gk15(f, lo, hi):
     |Kronrod - Gauss| and Kronrod-weighted inner errors, each (m, panels)
     for m components.
 
-    ``f(s)`` takes the (panels, 15) nodes and returns (values, inner):
+    ``f(lo, hi)`` returns (values, inner) at the panels' (panels, 15)
+    Kronrod nodes, which it builds only where it has none of its own:
     values of shape (..., panels, 15), and inner the absolute error of each
     value from a computation inside the integrand, of the same shape, or
     None.  A NaN raises ParameterError, and an infinite value
     DivergentIntegralError, with a mask of the components it hits for a
     vector integrand."""
-    half, s = _panel_nodes(lo, hi)
-    y, inner = f(s)
+    half = 0.5 * (hi - lo)
+    y, inner = f(lo, hi)
     finite = np.isfinite(y)
     if not finite.all():
         if np.isnan(y).any():
@@ -152,7 +153,7 @@ def _gk15(f, lo, hi):
         mask = ~finite.all(axis=(-2, -1))
         raise DivergentIntegralError("integrand returned an infinite value",
                                      mask=mask if mask.ndim else None)
-    y = y.reshape(-1, *s.shape)
+    y = y.reshape(-1, *y.shape[-2:])
     kron = half * (y @ _WK)
     diff = np.abs(kron - half * (y @ _WG15))
     if half.min(initial=math.inf) < _TINY:
@@ -332,7 +333,7 @@ def _signed_nodes(maps, block, s):
 # a layout takes 40 to 220 us to build (a finite interval to the whole line,
 # on a 2-core Xeon), as long as a small integral on it takes to compute, so
 # 1024 of them, of a few KB each, are kept.  The default scenario suite
-# integrates over 213 distinct intervals: a cache that held fewer would
+# integrates over 114 distinct intervals: a cache that held fewer would
 # evict each one, in least-recently-used order, before its next use
 @functools.lru_cache(maxsize=1024)
 def _layout(lo: float, hi: float, cutoff) -> _Layout | None:
@@ -466,17 +467,21 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     lay = _layout(float(lo), float(hi), None if cutoff is None else float(cutoff))
     if lay is None:
         return IntegralResult(0.0, 0.0, 0)
-    panels = _initial_panels(lay.pieces, points) if np.size(points) else lay.panels
-    shape = ()
+    own_round = not np.size(points)
+    panels = lay.panels if own_round else _initial_panels(lay.pieces, points)
+    shape, noisy = (), False
 
     def in_s(block):
-        """The integrand in s on panels of ``block``, or on the layout's
-        first round where None: f(sign X(s)) X'(s), and its inner error
-        times X'(s)."""
+        """The integrand in s on the panels (lo, hi) of ``block``, or on the
+        layout's first round where None: f(sign X(s)) X'(s), and its inner
+        error times X'(s)."""
 
-        def g(s):
-            nonlocal shape
-            x, jac = (lay.nodes, lay.jac) if block is None else _signed_nodes(lay.maps, block, s)
+        def g(lo, hi):
+            nonlocal shape, noisy
+            if block is None:
+                x, jac = lay.nodes, lay.jac
+            else:
+                x, jac = _signed_nodes(lay.maps, block, _panel_nodes(lo, hi)[1])
             with np.errstate(over="ignore"):
                 out = f(x)
                 values, inner = out if isinstance(out, tuple) else (out, None)
@@ -484,8 +489,11 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
                 shape = values.shape[:-1]
                 # finiteness is tested on this product: a value that
                 # overflows on the Jacobian is an infinite one
-                y = values.reshape(shape + s.shape) * jac
-            return y, None if inner is None else np.abs(inner).reshape(y.shape) * jac
+                y = values.reshape(shape + jac.shape) * jac
+            if inner is None:
+                return y, None
+            noisy = True
+            return y, np.abs(inner).reshape(y.shape) * jac
 
         return g
 
@@ -495,14 +503,15 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
     # one ``state`` array.  Without breakpoints the first round's abscissae
     # and Jacobian are the layout's own
     lo_s, hi_s, block = panels
-    kron, diff, inner = _gk15(in_s(None if panels is lay.panels else block), lo_s, hi_s)
+    kron, diff, inner = _gk15(in_s(None if own_round else block), lo_s, hi_s)
     m = kron.shape[0]
     state = None
     splits, checkpoint_err, checkpoint_splits = 0, math.inf, 0
     exhausted = False
     while True:
         err = diff.sum(axis=-1)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(kron.sum(axis=-1)))
+        value = kron.sum(axis=-1)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
         unconverged = err > tol
         if not unconverged.any():
             break
@@ -555,11 +564,16 @@ def integrate(f, lo: float, hi: float, cfg: QuadConfig,
         """``a`` of shape (m, ...) in the shape of one node's values."""
         return a.reshape(shape + a.shape[1:])[()]
 
-    total = IntegralResult(own(kron.sum(axis=-1)), own(err), lo_s.size)
-    # each dyadic block's |total|, for its piece's tail charge and divergence test
-    blocks = np.arange(lay.maps.shape[1])
-    _charge_tails(total, own(np.abs(kron @ (block[:, None] == blocks).astype(float))), lay, cfg)
-    total.err_estimate = total.err_estimate + own(inner.sum(axis=-1))
+    total = IntegralResult(own(value), own(err), lo_s.size)
+    # each dyadic block's |total|, for its piece's tail charge and divergence
+    # test: on the layout's own first round panel i is block i
+    if own_round and state is None:
+        sums = np.abs(kron)
+    else:
+        sums = np.abs(kron @ (block[:, None] == np.arange(lay.maps.shape[1])).astype(float))
+    _charge_tails(total, own(sums), lay, cfg)
+    if noisy:
+        total.err_estimate = total.err_estimate + own(inner.sum(axis=-1))
     if exhausted:
         worst = np.ravel(err - tol).argmax()
         raise BudgetExhaustedError(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -160,6 +161,20 @@ def test_l1_status_catalog():
     for k in (make_kernel("hardy"), make_kernel("hlp"),
               make_kernel("riemann_liouville", mu=0.5)):
         assert k.l1_status(CFG) == ("infinite", None)
+
+
+def test_l1_status_takes_a_tabulated_kernels_grid_as_panel_edges():
+    # a tent of mass 1e-5 on (0.7, 0.70002) between the first round's
+    # Kronrod nodes: without the grid as panel edges the mass read 0.075
+    grid = [0.5, 0.7, 0.70001, 0.70002, 0.8]
+    values = [0.25, 0.25, 1.25, 0.25, 0.25]
+    k = make_kernel("tabulated", grid=grid, values=values)
+    # the trapezoid sum on the float grid, exactly
+    mass = sum((Fraction(b) - Fraction(a)) * (Fraction(u) + Fraction(v)) / 2
+               for a, b, u, v in zip(grid, grid[1:], values, values[1:]))
+    status, l1 = k.l1_status(CFG)
+    assert status == "finite" and l1 == pytest.approx(float(mass), rel=1e-14)
+    assert l1 == pytest.approx(0.07501, rel=1e-14)
 
 
 @pytest.mark.parametrize("exponent", [0.0, -0.5])

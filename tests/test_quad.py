@@ -619,3 +619,130 @@ def test_first_round_and_refined_results_keep_their_bits():
     assert len(calls) == 2
     assert (float(r.value).hex(), float(r.err_estimate).hex(), r.subdivisions_used) == \
         ("0x1.0000000000001p+0", "0x1.a5a2dabc8c6dcp-34", 22)
+
+
+def _hexes(a):
+    """Every component of ``a`` as hex, a complex one as its two parts."""
+    a = np.atleast_1d(np.asarray(a))
+    if np.iscomplexobj(a):
+        return tuple(f"{float(v.real).hex()} {float(v.imag).hex()}j" for v in a.ravel())
+    return tuple(float(v).hex() for v in a.ravel())
+
+
+# value, estimate, panels and rounds of integrals on every path of
+# integrate's rounds, pinned before the first round was rewritten: first
+# rounds from the layout and from breakpoints, scalar, 3-component and
+# complex integrands, inner errors, a cutoff, and refined runs of up to 15
+# rounds
+_PINNED = {
+    "ones_0_1": (lambda x: np.ones_like(x), 0.0, 1.0, {},
+                 ("0x1.0000000000001p+0",), ("0x1.31fcdb758a4fcp-34",), 10, 1),
+    "gauss_line": (lambda x: np.exp(-x * x), -math.inf, math.inf, {},
+                   ("0x1.c5bf891b4ef79p+0",), ("0x1.661577dcddf94p-27",), 44, 2),
+    "decay_half": (lambda x: np.exp(-x), 0.0, math.inf, {},
+                   ("0x1.0000000000001p+0",), ("0x1.a5a2dabc8c6dcp-34",), 22, 2),
+    "poly_finite": (lambda x: x ** 3 - x, -1.0, 2.0, {},
+                    ("0x1.2000000000001p+1",), ("0x1.8a85f93a1b5fbp-28",), 20, 1),
+    "step_points": (
+        lambda x: np.where(x < 0.7, 2.0, 0.5) * np.where(x < 1.9, 1.0, 0.25), 0.0, 3.0,
+        {"points": (0.7, 1.9)}, ("0x1.1199999999999p+1",), ("0x1.cafa861c50f7ap-32",), 12, 1),
+    "step_points_line": (
+        lambda x: np.where(np.abs(x) < 2.5, 1.0, 0.0) * np.exp(-np.abs(x)), -math.inf, math.inf,
+        {"points": (-2.5, 2.5)}, ("0x1.d5f8f47ed617bp+0",), ("0x1.c365fd9fca9f8p-34",), 42, 1),
+    "three": (
+        lambda x: np.stack([np.exp(-x), x * np.exp(-x), np.cos(x) * np.exp(-x)]), 0.0, math.inf, {},
+        ("0x1.0000000000001p+0", "0x1.0000000000000p+0", "0x1.0000000000005p-1"),
+        ("0x1.c4c0d3996e718p-35", "0x1.b4b2c08954811p-34", "0x1.5f219dfeda72ep-33"), 25, 3),
+    "complex": (lambda x: np.exp((-1.0 + 2.0j) * x), 0.0, math.inf, {},
+                ("0x1.999999999999bp-3 0x1.999999999999bp-2j",), ("0x1.641182c333217p-32",), 31, 4),
+    "complex_three": (
+        lambda x: np.stack([np.exp(-x * x + 2.0j * x), np.exp(-np.abs(x)) + 0j, 1j / (1 + x * x)]),
+        -math.inf, math.inf, {},
+        ("0x1.4dd968fa20387p-1 0x1.0000000000000p-55j", "0x1.0000000000000p+1 0x0.0p+0j",
+         "0x0.0p+0 0x1.921fb54442d18p+1j"),
+        ("0x1.35f99db293360p-32", "0x1.718c8b2c8c6bcp-33", "0x1.2e1e376d7e4fcp-32"), 54, 3),
+    "inner": (
+        lambda x: (np.exp(-x) * (1 + 1e-9 * np.sin(1e3 * x)), 1e-9 * np.exp(-x)), 0.0, 5.0, {},
+        ("0x1.fc8cd8035811fp-1",), ("0x1.cfc516f84a0e7p-29",), 10, 1),
+    "inner_three": (
+        lambda x: (np.stack([np.exp(-x), np.sqrt(x)]),
+                   np.stack([1e-13 * np.ones_like(x), 1e-6 * np.ones_like(x)])), 0.0, 4.0, {},
+        ("0x1.f69f5523ef618p-1", "0x1.5555555555555p+2"),
+        ("0x1.d85b965038dd6p-30", "0x1.0c7c23df26ebfp-18"), 10, 1),
+    "cutoff": (lambda x: np.exp(-np.abs(x)), -math.inf, math.inf, {"cutoff": 12.0},
+               ("0x1.ffff31d59e25fp+0",), ("0x1.22c0bbf56d29bp-6",), 8, 1),
+    "cutoff_finite": (lambda x: np.exp(-x) * np.cos(x), 0.0, 30.0, {"cutoff": 12.0},
+                      ("0x1.fffee3674d7a9p-2",), ("0x1.03e7dd547400bp-2",), 4, 1),
+    "refined": (lambda x: np.sin(40.0 * x) * np.exp(-0.1 * x), 0.0, 10.0, {},
+                ("0x1.e9122923efb34p-6",), ("0x1.ca7006da27ea0p-36",), 146, 8),
+    "kink": (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, {},
+             ("0x1.fffc4ae5ed856p-2",), ("0x1.2f06e237b0f3ep-30",), 28, 15),
+    "kink_points": (
+        lambda x: np.sqrt(np.abs(x - 0.3)) * np.where(x < 0.5, 1.0, 2.0), 0.0, 1.0, {"points": (0.5,)},
+        ("0x1.a95e734f63996p-1",), ("0x1.61ae041fa9e6fp-28",), 27, 14),
+    "power_zero": (lambda x: x ** -0.9, 0.0, 1.0, {},
+                   ("0x1.4000000000002p+3",), ("0x1.607539942332ap-32",), 10, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_integrals_keep_their_pinned_bits(name):
+    g, lo, hi, kw, value, err, panels, rounds = _PINNED[name]
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return g(x)
+
+    r = integrate(f, lo, hi, CFG, **kw)
+    assert (_hexes(r.value), _hexes(r.err_estimate), r.subdivisions_used, len(calls)) == \
+        (value, err, panels, rounds)
+
+
+def test_divergent_and_exhausted_runs_keep_their_pinned_bits():
+    # a divergent component raises with its mask and the partial before
+    # the tail charges; a spent budget raises with its partial
+    with pytest.raises(DivergentIntegralError) as info:
+        integrate(lambda x: np.stack([1.0 / x, np.exp(-x), x ** -1.5]), 1.0, math.inf, CFG)
+    partial = info.value.partial
+    assert info.value.mask.tolist() == [True, False, False]
+    assert _hexes(partial.value) == ("0x1.2c00000000000p+9", "0x1.78b56362cef39p-2", "0x1.0000000000000p+1")
+    assert _hexes(partial.err_estimate) == \
+        ("0x1.3f80000000000p-44", "0x1.880bb7d94e3c0p-35", "0x1.732e2c75af9f6p-34")
+    assert partial.subdivisions_used == 12
+    with pytest.raises(BudgetExhaustedError) as info:
+        integrate(lambda x: np.sin(40.0 * x), 0.0, 10.0, QuadConfig(max_subdivisions=3))
+    partial = info.value.partial
+    assert (_hexes(partial.value), _hexes(partial.err_estimate), partial.subdivisions_used) == \
+        (("-0x1.6276c28bee910p-1",), ("0x1.8c4687b1ea4afp+1",), 13)
+
+
+def test_tail_charge_edge_cases():
+    # the window of (0, 1) is its full blocks 4 to 8 (block 9 is clipped)
+    lay = quad._layout(0.0, 1.0, None)
+    assert lay.window.tolist() == [[4, 5, 6, 7, 8]]
+
+    def charged(window):
+        sums = np.zeros((len(window), lay.maps.shape[1]))
+        sums[:, 4:9] = window
+        total = quad.IntegralResult(np.zeros(len(sums)), np.full(len(sums), 1e-9))
+        quad._charge_tails(total, sums, lay, CFG)
+        return total.err_estimate
+
+    # an empty block before a full one: an infinite last ratio, capped at
+    # 0.9; two empty blocks: 0 / 0, which fmin drops for 0.9, on a 0 tail;
+    # an empty window reads as growing but stays under the floor
+    err = charged([[1e-3, 1e-4, 1e-5, 0.0, 1e-7], [1e-3, 1e-4, 1e-5, 0.0, 0.0], [0.0] * 5])
+    assert err.tolist() == [1e-9 + 1e-7 * 0.9 / (1.0 - 0.9), 1e-9, 1e-9]
+    # a piece with a single full block charges that block
+    single = quad._layout(0.0, 30.0, 1.0)
+    assert single.single.tolist() == [True] and not single.testable.any()
+    total = quad.IntegralResult(np.zeros(1), np.full(1, 1e-9))
+    quad._charge_tails(total, np.array([[2e-3]]), single, CFG)
+    assert total.err_estimate.tolist() == [1e-9 + 2e-3]
+    # blocks that fail to shrink raise for their components only, unless
+    # they stay under the divergence floor
+    growing = [1.0, 1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(DivergentIntegralError) as info:
+        charged([growing, [1e-3, 1e-4, 1e-5, 1e-6, 1e-7], [1e-14] * 5])
+    assert info.value.mask.tolist() == [True, False, False]
